@@ -4,10 +4,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use gossip_core::wire::{decode_message, encode_message};
-use gossip_core::{Message, TestEvent};
+use gossip_core::{Event, Message, TestEvent};
 use gossip_fec::{ReedSolomon, WindowParams};
 use gossip_net::UploadLink;
 use gossip_sim::{DetRng, EventQueue};
+use gossip_stream::{PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
 
 fn bench_gf_mul_acc(c: &mut Criterion) {
@@ -26,6 +27,24 @@ fn bench_gf_mul_acc(c: &mut Criterion) {
             gossip_fec::gf::mul_acc_slice(black_box(&mut short_dst), black_box(&short_src), 0x1D)
         });
     });
+    g.finish();
+}
+
+/// The payload-integrity kernel, as a receiver pays it: one
+/// `StreamPacket::verify` per served packet, at the payload sizes the
+/// benchmark's workloads stream (500 B, 1000 B) and a short one where the
+/// finalisation dominates.
+fn bench_stream_packet_verify(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stream_packet_verify");
+    for len in [64usize, 500, 1000] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let packet =
+            StreamPacket::new(PacketId::new(3, 14), Time::from_millis(1592), payload.into());
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("verify_{len}B"), |b| {
+            b.iter(|| black_box(black_box(&packet).verify()));
+        });
+    }
     g.finish();
 }
 
@@ -215,6 +234,7 @@ fn bench_wire_codec(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_gf_mul_acc,
+    bench_stream_packet_verify,
     bench_rs_paper_window,
     bench_window_params,
     bench_event_queue,

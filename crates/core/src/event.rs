@@ -32,10 +32,16 @@ pub trait Event: Clone + fmt::Debug {
 
     /// Whether the event's payload matches its integrity metadata.
     ///
-    /// The node calls this on every served event before delivering,
-    /// storing or re-proposing it (validate-before-relay); events without
-    /// integrity metadata are trivially valid. Implementations must be
-    /// cheap relative to payload size — it runs once per received serve.
+    /// Called exactly once per received serve event: a validating node
+    /// (`GossipConfig::verify_payloads`, the default) calls it before
+    /// delivering, storing or re-proposing the event
+    /// (validate-before-relay), and hosts do not call it again for a
+    /// validating node — only the host of an undefended one checks its
+    /// deliveries itself (see `GossipNode::delivers_verified`). The verdict
+    /// is not cached in the event: a clone served onward is checked by its
+    /// receiver. Events without integrity metadata are trivially valid.
+    /// Implementations should run at memory speed over the payload — this
+    /// is the per-hop cost of every delivered packet.
     fn verify(&self) -> bool {
         true
     }

@@ -330,6 +330,21 @@ impl<E: Event> GossipNode<E> {
         !self.outputs.is_empty()
     }
 
+    /// Whether every [`Output::Deliver`] this node emits carries an event
+    /// that already passed [`Event::verify`] — the one rule hosts consult
+    /// before gating a delivery on the payload's integrity.
+    ///
+    /// A validating node ([`GossipConfig::verify_payloads`], the default)
+    /// checks each served event once, before it can be delivered, stored or
+    /// relayed, and what it publishes itself is the original: its
+    /// deliveries are intact by construction and a host must not pay for a
+    /// second pass. Only a host of an *undefended* node has to call
+    /// `verify` on a delivery itself to keep a poisoned payload out of its
+    /// measurements.
+    pub fn delivers_verified(&self) -> bool {
+        self.config.verify_payloads
+    }
+
     // ------------------------------------------------------------------
     // Inputs
     // ------------------------------------------------------------------

@@ -141,11 +141,15 @@ impl<'a> Driver<'a> {
 
     /// Runs the event loop until the horizon, then collects the result.
     pub(crate) fn run(mut self) -> RunResult {
+        self.run_to_horizon();
+        result::collect(self)
+    }
+
+    fn run_to_horizon(&mut self) {
         let end = Time::ZERO + self.dep.cfg.total_duration();
         while let Some((now, ev)) = self.engine.pop_before(end) {
             self.dispatch(now, ev);
         }
-        result::collect(self)
     }
 
     /// Whether a per-node event armed in epoch `ep` is still current.
@@ -356,11 +360,19 @@ impl<'a> Driver<'a> {
                     self.send_envelope(now, id, to, Envelope::Gossip(msg));
                 }
                 Output::Deliver { event } => {
-                    // The player only counts packets whose payload matches
-                    // the checksum: a poisoned packet accepted because
-                    // verification is disabled is garbage on screen, not a
-                    // viewed window.
-                    if event.verify() {
+                    // The player only counts intact packets: a poisoned one
+                    // accepted because verification is disabled is garbage
+                    // on screen, not a viewed window. A validating node
+                    // hashed the payload before delivering it
+                    // (`GossipNode::delivers_verified`), so only an
+                    // undefended node's deliveries are hashed here.
+                    let intact = if self.dep.nodes[id.index()].delivers_verified() {
+                        debug_assert!(event.verify(), "a validating node delivered corruption");
+                        true
+                    } else {
+                        event.verify()
+                    };
+                    if intact {
                         let packet_id = event.packet_id();
                         self.dep.players[id.index()].on_packet(now, packet_id);
                         self.depth.record(id, packet_id);
@@ -395,6 +407,29 @@ mod tests {
         let b = Driver::new(&cfg).run();
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.upload_kbps, b.upload_kbps);
+    }
+
+    #[test]
+    fn an_undefended_nodes_poisoned_deliveries_stay_out_of_its_player() {
+        use gossip_adversity::{AdversitySpec, ByzantineMix};
+
+        let mut cfg = crate::Scenario::tiny(6).with_seed(3).with_adversity(
+            AdversitySpec::none().with_byzantine(0.2, ByzantineMix::serve_corruptors()),
+        );
+        cfg.gossip.verify_payloads = false;
+        let mut driver = Driver::new(&cfg);
+        driver.run_to_horizon();
+        // Every delivery reaches the player unless this host's integrity
+        // gate stopped it, so the shortfall is exactly the poison.
+        let mut kept_out = 0;
+        for i in 1..cfg.n {
+            let stats = driver.dep.nodes[i].stats();
+            assert_eq!(stats.corrupted_events_detected, 0, "the node itself does not look");
+            let watched = driver.dep.players[i].packets_received();
+            assert!(watched <= stats.events_delivered);
+            kept_out += stats.events_delivered - watched;
+        }
+        assert!(kept_out > 0, "corruptors tamper every serve: some poison must have arrived");
     }
 
     #[test]

@@ -926,9 +926,18 @@ impl Shard {
                     vn.shaper.offer(now, len, (to, bytes));
                 }
                 Output::Deliver { event } => {
-                    // Only verified payloads count as watchable (matches
-                    // the sim and thread runtimes' measurement boundary).
-                    if event.verify() {
+                    // Only intact payloads count as watchable (the sim and
+                    // thread runtimes' measurement boundary): a validating
+                    // node hashed this one before delivering it
+                    // (`GossipNode::delivers_verified`), so only an
+                    // undefended node's deliveries are hashed here.
+                    let intact = if vn.node.delivers_verified() {
+                        debug_assert!(event.verify(), "a validating node delivered corruption");
+                        true
+                    } else {
+                        event.verify()
+                    };
+                    if intact {
                         vn.player.on_packet(now, event.packet_id());
                     }
                 }

@@ -58,6 +58,54 @@ impl EventIndex for PacketId {
     }
 }
 
+/// One lane step: absorb a 64-bit word. A bijection of the lane for a fixed
+/// word and of the word for a fixed lane, so a changed word always changes
+/// the lane, and every later step carries the difference forward.
+fn mix(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 32)
+}
+
+/// The checksum stamped over `(id, published_at, payload)`.
+///
+/// The payload is read as little-endian 64-bit words (the wire value does
+/// not depend on host endianness), four to a 32-byte block, word `k` of
+/// every block feeding lane `k`: the lanes' multiply chains are
+/// independent, so the loop runs at the multiplier's throughput instead of
+/// one byte per multiply latency. The last partial block is zero-padded;
+/// the finalisation folds the payload *length* in next to the id and the
+/// timestamp, so neither truncation nor zero-extension can alias.
+fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
+    const BLOCK: usize = 32;
+    let mut lanes: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut absorb = |block: &[u8; BLOCK]| {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            *lane = mix(*lane, word);
+        }
+    };
+    let mut blocks = payload.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        absorb(block.try_into().expect("chunks_exact(BLOCK) yields whole blocks"));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; BLOCK];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb(&padded);
+    }
+    let id_word = u64::from(id.window) | u64::from(id.index) << 32;
+    let header = [id_word, published_at.as_micros(), payload.len() as u64];
+    let h = lanes.into_iter().chain(header).fold(0x4528_21e6_38d0_1377, mix);
+    // The last `mix` already xored the high half into the low half.
+    h as u32
+}
+
 /// One packet of the live stream.
 ///
 /// Carries its id, the time the source published it (stamped into the
@@ -69,10 +117,15 @@ impl EventIndex for PacketId {
 /// The checksum is the wire-visible stand-in for a source signature: a
 /// relaying peer cannot recompute it over different bytes without the
 /// receiver noticing ([`StreamPacket::verify`] — which is what lets every
-/// honest node *validate before it relays*). A real deployment would use a
-/// MAC or signature; the adversarial-resilience machinery only needs the
-/// check to be unforgeable-in-the-model, which "corruptors flip payload
-/// bits but cannot restamp" captures.
+/// honest node *validate before it relays*). The function is
+/// `lane_checksum`: four independent 64-bit multiply-xorshift lanes over
+/// 32-byte blocks, finalised with the id, the publish timestamp and the
+/// payload length, folded to 32 bits. It is an error-detecting code, **not
+/// a MAC**: it is unkeyed, so anyone who can flip payload bits could also
+/// restamp. A real deployment would use a MAC or signature; the
+/// adversarial-resilience machinery only needs the check to be
+/// unforgeable-in-the-model, which "corruptors flip payload bits but
+/// cannot restamp" captures.
 ///
 /// Cloning is cheap: the payload is a reference-counted [`Bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +140,7 @@ impl StreamPacket {
     /// Creates a packet, stamping its integrity checksum (the source-side
     /// constructor).
     pub fn new(id: PacketId, published_at: Time, payload: Bytes) -> Self {
-        let checksum = Self::compute_checksum(id, published_at, &payload);
+        let checksum = lane_checksum(id, published_at, &payload);
         StreamPacket { id, published_at, checksum, payload }
     }
 
@@ -97,25 +150,6 @@ impl StreamPacket {
     /// checksum).
     pub fn with_checksum(id: PacketId, published_at: Time, checksum: u32, payload: Bytes) -> Self {
         StreamPacket { id, published_at, checksum, payload }
-    }
-
-    /// The checksum stamped over `(id, published_at, payload)`: FNV-1a,
-    /// folded to 32 bits.
-    fn compute_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&id.window.to_le_bytes());
-        eat(&id.index.to_le_bytes());
-        eat(&published_at.as_micros().to_le_bytes());
-        eat(payload);
-        (h ^ (h >> 32)) as u32
     }
 
     /// Returns the packet id.
@@ -175,7 +209,7 @@ impl Event for StreamPacket {
     }
 
     fn verify(&self) -> bool {
-        self.checksum == Self::compute_checksum(self.id, self.published_at, &self.payload)
+        self.checksum == lane_checksum(self.id, self.published_at, &self.payload)
     }
 }
 

@@ -176,9 +176,9 @@ proptest! {
         );
         prop_assert!(valid.verify(), "a freshly stamped packet verifies");
         let bad = mangled(&valid, m);
-        // The checksum is FNV-1a, not cryptographic: a collision is
-        // possible in principle, so skip that draw (never observed)
-        // rather than fail.
+        // The checksum is a 32-bit multiply-xorshift code, not
+        // cryptographic: a collision is possible in principle, so skip
+        // that draw (never observed) rather than fail.
         if bad.verify() {
             return;
         }

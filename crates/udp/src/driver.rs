@@ -317,9 +317,18 @@ pub fn run_node(
                     shaper.offer(now, len, (to, bytes));
                 }
                 Output::Deliver { event } => {
-                    // Only verified payloads count as watchable (matches
-                    // the sim's measurement boundary).
-                    if event.verify() {
+                    // Only intact payloads count as watchable (the sim's
+                    // measurement boundary): a validating node hashed this
+                    // one before delivering it
+                    // (`GossipNode::delivers_verified`), so only an
+                    // undefended node's deliveries are hashed here.
+                    let intact = if node.delivers_verified() {
+                        debug_assert!(event.verify(), "a validating node delivered corruption");
+                        true
+                    } else {
+                        event.verify()
+                    };
+                    if intact {
                         player.on_packet(now, event.packet_id());
                     }
                 }

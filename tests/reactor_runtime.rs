@@ -274,6 +274,30 @@ fn byzantine_toml_spec_runs_on_sim_and_reactor() {
     );
 }
 
+/// With validation off the shard is the only integrity gate left: the
+/// poison an undefended node swallows must still stay out of its player,
+/// so turning the defenses off shows as lost quality, not polluted numbers.
+#[test]
+fn undefended_reactor_nodes_keep_poisoned_deliveries_out_of_the_player() {
+    use gossip_adversity::{AdversitySpec, ByzantineMix};
+
+    let mut config = reactor_cluster(24, 3);
+    config.gossip.verify_payloads = false;
+    config.adversity = AdversitySpec::none().with_byzantine(0.2, ByzantineMix::serve_corruptors());
+    let report = ReactorCluster::run_with(config, small_reactor()).expect("cluster runs");
+
+    assert_eq!(report.resilience().corrupted_events_detected, 0, "the nodes do not look");
+    // Every delivery reaches the player unless the shard's gate stopped
+    // it, so the shortfall is exactly the poison.
+    let mut kept_out = 0;
+    for node in report.nodes.iter().skip(1) {
+        let watched = node.player.packets_received();
+        assert!(watched <= node.protocol.events_delivered);
+        kept_out += node.protocol.events_delivered - watched;
+    }
+    assert!(kept_out > 0, "corruptors tamper every serve: some poison must have arrived");
+}
+
 /// Partition/heal on the live reactor: the demux drops cross-cell frames
 /// while the split is live, so live viewing craters for the cells away
 /// from the source, then re-converges once the timeline heals the split.
