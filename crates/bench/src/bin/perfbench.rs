@@ -246,6 +246,9 @@ struct ReactorResult {
     /// Kernel datagrams received per slot of `recvmmsg` capacity offered.
     recv_batch_occupancy: f64,
     syscalls_per_iteration: f64,
+    /// Shard event-loop iterations, summed over `shards` shards.
+    iterations: u64,
+    shards: usize,
     /// Wall-clock of the whole run including setup and verification.
     wall_secs: f64,
     /// Datagrams received per second of the *live* window (stream +
@@ -323,6 +326,8 @@ fn run_reactor_config(cell: &ReactorCell, config: &ClusterConfig, repeat: u32) -
             datagrams_per_recv_syscall: io.datagrams_per_recv_syscall().unwrap_or(0.0),
             recv_batch_occupancy: io.recv_batch_occupancy().unwrap_or(0.0),
             syscalls_per_iteration: io.syscalls_per_iteration().unwrap_or(0.0),
+            iterations: io.iterations,
+            shards: report.shard_stats.len(),
             wall_secs,
             datagrams_per_sec: datagrams_recv as f64 / live_secs,
             avg_quality_percent: report.quality.average_quality_percent(Duration::MAX),
@@ -337,7 +342,7 @@ fn run_reactor_config(cell: &ReactorCell, config: &ClusterConfig, repeat: u32) -
 
 fn reactor_json(r: &ReactorResult) -> String {
     format!(
-        "{{ \"label\": \"{}\", \"n\": {}, \"fanout\": {}, \"period_ms\": {}, \"rate_bps\": {}, \"stream_secs\": {}, \"drain_secs\": {}, \"mmsg\": {}, \"datagrams_sent\": {}, \"datagrams_recv\": {}, \"decode_errors\": {}, \"frame_errors\": {}, \"send_syscalls\": {}, \"recv_syscalls\": {}, \"syscalls_per_datagram\": {:.4}, \"datagrams_per_send_syscall\": {:.1}, \"datagrams_per_recv_syscall\": {:.1}, \"recv_batch_occupancy\": {:.3}, \"syscalls_per_iteration\": {:.2}, \"wall_secs\": {:.4}, \"datagrams_per_sec\": {:.0}, \"avg_quality_percent\": {:.1}, \"faults_injected\": {}, \"transients_recovered\": {}, \"send_backoffs\": {}, \"datagrams_shed\": {}, \"socket_rebinds\": {}, \"backend_downgrades\": {}, \"encode_errors\": {}, \"aborted_shards\": {} }}",
+        "{{ \"label\": \"{}\", \"n\": {}, \"fanout\": {}, \"period_ms\": {}, \"rate_bps\": {}, \"stream_secs\": {}, \"drain_secs\": {}, \"mmsg\": {}, \"datagrams_sent\": {}, \"datagrams_recv\": {}, \"decode_errors\": {}, \"frame_errors\": {}, \"send_syscalls\": {}, \"recv_syscalls\": {}, \"syscalls_per_datagram\": {:.4}, \"datagrams_per_send_syscall\": {:.1}, \"datagrams_per_recv_syscall\": {:.1}, \"recv_batch_occupancy\": {:.3}, \"syscalls_per_iteration\": {:.2}, \"iterations\": {}, \"iterations_per_datagram\": {:.3}, \"wall_secs\": {:.4}, \"datagrams_per_sec\": {:.0}, \"avg_quality_percent\": {:.1}, \"faults_injected\": {}, \"transients_recovered\": {}, \"send_backoffs\": {}, \"datagrams_shed\": {}, \"socket_rebinds\": {}, \"backend_downgrades\": {}, \"encode_errors\": {}, \"aborted_shards\": {} }}",
         r.label,
         r.n,
         r.fanout,
@@ -357,6 +362,8 @@ fn reactor_json(r: &ReactorResult) -> String {
         r.datagrams_per_recv_syscall,
         r.recv_batch_occupancy,
         r.syscalls_per_iteration,
+        r.iterations,
+        r.iterations as f64 / r.datagrams_recv.max(1) as f64,
         r.wall_secs,
         r.datagrams_per_sec,
         r.avg_quality_percent,
@@ -372,11 +379,27 @@ fn reactor_json(r: &ReactorResult) -> String {
 }
 
 /// The "alive and sane" health checks every reactor cell must clear:
-/// traffic flowed, framing stayed intact end to end, and the cluster
-/// actually streamed. Shared between the gating `--reactor-smoke` mode
-/// and the trajectory run's large-n scale cell.
+/// traffic flowed, framing stayed intact end to end, the cluster actually
+/// streamed, and the shard loops slept between wakes instead of spinning.
+/// Shared between the gating `--reactor-smoke` mode and the trajectory
+/// run's large-n scale cell.
 fn reactor_health(r: &ReactorResult) -> Vec<String> {
     let mut failures = Vec::new();
+    // Structural, not a timing threshold: a shard dwells out one wake
+    // quantum per iteration unless its last drain left backlog, and every
+    // such undwelt re-loop follows a data-bearing receive call. Sleeps only
+    // ever overshoot, so a busy box lowers the count; a loop that spins
+    // (the pre-`ppoll` cadence ran up to ≈330 k iterations per
+    // shard-second) lands 4–17× past the bound on the tracked cells.
+    let quantum = gossip_reactor::mmsg::WAKE_QUANTUM.as_secs_f64();
+    let wakes = (1.5 * r.shards as f64 * r.wall_secs / quantum) as u64;
+    let bound = wakes + r.recv_syscalls + r.recovery.backend_downgrades;
+    if r.iterations > bound {
+        failures.push(format!(
+            "{} loop iterations on {} shards in {:.1} s (bound {bound}): a shard loop is spinning",
+            r.iterations, r.shards, r.wall_secs
+        ));
+    }
     if r.datagrams_recv == 0 {
         failures.push("no datagrams were received".to_string());
     }
@@ -803,9 +826,11 @@ fn reactor_smoke(out: &str) -> ! {
 }
 
 /// The `--chaos-smoke` workload: a steady drop/duplicate/reorder mix on
-/// every datagram, an ENOBUFS burst through the stream midpoint, and a
-/// one-shot socket kill shortly after — every recovery path (backoff,
-/// retained retry, re-bind) must engage in one short run.
+/// every datagram, an ENOBUFS burst through the stream midpoint, a
+/// one-shot socket kill shortly after, and the batched syscalls vanishing
+/// (`ENOSYS`) later still — every recovery path (backoff, retained retry,
+/// re-bind, downgrade to the portable send/receive/wait) must engage in
+/// one short run.
 fn chaos_smoke_spec() -> AdversitySpec {
     AdversitySpec::none().with_chaos(ChaosSpec {
         drop: 0.02,
@@ -814,6 +839,7 @@ fn chaos_smoke_spec() -> AdversitySpec {
         enobufs_at: Some(Duration::from_millis(1000)),
         enobufs_for: Duration::from_millis(400),
         kill_socket_at: Some(Duration::from_millis(1600)),
+        enosys_at: Some(Duration::from_millis(2200)),
         ..ChaosSpec::default()
     })
 }
@@ -843,6 +869,9 @@ fn chaos_health(r: &ReactorResult) -> Vec<String> {
     if r.recovery.socket_rebinds == 0 {
         failures.push("no socket re-binds (the socket kill must force one)".to_string());
     }
+    if r.mmsg && r.recovery.backend_downgrades == 0 {
+        failures.push("no backend downgrade (the ENOSYS must force one)".to_string());
+    }
     failures
 }
 
@@ -853,7 +882,7 @@ fn chaos_health(r: &ReactorResult) -> Vec<String> {
 fn chaos_smoke(out: &str) -> ! {
     eprintln!(
         "perfbench: gating chaos smoke (n=64, loopback, drop+dup+reorder + ENOBUFS burst + \
-         socket kill, {})",
+         socket kill + ENOSYS, {})",
         if gossip_reactor::mmsg_active() { "sendmmsg/recvmmsg" } else { "portable fallback" },
     );
     let cell = ReactorCell {

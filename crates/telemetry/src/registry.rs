@@ -69,7 +69,8 @@ impl Cell {
 
 /// Upper edges of the histogram buckets, in microseconds: powers of two
 /// from 1 µs to ~0.5 s, plus the implicit `+Inf`. Wide enough for a shard
-/// loop phase (sub-millisecond) and a whole park (bounded at 1 ms) alike.
+/// loop phase (sub-millisecond) and a whole park (a dwell plus a wait
+/// bounded at 1 ms) alike.
 pub(crate) const BUCKET_EDGES_US: [u64; 20] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072,
     262144, 524288,

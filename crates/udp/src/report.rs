@@ -39,8 +39,14 @@ pub struct NodeReport {
 /// **syscall**. The headline ratios are
 /// [`ShardStats::syscalls_per_datagram`] (send syscalls per protocol
 /// datagram — well below 1.0 once both layers engage) and
-/// [`ShardStats::syscalls_per_iteration`] (how close the loop gets to the
-/// one-`sendmmsg`-plus-one-`recvmmsg`-per-iteration ideal).
+/// [`ShardStats::syscalls_per_iteration`] (data-bearing I/O calls per
+/// loop wake).
+///
+/// `send_syscalls` and `recv_syscalls` count **data-bearing** I/O calls
+/// only: the shard's waits (`ppoll`, the dwell sleep) and receive calls
+/// that came back empty are in neither, so the ratios built on them say
+/// how densely the kernel was used when there was something to move, not
+/// how many times the kernel was entered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     /// Protocol datagrams this shard's nodes put on the wire.
@@ -69,7 +75,8 @@ pub struct ShardStats {
     /// Protocol datagrams that could not be framed at all (an oversized
     /// wire buffer that does not fit the u16 frame length).
     pub encode_errors: u64,
-    /// Event-loop iterations the shard ran.
+    /// Event-loop iterations the shard ran: one per wake from its wait,
+    /// plus the undwelt re-loops while a drain left backlog.
     pub iterations: u64,
     /// Chaos faults injected at the syscall boundary: datagram mutations
     /// (drop / duplicate / reorder / delay / truncate) plus forced errno
@@ -114,8 +121,10 @@ impl ShardStats {
         (self.recv_capacity > 0).then(|| self.kernel_received as f64 / self.recv_capacity as f64)
     }
 
-    /// I/O syscalls per event-loop iteration (the batched ideal is ~2:
-    /// one `sendmmsg` plus one `recvmmsg`).
+    /// Data-bearing I/O syscalls per event-loop iteration: how much
+    /// sending and receiving one wake carries. Waits and empty reads are
+    /// not counted (see the type's docs), so this is not the loop's total
+    /// syscall rate.
     pub fn syscalls_per_iteration(&self) -> Option<f64> {
         (self.iterations > 0)
             .then(|| (self.send_syscalls + self.recv_syscalls) as f64 / self.iterations as f64)
