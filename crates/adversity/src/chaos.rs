@@ -40,11 +40,11 @@ pub struct ChaosSpec {
     pub drop: f64,
     /// Probability that an outgoing datagram is sent twice.
     pub duplicate: f64,
-    /// Probability that an outgoing datagram swaps places with its
-    /// successor in the same flush batch.
+    /// Probability that an outgoing datagram swaps places with the latest
+    /// one queued for the same destination in the same flush batch.
     pub reorder: f64,
     /// Probability that an outgoing datagram is held back and re-injected
-    /// on a later flush of the same socket.
+    /// after the next flush.
     pub delay: f64,
     /// Probability that an outgoing datagram is truncated to a prefix
     /// (exercising the demux salvage path on the receiver).

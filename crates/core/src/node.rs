@@ -311,6 +311,7 @@ impl<E: Event> GossipNode<E> {
     /// with `X = 1`, the next round.
     pub fn set_membership(&mut self, members: Vec<NodeId>) {
         self.membership = members;
+        self.view.membership_changed();
     }
 
     /// Returns the current membership list.

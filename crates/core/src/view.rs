@@ -17,6 +17,32 @@
 use gossip_sim::DetRng;
 use gossip_types::NodeId;
 
+/// Where a node's own id sits in a membership list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SelfSlot {
+    /// Not listed: every entry is a candidate.
+    Absent,
+    /// Listed exactly once, at this index.
+    At(usize),
+    /// Listed more than once: only a filtering copy excludes them all.
+    Repeated,
+}
+
+impl SelfSlot {
+    fn locate(membership: &[NodeId], self_id: NodeId) -> Self {
+        let mut hits = membership.iter().enumerate().filter(|&(_, &m)| m == self_id);
+        match (hits.next(), hits.next()) {
+            (None, _) => SelfSlot::Absent,
+            (Some((at, _)), None) => SelfSlot::At(at),
+            _ => SelfSlot::Repeated,
+        }
+    }
+}
+
+/// The membership list a [`SelfSlot`] was computed for, by identity:
+/// address and length of the slice, and whose slot it is.
+type ListKey = (usize, usize, NodeId);
+
 /// The set of communication partners of one node.
 #[derive(Debug, Clone)]
 pub struct PartnerView {
@@ -29,9 +55,14 @@ pub struct PartnerView {
     /// Whether a first draw has happened.
     initialised: bool,
     /// Reusable buffers for `refresh` (with `X = 1` a refresh happens every
-    /// round on every node; it must not allocate).
+    /// round on every node; it must not allocate). The candidate copy is
+    /// filled only on the materialising path (a ban list, or a membership
+    /// listing the node twice) and stays empty otherwise.
     scratch_candidates: Vec<NodeId>,
     scratch_indices: Vec<usize>,
+    /// Where the node's own id sits in the membership list `select` last
+    /// saw, so a refresh skips it without scanning or copying the list.
+    self_slot: Option<(ListKey, SelfSlot)>,
 }
 
 impl PartnerView {
@@ -44,7 +75,18 @@ impl PartnerView {
             initialised: false,
             scratch_candidates: Vec::new(),
             scratch_indices: Vec::new(),
+            self_slot: None,
         }
+    }
+
+    /// Forgets where the node's own id sits in the membership list.
+    ///
+    /// [`PartnerView::select`] scans a list for it once and then recognises
+    /// the list by address and length. A caller that edits a list in place,
+    /// or whose replacement list may reuse the old one's allocation, calls
+    /// this so the next `select` scans again.
+    pub fn membership_changed(&mut self) {
+        self.self_slot = None;
     }
 
     /// Returns the partner set for this round, refreshing it if the round
@@ -55,6 +97,10 @@ impl PartnerView {
     /// selection. `fanout` partners are drawn without replacement (fewer if
     /// the eligible membership is too small). A freshly banned current
     /// partner forces an immediate refresh regardless of `X`.
+    ///
+    /// A refresh costs O(`fanout`), not O(`membership`), while `banned` is
+    /// empty — see [`PartnerView::membership_changed`] for the one thing the
+    /// caller owes in return.
     pub fn select(
         &mut self,
         fanout: usize,
@@ -95,13 +141,49 @@ impl PartnerView {
         // Draw from membership excluding self and demoted peers. Dead nodes
         // are *not* excluded: the paper's protocol has no failure detector,
         // which is precisely why proactiveness matters under churn.
+        self.partners.clear();
+        self.initialised = true;
+        let slot = if banned.is_empty() { self.locate(membership, self_id) } else { None };
+        if let Some(slot) = slot {
+            // The candidate list is `membership` minus one known index, so
+            // it is never built: sample over its length and step over the
+            // gap. Same randomness, same sample as the copy below.
+            let (gap, candidates) = match slot {
+                SelfSlot::At(at) => (at, membership.len() - 1),
+                _ => (membership.len(), membership.len()),
+            };
+            rng.sample_indices_into(candidates, fanout, &mut self.scratch_indices);
+            let picked =
+                self.scratch_indices.iter().map(|&i| membership[i + usize::from(i >= gap)]);
+            self.partners.extend(picked);
+            return;
+        }
         self.scratch_candidates.clear();
         self.scratch_candidates
             .extend(membership.iter().copied().filter(|&m| m != self_id && !banned.contains(&m)));
         rng.sample_indices_into(self.scratch_candidates.len(), fanout, &mut self.scratch_indices);
-        self.partners.clear();
         self.partners.extend(self.scratch_indices.iter().map(|&i| self.scratch_candidates[i]));
-        self.initialised = true;
+    }
+
+    /// Where `self_id` sits in `membership`, scanning only when the list is
+    /// not the one remembered. `None` when the list names it more than
+    /// once, which the virtual candidate list cannot express.
+    fn locate(&mut self, membership: &[NodeId], self_id: NodeId) -> Option<SelfSlot> {
+        let key = (membership.as_ptr() as usize, membership.len(), self_id);
+        let slot = match self.self_slot {
+            Some((known, slot)) if known == key => slot,
+            _ => {
+                let slot = SelfSlot::locate(membership, self_id);
+                self.self_slot = Some((key, slot));
+                slot
+            }
+        };
+        debug_assert_eq!(
+            slot,
+            SelfSlot::locate(membership, self_id),
+            "membership edited in place without `membership_changed`"
+        );
+        (slot != SelfSlot::Repeated).then_some(slot)
     }
 
     /// Handles a feed-me request from `newcomer`: replaces one uniformly
@@ -135,10 +217,101 @@ impl PartnerView {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn members(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
+    }
+
+    /// The selection as it was before the candidate list went virtual:
+    /// copy the eligible membership, sample indices into the copy.
+    fn materialised_draw(
+        fanout: usize,
+        membership: &[NodeId],
+        self_id: NodeId,
+        banned: &[NodeId],
+        rng: &mut DetRng,
+    ) -> Vec<NodeId> {
+        let candidates: Vec<NodeId> =
+            membership.iter().copied().filter(|&m| m != self_id && !banned.contains(&m)).collect();
+        rng.sample_indices(candidates.len(), fanout).into_iter().map(|i| candidates[i]).collect()
+    }
+
+    proptest! {
+        /// Draw for draw, the virtual selection is the materialised one:
+        /// same partners, same RNG state afterwards — with the node's own id
+        /// absent, anywhere in the list (either end included) or listed
+        /// twice, with and without a ban list, with a fanout past the
+        /// eligible count, and on both branches of the sampler's `k² ≤ n`.
+        #[test]
+        fn virtual_selection_equals_the_materialised_draw(
+            seed in 0u64..1_000_000,
+            len in 0usize..120,
+            fanout in 0usize..14,
+            self_at in prop_oneof![Just(None), (0usize..120).prop_map(Some)],
+            twice in 0usize..8,
+            ban in 0usize..6,
+        ) {
+            let me = NodeId::new(1_000);
+            let mut list: Vec<NodeId> = (0..len as u32).map(NodeId::new).collect();
+            if let Some(at) = self_at {
+                list.insert(at.min(list.len()), me);
+                if twice == 0 {
+                    list.push(me);
+                }
+            }
+            // One list in six carries a ban: the path that still copies.
+            let banned: Vec<NodeId> = if ban == 0 {
+                list.iter().copied().filter(|&m| m != me).take(2).collect()
+            } else {
+                Vec::new()
+            };
+            let mut view = PartnerView::new(Some(1));
+            let (mut rng, mut reference_rng) = (DetRng::seed_from(seed), DetRng::seed_from(seed));
+            for _round in 0..3 {
+                let got = view.select(fanout, &list, me, &banned, &mut rng).to_vec();
+                let want = materialised_draw(fanout, &list, me, &banned, &mut reference_rng);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&rng, &reference_rng);
+            }
+        }
+    }
+
+    #[test]
+    fn the_candidate_copy_is_only_built_for_a_ban_list_or_a_repeated_self() {
+        let mut rng = DetRng::seed_from(11);
+        let me = NodeId::new(2);
+        let mut view = PartnerView::new(Some(1));
+        let m = members(50);
+        view.select(6, &m, me, &[], &mut rng);
+        assert_eq!(view.scratch_candidates.capacity(), 0, "no ban list: nothing is copied");
+        assert_eq!(view.self_slot.map(|(_, slot)| slot), Some(SelfSlot::At(2)));
+
+        let mut repeated = m.clone();
+        repeated.push(me);
+        assert!(!view.select(6, &repeated, me, &[], &mut rng).contains(&me));
+        assert_eq!(view.scratch_candidates.len(), 49, "a repeated self falls back to the copy");
+
+        view.select(6, &m, me, &[NodeId::new(7)], &mut rng);
+        assert_eq!(view.scratch_candidates.len(), 48, "so does a ban list");
+    }
+
+    #[test]
+    fn a_list_edited_in_place_is_rescanned_once_the_view_is_told() {
+        let mut rng = DetRng::seed_from(12);
+        let me = NodeId::new(0);
+        let mut view = PartnerView::new(Some(1));
+        let mut m = members(30);
+        view.select(5, &m, me, &[], &mut rng);
+        // Same allocation, same length, self moved to the far end.
+        m.swap(0, 29);
+        view.membership_changed();
+        for _ in 0..50 {
+            assert!(!view.select(5, &m, me, &[], &mut rng).contains(&me));
+        }
+        assert_eq!(view.self_slot.map(|(_, slot)| slot), Some(SelfSlot::At(29)));
     }
 
     #[test]

@@ -55,9 +55,10 @@ pub(crate) enum DatagramFate {
     /// Send only the first `len` bytes (exercises the receive-side
     /// framing salvage).
     Truncate(usize),
-    /// Hold it back and re-inject it on the next flush of its socket.
+    /// Hold it back over the next flush and send it with the one after.
     Delay,
-    /// Swap it with the datagram queued just before it.
+    /// Swap it with the latest datagram queued for the same destination
+    /// node (a no-op when the wake has queued none).
     Reorder,
 }
 

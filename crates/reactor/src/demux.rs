@@ -9,16 +9,17 @@
 //! [ dest: u32 LE ][ len: u16 LE ][ standard gossip_core::wire datagram ]  × k
 //! ```
 //!
-//! Senders append frames for the same destination *address* (the same
-//! shard socket, which may host many nodes) into one buffer and hand the
-//! kernel one datagram for the whole burst; the receiving shard walks the
-//! frames and routes each on its prefix. The framing is runtime overhead,
+//! A sending shard appends every frame a wake produced for the same
+//! destination *address* (the same shard socket, which may host many
+//! nodes) into one buffer and hands the kernel one datagram for the lot;
+//! the receiving shard walks the frames and routes each on its prefix. The framing is runtime overhead,
 //! not protocol bytes: the upload shaper charges only the inner wire size,
 //! so pacing matches the thread-per-node runtime exactly.
 //!
 //! The placement scheme is striped: node `g` lives on shard `g % shards`
 //! at local index `g / shards`, and within a shard's socket pool its home
-//! socket is `local % pool`. Striping spreads both the source's neighbours
+//! socket — where it *receives*; sends leave from a socket chosen per
+//! destination — is `local % pool`. Striping spreads both the source's neighbours
 //! and the aggregate load uniformly, and lets a shard map an incoming
 //! destination id to its local slot with two integer divisions — no table.
 
@@ -187,7 +188,8 @@ pub fn global_of(shard: usize, local: usize, shards: usize) -> u32 {
     (local * shards + shard) as u32
 }
 
-/// Returns the index of a local node's home socket within its shard's pool.
+/// Returns the index of a local node's home socket — the one it receives
+/// on — within its shard's pool.
 pub fn home_socket(local: usize, pool: usize) -> usize {
     local % pool
 }

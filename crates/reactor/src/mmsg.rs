@@ -24,7 +24,8 @@
 //!   a borrowed slice.
 //! * **Wait** — [`wait_readable`] is where a shard sleeps: one `ppoll(2)`
 //!   over its whole socket pool, returning which sockets have something to
-//!   read. The fallback sleeps at most one [`WAKE_QUANTUM`] and reads all.
+//!   read. The fallback cannot watch a pool: it returns at once with every
+//!   socket flagged, and the shard's [`WAKE_QUANTUM`] dwell paces the loop.
 //!
 //! The fallback path (`send_to`/`recv_from` per datagram) serves non-Linux
 //! builds, kernels without the syscalls (runtime `ENOSYS` probe), the
@@ -51,12 +52,19 @@ pub const NO_MMSG_ENV: &str = "GOSSIP_REACTOR_NO_MMSG";
 /// the kernel's `UIO_MAXIOV`; bounds the stack-held header blocks.
 pub(crate) const MAX_VLEN: usize = 64;
 
-/// Shortest interval between two wakes of a shard loop, and the longest
-/// the portable wait sleeps without looking at its sockets. Dwelling out
-/// the quantum batches arrivals and deadlines per wake (NAPI-style) instead
-/// of paying a context switch per datagram. Measured, not tunable: 500 µs
-/// and 1 ms saved under 1 µs per datagram more and cost 1–2 % of stream lag.
-pub const WAKE_QUANTUM: Duration = Duration::from_micros(250);
+/// The shard loop's one tick: the shortest interval between two wakes, and
+/// the longest a wait lasts before the loop looks at its stop flag again.
+/// Dwelling out the quantum batches arrivals and deadlines per wake
+/// (NAPI-style) instead of paying a context switch per datagram, and since
+/// a wake sends everything it produced, grouped by destination, a wider
+/// quantum also packs more frames into each kernel datagram.
+///
+/// It is the whole per-hop hold budget: a datagram waits at most one
+/// quantum in a kernel receive queue, then in the outbox only until the
+/// wake that produced it ends (cut off at one quantum should backlog keep
+/// the wake running), and a deadline fires at most one quantum late —
+/// against gossip rounds of 100 ms and more.
+pub const WAKE_QUANTUM: Duration = Duration::from_millis(1);
 
 /// Which I/O path a shard runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +125,9 @@ impl PollFd {
 
 /// Sleeps until a socket of `sockets` is readable or `timeout` passes, and
 /// rebuilds `set` (one slot per socket, in pool order) with the outcome:
-/// one `ppoll` over the pool, or — portably — a sleep capped at one
-/// [`WAKE_QUANTUM`] after which every socket is flagged.
+/// one `ppoll` over the pool. The portable backend has nothing to watch
+/// with: it flags every socket and returns at once, leaving the pacing to
+/// the caller's dwell — a sleep here would halve the wake rate.
 pub(crate) fn wait_readable(
     backend: Backend,
     sockets: &[UdpSocket],
@@ -129,7 +138,6 @@ pub(crate) fn wait_readable(
     match backend {
         Backend::Mmsg => sys::poll_readable(sockets, timeout, set),
         Backend::Fallback => {
-            std::thread::sleep(timeout.min(WAKE_QUANTUM));
             set.resize(sockets.len(), PollFd::BLIND);
             Ok(())
         }
@@ -1045,15 +1053,18 @@ mod tests {
     }
 
     #[test]
-    fn portable_wait_sleeps_at_most_a_quantum_and_flags_every_socket() {
+    fn portable_wait_flags_every_socket_without_sleeping() {
         let (sockets, _) = pool(3);
         let mut set = Vec::new();
+        // Fifty waits in well under fifty quanta: sleeps only overshoot, so
+        // not one of them slept — the shard's dwell is the portable
+        // backend's only sleep, or it would wake every other quantum.
         let started = std::time::Instant::now();
-        wait_readable(Backend::Fallback, &sockets, Duration::from_secs(20), &mut set)
-            .expect("wait");
-        let slept = started.elapsed();
-        assert!(slept >= WAKE_QUANTUM, "sleeps out the quantum");
-        assert!(slept < Duration::from_secs(10), "but never the whole blind timeout");
+        for _ in 0..50 {
+            wait_readable(Backend::Fallback, &sockets, Duration::from_secs(20), &mut set)
+                .expect("wait");
+        }
+        assert!(started.elapsed() < 25 * WAKE_QUANTUM, "the portable wait slept");
         assert_eq!(set.iter().filter(|slot| slot.flagged()).count(), 3);
         set[1].clear();
         assert!(!set[1].flagged());

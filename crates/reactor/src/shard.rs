@@ -8,33 +8,50 @@
 //! simulator runs on), and all their traffic through a small pool of
 //! non-blocking sockets.
 //!
-//! # The loop: wait → drain ready → flush → dwell
+//! # The loop: wait → drain → flush every wake → dwell
 //!
 //! A shard sleeps in exactly one place: [`mmsg::wait_readable`], one
 //! `ppoll` over its whole socket pool that returns when a socket has
-//! something to read or at the shard's next deadline — the earliest of
-//! the wheel's next fire, the outbox's [`MAX_FLUSH_HOLD`] expiry and the
-//! backoff expiry of a socket with retained datagrams — capped at
-//! [`MAX_PARK`] so a raised stop flag is noticed promptly. It then fires
-//! the due deadlines, reads **only the sockets the wait flagged**, and
-//! flushes. Before it waits again it *dwells* out the rest of one
-//! [`WAKE_QUANTUM`] since it last woke, not watching the sockets, so
-//! arrivals and deadlines pile up into one batch per wake instead of one
-//! wake (a context switch) per datagram. The dwell is skipped only when
-//! the drain left flagged sockets unread — a socket used its whole
-//! receive budget, or a due deadline cut the drain short: backlog goes
-//! straight round again. On the portable backend the wait is a bounded
-//! sleep and every socket counts as flagged.
+//! something to read or at the shard's next deadline — the earlier of the
+//! wheel's next fire and the backoff expiry of a socket with retained
+//! datagrams — and never later than one [`WAKE_QUANTUM`], so a raised
+//! stop flag is noticed promptly. It then fires the due deadlines, reads
+//! **only the sockets the wait flagged**, and flushes: what a wake
+//! produced leaves in that wake. Before it waits again it *dwells* out the
+//! rest of one [`WAKE_QUANTUM`] since it last woke, not watching the
+//! sockets, so arrivals and deadlines pile up into one batch per wake
+//! instead of one wake (a context switch) per datagram. The dwell is
+//! skipped only when the drain left flagged sockets unread — a socket used
+//! its whole receive budget, or a due deadline cut the drain short:
+//! backlog goes straight round again, and the wake's one flush waits for
+//! the iteration that clears it, or for the wake to have run a full
+//! quantum, whichever comes first. On the portable backend the dwell is
+//! the only sleep: the wait returns at once with every socket flagged.
+//!
+//! One constant paces the loop. A datagram waits at most one quantum in a
+//! kernel receive queue, and in the outbox only while the wake that
+//! produced it is still running — a quantum at most, and that long only
+//! under backlog — so the quantum is the whole per-hop hold budget; the
+//! wider it is, the fewer wakes a shard pays for and the more frames each
+//! kernel datagram carries.
 //!
 //! # Batched I/O
 //!
-//! Outbound datagrams are not written immediately: they accumulate in
-//! the shard's **outbox** until they make a worthwhile batch
-//! ([`MIN_FLUSH_DATAGRAMS`], or a [`MAX_FLUSH_HOLD`] age bound so a
-//! trickle is never held long), then are packed grouped by sending
-//! socket, with consecutive releases for the same destination *address*
-//! (one shard socket hosts many nodes) coalesced into a single kernel
-//! datagram of length-delimited frames (see [`crate::demux`]). The packed queue then drains through the
+//! Outbound datagrams are not written as they are released: a wake's
+//! releases accumulate in the shard's **outbox** and leave together at its
+//! end, **grouped by destination address**. Every frame of the wake bound
+//! for one address — whichever local node sent it, whichever node behind
+//! that address receives it — is packed into one kernel datagram of
+//! length-delimited frames (see [`crate::demux`]), split only at
+//! [`MAX_COALESCED`] bytes (between frames, never inside one): a wake
+//! costs about ⌈bytes / `MAX_COALESCED`⌉ kernel datagrams per destination,
+//! one for all but bulk serves. The grouping is stable, so the frames
+//! of one (sender → receiver) pair keep their release order. Each
+//! destination address is always sent from the same pool socket — its rank
+//! among the distinct addresses of the address book, modulo the pool — so
+//! the groups spread over the whole pool and one destination's datagrams
+//! never overtake each other on different sockets; a node's *home* socket
+//! is only where it receives. The packed queues then drain through the
 //! [`crate::mmsg`] backend — batches of kernel datagrams per `sendmmsg`
 //! where the platform has it, per-datagram `send_to` otherwise. Ingress
 //! is symmetric: `recvmmsg` fills a pooled batch of buffers, and each
@@ -77,25 +94,10 @@ use crate::mmsg::{
 use crate::telemetry::{ShardTelemetry, GAUGE_PERIOD};
 use crate::vnode::VirtualNode;
 
-/// Upper bound on one wait: short enough that the stop flag is looked at
-/// regularly, long enough that an idle shard does not spin.
-const MAX_PARK: std::time::Duration = std::time::Duration::from_millis(1);
-
 /// Size cap of one coalesced kernel datagram. Well under the 64 KiB UDP
 /// limit: a burst lost to a full kernel buffer should not take half a
 /// window of serves with it.
 const MAX_COALESCED: usize = 16 * 1024;
-
-/// Flush the outbox once it holds this many datagrams, even if the hold
-/// window has not expired.
-const MIN_FLUSH_DATAGRAMS: usize = 32;
-
-/// Longest the oldest outbox datagram is held back waiting for batch
-/// company. A lightly loaded shard would otherwise flush one- or
-/// two-datagram batches every wake — the hold keeps `sendmmsg` vectors
-/// dense at a latency cost that is noise against the protocol's
-/// 100 ms-scale rounds.
-const MAX_FLUSH_HOLD: Duration = Duration::from_millis(1);
 
 /// Size of one receive buffer (max UDP datagram, like the thread
 /// runtime's): nothing a peer shard can send is ever truncated.
@@ -195,7 +197,8 @@ struct Shard {
     cluster: ClusterConfig,
     compiled: Arc<CompiledAdversity>,
     sockets: Vec<UdpSocket>,
-    addresses: Arc<Vec<SocketAddr>>,
+    /// Where every node of the cluster receives, by destination group.
+    routes: Routes,
     clock: ClusterClock,
     stop: Arc<AtomicBool>,
     nodes: Vec<VirtualNode>,
@@ -214,12 +217,12 @@ struct Shard {
     /// arrival order makes shuffle sequences non-deterministic anyway
     /// (like everything else this runtime measures statistically).
     membership_rng: DetRng,
-    /// Released-but-unsent datagrams of this loop iteration:
-    /// `(sending socket, destination, unframed wire bytes)`.
-    outbox: Vec<(usize, NodeId, Vec<u8>)>,
-    /// When the oldest datagram entered the (then-empty) outbox; `None`
-    /// while it is empty. Drives the size-or-age flush policy.
-    outbox_since: Option<Time>,
+    /// Released-but-unsent datagrams of this loop iteration, in release
+    /// order: `(destination, unframed wire bytes)`.
+    outbox: Vec<(NodeId, Vec<u8>)>,
+    /// Scratch for the flush: the outbox's entries as `(sending socket,
+    /// destination group, outbox index)`, sorted.
+    flush_order: Vec<(usize, usize, usize)>,
     stats: ShardStats,
     /// Which pool sockets are worth reading, rebuilt from `sockets` by
     /// every wait. A slot stays flagged until a read finds its socket
@@ -280,7 +283,44 @@ struct ChaosState {
     sockets: Vec<SocketChaos>,
     /// Datagrams held back by a Delay fate, re-injected after the next
     /// flush.
-    delayed: Vec<(usize, NodeId, Vec<u8>)>,
+    delayed: Vec<(NodeId, Vec<u8>)>,
+}
+
+/// The address book folded into destination groups: nodes that receive on
+/// the same socket address share a group, and a flush emits one run of
+/// kernel datagrams per group.
+struct Routes {
+    /// The distinct addresses of the address book, sorted: a group's index
+    /// is its address's rank, which every shard and process computes alike.
+    addrs: Vec<SocketAddr>,
+    /// Global node id → index into `addrs`.
+    group_of: Vec<u32>,
+}
+
+impl Routes {
+    fn new(addresses: &[SocketAddr]) -> Self {
+        let mut addrs = addresses.to_vec();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let group_of = addresses
+            .iter()
+            .map(|a| addrs.binary_search(a).expect("every address is in its own book") as u32)
+            .collect();
+        Routes { addrs, group_of }
+    }
+
+    /// The destination group `to` receives in.
+    fn group(&self, to: NodeId) -> usize {
+        self.group_of[to.index()] as usize
+    }
+
+    /// The pool socket every datagram for `group` leaves from. Fixed per
+    /// destination, so its datagrams never overtake each other; spread by
+    /// rank, so every pool socket carries sends once the book holds at
+    /// least a pool's worth of distinct addresses.
+    fn send_socket(group: usize, pool: usize) -> usize {
+        group % pool
+    }
 }
 
 impl Shard {
@@ -306,14 +346,7 @@ impl Shard {
         let nodes: Vec<VirtualNode> = (0..)
             .map(|local| placement.global_of(index, local))
             .take_while(|&g| placement.contains(g))
-            .map(|g| {
-                VirtualNode::new(
-                    &cluster,
-                    &compiled,
-                    g,
-                    demux::home_socket(placement.local_of(g), pool),
-                )
-            })
+            .map(|g| VirtualNode::new(&cluster, &compiled, g))
             .collect();
 
         let mut wheel: EventQueue<Fire> = EventQueue::new();
@@ -372,7 +405,7 @@ impl Shard {
             cluster,
             compiled,
             sockets,
-            addresses,
+            routes: Routes::new(&addresses),
             clock,
             stop,
             nodes,
@@ -382,7 +415,7 @@ impl Shard {
             partition: PartitionState::new(),
             membership_rng,
             outbox: Vec::new(),
-            outbox_since: None,
+            flush_order: Vec::new(),
             stats: ShardStats::default(),
             // Nothing is known about the pool yet: read it blind once.
             ready: vec![PollFd::BLIND; pool],
@@ -421,34 +454,46 @@ impl Shard {
 
     fn run_loop(&mut self) -> std::io::Result<()> {
         while !self.stop.load(Ordering::Relaxed) {
-            self.stats.iterations += 1;
-            let now = self.clock.now();
-
-            // Phase wall-time brackets exist only when telemetry is on:
-            // four monotonic clock reads per iteration, nothing otherwise.
-            let t0 = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-
-            // 1. Fire every due deadline.
-            while let Some((at, fire)) = self.wheel.pop_before(now) {
-                self.dispatch(fire, at, now);
-            }
-            let t1 = t0.map(|_| std::time::Instant::now());
-
-            // 2. Budgeted batched receive from the sockets the wait flagged.
-            self.drain_sockets()?;
-            let t2 = t0.map(|_| std::time::Instant::now());
-
-            // 3. Put the backlog on the wire once it makes a worthwhile
-            // batch (or has waited long enough).
-            self.maybe_flush()?;
-            let t3 = t0.map(|_| std::time::Instant::now());
-
-            // 4. Dwell out the wake quantum, then sleep until traffic or
-            // the next deadline.
-            self.park();
-
-            self.publish_telemetry(now, t0.zip(t1), t1.zip(t2), t2.zip(t3), t3);
+            self.turn()?;
         }
+        Ok(())
+    }
+
+    /// One loop iteration: fire, drain, flush, then dwell and wait.
+    fn turn(&mut self) -> std::io::Result<()> {
+        self.stats.iterations += 1;
+        let now = self.clock.now();
+
+        // Phase wall-time brackets exist only when telemetry is on:
+        // four monotonic clock reads per iteration, nothing otherwise.
+        let t0 = self.telemetry.as_ref().map(|_| std::time::Instant::now());
+
+        // 1. Fire every due deadline.
+        while let Some((at, fire)) = self.wheel.pop_before(now) {
+            self.dispatch(fire, at, now);
+        }
+        let t1 = t0.map(|_| std::time::Instant::now());
+
+        // 2. Budgeted batched receive from the sockets the wait flagged.
+        self.drain_sockets()?;
+        let t2 = t0.map(|_| std::time::Instant::now());
+
+        // 3. Everything this wake released goes on the wire, along with
+        // any retained datagrams whose backoff has run out — once the wake
+        // is over (nothing left flagged, the dwell is next), or once it has
+        // run a full quantum working through backlog. A wake cut into
+        // several iterations by due deadlines still flushes once.
+        self.shed_outbox();
+        if !self.ready.iter().any(PollFd::flagged) || self.last_wake.elapsed() >= WAKE_QUANTUM {
+            self.flush_outbox()?;
+        }
+        let t3 = t0.map(|_| std::time::Instant::now());
+
+        // 4. Dwell out the wake quantum, then sleep until traffic or
+        // the next deadline.
+        self.park();
+
+        self.publish_telemetry(now, t0.zip(t1), t1.zip(t2), t2.zip(t3), t3);
         Ok(())
     }
 
@@ -492,8 +537,6 @@ impl Shard {
             let backoff = self.recovery.iter().map(|r| r.backoff_level).max().unwrap_or(0);
             let pending = self.recovery.iter().map(|r| r.pending.byte_len()).sum();
             tel.publish_gauges(&crate::telemetry::GaugeSample {
-                outbox_datagrams: self.outbox.len(),
-                outbox_bytes: self.outbox_bytes,
                 wheel_resident: self.wheel.len(),
                 backoff_level: backoff,
                 pending_bytes: pending,
@@ -504,23 +547,31 @@ impl Shard {
     }
 
     /// The instant the shard must act next even if no datagram arrives:
-    /// the wheel's next fire or the next age-driven flush.
+    /// the wheel's next fire, or the earliest retry of a socket holding
+    /// retained datagrams — the end of its backoff, or at once if it never
+    /// backed off (e.g. after a re-bind).
     fn next_deadline(&self) -> Option<Time> {
-        self.wheel.peek_time().into_iter().chain(self.flush_deadline()).min()
+        let retries = self
+            .recovery
+            .iter()
+            .filter(|r| !r.pending.is_empty())
+            .map(|r| r.backoff_until.unwrap_or(Time::ZERO));
+        self.wheel.peek_time().into_iter().chain(retries).min()
     }
 
     /// Dwells until one [`WAKE_QUANTUM`] has passed since the last wake,
-    /// then sleeps until a pool socket is readable or the next deadline
-    /// (bounded by [`MAX_PARK`]). Returns at once, flags untouched, while
+    /// then sleeps until a pool socket is readable or the next deadline,
+    /// one more quantum at most. Returns at once, flags untouched, while
     /// the last drain left flagged sockets unread.
     fn park(&mut self) {
         if self.ready.iter().any(PollFd::flagged) {
             return;
         }
         thread::sleep(WAKE_QUANTUM.saturating_sub(self.last_wake.elapsed()));
-        let wait = self.next_deadline().map_or(MAX_PARK, |at| self.clock.until(at).min(MAX_PARK));
+        let wait =
+            self.next_deadline().map_or(WAKE_QUANTUM, |at| self.clock.until(at).min(WAKE_QUANTUM));
         if let Err(e) = mmsg::wait_readable(self.backend, &self.sockets, wait, &mut self.ready) {
-            // `ppoll` vanished mid-run: the portable sleep takes over.
+            // `ppoll` vanished mid-run: the dwell becomes the only sleep.
             if mmsg::classify(&e) == ErrorClass::Downgrade {
                 self.backend = Backend::Fallback;
                 self.stats.backend_downgrades += 1;
@@ -974,36 +1025,39 @@ impl Shard {
     /// chaos stream, when a plan is active — and arms one wheel deadline
     /// for the earliest datagram still held back.
     fn flush_shaper(&mut self, local: usize, now: Time) {
-        let home = self.nodes[local].home_socket;
         while let Some((to, bytes)) = self.nodes[local].shaper.pop_due(now) {
             let fate = match self.chaos.as_mut() {
                 Some(c) => c.senders[local].fate(&c.plan, bytes.len()),
                 None => DatagramFate::Deliver,
             };
             match fate {
-                DatagramFate::Deliver => self.enqueue(home, to, bytes, now),
+                DatagramFate::Deliver => self.enqueue(to, bytes),
                 DatagramFate::Drop => self.stats.faults_injected += 1,
                 DatagramFate::Duplicate => {
                     self.stats.faults_injected += 1;
-                    self.enqueue(home, to, bytes.clone(), now);
-                    self.enqueue(home, to, bytes, now);
+                    self.enqueue(to, bytes.clone());
+                    self.enqueue(to, bytes);
                 }
                 DatagramFate::Truncate(at) => {
                     self.stats.faults_injected += 1;
-                    self.enqueue(home, to, bytes[..at.min(bytes.len())].to_vec(), now);
+                    self.enqueue(to, bytes[..at.min(bytes.len())].to_vec());
                 }
                 DatagramFate::Delay => {
                     self.stats.faults_injected += 1;
                     if let Some(c) = self.chaos.as_mut() {
-                        c.delayed.push((home, to, bytes));
+                        c.delayed.push((to, bytes));
                     }
                 }
                 DatagramFate::Reorder => {
                     self.stats.faults_injected += 1;
-                    self.enqueue(home, to, bytes, now);
-                    let n = self.outbox.len();
-                    if n >= 2 {
-                        self.outbox.swap(n - 1, n - 2);
+                    // Swap with the latest queued datagram for the same
+                    // destination: the flush regroups by destination, so
+                    // only that swap reaches the receiver out of order.
+                    let earlier = self.outbox.iter().rposition(|(t, _)| *t == to);
+                    self.enqueue(to, bytes);
+                    if let Some(earlier) = earlier {
+                        let last = self.outbox.len() - 1;
+                        self.outbox.swap(earlier, last);
                     }
                 }
             }
@@ -1017,39 +1071,10 @@ impl Shard {
         }
     }
 
-    /// Appends one datagram to the outbox, keeping the byte gauge and the
-    /// age clock in step.
-    fn enqueue(&mut self, home: usize, to: NodeId, bytes: Vec<u8>, now: Time) {
+    /// Appends one datagram to the outbox, keeping the byte gauge in step.
+    fn enqueue(&mut self, to: NodeId, bytes: Vec<u8>) {
         self.outbox_bytes += bytes.len();
-        self.outbox.push((home, to, bytes));
-        self.outbox_since.get_or_insert(now);
-    }
-
-    /// Flushes the outbox if it holds a worthwhile `sendmmsg` batch
-    /// ([`MIN_FLUSH_DATAGRAMS`]) or its [`Shard::flush_deadline`] has come
-    /// — the policy that keeps batches dense however often the loop wakes.
-    fn maybe_flush(&mut self) -> std::io::Result<()> {
-        self.shed_outbox();
-        if self.outbox.len() >= MIN_FLUSH_DATAGRAMS
-            || self.flush_deadline().is_some_and(|at| self.clock.now() >= at)
-        {
-            self.flush_outbox()?;
-        }
-        Ok(())
-    }
-
-    /// When a flush falls due by age alone: the oldest outbox datagram has
-    /// waited [`MAX_FLUSH_HOLD`], or a socket's retained datagrams reach
-    /// the end of their backoff (at once if it never backed off, e.g.
-    /// after a re-bind).
-    fn flush_deadline(&self) -> Option<Time> {
-        let hold = self.outbox_since.map(|since| since + MAX_FLUSH_HOLD);
-        let retries = self
-            .recovery
-            .iter()
-            .filter(|r| !r.pending.is_empty())
-            .map(|r| r.backoff_until.unwrap_or(Time::ZERO));
-        hold.into_iter().chain(retries).min()
+        self.outbox.push((to, bytes));
     }
 
     /// Sheds the oldest outbox datagrams once the backlog exceeds
@@ -1063,7 +1088,7 @@ impl Shard {
         let mut freed = 0;
         let mut k = 0;
         while self.outbox_bytes - freed > OUTBOX_BYTE_BUDGET && k < self.outbox.len() {
-            freed += self.outbox[k].2.len();
+            freed += self.outbox[k].1.len();
             k += 1;
         }
         self.outbox.drain(..k);
@@ -1071,17 +1096,17 @@ impl Shard {
         self.stats.datagrams_shed += k as u64;
     }
 
-    /// Packs the outbox into the send arena — grouped by sending socket,
-    /// consecutive datagrams for the same destination address coalesced
-    /// into one kernel datagram (up to [`MAX_COALESCED`] bytes) — and
-    /// flushes each socket's queue through the batched backend, retained
-    /// datagrams from earlier transient failures going out first.
+    /// Packs the outbox into the send arena — grouped by destination
+    /// address, each group coalesced into as few kernel datagrams as
+    /// [`MAX_COALESCED`] allows and queued on the group's fixed pool socket
+    /// ([`Routes::send_socket`]) — and flushes each socket's queue through
+    /// the batched backend, retained datagrams from earlier transient
+    /// failures going out first. Within a group the outbox order is kept.
     ///
     /// UDP semantics throughout: a full kernel buffer drops the datagram,
     /// like any congested link; the protocol's FEC + retransmission absorb
     /// it.
     fn flush_outbox(&mut self) -> std::io::Result<()> {
-        self.outbox_since = None;
         self.outbox_bytes = 0;
         let now = self.clock.now();
         // The scheduled ENOSYS fires at the shard level: the next batched
@@ -1096,11 +1121,25 @@ impl Shard {
                 }
             }
         }
+        let pool = self.sockets.len();
         let outbox = std::mem::take(&mut self.outbox);
+        // Socket-major, then by group, then by outbox position: the index
+        // in the key makes the unstable (allocation-free) sort stable.
+        let mut order = std::mem::take(&mut self.flush_order);
+        order.clear();
+        order.extend(outbox.iter().enumerate().map(|(k, (to, _))| {
+            let group = self.routes.group(*to);
+            (Routes::send_socket(group, pool), group, k)
+        }));
+        order.sort_unstable();
         let mut queue = std::mem::take(&mut self.send_queue);
-        for si in 0..self.sockets.len() {
-            for (_, to, bytes) in outbox.iter().filter(|e| e.0 == si) {
-                let addr = self.addresses[to.index()];
+        let mut entries = order.iter().peekable();
+        // Every socket is visited even with nothing new to send: its
+        // retained datagrams may be due.
+        for si in 0..pool {
+            while let Some(&(_, group, k)) = entries.next_if(|e| e.0 == si) {
+                let addr = self.routes.addrs[group];
+                let (to, bytes) = &outbox[k];
                 let fits = queue.open_len() + demux::HEADER_LEN + bytes.len() <= MAX_COALESCED;
                 if queue.open_addr() != Some(addr) || !fits {
                     queue.close();
@@ -1116,6 +1155,7 @@ impl Shard {
             self.flush_socket(si, &mut queue, now)?;
         }
         self.send_queue = queue;
+        self.flush_order = order;
         // Hand the (now empty) allocation back for the next iteration.
         self.outbox = outbox;
         self.outbox.clear();
@@ -1123,8 +1163,8 @@ impl Shard {
         // they sat out.
         if let Some(c) = self.chaos.as_mut() {
             let delayed = std::mem::take(&mut c.delayed);
-            for (home, to, bytes) in delayed {
-                self.enqueue(home, to, bytes, now);
+            for (to, bytes) in delayed {
+                self.enqueue(to, bytes);
             }
         }
         Ok(())
@@ -1408,16 +1448,16 @@ mod tests {
         }
     }
 
-    /// An idle shard sleeps out its waits, one iteration each: a full
-    /// [`MAX_PARK`] where `ppoll` watches the pool, a [`WAKE_QUANTUM`]
-    /// where the portable wait has to look for itself.
+    /// An idle shard sleeps through every iteration: the dwell and then a
+    /// full wait where `ppoll` watches the pool, the dwell alone where the
+    /// portable backend has to look for itself.
     #[test]
     fn an_idle_shard_does_not_spin() {
         for backend in [mmsg::select_backend(None), Backend::Fallback] {
-            let wait = if backend == Backend::Mmsg { MAX_PARK } else { WAKE_QUANTUM };
+            let sleeps = if backend == Backend::Mmsg { 2 } else { 1 };
             let (config, _) = one_shard(backend, 4, false);
             let (_, stats, wall) = run_for(config, std::time::Duration::from_millis(300), |_| {});
-            let bound = (1.5 * wall.as_secs_f64() / wait.as_secs_f64()) as u64;
+            let bound = (1.5 * wall.as_secs_f64() / (sleeps * WAKE_QUANTUM).as_secs_f64()) as u64;
             assert!(
                 stats.iterations <= bound,
                 "{backend:?}: {} idle iterations in {wall:?}, bound {bound}",
@@ -1435,7 +1475,6 @@ mod tests {
         let backend = mmsg::select_backend(None);
         let (config, addrs) = one_shard(backend, 4, false);
         let mut shard = Shard::new(config).expect("shard boots");
-        assert_eq!(shard.nodes[3].home_socket, 3);
         // Settle: one blind pass over the (empty) pool clears every flag.
         shard.drain_sockets().expect("drain");
         assert!(!shard.ready.iter().any(PollFd::flagged));
@@ -1466,34 +1505,238 @@ mod tests {
         assert!(!shard.ready.iter().any(PollFd::flagged), "a drained pool is unflagged");
     }
 
-    /// Both age-driven flush deadlines are inputs of the wait, alongside
-    /// the wheel: an outbox's [`MAX_FLUSH_HOLD`] expiry and a backed-off
-    /// socket's retry instant wake the shard on time, not at whatever
-    /// `MAX_PARK` tick follows.
+    /// Everything waiting on the pool's sockets, read the way a peer shard
+    /// would: per kernel datagram, the pool socket it arrived on, the
+    /// address it was sent from, and its frames.
+    type Arrival = (usize, SocketAddr, Vec<(NodeId, Vec<u8>)>);
+
+    fn read_pool(shard: &Shard) -> Vec<Arrival> {
+        thread::sleep(std::time::Duration::from_millis(20)); // loopback delivery
+        let mut buf = vec![0u8; RECV_BUF_SIZE];
+        let mut arrivals = Vec::new();
+        for (si, socket) in shard.sockets.iter().enumerate() {
+            while let Ok((len, from)) = socket.recv_from(&mut buf) {
+                let frames = demux::frames(&buf[..len]).map(|(d, w)| (d, w.to_vec())).collect();
+                arrivals.push((si, from, frames));
+            }
+        }
+        arrivals
+    }
+
+    /// The flush groups the whole outbox by destination address: however
+    /// the releases interleave, a wake costs one kernel datagram per
+    /// address, and the frames of each (sender → receiver) pair stay in
+    /// release order inside it.
     #[test]
-    fn the_wait_deadline_covers_wheel_outbox_hold_and_backoff_expiry() {
+    fn interleaved_destinations_leave_as_one_kernel_datagram_each() {
+        for backend in [mmsg::select_backend(None), Backend::Fallback] {
+            // Pool of 2: nodes 0 and 2 receive on address A, 1 and 3 on B.
+            let (config, addrs) = one_shard(backend, 2, false);
+            let mut shard = Shard::new(config).expect("shard boots");
+            let offers: Vec<(NodeId, Vec<u8>)> =
+                (0..12u8).map(|k| (NodeId::new(u32::from(k) % 4), vec![k; 20])).collect();
+            for (to, bytes) in &offers {
+                shard.enqueue(*to, bytes.clone()); // A, B, A, B, …
+            }
+            shard.flush_outbox().expect("flush");
+            assert_eq!(shard.stats.datagrams_sent, 12, "{backend:?}");
+            assert_eq!(shard.stats.kernel_sent, 2, "{backend:?}: one kernel datagram per address");
+            assert!(shard.outbox.is_empty() && shard.outbox_bytes == 0);
+
+            let arrivals = read_pool(&shard);
+            assert_eq!(arrivals.len(), 2);
+            for (si, _, frames) in arrivals {
+                let want: Vec<(NodeId, Vec<u8>)> =
+                    offers.iter().filter(|(to, _)| to.index() % 2 == si).cloned().collect();
+                assert_eq!(frames, want, "{backend:?}: socket {si} ({})", addrs[si]);
+            }
+        }
+    }
+
+    /// A destination's group splits at [`MAX_COALESCED`] into as few kernel
+    /// datagrams as hold it, dropping nothing and keeping the order.
+    #[test]
+    fn an_oversized_group_splits_and_drops_nothing() {
+        let (config, _) = one_shard(mmsg::select_backend(None), 4, false);
+        let mut shard = Shard::new(config).expect("shard boots");
+        // 40 frames of 1006 framed bytes: 16 fit one 16 KiB datagram.
+        for k in 0..40u8 {
+            shard.enqueue(NodeId::new(1), vec![k; 1000]);
+            shard.enqueue(NodeId::new(2), vec![k; 8]); // company on another address
+        }
+        shard.flush_outbox().expect("flush");
+        assert_eq!(shard.stats.datagrams_sent, 80);
+        assert_eq!(
+            shard.stats.kernel_sent,
+            3 + 1,
+            "⌈40 × 1006 / 16384⌉ for node 1, one for node 2"
+        );
+        assert_eq!(shard.stats.send_drops + shard.stats.datagrams_shed, 0);
+
+        let arrivals = read_pool(&shard);
+        let to_one: Vec<&Arrival> = arrivals.iter().filter(|(si, ..)| *si == 1).collect();
+        assert_eq!(to_one.iter().map(|(_, _, f)| f.len()).collect::<Vec<_>>(), [16, 16, 8]);
+        let payloads = to_one.iter().flat_map(|(_, _, frames)| frames).map(|(_, wire)| wire[0]);
+        assert!(payloads.eq(0..40u8), "every frame arrived, in release order");
+    }
+
+    /// Each destination address leaves from one fixed pool socket, its rank
+    /// modulo the pool — so with a pool's worth of destinations every pool
+    /// socket sends, and the chaos plan's socket-0 kill (which fires on the
+    /// send path) always finds traffic to interrupt.
+    #[test]
+    fn every_pool_socket_carries_sends() {
+        let (config, addrs) = one_shard(mmsg::select_backend(None), 4, false);
+        let mut shard = Shard::new(config).expect("shard boots");
+        for round in 0..3u8 {
+            for g in 0..4 {
+                shard.enqueue(NodeId::new(g), vec![round; 16]);
+            }
+            shard.flush_outbox().expect("flush");
+        }
+        let arrivals = read_pool(&shard);
+        assert_eq!(arrivals.len(), 12);
+        let mut senders: Vec<SocketAddr> = arrivals.iter().map(|&(_, from, _)| from).collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let mut pool = addrs.clone();
+        pool.sort_unstable();
+        assert_eq!(senders, pool, "all four pool sockets sent");
+        // …and a destination never changes its socket.
+        for (si, addr) in addrs.iter().enumerate() {
+            let mut from = arrivals.iter().filter(|a| a.0 == si).map(|a| a.1);
+            let first = from.next().expect("socket received");
+            assert!(from.all(|f| f == first), "address {addr} was sent to from two sockets");
+        }
+    }
+
+    /// What a wake produced leaves in that wake: one iteration with rounds
+    /// and source emissions due ends with the outbox empty and the
+    /// datagrams on the wire.
+    #[test]
+    fn one_iteration_empties_the_outbox() {
+        let (config, _) = one_shard(mmsg::select_backend(None), 4, true);
+        let mut shard = Shard::new(config).expect("shard boots");
+        // Let a few rounds and source packets fall due, then run once.
+        thread::sleep(std::time::Duration::from_millis(250));
+        shard.turn().expect("turn");
+        assert!(shard.stats.datagrams_sent > 0, "due rounds produced traffic");
+        assert!(shard.stats.kernel_sent > 0);
+        assert!(shard.outbox.is_empty() && shard.outbox_bytes == 0);
+        assert_eq!(shard.stats.iterations, 1);
+    }
+
+    /// A wake that due deadlines or the receive budget cut into several
+    /// iterations still flushes once, in the iteration that clears the
+    /// backlog — unless the backlog outlasts a quantum, when the flush
+    /// stops waiting for it.
+    #[test]
+    fn a_wake_cut_into_iterations_flushes_once() {
+        // One socket, receive budget 8: twenty datagrams are three drains.
+        let (config, addrs) = one_shard(mmsg::select_backend(None), 1, false);
+        let mut shard = Shard::new(config).expect("shard boots");
+        while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(3600)).is_some() {}
+        shard.drain_sockets().expect("drain");
+        let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let mut frame = Vec::new();
+        let reply =
+            shuffle_wire::encode_shuffle(NodeId::new(0), &ShuffleMessage::Reply(Vec::new()));
+        assert!(demux::append_frame(&mut frame, NodeId::new(3), &reply));
+        let backlog = |shard: &mut Shard| {
+            for _ in 0..20 {
+                tx.send_to(&frame, addrs[0]).expect("send");
+            }
+            thread::sleep(std::time::Duration::from_millis(20)); // loopback delivery
+            shard.ready[0] = PollFd::BLIND;
+        };
+
+        backlog(&mut shard);
+        // A wake that has only just begun, however slowly this test runs
+        // (`elapsed` of a future instant is zero).
+        shard.last_wake = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        shard.enqueue(NodeId::new(1), vec![0; 8]);
+        for _ in 0..2 {
+            shard.turn().expect("turn");
+            assert!(shard.ready[0].flagged(), "budget used up: backlog remains");
+            assert_eq!((shard.outbox.len(), shard.stats.kernel_sent), (1, 0), "held for the wake");
+        }
+        shard.turn().expect("turn"); // 4 left: a short batch ends the wake
+        assert_eq!((shard.outbox.len(), shard.stats.kernel_sent), (0, 1));
+        assert_eq!(shard.nodes[3].recv_msgs, 20);
+
+        backlog(&mut shard);
+        shard.last_wake = std::time::Instant::now() - 2 * WAKE_QUANTUM;
+        shard.enqueue(NodeId::new(1), vec![0; 8]);
+        shard.turn().expect("turn");
+        assert!(shard.ready[0].flagged());
+        assert_eq!((shard.outbox.len(), shard.stats.kernel_sent), (0, 2), "a quantum is the limit");
+    }
+
+    /// The Reorder fate swaps a datagram with the latest one queued for the
+    /// same destination — the only swap that survives the flush's
+    /// regrouping and reaches a receiver out of order.
+    #[test]
+    fn a_reordered_datagram_swaps_within_its_destination() {
+        let (mut config, _) = one_shard(Backend::Fallback, 4, false);
+        let chaos = gossip_adversity::ChaosSpec { reorder: 1.0, ..Default::default() };
+        config.cluster.adversity = config.cluster.adversity.clone().with_chaos(chaos);
+        config.compiled = Arc::new(config.cluster.compiled_adversity());
+        let mut shard = Shard::new(config).expect("shard boots");
+        let now = shard.clock.now();
+        // The source (node 0) is uncapped: its shaper releases at once.
+        for (to, tag) in [(1, b'a'), (2, b'a'), (1, b'b')] {
+            shard.nodes[0].shaper.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
+        }
+        shard.flush_shaper(0, now);
+        assert_eq!(shard.stats.faults_injected, 3);
+        let queued: Vec<(u32, u8)> =
+            shard.outbox.iter().map(|(to, b)| (to.as_u32(), b[0])).collect();
+        assert_eq!(queued, [(1, b'b'), (2, b'a'), (1, b'a')], "node 1 gets b before a");
+    }
+
+    /// A backed-off socket's retry instant is an input of the wait,
+    /// alongside the wheel, and the flush that follows it sends the
+    /// retained queue with or without new traffic: a retry happens at its
+    /// `backoff_until`, not at whatever tick comes after.
+    #[test]
+    fn a_retained_queue_is_retried_at_its_backoff_expiry() {
         let (config, addrs) = one_shard(Backend::Fallback, 4, false);
         let mut shard = Shard::new(config).expect("shard boots");
         while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(3600)).is_some() {}
-        assert_eq!(shard.next_deadline(), None, "nothing armed, nothing held");
+        assert_eq!(shard.next_deadline(), None, "nothing armed, nothing retained");
 
-        let at = |ms| Time::ZERO + Duration::from_millis(ms);
-        shard.wheel.push(at(40), Fire::Source(0));
-        assert_eq!(shard.next_deadline(), Some(at(40)));
+        let far = shard.clock.now() + Duration::from_secs(3600);
+        shard.wheel.push(far, Fire::Source(0));
+        assert_eq!(shard.next_deadline(), Some(far));
+        // An outbox is nobody's deadline: it never outlives its wake.
+        shard.enqueue(NodeId::new(1), vec![0; 8]);
+        assert_eq!(shard.next_deadline(), Some(far));
+        shard.flush_outbox().expect("flush");
+        assert_eq!(shard.stats.kernel_sent, 1);
 
-        shard.enqueue(0, NodeId::new(1), vec![0; 8], at(10));
-        assert_eq!(shard.next_deadline(), Some(at(10) + MAX_FLUSH_HOLD));
-
-        // Retained datagrams behind a backoff: retried at its expiry.
+        // Retained datagrams behind a backoff: due at its expiry…
+        let until = shard.clock.now() + Duration::from_millis(30);
         shard.recovery[2].pending.push_datagram(addrs[1], b"retained");
-        shard.recovery[2].backoff_until = Some(at(5));
-        assert_eq!(shard.next_deadline(), Some(at(5)));
-        // A backoff with nothing retained is nobody's deadline…
-        shard.recovery[1].backoff_until = Some(at(1));
-        assert_eq!(shard.next_deadline(), Some(at(5)));
-        // …and retained datagrams that never backed off (a fresh re-bind)
-        // are due at once.
-        shard.recovery[2].backoff_until = None;
+        shard.recovery[2].backoff_until = Some(until);
+        assert_eq!(shard.next_deadline(), Some(until));
+        // …held until then, however often the loop flushes…
+        shard.flush_outbox().expect("flush");
+        assert_eq!(shard.stats.kernel_sent, 1, "still backing off");
+        assert_eq!(shard.recovery[2].pending.len(), 1);
+        // …and sent by the first flush after it, with an empty outbox.
+        thread::sleep(std::time::Duration::from_millis(35));
+        shard.flush_outbox().expect("flush");
+        assert_eq!(shard.stats.kernel_sent, 2, "the retry went out");
+        assert!(shard.recovery[2].pending.is_empty());
+        assert_eq!(shard.next_deadline(), Some(far));
+
+        // A backoff with nothing retained is nobody's deadline, and
+        // retained datagrams that never backed off (a fresh re-bind) are
+        // due at once.
+        shard.recovery[1].backoff_until = Some(Time::ZERO);
+        assert_eq!(shard.next_deadline(), Some(far));
+        shard.recovery[1].backoff_until = None;
+        shard.recovery[1].pending.push_datagram(addrs[1], b"retained");
         assert_eq!(shard.next_deadline(), Some(Time::ZERO));
     }
 

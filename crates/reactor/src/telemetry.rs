@@ -40,8 +40,6 @@ pub(crate) struct ShardTelemetry {
     socket_rebinds: Cell,
     backend_downgrades: Cell,
     // Live gauges.
-    outbox_datagrams: Cell,
-    outbox_bytes: Cell,
     wheel_resident: Cell,
     backoff_level: Cell,
     pending_bytes: Cell,
@@ -135,14 +133,6 @@ impl ShardTelemetry {
                 "gossip_shard_backend_downgrades_total",
                 "Mid-run I/O backend downgrades (batched syscalls gone).",
             ),
-            outbox_datagrams: gauge(
-                "gossip_shard_outbox_datagrams",
-                "Datagrams currently held in the shard outbox.",
-            ),
-            outbox_bytes: gauge(
-                "gossip_shard_outbox_bytes",
-                "Bytes currently held in the shard outbox.",
-            ),
             wheel_resident: gauge(
                 "gossip_shard_wheel_resident_events",
                 "Deadlines currently armed in the shard's timer wheel.",
@@ -193,8 +183,6 @@ impl ShardTelemetry {
     /// completeness fraction is aggregated by the caller, which owns the
     /// players).
     pub(crate) fn publish_gauges(&self, sample: &GaugeSample) {
-        self.outbox_datagrams.store(sample.outbox_datagrams as u64);
-        self.outbox_bytes.store(sample.outbox_bytes as u64);
         self.wheel_resident.store(sample.wheel_resident as u64);
         self.backoff_level.store(u64::from(sample.backoff_level));
         self.pending_bytes.store(sample.pending_bytes as u64);
@@ -208,10 +196,8 @@ impl ShardTelemetry {
 }
 
 /// One reading of the shard loop's live state, taken by the loop itself
-/// (which owns the outbox, wheel, recovery slots and players).
+/// (which owns the wheel, recovery slots and players).
 pub(crate) struct GaugeSample {
-    pub outbox_datagrams: usize,
-    pub outbox_bytes: usize,
     pub wheel_resident: usize,
     pub backoff_level: u32,
     pub pending_bytes: usize,

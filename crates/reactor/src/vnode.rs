@@ -48,8 +48,6 @@ pub(crate) struct VirtualNode {
     /// Whether a shaper-release event for this node is pending in the
     /// shard's timer wheel (at most one at a time).
     pub shaper_armed: bool,
-    /// Index of this node's home socket in the shard's pool.
-    pub home_socket: usize,
     /// Deterministic per-node stream for injected datagram loss (same
     /// split constant as the thread runtime, so impairment draws match).
     pub loss_rng: DetRng,
@@ -61,12 +59,7 @@ impl VirtualNode {
     /// Builds the virtual node with global id `id` for `config`, applying
     /// its static adversity profile (bandwidth-class cap override,
     /// free-rider flag, dark start for flash-crowd joiners).
-    pub fn new(
-        config: &ClusterConfig,
-        compiled: &CompiledAdversity,
-        id: u32,
-        home_socket: usize,
-    ) -> Self {
+    pub fn new(config: &ClusterConfig, compiled: &CompiledAdversity, id: u32) -> Self {
         let node_id = NodeId::new(id);
         let profile = &compiled.profiles[id as usize];
         // Base membership only: joiners become visible when their join
@@ -95,7 +88,6 @@ impl VirtualNode {
             members_seen: 0,
             view: None,
             shaper_armed: false,
-            home_socket,
             loss_rng: DetRng::seed_from(config.seed).split(0xD409 + u64::from(id)),
             recv_msgs: 0,
             decode_errors: 0,

@@ -33,8 +33,9 @@ pub struct NodeReport {
 /// Per-shard I/O accounting of the sharded reactor runtime.
 ///
 /// Two layers of batching separate *protocol* datagrams from kernel
-/// interactions: send coalescing packs several protocol datagrams for the
-/// same destination socket into one **kernel datagram**, and the
+/// interactions: send coalescing packs every protocol datagram a wake
+/// releases for the same destination socket into one **kernel datagram**
+/// ([`ShardStats::datagrams_per_kernel_datagram`]), and the
 /// `sendmmsg`/`recvmmsg` backend moves many kernel datagrams per
 /// **syscall**. The headline ratios are
 /// [`ShardStats::syscalls_per_datagram`] (send syscalls per protocol
@@ -107,6 +108,12 @@ impl ShardStats {
     /// batching; `None` when the shard never sent).
     pub fn datagrams_per_send_syscall(&self) -> Option<f64> {
         (self.send_syscalls > 0).then(|| self.datagrams_sent as f64 / self.send_syscalls as f64)
+    }
+
+    /// Protocol datagrams carried per kernel datagram sent — the send
+    /// coalescing ratio (1.0 = none; `None` when the shard never sent).
+    pub fn datagrams_per_kernel_datagram(&self) -> Option<f64> {
+        (self.kernel_sent > 0).then(|| self.datagrams_sent as f64 / self.kernel_sent as f64)
     }
 
     /// Protocol datagrams received per data-bearing receive syscall
