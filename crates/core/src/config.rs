@@ -1,6 +1,6 @@
 //! Protocol configuration: the knobs the paper turns.
 
-use gossip_types::Duration;
+use gossip_types::{Duration, Time};
 
 /// Configuration of the gossip protocol.
 ///
@@ -189,6 +189,17 @@ impl GossipConfig {
     pub fn with_retention(mut self, retention: Duration) -> Self {
         self.retention = retention;
         self
+    }
+
+    /// The oldest delivery time still inside the retention horizon at
+    /// `now`: payloads delivered before it are pruned. `None` while nothing
+    /// can be that old yet (or retention is unbounded). The one rule a
+    /// node's store and a host's shared payload table both prune by.
+    pub fn retention_cutoff(&self, now: Time) -> Option<Time> {
+        if self.retention == Duration::MAX {
+            return None;
+        }
+        now.as_micros().checked_sub(self.retention.as_micros()).map(Time::from_micros)
     }
 
     /// Sets the maximum number of events per `[SERVE]` datagram (1 =

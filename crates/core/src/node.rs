@@ -159,7 +159,10 @@ struct RetransmitEntry<Id> {
 pub struct GossipNode<E: Event> {
     id: NodeId,
     config: GossipConfig,
-    membership: Vec<NodeId>,
+    /// The list `selectNodes` draws from. Shared: a host gives every node
+    /// it runs the same `Arc`, so a deployment keeps one list, not one per
+    /// node; the view only ever indexes it.
+    membership: Arc<[NodeId]>,
     view: PartnerView,
     rng: DetRng,
     is_source: bool,
@@ -216,14 +219,16 @@ impl<E: Event> GossipNode<E> {
     ///
     /// `membership` is the full node list (the paper assumes uniform random
     /// selection over all nodes); `seed` determines the node's private
-    /// random stream.
+    /// random stream. A host that runs many nodes passes an empty list here
+    /// and hands each node its shared list through
+    /// [`GossipNode::set_membership`].
     pub fn new(id: NodeId, config: GossipConfig, membership: Vec<NodeId>, seed: u64) -> Self {
         let view = PartnerView::new(config.refresh_rounds);
         let rtt = RttEstimator::new(config.retransmit_timeout, config.rto_min, config.rto_max);
         GossipNode {
             id,
             config,
-            membership,
+            membership: membership.into(),
             view,
             rng: DetRng::seed_from(seed).split(id.as_u32() as u64),
             is_source: false,
@@ -308,9 +313,10 @@ impl<E: Event> GossipNode<E> {
     /// The paper assumes full, static membership; this hook lets a peer
     /// sampling service (see the `gossip-membership` crate) feed the node a
     /// live partial view instead. Takes effect at the next view refresh —
-    /// with `X = 1`, the next round.
-    pub fn set_membership(&mut self, members: Vec<NodeId>) {
-        self.membership = members;
+    /// with `X = 1`, the next round. An `Arc` is adopted as is (a refcount,
+    /// not a copy), so one list can serve every node a host runs.
+    pub fn set_membership(&mut self, members: impl Into<Arc<[NodeId]>>) {
+        self.membership = members.into();
         self.view.membership_changed();
     }
 
@@ -703,20 +709,31 @@ impl<E: Event> GossipNode<E> {
     /// `requested` bookkeeping is deliberately kept forever so pruned ids
     /// are never re-requested.
     fn prune_store(&mut self, now: Time) {
-        let retention = self.config.retention;
-        if retention == gossip_types::Duration::MAX {
-            return;
+        if let Some(cutoff) = self.config.retention_cutoff(now) {
+            self.store.retain(|_, (_, delivered_at)| *delivered_at >= cutoff);
         }
-        let cutoff = match now.as_micros().checked_sub(retention.as_micros()) {
-            Some(c) => Time::from_micros(c),
-            None => return, // still inside the first horizon
-        };
-        self.store.retain(|_, (_, delivered_at)| *delivered_at >= cutoff);
+    }
+
+    /// Drops every stored payload and the pending proposals, keeping the
+    /// counters and the request bookkeeping for the report.
+    ///
+    /// Hosts call this when the node crashes: a down node runs no rounds,
+    /// so its retention pruning never fires again, and a payload buffer it
+    /// shares with live nodes would otherwise stay pinned for as long as
+    /// the node stays down.
+    pub fn forget_payloads(&mut self) {
+        self.store = DenseMap::new();
+        self.propose_queue.clear();
     }
 
     /// Returns the number of events currently stored (servable).
     pub fn stored_events(&self) -> usize {
         self.store.len()
+    }
+
+    /// Returns the stored (servable) copy of an event, if still retained.
+    pub fn stored(&self, id: &E::Id) -> Option<&E> {
+        self.store.get(id).map(|(event, _)| event)
     }
 
     /// Returns whether the given event id has been delivered here.
@@ -1064,6 +1081,50 @@ mod tests {
             Message::Propose { ids: vec![1].into() },
         );
         assert!(sends(&drain(&mut node)).is_empty());
+    }
+
+    #[test]
+    fn forgetting_payloads_empties_the_store_and_keeps_the_bookkeeping() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(2), members(5), 1);
+        node.on_message(
+            Time::ZERO,
+            NodeId::new(2),
+            Message::Serve { events: vec![TestEvent::new(1, 10)] },
+        );
+        drain(&mut node);
+        assert_eq!(node.stored(&1), Some(&TestEvent::new(1, 10)));
+
+        node.forget_payloads();
+        assert_eq!(node.stored_events(), 0);
+        assert_eq!(node.stored(&1), None);
+        assert!(node.has_delivered(&1), "what was delivered stays delivered");
+        assert_eq!(node.stats().events_delivered, 1);
+        node.on_round(Time::from_millis(200));
+        assert!(sends(&drain(&mut node)).is_empty(), "the pending proposal went with the payload");
+        node.on_message(Time::ZERO, NodeId::new(3), Message::Request { ids: vec![1].into() });
+        assert!(sends(&drain(&mut node)).is_empty());
+        assert_eq!(node.stats().unservable_ids, 1);
+    }
+
+    #[test]
+    fn a_shared_membership_list_is_adopted_not_copied() {
+        let shared: Arc<[NodeId]> = members(12).into();
+        let mut nodes: Vec<GossipNode<TestEvent>> = (1..4)
+            .map(|i| GossipNode::new(NodeId::new(i), GossipConfig::new(3), Vec::new(), 1))
+            .collect();
+        for node in &mut nodes {
+            node.set_membership(Arc::clone(&shared));
+            assert!(std::ptr::eq(node.membership(), &*shared));
+        }
+        // One address, three different own slots to step over.
+        for round in 1..=20u64 {
+            for node in &mut nodes {
+                node.on_round(Time::from_millis(200 * round));
+                drain(node);
+                assert_eq!(node.partners().len(), 3);
+                assert!(!node.partners().contains(&node.id()), "a node drew itself");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,25 @@ pub trait WireEvent: Event + Sized {
     fn skip_event(input: &mut &[u8]) -> Option<()> {
         Self::decode_event(input).map(|_| ())
     }
+    /// [`WireEvent::decode_event`] for a receiver whose host keeps an
+    /// [`EventPool`]: an event type that owns a payload buffer may share
+    /// the pooled event's buffer instead of copying the wire bytes, **if
+    /// the two are byte-equal**. Whatever the pool holds, the result must be
+    /// `==` to what `decode_event` returns for the same input, consume the
+    /// same bytes and fail on the same inputs: the pool is never a source of
+    /// truth, only of memory. The default ignores the pool.
+    fn decode_event_pooled(input: &mut &[u8], pool: &dyn EventPool<Self>) -> Option<Self> {
+        let _ = pool;
+        Self::decode_event(input)
+    }
+}
+
+/// A host's table of events it has already seen pass [`Event::verify`],
+/// by id — the one copy of each payload that the nodes it hosts can share
+/// (see [`WireEvent::decode_event_pooled`] and [`Frame::with_pool`]).
+pub trait EventPool<E: Event>: std::fmt::Debug {
+    /// The pooled event with this id, if any.
+    fn lookup(&self, id: &E::Id) -> Option<&E>;
 }
 
 /// Encodes `msg` from `sender` into a fresh datagram buffer.
@@ -151,7 +170,9 @@ pub struct Frame<'a, E: WireEvent> {
     kind: FrameKind,
     count: usize,
     body: &'a [u8],
-    _marker: std::marker::PhantomData<fn() -> E>,
+    /// Where [`Frame::events`] looks for a payload to share before it
+    /// copies one (set by [`Frame::with_pool`]).
+    pool: Option<&'a dyn EventPool<E>>,
 }
 
 /// Parses and validates a datagram into a borrowed [`Frame`].
@@ -194,10 +215,17 @@ pub fn decode_frame<E: WireEvent>(datagram: &[u8]) -> Option<Frame<'_, E>> {
             }
         }
     }
-    Some(Frame { sender, kind, count, body: input, _marker: std::marker::PhantomData })
+    Some(Frame { sender, kind, count, body: input, pool: None })
 }
 
 impl<'a, E: WireEvent> Frame<'a, E> {
+    /// Decodes this frame's events against `pool`
+    /// ([`WireEvent::decode_event_pooled`]): same events, fewer copies.
+    pub fn with_pool(mut self, pool: &'a dyn EventPool<E>) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
     /// The node that sent this datagram.
     pub fn sender(&self) -> NodeId {
         self.sender
@@ -230,14 +258,19 @@ impl<'a, E: WireEvent> Frame<'a, E> {
     /// borrowed body on the fly. Empty for the other kinds.
     ///
     /// "Zero-copy" here means no intermediate `Vec<E>` and no per-message
-    /// buffer copy; an individual event may still copy its payload out of
-    /// the buffer if its type owns its bytes.
+    /// buffer copy. An event whose type owns its bytes copies its payload
+    /// out of the buffer — unless the frame has a pool
+    /// ([`Frame::with_pool`]) holding a byte-equal payload to share.
     pub fn events(&self) -> impl Iterator<Item = E> + 'a {
         let (mut cursor, count) = match self.kind {
             FrameKind::Serve => (self.body, self.count),
             _ => (&[][..], 0),
         };
-        (0..count).map_while(move |_| E::decode_event(&mut cursor))
+        let pool = self.pool;
+        (0..count).map_while(move |_| match pool {
+            Some(pool) => E::decode_event_pooled(&mut cursor, pool),
+            None => E::decode_event(&mut cursor),
+        })
     }
 
     /// Materialises the frame into an owned [`Message`] (the copying path;

@@ -15,6 +15,8 @@
 //! completions, retransmission timers) carry and are filtered by, so no
 //! event armed before a crash can touch the state of a later incarnation.
 
+use std::sync::Arc;
+
 use gossip_adversity::{CompiledAdversity, PartitionState};
 use gossip_core::{GossipNode, Message};
 use gossip_membership::{CyclonView, ShuffleMessage};
@@ -68,7 +70,9 @@ pub(crate) struct Deployment<'a> {
     /// When each node joined (`None` = present from the start).
     pub(crate) joined_at: Vec<Option<Time>>,
     /// The currently known membership: base nodes plus joiners so far.
-    pub(crate) members: Vec<NodeId>,
+    /// One list for the deployment: full-membership nodes share it, and a
+    /// join builds a new one.
+    pub(crate) members: Arc<[NodeId]>,
     /// Cyclon views, one per node (empty in full-membership mode).
     pub(crate) cyclon: Vec<CyclonView>,
     /// RNG stream for membership shuffling (and join/revive staggering).
@@ -90,7 +94,7 @@ impl<'a> Deployment<'a> {
         let compiled = cfg.adversity.compile(cfg.n, cfg.seed);
         let total = compiled.total_n;
         let mut setup_rng = DetRng::seed_from(cfg.seed).split(0xA11CE);
-        let membership: Vec<NodeId> = (0..cfg.n as u32).map(NodeId::new).collect();
+        let membership: Arc<[NodeId]> = (0..cfg.n as u32).map(NodeId::new).collect();
         let source_id = NodeId::new(0);
 
         // Joiners are constructed up front (with the base membership — it
@@ -100,10 +104,11 @@ impl<'a> Deployment<'a> {
         for i in 0..total as u32 {
             let id = NodeId::new(i);
             let mut node = if id == source_id {
-                GossipNode::new_source(id, cfg.gossip.clone(), membership.clone(), cfg.seed)
+                GossipNode::new_source(id, cfg.gossip.clone(), Vec::new(), cfg.seed)
             } else {
-                GossipNode::new(id, cfg.gossip.clone(), membership.clone(), cfg.seed)
+                GossipNode::new(id, cfg.gossip.clone(), Vec::new(), cfg.seed)
             };
+            node.set_membership(Arc::clone(&membership));
             node.set_free_rider(compiled.profiles[id.index()].free_rider);
             nodes.push(node);
         }
@@ -151,12 +156,12 @@ impl<'a> Deployment<'a> {
         // Stagger gossip rounds uniformly across the period: synchronized
         // rounds would be an artefact no real deployment exhibits.
         let period = cfg.gossip.gossip_period;
-        for &id in &membership {
+        for &id in membership.iter() {
             let phase = Duration::from_micros(setup_rng.next_below(period.as_micros()));
             engine.schedule(Time::ZERO + phase, Ev::Round(id, 0));
         }
         if let MembershipMode::Cyclon { shuffle_period, .. } = &cfg.membership {
-            for &id in &membership {
+            for &id in membership.iter() {
                 let phase = Duration::from_micros(setup_rng.next_below(shuffle_period.as_micros()));
                 engine.schedule(Time::ZERO + phase, Ev::ShuffleRound(id, 0));
             }
@@ -201,11 +206,14 @@ impl<'a> Deployment<'a> {
     }
 
     /// Marks the given nodes as crashed, discards their link state and
-    /// bumps their epoch so stale scheduled events die with them.
+    /// stored payloads (a down node never prunes, and its buffers are the
+    /// source's own) and bumps their epoch so stale scheduled events die
+    /// with them.
     pub(crate) fn crash(&mut self, victims: &[NodeId]) {
         for v in victims {
             if v.index() < self.alive.len() {
                 self.alive[v.index()] = false;
+                self.nodes[v.index()].forget_payloads();
                 self.links[v.index()].crash();
                 self.epoch[v.index()] += 1;
             }
@@ -219,8 +227,8 @@ impl<'a> Deployment<'a> {
         let i = v.index();
         debug_assert!(!self.alive[i], "revive of a live node");
         self.alive[i] = true;
-        let mut node =
-            GossipNode::new(v, self.cfg.gossip.clone(), self.members.clone(), self.cfg.seed);
+        let mut node = GossipNode::new(v, self.cfg.gossip.clone(), Vec::new(), self.cfg.seed);
+        node.set_membership(Arc::clone(&self.members));
         node.set_free_rider(self.compiled.profiles[i].free_rider);
         self.nodes[i] = node;
         if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &self.cfg.membership {
@@ -238,17 +246,17 @@ impl<'a> Deployment<'a> {
         debug_assert!(!self.alive[i] && self.joined_at[i].is_none(), "double join");
         self.alive[i] = true;
         self.joined_at[i] = Some(now);
-        self.members.push(v);
+        self.members = self.members.iter().copied().chain([v]).collect();
         match &self.cfg.membership {
             MembershipMode::Full => {
-                for m in &self.members {
-                    self.nodes[m.index()].set_membership(self.members.clone());
+                for m in self.members.iter() {
+                    self.nodes[m.index()].set_membership(Arc::clone(&self.members));
                 }
             }
             MembershipMode::Cyclon { config, bootstrap_degree, .. } => {
                 let bootstrap = self.sample_peers(v, *bootstrap_degree);
                 self.cyclon[i] = CyclonView::new(v, *config, &bootstrap);
-                self.nodes[i].set_membership(self.members.clone());
+                self.nodes[i].set_membership(Arc::clone(&self.members));
             }
         }
     }
@@ -351,10 +359,17 @@ mod tests {
     fn crash_discards_state_and_bumps_epoch() {
         let cfg = crate::Scenario::tiny(5).with_seed(2);
         let (mut dep, _) = Deployment::new(&cfg);
+        let packet = gossip_stream::StreamPacket::new(
+            gossip_stream::PacketId::new(0, 0),
+            Time::ZERO,
+            vec![0u8; 8].into(),
+        );
+        dep.nodes[3].publish(Time::ZERO, packet);
         dep.crash(&[NodeId::new(3), NodeId::new(7)]);
         assert!(!dep.alive[3]);
         assert!(!dep.alive[7]);
         assert!(dep.alive[1]);
+        assert_eq!(dep.nodes[3].stored_events(), 0, "a down node pins no payload");
         assert_eq!(dep.epoch[3], 1);
         assert_eq!(dep.epoch[1], 0);
         // Out-of-range victims are ignored rather than panicking.

@@ -67,6 +67,23 @@
 //! and shapers on schedule. A socket stays flagged until a read comes
 //! back short of a full batch, which proves its kernel queue empty
 //! without paying for an `EAGAIN`.
+//!
+//! # Payload storage: one copy of the stream per shard
+//!
+//! The nodes of a shard all receive the same stream, so the shard keeps
+//! one table of packets ([`PacketPool`]) and its nodes' stores hold
+//! refcounts on the table's payload buffers instead of private copies:
+//! memory grows with the packets published, not with the nodes hosted.
+//! The table is **filled** in one place — a delivery in
+//! [`Shard::drain_outputs`] that passed `verify`, checked by the
+//! validating node or, for an undefended node, by the shard — so a
+//! corrupted payload can never enter it. It is **consulted** at decode
+//! ([`Shard::route_frame`] lends it to the frame): a served packet whose
+//! wire bytes equal the pooled payload takes a refcount, anything else
+//! gets its own copy, and the node checks either exactly as before. It is
+//! **pruned** at the protocol's `retention` horizon, like the nodes'
+//! stores. One table per shard, touched only by the shard's thread: no
+//! locks.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,11 +93,12 @@ use std::thread;
 use gossip_adversity::{
     ByzantineBehaviour, ChaosPlan, CompiledAdversity, FaultAction, PartitionState,
 };
-use gossip_core::wire::{decode_frame, encode_message, FrameKind};
-use gossip_core::{Event, Output, TimerToken};
+use gossip_core::index::DenseMap;
+use gossip_core::wire::{decode_frame, encode_message, EventPool, FrameKind};
+use gossip_core::{Event, GossipConfig, Output, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, CyclonView, ShuffleMessage};
 use gossip_sim::{DetRng, EventQueue};
-use gossip_stream::{byzantine, StreamPacket};
+use gossip_stream::{byzantine, PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
@@ -204,7 +222,9 @@ struct Shard {
     nodes: Vec<VirtualNode>,
     wheel: EventQueue<Fire>,
     /// The currently known membership: base nodes plus joiners so far.
-    members: Vec<NodeId>,
+    /// Shared with every full-membership node the shard hosts; a join
+    /// builds a new list (copy-on-join) and the nodes pick it up lazily.
+    members: Arc<[NodeId]>,
     /// Bumped on every join; nodes whose `members_seen` lags refresh
     /// their membership lazily at their next round.
     members_version: u32,
@@ -217,6 +237,11 @@ struct Shard {
     /// arrival order makes shuffle sequences non-deterministic anyway
     /// (like everything else this runtime measures statistically).
     membership_rng: DetRng,
+    /// The shard's one copy of every packet a hosted node verified (not
+    /// to be confused with the socket pool).
+    packets: PacketPool,
+    /// Next time `packets` sheds what fell out of the retention horizon.
+    next_packet_prune: Time,
     /// Released-but-unsent datagrams of this loop iteration, in release
     /// order: `(destination, unframed wire bytes)`.
     outbox: Vec<(NodeId, Vec<u8>)>,
@@ -286,6 +311,34 @@ struct ChaosState {
     delayed: Vec<(NodeId, Vec<u8>)>,
 }
 
+/// The packets the shard's nodes share: every packet a hosted node
+/// delivered intact, with when it first was (see the module docs).
+#[derive(Debug, Default)]
+struct PacketPool {
+    by_id: DenseMap<PacketId, (StreamPacket, Time)>,
+}
+
+impl PacketPool {
+    /// Keeps `packet`, which the caller has seen pass `verify`, unless its
+    /// id is already held.
+    fn insert_verified(&mut self, packet: StreamPacket, now: Time) {
+        self.by_id.insert_if_vacant(packet.packet_id(), (packet, now));
+    }
+
+    /// Drops the packets older than `config`'s retention horizon.
+    fn prune(&mut self, config: &GossipConfig, now: Time) {
+        if let Some(cutoff) = config.retention_cutoff(now) {
+            self.by_id.retain(|_, (_, pooled_at)| *pooled_at >= cutoff);
+        }
+    }
+}
+
+impl EventPool<StreamPacket> for PacketPool {
+    fn lookup(&self, id: &PacketId) -> Option<&StreamPacket> {
+        self.by_id.get(id).map(|(packet, _)| packet)
+    }
+}
+
 /// The address book folded into destination groups: nodes that receive on
 /// the same socket address share a group, and a flush emits one run of
 /// kernel datagrams per group.
@@ -343,10 +396,11 @@ impl Shard {
             socket.set_nonblocking(true)?;
         }
         let pool = sockets.len();
+        let members: Arc<[NodeId]> = (0..compiled.base_n as u32).map(NodeId::new).collect();
         let nodes: Vec<VirtualNode> = (0..)
             .map(|local| placement.global_of(index, local))
             .take_while(|&g| placement.contains(g))
-            .map(|g| VirtualNode::new(&cluster, &compiled, g))
+            .map(|g| VirtualNode::new(&cluster, &compiled, g, Arc::clone(&members)))
             .collect();
 
         let mut wheel: EventQueue<Fire> = EventQueue::new();
@@ -374,7 +428,6 @@ impl Shard {
             wheel.push(event.at, Fire::Fault(k as u32));
         }
 
-        let members: Vec<NodeId> = (0..compiled.base_n as u32).map(NodeId::new).collect();
         let membership_rng = DetRng::seed_from(cluster.seed).split(0xC1C1_0000 + index as u64);
         let plan = compiled.chaos;
         let chaos = (!plan.is_none()).then(|| ChaosState {
@@ -414,6 +467,8 @@ impl Shard {
             members_version: 0,
             partition: PartitionState::new(),
             membership_rng,
+            packets: PacketPool::default(),
+            next_packet_prune: Time::ZERO,
             outbox: Vec::new(),
             flush_order: Vec::new(),
             stats: ShardStats::default(),
@@ -471,6 +526,11 @@ impl Shard {
         // 1. Fire every due deadline.
         while let Some((at, fire)) = self.wheel.pop_before(now) {
             self.dispatch(fire, at, now);
+        }
+        if now >= self.next_packet_prune {
+            // The nodes prune their stores once a round; so does the shard.
+            self.next_packet_prune = now + self.cluster.gossip.gossip_period;
+            self.packets.prune(&self.cluster.gossip, now);
         }
         let t1 = t0.map(|_| std::time::Instant::now());
 
@@ -702,6 +762,7 @@ impl Shard {
         }
         match decode_frame::<StreamPacket>(wire) {
             Some(frame) => {
+                let frame = frame.with_pool(&self.packets);
                 if self.partition.is_split()
                     && !self.partition.allows(&self.compiled, frame.sender(), dest)
                 {
@@ -796,7 +857,7 @@ impl Shard {
                     // round (see the Join arm of `apply_fault`). Partial-view
                     // joiners are exempt: their membership comes from the
                     // Cyclon view, never the census.
-                    vn.node.set_membership(self.members.clone());
+                    vn.node.set_membership(Arc::clone(&self.members));
                     vn.members_seen = self.members_version;
                 }
                 if vn.down || vn.epoch != ep {
@@ -881,7 +942,7 @@ impl Shard {
             FaultAction::Rejoin(v) => {
                 if let Some(local) = self.local_slot(v) {
                     if self.nodes[local].down {
-                        let members = self.members.clone();
+                        let members = Arc::clone(&self.members);
                         let free_rider = self.compiled.profiles[v.index()].free_rider;
                         self.nodes[local].revive(&self.cluster, members, free_rider);
                         self.nodes[local].members_seen = self.members_version;
@@ -898,12 +959,12 @@ impl Shard {
                     // *wave*, not per join — a 100-node flash crowd would
                     // otherwise cost O(joins × nodes) clones inside the
                     // real-time loop).
-                    self.members.push(v);
+                    self.admit(v);
                     self.members_version += 1;
                     if let Some(local) = self.local_slot(v) {
                         let vn = &mut self.nodes[local];
                         debug_assert!(vn.down, "double join of {v}");
-                        vn.node.set_membership(self.members.clone());
+                        vn.node.set_membership(Arc::clone(&self.members));
                         vn.members_seen = self.members_version;
                         vn.down = false;
                         self.arm_round(local, now);
@@ -923,7 +984,7 @@ impl Shard {
                         let picked = self.membership_rng.sample_indices(candidates.len(), degree);
                         picked.into_iter().map(|k| candidates[k]).collect()
                     };
-                    self.members.push(v);
+                    self.admit(v);
                     if let Some(local) = self.local_slot(v) {
                         let view = CyclonView::new(v, CyclonConfig::default_small(), &sample);
                         let vn = &mut self.nodes[local];
@@ -954,6 +1015,13 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// Adds joiner `v` to the census. The list is shared, so it is built
+    /// anew: nodes still holding the old one keep a consistent view until
+    /// they pick up the new one.
+    fn admit(&mut self, v: NodeId) {
+        self.members = self.members.iter().copied().chain([v]).collect();
     }
 
     /// The local slot of node `v` when this shard hosts it.
@@ -1010,6 +1078,8 @@ impl Shard {
                     };
                     if intact {
                         vn.player.on_packet(now, event.packet_id());
+                        // The only way into the table: verified, just now.
+                        self.packets.insert_verified(event, now);
                     }
                 }
                 Output::ScheduleTimer { token, at } => {
@@ -1320,10 +1390,23 @@ mod tests {
     /// (node `g` homes on socket `g % pool`), with or without a live
     /// stream. Returns the config plus the pool's addresses.
     fn one_shard(backend: Backend, pool: usize, streaming: bool) -> (ShardConfig, Vec<SocketAddr>) {
+        one_shard_of(backend, pool, 4, |cluster| {
+            // Outlives the test window, or never starts at all.
+            cluster.stream_duration = Duration::from_secs(if streaming { 30 } else { 0 });
+        })
+    }
+
+    /// [`one_shard`] for `n` nodes of a smoke-test cluster that `tweak`
+    /// has adjusted.
+    fn one_shard_of(
+        backend: Backend,
+        pool: usize,
+        n: usize,
+        tweak: impl FnOnce(&mut ClusterConfig),
+    ) -> (ShardConfig, Vec<SocketAddr>) {
         let mut cluster = ClusterConfig::smoke_test();
-        cluster.n = 4;
-        // Outlives the test window, or never starts at all.
-        cluster.stream_duration = Duration::from_secs(if streaming { 30 } else { 0 });
+        cluster.n = n;
+        tweak(&mut cluster);
         let compiled = Arc::new(cluster.compiled_adversity());
         let sockets: Vec<UdpSocket> =
             (0..pool).map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind")).collect();
@@ -1333,7 +1416,7 @@ mod tests {
             Arc::new((0..compiled.total_n).map(|g| addrs[demux::home_socket(g, pool)]).collect());
         let config = ShardConfig {
             index: 0,
-            placement: demux::Placement::whole(4, 1),
+            placement: demux::Placement::whole(n, 1),
             recv_batch: 8,
             backend,
             cluster,
@@ -1765,5 +1848,183 @@ mod tests {
             assert!(stats.iterations <= iteration_bound(wall, &stats), "{backend:?} spun");
             assert_eq!(reports.len(), 4);
         }
+    }
+
+    /// A streaming one-shard cluster of `n` nodes on the batched backend,
+    /// booted and ready to be driven on the test's own thread.
+    fn streaming_shard(n: usize, tweak: impl FnOnce(&mut ClusterConfig)) -> Shard {
+        let (config, _) = one_shard_of(mmsg::select_backend(None), 2, n, |cluster| {
+            cluster.stream_duration = Duration::from_secs(30);
+            tweak(cluster);
+        });
+        Shard::new(config).expect("shard boots")
+    }
+
+    /// Runs the shard's loop on this thread for `window`.
+    fn turn_for(shard: &mut Shard, window: std::time::Duration) {
+        let started = std::time::Instant::now();
+        while started.elapsed() < window {
+            shard.turn().expect("turn");
+        }
+    }
+
+    /// Every packet id the stream can have published in its first
+    /// `windows` windows.
+    fn stream_ids(shard: &Shard, windows: u32) -> impl Iterator<Item = PacketId> {
+        let per_window = shard.cluster.stream.window.total_packets() as u16;
+        (0..windows).flat_map(move |w| (0..per_window).map(move |i| PacketId::new(w, i)))
+    }
+
+    /// Where the payload bytes of every held copy of `id` live: the
+    /// shard's table first, then each hosted node's store.
+    fn payload_addresses(shard: &Shard, id: &PacketId) -> Vec<*const u8> {
+        let nodes = shard.nodes.iter().filter_map(|vn| vn.node.stored(id));
+        shard.packets.lookup(id).into_iter().chain(nodes).map(|p| p.payload().as_ptr()).collect()
+    }
+
+    /// The storage rule's point: however many nodes a shard hosts, it
+    /// holds each packet's payload once — every node's stored copy is the
+    /// table's buffer, so distinct buffers equal distinct packets.
+    #[test]
+    fn a_shard_holds_one_payload_buffer_per_packet() {
+        let mut shard = streaming_shard(6, |_| {});
+        turn_for(&mut shard, std::time::Duration::from_millis(1200));
+        let (mut packets, mut copies, mut buffers) = (0, 0, 0);
+        for id in stream_ids(&shard, 10) {
+            let mut held = payload_addresses(&shard, &id);
+            packets += usize::from(!held.is_empty());
+            copies += held.len();
+            held.sort_unstable();
+            held.dedup();
+            buffers += held.len();
+        }
+        assert!(packets > 20, "only {packets} packets flowed");
+        assert!(copies > 3 * packets, "the nodes hold their own entries: {copies} for {packets}");
+        assert_eq!(buffers, packets, "one buffer per packet, not one per node");
+        let stored: usize = shard.nodes.iter().map(|vn| vn.node.stored_events()).sum();
+        assert_eq!(stored + shard.packets.by_id.len(), copies, "no packet beyond the ten windows");
+    }
+
+    /// Only verified packets enter the table, and a payload is shared only
+    /// when it is byte-equal to a pooled one — so with serve-corruptors
+    /// about, whether the receivers defend themselves or leave the check to
+    /// the shard, every table entry verifies and a corrupted payload a node
+    /// swallowed is that node's private copy.
+    #[test]
+    fn corrupted_payloads_never_enter_or_alias_the_table() {
+        for defended in [true, false] {
+            let mut shard = streaming_shard(8, |cluster| {
+                // A source that reaches only two receivers itself leaves the
+                // rest to be served by relays, corruptors among them.
+                cluster.gossip =
+                    cluster.gossip.clone().with_verify_payloads(defended).with_source_fanout(2);
+                cluster.adversity = cluster
+                    .adversity
+                    .clone()
+                    .with_byzantine(0.3, gossip_adversity::ByzantineMix::serve_corruptors());
+            });
+            assert!(shard.compiled.profiles.iter().any(|p| p.byzantine.is_some()));
+            turn_for(&mut shard, std::time::Duration::from_millis(1500));
+
+            let (mut pooled, mut swallowed) = (0, 0);
+            for id in stream_ids(&shard, 12) {
+                let Some(entry) = shard.packets.lookup(&id) else { continue };
+                pooled += 1;
+                assert!(entry.verify(), "defended={defended}: {id} pooled corrupt");
+                for stored in shard.nodes.iter().filter_map(|vn| vn.node.stored(&id)) {
+                    let shares = stored.payload().as_ptr() == entry.payload().as_ptr();
+                    assert_eq!(shares, stored.verify(), "defended={defended}: {id}");
+                    swallowed += usize::from(!shares);
+                }
+            }
+            assert!(pooled > 20, "defended={defended}: only {pooled} packets pooled");
+            let detected: u64 =
+                shard.nodes.iter().map(|vn| vn.node.stats().corrupted_events_detected).sum();
+            if defended {
+                assert!(detected > 0, "the corruptors were never caught at work");
+                assert_eq!(swallowed, 0, "a validating node stored corruption");
+            } else {
+                assert_eq!(detected, 0);
+                assert!(swallowed > 0, "no undefended node ever swallowed a corrupted serve");
+            }
+        }
+    }
+
+    /// The table's one door, by hand: an undefended node swallows a
+    /// corrupted serve of a packet the shard has not seen yet — the node
+    /// stores it, the shard's own check keeps it out of the table — and
+    /// the intact packet, arriving later at a neighbour, is what gets
+    /// pooled and shared.
+    #[test]
+    fn an_undefended_nodes_corrupt_delivery_is_not_pooled() {
+        let (config, _) = one_shard_of(Backend::Fallback, 1, 4, |cluster| {
+            cluster.stream_duration = Duration::ZERO;
+            cluster.gossip = cluster.gossip.clone().with_verify_payloads(false);
+        });
+        let mut shard = Shard::new(config).expect("shard boots");
+        let now = shard.clock.now();
+        let packet = StreamPacket::new(PacketId::new(0, 0), Time::ZERO, vec![5u8; 500].into());
+        let id = packet.packet_id();
+        let serve = |packet: StreamPacket| {
+            encode_message(NodeId::new(1), &gossip_core::Message::Serve { events: vec![packet] })
+        };
+
+        shard.route_frame(NodeId::new(2), &serve(packet.tampered()), now);
+        let swallowed = shard.nodes[2].node.stored(&id).expect("the node does not look");
+        assert!(!swallowed.verify());
+        assert!(shard.packets.lookup(&id).is_none(), "a corrupted delivery was pooled");
+
+        shard.route_frame(NodeId::new(3), &serve(packet.clone()), now);
+        let pooled = shard.packets.lookup(&id).expect("an intact delivery is pooled");
+        assert!(pooled.verify());
+        let shared = shard.nodes[3].node.stored(&id).expect("stored");
+        assert_eq!(shared.payload().as_ptr(), pooled.payload().as_ptr());
+        let swallowed = shard.nodes[2].node.stored(&id).expect("still there");
+        assert_ne!(swallowed.payload().as_ptr(), pooled.payload().as_ptr());
+    }
+
+    /// Memory is bounded by the retention horizon, not the run length:
+    /// once the stream is older than `retention`, the table and every
+    /// node's store stop growing, and the oldest windows have no holder
+    /// left — their buffers are freed.
+    #[test]
+    fn the_table_and_the_stores_plateau_at_the_retention_horizon() {
+        let mut shard = streaming_shard(4, |cluster| {
+            cluster.gossip = cluster.gossip.clone().with_retention(Duration::from_secs(1));
+        });
+        let held = |shard: &Shard| -> Vec<usize> {
+            let nodes = shard.nodes.iter().map(|vn| vn.node.stored_events());
+            std::iter::once(shard.packets.by_id.len()).chain(nodes).collect()
+        };
+        turn_for(&mut shard, std::time::Duration::from_millis(2500));
+        let mid = held(&shard);
+        turn_for(&mut shard, std::time::Duration::from_millis(2000));
+        let late = held(&shard);
+        // 65 packets a second (50 data + parity) for 1 s, plus the 100 ms
+        // pruning cadence; unpruned, 4.5 s would hold ≈ 290.
+        for (mid, late) in mid.iter().zip(&late) {
+            assert!((40..=110).contains(late), "holding {late} packets at 4.5 s (table, nodes…)");
+            assert!(late.abs_diff(*mid) <= 25, "{mid} at 2.5 s, {late} at 4.5 s: still growing");
+        }
+        for id in stream_ids(&shard, 10) {
+            assert!(payload_addresses(&shard, &id).is_empty(), "{id} is still held at 4.5 s");
+        }
+    }
+
+    /// A crashed node lets go of every payload at the crash: it will run
+    /// no round to prune them, and nothing brings this one back.
+    #[test]
+    fn a_crashed_node_holds_no_payloads() {
+        let mut shard = streaming_shard(4, |cluster| {
+            cluster.crashes = vec![(2, Duration::from_millis(700))];
+        });
+        turn_for(&mut shard, std::time::Duration::from_millis(500));
+        assert!(!shard.nodes[2].down);
+        assert!(shard.nodes[2].node.stored_events() > 0, "the victim was receiving the stream");
+        turn_for(&mut shard, std::time::Duration::from_millis(500));
+        assert!(shard.nodes[2].down, "the crash fault fired");
+        assert_eq!(shard.nodes[2].node.stored_events(), 0);
+        assert!(shard.nodes[2].node.stats().events_delivered > 0, "the counters survive");
+        assert!(shard.nodes[1].node.stored_events() > 0, "the survivors keep theirs");
     }
 }

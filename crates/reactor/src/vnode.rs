@@ -5,6 +5,8 @@
 //! shaper, optional stream source, impairment state — minus the thread and
 //! the socket: scheduling and I/O belong to the shard.
 
+use std::sync::Arc;
+
 use gossip_adversity::CompiledAdversity;
 use gossip_core::GossipNode;
 use gossip_membership::CyclonView;
@@ -58,19 +60,24 @@ pub(crate) struct VirtualNode {
 impl VirtualNode {
     /// Builds the virtual node with global id `id` for `config`, applying
     /// its static adversity profile (bandwidth-class cap override,
-    /// free-rider flag, dark start for flash-crowd joiners).
-    pub fn new(config: &ClusterConfig, compiled: &CompiledAdversity, id: u32) -> Self {
+    /// free-rider flag, dark start for flash-crowd joiners). `members` is
+    /// the shard's shared base membership: joiners become visible when
+    /// their join fires (the shard then refreshes every local node's view).
+    pub fn new(
+        config: &ClusterConfig,
+        compiled: &CompiledAdversity,
+        id: u32,
+        members: Arc<[NodeId]>,
+    ) -> Self {
         let node_id = NodeId::new(id);
         let profile = &compiled.profiles[id as usize];
-        // Base membership only: joiners become visible when their join
-        // fires (the shard then refreshes every local node's view).
-        let membership: Vec<NodeId> = (0..compiled.base_n as u32).map(NodeId::new).collect();
         let is_source = id == 0;
         let mut node = if is_source {
-            GossipNode::new_source(node_id, config.gossip.clone(), membership, config.seed)
+            GossipNode::new_source(node_id, config.gossip.clone(), Vec::new(), config.seed)
         } else {
-            GossipNode::new(node_id, config.gossip.clone(), membership, config.seed)
+            GossipNode::new(node_id, config.gossip.clone(), Vec::new(), config.seed)
         };
+        node.set_membership(members);
         node.set_free_rider(profile.free_rider);
         let uniform_cap =
             if is_source && config.source_uncapped { None } else { config.upload_cap_bps };
@@ -94,11 +101,14 @@ impl VirtualNode {
         }
     }
 
-    /// Takes the node down: it loses its queued uploads and its epoch,
-    /// so every armed deadline of this life is dead on arrival.
+    /// Takes the node down: it loses its queued uploads, its stored
+    /// payloads (shared buffers must not stay pinned by a node that will
+    /// never prune again) and its epoch, so every armed deadline of this
+    /// life is dead on arrival.
     pub fn crash(&mut self) {
         self.down = true;
         self.epoch += 1;
+        self.node.forget_payloads();
         self.shaper.discard_backlog();
         self.shaper_armed = false;
         // The partial view is protocol-adjacent state: it dies with the
@@ -109,9 +119,10 @@ impl VirtualNode {
     /// Brings the node back with *fresh* protocol state (a crash loses
     /// everything; only the player's history of what the viewer already
     /// watched survives) and the given membership.
-    pub fn revive(&mut self, config: &ClusterConfig, members: Vec<NodeId>, free_rider: bool) {
+    pub fn revive(&mut self, config: &ClusterConfig, members: Arc<[NodeId]>, free_rider: bool) {
         debug_assert!(self.down, "revive of a live node");
-        let mut node = GossipNode::new(self.id, config.gossip.clone(), members, config.seed);
+        let mut node = GossipNode::new(self.id, config.gossip.clone(), Vec::new(), config.seed);
+        node.set_membership(members);
         node.set_free_rider(free_rider);
         self.node = node;
         self.down = false;

@@ -4,7 +4,7 @@ use std::fmt;
 
 use bytes::Bytes;
 
-use gossip_core::wire::{take_u64, WireEvent};
+use gossip_core::wire::{take_u64, EventPool, WireEvent};
 use gossip_core::{Event, EventIndex};
 use gossip_types::Time;
 
@@ -127,7 +127,15 @@ fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
 /// unforgeable-in-the-model, which "corruptors flip payload bits but
 /// cannot restamp" captures.
 ///
-/// Cloning is cheap: the payload is a reference-counted [`Bytes`].
+/// The payload is a reference-counted [`Bytes`], so a clone shares it: a
+/// node's store, its serves and its deliveries are one buffer, and in the
+/// simulator every node holds the source's. A decoded packet owns a fresh
+/// copy of the wire bytes unless its host keeps a pool of verified packets
+/// ([`WireEvent::decode_event_pooled`]): then it shares the pooled packet's
+/// buffer when — and only when — that buffer is byte-equal to the wire
+/// bytes. Id, timestamp and checksum always come from the wire, so the
+/// decoded value, and the receiver's `verify` verdict on it, are the same
+/// either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamPacket {
     id: PacketId,
@@ -239,23 +247,21 @@ impl WireEvent for StreamPacket {
     }
 
     fn decode_event(input: &mut &[u8]) -> Option<Self> {
-        let id = Self::decode_id(input)?;
-        let micros = take_u64(input)?;
-        if input.len() < 6 {
-            return None;
-        }
-        let checksum = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
-        let len = u16::from_le_bytes([input[4], input[5]]) as usize;
-        *input = &input[6..];
-        if input.len() < len {
-            return None;
-        }
-        let payload = Bytes::copy_from_slice(&input[..len]);
-        *input = &input[len..];
-        // The carried checksum travels verbatim: whether it matches the
-        // bytes is the receiver's on_message/on_frame validation decision,
-        // not the codec's.
-        Some(StreamPacket::with_checksum(id, Time::from_micros(micros), checksum, payload))
+        let (id, published_at, checksum, payload) = split_event(input)?;
+        let payload = Bytes::copy_from_slice(payload);
+        Some(StreamPacket::with_checksum(id, published_at, checksum, payload))
+    }
+
+    fn decode_event_pooled(input: &mut &[u8], pool: &dyn EventPool<Self>) -> Option<Self> {
+        let (id, published_at, checksum, wire) = split_event(input)?;
+        let payload = match pool.lookup(&id) {
+            // Equal bytes are the whole condition: a corrupted, truncated
+            // or colliding-id serve compares unequal, keeps its own bytes
+            // and meets the receiver's `verify` exactly as it would unpooled.
+            Some(pooled) if pooled.payload[..] == *wire => pooled.payload.clone(),
+            _ => Bytes::copy_from_slice(wire),
+        };
+        Some(StreamPacket::with_checksum(id, published_at, checksum, payload))
     }
 
     fn skip_event(input: &mut &[u8]) -> Option<()> {
@@ -272,6 +278,28 @@ impl WireEvent for StreamPacket {
         *input = &input[HEADER + len..];
         Some(())
     }
+}
+
+/// Parses one encoded packet's header off the front of `input` and splits
+/// its payload bytes off after it.
+///
+/// The carried checksum travels verbatim: whether it matches the bytes is
+/// the receiver's on_message/on_frame validation decision, not the codec's.
+fn split_event<'a>(input: &mut &'a [u8]) -> Option<(PacketId, Time, u32, &'a [u8])> {
+    let id = StreamPacket::decode_id(input)?;
+    let micros = take_u64(input)?;
+    if input.len() < 6 {
+        return None;
+    }
+    let checksum = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
+    let len = u16::from_le_bytes([input[4], input[5]]) as usize;
+    *input = &input[6..];
+    if input.len() < len {
+        return None;
+    }
+    let (payload, rest) = input.split_at(len);
+    *input = rest;
+    Some((id, Time::from_micros(micros), checksum, payload))
 }
 
 #[cfg(test)]

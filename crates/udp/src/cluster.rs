@@ -371,6 +371,7 @@ impl UdpCluster {
         // the base population (the cluster plays introduction service; the
         // rest of the joiner's knowledge spreads via shuffles).
         let mut join_rng = DetRng::seed_from(config.seed).split(0x10_1F);
+        let membership: Arc<[NodeId]> = (0..compiled.base_n as u32).map(NodeId::new).collect();
 
         let mut handles = Vec::with_capacity(total_n);
         for (i, socket) in sockets.into_iter().enumerate() {
@@ -401,6 +402,7 @@ impl UdpCluster {
                     .map(|at| at.saturating_since(Time::ZERO)),
                 free_rider: profile.free_rider,
                 compiled: Arc::clone(&compiled),
+                membership: Arc::clone(&membership),
                 join,
                 telemetry: hub
                     .as_ref()

@@ -49,6 +49,9 @@ pub struct DriverConfig {
     /// node-scoped crash events are pre-resolved into
     /// [`DriverConfig::crash_at`] by the cluster.
     pub compiled: Arc<CompiledAdversity>,
+    /// The base population, which every established node knows from the
+    /// start: one list shared by all the cluster's threads.
+    pub membership: Arc<[NodeId]>,
     /// If set, this node is a flash-crowd joiner: the thread parks until
     /// the join offset, then boots with a Cyclon partial view seeded from
     /// the bootstrap sample and runs one membership shuffle per gossip
@@ -170,19 +173,17 @@ pub fn run_node(
     clock: ClusterClock,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<NodeReport> {
+    let mut node: GossipNode<StreamPacket> = if config.stream_for.is_some() {
+        GossipNode::new_source(config.id, config.gossip.clone(), Vec::new(), config.seed)
+    } else {
+        GossipNode::new(config.id, config.gossip.clone(), Vec::new(), config.seed)
+    };
     // Established nodes know the base population from the start; a
     // flash-crowd joiner starts blank and learns its membership from its
     // Cyclon bootstrap view once it boots.
-    let membership: Vec<NodeId> = if config.join.is_some() {
-        Vec::new()
-    } else {
-        (0..config.compiled.base_n as u32).map(NodeId::new).collect()
-    };
-    let mut node: GossipNode<StreamPacket> = if config.stream_for.is_some() {
-        GossipNode::new_source(config.id, config.gossip.clone(), membership, config.seed)
-    } else {
-        GossipNode::new(config.id, config.gossip.clone(), membership, config.seed)
-    };
+    if config.join.is_none() {
+        node.set_membership(Arc::clone(&config.membership));
+    }
     node.set_free_rider(config.free_rider);
     let mut player = StreamPlayer::new(config.stream);
     let mut shaper: UploadShaper<(NodeId, Vec<u8>)> =
@@ -216,8 +217,11 @@ pub fn run_node(
         let now = clock.now();
 
         // Churn injection: a crashed node goes silent but its thread stays
-        // parked until shutdown so the join logic stays uniform.
+        // parked until shutdown so the join logic stays uniform. It runs
+        // no more rounds, so nothing would ever prune its payloads: they go
+        // now (a no-op on every later pass).
         if crash_at.is_some_and(|at| now >= at) {
+            node.forget_payloads();
             std::thread::sleep(std::time::Duration::from_millis(20));
             continue;
         }
