@@ -16,10 +16,9 @@
 //!   (bandwidth-class cap overrides, free-rider flags, join times).
 //!
 //! Every runtime consumes the same compilation: the simulator schedules the
-//! timeline on its event queue, the reactor pushes it onto its per-shard
-//! timer wheels, and the thread-per-node runtime maps the crash events onto
-//! its per-thread crash deadlines. One spec therefore produces directly
-//! comparable reports from simulation and live UDP.
+//! timeline on its event queue and the reactor pushes it onto its
+//! per-shard timer wheels. One spec therefore produces directly comparable
+//! reports from simulation and live UDP.
 //!
 //! Specs are constructed with the builder API or loaded from a small TOML
 //! subset (see [`AdversitySpec::from_toml_str`]); compiling

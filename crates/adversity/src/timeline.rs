@@ -275,8 +275,8 @@ pub struct CompiledAdversity {
     /// [`FaultAction::ThrottleEnd`].
     pub throttles: Vec<ThrottlePlan>,
     /// Syscall-boundary fault injection plan for the reactor runtime
-    /// (inert for the simulator and the thread-per-node runtime, which
-    /// have no kernel I/O path to inject into).
+    /// (inert for the simulator, which has no kernel I/O path to inject
+    /// into).
     pub chaos: ChaosPlan,
 }
 
@@ -304,12 +304,6 @@ impl CompiledAdversity {
             && self.chaos.is_none()
     }
 
-    /// The earliest crash time of each node, for runtimes that only
-    /// support one-shot crashes (the thread-per-node deployment).
-    pub fn first_crash_of(&self, node: NodeId) -> Option<Time> {
-        self.timeline.events().iter().find(|e| e.action == FaultAction::Crash(node)).map(|e| e.at)
-    }
-
     /// Structural soundness beyond [`FaultTimeline::is_order_sound`]:
     /// every partition/throttle index resolves, cell maps and victim sets
     /// are sized for the population, and Byzantine assignment never names
@@ -331,13 +325,13 @@ impl CompiledAdversity {
     }
 }
 
-/// Runtime partition tracker shared by all three runtimes.
+/// Runtime partition tracker shared by every runtime.
 ///
 /// Feed it every fired [`FaultAction`] (non-partition actions are ignored)
 /// and ask [`PartitionState::allows`] before delivering a datagram: the
-/// sim's link layer, the reactor's demux and the thread runtime's driver
-/// all enforce the same cell maps through this one helper, so a partition
-/// can never mean different things on different hosts.
+/// sim's link layer and the reactor's demux enforce the same cell maps
+/// through this one helper, so a partition can never mean different
+/// things on different hosts.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionState {
     /// Indices of currently active partitions.
@@ -455,7 +449,6 @@ mod tests {
         assert!(c.is_inert());
         assert!(c.is_sound());
         assert_eq!(c.total_n, 20);
-        assert_eq!(c.first_crash_of(NodeId::new(3)), None);
     }
 
     #[test]

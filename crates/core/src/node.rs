@@ -352,6 +352,19 @@ impl<E: Event> GossipNode<E> {
         self.config.verify_payloads
     }
 
+    /// The delivery gate every host applies to an [`Output::Deliver`]:
+    /// whether `event` is intact, hashing it only when this node did not
+    /// (see [`GossipNode::delivers_verified`]).
+    #[inline]
+    pub fn delivery_intact(&self, event: &E) -> bool {
+        if self.delivers_verified() {
+            debug_assert!(event.verify(), "a validating node delivered corruption");
+            true
+        } else {
+            event.verify()
+        }
+    }
+
     // ------------------------------------------------------------------
     // Inputs
     // ------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //! coincide across processes, optionally hard-kills one worker mid-stream
 //! (the first cross-host chaos scenario), and finally merges every
 //! process's reports into one [`ClusterReport`] via the same
-//! [`assemble_report`] the in-process runtimes use — so a 3-process
+//! [`assemble_report`] the in-process runtime uses — so a 3-process
 //! deployment's numbers sit in the same table as a single-process run's.
 //!
 //! A worker that dies (killed by the chaos scenario, or crashed) simply
@@ -126,7 +126,7 @@ pub struct ProcessOutcome {
 #[derive(Debug)]
 pub struct AggregateReport {
     /// The cluster-wide report, assembled by the same
-    /// [`assemble_report`] as the in-process runtimes — dark nodes of
+    /// [`assemble_report`] as the in-process runtime — dark nodes of
     /// dead workers included.
     pub report: ClusterReport,
     /// Per-worker outcomes, in index order.

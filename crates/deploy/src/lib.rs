@@ -23,7 +23,7 @@
 //!   every process's `Time::ZERO` coincides, optionally hard-kill one
 //!   worker mid-stream, and merge every process's reports into one
 //!   [`gossip_udp::cluster::ClusterReport`] via the same
-//!   [`gossip_udp::cluster::assemble_report`] the in-process runtimes use;
+//!   [`gossip_udp::cluster::assemble_report`] the in-process runtime uses;
 //! * [`signal`] — SIGINT/SIGTERM as a stop flag, so an interrupted
 //!   `gossipd` flushes a partial report marked degraded instead of dying
 //!   silently.

@@ -2,7 +2,7 @@
 //! membership views until the scenario's time horizon.
 
 use gossip_adversity::{ByzantineBehaviour, FaultAction};
-use gossip_core::{Event, Message, Output, TimerToken};
+use gossip_core::{Message, Output, TimerToken};
 use gossip_net::Enqueued;
 use gossip_sim::Engine;
 use gossip_stream::byzantine;
@@ -362,17 +362,8 @@ impl<'a> Driver<'a> {
                 Output::Deliver { event } => {
                     // The player only counts intact packets: a poisoned one
                     // accepted because verification is disabled is garbage
-                    // on screen, not a viewed window. A validating node
-                    // hashed the payload before delivering it
-                    // (`GossipNode::delivers_verified`), so only an
-                    // undefended node's deliveries are hashed here.
-                    let intact = if self.dep.nodes[id.index()].delivers_verified() {
-                        debug_assert!(event.verify(), "a validating node delivered corruption");
-                        true
-                    } else {
-                        event.verify()
-                    };
-                    if intact {
+                    // on screen, not a viewed window.
+                    if self.dep.nodes[id.index()].delivery_intact(&event) {
                         let packet_id = event.packet_id();
                         self.dep.players[id.index()].on_packet(now, packet_id);
                         self.depth.record(id, packet_id);

@@ -130,8 +130,8 @@ fn mul_table(c: u8) -> [u8; 256] {
 /// (`dst[i] ^= c * src[i]`) — the inner loop of Reed–Solomon encoding.
 ///
 /// With the `simd` feature enabled (and a capable CPU) slices of at least
-/// 16 bytes go through the nibble-shuffle vector kernels in
-/// [`simd`](crate::simd), 16 lanes per instruction. Otherwise, for
+/// 16 bytes go through the nibble-shuffle vector kernels in the `simd`
+/// module, 16 lanes per instruction. Otherwise, for
 /// shard-sized slices the `LOG[c]` row is hoisted into a 256-byte per-call
 /// multiplication table: one table build per shard operation, then a
 /// single lookup+xor per byte instead of two lookups and a zero-check

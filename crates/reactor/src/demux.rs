@@ -13,8 +13,8 @@
 //! destination *address* (the same shard socket, which may host many
 //! nodes) into one buffer and hands the kernel one datagram for the lot;
 //! the receiving shard walks the frames and routes each on its prefix. The framing is runtime overhead,
-//! not protocol bytes: the upload shaper charges only the inner wire size,
-//! so pacing matches the thread-per-node runtime exactly.
+//! not protocol bytes: the upload shaper charges only the inner (unframed)
+//! wire size, so pacing does not depend on how frames were packed.
 //!
 //! The placement scheme is striped: node `g` lives on shard `g % shards`
 //! at local index `g / shards`, and within a shard's socket pool its home

@@ -1,12 +1,11 @@
 //! Sharded shared-socket runtime: thousands of live UDP nodes in one
 //! process.
 //!
-//! The thread-per-node runtime in `gossip-udp` proves the protocol is
-//! deployable, but one OS thread plus one blocking socket per node caps
-//! real-socket experiments at a few hundred nodes. This crate hosts the
-//! same sans-io [`gossip_core::GossipNode`] state machines behind a
-//! *reactor*: a small number of worker **shards**, each an event loop that
-//! owns
+//! One OS thread plus one blocking socket per node would cap real-socket
+//! experiments at a few hundred nodes. This crate hosts the same sans-io
+//! [`gossip_core::GossipNode`] state machines the simulator drives behind
+//! a *reactor*: a small number of worker **shards**, each an event loop
+//! that owns
 //!
 //! * a slice of the cluster's **virtual nodes** (protocol state machine,
 //!   stream player, upload shaper, optionally the stream source),
@@ -26,25 +25,25 @@
 //! [`gossip_core::wire`] encoding; the receiving shard routes on the prefix
 //! and strips it before handing the bytes to the protocol codec (see
 //! [`demux`]). The prefix is runtime framing, not protocol bytes: the
-//! upload shaper charges only the inner wire size, so pacing matches the
-//! thread-per-node runtime exactly.
+//! upload shaper charges only the inner (unframed) wire size, so a node's
+//! pacing does not depend on how its datagrams are packed.
 //!
 //! Nodes are striped across shards (`shard = id % shards`) and across each
 //! shard's socket pool, so consecutive node ids — and with them the
 //! cluster's traffic — spread evenly.
 //!
-//! # One configuration, two runtimes
+//! # One configuration, one report
 //!
-//! [`ReactorCluster::run`] takes the same
-//! [`gossip_udp::cluster::ClusterConfig`] as the thread runtime and
-//! produces the same [`gossip_udp::cluster::ClusterReport`] (assembled by
-//! the shared [`gossip_udp::cluster::assemble_report`]), so results are
-//! directly comparable and experiments switch runtimes with one line.
+//! [`ReactorCluster::run`] takes a [`gossip_udp::cluster::ClusterConfig`]
+//! and produces a [`gossip_udp::cluster::ClusterReport`] (assembled by
+//! [`gossip_udp::cluster::assemble_report`]). A multi-process `gossipd`
+//! deployment runs the same config sliced by node id through [`NodeHost`]
+//! and assembles the same report, so the two are directly comparable.
 //!
 //! # Examples
 //!
 //! Run a loopback cluster on the reactor (see `examples/live_udp.rs` for
-//! the CLI version with `--runtime reactor`):
+//! the CLI version):
 //!
 //! ```no_run
 //! use gossip_reactor::ReactorCluster;

@@ -373,8 +373,8 @@ impl NodeHost {
     }
 }
 
-/// The sharded shared-socket cluster runner: same configuration and report
-/// as [`gossip_udp::cluster::UdpCluster`], different hosting model.
+/// The sharded shared-socket cluster runner: the whole id space of a
+/// [`ClusterConfig`] in this process, reported as a [`ClusterReport`].
 #[derive(Debug)]
 pub struct ReactorCluster;
 

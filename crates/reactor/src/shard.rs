@@ -95,7 +95,7 @@ use gossip_adversity::{
 };
 use gossip_core::index::DenseMap;
 use gossip_core::wire::{decode_frame, encode_message, EventPool, FrameKind};
-use gossip_core::{Event, GossipConfig, Output, TimerToken};
+use gossip_core::{GossipConfig, Output, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, CyclonView, ShuffleMessage};
 use gossip_sim::{DetRng, EventQueue};
 use gossip_stream::{byzantine, PacketId, StreamPacket};
@@ -409,8 +409,7 @@ impl Shard {
             if vn.down {
                 continue; // flash-crowd joiners start dark
             }
-            // Stagger first rounds across one gossip period (thread-per-node
-            // deployments stagger naturally through thread start-up) so the
+            // Stagger first rounds across one gossip period so the
             // cluster's round traffic does not arrive as one synchronised
             // burst on every socket.
             let phase = Duration::from_micros(
@@ -1060,23 +1059,14 @@ impl Shard {
                     };
                     let bytes = encode_message(vn.id, &msg);
                     let len = bytes.len();
-                    // The shaper charges the unframed wire size, so pacing
-                    // matches the thread runtime byte for byte.
+                    // The shaper charges the unframed wire size: pacing
+                    // does not depend on how the outbox packs frames.
                     vn.shaper.offer(now, len, (to, bytes));
                 }
                 Output::Deliver { event } => {
-                    // Only intact payloads count as watchable (the sim and
-                    // thread runtimes' measurement boundary): a validating
-                    // node hashed this one before delivering it
-                    // (`GossipNode::delivers_verified`), so only an
-                    // undefended node's deliveries are hashed here.
-                    let intact = if vn.node.delivers_verified() {
-                        debug_assert!(event.verify(), "a validating node delivered corruption");
-                        true
-                    } else {
-                        event.verify()
-                    };
-                    if intact {
+                    // Only intact payloads count as watchable (the
+                    // simulator's measurement boundary too).
+                    if vn.node.delivery_intact(&event) {
                         vn.player.on_packet(now, event.packet_id());
                         // The only way into the table: verified, just now.
                         self.packets.insert_verified(event, now);
@@ -1383,6 +1373,8 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
+
+    use gossip_core::Event;
 
     use super::*;
 

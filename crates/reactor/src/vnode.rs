@@ -1,9 +1,9 @@
 //! The per-virtual-node state hosted by a shard.
 //!
-//! A [`VirtualNode`] bundles exactly what one thread owns in the
-//! thread-per-node runtime — protocol state machine, stream player, upload
-//! shaper, optional stream source, impairment state — minus the thread and
-//! the socket: scheduling and I/O belong to the shard.
+//! A [`VirtualNode`] bundles everything one node owns — protocol state
+//! machine, stream player, upload shaper, optional stream source,
+//! impairment state — except a thread and a socket: scheduling and I/O
+//! belong to the shard.
 
 use std::sync::Arc;
 
@@ -17,8 +17,7 @@ use gossip_udp::cluster::ClusterConfig;
 use gossip_udp::report::NodeReport;
 use gossip_udp::shaper::UploadShaper;
 
-/// One hosted node: the same per-node state as `gossip_udp::driver`, owned
-/// by a shard instead of a thread.
+/// One hosted node's state, owned by its shard.
 pub(crate) struct VirtualNode {
     pub id: NodeId,
     pub node: GossipNode<StreamPacket>,
@@ -50,8 +49,7 @@ pub(crate) struct VirtualNode {
     /// Whether a shaper-release event for this node is pending in the
     /// shard's timer wheel (at most one at a time).
     pub shaper_armed: bool,
-    /// Deterministic per-node stream for injected datagram loss (same
-    /// split constant as the thread runtime, so impairment draws match).
+    /// Deterministic per-node stream for injected datagram loss.
     pub loss_rng: DetRng,
     pub recv_msgs: u64,
     pub decode_errors: u64,

@@ -3,10 +3,10 @@
 //! A Byzantine peer in this codebase runs the *honest* protocol state
 //! machine; the adversity layer corrupts its **output** at the runtime
 //! boundary, the way compromised middleware (or a tampering relay) would.
-//! Keeping the node honest means every runtime — simulator, reactor,
-//! thread-per-node — injects identical misbehaviour from the same compiled
-//! profile, and the defense layer in `gossip_core` is exercised against
-//! byte-for-byte the same traffic.
+//! Keeping the node honest means every runtime — simulator and reactor —
+//! injects identical misbehaviour from the same compiled profile, and the
+//! defense layer in `gossip_core` is exercised against byte-for-byte the
+//! same traffic.
 //!
 //! The mappings are deliberately *plausible* attacks, not noise:
 //!

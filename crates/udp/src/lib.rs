@@ -1,40 +1,41 @@
-//! Real-socket runtime: the same sans-io gossip core, driven by
-//! `std::net::UdpSocket`s.
+//! The runtime-independent substrate of the live (real-socket) runtimes.
 //!
-//! The simulator answers the paper's questions at scale; this crate proves
-//! the protocol implementation is *deployable*: every node is a thread with
-//! a real UDP socket on the loopback interface, messages are encoded with
-//! the production wire codec ([`gossip_core::wire`]), uploads are shaped by
-//! a real-time token bucket ([`shaper::UploadShaper`]) and receivers run
-//! full Reed–Solomon reconstruction on every window, verifying the decoded
-//! bytes against the source's payload generator.
+//! The simulator answers the paper's questions at scale; the live runtimes
+//! prove the protocol implementation is *deployable*. This crate holds what
+//! a live run needs whatever hosts its nodes — the sharded shared-socket
+//! runtime (`gossip-reactor`) in one process, or `gossipd` workers
+//! (`gossip-deploy`) across several: what to run, what time it is, how fast
+//! a node may upload, and what came of it.
 //!
+//! * [`cluster`] — [`cluster::ClusterConfig`], the description of a run;
+//!   [`cluster::ClusterReport`], its outcome; and
+//!   [`cluster::assemble_report`], which turns per-node reports into the
+//!   cluster-wide one and verifies every decodable window through full
+//!   Reed–Solomon reconstruction against the source's payload generator;
 //! * [`clock`] — maps wall-clock instants onto the protocol's virtual
 //!   [`gossip_types::Time`];
 //! * [`shaper`] — real-time upload rate limiting (the deployed counterpart
 //!   of the simulator's queueing link);
+//! * [`report`] — the per-node run report and the per-shard I/O counters;
 //! * [`codec`] — the binary wire form of run reports, for deployments that
-//!   ship per-process reports to a coordinator (`gossip-deploy`);
-//! * [`driver`] — the per-node event loop around [`gossip_core::GossipNode`];
-//! * [`report`] — the per-node run report shared by every runtime;
-//! * [`cluster`] — spawns a source plus N receivers on loopback and collects
-//!   a [`cluster::ClusterReport`].
-//!
-//! The clock, the shaper, [`report::NodeReport`], [`cluster::ClusterConfig`]
-//! and [`cluster::assemble_report`] are the runtime-independent substrate:
-//! the sharded shared-socket runtime in the `gossip-reactor` crate reuses
-//! all of them, so the two runtimes take the same configuration and produce
-//! directly comparable reports.
+//!   ship per-process reports to a coordinator.
 //!
 //! # Examples
 //!
-//! Run a small loopback cluster for a few seconds of stream (see
-//! `examples/live_udp.rs` for a fuller version):
+//! The substrate's two ends: a runtime takes the config, hosts the nodes
+//! and hands back one report per node (`host` stands in for it here;
+//! `gossip_reactor::ReactorCluster::run` does all three steps, see
+//! `examples/live_udp.rs`), and [`cluster::assemble_report`] turns those
+//! into the cluster-wide outcome:
 //!
 //! ```no_run
-//! use gossip_udp::cluster::{ClusterConfig, UdpCluster};
+//! use gossip_udp::cluster::{assemble_report, ClusterConfig};
+//! use gossip_udp::report::NodeReport;
 //!
-//! let report = UdpCluster::run(ClusterConfig::smoke_test()).expect("cluster runs");
+//! # fn host(_: &ClusterConfig) -> Vec<NodeReport> { unimplemented!() }
+//! let config = ClusterConfig::smoke_test();
+//! let nodes: Vec<NodeReport> = host(&config);
+//! let report = assemble_report(&config, nodes);
 //! println!("nodes fully decoding: {}/{}", report.nodes_all_windows_ok(), report.receivers());
 //! ```
 
@@ -44,6 +45,5 @@
 pub mod clock;
 pub mod cluster;
 pub mod codec;
-pub mod driver;
 pub mod report;
 pub mod shaper;

@@ -1,10 +1,9 @@
-//! Per-node run reports, shared by every real-socket runtime.
+//! Per-node run reports and per-shard I/O counters.
 //!
-//! Both the thread-per-node runtime ([`crate::driver`]) and the sharded
-//! reactor runtime (the `gossip-reactor` crate) finish a run by producing
-//! one [`NodeReport`] per node; [`crate::cluster::assemble_report`] turns
-//! the collection into a [`crate::cluster::ClusterReport`] regardless of
-//! which runtime hosted the nodes.
+//! A live run finishes by producing one [`NodeReport`] per node;
+//! [`crate::cluster::assemble_report`] turns the collection into a
+//! [`crate::cluster::ClusterReport`] wherever the nodes were hosted — the
+//! shards of one process or the workers of a `gossipd` deployment.
 
 use gossip_stream::StreamPlayer;
 use gossip_types::NodeId;

@@ -120,8 +120,7 @@ impl<T> UploadShaper<T> {
     /// Discards every queued datagram and resets pacing — a crashed node's
     /// backlog never reaches the wire, and a later incarnation starts with
     /// a clean bucket. The accepted-traffic counters are kept: they
-    /// describe what the node *offered*, same as in the thread runtime,
-    /// where a crashed node's queue also silently never drains.
+    /// describe what the node *offered*, not what reached the wire.
     pub fn discard_backlog(&mut self) {
         self.queue.clear();
         self.next_free = Time::ZERO;

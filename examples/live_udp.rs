@@ -1,19 +1,13 @@
 //! Live deployment on real UDP sockets: the same protocol core that runs in
-//! the simulator, hosted by either real-socket runtime —
+//! the simulator, hosted by the sharded reactor runtime — a few event-loop
+//! shards with shared sockets (thousands of nodes in one process).
 //!
-//! * `threads` — one thread + one blocking socket per node (hundreds of
-//!   nodes);
-//! * `reactor` — a few event-loop shards with shared sockets (thousands of
-//!   nodes in one process, plus the full adversity feature set: revives
-//!   and flash-crowd joins).
-//!
-//! Both use real wire encoding, real upload shaping and real Reed–Solomon
-//! verification of the received windows, and both consume the same
-//! declarative adversity spec (the `gossip-adversity` crate):
+//! It uses real wire encoding, real upload shaping and real Reed–Solomon
+//! verification of the received windows, and consumes the same declarative
+//! adversity spec as the simulator (the `gossip-adversity` crate):
 //!
 //! ```text
 //! cargo run --release --example live_udp [nodes] [seconds]
-//!     [--runtime threads|reactor]
 //!     [--adversity <spec.toml>]     # full declarative spec
 //!     [--crash-frac <0..1>]         # shorthand: catastrophic crash
 //!     [--crash-at <seconds>]        # ... at this offset (default: midway)
@@ -37,13 +31,13 @@ use gossip_fec::WindowParams;
 use gossip_reactor::ReactorCluster;
 use gossip_stream::StreamConfig;
 use gossip_types::Duration;
-use gossip_udp::cluster::{ClusterConfig, UdpCluster};
+use gossip_udp::cluster::ClusterConfig;
 
 /// Fixed scrape port for `--watch`: printable in the usage string and easy
 /// to point `curl`/Prometheus at while the example streams.
 const WATCH_PORT: u16 = 9898;
 
-/// Sums a metric family (both runtimes label per node/shard) over a scrape.
+/// Sums a metric family (one labelled cell per shard) over a scrape.
 fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
     let prefix = format!("{family}{{");
     samples
@@ -69,10 +63,7 @@ fn family_mean(samples: &[(String, f64)], family: &str) -> f64 {
 }
 
 /// The `--watch` loop: self-scrape the endpoint once a second and print a
-/// live status line. Works against either runtime — the thread runtime
-/// publishes `gossip_node_*`, the reactor `gossip_shard_*`; completeness
-/// and received-datagram families exist in both, the backoff/shed cells
-/// only in the reactor (they read 0 under threads).
+/// live status line from the `gossip_shard_*` families.
 fn watch_loop(stop: &AtomicBool) {
     let addr = std::net::SocketAddr::from(([127, 0, 0, 1], WATCH_PORT));
     let mut last_recv: Option<f64> = None;
@@ -81,19 +72,10 @@ fn watch_loop(stop: &AtomicBool) {
         // The endpoint comes up once the cluster starts; until then (and
         // after it stops) the scrape just fails quietly.
         let Ok(samples) = gossip_telemetry::scrape(addr) else { continue };
-        let recv = family_sum(&samples, "gossip_shard_datagrams_received_total")
-            + family_sum(&samples, "gossip_node_datagrams_received_total");
+        let recv = family_sum(&samples, "gossip_shard_datagrams_received_total");
         let rate = last_recv.map_or(0.0, |prev| (recv - prev).max(0.0));
         last_recv = Some(recv);
-        let completeness = {
-            let shard = family_mean(&samples, "gossip_shard_completeness_percent");
-            let node = family_mean(&samples, "gossip_node_completeness_percent");
-            if shard > 0.0 {
-                shard
-            } else {
-                node
-            }
-        };
+        let completeness = family_mean(&samples, "gossip_shard_completeness_percent");
         let backoff = samples
             .iter()
             .filter(|(n, _)| n.starts_with("gossip_shard_backoff_level"))
@@ -108,7 +90,6 @@ fn watch_loop(stop: &AtomicBool) {
 
 fn main() {
     let mut positional: Vec<u64> = Vec::new();
-    let mut runtime = String::from("threads");
     let mut spec_path: Option<String> = None;
     let mut crash_frac: Option<f64> = None;
     let mut crash_at: Option<f64> = None;
@@ -116,9 +97,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--runtime" => {
-                runtime = args.next().expect("--runtime requires `threads` or `reactor`");
-            }
             "--adversity" => {
                 spec_path = Some(args.next().expect("--adversity requires a spec.toml path"));
             }
@@ -134,8 +112,8 @@ fn main() {
             other => positional.push(other.parse().unwrap_or_else(|_| {
                 panic!(
                     "unexpected argument {other:?} (usage: live_udp [nodes] [seconds] \
-                     [--runtime threads|reactor] [--adversity spec.toml] \
-                     [--crash-frac f] [--crash-at secs] [--watch])"
+                     [--adversity spec.toml] [--crash-frac f] [--crash-at secs] \
+                     [--watch])"
                 )
             })),
         }
@@ -181,7 +159,7 @@ fn main() {
 
     let faults = config.compiled_adversity();
     println!(
-        "streaming {} kbps to {} receivers over loopback UDP for {secs} s ({runtime} runtime)...",
+        "streaming {} kbps to {} receivers over loopback UDP for {secs} s...",
         config.stream.rate_bps / 1000,
         n - 1
     );
@@ -199,11 +177,7 @@ fn main() {
         let stop = Arc::clone(&watch_stop);
         std::thread::spawn(move || watch_loop(&stop))
     });
-    let report = match runtime.as_str() {
-        "threads" => UdpCluster::run(config).expect("cluster runs"),
-        "reactor" => ReactorCluster::run(config).expect("cluster runs"),
-        other => panic!("unknown runtime {other:?} (expected `threads` or `reactor`)"),
-    };
+    let report = ReactorCluster::run(config).expect("cluster runs");
     watch_stop.store(true, Ordering::Relaxed);
     if let Some(handle) = watcher {
         let _ = handle.join();

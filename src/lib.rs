@@ -9,7 +9,8 @@
 //! * [`gossip_fec`] — systematic Reed–Solomon erasure coding;
 //! * [`gossip_sim`] / [`gossip_net`] — the deterministic simulation substrate;
 //! * [`gossip_experiments`] — the figure-by-figure reproduction harness;
-//! * [`gossip_udp`] — the real-socket runtime (thread per node);
+//! * [`gossip_udp`] — the live runtimes' shared substrate (cluster config
+//!   and report, wall clock, upload shaper, report codec);
 //! * [`gossip_reactor`] — the sharded shared-socket runtime (thousands of
 //!   live UDP nodes in one process);
 //! * [`gossip_deploy`] — the cross-process deployment layer (`gossipd`

@@ -1,6 +1,7 @@
-//! Integration tests of the sharded shared-socket runtime: crash
-//! resilience under heavy churn and sanity of the aggregate reports at a
-//! scale no thread-per-node deployment is asked to reach in tests.
+//! Integration tests of the sharded shared-socket runtime: agreement of
+//! its two I/O backends with each other and with the simulator, injected
+//! loss, upload shaping, crash resilience under heavy churn and sanity of
+//! the aggregate reports at scale.
 
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
@@ -36,6 +37,66 @@ fn reactor_cluster(n: usize, secs: u64) -> ClusterConfig {
 /// core count (and parallel tests do not oversubscribe it).
 fn small_reactor() -> ReactorOptions {
     ReactorOptions { shards: Some(2), ..ReactorOptions::default() }
+}
+
+/// Both I/O paths — the kernel-batched `sendmmsg`/`recvmmsg` backend
+/// (where the platform has it; it degrades to the fallback elsewhere) and
+/// the portable per-datagram fallback, pinned explicitly — drive the same
+/// state machine as the simulator, the reference: all three must reach high
+/// offline quality on an equivalent lightly-loaded workload, and the two
+/// backends must agree within a generous noise band (wall-clock scheduling
+/// differs, so agreement is statistical, not event-exact).
+#[test]
+fn both_io_backends_stream_like_the_simulated_oracle() {
+    let sim =
+        gossip_experiments::Scenario::tiny(6).with_seed(7).with_upload_cap_kbps(Some(2_000)).run();
+    let sim_q = sim.quality.average_quality_percent(Duration::MAX);
+    assert!(sim_q >= 90.0, "sim quality {sim_q:.1}%");
+
+    let config = reactor_cluster(8, 4);
+    let qualities = [("mmsg", Some(true)), ("fallback", Some(false))].map(|(label, mmsg)| {
+        let opts = ReactorOptions { mmsg, ..small_reactor() };
+        let report = ReactorCluster::run_with(config.clone(), opts)
+            .unwrap_or_else(|e| panic!("reactor ({label}) cluster runs: {e}"));
+        let q = report.quality.average_quality_percent(Duration::MAX);
+        assert!(q >= 80.0, "reactor ({label}) quality {q:.1}%");
+        assert!(report.windows_verified > 0, "reactor ({label}) windows must byte-verify");
+        let io = report.io_stats().expect("the reactor reports shard stats");
+        assert_eq!(io.frame_errors, 0, "no malformed framing on loopback ({label})");
+        assert!(io.datagrams_sent > 0 && io.datagrams_received > 0);
+        q
+    });
+    assert!(
+        (qualities[0] - qualities[1]).abs() <= 20.0,
+        "backends disagree: mmsg {:.1}% vs fallback {:.1}%",
+        qualities[0],
+        qualities[1]
+    );
+}
+
+/// Injected datagram loss degrades but does not break the deployment: FEC
+/// and retransmission cover a few percent of loss on real sockets too.
+#[test]
+fn reactor_survives_injected_loss() {
+    let mut config = reactor_cluster(8, 4);
+    config.inject_loss = 0.02;
+    let report = ReactorCluster::run_with(config, small_reactor()).expect("cluster runs");
+    let avg = report.quality.average_quality_percent(Duration::MAX);
+    assert!(avg >= 60.0, "2% injected loss should be survivable: {avg}%");
+}
+
+/// Shapers actually limit throughput: with a tight cap, a node cannot send
+/// faster than configured.
+#[test]
+fn shaper_limits_throughput() {
+    let mut config = reactor_cluster(4, 3);
+    config.upload_cap_bps = Some(300_000);
+    let elapsed_secs = (config.stream_duration + config.drain_duration).as_secs_f64();
+    let report = ReactorCluster::run_with(config, small_reactor()).expect("cluster runs");
+    for node in report.nodes.iter().skip(1) {
+        let kbps = node.sent_bytes as f64 * 8.0 / 1000.0 / elapsed_secs;
+        assert!(kbps <= 330.0, "node {} sent {kbps:.0} kbps through a 300 kbps shaper", node.id);
+    }
 }
 
 /// Crash-injection: 30 % of the virtual nodes die mid-stream; the
