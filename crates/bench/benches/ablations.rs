@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices called out in DESIGN.md.
+//! Ablation benches for the design choices the README's "Benchmarks"
+//! section lists.
 //!
 //! Each ablation runs the tiny deployment with one knob moved off its
 //! default and reports the run as a Criterion benchmark; the *quality*
@@ -88,7 +89,7 @@ fn ablation_throttle(c: &mut Criterion) {
 }
 
 /// Serve batching: MTU-realistic single-event serves vs large batches (the
-/// batch-loss correlation pathology documented in DESIGN.md).
+/// batch-loss correlation pathology: one lost datagram costs a whole batch).
 fn ablation_serve_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_serve_batch");
     g.sample_size(10);

@@ -4,7 +4,7 @@
 //! `retPeriod`, but a fixed period is unstable in the very regime the paper
 //! studies: once upload queues exceed the period, every *delayed* serve is
 //! re-requested, multiplying serve traffic by `K` and locking the system
-//! into congestion (we reproduced this — see DESIGN.md). Deployed
+//! into congestion (we reproduced this). Deployed
 //! implementations solve this the way TCP does, and so do we:
 //!
 //! * smoothed RTT + variance estimation (Jacobson):
@@ -83,7 +83,7 @@ impl RttEstimator {
     /// serve delays in a congested swarm concentrate (variance decays while
     /// the mean is high): without a multiplicative guard the timeout
     /// converges onto the *median* delay and every in-flight serve gets
-    /// re-requested — the congestion spiral DESIGN.md documents.
+    /// re-requested — the congestion spiral the module docs describe.
     pub fn rto(&self) -> Duration {
         match self.srtt {
             None => self.initial.max(self.rto_min).min(self.rto_max),

@@ -4,10 +4,11 @@
 //! repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|all> [--scale full|quick|tiny] [--seed N] [--trials N]
 //! ```
 //!
-//! Prints each figure's data series as a text table (see `EXPERIMENTS.md`
-//! for the comparison against the paper). The default scale is `full`
-//! (230 nodes — the paper's deployment; minutes of wall-clock in release
-//! mode); use `--scale quick` for a fast, shape-preserving version.
+//! Prints each figure's data series as a text table (the README's
+//! "Reproducing the figures" section indexes the targets). The default
+//! scale is `full` (230 nodes — the paper's deployment; minutes of
+//! wall-clock in release mode); use `--scale quick` for a fast,
+//! shape-preserving version.
 
 use std::env;
 use std::process::ExitCode;

@@ -3,8 +3,7 @@
 //!
 //! Every module exposes a `run(scale, seed) -> FigureOutput` entry point.
 //! `FigureOutput` carries a text [`Table`] with exactly the series the paper
-//! plots, ready for printing by the `repro` binary or comparison in
-//! `EXPERIMENTS.md`.
+//! plots, ready for printing by the `repro` binary.
 
 pub mod adversity;
 pub mod churn;

@@ -29,7 +29,7 @@ pub struct RunResult {
     /// Simulation events processed (for performance reporting).
     pub events_processed: u64,
     /// High-water mark of the engine's pending-event queue (for performance
-    /// reporting; see the `perfbench` binary in `gossip-bench`).
+    /// reporting: the repo benchmark's `sim.peak_queue` row).
     pub peak_queue: usize,
     /// Per-second timeline of the run: cumulative packets delivered across
     /// all receivers, total queued upload bytes, and cumulative drops.

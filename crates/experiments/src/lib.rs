@@ -13,9 +13,8 @@
 //!   [--seed N]` prints each figure's data as a text table.
 //!
 //! The paper's evaluation has no numbered tables; Figures 1–8 are the
-//! complete set of reported results. See `DESIGN.md` at the repository root
-//! for the experiment index and `EXPERIMENTS.md` for paper-vs-measured
-//! comparisons.
+//! complete set of reported results. The README's "Reproducing the
+//! figures" section is the experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

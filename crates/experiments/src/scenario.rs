@@ -117,7 +117,7 @@ pub struct Scenario {
     /// packet, so the source must upload `source_fanout ×` the stream rate —
     /// far above the peer cap. The paper's near-perfect quality at the
     /// optimal fanout is only coherent if its broadcast source was
-    /// provisioned; its Figure 4 plots the *receiving* nodes. See DESIGN.md.
+    /// provisioned; its Figure 4 plots the *receiving* nodes.
     pub source_uncapped: bool,
     /// Depth of the upload throttling queue, expressed as wire time.
     pub max_queue_delay: Duration,

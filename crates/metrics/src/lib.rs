@@ -2,21 +2,18 @@
 //!
 //! Small, dependency-light statistics helpers used to aggregate and render
 //! the paper's figures: summary statistics ([`Summary`]), empirical
-//! distributions ([`Cdf`]), fixed-bin histograms ([`Histogram`]) and a plain
-//! text series/table renderer ([`Table`]) that the `repro` binary uses to
-//! print each figure's data.
+//! distributions ([`Cdf`]) and a plain text series/table renderer
+//! ([`Table`]) that the `repro` binary uses to print each figure's data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cdf;
-mod histogram;
 mod summary;
 mod table;
 mod timeseries;
 
 pub use cdf::Cdf;
-pub use histogram::Histogram;
 pub use summary::Summary;
 pub use table::Table;
 pub use timeseries::TimeSeries;

@@ -21,24 +21,8 @@ pub(crate) const GAUGE_PERIOD: gossip_types::Duration = gossip_types::Duration::
 /// The metric cells of one shard.
 #[derive(Debug)]
 pub(crate) struct ShardTelemetry {
-    // Counters mirroring the `ShardStats` fields.
-    datagrams_sent: Cell,
-    send_syscalls: Cell,
-    kernel_sent: Cell,
-    send_drops: Cell,
-    datagrams_received: Cell,
-    recv_syscalls: Cell,
-    kernel_received: Cell,
-    recv_capacity: Cell,
-    frame_errors: Cell,
-    encode_errors: Cell,
-    iterations: Cell,
-    faults_injected: Cell,
-    transients_recovered: Cell,
-    send_backoffs: Cell,
-    datagrams_shed: Cell,
-    socket_rebinds: Cell,
-    backend_downgrades: Cell,
+    /// One cell per row of [`ShardStats::COUNTERS`], in table order.
+    counters: [Cell; ShardStats::COUNTERS.len()],
     // Live gauges.
     wheel_resident: Cell,
     backoff_level: Cell,
@@ -55,7 +39,6 @@ impl ShardTelemetry {
     /// Registers every cell of shard `index` in `registry`.
     pub(crate) fn register(registry: &Registry, index: usize) -> ShardTelemetry {
         let labels: &[(&str, String)] = &[("shard", index.to_string())];
-        let counter = |name: &str, help: &'static str| registry.counter(name, help, labels);
         let gauge = |name: &str, help: &'static str| registry.gauge(name, help, labels);
         let phase = |name: &'static str| {
             registry.histogram(
@@ -65,74 +48,10 @@ impl ShardTelemetry {
             )
         };
         ShardTelemetry {
-            datagrams_sent: counter(
-                "gossip_shard_datagrams_sent_total",
-                "Protocol datagrams this shard framed for the wire.",
-            ),
-            send_syscalls: counter(
-                "gossip_shard_send_syscalls_total",
-                "Send syscalls issued (sendmmsg batches count once).",
-            ),
-            kernel_sent: counter(
-                "gossip_shard_kernel_datagrams_sent_total",
-                "Kernel datagrams actually accepted by the send path.",
-            ),
-            send_drops: counter(
-                "gossip_shard_send_drops_total",
-                "Kernel datagrams dropped at send (full buffers, UDP semantics).",
-            ),
-            datagrams_received: counter(
-                "gossip_shard_datagrams_received_total",
-                "Protocol frames demuxed from received kernel datagrams.",
-            ),
-            recv_syscalls: counter(
-                "gossip_shard_recv_syscalls_total",
-                "Receive syscalls issued (recvmmsg batches count once).",
-            ),
-            kernel_received: counter(
-                "gossip_shard_kernel_datagrams_received_total",
-                "Kernel datagrams received across the socket pool.",
-            ),
-            recv_capacity: counter(
-                "gossip_shard_recv_capacity_total",
-                "Receive batch slots offered to the kernel (occupancy denominator).",
-            ),
-            frame_errors: counter(
-                "gossip_shard_frame_errors_total",
-                "Kernel datagrams with malformed framing (intact prefix salvaged).",
-            ),
-            encode_errors: counter(
-                "gossip_shard_encode_errors_total",
-                "Protocol datagrams too large for the frame length field.",
-            ),
-            iterations: counter(
-                "gossip_shard_loop_iterations_total",
-                "Shard event-loop iterations.",
-            ),
-            faults_injected: counter(
-                "gossip_shard_faults_injected_total",
-                "Chaos faults injected at the syscall boundary.",
-            ),
-            transients_recovered: counter(
-                "gossip_shard_transients_recovered_total",
-                "Transient send errors absorbed without losing the queue.",
-            ),
-            send_backoffs: counter(
-                "gossip_shard_send_backoffs_total",
-                "Backoff intervals entered after transient send failures.",
-            ),
-            datagrams_shed: counter(
-                "gossip_shard_datagrams_shed_total",
-                "Datagrams shed by the outbox and retry-queue budgets.",
-            ),
-            socket_rebinds: counter(
-                "gossip_shard_socket_rebinds_total",
-                "Fatal socket errors recovered by re-binding in place.",
-            ),
-            backend_downgrades: counter(
-                "gossip_shard_backend_downgrades_total",
-                "Mid-run I/O backend downgrades (batched syscalls gone).",
-            ),
+            counters: std::array::from_fn(|row| {
+                let counter = &ShardStats::COUNTERS[row];
+                registry.counter(counter.name, counter.help, labels)
+            }),
             wheel_resident: gauge(
                 "gossip_shard_wheel_resident_events",
                 "Deadlines currently armed in the shard's timer wheel.",
@@ -157,26 +76,12 @@ impl ShardTelemetry {
         }
     }
 
-    /// Mirrors the shard's plain counters into the cells: seventeen relaxed
-    /// stores, called once per loop iteration.
+    /// Mirrors the shard's plain counters into the cells: one relaxed store
+    /// per counter, called once per loop iteration.
     pub(crate) fn publish_counters(&self, stats: &ShardStats) {
-        self.datagrams_sent.store(stats.datagrams_sent);
-        self.send_syscalls.store(stats.send_syscalls);
-        self.kernel_sent.store(stats.kernel_sent);
-        self.send_drops.store(stats.send_drops);
-        self.datagrams_received.store(stats.datagrams_received);
-        self.recv_syscalls.store(stats.recv_syscalls);
-        self.kernel_received.store(stats.kernel_received);
-        self.recv_capacity.store(stats.recv_capacity);
-        self.frame_errors.store(stats.frame_errors);
-        self.encode_errors.store(stats.encode_errors);
-        self.iterations.store(stats.iterations);
-        self.faults_injected.store(stats.faults_injected);
-        self.transients_recovered.store(stats.transients_recovered);
-        self.send_backoffs.store(stats.send_backoffs);
-        self.datagrams_shed.store(stats.datagrams_shed);
-        self.socket_rebinds.store(stats.socket_rebinds);
-        self.backend_downgrades.store(stats.backend_downgrades);
+        for (cell, counter) in self.counters.iter().zip(ShardStats::COUNTERS) {
+            cell.store((counter.get)(stats));
+        }
     }
 
     /// Publishes the live gauges (called at [`GAUGE_PERIOD`] cadence; the

@@ -27,8 +27,9 @@ const TIME_NONE: u64 = u64::MAX;
 
 /// Number of `u64` counters in [`gossip_core::ProtocolStats`].
 const PROTOCOL_FIELDS: u32 = 20;
-/// Number of `u64` counters in [`ShardStats`].
-const SHARD_FIELDS: u32 = 17;
+/// Number of `u64` counters in [`ShardStats`]: the rows of its table, in
+/// table order.
+const SHARD_FIELDS: u32 = ShardStats::COUNTERS.len() as u32;
 
 /// A decode failure: the buffer was truncated, malformed, or produced by an
 /// incompatible encoder.
@@ -133,28 +134,6 @@ fn protocol_counters(p: &gossip_core::ProtocolStats) -> [u64; PROTOCOL_FIELDS as
     ]
 }
 
-fn shard_counters(s: &ShardStats) -> [u64; SHARD_FIELDS as usize] {
-    [
-        s.datagrams_sent,
-        s.send_syscalls,
-        s.kernel_sent,
-        s.send_drops,
-        s.datagrams_received,
-        s.recv_syscalls,
-        s.kernel_received,
-        s.recv_capacity,
-        s.frame_errors,
-        s.encode_errors,
-        s.iterations,
-        s.faults_injected,
-        s.transients_recovered,
-        s.send_backoffs,
-        s.datagrams_shed,
-        s.socket_rebinds,
-        s.backend_downgrades,
-    ]
-}
-
 /// Reads a count-prefixed counter block: exactly `known` fields into the
 /// output, skipping any trailing fields a newer encoder appended.
 fn read_counters(cur: &mut Cursor, known: u32, what: &str) -> Result<Vec<u64>, CodecError> {
@@ -215,8 +194,8 @@ pub fn decode_protocol_stats(cur: &mut Cursor) -> Result<gossip_core::ProtocolSt
 /// Appends the wire form of one [`ShardStats`].
 pub fn encode_shard_stats(out: &mut Vec<u8>, s: &ShardStats) {
     put_u32(out, SHARD_FIELDS);
-    for c in shard_counters(s) {
-        put_u64(out, c);
+    for counter in ShardStats::COUNTERS {
+        put_u64(out, (counter.get)(s));
     }
 }
 
@@ -227,26 +206,12 @@ pub fn encode_shard_stats(out: &mut Vec<u8>, s: &ShardStats) {
 /// Fails if the buffer is truncated or carries fewer counters than this
 /// decoder knows.
 pub fn decode_shard_stats(cur: &mut Cursor) -> Result<ShardStats, CodecError> {
-    let f = read_counters(cur, SHARD_FIELDS, "shard stats")?;
-    Ok(ShardStats {
-        datagrams_sent: f[0],
-        send_syscalls: f[1],
-        kernel_sent: f[2],
-        send_drops: f[3],
-        datagrams_received: f[4],
-        recv_syscalls: f[5],
-        kernel_received: f[6],
-        recv_capacity: f[7],
-        frame_errors: f[8],
-        encode_errors: f[9],
-        iterations: f[10],
-        faults_injected: f[11],
-        transients_recovered: f[12],
-        send_backoffs: f[13],
-        datagrams_shed: f[14],
-        socket_rebinds: f[15],
-        backend_downgrades: f[16],
-    })
+    let fields = read_counters(cur, SHARD_FIELDS, "shard stats")?;
+    let mut stats = ShardStats::default();
+    for (counter, value) in ShardStats::COUNTERS.iter().zip(fields) {
+        *(counter.slot)(&mut stats) = value;
+    }
+    Ok(stats)
 }
 
 /// Appends the wire form of one [`NodeReport`] (identity, protocol
@@ -427,6 +392,39 @@ mod tests {
         }
         assert_eq!(out_shards[0].datagrams_sent, 9);
         assert_eq!(out_shards[1].backend_downgrades, 1);
+    }
+
+    /// The shard block is the counter table, row for row: as many `u64`s as
+    /// the struct has fields (all of them are `u64` counters, so its size
+    /// counts them), in table order. A counter added to the struct without
+    /// a row — or a row without a field — fails here instead of silently
+    /// missing from merged reports and live metrics.
+    #[test]
+    fn shard_block_is_the_counter_table_row_for_row() {
+        let fields = std::mem::size_of::<ShardStats>() / std::mem::size_of::<u64>();
+        assert_eq!(ShardStats::COUNTERS.len(), fields);
+
+        let mut stats = ShardStats::default();
+        for (i, counter) in ShardStats::COUNTERS.iter().enumerate() {
+            *(counter.slot)(&mut stats) = i as u64 + 1;
+        }
+        let mut bytes = Vec::new();
+        encode_shard_stats(&mut bytes, &stats);
+        assert_eq!(bytes.len(), 4 + 8 * fields);
+
+        let mut cur = Cursor::new(&bytes);
+        assert_eq!(cur.u32().expect("count prefix") as usize, fields);
+        for i in 0..fields {
+            assert_eq!(cur.u64().expect("counter"), i as u64 + 1, "row {i} reads another field");
+        }
+        // The layout deployed workers already speak: first and last field.
+        assert_eq!((stats.datagrams_sent, stats.backend_downgrades), (1, fields as u64));
+
+        let mut doubled = decode_shard_stats(&mut Cursor::new(&bytes)).expect("decodes");
+        doubled.merge(&stats);
+        for counter in ShardStats::COUNTERS {
+            assert_eq!((counter.get)(&doubled), 2 * (counter.get)(&stats), "{}", counter.name);
+        }
     }
 
     #[test]

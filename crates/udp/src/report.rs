@@ -144,22 +144,76 @@ impl ShardStats {
 
     /// Folds another shard's counters into this one (for cluster totals).
     pub fn merge(&mut self, other: &ShardStats) {
-        self.datagrams_sent += other.datagrams_sent;
-        self.send_syscalls += other.send_syscalls;
-        self.kernel_sent += other.kernel_sent;
-        self.send_drops += other.send_drops;
-        self.datagrams_received += other.datagrams_received;
-        self.recv_syscalls += other.recv_syscalls;
-        self.kernel_received += other.kernel_received;
-        self.recv_capacity += other.recv_capacity;
-        self.frame_errors += other.frame_errors;
-        self.encode_errors += other.encode_errors;
-        self.iterations += other.iterations;
-        self.faults_injected += other.faults_injected;
-        self.transients_recovered += other.transients_recovered;
-        self.send_backoffs += other.send_backoffs;
-        self.datagrams_shed += other.datagrams_shed;
-        self.socket_rebinds += other.socket_rebinds;
-        self.backend_downgrades += other.backend_downgrades;
+        for counter in Self::COUNTERS {
+            *(counter.slot)(self) += (counter.get)(other);
+        }
     }
+}
+
+/// One row of [`ShardStats::COUNTERS`].
+#[derive(Debug)]
+pub struct ShardCounter {
+    /// The live metric's name (a `gossip_shard_*_total` counter family).
+    pub name: &'static str,
+    /// The live metric's help line.
+    pub help: &'static str,
+    /// Reads the counter's field.
+    pub get: fn(&ShardStats) -> u64,
+    /// Borrows the counter's field for writing.
+    pub slot: fn(&mut ShardStats) -> &mut u64,
+}
+
+macro_rules! shard_counters {
+    ($($field:ident: $name:literal, $help:literal;)*) => {
+        &[$(ShardCounter {
+            name: $name,
+            help: $help,
+            get: |stats| stats.$field,
+            slot: |stats| &mut stats.$field,
+        }),*]
+    };
+}
+
+impl ShardStats {
+    /// Every counter of the struct, declared once: [`ShardStats::merge`],
+    /// the report codec ([`crate::codec`], whose counter block is these
+    /// fields in this order — append only) and the reactor's live
+    /// telemetry cells all walk this table, so a new counter is a field
+    /// plus a row here.
+    pub const COUNTERS: &'static [ShardCounter] = shard_counters! {
+        datagrams_sent: "gossip_shard_datagrams_sent_total",
+            "Protocol datagrams this shard framed for the wire.";
+        send_syscalls: "gossip_shard_send_syscalls_total",
+            "Send syscalls issued (sendmmsg batches count once).";
+        kernel_sent: "gossip_shard_kernel_datagrams_sent_total",
+            "Kernel datagrams actually accepted by the send path.";
+        send_drops: "gossip_shard_send_drops_total",
+            "Kernel datagrams dropped at send (full buffers, UDP semantics).";
+        datagrams_received: "gossip_shard_datagrams_received_total",
+            "Protocol frames demuxed from received kernel datagrams.";
+        recv_syscalls: "gossip_shard_recv_syscalls_total",
+            "Receive syscalls issued (recvmmsg batches count once).";
+        kernel_received: "gossip_shard_kernel_datagrams_received_total",
+            "Kernel datagrams received across the socket pool.";
+        recv_capacity: "gossip_shard_recv_capacity_total",
+            "Receive batch slots offered to the kernel (occupancy denominator).";
+        frame_errors: "gossip_shard_frame_errors_total",
+            "Kernel datagrams with malformed framing (intact prefix salvaged).";
+        encode_errors: "gossip_shard_encode_errors_total",
+            "Protocol datagrams too large for the frame length field.";
+        iterations: "gossip_shard_loop_iterations_total",
+            "Shard event-loop iterations.";
+        faults_injected: "gossip_shard_faults_injected_total",
+            "Chaos faults injected at the syscall boundary.";
+        transients_recovered: "gossip_shard_transients_recovered_total",
+            "Transient send errors absorbed without losing the queue.";
+        send_backoffs: "gossip_shard_send_backoffs_total",
+            "Backoff intervals entered after transient send failures.";
+        datagrams_shed: "gossip_shard_datagrams_shed_total",
+            "Datagrams shed by the outbox and retry-queue budgets.";
+        socket_rebinds: "gossip_shard_socket_rebinds_total",
+            "Fatal socket errors recovered by re-binding in place.";
+        backend_downgrades: "gossip_shard_backend_downgrades_total",
+            "Mid-run I/O backend downgrades (batched syscalls gone).";
+    };
 }

@@ -1,6 +1,7 @@
 //! The chaos/recovery acceptance scenario: a live n = 64 reactor cluster
-//! under injected kernel faults — an ENOBUFS burst across the stream
-//! midpoint plus a one-shot socket kill — must run to completion on BOTH
+//! under injected kernel faults — a steady drop/duplicate/reorder mix, an
+//! ENOBUFS burst across the stream midpoint, a one-shot socket kill and the
+//! batched syscalls vanishing (ENOSYS) — must run to completion on BOTH
 //! I/O backends, with every recovery mechanism demonstrably engaged and
 //! no shard lost.
 
@@ -12,9 +13,12 @@ use gossip_stream::StreamConfig;
 use gossip_types::Duration;
 use gossip_udp::cluster::ClusterConfig;
 
-/// The pinned chaos workload: every send between 1.0 s and 1.4 s fails
-/// with ENOBUFS (driving the backoff/retain/retry path), and at 1.6 s one
-/// socket per shard dies with EBADF (driving the re-bind path).
+/// The pinned chaos workload: every datagram risks drop, duplication and
+/// reordering; every send between 1.0 s and 1.4 s fails with ENOBUFS
+/// (driving the backoff/retain/retry path); at 1.6 s one socket per shard
+/// dies with EBADF (driving the re-bind path); and from 2.2 s the batched
+/// syscalls answer ENOSYS (driving the downgrade to the portable
+/// send/receive/wait — inert on a shard already running it).
 fn chaos_config() -> ClusterConfig {
     ClusterConfig {
         n: 64,
@@ -33,9 +37,13 @@ fn chaos_config() -> ClusterConfig {
         inject_loss: 0.0,
         crashes: Vec::new(),
         adversity: AdversitySpec::none().with_chaos(ChaosSpec {
+            drop: 0.02,
+            duplicate: 0.02,
+            reorder: 0.05,
             enobufs_at: Some(Duration::from_millis(1000)),
             enobufs_for: Duration::from_millis(400),
             kill_socket_at: Some(Duration::from_millis(1600)),
+            enosys_at: Some(Duration::from_millis(2200)),
             ..ChaosSpec::default()
         }),
         joiner_bootstrap: gossip_udp::cluster::JoinerBootstrap::Tracker,
@@ -45,8 +53,9 @@ fn chaos_config() -> ClusterConfig {
 
 /// Runs the pinned chaos workload on one backend and asserts the recovery
 /// story: faults were injected, transient failures backed off and were
-/// retried, the killed sockets were re-bound, no shard aborted, and the
-/// cluster still streamed.
+/// retried, the killed sockets were re-bound, a batched shard downgraded
+/// when its syscalls vanished, no shard aborted, and the cluster still
+/// streamed.
 fn assert_recovers(mmsg: Option<bool>, backend: &str) {
     let options = ReactorOptions { shards: Some(2), mmsg, ..ReactorOptions::default() };
     let report = ReactorCluster::run_with(chaos_config(), options).expect("cluster runs");
@@ -65,6 +74,12 @@ fn assert_recovers(mmsg: Option<bool>, backend: &str) {
         rec.socket_rebinds >= 2,
         "the socket kill must force a re-bind on each of the 2 shards ({backend}): {rec:?}"
     );
+    if mmsg == Some(true) && gossip_reactor::mmsg_active() {
+        assert!(
+            rec.backend_downgrades >= 1,
+            "the ENOSYS must downgrade the batched shards ({backend}): {rec:?}"
+        );
+    }
 
     let total_recv: u64 = report.nodes.iter().map(|n| n.recv_msgs).sum();
     assert!(total_recv > 0, "traffic must keep flowing through recovery ({backend})");

@@ -45,7 +45,8 @@ fn small_reactor() -> ReactorOptions {
 /// state machine as the simulator, the reference: all three must reach high
 /// offline quality on an equivalent lightly-loaded workload, and the two
 /// backends must agree within a generous noise band (wall-clock scheduling
-/// differs, so agreement is statistical, not event-exact).
+/// differs, so agreement is statistical, not event-exact). Neither may see
+/// a malformed datagram on loopback, and neither loop may spin.
 #[test]
 fn both_io_backends_stream_like_the_simulated_oracle() {
     let sim =
@@ -56,14 +57,33 @@ fn both_io_backends_stream_like_the_simulated_oracle() {
     let config = reactor_cluster(8, 4);
     let qualities = [("mmsg", Some(true)), ("fallback", Some(false))].map(|(label, mmsg)| {
         let opts = ReactorOptions { mmsg, ..small_reactor() };
+        let started = std::time::Instant::now();
         let report = ReactorCluster::run_with(config.clone(), opts)
             .unwrap_or_else(|e| panic!("reactor ({label}) cluster runs: {e}"));
+        let wall_secs = started.elapsed().as_secs_f64();
         let q = report.quality.average_quality_percent(Duration::MAX);
         assert!(q >= 80.0, "reactor ({label}) quality {q:.1}%");
         assert!(report.windows_verified > 0, "reactor ({label}) windows must byte-verify");
         let io = report.io_stats().expect("the reactor reports shard stats");
         assert_eq!(io.frame_errors, 0, "no malformed framing on loopback ({label})");
         assert!(io.datagrams_sent > 0 && io.datagrams_received > 0);
+        let decode_errors: u64 = report.nodes.iter().map(|n| n.decode_errors).sum();
+        assert_eq!(decode_errors, 0, "no malformed datagrams on loopback ({label})");
+        // Structural, not a timing threshold: a shard dwells out one wake
+        // quantum per iteration unless its last drain left backlog, and
+        // every such undwelt re-loop follows a data-bearing receive call.
+        // Sleeps only ever overshoot, so a busy box lowers the count; a
+        // loop that polls instead of sleeping lands several times past it.
+        let quantum = gossip_reactor::mmsg::WAKE_QUANTUM.as_secs_f64();
+        let wakes = (1.5 * report.shard_stats.len() as f64 * wall_secs / quantum) as u64;
+        let bound = wakes + io.recv_syscalls + io.backend_downgrades;
+        assert!(
+            io.iterations <= bound,
+            "a shard loop is spinning ({label}): {} iterations on {} shards in {wall_secs:.1} s \
+             (bound {bound})",
+            io.iterations,
+            report.shard_stats.len(),
+        );
         q
     });
     assert!(
@@ -136,13 +156,14 @@ fn reactor_survives_thirty_percent_crashes() {
 
 /// Aggregate sanity at n = 256: every node reports, ids come back
 /// complete and ordered, the source actually streamed, traffic flowed
-/// through the shared sockets, and nothing on loopback was malformed.
-/// (Wall-clock scheduling makes exact per-run numbers non-deterministic;
-/// these are the invariants that must hold on every run.)
+/// through the shared sockets grouped by destination, and nothing on
+/// loopback was malformed. (Wall-clock scheduling makes exact per-run
+/// numbers non-deterministic; these are the invariants that must hold on
+/// every run.)
 #[test]
 fn reactor_reports_are_sane_at_n256() {
     let config = reactor_cluster(256, 4);
-    let report = ReactorCluster::run_with(config, ReactorOptions::default()).expect("cluster runs");
+    let report = ReactorCluster::run_with(config, small_reactor()).expect("cluster runs");
 
     assert_eq!(report.nodes.len(), 256, "every virtual node must report");
     assert_eq!(report.receivers(), 255);
@@ -160,6 +181,18 @@ fn reactor_reports_are_sane_at_n256() {
     assert!(total_sent > 1000, "a 256-node cluster generates real traffic: {total_sent}");
     assert!(total_recv > 0, "shared sockets must deliver");
     assert_eq!(decode_errors, 0, "no malformed datagrams on loopback");
+
+    // Structural too: a wake sends everything it produced as one kernel
+    // datagram per destination address, and wakes are a quantum apart at
+    // least, so the ratio is set by the offered load over the two shards'
+    // eight addresses. A slow box only widens the wakes and raises it;
+    // packing only consecutive same-destination releases reads 1.1–1.2.
+    let io = report.io_stats().expect("the reactor reports shard stats");
+    let coalescing = io.datagrams_per_kernel_datagram().expect("traffic flowed");
+    assert!(
+        coalescing >= 1.5,
+        "{coalescing:.2} datagrams per kernel datagram: sends are not grouped by destination"
+    );
 
     assert!(report.windows_measured >= 3);
     assert!(report.windows_verified > 0, "windows must byte-verify through Reed-Solomon");
