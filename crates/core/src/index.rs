@@ -1,7 +1,8 @@
 //! Dense, window-major storage for per-event protocol state.
 //!
-//! The protocol's per-node bookkeeping (`store`, `requested`) is keyed by
-//! event id. Real stream ids are *dense*: a `PacketId`-style id is a
+//! A node keeps one record for every event id it ever hears of (request
+//! state, alternate proposer, the payload while it is retained), keyed by
+//! that id. Real stream ids are *dense*: a `PacketId`-style id is a
 //! `(window, index)` pair with consecutive windows and indices
 //! `0..total_packets` — morally `window * total_packets + index`. Hashing
 //! such keys through a `HashMap` pays a hash + probe on every proposed,
@@ -15,6 +16,11 @@
 //! safe: memory is proportional to the number of *distinct windows
 //! touched*, never to the numeric span of the keys.
 //!
+//! A slot is an `Option<V>` and nothing else: the key is the slot's
+//! position, so it is not stored, and a `V` with a niche (the node's record
+//! leads with a `NonZeroU64`) makes the `Option` free. What a node pays per
+//! id is `size_of::<V>()`.
+//!
 //! [`EventIndex`] is the small trait an id type implements to opt in:
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`
 //! test ids get a fallback that treats the high bits as the window.
@@ -25,6 +31,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// Maps an event id onto dense `(window, offset)` coordinates.
 ///
@@ -47,8 +54,9 @@ impl EventIndex for u64 {
     }
 }
 
-/// One window row: the entries of every id sharing a window.
-type Row<K, V> = Vec<Option<(K, V)>>;
+/// One window row: the entries of every id sharing a window, each at its
+/// id's offset.
+type Row<V> = Vec<Option<V>>;
 
 /// A map from event ids to values, stored window-major.
 ///
@@ -56,7 +64,7 @@ type Row<K, V> = Vec<Option<(K, V)>>;
 /// mirrors the subset of `HashMap` the protocol needs.
 pub struct DenseMap<K, V> {
     /// `(window, row)` pairs sorted by window number.
-    rows: Vec<(u64, Row<K, V>)>,
+    rows: Vec<(u64, Row<V>)>,
     /// Index into `rows` of the most recently accessed window (a cache;
     /// interior mutability keeps the read API `&self`).
     cursor: Cell<usize>,
@@ -66,6 +74,8 @@ pub struct DenseMap<K, V> {
     /// first window has grown organically every later row allocates exactly
     /// once instead of reallocating its way up.
     max_row: usize,
+    /// Keys are coordinates, not contents.
+    key: PhantomData<fn(K)>,
 }
 
 impl<K, V> std::fmt::Debug for DenseMap<K, V> {
@@ -86,7 +96,7 @@ impl<K: EventIndex, V> Default for DenseMap<K, V> {
 impl<K: EventIndex, V> DenseMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        DenseMap { rows: Vec::new(), cursor: Cell::new(0), len: 0, max_row: 0 }
+        DenseMap { rows: Vec::new(), cursor: Cell::new(0), len: 0, max_row: 0, key: PhantomData }
     }
 
     /// Returns the number of entries.
@@ -137,20 +147,14 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     pub fn get(&self, key: &K) -> Option<&V> {
         let (window, offset) = key.dense_key();
         let i = self.find_row(window)?;
-        match self.rows[i].1.get(offset as usize) {
-            Some(Some((_, v))) => Some(v),
-            _ => None,
-        }
+        self.rows[i].1.get(offset as usize)?.as_ref()
     }
 
     /// Returns a mutable reference to the value of `key`, if present.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let (window, offset) = key.dense_key();
         let i = self.find_row(window)?;
-        match self.rows[i].1.get_mut(offset as usize) {
-            Some(Some((_, v))) => Some(v),
-            _ => None,
-        }
+        self.rows[i].1.get_mut(offset as usize)?.as_mut()
     }
 
     /// Finds — creating the row and growing it as needed — the slot of
@@ -158,7 +162,7 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     /// inserting entry points go through here. Returns the entry counter
     /// alongside the slot (disjoint borrows) so callers filling a vacancy
     /// can bump it while still holding the slot.
-    fn slot_mut(&mut self, key: &K) -> (&mut usize, &mut Option<(K, V)>) {
+    fn slot_mut(&mut self, key: &K) -> (&mut usize, &mut Option<V>) {
         let (window, offset) = key.dense_key();
         let i = self.find_or_create_row(window);
         let offset = offset as usize;
@@ -175,13 +179,11 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     /// Inserts `value` under `key`, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let (len, slot) = self.slot_mut(&key);
-        match slot.replace((key, value)) {
-            Some((_, v)) => Some(v),
-            None => {
-                *len += 1;
-                None
-            }
+        let previous = slot.replace(value);
+        if previous.is_none() {
+            *len += 1;
         }
+        previous
     }
 
     /// Inserts `value` under `key` only if the slot is vacant. Returns
@@ -192,7 +194,7 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         if slot.is_some() {
             return false;
         }
-        *slot = Some((key, value));
+        *slot = Some(value);
         *len += 1;
         true
     }
@@ -202,30 +204,35 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
         let (len, slot) = self.slot_mut(&key);
         if slot.is_none() {
-            *slot = Some((key, default()));
             *len += 1;
         }
-        match slot {
-            Some((_, v)) => v,
-            None => unreachable!("slot was just filled"),
-        }
+        slot.get_or_insert_with(default)
     }
 
     /// Keeps only the entries for which `keep` returns `true`, dropping
     /// rows that become empty (so long-running maps shed pruned windows).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+    pub fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
         for (_, row) in &mut self.rows {
             for slot in row.iter_mut() {
-                if let Some((k, v)) = slot {
-                    if !keep(k, v) {
-                        *slot = None;
-                        self.len -= 1;
-                    }
+                if slot.as_mut().is_some_and(|v| !keep(v)) {
+                    *slot = None;
+                    self.len -= 1;
                 }
             }
         }
         self.rows.retain(|(_, row)| row.iter().any(Option::is_some));
         self.cursor.set(0);
+    }
+
+    /// Visits, in window order, the value of every entry whose window is
+    /// `first_window` or later, paired with its window: a walk over the
+    /// recent end of a long-lived map costs what that end holds.
+    pub fn values_mut_from(&mut self, first_window: u64) -> impl Iterator<Item = (u64, &mut V)> {
+        let start = self.rows.partition_point(|&(window, _)| window < first_window);
+        self.rows[start..].iter_mut().flat_map(|(window, row)| {
+            let window = *window;
+            row.iter_mut().flatten().map(move |v| (window, v))
+        })
     }
 }
 
@@ -355,7 +362,7 @@ mod tests {
             m.insert(id, id);
         }
         assert_eq!(m.len(), 600);
-        m.retain(|_, v| *v >= 512); // windows 0 and most of 1 emptied
+        m.retain(|v| *v >= 512); // windows 0 and most of 1 emptied
         assert_eq!(m.len(), 88);
         assert_eq!(m.get(&511), None);
         assert_eq!(m.get(&512), Some(&512));

@@ -35,7 +35,7 @@ use gossip_types::{NodeId, Time};
 
 use crate::config::GossipConfig;
 use crate::event::Event;
-use crate::index::{DenseMap, TokenSlab};
+use crate::index::{DenseMap, EventIndex, TokenSlab};
 use crate::message::Message;
 use crate::rto::RttEstimator;
 use crate::stats::ProtocolStats;
@@ -78,22 +78,26 @@ pub enum Output<E: Event> {
 /// the request counter that bounds retransmissions), packed into one
 /// 8-byte word.
 ///
-/// The `requested` map holds one of these per event id *forever* (ids are
-/// never re-requested), so at large n this map dominates the node's
-/// resident state. Packing the three fields — request counter, delivered
-/// flag, first-request timestamp — into a `NonZeroU64` shrinks a
-/// `DenseMap` row entry from 24 to 16 bytes (the niche keeps
-/// `Option<(id, state)>` free of a separate discriminant):
+/// A node holds one of these per event id *forever* (ids are never
+/// re-requested), at the head of that id's [`IdRecord`], so at large n it
+/// is multiplied by every id of the stream at every node. Request counter,
+/// delivered flag and one timestamp share a `NonZeroU64`, whose niche also
+/// makes the record's `DenseMap` slot (an `Option`) free:
 ///
 /// ```text
 /// bit  63      — marker, always set (the non-zero niche)
 /// bit  62      — delivered
 /// bits 48..=61 — times_requested (14 bits, saturating)
-/// bits 0..=47  — first_requested_at in µs (saturating; 2⁴⁸ µs ≈ 9 years)
+/// bits 0..=47  — a time in µs (saturating; 2⁴⁸ µs ≈ 9 years): when the id
+///                was first requested until it is delivered, when it was
+///                delivered from then on
 /// ```
 ///
-/// Saturation is harmless: `max_requests_per_event` is single-digit in
-/// every configuration, and no run approaches the timestamp horizon.
+/// The two times never coexist: the first-request time is read once, for
+/// the RTT sample taken at delivery, and the delivery time is only what
+/// retention pruning compares afterwards. Saturation is harmless:
+/// `max_requests_per_event` is single-digit in every configuration, and no
+/// run approaches the timestamp horizon.
 #[derive(Debug, Clone, Copy)]
 struct RequestState(std::num::NonZeroU64);
 
@@ -104,9 +108,10 @@ impl RequestState {
     const TIMES_MAX: u64 = (1 << 14) - 1;
     const TIME_MASK: u64 = (1 << 48) - 1;
 
-    fn new(times_requested: u32, delivered: bool, first_requested_at: Time) -> Self {
+    /// `at` is the first-request time, or the delivery time if `delivered`.
+    fn new(times_requested: u32, delivered: bool, at: Time) -> Self {
         let times = (u64::from(times_requested)).min(Self::TIMES_MAX) << Self::TIMES_SHIFT;
-        let at = first_requested_at.as_micros().min(Self::TIME_MASK);
+        let at = at.as_micros().min(Self::TIME_MASK);
         let delivered = if delivered { Self::DELIVERED } else { 0 };
         RequestState(
             std::num::NonZeroU64::new(Self::MARKER | delivered | times | at)
@@ -122,20 +127,43 @@ impl RequestState {
         self.0.get() & Self::DELIVERED != 0
     }
 
-    fn first_requested_at(self) -> Time {
+    /// When the id was delivered, if it was; else when it was first requested.
+    fn at(self) -> Time {
         Time::from_micros(self.0.get() & Self::TIME_MASK)
     }
 
-    fn mark_delivered(&mut self) {
-        self.0 |= Self::DELIVERED;
+    fn mark_delivered(&mut self, now: Time) {
+        *self = RequestState::new(self.times_requested(), true, now);
     }
 
     fn bump_requested(&mut self) {
         *self = RequestState::new(
             self.times_requested().saturating_add(1),
             self.delivered(),
-            self.first_requested_at(),
+            self.at(),
         );
+    }
+}
+
+/// Everything a node keeps about one event id, in one [`DenseMap`] slot.
+///
+/// A record exists from the moment the id is first requested (or delivered
+/// unrequested, or published here) and is never removed: its existence is
+/// membership in the paper's `requestedEvents`, which is what keeps a
+/// pruned id from being requested again. Only the payload comes and goes.
+struct IdRecord<E> {
+    state: RequestState,
+    /// Most recent *other* proposer while the id is undelivered: where a
+    /// corrupted serve is re-requested from (validate-before-relay).
+    alternate: Option<NodeId>,
+    /// The payload, for serving, from delivery until retention pruning (or
+    /// a crash) drops it.
+    event: Option<E>,
+}
+
+impl<E> IdRecord<E> {
+    fn new(state: RequestState) -> Self {
+        IdRecord { state, alternate: None, event: None }
     }
 }
 
@@ -171,15 +199,17 @@ pub struct GossipNode<E: Event> {
     /// Ids to include in upcoming proposals, with the number of rounds they
     /// have left (1 under infect-and-die).
     propose_queue: Vec<(E::Id, u32)>,
-    /// Payload store for serving, with delivery timestamps for pruning.
-    /// Dense per-window slab: lookups are array indexings, not hashes.
-    store: DenseMap<E::Id, (E, Time)>,
-    /// All-time request/delivery bookkeeping (never pruned; an id is
-    /// requested from exactly one peer, ever, apart from retransmissions).
-    requested: DenseMap<E::Id, RequestState>,
-    /// Most recent *other* proposer of each still-undelivered id: where a
-    /// corrupted serve is re-requested from (validate-before-relay).
-    alternates: DenseMap<E::Id, NodeId>,
+    /// The one per-id table: request/delivery bookkeeping (never pruned; an
+    /// id is requested from exactly one peer, ever, apart from
+    /// retransmissions), alternate proposer and retained payload. Dense
+    /// per-window slab: lookups are array indexings, not hashes.
+    ids: DenseMap<E::Id, IdRecord<E>>,
+    /// How many records hold a payload.
+    payloads: usize,
+    /// No record in a window before this one holds a payload: where
+    /// `prune_store` starts, so it walks what is retained, not every id
+    /// the node ever heard of.
+    payload_floor: u64,
     /// Misbehaviour scores of peers that served corrupted payloads or
     /// proposed garbage ids (sparse: almost always empty).
     misbehaviour: Vec<(NodeId, u32)>,
@@ -208,7 +238,7 @@ impl<E: Event> std::fmt::Debug for GossipNode<E> {
             .field("id", &self.id)
             .field("is_source", &self.is_source)
             .field("rounds", &self.rounds)
-            .field("stored_events", &self.store.len())
+            .field("stored_events", &self.payloads)
             .field("pending_outputs", &self.outputs.len())
             .finish()
     }
@@ -234,9 +264,9 @@ impl<E: Event> GossipNode<E> {
             is_source: false,
             free_rider: false,
             propose_queue: Vec::new(),
-            store: DenseMap::new(),
-            requested: DenseMap::new(),
-            alternates: DenseMap::new(),
+            ids: DenseMap::new(),
+            payloads: 0,
+            payload_floor: u64::MAX,
             misbehaviour: Vec::new(),
             demoted: Vec::new(),
             retransmits: TokenSlab::new(),
@@ -376,11 +406,12 @@ impl<E: Event> GossipNode<E> {
         let id = event.id();
         // The publisher has, by definition, "requested and received" its own
         // event: mark it so proposals from other nodes are ignored.
-        self.requested.insert(id, RequestState::new(self.config.max_requests_per_event, true, now));
-        self.store.insert(id, (event.clone(), now));
-        self.stats.events_delivered += 1;
-        self.outputs.push_back(Output::Deliver { event });
-        self.propose_queue.push((id, self.config.propose_lifetime_rounds));
+        let state = RequestState::new(self.config.max_requests_per_event, true, now);
+        let previous =
+            self.ids.insert(id, IdRecord { event: Some(event.clone()), ..IdRecord::new(state) });
+        // Publishing an id again replaces its payload, it does not add one.
+        self.payloads -= usize::from(previous.is_some_and(|r| r.event.is_some()));
+        self.finish_delivery(id, event);
     }
 
     /// Executes one gossip round (the `GossipTimer` of Algorithm 1,
@@ -459,7 +490,7 @@ impl<E: Event> GossipNode<E> {
         let mut missing = std::mem::take(&mut self.scratch_ids);
         missing.clear();
         for &id in entry.ids.iter() {
-            if let Some(state) = self.requested.get_mut(&id) {
+            if let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) {
                 if !state.delivered() && state.times_requested() < cap {
                     state.bump_requested();
                     missing.push(id);
@@ -482,7 +513,7 @@ impl<E: Event> GossipNode<E> {
         // again on expiry).
         let can_retry_more = missing
             .iter()
-            .any(|id| self.requested.get(id).is_some_and(|s| s.times_requested() < cap));
+            .any(|id| self.ids.get(id).is_some_and(|r| r.state.times_requested() < cap));
         if can_retry_more {
             self.arm_retransmit(now, entry.peer, shared, entry.attempt + 1);
         }
@@ -514,7 +545,6 @@ impl<E: Event> GossipNode<E> {
             // Dense-offset horizon: a garbage id (Byzantine proposer) would
             // grow this id's window row to its claimed offset — reject it
             // before it touches the bookkeeping, and score the proposer.
-            use crate::index::EventIndex;
             if id.dense_key().1 >= self.config.propose_offset_horizon {
                 self.stats.garbage_ids_rejected += 1;
                 self.note_misbehaviour(from);
@@ -522,15 +552,19 @@ impl<E: Event> GossipNode<E> {
             }
             // Already requested (from whoever proposed first) or already
             // delivered: line 10 filters it out.
-            let fresh = self.requested.insert_if_vacant(id, RequestState::new(1, false, now));
+            let mut fresh = false;
+            let record = self.ids.get_or_insert_with(id, || {
+                fresh = true;
+                IdRecord::new(RequestState::new(1, false, now))
+            });
             if fresh {
                 wanted.push(id);
             } else {
                 self.stats.duplicate_ids_proposed += 1;
                 // Remember the redundant proposer: if the first peer's serve
                 // turns out corrupted, this is where the re-request goes.
-                if self.requested.get(&id).is_some_and(|s| !s.delivered()) {
-                    self.alternates.insert(id, from);
+                if !record.state.delivered() {
+                    record.alternate = Some(from);
                 }
             }
         }
@@ -561,8 +595,8 @@ impl<E: Event> GossipNode<E> {
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();
         for id in ids {
-            match self.store.get(&id) {
-                Some((event, _)) => events.push(event.clone()),
+            match self.stored(&id) {
+                Some(event) => events.push(event.clone()),
                 None => self.stats.unservable_ids += 1,
             }
         }
@@ -595,22 +629,21 @@ impl<E: Event> GossipNode<E> {
                 self.rerequest_corrupted(now, from, id);
                 continue;
             }
-            let state = self.requested.get_or_insert_with(id, || RequestState::new(0, false, now));
-            if state.delivered() {
+            let record =
+                self.ids.get_or_insert_with(id, || IdRecord::new(RequestState::new(0, false, now)));
+            if record.state.delivered() {
                 self.stats.duplicate_events_received += 1;
                 continue;
             }
-            state.mark_delivered();
             // Karn's rule: only first-request serves give unambiguous
             // request->serve delay samples.
-            if state.times_requested() == 1 {
-                let first = state.first_requested_at();
-                self.rtt.sample(now.saturating_since(first));
+            if record.state.times_requested() == 1 {
+                let first_requested_at = record.state.at();
+                self.rtt.sample(now.saturating_since(first_requested_at));
             }
-            self.store.insert(id, (event.clone(), now));
-            self.propose_queue.push((id, self.config.propose_lifetime_rounds));
-            self.stats.events_delivered += 1;
-            self.outputs.push_back(Output::Deliver { event });
+            record.state.mark_delivered(now);
+            record.event = Some(event.clone());
+            self.finish_delivery(id, event);
         }
         // Line 24 (cancel RetTimer) is implicit: when a timer fires, ids
         // marked delivered are skipped, and empty entries evaporate.
@@ -639,6 +672,17 @@ impl<E: Event> GossipNode<E> {
     /// budget against a saturated counter would otherwise retry forever.
     fn max_requests_cap(&self) -> u32 {
         self.config.max_requests_per_event.min(RequestState::TIMES_MAX as u32)
+    }
+
+    /// The tail every delivery shares, once `id`'s record is marked
+    /// delivered and holds a clone of `event`: count the payload, queue the
+    /// id for the next proposal and hand the event to the application.
+    fn finish_delivery(&mut self, id: E::Id, event: E) {
+        self.payloads += 1;
+        self.payload_floor = self.payload_floor.min(id.dense_key().0);
+        self.propose_queue.push((id, self.config.propose_lifetime_rounds));
+        self.stats.events_delivered += 1;
+        self.outputs.push_back(Output::Deliver { event });
     }
 
     fn send_feedmes(&mut self) {
@@ -681,12 +725,12 @@ impl<E: Event> GossipNode<E> {
     /// budget remains. Without an alternate proposer the id simply stays
     /// undelivered — the armed retransmission timer retries as usual.
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
-        let alt = match self.alternates.get(&id) {
-            Some(&a) if a != offender => a,
+        let cap = self.max_requests_cap();
+        let Some(IdRecord { state, alternate, .. }) = self.ids.get_mut(&id) else { return };
+        let alt = match *alternate {
+            Some(a) if a != offender => a,
             _ => return,
         };
-        let cap = self.max_requests_cap();
-        let Some(state) = self.requested.get_mut(&id) else { return };
         if state.delivered() || state.times_requested() >= cap {
             return;
         }
@@ -718,13 +762,24 @@ impl<E: Event> GossipNode<E> {
         self.rtt.rto()
     }
 
-    /// Drops served payloads older than the retention horizon. The
-    /// `requested` bookkeeping is deliberately kept forever so pruned ids
-    /// are never re-requested.
+    /// Drops served payloads older than the retention horizon. The records
+    /// themselves are deliberately kept forever so pruned ids are never
+    /// re-requested.
     fn prune_store(&mut self, now: Time) {
-        if let Some(cutoff) = self.config.retention_cutoff(now) {
-            self.store.retain(|_, (_, delivered_at)| *delivered_at >= cutoff);
+        let Some(cutoff) = self.config.retention_cutoff(now) else { return };
+        let mut floor = u64::MAX;
+        for (window, record) in self.ids.values_mut_from(self.payload_floor) {
+            if record.event.is_none() {
+                continue;
+            }
+            if record.state.at() < cutoff {
+                record.event = None;
+                self.payloads -= 1;
+            } else {
+                floor = floor.min(window);
+            }
         }
+        self.payload_floor = floor;
     }
 
     /// Drops every stored payload and the pending proposals, keeping the
@@ -735,29 +790,33 @@ impl<E: Event> GossipNode<E> {
     /// shares with live nodes would otherwise stay pinned for as long as
     /// the node stays down.
     pub fn forget_payloads(&mut self) {
-        self.store = DenseMap::new();
+        for (_, record) in self.ids.values_mut_from(self.payload_floor) {
+            record.event = None;
+        }
+        self.payloads = 0;
+        self.payload_floor = u64::MAX;
         self.propose_queue.clear();
     }
 
     /// Returns the number of events currently stored (servable).
     pub fn stored_events(&self) -> usize {
-        self.store.len()
+        self.payloads
     }
 
     /// Returns the stored (servable) copy of an event, if still retained.
     pub fn stored(&self, id: &E::Id) -> Option<&E> {
-        self.store.get(id).map(|(event, _)| event)
+        self.ids.get(id)?.event.as_ref()
     }
 
     /// Returns whether the given event id has been delivered here.
     pub fn has_delivered(&self, id: &E::Id) -> bool {
-        self.requested.get(id).is_some_and(|s| s.delivered())
+        self.ids.get(id).is_some_and(|r| r.state.delivered())
     }
 
     /// Returns `(times_requested, delivered)` for an id, if it was ever
     /// requested or delivered (diagnostics).
     pub fn request_info(&self, id: &E::Id) -> Option<(u32, bool)> {
-        self.requested.get(id).map(|s| (s.times_requested(), s.delivered()))
+        self.ids.get(id).map(|r| (r.state.times_requested(), r.state.delivered()))
     }
 
     /// Returns the peers this node has demoted for repeat misbehaviour.
@@ -1120,6 +1179,67 @@ mod tests {
     }
 
     #[test]
+    fn a_long_stream_holds_one_retention_horizon_of_payloads_and_every_record() {
+        // Ten ids per 100 ms round for 12 s under a 1 s retention: twelve
+        // horizons, 1200 ids over five windows of 256, window 0 left empty.
+        const FIRST: u64 = 256;
+        const PER_ROUND: u64 = 10;
+        const ROUNDS: u64 = 120;
+        const END: u64 = FIRST + ROUNDS * PER_ROUND;
+        let config = GossipConfig::new(2).with_retention(Duration::from_secs(1));
+        let mut node = GossipNode::new(NodeId::new(1), config, members(5), 1);
+        let peer = NodeId::new(2);
+        // What falls inside [now − 1 s, now]: eleven rounds' deliveries.
+        let horizon = 11 * PER_ROUND;
+        let mut now = Time::ZERO;
+        for round in 0..ROUNDS {
+            now = Time::from_millis(100 * round);
+            let ids: Vec<u64> = (0..PER_ROUND).map(|i| FIRST + round * PER_ROUND + i).collect();
+            let events = ids.iter().map(|&id| TestEvent::new(id, 10)).collect();
+            node.on_message(now, peer, Message::Propose { ids: ids.into() });
+            node.on_message(now, peer, Message::Serve { events });
+            node.on_round(now);
+            drain(&mut node);
+            let expected = horizon.min((round + 1) * PER_ROUND);
+            assert_eq!(node.stored_events() as u64, expected, "round {round}");
+        }
+        assert_eq!(node.stats().events_delivered, ROUNDS * PER_ROUND);
+        assert_eq!(node.stored(&(END - horizon - 1)), None, "pruned");
+        assert!(node.stored(&(END - horizon)).is_some() && node.stored(&(END - 1)).is_some());
+
+        // Another peer proposes the whole stream again: pruned or retained,
+        // no id is requested a second time.
+        let all: Vec<u64> = (FIRST..END).collect();
+        node.on_message(now, NodeId::new(3), Message::Propose { ids: all.into() });
+        assert!(sends(&drain(&mut node)).is_empty(), "a pruned id was re-requested");
+
+        // Payloads landing in a window behind the pruning cursor, and far
+        // ahead of it, are counted, served and aged out like any other.
+        node.on_message(now, peer, Message::Serve { events: vec![TestEvent::new(7, 10)] });
+        node.publish(now, TestEvent::new(3 << 40, 10));
+        drain(&mut node);
+        assert_eq!(node.stored_events() as u64, horizon + 2);
+        assert!(node.stored(&7).is_some());
+        node.on_round(now + Duration::from_secs(2));
+        drain(&mut node);
+        assert_eq!(node.stored_events(), 0, "everything aged out");
+        assert_eq!(node.stored(&7), None);
+
+        // A crash drops payloads, never bookkeeping.
+        node.on_message(now, peer, Message::Serve { events: vec![TestEvent::new(END, 10)] });
+        assert_eq!(node.stored_events(), 1);
+        node.forget_payloads();
+        assert_eq!(node.stored_events(), 0);
+        assert_eq!(node.stored(&END), None);
+        for id in [7, FIRST, END - horizon, END - 1, END] {
+            assert!(node.has_delivered(&id), "id {id}");
+        }
+        assert_eq!(node.request_info(&FIRST), Some((1, true)));
+        assert_eq!(node.request_info(&END), Some((0, true)), "served unrequested");
+        assert_eq!(node.request_info(&(END + 1)), None);
+    }
+
+    #[test]
     fn a_shared_membership_list_is_adopted_not_copied() {
         let shared: Arc<[NodeId]> = members(12).into();
         let mut nodes: Vec<GossipNode<TestEvent>> = (1..4)
@@ -1163,9 +1283,17 @@ mod tests {
     #[test]
     fn request_state_packs_into_eight_bytes_with_a_niche() {
         assert_eq!(std::mem::size_of::<RequestState>(), 8);
-        // The marker bit is the whole point: the DenseMap row entry needs
-        // no discriminant beyond the NonZeroU64 niche.
-        assert_eq!(std::mem::size_of::<Option<(u64, RequestState)>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<RequestState>>(), 8);
+    }
+
+    #[test]
+    fn a_one_pointer_event_costs_a_node_24_bytes_per_id() {
+        // What `StreamPacket` is (pinned beside it): 8 bytes with a niche.
+        type Handle = Arc<[u8; 1000]>;
+        assert_eq!(std::mem::size_of::<IdRecord<Handle>>(), 24);
+        // The marker bit is the whole point: the DenseMap slot needs no
+        // discriminant beyond the NonZeroU64 niche.
+        assert_eq!(std::mem::size_of::<Option<IdRecord<Handle>>>(), 24);
     }
 
     #[test]
@@ -1174,22 +1302,23 @@ mod tests {
         let mut s = RequestState::new(3, false, t);
         assert_eq!(s.times_requested(), 3);
         assert!(!s.delivered());
-        assert_eq!(s.first_requested_at(), t);
-
-        s.mark_delivered();
-        assert!(s.delivered());
-        assert_eq!(s.times_requested(), 3, "delivery leaves the counter alone");
+        assert_eq!(s.at(), t);
 
         s.bump_requested();
         assert_eq!(s.times_requested(), 4);
+        assert_eq!(s.at(), t, "bumping keeps the first-request time");
+
+        let later = Time::from_micros(987_654_321);
+        s.mark_delivered(later);
         assert!(s.delivered());
-        assert_eq!(s.first_requested_at(), t, "bumping keeps the first-request time");
+        assert_eq!(s.times_requested(), 4, "delivery leaves the counter alone");
+        assert_eq!(s.at(), later, "the delivery time takes the request time's bits");
 
         // Out-of-range inputs clamp instead of corrupting neighbours.
         let extreme = RequestState::new(u32::MAX, true, Time::MAX);
         assert_eq!(extreme.times_requested(), (1 << 14) - 1);
         assert!(extreme.delivered());
-        assert_eq!(extreme.first_requested_at(), Time::from_micros((1 << 48) - 1));
+        assert_eq!(extreme.at(), Time::from_micros((1 << 48) - 1));
     }
 
     #[test]

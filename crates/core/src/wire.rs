@@ -106,9 +106,12 @@ pub fn decode_message<E: WireEvent>(datagram: &[u8]) -> Option<(NodeId, Message<
     let tag = take_u8(&mut input)?;
     let sender = NodeId::new(take_u32(&mut input)?);
     let count = take_u16(&mut input)? as usize;
+    // `count` is the sender's claim. An element takes at least a byte, so
+    // the input left bounds what is reserved before any of it is read.
+    let reserve = count.min(input.len());
     let msg = match tag {
         TAG_PROPOSE | TAG_REQUEST => {
-            let mut ids = Vec::with_capacity(count);
+            let mut ids = Vec::with_capacity(reserve);
             for _ in 0..count {
                 ids.push(E::decode_id(&mut input)?);
             }
@@ -119,7 +122,7 @@ pub fn decode_message<E: WireEvent>(datagram: &[u8]) -> Option<(NodeId, Message<
             }
         }
         TAG_SERVE => {
-            let mut events = Vec::with_capacity(count);
+            let mut events = Vec::with_capacity(reserve);
             for _ in 0..count {
                 events.push(E::decode_event(&mut input)?);
             }

@@ -5,6 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use gossip_core::index::{DenseMap, EventIndex};
 use gossip_core::wire::{decode_frame, decode_message, encode_message};
 use gossip_core::{Event, GossipConfig, GossipNode, Message, Output, TestEvent};
 use gossip_types::{NodeId, Time};
@@ -33,7 +34,87 @@ fn input_strategy() -> impl Strategy<Value = Input> {
     ]
 }
 
+/// One operation on a map from ids to counters.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(u64, u32),
+    InsertIfVacant(u64, u32),
+    /// `get_or_insert_with`, then add one to the value.
+    Bump(u64, u32),
+    /// `retain` the values that are not multiples of this.
+    DropMultiplesOf(u32),
+    /// Add one to every value in this window or a later one.
+    BumpFrom(u64),
+}
+
+fn map_op_strategy() -> impl Strategy<Value = MapOp> {
+    // Mostly a few dense windows (256 ids each), now and then a far one.
+    let key = || prop_oneof![0u64..700, 0u64..700, any::<u64>()];
+    prop_oneof![
+        (key(), 0u32..100).prop_map(|(k, v)| MapOp::Insert(k, v)),
+        (key(), 0u32..100).prop_map(|(k, v)| MapOp::InsertIfVacant(k, v)),
+        (key(), 0u32..100).prop_map(|(k, v)| MapOp::Bump(k, v)),
+        (2u32..5).prop_map(MapOp::DropMultiplesOf),
+        (0u64..4).prop_map(MapOp::BumpFrom),
+    ]
+}
+
 proptest! {
+    /// `DenseMap` stores no key, so nothing but position says which id a
+    /// value belongs to: after any operation sequence it must hold exactly
+    /// what a `HashMap` driven the same way holds.
+    #[test]
+    fn dense_map_is_a_hash_map(ops in vec(map_op_strategy(), 1..120)) {
+        let mut dense: DenseMap<u64, u32> = DenseMap::new();
+        let mut model: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        let mut touched = Vec::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(k, v) => {
+                    prop_assert_eq!(dense.insert(k, v), model.insert(k, v));
+                    touched.push(k);
+                }
+                MapOp::InsertIfVacant(k, v) => {
+                    let vacant = !model.contains_key(&k);
+                    model.entry(k).or_insert(v);
+                    prop_assert_eq!(dense.insert_if_vacant(k, v), vacant);
+                    touched.push(k);
+                }
+                MapOp::Bump(k, v) => {
+                    let (d, m) = (dense.get_or_insert_with(k, || v), model.entry(k).or_insert(v));
+                    prop_assert_eq!(*d, *m);
+                    *d += 1;
+                    *m += 1;
+                    touched.push(k);
+                }
+                MapOp::DropMultiplesOf(n) => {
+                    dense.retain(|v| *v % n != 0);
+                    model.retain(|_, v| *v % n != 0);
+                }
+                MapOp::BumpFrom(window) => {
+                    let mut visited = 0;
+                    let mut last = window;
+                    for (w, v) in dense.values_mut_from(window) {
+                        prop_assert!(w >= last, "windows out of order");
+                        last = w;
+                        *v += 1;
+                        visited += 1;
+                    }
+                    let recent = model.iter_mut().filter(|(k, _)| k.dense_key().0 >= window);
+                    prop_assert_eq!(visited, recent.map(|(_, v)| *v += 1).count());
+                }
+            }
+            prop_assert_eq!(dense.len(), model.len());
+            prop_assert_eq!(dense.is_empty(), model.is_empty());
+        }
+        for k in touched {
+            prop_assert_eq!(dense.get(&k), model.get(&k), "key {}", k);
+            prop_assert_eq!(dense.get_mut(&k), model.get_mut(&k), "key {}", k);
+            // The neighbouring slot is only filled if the model says so.
+            prop_assert_eq!(dense.get(&(k ^ 1)), model.get(&(k ^ 1)), "neighbour of {}", k);
+        }
+    }
+
     /// Under any interleaving of inputs: no panics, every event delivered
     /// at most once, and every outgoing message is non-empty.
     #[test]

@@ -301,8 +301,13 @@ pub fn read_message(stream: &mut TcpStream) -> Result<Message, ProtoError> {
     if len > MAX_FRAME {
         return Err(ProtoError::Malformed(format!("frame of {len} bytes exceeds the cap")));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
+    // The length is the sender's claim: grow the buffer with the bytes that
+    // actually arrive instead of reserving `len` up front.
+    let mut body = Vec::new();
+    Read::by_ref(stream).take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     Message::decode(tag, &body)
 }
 

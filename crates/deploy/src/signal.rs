@@ -41,6 +41,9 @@ mod sys {
     pub(super) fn register(signum: i32, handler: extern "C" fn(i32)) {
         // Failure returns SIG_ERR; there is nothing useful to do about it
         // at install time, and the stop flag simply stays manual.
+        // SAFETY: `signal(2)` takes a signal number and a handler address;
+        // `handler` is a live `extern "C" fn(i32)` — the handler ABI — that
+        // only does an atomic store, which is async-signal-safe.
         unsafe {
             signal(signum, handler as usize);
         }

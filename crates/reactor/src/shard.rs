@@ -71,19 +71,23 @@
 //! # Payload storage: one copy of the stream per shard
 //!
 //! The nodes of a shard all receive the same stream, so the shard keeps
-//! one table of packets ([`PacketPool`]) and its nodes' stores hold
-//! refcounts on the table's payload buffers instead of private copies:
-//! memory grows with the packets published, not with the nodes hosted.
-//! The table is **filled** in one place — a delivery in
+//! one table of packets ([`PacketPool`]) and its nodes hold handles on the
+//! table's packets instead of private copies: memory grows with the
+//! packets published, not with the nodes hosted. A [`StreamPacket`] is a
+//! one-pointer handle on a reference-counted `{id, timestamp, checksum,
+//! payload}`, so what a hosted node adds per packet is its own 24-byte
+//! record (request word, alternate proposer, the handle) and nothing of
+//! the packet. The table is **filled** in one place — a delivery in
 //! [`Shard::drain_outputs`] that passed `verify`, checked by the
 //! validating node or, for an undefended node, by the shard — so a
 //! corrupted payload can never enter it. It is **consulted** at decode
-//! ([`Shard::route_frame`] lends it to the frame): a served packet whose
-//! wire bytes equal the pooled payload takes a refcount, anything else
-//! gets its own copy, and the node checks either exactly as before. It is
-//! **pruned** at the protocol's `retention` horizon, like the nodes'
-//! stores. One table per shard, touched only by the shard's thread: no
-//! locks.
+//! ([`Shard::route_frame`] lends it to the frame): a served packet that
+//! equals the pooled one in header and payload bytes *is* the pooled
+//! packet (a refcount), one whose payload alone is equal shares the
+//! payload buffer under its own header, anything else gets its own copy,
+//! and the node checks each exactly as before. It is **pruned** at the
+//! protocol's `retention` horizon, like the nodes' payloads. One table per
+//! shard, touched only by the shard's thread: no locks.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -328,7 +332,7 @@ impl PacketPool {
     /// Drops the packets older than `config`'s retention horizon.
     fn prune(&mut self, config: &GossipConfig, now: Time) {
         if let Some(cutoff) = config.retention_cutoff(now) {
-            self.by_id.retain(|_, (_, pooled_at)| *pooled_at >= cutoff);
+            self.by_id.retain(|(_, pooled_at)| *pooled_at >= cutoff);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Stream packets: the events the gossip protocol disseminates.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -127,17 +128,23 @@ fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
 /// unforgeable-in-the-model, which "corruptors flip payload bits but
 /// cannot restamp" captures.
 ///
-/// The payload is a reference-counted [`Bytes`], so a clone shares it: a
-/// node's store, its serves and its deliveries are one buffer, and in the
-/// simulator every node holds the source's. A decoded packet owns a fresh
-/// copy of the wire bytes unless its host keeps a pool of verified packets
-/// ([`WireEvent::decode_event_pooled`]): then it shares the pooled packet's
-/// buffer when — and only when — that buffer is byte-equal to the wire
-/// bytes. Id, timestamp and checksum always come from the wire, so the
-/// decoded value, and the receiver's `verify` verdict on it, are the same
-/// either way.
+/// A `StreamPacket` is a one-pointer handle on an immutable, reference-
+/// counted packet, so a clone shares header and payload alike: a node's
+/// store, its serves and its deliveries are one allocation, every holder
+/// pays 8 bytes for it, and in the simulator every node holds the source's.
+/// A decoded packet is a fresh one unless its host keeps a pool of verified
+/// packets ([`WireEvent::decode_event_pooled`]): then it is the pooled
+/// packet when — and only when — id, timestamp, checksum and payload bytes
+/// on the wire all equal the pooled packet's; equal payload bytes under a
+/// different header share the payload buffer alone. Either way the decoded
+/// value, and the receiver's `verify` verdict on it, are those of a plain
+/// decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamPacket {
+pub struct StreamPacket(Arc<Inner>);
+
+/// What a [`StreamPacket`] points at.
+#[derive(Debug, PartialEq, Eq)]
+struct Inner {
     id: PacketId,
     published_at: Time,
     checksum: u32,
@@ -149,7 +156,7 @@ impl StreamPacket {
     /// constructor).
     pub fn new(id: PacketId, published_at: Time, payload: Bytes) -> Self {
         let checksum = lane_checksum(id, published_at, &payload);
-        StreamPacket { id, published_at, checksum, payload }
+        StreamPacket::with_checksum(id, published_at, checksum, payload)
     }
 
     /// Creates a packet carrying an already-stamped checksum verbatim (the
@@ -157,46 +164,51 @@ impl StreamPacket {
     /// flipped payload bits cannot restamp, so it forwards the stale
     /// checksum).
     pub fn with_checksum(id: PacketId, published_at: Time, checksum: u32, payload: Bytes) -> Self {
-        StreamPacket { id, published_at, checksum, payload }
+        StreamPacket(Arc::new(Inner { id, published_at, checksum, payload }))
     }
 
     /// Returns the packet id.
     pub fn packet_id(&self) -> PacketId {
-        self.id
+        self.0.id
     }
 
     /// Returns when the source published this packet.
     pub fn published_at(&self) -> Time {
-        self.published_at
+        self.0.published_at
     }
 
     /// Returns the carried checksum.
     pub fn checksum(&self) -> u32 {
-        self.checksum
+        self.0.checksum
     }
 
     /// Returns the payload bytes.
     pub fn payload(&self) -> &Bytes {
-        &self.payload
+        &self.0.payload
     }
 
     /// Returns `true` if this is a parity (FEC) packet for the given number
     /// of data packets per window.
     pub fn is_parity(&self, data_packets: usize) -> bool {
-        (self.id.index as usize) >= data_packets
+        (self.0.id.index as usize) >= data_packets
     }
 
     /// Returns a copy whose payload had one bit flipped while the carried
     /// checksum stayed stale — exactly what a serve-corrupting Byzantine
     /// relay produces (used by the adversity runtimes and the fuzz tests).
     pub fn tampered(&self) -> Self {
-        let mut bytes = self.payload.to_vec();
+        let mut bytes = self.0.payload.to_vec();
         match bytes.first_mut() {
             Some(b) => *b ^= 0x80,
             // An empty payload corrupts by growing garbage instead.
             None => bytes.push(0xFF),
         }
-        StreamPacket::with_checksum(self.id, self.published_at, self.checksum, Bytes::from(bytes))
+        StreamPacket::with_checksum(
+            self.0.id,
+            self.0.published_at,
+            self.0.checksum,
+            Bytes::from(bytes),
+        )
     }
 }
 
@@ -204,12 +216,12 @@ impl Event for StreamPacket {
     type Id = PacketId;
 
     fn id(&self) -> PacketId {
-        self.id
+        self.0.id
     }
 
     fn wire_size(&self) -> usize {
         // id + publish timestamp + 4-byte checksum + 2-byte length + payload
-        PacketId::WIRE_SIZE + 8 + 4 + 2 + self.payload.len()
+        PacketId::WIRE_SIZE + 8 + 4 + 2 + self.0.payload.len()
     }
 
     fn id_wire_size() -> usize {
@@ -217,7 +229,7 @@ impl Event for StreamPacket {
     }
 
     fn verify(&self) -> bool {
-        self.checksum == lane_checksum(self.id, self.published_at, &self.payload)
+        self.0.checksum == lane_checksum(self.0.id, self.0.published_at, &self.0.payload)
     }
 }
 
@@ -238,12 +250,12 @@ impl WireEvent for StreamPacket {
     }
 
     fn encode_event(&self, buf: &mut Vec<u8>) {
-        Self::encode_id(&self.id, buf);
-        buf.extend_from_slice(&self.published_at.as_micros().to_le_bytes());
-        buf.extend_from_slice(&self.checksum.to_le_bytes());
-        debug_assert!(self.payload.len() <= u16::MAX as usize, "payload exceeds wire framing");
-        buf.extend_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        buf.extend_from_slice(&self.payload);
+        Self::encode_id(&self.0.id, buf);
+        buf.extend_from_slice(&self.0.published_at.as_micros().to_le_bytes());
+        buf.extend_from_slice(&self.0.checksum.to_le_bytes());
+        debug_assert!(self.0.payload.len() <= u16::MAX as usize, "payload exceeds wire framing");
+        buf.extend_from_slice(&(self.0.payload.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&self.0.payload);
     }
 
     fn decode_event(input: &mut &[u8]) -> Option<Self> {
@@ -255,10 +267,17 @@ impl WireEvent for StreamPacket {
     fn decode_event_pooled(input: &mut &[u8], pool: &dyn EventPool<Self>) -> Option<Self> {
         let (id, published_at, checksum, wire) = split_event(input)?;
         let payload = match pool.lookup(&id) {
-            // Equal bytes are the whole condition: a corrupted, truncated
-            // or colliding-id serve compares unequal, keeps its own bytes
-            // and meets the receiver's `verify` exactly as it would unpooled.
-            Some(pooled) if pooled.payload[..] == *wire => pooled.payload.clone(),
+            // Equal bytes are the whole condition for sharing the buffer: a
+            // corrupted, truncated or colliding-id serve compares unequal,
+            // keeps its own bytes and meets the receiver's `verify` exactly
+            // as it would unpooled.
+            Some(pooled) if pooled.0.payload[..] == *wire => {
+                // Nothing on the wire differs from the pooled packet: be it.
+                if pooled.0.published_at == published_at && pooled.0.checksum == checksum {
+                    return Some(pooled.clone());
+                }
+                pooled.0.payload.clone()
+            }
             _ => Bytes::copy_from_slice(wire),
         };
         Some(StreamPacket::with_checksum(id, published_at, checksum, payload))
@@ -357,6 +376,20 @@ mod tests {
         let mut slice = buf.as_slice();
         let decoded = StreamPacket::decode_event(&mut slice).expect("decodes");
         assert!(!decoded.verify(), "corruption survives the codec for the receiver to catch");
+    }
+
+    #[test]
+    fn a_packet_is_a_one_pointer_handle() {
+        // What every store slot, serve element, delivery and simulated
+        // envelope carries; the niche keeps `Option` (a node's "payload
+        // retained?") the same size. With `gossip-core`'s 8-byte request
+        // word and 8-byte alternate proposer that is 24 bytes per id per
+        // node (pinned there for any one-pointer event).
+        assert_eq!(std::mem::size_of::<StreamPacket>(), 8);
+        assert_eq!(std::mem::size_of::<Option<StreamPacket>>(), 8);
+        let p = StreamPacket::new(PacketId::new(0, 0), Time::ZERO, Bytes::from(vec![0u8; 10]));
+        let q = p.clone();
+        assert!(std::ptr::eq(p.payload(), q.payload()), "a clone is the same packet");
     }
 
     #[test]

@@ -164,6 +164,55 @@ fn a_byte_equal_serve_shares_the_pooled_buffer_and_nothing_else_does() {
     );
 }
 
+/// The pooled *packet* — header and payload behind one handle — is handed
+/// out only to a serve that equals it in every field. Equal payload bytes
+/// under another timestamp or checksum get a packet of their own, carrying
+/// the wire's header, and meet `verify` exactly as they would unpooled.
+#[test]
+fn a_serve_with_the_pooled_payload_under_another_header_is_not_the_pooled_packet() {
+    let source =
+        StreamPacket::new(PacketId::new(4, 2), Time::from_millis(9), Bytes::from(vec![7u8; 1000]));
+    let pool = OnePacket(Some(source.clone()));
+    // A handle's payload field lives in the allocation the handle points at.
+    let is_pooled_packet = |p: &StreamPacket| std::ptr::eq(p.payload(), source.payload());
+    assert!(is_pooled_packet(&decode_against(&pool, &source)), "an identical serve is the packet");
+
+    let (id, at, bytes) = (source.packet_id(), source.published_at(), source.payload().to_vec());
+    let later = Time::from_micros(at.as_micros() + 1);
+    let cases = [
+        (
+            "stale checksum",
+            StreamPacket::with_checksum(id, at, !source.checksum(), bytes.clone().into()),
+            false,
+        ),
+        (
+            "other timestamp",
+            StreamPacket::with_checksum(id, later, source.checksum(), bytes.clone().into()),
+            false,
+        ),
+        ("restamped at another time", StreamPacket::new(id, later, bytes.into()), true),
+    ];
+    for (what, sent, verifies) in cases {
+        let mut wire = Vec::new();
+        sent.encode_event(&mut wire);
+        let plain = StreamPacket::decode_event(&mut wire.as_slice()).expect("decodes");
+        let pooled = decode_against(&pool, &sent);
+        assert!(!is_pooled_packet(&pooled), "{what}: handed the pooled packet's header");
+        assert_eq!(pooled, plain, "{what}");
+        assert_eq!(
+            (pooled.published_at(), pooled.checksum()),
+            (sent.published_at(), sent.checksum())
+        );
+        assert_eq!(pooled.verify(), verifies, "{what}: pooled verdict");
+        assert_eq!(plain.verify(), verifies, "{what}: unpooled verdict");
+        assert_eq!(
+            pooled.payload().as_ptr(),
+            source.payload().as_ptr(),
+            "{what}: equal bytes share"
+        );
+    }
+}
+
 thread_local! {
     /// `verify` calls made on this test's thread.
     static VERIFIES: Cell<usize> = const { Cell::new(0) };
