@@ -171,9 +171,18 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         }
         let row = &mut self.rows[i].1;
         if offset >= row.len() {
+            // A row that outgrows its allocation takes exactly the longest
+            // row seen, not `Vec`'s next doubling: only a map's first rows
+            // ever grow, and every map of a deployment has them.
+            row.reserve_exact(self.max_row - row.len());
             row.resize_with(offset + 1, || None);
         }
         (&mut self.len, &mut row[offset])
+    }
+
+    /// Returns how many slots the rows have allocated, filled or not.
+    pub fn capacity(&self) -> usize {
+        self.rows.iter().map(|(_, row)| row.capacity()).sum()
     }
 
     /// Inserts `value` under `key`, returning the previous value if any.
@@ -296,6 +305,31 @@ impl<T> TokenSlab<T> {
         self.len += 1;
     }
 
+    /// Returns a mutable reference to the value stored under `token`, if
+    /// any.
+    pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        let idx = token.checked_sub(self.base)?;
+        self.slots.get_mut(idx as usize)?.as_mut()
+    }
+
+    /// Recovers an outstanding token from its low 32 bits: the one token
+    /// at or after the oldest outstanding one that ends in them. Exact for
+    /// any token still stored (the ring never spans 2³² tokens), which is
+    /// what lets a four-byte back-link name a token.
+    pub fn widen(&self, low: u32) -> u64 {
+        self.base + u64::from(low.wrapping_sub(self.base as u32))
+    }
+
+    /// Removes every outstanding value, yielding each with its token.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
+        let base = self.base;
+        self.len = 0;
+        self.slots
+            .drain(..)
+            .enumerate()
+            .filter_map(move |(i, slot)| slot.map(|value| (base + i as u64, value)))
+    }
+
     /// Removes and returns the value stored under `token`, if any.
     pub fn remove(&mut self, token: u64) -> Option<T> {
         let idx = token.checked_sub(self.base)?;
@@ -404,6 +438,31 @@ mod tests {
         // Sequential issuance continues after a full drain.
         s.insert(3, "d");
         assert_eq!(s.remove(3), Some("d"));
+    }
+
+    #[test]
+    fn token_slab_finds_a_token_by_its_low_bits_and_drains() {
+        let mut s: TokenSlab<u32> = TokenSlab::new();
+        // Straddle a 32-bit boundary: the low bits wrap, the tokens do not.
+        let first = (7u64 << 32) - 2;
+        for i in 0..5 {
+            s.insert(first + i, i as u32);
+        }
+        assert_eq!(s.remove(first), Some(0));
+        for i in 1..5 {
+            let token = first + i;
+            assert_eq!(s.widen(token as u32), token);
+            assert_eq!(s.get_mut(token), Some(&mut (i as u32)));
+        }
+        assert_eq!(s.get_mut(first), None, "consumed");
+        assert_eq!(s.get_mut(first + 5), None, "not issued yet");
+        assert_eq!(s.remove(first + 2), Some(2));
+        let drained: Vec<_> = s.drain().collect();
+        assert_eq!(drained, vec![(first + 1, 1), (first + 3, 3), (first + 4, 4)]);
+        assert!(s.is_empty());
+        // Sequential issuance continues after a drain.
+        s.insert(first + 5, 5);
+        assert_eq!(s.remove(first + 5), Some(5));
     }
 
     #[test]

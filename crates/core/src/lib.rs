@@ -32,6 +32,9 @@
 //! [`GossipNode::on_round`], timer expiries via [`GossipNode::on_timer`];
 //! effects come out of [`GossipNode::poll_output`] as [`Output`] values
 //! (send a message, deliver an event to the application, schedule a timer).
+//! A host whose timer queue can cancel tells the node which deadline each
+//! timer became ([`GossipNode::attach_timer_handle`]) and collects from
+//! [`GossipNode::poll_cancelled`] the ones a delivery made pointless.
 //! The deterministic simulator (`gossip-net` + `gossip-experiments`) and the
 //! real-socket runtime (`gossip-udp`) drive the *same* protocol code.
 //!

@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gossip_sim::DetRng;
+use gossip_sim::{DetRng, EventHandle};
 use gossip_types::{NodeId, Time};
 
 use crate::config::GossipConfig;
@@ -45,8 +45,16 @@ use crate::view::PartnerView;
 ///
 /// The node hands out tokens via [`Output::ScheduleTimer`]; the driver calls
 /// [`GossipNode::on_timer`] with the token when the deadline passes. Stale
-/// tokens (whose purpose has since been fulfilled) are ignored, so drivers
-/// never need to cancel timers.
+/// tokens (whose purpose has since been fulfilled) are ignored, so a driver
+/// that cancels nothing is still correct.
+///
+/// A driver that *can* cancel tells the node which of its deadlines the
+/// token became ([`GossipNode::attach_timer_handle`]) and gets that handle
+/// back from [`GossipNode::poll_cancelled`] once every id the timer guards
+/// has been delivered (Algorithm 1, line 24) or the node has been told to
+/// [forget its timers](GossipNode::forget_retransmits). Firing such a timer
+/// would have been a no-op — no output, no random draw — so honouring the
+/// cancellation changes what a driver's queue holds and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerToken(u64);
 
@@ -145,6 +153,26 @@ impl RequestState {
     }
 }
 
+/// An `Option<u32>` in four bytes, for the two optional words an
+/// undelivered id carries: the value is kept plus one in a `NonZeroU32`.
+/// `u32::MAX` cannot be held and reads back as `None`, which both users
+/// can afford: no deployment has a node of that index, and one timer in
+/// 2³² going unlinked only means it is never cancelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Packed32(Option<std::num::NonZeroU32>);
+
+impl Packed32 {
+    const NONE: Packed32 = Packed32(None);
+
+    fn some(value: u32) -> Self {
+        Packed32(std::num::NonZeroU32::new(value.wrapping_add(1)))
+    }
+
+    fn get(self) -> Option<u32> {
+        self.0.map(|stored| stored.get() - 1)
+    }
+}
+
 /// Everything a node keeps about one event id, in one [`DenseMap`] slot.
 ///
 /// A record exists from the moment the id is first requested (or delivered
@@ -155,7 +183,12 @@ struct IdRecord<E> {
     state: RequestState,
     /// Most recent *other* proposer while the id is undelivered: where a
     /// corrupted serve is re-requested from (validate-before-relay).
-    alternate: Option<NodeId>,
+    alternate: Packed32,
+    /// Low 32 bits of the token of the armed [`RetransmitEntry`] that
+    /// counts this id among its undelivered ones, while there is one: what
+    /// the id's delivery settles. Never dangling — whatever removes an
+    /// entry first unlinks the ids it leaves undelivered.
+    timer: Packed32,
     /// The payload, for serving, from delivery until retention pruning (or
     /// a crash) drops it.
     event: Option<E>,
@@ -163,7 +196,7 @@ struct IdRecord<E> {
 
 impl<E> IdRecord<E> {
     fn new(state: RequestState) -> Self {
-        IdRecord { state, alternate: None, event: None }
+        IdRecord { state, alternate: Packed32::NONE, timer: Packed32::NONE, event: None }
     }
 }
 
@@ -178,6 +211,12 @@ struct RetransmitEntry<Id> {
     ids: Arc<[Id]>,
     /// How many requests have been sent for this proposal (for backoff).
     attempt: u32,
+    /// How many of `ids` have not been delivered since arming. Only an id
+    /// whose record links here is ever counted down, so reaching zero
+    /// means every one of them arrived: the timer has nothing left to do.
+    undelivered: u32,
+    /// The deadline the host scheduled for this entry, if it said.
+    handle: Option<EventHandle>,
 }
 
 /// The gossip protocol state machine for one node.
@@ -218,6 +257,9 @@ pub struct GossipNode<E: Event> {
     demoted: Vec<NodeId>,
     /// Armed retransmission timers, addressed by their sequential token.
     retransmits: TokenSlab<RetransmitEntry<E::Id>>,
+    /// Host deadlines that no longer need to fire, until the host collects
+    /// them ([`GossipNode::poll_cancelled`]).
+    cancelled: Vec<EventHandle>,
     rtt: RttEstimator,
     next_token: u64,
     rounds: u64,
@@ -270,6 +312,7 @@ impl<E: Event> GossipNode<E> {
             misbehaviour: Vec::new(),
             demoted: Vec::new(),
             retransmits: TokenSlab::new(),
+            cancelled: Vec::new(),
             rtt,
             next_token: 0,
             rounds: 0,
@@ -367,6 +410,26 @@ impl<E: Event> GossipNode<E> {
         !self.outputs.is_empty()
     }
 
+    /// Tells the node which deadline in the host's queue `token` (from an
+    /// [`Output::ScheduleTimer`]) became, so the node can hand it back
+    /// through [`GossipNode::poll_cancelled`] instead of letting it fire
+    /// into nothing. Optional: without it the token's timer simply fires
+    /// and is ignored. A token whose timer is already settled is ignored.
+    pub fn attach_timer_handle(&mut self, token: TimerToken, handle: EventHandle) {
+        if let Some(entry) = self.retransmits.get_mut(token.0) {
+            entry.handle = Some(handle);
+        }
+    }
+
+    /// Drains the next deadline the host may take out of its queue: the
+    /// handle attached to a retransmission timer that has since lost its
+    /// purpose. Hosts that attach handles call this in a loop after every
+    /// `on_*` call, next to [`GossipNode::poll_output`]; for a host that
+    /// attaches none it never returns anything.
+    pub fn poll_cancelled(&mut self) -> Option<EventHandle> {
+        self.cancelled.pop()
+    }
+
     /// Whether every [`Output::Deliver`] this node emits carries an event
     /// that already passed [`Event::verify`] — the one rule hosts consult
     /// before gating a delivery on the payload's integrity.
@@ -409,8 +472,12 @@ impl<E: Event> GossipNode<E> {
         let state = RequestState::new(self.config.max_requests_per_event, true, now);
         let previous =
             self.ids.insert(id, IdRecord { event: Some(event.clone()), ..IdRecord::new(state) });
-        // Publishing an id again replaces its payload, it does not add one.
-        self.payloads -= usize::from(previous.is_some_and(|r| r.event.is_some()));
+        if let Some(previous) = previous {
+            // Publishing an id again replaces its payload, it does not add
+            // one; publishing one that was on request delivers it.
+            self.payloads -= usize::from(previous.event.is_some());
+            self.settle_timer(previous.timer);
+        }
         self.finish_delivery(id, event);
     }
 
@@ -486,12 +553,21 @@ impl<E: Event> GossipNode<E> {
         let Some(entry) = self.retransmits.remove(token.0) else {
             return; // stale timer: its proposal was fully served
         };
+        let fired = Packed32::some(token.0 as u32);
         let cap = self.max_requests_cap();
         let mut missing = std::mem::take(&mut self.scratch_ids);
         missing.clear();
         for &id in entry.ids.iter() {
-            if let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) {
-                if !state.delivered() && state.times_requested() < cap {
+            if let Some(IdRecord { state, timer, .. }) = self.ids.get_mut(&id) {
+                if state.delivered() {
+                    continue;
+                }
+                // The entry is gone: the ids it counted are nobody's until
+                // (and unless) the re-armed entry below takes them.
+                if *timer == fired {
+                    *timer = Packed32::NONE;
+                }
+                if state.times_requested() < cap {
                     state.bump_requested();
                     missing.push(id);
                 }
@@ -564,7 +640,7 @@ impl<E: Event> GossipNode<E> {
                 // Remember the redundant proposer: if the first peer's serve
                 // turns out corrupted, this is where the re-request goes.
                 if !record.state.delivered() {
-                    record.alternate = Some(from);
+                    record.alternate = Packed32::some(from.as_u32());
                 }
             }
         }
@@ -612,7 +688,12 @@ impl<E: Event> GossipNode<E> {
     }
 
     /// Phase 3, receiving side (lines 20–24): deliver fresh events, queue
-    /// their ids for the next proposal.
+    /// their ids for the next proposal, and cancel the retransmission
+    /// timer of a proposal whose last missing id this was (line 24). That
+    /// timer would re-request the undelivered ids of its proposal and,
+    /// finding none, do nothing at all, so dropping its entry here — and
+    /// letting the host drop the deadline — is exact, not an approximation:
+    /// a timer with any id still missing is left alone.
     ///
     /// Validate-before-relay: each event's payload is checked against its
     /// integrity metadata *before* it can be delivered, stored or
@@ -643,10 +724,11 @@ impl<E: Event> GossipNode<E> {
             }
             record.state.mark_delivered(now);
             record.event = Some(event.clone());
+            let timer = std::mem::replace(&mut record.timer, Packed32::NONE);
             self.finish_delivery(id, event);
+            // Line 24 (cancel RetTimer).
+            self.settle_timer(timer);
         }
-        // Line 24 (cancel RetTimer) is implicit: when a timer fires, ids
-        // marked delivered are skipped, and empty entries evaporate.
     }
 
     /// Feed-me handling: replace a random partner with the sender (refused
@@ -727,7 +809,7 @@ impl<E: Event> GossipNode<E> {
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
         let cap = self.max_requests_cap();
         let Some(IdRecord { state, alternate, .. }) = self.ids.get_mut(&id) else { return };
-        let alt = match *alternate {
+        let alt = match alternate.get().map(NodeId::new) {
             Some(a) if a != offender => a,
             _ => return,
         };
@@ -749,12 +831,46 @@ impl<E: Event> GossipNode<E> {
 
     /// Arms a retransmission timer for the `attempt`-th request (1-based)
     /// of a proposal, using the adaptive RTO with exponential backoff.
+    ///
+    /// Every id must be undelivered. Each one that no armed entry counts
+    /// yet is linked to this one; an id another entry still counts (the
+    /// single id `rerequest_corrupted` re-requests on the side) stays with
+    /// that entry, which keeps this one's count above zero for good — it
+    /// fires and is ignored, as every timer used to.
     fn arm_retransmit(&mut self, now: Time, peer: NodeId, ids: Arc<[E::Id]>, attempt: u32) {
         let token = TimerToken(self.next_token);
         self.next_token += 1;
-        self.retransmits.insert(token.0, RetransmitEntry { peer, ids, attempt });
+        let link = Packed32::some(token.0 as u32);
+        for id in ids.iter() {
+            if let Some(record) = self.ids.get_mut(id) {
+                debug_assert!(!record.state.delivered(), "armed a timer for a delivered id");
+                if record.timer == Packed32::NONE {
+                    record.timer = link;
+                }
+            }
+        }
+        let undelivered = ids.len() as u32;
+        self.retransmits
+            .insert(token.0, RetransmitEntry { peer, ids, attempt, undelivered, handle: None });
         let at = now + self.rtt.rto_backoff(attempt);
         self.outputs.push_back(Output::ScheduleTimer { token, at });
+    }
+
+    /// One id of the entry `timer` links to has just been delivered: count
+    /// it, and when it was the last one drop the entry and report the
+    /// host's deadline for it, if the host attached one, as cancelled.
+    fn settle_timer(&mut self, timer: Packed32) {
+        let Some(low) = timer.get() else { return };
+        let token = self.retransmits.widen(low);
+        let Some(entry) = self.retransmits.get_mut(token) else {
+            debug_assert!(false, "an undelivered id linked to a timer that is gone");
+            return;
+        };
+        entry.undelivered -= 1;
+        if entry.undelivered == 0 {
+            let entry = self.retransmits.remove(token).expect("present a moment ago");
+            self.cancelled.extend(entry.handle);
+        }
     }
 
     /// Returns the node's current adaptive retransmission timeout.
@@ -796,6 +912,28 @@ impl<E: Event> GossipNode<E> {
         self.payloads = 0;
         self.payload_floor = u64::MAX;
         self.propose_queue.clear();
+    }
+
+    /// Drops every armed retransmission timer — entries and the id lists
+    /// they pin — and reports the attached host deadlines as cancelled
+    /// ([`GossipNode::poll_cancelled`]); the ids stay requested.
+    ///
+    /// Hosts call this when the node crashes, with
+    /// [`GossipNode::forget_payloads`]: a down node's timers must not fire,
+    /// so neither their state nor their deadlines are worth keeping until
+    /// they come due.
+    pub fn forget_retransmits(&mut self) {
+        for (token, entry) in self.retransmits.drain() {
+            let link = Packed32::some(token as u32);
+            for id in entry.ids.iter() {
+                if let Some(record) = self.ids.get_mut(id) {
+                    if record.timer == link {
+                        record.timer = Packed32::NONE;
+                    }
+                }
+            }
+            self.cancelled.extend(entry.handle);
+        }
     }
 
     /// Returns the number of events currently stored (servable).
@@ -853,6 +991,7 @@ impl<E: crate::wire::WireEvent> GossipNode<E> {
 mod tests {
     use super::*;
     use crate::event::TestEvent;
+    use gossip_sim::EventQueue;
     use gossip_types::Duration;
 
     fn members(n: u32) -> Vec<NodeId> {
@@ -1082,6 +1221,10 @@ mod tests {
             out.iter().all(|o| !matches!(o, Output::ScheduleTimer { .. })),
             "K = 1 means the initial request is the only one"
         );
+        assert!(node.retransmits.is_empty(), "no timer, no entry");
+        serve(&mut node, 50, NodeId::new(2), TestEvent::new(1, 10));
+        assert!(node.has_delivered(&1));
+        assert_eq!(node.poll_cancelled(), None, "and nothing to cancel");
     }
 
     #[test]
@@ -1490,6 +1633,182 @@ mod tests {
         );
         assert_eq!(node.stats().corrupted_events_detected, 0);
         assert!(node.demoted_peers().is_empty());
+    }
+
+    /// What a cancelling host does with a step's outputs: every timer goes
+    /// into its queue and the node learns the deadline's handle.
+    fn schedule(
+        node: &mut GossipNode<TestEvent>,
+        queue: &mut EventQueue<TimerToken>,
+    ) -> Vec<Output<TestEvent>> {
+        let out = drain(node);
+        for o in &out {
+            if let Output::ScheduleTimer { token, at } = o {
+                let handle = queue.push(*at, *token);
+                node.attach_timer_handle(*token, handle);
+            }
+        }
+        out
+    }
+
+    /// The other half: take the cancelled deadlines out of the queue.
+    /// Returns how many were really there.
+    fn cancel(node: &mut GossipNode<TestEvent>, queue: &mut EventQueue<TimerToken>) -> usize {
+        std::iter::from_fn(|| node.poll_cancelled()).filter(|&h| queue.cancel(h)).count()
+    }
+
+    fn serve(node: &mut GossipNode<TestEvent>, at_ms: u64, from: NodeId, event: TestEvent) {
+        node.on_message(Time::from_millis(at_ms), from, Message::Serve { events: vec![event] });
+    }
+
+    #[test]
+    fn partial_serve_keeps_the_timer_and_the_last_id_cancels_it() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let mut queue = EventQueue::new();
+        let peer = NodeId::new(2);
+        node.on_message(Time::ZERO, peer, Message::Propose { ids: vec![1, 2].into() });
+        schedule(&mut node, &mut queue);
+        assert_eq!(queue.len(), 1);
+
+        serve(&mut node, 50, peer, TestEvent::new(1, 10));
+        assert_eq!(cancel(&mut node, &mut queue), 0, "id 2 is still missing");
+        assert_eq!((queue.len(), node.retransmits.len()), (1, 1));
+        // A duplicate of what already arrived settles nothing twice.
+        serve(&mut node, 60, NodeId::new(3), TestEvent::new(1, 10));
+        assert_eq!(cancel(&mut node, &mut queue), 0);
+
+        serve(&mut node, 70, peer, TestEvent::new(2, 10));
+        drain(&mut node);
+        assert_eq!(cancel(&mut node, &mut queue), 1, "nothing left to retransmit");
+        assert!(queue.is_empty() && node.retransmits.is_empty());
+        assert_eq!(node.poll_cancelled(), None, "reported once");
+    }
+
+    #[test]
+    fn a_rearmed_retry_is_cancelled_by_the_late_serve() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let mut queue = EventQueue::new();
+        let peer = NodeId::new(2);
+        node.on_message(Time::ZERO, peer, Message::Propose { ids: vec![1, 2].into() });
+        schedule(&mut node, &mut queue);
+        serve(&mut node, 50, peer, TestEvent::new(1, 10));
+        drain(&mut node);
+
+        // The timer fires for id 2: re-requested under a new token.
+        let (at, first) = queue.pop().expect("armed");
+        node.on_timer(at, first);
+        let out = schedule(&mut node, &mut queue);
+        assert_eq!(sends(&out)[0], (peer, &Message::Request { ids: vec![2].into() }));
+        assert_eq!(queue.len(), 1, "the retry has its own deadline");
+        assert_eq!(cancel(&mut node, &mut queue), 0);
+
+        serve(&mut node, 9_000, peer, TestEvent::new(2, 10));
+        assert_eq!(cancel(&mut node, &mut queue), 1, "the late serve cancels the retry's timer");
+        assert!(queue.is_empty() && node.retransmits.is_empty());
+    }
+
+    #[test]
+    fn a_corrupt_rerequests_side_timer_leaves_the_proposals_count_exact() {
+        let config = GossipConfig::new(3).with_max_requests(4);
+        let mut node = GossipNode::new(NodeId::new(1), config, members(10), 1);
+        let mut queue = EventQueue::new();
+        let (first, alt) = (NodeId::new(2), NodeId::new(3));
+        node.on_message(Time::ZERO, first, Message::Propose { ids: vec![7, 8].into() });
+        let out = schedule(&mut node, &mut queue);
+        let proposal_timer = out.iter().find_map(|o| match o {
+            Output::ScheduleTimer { token, .. } => Some(*token),
+            _ => None,
+        });
+        node.on_message(Time::ZERO, alt, Message::Propose { ids: vec![7].into() });
+        drain(&mut node);
+
+        // A corrupted 7 arms a single-id timer beside the proposal's, which
+        // goes on counting id 7.
+        serve(&mut node, 50, first, TestEvent::new(7, 10).corrupted());
+        schedule(&mut node, &mut queue);
+        assert_eq!((queue.len(), node.retransmits.len()), (2, 2));
+
+        // The proposal's timer fires first and re-arms for both ids under
+        // a new token, which takes over counting them: still two timers.
+        let (at, fired) = queue.pop().expect("armed");
+        assert_eq!(Some(fired), proposal_timer);
+        node.on_timer(at, fired);
+        let out = schedule(&mut node, &mut queue);
+        assert_eq!(sends(&out)[0], (first, &Message::Request { ids: vec![7, 8].into() }));
+        assert_eq!((queue.len(), node.retransmits.len()), (2, 2));
+
+        // The clean 7 is one of the proposal's two ids, no more.
+        serve(&mut node, 9_000, alt, TestEvent::new(7, 10));
+        assert_eq!(cancel(&mut node, &mut queue), 0, "id 8 is missing: nothing is cancelled early");
+        assert_eq!(queue.len(), 2);
+        // Id 8 is the other: the proposal's timer goes, and only it.
+        serve(&mut node, 9_010, first, TestEvent::new(8, 10));
+        drain(&mut node);
+        assert_eq!(cancel(&mut node, &mut queue), 1);
+        let (at, side) = queue.pop().expect("the side timer is never cancelled");
+        assert!(queue.is_empty());
+        assert_eq!(at, Time::from_millis(50) + Duration::from_secs(16), "second-attempt backoff");
+        node.on_timer(at, side);
+        assert!(drain(&mut node).is_empty(), "it fires into nothing, as every timer used to");
+        assert!(node.retransmits.is_empty());
+    }
+
+    #[test]
+    fn a_host_that_attaches_no_handle_is_told_nothing_and_nothing_accumulates() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let peer = NodeId::new(2);
+        let mut timers = Vec::new();
+        for id in 0..100u64 {
+            node.on_message(Time::ZERO, peer, Message::Propose { ids: vec![id].into() });
+            timers.extend(drain(&mut node).into_iter().filter_map(|o| match o {
+                Output::ScheduleTimer { token, at } => Some((token, at)),
+                _ => None,
+            }));
+            serve(&mut node, 50, peer, TestEvent::new(id, 10));
+            drain(&mut node);
+            assert_eq!(node.poll_cancelled(), None);
+        }
+        assert_eq!(timers.len(), 100);
+        assert!(node.retransmits.is_empty(), "a served proposal's entry goes, handle or not");
+        assert_eq!(node.cancelled.capacity(), 0, "nothing was ever queued for this host");
+        // The deadlines it could not cancel fire as they always did.
+        for (token, at) in timers {
+            node.on_timer(at, token);
+            assert!(drain(&mut node).is_empty());
+        }
+        assert_eq!(node.stats().retransmit_requests, 0);
+    }
+
+    #[test]
+    fn forgetting_retransmits_cancels_every_deadline_and_keeps_the_ids_requested() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let mut queue = EventQueue::new();
+        let peer = NodeId::new(2);
+        for ids in [vec![1, 2], vec![3]] {
+            node.on_message(Time::ZERO, peer, Message::Propose { ids: ids.into() });
+        }
+        let out = schedule(&mut node, &mut queue);
+        serve(&mut node, 50, peer, TestEvent::new(1, 10));
+        drain(&mut node);
+        assert_eq!((queue.len(), node.retransmits.len()), (2, 2));
+
+        node.forget_retransmits();
+        assert!(node.retransmits.is_empty());
+        assert_eq!(cancel(&mut node, &mut queue), 2);
+        assert!(queue.is_empty());
+        assert_eq!(node.request_info(&2), Some((1, false)), "still requested, never re-requested");
+
+        // What the dropped timers guarded can still arrive, and their
+        // tokens are stale.
+        serve(&mut node, 60, peer, TestEvent::new(2, 10));
+        assert!(node.has_delivered(&2));
+        assert_eq!(node.poll_cancelled(), None);
+        for o in out {
+            if let Output::ScheduleTimer { token, at } = o {
+                node.on_timer(at, token);
+            }
+        }
+        assert!(drain(&mut node).iter().all(|o| matches!(o, Output::Deliver { .. })));
     }
 
     #[test]

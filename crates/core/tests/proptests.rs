@@ -7,21 +7,57 @@ use proptest::prelude::*;
 
 use gossip_core::index::{DenseMap, EventIndex};
 use gossip_core::wire::{decode_frame, decode_message, encode_message};
-use gossip_core::{Event, GossipConfig, GossipNode, Message, Output, TestEvent};
-use gossip_types::{NodeId, Time};
+use gossip_core::{Event, GossipConfig, GossipNode, Message, Output, TestEvent, TimerToken};
+use gossip_sim::EventQueue;
+use gossip_types::{Duration, NodeId, Time};
 
 fn members(n: u32) -> Vec<NodeId> {
     (0..n).map(NodeId::new).collect()
 }
 
-/// An arbitrary protocol input.
+/// An arbitrary protocol input. `CorruptServe` is a serve whose payloads
+/// fail verification; `Forget` is what a host does to a node that crashes.
 #[derive(Debug, Clone)]
 enum Input {
     Propose { from: u32, ids: Vec<u64> },
     Request { from: u32, ids: Vec<u64> },
     Serve { from: u32, ids: Vec<u64> },
+    CorruptServe { from: u32, ids: Vec<u64> },
     FeedMe { from: u32 },
     Round,
+    Forget,
+}
+
+impl Input {
+    fn apply(self, node: &mut GossipNode<TestEvent>, now: Time) {
+        let serve = |ids: Vec<u64>, corrupt: bool| Message::Serve {
+            events: ids
+                .into_iter()
+                .map(|i| TestEvent::new(i, 16))
+                .map(|e| if corrupt { e.corrupted() } else { e })
+                .collect(),
+        };
+        match self {
+            Input::Propose { from, ids } => {
+                node.on_message(now, NodeId::new(from), Message::Propose { ids: ids.into() });
+            }
+            Input::Request { from, ids } => {
+                node.on_message(now, NodeId::new(from), Message::Request { ids: ids.into() });
+            }
+            Input::Serve { from, ids } => {
+                node.on_message(now, NodeId::new(from), serve(ids, false))
+            }
+            Input::CorruptServe { from, ids } => {
+                node.on_message(now, NodeId::new(from), serve(ids, true));
+            }
+            Input::FeedMe { from } => node.on_message(now, NodeId::new(from), Message::FeedMe),
+            Input::Round => node.on_round(now),
+            Input::Forget => {
+                node.forget_payloads();
+                node.forget_retransmits();
+            }
+        }
+    }
 }
 
 fn input_strategy() -> impl Strategy<Value = Input> {
@@ -29,8 +65,10 @@ fn input_strategy() -> impl Strategy<Value = Input> {
         (0u32..10, vec(0u64..50, 0..8)).prop_map(|(from, ids)| Input::Propose { from, ids }),
         (0u32..10, vec(0u64..50, 0..8)).prop_map(|(from, ids)| Input::Request { from, ids }),
         (0u32..10, vec(0u64..50, 0..8)).prop_map(|(from, ids)| Input::Serve { from, ids }),
+        (0u32..10, vec(0u64..50, 0..3)).prop_map(|(from, ids)| Input::CorruptServe { from, ids }),
         (0u32..10).prop_map(|from| Input::FeedMe { from }),
         Just(Input::Round),
+        Just(Input::Forget),
     ]
 }
 
@@ -62,7 +100,8 @@ fn map_op_strategy() -> impl Strategy<Value = MapOp> {
 proptest! {
     /// `DenseMap` stores no key, so nothing but position says which id a
     /// value belongs to: after any operation sequence it must hold exactly
-    /// what a `HashMap` driven the same way holds.
+    /// what a `HashMap` driven the same way holds — in no more slots than
+    /// its windows span.
     #[test]
     fn dense_map_is_a_hash_map(ops in vec(map_op_strategy(), 1..120)) {
         let mut dense: DenseMap<u64, u32> = DenseMap::new();
@@ -107,6 +146,15 @@ proptest! {
             prop_assert_eq!(dense.len(), model.len());
             prop_assert_eq!(dense.is_empty(), model.is_empty());
         }
+        // Rows are allocated to the longest row seen, never to the next
+        // power of two: a map holds no more slots than its windows need.
+        let windows: std::collections::HashSet<u64> =
+            touched.iter().map(|k| k.dense_key().0).collect();
+        let longest = touched.iter().map(|k| k.dense_key().1 as usize + 1).max().unwrap_or(0);
+        prop_assert!(
+            dense.capacity() <= windows.len() * longest,
+            "{} slots allocated for {} windows of at most {}", dense.capacity(), windows.len(), longest
+        );
         for k in touched {
             prop_assert_eq!(dense.get(&k), model.get(&k), "key {}", k);
             prop_assert_eq!(dense.get_mut(&k), model.get_mut(&k), "key {}", k);
@@ -125,23 +173,8 @@ proptest! {
         let mut now = Time::ZERO;
         let mut timers = Vec::new();
         for input in inputs {
-            now += gossip_types::Duration::from_millis(10);
-            match input {
-                Input::Propose { from, ids } => {
-                    node.on_message(now, NodeId::new(from), Message::Propose { ids: ids.into() });
-                }
-                Input::Request { from, ids } => {
-                    node.on_message(now, NodeId::new(from), Message::Request { ids: ids.into() });
-                }
-                Input::Serve { from, ids } => {
-                    let events = ids.into_iter().map(|i| TestEvent::new(i, 16)).collect();
-                    node.on_message(now, NodeId::new(from), Message::Serve { events });
-                }
-                Input::FeedMe { from } => {
-                    node.on_message(now, NodeId::new(from), Message::FeedMe);
-                }
-                Input::Round => node.on_round(now),
-            }
+            now += Duration::from_millis(10);
+            input.apply(&mut node, now);
             // Occasionally fire a pending timer.
             if let Some((token, at)) = timers.pop() {
                 if at <= now {
@@ -164,6 +197,72 @@ proptest! {
             }
         }
         prop_assert_eq!(delivered.len() as u64, node.stats().events_delivered);
+    }
+
+    /// Cancellation is invisible to the protocol: one input sequence
+    /// drives two nodes, one under a host that takes every cancelled
+    /// deadline out of its queue (so it never fires), one under a host that
+    /// cancels nothing and fires every timer. Their outputs and counters
+    /// must be identical at every step. The RTO is short enough that
+    /// timers come due between inputs, retries and backoff included.
+    #[test]
+    fn cancelled_timers_would_have_done_nothing(inputs in vec(input_strategy(), 1..200)) {
+        struct Host {
+            node: GossipNode<TestEvent>,
+            queue: EventQueue<TimerToken>,
+            cancels: bool,
+        }
+        impl Host {
+            /// Everything the node emitted since the last call, its timers
+            /// scheduled (and, for the cancelling host, attached).
+            fn outputs(&mut self) -> Vec<Output<TestEvent>> {
+                let out: Vec<_> = std::iter::from_fn(|| self.node.poll_output()).collect();
+                for o in &out {
+                    if let Output::ScheduleTimer { token, at } = o {
+                        let handle = self.queue.push(*at, *token);
+                        if self.cancels {
+                            self.node.attach_timer_handle(*token, handle);
+                        }
+                    }
+                }
+                while let Some(handle) = self.node.poll_cancelled() {
+                    assert!(self.cancels, "told to cancel a deadline it never named");
+                    assert!(self.queue.cancel(handle), "a cancelled deadline was not pending");
+                }
+                out
+            }
+        }
+        let config = GossipConfig::new(3)
+            .with_max_requests(4)
+            .with_retransmit_timeout(Duration::from_millis(40))
+            .with_rto_bounds(Duration::from_millis(20), Duration::from_millis(200));
+        let mut hosts = [true, false].map(|cancels| Host {
+            node: GossipNode::new(NodeId::new(0), config.clone(), members(10), 1),
+            queue: EventQueue::new(),
+            cancels,
+        });
+        let mut now = Time::ZERO;
+        let mut fired = [0usize; 2];
+        for input in inputs {
+            now += Duration::from_millis(10);
+            let mut seen = Vec::new();
+            for (host, fired) in hosts.iter_mut().zip(&mut fired) {
+                let mut out = Vec::new();
+                while let Some((_, token)) = host.queue.pop_before(now) {
+                    *fired += 1;
+                    host.node.on_timer(now, token);
+                    // A no-op fire leaves no trace, so the steps line up.
+                    out.extend(host.outputs());
+                }
+                input.clone().apply(&mut host.node, now);
+                out.extend(host.outputs());
+                seen.push(out);
+            }
+            prop_assert_eq!(&seen[0], &seen[1]);
+            prop_assert_eq!(hosts[0].node.stats(), hosts[1].node.stats());
+            prop_assert_eq!(hosts[0].node.current_rto(), hosts[1].node.current_rto());
+        }
+        prop_assert!(fired[0] <= fired[1], "the cancelling host fired more timers");
     }
 
     /// The node never requests an id twice via fresh proposals, no matter

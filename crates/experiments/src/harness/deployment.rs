@@ -205,15 +205,17 @@ impl<'a> Deployment<'a> {
         self.nodes.len()
     }
 
-    /// Marks the given nodes as crashed, discards their link state and
-    /// stored payloads (a down node never prunes, and its buffers are the
-    /// source's own) and bumps their epoch so stale scheduled events die
-    /// with them.
+    /// Marks the given nodes as crashed, discards their link state, stored
+    /// payloads (a down node never prunes, and its buffers are the source's
+    /// own) and retransmission timers (whose deadlines the driver then
+    /// cancels), and bumps their epoch so whatever else is scheduled for
+    /// them dies on arrival.
     pub(crate) fn crash(&mut self, victims: &[NodeId]) {
         for v in victims {
             if v.index() < self.alive.len() {
                 self.alive[v.index()] = false;
                 self.nodes[v.index()].forget_payloads();
+                self.nodes[v.index()].forget_retransmits();
                 self.links[v.index()].crash();
                 self.epoch[v.index()] += 1;
             }

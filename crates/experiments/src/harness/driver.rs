@@ -254,7 +254,10 @@ impl<'a> Driver<'a> {
             Ev::Fault(k) => {
                 let fault = self.dep.compiled.timeline.events()[k];
                 match fault.action {
-                    FaultAction::Crash(v) => self.dep.crash(&[v]),
+                    FaultAction::Crash(v) => {
+                        self.dep.crash(&[v]);
+                        self.cancel_timers(v);
+                    }
                     FaultAction::Rejoin(v) => {
                         self.dep.revive(v);
                         self.start_node(now, v);
@@ -370,9 +373,20 @@ impl<'a> Driver<'a> {
                     }
                 }
                 Output::ScheduleTimer { token, at } => {
-                    self.engine.schedule(at, Ev::NodeTimer(id, token, self.dep.epoch[id.index()]));
+                    let ev = Ev::NodeTimer(id, token, self.dep.epoch[id.index()]);
+                    let handle = self.engine.schedule(at, ev);
+                    self.dep.nodes[id.index()].attach_timer_handle(token, handle);
                 }
             }
+        }
+        self.cancel_timers(id);
+    }
+
+    /// Takes out of the queue the retransmission deadlines the node no
+    /// longer needs: every id they guarded has arrived, or the node crashed.
+    fn cancel_timers(&mut self, id: NodeId) {
+        while let Some(handle) = self.dep.nodes[id.index()].poll_cancelled() {
+            self.engine.cancel(handle);
         }
     }
 }
@@ -421,6 +435,68 @@ mod tests {
             kept_out += stats.events_delivered - watched;
         }
         assert!(kept_out > 0, "corruptors tamper every serve: some poison must have arrived");
+    }
+
+    /// A crash takes the victim's retransmission deadlines out of the
+    /// queue at once — only those — and their handles die with them: shown
+    /// again after the revive, when the new incarnation's deadlines occupy
+    /// the recycled slots, they cancel nothing.
+    #[test]
+    fn a_crash_cancels_the_victims_retransmit_deadlines_and_their_handles_go_stale() {
+        use gossip_adversity::AdversitySpec;
+        use gossip_stream::PacketId;
+
+        let (v, peer) = (NodeId::new(3), NodeId::new(4));
+        let crash = AdversitySpec::none().with_explicit_crash(Duration::from_secs(5), vec![v]);
+        let cfg = crate::Scenario::tiny(6).with_seed(8).with_adversity(crash);
+        let mut driver = Driver::new(&cfg);
+        let k = driver
+            .dep
+            .compiled
+            .timeline
+            .events()
+            .iter()
+            .position(|e| matches!(e.action, FaultAction::Crash(_)))
+            .expect("the crash compiled");
+        let propose = |driver: &mut Driver<'_>, window: u32| {
+            for index in 0..2 {
+                let ids = vec![PacketId::new(window, index)].into();
+                driver.dep.nodes[v.index()].on_message(Time::ZERO, peer, Message::Propose { ids });
+            }
+        };
+
+        // First life: the host's part played by hand, to keep the handles.
+        propose(&mut driver, 0);
+        let mut stale = Vec::new();
+        while let Some(out) = driver.dep.nodes[v.index()].poll_output() {
+            if let Output::ScheduleTimer { token, at } = out {
+                let handle = driver.engine.schedule(at, Ev::NodeTimer(v, token, 0));
+                driver.dep.nodes[v.index()].attach_timer_handle(token, handle);
+                stale.push(handle);
+            }
+        }
+        assert_eq!(stale.len(), 2);
+        let armed = driver.engine.pending();
+        driver.dispatch(Time::ZERO, Ev::Fault(k));
+        assert_eq!(driver.engine.pending(), armed - 2, "the crash cancelled both deadlines");
+
+        // Second life: armed through the driver, into the freed slots.
+        driver.dep.revive(v);
+        propose(&mut driver, 1);
+        let before = driver.engine.pending();
+        driver.drain_outputs(Time::ZERO, v);
+        let armed = driver.engine.pending();
+        assert!(armed >= before + 2, "two new deadlines (and the request's link completion)");
+        for handle in stale {
+            assert!(
+                !driver.engine.cancel(handle),
+                "a dead incarnation's handle cancelled something"
+            );
+        }
+        assert_eq!(driver.engine.pending(), armed);
+        // The new deadlines are the driver's own: the next crash finds them.
+        driver.dispatch(Time::ZERO, Ev::Fault(k));
+        assert_eq!(driver.engine.pending(), armed - 2);
     }
 
     #[test]

@@ -939,6 +939,7 @@ impl Shard {
                 if let Some(local) = self.local_slot(v) {
                     if !self.nodes[local].down {
                         self.nodes[local].crash();
+                        self.cancel_timers(local);
                     }
                 }
             }
@@ -1077,11 +1078,22 @@ impl Shard {
                     }
                 }
                 Output::ScheduleTimer { token, at } => {
-                    self.wheel.push(at, Fire::Timer(local as u32, token, vn.epoch));
+                    let fire = Fire::Timer(local as u32, token, vn.epoch);
+                    let handle = self.wheel.push(at, fire);
+                    vn.node.attach_timer_handle(token, handle);
                 }
             }
         }
+        self.cancel_timers(local);
         self.flush_shaper(local, now);
+    }
+
+    /// Takes out of the wheel the retransmission deadlines the node no
+    /// longer needs: every id they guarded has arrived, or the node crashed.
+    fn cancel_timers(&mut self, local: usize) {
+        while let Some(handle) = self.nodes[local].node.poll_cancelled() {
+            self.wheel.cancel(handle);
+        }
     }
 
     /// Moves everything the node's shaper has released into the shard
@@ -2005,6 +2017,63 @@ mod tests {
         for id in stream_ids(&shard, 10) {
             assert!(payload_addresses(&shard, &id).is_empty(), "{id} is still held at 4.5 s");
         }
+    }
+
+    /// A crash takes the victim's retransmission deadlines out of the
+    /// wheel at once — only those — and their handles die with them: shown
+    /// again after the revive, when the new incarnation's deadlines occupy
+    /// the recycled slots, they cancel nothing.
+    #[test]
+    fn a_crash_cancels_the_victims_retransmit_deadlines_and_their_handles_go_stale() {
+        let (config, _) = one_shard_of(Backend::Fallback, 2, 4, |cluster| {
+            cluster.crashes = vec![(2, Duration::from_secs(3600))];
+        });
+        let mut shard = Shard::new(config).expect("shard boots");
+        while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(7200)).is_some() {}
+        let k = shard
+            .compiled
+            .timeline
+            .events()
+            .iter()
+            .position(|e| matches!(e.action, FaultAction::Crash(_)))
+            .expect("the crash compiled");
+        let now = shard.clock.now();
+        let propose = |shard: &mut Shard, window: u32| {
+            for index in 0..2 {
+                let ids = vec![PacketId::new(window, index)].into();
+                let propose = gossip_core::Message::Propose { ids };
+                shard.nodes[2].node.on_message(now, NodeId::new(1), propose);
+            }
+        };
+
+        // First life: the host's part played by hand, to keep the handles.
+        propose(&mut shard, 0);
+        let mut stale = Vec::new();
+        while let Some(out) = shard.nodes[2].node.poll_output() {
+            if let Output::ScheduleTimer { token, at } = out {
+                let handle = shard.wheel.push(at, Fire::Timer(2, token, 0));
+                shard.nodes[2].node.attach_timer_handle(token, handle);
+                stale.push(handle);
+            }
+        }
+        assert_eq!((stale.len(), shard.wheel.len()), (2, 2));
+        shard.apply_fault(k, now);
+        assert!(shard.nodes[2].down && shard.wheel.is_empty(), "the crash cancelled both");
+
+        // Second life: armed through the shard, into the freed slots.
+        let members = Arc::clone(&shard.members);
+        shard.nodes[2].revive(&shard.cluster, members, false);
+        propose(&mut shard, 1);
+        shard.drain_outputs(2, now);
+        let armed = shard.wheel.len();
+        assert!(armed >= 2, "two new deadlines (and the shaper's, if it held the requests)");
+        for handle in stale {
+            assert!(!shard.wheel.cancel(handle), "a dead incarnation's handle cancelled something");
+        }
+        assert_eq!(shard.wheel.len(), armed);
+        // The new deadlines are the shard's own: the next crash finds them.
+        shard.apply_fault(k, now);
+        assert_eq!(shard.wheel.len(), armed - 2);
     }
 
     /// A crashed node lets go of every payload at the crash: it will run

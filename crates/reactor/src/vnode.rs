@@ -101,12 +101,14 @@ impl VirtualNode {
 
     /// Takes the node down: it loses its queued uploads, its stored
     /// payloads (shared buffers must not stay pinned by a node that will
-    /// never prune again) and its epoch, so every armed deadline of this
-    /// life is dead on arrival.
+    /// never prune again), its retransmission timers (whose deadlines the
+    /// shard then cancels) and its epoch, so every other armed deadline of
+    /// this life is dead on arrival.
     pub fn crash(&mut self) {
         self.down = true;
         self.epoch += 1;
         self.node.forget_payloads();
+        self.node.forget_retransmits();
         self.shaper.discard_backlog();
         self.shaper_armed = false;
         // The partial view is protocol-adjacent state: it dies with the

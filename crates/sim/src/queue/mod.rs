@@ -19,7 +19,13 @@
 //!    slot + generation pair) that removes the entry immediately. There are
 //!    no tombstones: cancelled entries never linger, `len()` is always
 //!    exact, and stale handles (already popped or already cancelled) are
-//!    rejected by the generation check.
+//!    rejected by the generation check. Both protocol hosts (the
+//!    simulation driver and the reactor's shard loop) depend on it: a
+//!    node's retransmission deadline is cancelled the moment the last id
+//!    it guards is delivered (`GossipNode::poll_cancelled` in
+//!    `gossip-core` hands the handle back), so the queue holds the
+//!    requests that are outstanding, not every request of the last
+//!    timeout — at n = 4000 that is 82 k resident events instead of 321 k.
 //!
 //! The shared contract is the [`EventSchedule`] trait, which generic code
 //! (micro-benchmarks, property tests) can use to drive either

@@ -2,10 +2,18 @@
 //! node state, message representation) can prove they leave the simulation
 //! schedule — and therefore every measured number — byte-identical.
 //!
-//! The digest folds every observable field of two `RunResult`s (two fanouts
-//! of the fig1 sweep at a fixed seed) through FNV-1a. If this test fails
-//! after a refactor, the refactor changed simulation *behavior*, not just
-//! performance — find out why before updating the constant.
+//! The *schedule digest* folds every field of two `RunResult`s (two fanouts
+//! of the fig1 sweep at a fixed seed) that the simulated schedule
+//! determines — traffic, quality, protocol and network counters, the
+//! per-second timeline — through FNV-1a. If it moves after a refactor, the
+//! refactor changed simulation *behavior*, not just performance — find out
+//! why before updating the constant.
+//!
+//! The number of engine events each run dispatched is pinned beside it, not
+//! folded in: it counts the host's bookkeeping as well as the schedule (a
+//! retransmission deadline that fires into nothing is an event; one that
+//! was cancelled is not), so a host change may move it on purpose while
+//! the digest proves the schedule stood still.
 
 use gossip_experiments::{RunResult, Scenario};
 use gossip_types::Duration;
@@ -30,10 +38,10 @@ impl Fnv {
     }
 }
 
-/// Folds every observable field of a run into the digest. Floats are hashed
-/// by their exact bit patterns, so any drift — however small — is caught.
+/// Folds every schedule-determined field of a run into the digest. Floats
+/// are hashed by their exact bit patterns, so any drift — however small —
+/// is caught.
 fn fold_result(h: &mut Fnv, r: &RunResult) {
-    h.write(&r.events_processed.to_le_bytes());
     h.write(&u64::from(r.windows_measured).to_le_bytes());
     h.write(&r.source_upload_kbps.to_bits().to_le_bytes());
     for &kbps in &r.upload_kbps {
@@ -55,34 +63,51 @@ fn fold_result(h: &mut Fnv, r: &RunResult) {
     }
 }
 
-fn digest() -> u64 {
+/// Runs the two pinned scenarios (after `configure`) and returns their
+/// schedule digest and the engine events each dispatched.
+fn digest_of(configure: impl Fn(Scenario) -> Scenario) -> (u64, [u64; 2]) {
     let mut h = Fnv::new();
-    for fanout in [5usize, 7] {
-        let result = Scenario::tiny(fanout).with_seed(42).run();
+    let events = [5usize, 7].map(|fanout| {
+        let result = configure(Scenario::tiny(fanout).with_seed(42)).run();
         fold_result(&mut h, &result);
-    }
-    h.0
+        result.events_processed
+    });
+    (h.0, events)
 }
 
-/// The digest of the current schedule. Re-pinned deliberately when the
-/// validate-before-relay layer landed: every serve now carries a 4-byte
-/// payload checksum (the simulated limiter charges the extra wire bytes)
-/// and `ProtocolStats` grew resilience counters, both of which fold into
-/// the digest. The previous pin, for the archaeologically minded, was
-/// `0xc5dc_40e4_1659_a64b`. Any *other* drift is still a bug: the two
-/// tests below must always agree with each other, and
-/// `empty_adversity_spec_leaves_digest_pinned` proves an empty spec draws
-/// nothing from the compile stream.
-const PINNED_DIGEST: u64 = 0xe79d_a93c_9dea_6e92;
+fn digest() -> (u64, [u64; 2]) {
+    digest_of(|scenario| scenario)
+}
+
+/// The digest of the current schedule. The single pin that stood here until
+/// the retransmission timers became cancellable (`0xe79d_a93c_9dea_6e92`)
+/// folded `events_processed` in with the schedule, so a host that stopped
+/// firing deadlines into nothing could not show that nothing *else* had
+/// moved. It was retired for this pair: the digest below is what the old
+/// fold gives without that one field — computed on the commit before the
+/// change, and equal after it — and the event counts are pinned on their
+/// own. Any drift of the digest is still a bug: the tests below must always
+/// agree with each other, and `empty_adversity_spec_leaves_digest_pinned`
+/// proves an empty spec draws nothing from the compile stream.
+const PINNED_DIGEST: u64 = 0x6336_d12a_cbed_9d9d;
+
+/// Engine events dispatched by the two runs. They fall (from 42 007 and
+/// 46 730) by exactly the retransmission deadlines whose every id had been
+/// served: those are cancelled where they used to fire and find nothing.
+const PINNED_EVENTS: [u64; 2] = [40_372, 45_107];
+
+fn assert_pinned((got, events): (u64, [u64; 2]), what: &str) {
+    assert_eq!(
+        got, PINNED_DIGEST,
+        "{what}: schedule digest is {got:#018x}, pinned {PINNED_DIGEST:#018x} — \
+         the simulation schedule is no longer byte-identical"
+    );
+    assert_eq!(events, PINNED_EVENTS, "{what}: the schedule held but the host's event count moved");
+}
 
 #[test]
 fn fig1_style_digest_is_pinned() {
-    let got = digest();
-    assert_eq!(
-        got, PINNED_DIGEST,
-        "RunResult digest changed: got {got:#018x}, pinned {PINNED_DIGEST:#018x} — \
-         the simulation schedule is no longer byte-identical"
-    );
+    assert_pinned(digest(), "fig1-style run");
 }
 
 #[test]
@@ -99,16 +124,8 @@ fn digest_is_reproducible_within_a_process() {
 fn empty_adversity_spec_leaves_digest_pinned() {
     use gossip::adversity::AdversitySpec;
 
-    let mut h = Fnv::new();
-    for fanout in [5usize, 7] {
-        let result =
-            Scenario::tiny(fanout).with_seed(42).with_adversity(AdversitySpec::none()).run();
-        fold_result(&mut h, &result);
-    }
-    assert_eq!(
-        h.0, PINNED_DIGEST,
-        "an empty adversity spec must not perturb the simulation schedule"
-    );
+    let got = digest_of(|scenario| scenario.with_adversity(AdversitySpec::none()));
+    assert_pinned(got, "an empty adversity spec");
 }
 
 /// The chaos regression of the spec engine: an explicitly empty `[chaos]`
@@ -121,11 +138,8 @@ fn empty_adversity_spec_leaves_digest_pinned() {
 fn empty_chaos_section_leaves_digest_pinned() {
     use gossip::adversity::{AdversitySpec, ChaosSpec};
 
-    let mut h = Fnv::new();
-    for fanout in [5usize, 7] {
-        let spec = AdversitySpec::none().with_chaos(ChaosSpec::none());
-        let result = Scenario::tiny(fanout).with_seed(42).with_adversity(spec).run();
-        fold_result(&mut h, &result);
-    }
-    assert_eq!(h.0, PINNED_DIGEST, "an empty [chaos] section must not perturb the schedule");
+    let got = digest_of(|scenario| {
+        scenario.with_adversity(AdversitySpec::none().with_chaos(ChaosSpec::none()))
+    });
+    assert_pinned(got, "an empty [chaos] section");
 }
