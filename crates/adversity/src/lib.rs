@@ -17,8 +17,9 @@
 //!
 //! Every runtime consumes the same compilation: the simulator schedules the
 //! timeline on its event queue and the reactor pushes it onto its
-//! per-shard timer wheels. One spec therefore produces directly comparable
-//! reports from simulation and live UDP.
+//! per-shard timer wheels, and both apply each firing through one
+//! interpreter (`gossip_udp::hosted::apply`). One spec therefore produces
+//! directly comparable reports from simulation and live UDP.
 //!
 //! Specs are constructed with the builder API or loaded from a small TOML
 //! subset (see [`AdversitySpec::from_toml_str`]); compiling

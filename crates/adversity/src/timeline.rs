@@ -354,11 +354,6 @@ impl PartitionState {
         }
     }
 
-    /// Whether any partition is currently active.
-    pub fn is_split(&self) -> bool {
-        !self.active.is_empty()
-    }
-
     /// Whether traffic from `a` to `b` is currently allowed: every active
     /// partition must place both endpoints in the same cell.
     pub fn allows(&self, compiled: &CompiledAdversity, a: NodeId, b: NodeId) -> bool {
@@ -459,13 +454,11 @@ mod tests {
         let (a, b, d) = (NodeId::new(0), NodeId::new(1), NodeId::new(3));
         assert!(p.allows(&c, a, d), "no partition: everything flows");
         p.on_event(FaultAction::Partition(0));
-        assert!(p.is_split());
         assert!(p.allows(&c, a, b), "same cell");
         assert!(!p.allows(&c, a, d), "cross cell is cut");
         p.on_event(FaultAction::Crash(a)); // ignored
-        assert!(p.is_split());
+        assert!(!p.allows(&c, a, d), "still cut");
         p.on_event(FaultAction::Heal(0));
-        assert!(!p.is_split());
         assert!(p.allows(&c, a, d), "healed");
     }
 

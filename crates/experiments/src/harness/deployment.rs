@@ -2,28 +2,30 @@
 //! simulation state.
 //!
 //! Everything here is derived deterministically from the scenario seed, in a
-//! fixed order (nodes, capacity classes, links, players, latency, loss,
-//! membership bootstrap, initial schedule) so that a seed uniquely determines
-//! the whole run.
+//! fixed order (capacity classes, hosted nodes, latency, loss, membership
+//! bootstrap, initial schedule) so that a seed uniquely determines the whole
+//! run.
 //!
 //! The deployment is sized for the scenario's *total* population — base
 //! nodes plus any flash-crowd joiners the compiled adversity plan
-//! introduces. Joiners exist as inert slots (not alive, not in anyone's
-//! membership) until their `Join` fault fires; crashed nodes can likewise
-//! be revived with fresh protocol state. Both transitions bump the node's
-//! *epoch*, which stale scheduled events (old round chains, link
-//! completions, retransmission timers) carry and are filtered by, so no
-//! event armed before a crash can touch the state of a later incarnation.
+//! introduces. Every node is a [`HostedNode`], so crashes, revives, joins
+//! and their epochs follow the rules every host shares: joiners exist as
+//! down slots (not in anyone's membership) until their `Join` fault fires,
+//! and stale scheduled events (old round chains, link completions,
+//! retransmission timers) carry the epoch they were armed in and are
+//! filtered by it, so no event armed before a crash can touch the state of
+//! a later incarnation.
 
 use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
-use gossip_core::{GossipNode, Message};
-use gossip_membership::{CyclonView, ShuffleMessage};
-use gossip_net::{LatencySampler, LossProcess, NetStats, UploadLink};
+use gossip_core::Message;
+use gossip_membership::ShuffleMessage;
+use gossip_net::{Enqueued, LatencySampler, LossProcess, NetStats, UploadLink};
 use gossip_sim::{DetRng, Engine};
-use gossip_stream::{StreamPacket, StreamPlayer, StreamSource};
+use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
+use gossip_udp::hosted::{bootstrap_view, HostedNode, Setup, Uplink};
 
 use crate::harness::driver::Ev;
 use crate::scenario::{MembershipMode, Scenario};
@@ -50,6 +52,35 @@ impl Envelope {
     }
 }
 
+/// A simulated node's end of the network: its queueing upload link and its
+/// traffic counters.
+pub(crate) struct Port {
+    pub(crate) link: UploadLink<(NodeId, Envelope)>,
+    /// What reached the node, and what it sent that the network lost.
+    pub(crate) rx: NetStats,
+}
+
+impl Port {
+    /// Offers an envelope to the upload link. Returns when it finishes
+    /// transmitting if the link was idle and started it at once.
+    pub(crate) fn offer(&mut self, now: Time, to: NodeId, envelope: Envelope) -> Option<Time> {
+        match self.link.enqueue(now, envelope.wire_size(), (to, envelope)) {
+            Enqueued::Started { completes_at } => Some(completes_at),
+            Enqueued::Queued | Enqueued::Dropped => None,
+        }
+    }
+}
+
+impl Uplink for Port {
+    fn set_rate(&mut self, rate_bps: Option<u64>) {
+        self.link.set_rate(rate_bps);
+    }
+
+    fn discard(&mut self) {
+        self.link.crash();
+    }
+}
+
 /// The constructed deployment: every stateful component of one simulated
 /// run, before and during execution.
 pub(crate) struct Deployment<'a> {
@@ -58,32 +89,20 @@ pub(crate) struct Deployment<'a> {
     pub(crate) compiled: CompiledAdversity,
     /// Which compiled partitions are currently splitting the network.
     pub(crate) partition: PartitionState,
-    /// Every node's unthrottled upload cap, for restoring at `ThrottleEnd`.
-    pub(crate) base_caps: Vec<Option<u64>>,
-    pub(crate) nodes: Vec<GossipNode<StreamPacket>>,
-    pub(crate) players: Vec<StreamPlayer>,
-    pub(crate) links: Vec<UploadLink<(NodeId, Envelope)>>,
-    pub(crate) alive: Vec<bool>,
-    /// Per-node incarnation counter: bumped on every crash so events armed
-    /// for an earlier life are ignored.
-    pub(crate) epoch: Vec<u32>,
+    /// Every node of the total population, indexed by id.
+    pub(crate) hosted: Vec<HostedNode<Port>>,
     /// When each node joined (`None` = present from the start).
     pub(crate) joined_at: Vec<Option<Time>>,
     /// The currently known membership: base nodes plus joiners so far.
     /// One list for the deployment: full-membership nodes share it, and a
     /// join builds a new one.
     pub(crate) members: Arc<[NodeId]>,
-    /// Cyclon views, one per node (empty in full-membership mode).
-    pub(crate) cyclon: Vec<CyclonView>,
     /// RNG stream for membership shuffling (and join/revive staggering).
     pub(crate) membership_rng: DetRng,
-    /// Per-node receive-side accounting.
-    pub(crate) rx_stats: Vec<NetStats>,
     pub(crate) latency: LatencySampler,
     pub(crate) loss: LossProcess,
     /// RNG stream for network effects (latency jitter, loss draws).
     pub(crate) net_rng: DetRng,
-    pub(crate) source: StreamSource,
 }
 
 impl<'a> Deployment<'a> {
@@ -95,23 +114,6 @@ impl<'a> Deployment<'a> {
         let total = compiled.total_n;
         let mut setup_rng = DetRng::seed_from(cfg.seed).split(0xA11CE);
         let membership: Arc<[NodeId]> = (0..cfg.n as u32).map(NodeId::new).collect();
-        let source_id = NodeId::new(0);
-
-        // Joiners are constructed up front (with the base membership — it
-        // is replaced when they actually join) so every per-node vector has
-        // its final size and node indices never move.
-        let mut nodes = Vec::with_capacity(total);
-        for i in 0..total as u32 {
-            let id = NodeId::new(i);
-            let mut node = if id == source_id {
-                GossipNode::new_source(id, cfg.gossip.clone(), Vec::new(), cfg.seed)
-            } else {
-                GossipNode::new(id, cfg.gossip.clone(), Vec::new(), cfg.seed)
-            };
-            node.set_membership(Arc::clone(&membership));
-            node.set_free_rider(compiled.profiles[id.index()].free_rider);
-            nodes.push(node);
-        }
 
         // Per-node caps: uniform, or deterministic class assignment (the
         // class order is shuffled so classes do not correlate with ids).
@@ -126,29 +128,43 @@ impl<'a> Deployment<'a> {
             setup_rng.shuffle(&mut caps);
             caps
         });
-        let base_caps: Vec<Option<u64>> =
-            (0..total).map(|i| node_cap(cfg, &compiled, &class_caps, i)).collect();
-        let links =
-            base_caps.iter().map(|&cap| UploadLink::new(cap, cfg.max_queue_delay)).collect();
-        let players = (0..total).map(|_| StreamPlayer::new(cfg.stream)).collect();
+        // Joiners are constructed up front (with the base membership — they
+        // get theirs when they join) so node indices never move.
+        let setup = Setup {
+            gossip: &cfg.gossip,
+            stream: cfg.stream,
+            stream_duration: cfg.stream_duration,
+            seed: cfg.seed,
+            source_uncapped: cfg.source_uncapped,
+        };
+        let mut hosted: Vec<HostedNode<Port>> = (0..total)
+            .map(|i| {
+                let uniform = class_caps.as_ref().map_or(cfg.upload_cap_bps, |caps| Some(caps[i]));
+                let port = |cap| Port {
+                    link: UploadLink::new(cap, cfg.max_queue_delay),
+                    rx: NetStats::default(),
+                };
+                let id = NodeId::new(i as u32);
+                HostedNode::new(
+                    id,
+                    &setup,
+                    compiled.profiles[i],
+                    Arc::clone(&membership),
+                    uniform,
+                    port,
+                )
+            })
+            .collect();
         let latency = LatencySampler::new(cfg.latency.clone(), total, &mut setup_rng);
         let loss = LossProcess::new(cfg.loss, total);
 
         // Cyclon mode: bootstrap each base node with random peers (joiners
-        // get placeholder views, bootstrapped for real when they join).
-        let mut cyclon: Vec<CyclonView> = Vec::new();
+        // are bootstrapped when they join).
         if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &cfg.membership {
-            for i in 0..total as u32 {
-                let id = NodeId::new(i);
-                let bootstrap: Vec<NodeId> = if (i as usize) < cfg.n {
-                    let candidates: Vec<NodeId> =
-                        membership.iter().copied().filter(|&m| m != id).collect();
-                    let picked = setup_rng.sample_indices(candidates.len(), *bootstrap_degree);
-                    picked.into_iter().map(|k| candidates[k]).collect()
-                } else {
-                    Vec::new()
-                };
-                cyclon.push(CyclonView::new(id, *config, &bootstrap));
+            for (node, &id) in hosted.iter_mut().zip(membership.iter()) {
+                let view =
+                    bootstrap_view(id, *config, &membership, *bootstrap_degree, &mut setup_rng);
+                node.view = Some(view);
             }
         }
 
@@ -172,152 +188,40 @@ impl<'a> Deployment<'a> {
         }
         engine.schedule(Time::from_secs(1), Ev::Probe);
 
-        let mut alive = vec![true; total];
-        for a in &mut alive[cfg.n..] {
-            *a = false; // joiners do not exist yet
-        }
         let deployment = Deployment {
             cfg,
-            nodes,
-            players,
-            links,
-            alive,
-            epoch: vec![0; total],
+            hosted,
             joined_at: vec![None; total],
             members: membership,
-            cyclon,
             membership_rng: DetRng::seed_from(cfg.seed).split(0x5AFF1E),
-            rx_stats: vec![NetStats::default(); total],
             latency,
             loss,
             net_rng: DetRng::seed_from(cfg.seed).split(0xBEEF),
-            source: StreamSource::new(cfg.stream, Time::ZERO),
             compiled,
             partition: PartitionState::new(),
-            base_caps,
         };
         (deployment, engine)
     }
-
-    /// The total population this deployment is sized for (base plus
-    /// joiners).
-    pub(crate) fn total_n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Marks the given nodes as crashed, discards their link state, stored
-    /// payloads (a down node never prunes, and its buffers are the source's
-    /// own) and retransmission timers (whose deadlines the driver then
-    /// cancels), and bumps their epoch so whatever else is scheduled for
-    /// them dies on arrival.
-    pub(crate) fn crash(&mut self, victims: &[NodeId]) {
-        for v in victims {
-            if v.index() < self.alive.len() {
-                self.alive[v.index()] = false;
-                self.nodes[v.index()].forget_payloads();
-                self.nodes[v.index()].forget_retransmits();
-                self.links[v.index()].crash();
-                self.epoch[v.index()] += 1;
-            }
-        }
-    }
-
-    /// Brings a crashed node back with fresh protocol state (a crash loses
-    /// everything except what the viewer already watched — the player's
-    /// history survives, as does the link's traffic accounting).
-    pub(crate) fn revive(&mut self, v: NodeId) {
-        let i = v.index();
-        debug_assert!(!self.alive[i], "revive of a live node");
-        self.alive[i] = true;
-        let mut node = GossipNode::new(v, self.cfg.gossip.clone(), Vec::new(), self.cfg.seed);
-        node.set_membership(Arc::clone(&self.members));
-        node.set_free_rider(self.compiled.profiles[i].free_rider);
-        self.nodes[i] = node;
-        if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &self.cfg.membership {
-            // Fresh state means a fresh bootstrap, like any newcomer.
-            let bootstrap = self.sample_peers(v, *bootstrap_degree);
-            self.cyclon[i] = CyclonView::new(v, *config, &bootstrap);
-        }
-    }
-
-    /// Brings a flash-crowd joiner to life: it enters the membership, and
-    /// in full-membership mode everyone is told about it (a tracker-style
-    /// introduction; under Cyclon the newcomer spreads through shuffles).
-    pub(crate) fn join(&mut self, now: Time, v: NodeId) {
-        let i = v.index();
-        debug_assert!(!self.alive[i] && self.joined_at[i].is_none(), "double join");
-        self.alive[i] = true;
-        self.joined_at[i] = Some(now);
-        self.members = self.members.iter().copied().chain([v]).collect();
-        match &self.cfg.membership {
-            MembershipMode::Full => {
-                for m in self.members.iter() {
-                    self.nodes[m.index()].set_membership(Arc::clone(&self.members));
-                }
-            }
-            MembershipMode::Cyclon { config, bootstrap_degree, .. } => {
-                let bootstrap = self.sample_peers(v, *bootstrap_degree);
-                self.cyclon[i] = CyclonView::new(v, *config, &bootstrap);
-                self.nodes[i].set_membership(Arc::clone(&self.members));
-            }
-        }
-    }
-
-    /// Samples `k` known peers other than `who` (for join/revive
-    /// bootstraps), drawn from the membership RNG stream.
-    fn sample_peers(&mut self, who: NodeId, k: usize) -> Vec<NodeId> {
-        let candidates: Vec<NodeId> = self.members.iter().copied().filter(|&m| m != who).collect();
-        let picked = self.membership_rng.sample_indices(candidates.len(), k);
-        picked.into_iter().map(|i| candidates[i]).collect()
-    }
-
-    /// In Cyclon mode, points a node's `selectNodes` at its live partial
-    /// view before a gossip round.
-    pub(crate) fn refresh_membership(&mut self, id: NodeId) {
-        if !self.cyclon.is_empty() {
-            let mut view = self.cyclon[id.index()].view();
-            view.push(id); // set_membership expects self present or absent alike
-            self.nodes[id.index()].set_membership(view);
-        }
-    }
-}
-
-/// Resolves the upload cap of node `i`: source provisioning first, then an
-/// adversity bandwidth class, then the scenario's capacity classes, then
-/// the uniform cap.
-fn node_cap(
-    cfg: &Scenario,
-    compiled: &CompiledAdversity,
-    class_caps: &Option<Vec<u64>>,
-    i: usize,
-) -> Option<u64> {
-    if i == 0 && cfg.source_uncapped {
-        return None;
-    }
-    let uniform = match class_caps {
-        Some(caps) => Some(caps[i]),
-        None => cfg.upload_cap_bps,
-    };
-    compiled.profiles[i].resolve_cap(uniform)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_adversity::AdversitySpec;
+    use gossip_adversity::{AdversitySpec, FaultAction};
     use gossip_membership::CyclonConfig;
-    use gossip_net::Enqueued;
+    use gossip_udp::hosted::apply;
+
+    use crate::harness::driver::Driver;
 
     #[test]
     fn construction_matches_the_scenario() {
         let cfg = crate::Scenario::tiny(5).with_seed(3);
         let (dep, engine) = Deployment::new(&cfg);
-        assert_eq!(dep.nodes.len(), cfg.n);
-        assert_eq!(dep.players.len(), cfg.n);
-        assert_eq!(dep.links.len(), cfg.n);
-        assert!(dep.alive.iter().all(|&a| a));
+        assert_eq!(dep.hosted.len(), cfg.n);
+        assert!(dep.hosted.iter().all(|h| !h.is_down()));
+        assert!(dep.hosted[0].is_source() && !dep.hosted[1].is_source());
         assert!(dep.compiled.is_inert());
-        assert!(dep.cyclon.is_empty(), "full membership by default");
+        assert!(dep.hosted.iter().all(|h| h.view.is_none()), "full membership by default");
         // Initial schedule: one round per node, the source emission and the
         // probe are all pending.
         assert!(engine.peek_time().is_some());
@@ -330,7 +234,7 @@ mod tests {
         // An uncapped link transmits instantaneously: enqueueing completes
         // at the same instant.
         let huge = 100_000_000;
-        match dep.links[0].enqueue(
+        match dep.hosted[0].port.link.enqueue(
             Time::ZERO,
             huge,
             (NodeId::new(1), Envelope::Gossip(Message::FeedMe)),
@@ -349,41 +253,42 @@ mod tests {
             bootstrap_degree: degree,
         });
         let (dep, _) = Deployment::new(&cfg);
-        assert_eq!(dep.cyclon.len(), cfg.n);
-        for (i, view) in dep.cyclon.iter().enumerate() {
-            let peers = view.view();
+        for (i, hosted) in dep.hosted.iter().enumerate() {
+            let peers = hosted.view.as_ref().expect("every base node has a view").view();
             assert_eq!(peers.len(), degree, "node {i} bootstrapped with {degree} peers");
             assert!(!peers.contains(&NodeId::new(i as u32)), "no self-loops");
         }
     }
 
+    /// The simulator's wiring of the shared crash rule: the victims it
+    /// hosts go down, and an id it does not host is ignored.
     #[test]
     fn crash_discards_state_and_bumps_epoch() {
         let cfg = crate::Scenario::tiny(5).with_seed(2);
-        let (mut dep, _) = Deployment::new(&cfg);
+        let mut driver = Driver::new(&cfg);
         let packet = gossip_stream::StreamPacket::new(
             gossip_stream::PacketId::new(0, 0),
             Time::ZERO,
             vec![0u8; 8].into(),
         );
-        dep.nodes[3].publish(Time::ZERO, packet);
-        dep.crash(&[NodeId::new(3), NodeId::new(7)]);
-        assert!(!dep.alive[3]);
-        assert!(!dep.alive[7]);
-        assert!(dep.alive[1]);
-        assert_eq!(dep.nodes[3].stored_events(), 0, "a down node pins no payload");
-        assert_eq!(dep.epoch[3], 1);
-        assert_eq!(dep.epoch[1], 0);
-        // Out-of-range victims are ignored rather than panicking.
-        dep.crash(&[NodeId::new(10_000)]);
+        driver.dep.hosted[3].node.publish(Time::ZERO, packet);
+        for v in [3, 7, 10_000] {
+            apply(&mut driver, Time::ZERO, FaultAction::Crash(NodeId::new(v)));
+        }
+        let hosted = &driver.dep.hosted;
+        assert!(hosted[3].is_down() && hosted[7].is_down() && !hosted[1].is_down());
+        assert_eq!(hosted[3].node.stored_events(), 0, "a down node pins no payload");
+        assert_eq!((hosted[3].epoch(), hosted[1].epoch()), (1, 0));
     }
 
+    /// A rejoin through the simulator: fresh state, and a new round chain
+    /// in the new incarnation.
     #[test]
     fn revive_restores_a_fresh_incarnation() {
         let cfg = crate::Scenario::tiny(5).with_seed(2);
-        let (mut dep, _) = Deployment::new(&cfg);
+        let mut driver = Driver::new(&cfg);
         let v = NodeId::new(4);
-        dep.nodes[4].publish(
+        driver.dep.hosted[4].node.publish(
             Time::ZERO,
             gossip_stream::StreamPacket::new(
                 gossip_stream::PacketId::new(0, 0),
@@ -391,37 +296,39 @@ mod tests {
                 vec![0u8; 8].into(),
             ),
         );
-        dep.crash(&[v]);
-        dep.revive(v);
-        assert!(dep.alive[4]);
-        assert_eq!(dep.epoch[4], 1, "the epoch records the crash, not the revive");
-        assert_eq!(dep.nodes[4].stored_events(), 0, "protocol state is fresh");
+        apply(&mut driver, Time::ZERO, FaultAction::Crash(v));
+        let pending = driver.engine.pending();
+        apply(&mut driver, Time::ZERO, FaultAction::Rejoin(v));
+        assert!(driver.dep.hosted[4].is_current(1), "the epoch records the crash, not the revive");
+        assert_eq!(driver.dep.hosted[4].node.stored_events(), 0, "protocol state is fresh");
+        assert_eq!(driver.engine.pending(), pending + 1, "its first round is armed");
     }
 
     #[test]
     fn joiners_start_dark_and_enter_membership_on_join() {
-        use gossip_adversity::FaultAction;
         let mut cfg = crate::Scenario::tiny(6).with_seed(4);
         cfg.adversity = AdversitySpec::none().with_flash_crowd(
             Duration::from_secs(5),
             3,
             Duration::from_secs(1),
         );
-        let (mut dep, _) = Deployment::new(&cfg);
-        assert_eq!(dep.total_n(), 23);
+        let mut driver = Driver::new(&cfg);
+        let dep = &driver.dep;
+        assert_eq!(dep.hosted.len(), 23, "sized for base plus joiners");
         assert_eq!(dep.members.len(), 20);
         for i in 20..23 {
-            assert!(!dep.alive[i], "joiner {i} must start dark");
+            assert!(dep.hosted[i].is_down(), "joiner {i} must start dark");
         }
         let first_join = dep.compiled.timeline.events()[0];
         assert!(matches!(first_join.action, FaultAction::Join(_)));
         let v = first_join.action.node().expect("a join names its node");
-        dep.join(first_join.at, v);
-        assert!(dep.alive[v.index()]);
+        apply(&mut driver, first_join.at, first_join.action);
+        let dep = &driver.dep;
+        assert!(!dep.hosted[v.index()].is_down());
         assert_eq!(dep.members.len(), 21);
         assert_eq!(dep.joined_at[v.index()], Some(first_join.at));
         // Full membership: an old node now knows the joiner.
-        assert!(dep.nodes[1].membership().contains(&v));
+        assert!(dep.hosted[1].node.membership().contains(&v));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The event loop: dispatches engine events to nodes, links, players and
 //! membership views until the scenario's time horizon.
 
-use gossip_adversity::{ByzantineBehaviour, FaultAction};
-use gossip_core::{Message, Output, TimerToken};
-use gossip_net::Enqueued;
-use gossip_sim::Engine;
-use gossip_stream::byzantine;
-use gossip_types::{Duration, NodeId, Time};
+use std::sync::Arc;
 
-use crate::harness::deployment::{Deployment, Envelope};
+use gossip_adversity::{CompiledAdversity, PartitionState};
+use gossip_core::{Message, TimerToken};
+use gossip_sim::{Engine, EventHandle};
+use gossip_stream::StreamPacket;
+use gossip_types::{Duration, NodeId, Time};
+use gossip_udp::hosted::{self, FaultHost, Host, HostedNode};
+
+use crate::harness::deployment::{Deployment, Envelope, Port};
 use crate::harness::result::{self, DepthTracker, RunResult, RunTimeline};
 use crate::scenario::{MembershipMode, Scenario};
 
@@ -113,12 +115,12 @@ impl SimCells {
     fn publish(&self, now: Time, dep: &Deployment<'_>, events: u64) {
         self.sim_seconds.store_f64(now.as_secs_f64());
         self.events_processed.store(events);
-        let delivered: u64 = (1..dep.total_n()).map(|i| dep.players[i].packets_received()).sum();
+        let delivered: u64 = dep.hosted[1..].iter().map(|h| h.player.packets_received()).sum();
         self.packets_delivered.store(delivered);
-        self.msgs_received.store(dep.rx_stats.iter().map(|s| s.msgs_received).sum());
-        self.bytes_received.store(dep.rx_stats.iter().map(|s| s.bytes_received).sum());
-        self.msgs_lost.store(dep.rx_stats.iter().map(|s| s.msgs_lost_in_network).sum());
-        self.nodes_alive.store(dep.alive.iter().filter(|&&a| a).count() as u64);
+        self.msgs_received.store(dep.hosted.iter().map(|h| h.port.rx.msgs_received).sum());
+        self.bytes_received.store(dep.hosted.iter().map(|h| h.port.rx.bytes_received).sum());
+        self.msgs_lost.store(dep.hosted.iter().map(|h| h.port.rx.msgs_lost_in_network).sum());
+        self.nodes_alive.store(dep.hosted.iter().filter(|h| !h.is_down()).count() as u64);
     }
 }
 
@@ -146,100 +148,89 @@ impl<'a> Driver<'a> {
     }
 
     fn run_to_horizon(&mut self) {
-        let end = Time::ZERO + self.dep.cfg.total_duration();
+        self.run_until(Time::ZERO + self.dep.cfg.total_duration());
+    }
+
+    /// Dispatches every event due at or before `end`.
+    fn run_until(&mut self, end: Time) {
         while let Some((now, ev)) = self.engine.pop_before(end) {
             self.dispatch(now, ev);
         }
     }
 
-    /// Whether a per-node event armed in epoch `ep` is still current.
-    fn current(&self, id: NodeId, ep: u32) -> bool {
-        self.dep.alive[id.index()] && self.dep.epoch[id.index()] == ep
-    }
-
     fn dispatch(&mut self, now: Time, ev: Ev) {
         match ev {
             Ev::Round(id, ep) => {
-                if self.current(id, ep) {
+                let node = &mut self.dep.hosted[id.index()];
+                if node.is_current(ep) {
                     // Peer sampling mode: selectNodes draws from the live
                     // partial view.
-                    self.dep.refresh_membership(id);
-                    self.dep.nodes[id.index()].on_round(now);
+                    node.follow_view();
+                    node.node.on_round(now);
                     self.drain_outputs(now, id);
                     self.engine
                         .schedule(now + self.dep.cfg.gossip.gossip_period, Ev::Round(id, ep));
                 }
             }
             Ev::ShuffleRound(id, ep) => {
-                if self.current(id, ep) && !self.dep.cyclon.is_empty() {
-                    if let Some((target, request)) =
-                        self.dep.cyclon[id.index()].on_shuffle_round(&mut self.dep.membership_rng)
-                    {
-                        self.send_envelope(now, id, target, Envelope::Shuffle(request));
-                    }
-                    if let MembershipMode::Cyclon { shuffle_period, .. } = &self.dep.cfg.membership
-                    {
-                        self.engine.schedule(now + *shuffle_period, Ev::ShuffleRound(id, ep));
-                    }
+                let node = &mut self.dep.hosted[id.index()];
+                if !node.is_current(ep) {
+                    return;
+                }
+                let Some(view) = node.view.as_mut() else { return };
+                if let Some((target, request)) = view.on_shuffle_round(&mut self.dep.membership_rng)
+                {
+                    self.send_envelope(now, id, target, Envelope::Shuffle(request));
+                }
+                if let MembershipMode::Cyclon { shuffle_period, .. } = &self.dep.cfg.membership {
+                    self.engine.schedule(now + *shuffle_period, Ev::ShuffleRound(id, ep));
                 }
             }
             Ev::SourceEmit => {
-                let source = NodeId::new(0);
-                for packet in self.dep.source.poll(now) {
-                    self.dep.nodes[source.index()].publish(now, packet);
-                }
-                self.drain_outputs(now, source);
-                let next = self.dep.source.next_packet_at();
-                if next <= Time::ZERO + self.dep.cfg.stream_duration {
+                let next = self.dep.hosted[0].emit(now);
+                self.drain_outputs(now, NodeId::new(0));
+                if let Some(next) = next {
                     self.engine.schedule(next, Ev::SourceEmit);
                 }
             }
             Ev::NodeTimer(id, token, ep) => {
-                if self.current(id, ep) {
-                    self.dep.nodes[id.index()].on_timer(now, token);
+                let node = &mut self.dep.hosted[id.index()];
+                if node.is_current(ep) {
+                    node.node.on_timer(now, token);
                     self.drain_outputs(now, id);
                 }
             }
             Ev::LinkDone(from, ep) => {
-                if !self.current(from, ep) {
+                let node = &mut self.dep.hosted[from.index()];
+                if !node.is_current(ep) {
                     return; // the crash already discarded the link state
                 }
-                let (queued, next_at) = self.dep.links[from.index()].complete_head(now);
+                let (queued, next_at) = node.port.link.complete_head(now);
                 self.dispatch_transmitted(now, from, queued);
                 if let Some(at) = next_at {
                     self.engine.schedule(at, Ev::LinkDone(from, ep));
                 }
             }
             Ev::Receive { to, from, envelope } => {
-                if self.dep.alive[to.index()] {
-                    let stats = &mut self.dep.rx_stats[to.index()];
-                    stats.msgs_received += 1;
-                    stats.bytes_received += envelope.wire_size() as u64;
-                    match envelope {
-                        Envelope::Gossip(msg) => {
-                            // A request-eating Byzantine peer accepts the
-                            // datagram and then does nothing with it: the
-                            // requester's RTO eventually retries elsewhere.
-                            if matches!(msg, Message::Request { .. })
-                                && self.dep.compiled.profiles[to.index()].byzantine
-                                    == Some(ByzantineBehaviour::EatRequests)
-                            {
-                                return;
-                            }
-                            self.depth.enter_serve(from);
-                            self.dep.nodes[to.index()].on_message(now, from, msg);
-                            self.drain_outputs(now, to);
-                            self.depth.exit_serve();
-                        }
-                        Envelope::Shuffle(shuffle) => {
-                            let reply = self.dep.cyclon[to.index()].on_message(
-                                from,
-                                shuffle,
-                                &mut self.dep.membership_rng,
-                            );
-                            if let Some(reply) = reply {
-                                self.send_envelope(now, to, from, Envelope::Shuffle(reply));
-                            }
+                let node = &mut self.dep.hosted[to.index()];
+                if node.is_down() {
+                    return;
+                }
+                node.port.rx.msgs_received += 1;
+                node.port.rx.bytes_received += envelope.wire_size() as u64;
+                match envelope {
+                    Envelope::Gossip(msg) => {
+                        self.depth.enter_serve(from);
+                        node.on_message(now, from, msg);
+                        self.drain_outputs(now, to);
+                        self.depth.exit_serve();
+                    }
+                    Envelope::Shuffle(shuffle) => {
+                        let reply = node.view.as_mut().and_then(|view| {
+                            view.on_message(from, shuffle, &mut self.dep.membership_rng)
+                        });
+                        if let Some(reply) = reply {
+                            self.send_envelope(now, to, from, Envelope::Shuffle(reply));
                         }
                     }
                 }
@@ -252,54 +243,9 @@ impl<'a> Driver<'a> {
                 self.engine.schedule(now + Duration::from_secs(1), Ev::Probe);
             }
             Ev::Fault(k) => {
-                let fault = self.dep.compiled.timeline.events()[k];
-                match fault.action {
-                    FaultAction::Crash(v) => {
-                        self.dep.crash(&[v]);
-                        self.cancel_timers(v);
-                    }
-                    FaultAction::Rejoin(v) => {
-                        self.dep.revive(v);
-                        self.start_node(now, v);
-                    }
-                    FaultAction::Join(v) => {
-                        self.dep.join(now, v);
-                        self.start_node(now, v);
-                    }
-                    FaultAction::Partition(_) | FaultAction::Heal(_) => {
-                        self.dep.partition.on_event(fault.action);
-                    }
-                    FaultAction::ThrottleStart(t) => {
-                        let plan = &self.dep.compiled.throttles[t as usize];
-                        let (cap, victims) = (plan.cap_bps, plan.victims.clone());
-                        for v in victims {
-                            self.dep.links[v.index()].set_rate(cap);
-                        }
-                    }
-                    FaultAction::ThrottleEnd(t) => {
-                        let victims = self.dep.compiled.throttles[t as usize].victims.clone();
-                        for v in victims {
-                            self.dep.links[v.index()].set_rate(self.dep.base_caps[v.index()]);
-                        }
-                    }
-                }
+                let action = self.dep.compiled.timeline.events()[k].action;
+                hosted::apply(self, now, action);
             }
-        }
-    }
-
-    /// Arms the recurring timers of a node that just came to life (a
-    /// flash-crowd joiner or a rejoining churn victim), staggering its
-    /// first round inside one period like the initial deployment does.
-    fn start_node(&mut self, now: Time, id: NodeId) {
-        let ep = self.dep.epoch[id.index()];
-        let period = self.dep.cfg.gossip.gossip_period;
-        let phase = Duration::from_micros(self.dep.membership_rng.next_below(period.as_micros()));
-        self.engine.schedule(now + phase, Ev::Round(id, ep));
-        if let MembershipMode::Cyclon { shuffle_period, .. } = &self.dep.cfg.membership {
-            let phase = Duration::from_micros(
-                self.dep.membership_rng.next_below(shuffle_period.as_micros()),
-            );
-            self.engine.schedule(now + phase, Ev::ShuffleRound(id, ep));
         }
     }
 
@@ -312,87 +258,147 @@ impl<'a> Driver<'a> {
         from: NodeId,
         (to, envelope): (NodeId, Envelope),
     ) {
-        if self.dep.partition.is_split() && !self.dep.partition.allows(&self.dep.compiled, from, to)
-        {
-            self.dep.rx_stats[from.index()].msgs_lost_in_network += 1;
+        let dep = &mut self.dep;
+        if !dep.partition.allows(&dep.compiled, from, to) {
+            dep.hosted[from.index()].port.rx.msgs_lost_in_network += 1;
             return; // the cut swallows cross-cell traffic silently
         }
-        if self.dep.loss.is_lost(to, &mut self.dep.net_rng) {
-            self.dep.rx_stats[from.index()].msgs_lost_in_network += 1;
+        if dep.loss.is_lost(to, &mut dep.net_rng) {
+            dep.hosted[from.index()].port.rx.msgs_lost_in_network += 1;
             return;
         }
-        if !self.dep.alive[to.index()] {
+        if dep.hosted[to.index()].is_down() {
             return; // messages to dead nodes evaporate
         }
-        let delay = self.dep.latency.sample(from, to, &mut self.dep.net_rng);
+        let delay = dep.latency.sample(from, to, &mut dep.net_rng);
         self.engine.schedule(now + delay, Ev::Receive { to, from, envelope });
     }
 
-    /// Offers an envelope to the sender's upload link, scheduling the
-    /// completion event if the link was idle.
+    /// Offers a membership envelope to the sender's upload link, scheduling
+    /// the completion event if the link was idle.
     fn send_envelope(&mut self, now: Time, from: NodeId, to: NodeId, envelope: Envelope) {
-        let wire = envelope.wire_size();
-        match self.dep.links[from.index()].enqueue(now, wire, (to, envelope)) {
-            Enqueued::Started { completes_at } => {
-                self.engine
-                    .schedule(completes_at, Ev::LinkDone(from, self.dep.epoch[from.index()]));
-            }
-            Enqueued::Queued | Enqueued::Dropped => {}
+        let node = &mut self.dep.hosted[from.index()];
+        if let Some(at) = node.port.offer(now, to, envelope) {
+            self.engine.schedule(at, Ev::LinkDone(from, node.epoch()));
         }
     }
 
     /// Routes a node's pending protocol outputs into the network/engine.
     fn drain_outputs(&mut self, now: Time, id: NodeId) {
-        while let Some(out) = self.dep.nodes[id.index()].poll_output() {
-            match out {
-                Output::Send { to, msg } => {
-                    // Byzantine behaviours act at the network boundary: the
-                    // node itself always runs the honest code, its *output*
-                    // is what gets corrupted (the node believes it serves
-                    // faithfully, like compromised middleware would).
-                    let msg = match self.dep.compiled.profiles[id.index()].byzantine {
-                        Some(ByzantineBehaviour::ServeCorrupt) => byzantine::corrupt_serves(msg),
-                        Some(ByzantineBehaviour::ProposeGarbage) => byzantine::garble_proposes(msg),
-                        _ => msg,
-                    };
-                    // The paper's limiter is an application-level shaper: it
-                    // charges the bytes the application sends (message
-                    // payloads and headers), not the kernel's IP/UDP
-                    // overhead. Charging app bytes is also what its Figure 4
-                    // reports.
-                    self.send_envelope(now, id, to, Envelope::Gossip(msg));
-                }
-                Output::Deliver { event } => {
-                    // The player only counts intact packets: a poisoned one
-                    // accepted because verification is disabled is garbage
-                    // on screen, not a viewed window.
-                    if self.dep.nodes[id.index()].delivery_intact(&event) {
-                        let packet_id = event.packet_id();
-                        self.dep.players[id.index()].on_packet(now, packet_id);
-                        self.depth.record(id, packet_id);
-                    }
-                }
-                Output::ScheduleTimer { token, at } => {
-                    let ev = Ev::NodeTimer(id, token, self.dep.epoch[id.index()]);
-                    let handle = self.engine.schedule(at, ev);
-                    self.dep.nodes[id.index()].attach_timer_handle(token, handle);
-                }
-            }
+        let mut outputs = Outputs { engine: &mut self.engine, depth: &mut self.depth };
+        self.dep.hosted[id.index()].route(now, &mut outputs);
+    }
+}
+
+/// The simulator's side of a node's outputs: sends leave through its upload
+/// link, deliveries feed the depth tracker, timers go on the engine.
+struct Outputs<'d> {
+    engine: &'d mut Engine<Ev>,
+    depth: &'d mut DepthTracker,
+}
+
+impl Host<Port> for Outputs<'_> {
+    fn send(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        epoch: u32,
+        port: &mut Port,
+        to: NodeId,
+        msg: Message<StreamPacket>,
+    ) {
+        // The paper's limiter is an application-level shaper: it charges
+        // the bytes the application sends (message payloads and headers),
+        // not the kernel's IP/UDP overhead. Charging app bytes is also what
+        // its Figure 4 reports.
+        if let Some(at) = port.offer(now, to, Envelope::Gossip(msg)) {
+            self.engine.schedule(at, Ev::LinkDone(from, epoch));
         }
-        self.cancel_timers(id);
     }
 
-    /// Takes out of the queue the retransmission deadlines the node no
-    /// longer needs: every id they guarded has arrived, or the node crashed.
-    fn cancel_timers(&mut self, id: NodeId) {
-        while let Some(handle) = self.dep.nodes[id.index()].poll_cancelled() {
-            self.engine.cancel(handle);
+    fn delivered(&mut self, _: Time, at: NodeId, packet: StreamPacket) {
+        self.depth.record(at, packet.packet_id());
+    }
+
+    fn arm(&mut self, at: Time, node: NodeId, epoch: u32, token: TimerToken) -> EventHandle {
+        self.engine.schedule(at, Ev::NodeTimer(node, token, epoch))
+    }
+
+    fn cancel(&mut self, handle: EventHandle) {
+        self.engine.cancel(handle);
+    }
+}
+
+/// The simulator hosts every node: the fault timeline reaches each of them.
+impl FaultHost for Driver<'_> {
+    type Port = Port;
+
+    fn compiled(&self) -> &CompiledAdversity {
+        &self.dep.compiled
+    }
+
+    fn partition(&mut self) -> &mut PartitionState {
+        &mut self.dep.partition
+    }
+
+    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Port>> {
+        self.dep.hosted.get_mut(v.index())
+    }
+
+    fn cancel(&mut self, handle: EventHandle) {
+        self.engine.cancel(handle);
+    }
+
+    fn members(&self) -> Arc<[NodeId]> {
+        Arc::clone(&self.dep.members)
+    }
+
+    /// The joiner enters the census, and in full-membership mode everyone
+    /// is told about it (a tracker-style introduction; under Cyclon the
+    /// newcomer spreads through shuffles from the bootstrap its start
+    /// draws).
+    fn introduce(&mut self, now: Time, v: NodeId) -> bool {
+        let dep = &mut self.dep;
+        debug_assert!(dep.joined_at[v.index()].is_none(), "double join of {v}");
+        dep.joined_at[v.index()] = Some(now);
+        dep.members = dep.members.iter().copied().chain([v]).collect();
+        if dep.cfg.membership == MembershipMode::Full {
+            for m in dep.members.iter().filter(|&&m| m != v) {
+                dep.hosted[m.index()].node.set_membership(Arc::clone(&dep.members));
+            }
+        }
+        dep.hosted[v.index()].join(Arc::clone(&dep.members));
+        true
+    }
+
+    /// Under Cyclon a node that comes up draws a fresh bootstrap, like any
+    /// newcomer; then its first round (and shuffle) is staggered inside one
+    /// period, like the initial deployment's.
+    fn start(&mut self, now: Time, v: NodeId) {
+        let cfg = self.dep.cfg;
+        if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &cfg.membership {
+            let dep = &mut self.dep;
+            let rng = &mut dep.membership_rng;
+            let view = hosted::bootstrap_view(v, *config, &dep.members, *bootstrap_degree, rng);
+            dep.hosted[v.index()].view = Some(view);
+        }
+        let ep = self.dep.hosted[v.index()].epoch();
+        let period = cfg.gossip.gossip_period;
+        let phase = Duration::from_micros(self.dep.membership_rng.next_below(period.as_micros()));
+        self.engine.schedule(now + phase, Ev::Round(v, ep));
+        if let MembershipMode::Cyclon { shuffle_period, .. } = &cfg.membership {
+            let phase = Duration::from_micros(
+                self.dep.membership_rng.next_below(shuffle_period.as_micros()),
+            );
+            self.engine.schedule(now + phase, Ev::ShuffleRound(v, ep));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use gossip_adversity::FaultAction;
+
     use super::*;
 
     #[test]
@@ -428,60 +434,56 @@ mod tests {
         // gate stopped it, so the shortfall is exactly the poison.
         let mut kept_out = 0;
         for i in 1..cfg.n {
-            let stats = driver.dep.nodes[i].stats();
+            let hosted = &driver.dep.hosted[i];
+            let stats = hosted.node.stats();
             assert_eq!(stats.corrupted_events_detected, 0, "the node itself does not look");
-            let watched = driver.dep.players[i].packets_received();
+            let watched = hosted.player.packets_received();
             assert!(watched <= stats.events_delivered);
             kept_out += stats.events_delivered - watched;
         }
         assert!(kept_out > 0, "corruptors tamper every serve: some poison must have arrived");
     }
 
-    /// A crash takes the victim's retransmission deadlines out of the
-    /// queue at once — only those — and their handles die with them: shown
-    /// again after the revive, when the new incarnation's deadlines occupy
-    /// the recycled slots, they cancel nothing.
+    /// The simulator's wiring of the crash rule: the deadlines a crash
+    /// hands back leave the engine at once — only those — and their handles
+    /// die with them: shown again after the rejoin, when the new
+    /// incarnation's deadlines occupy the recycled slots, they cancel
+    /// nothing.
     #[test]
     fn a_crash_cancels_the_victims_retransmit_deadlines_and_their_handles_go_stale() {
         use gossip_adversity::AdversitySpec;
         use gossip_stream::PacketId;
+        use hosted::apply;
 
         let (v, peer) = (NodeId::new(3), NodeId::new(4));
         let crash = AdversitySpec::none().with_explicit_crash(Duration::from_secs(5), vec![v]);
         let cfg = crate::Scenario::tiny(6).with_seed(8).with_adversity(crash);
         let mut driver = Driver::new(&cfg);
-        let k = driver
-            .dep
-            .compiled
-            .timeline
-            .events()
-            .iter()
-            .position(|e| matches!(e.action, FaultAction::Crash(_)))
-            .expect("the crash compiled");
         let propose = |driver: &mut Driver<'_>, window: u32| {
             for index in 0..2 {
                 let ids = vec![PacketId::new(window, index)].into();
-                driver.dep.nodes[v.index()].on_message(Time::ZERO, peer, Message::Propose { ids });
+                driver.dep.hosted[v.index()].on_message(Time::ZERO, peer, Message::Propose { ids });
             }
         };
 
         // First life: the host's part played by hand, to keep the handles.
         propose(&mut driver, 0);
         let mut stale = Vec::new();
-        while let Some(out) = driver.dep.nodes[v.index()].poll_output() {
-            if let Output::ScheduleTimer { token, at } = out {
+        let node = &mut driver.dep.hosted[v.index()];
+        while let Some(out) = node.node.poll_output() {
+            if let gossip_core::Output::ScheduleTimer { token, at } = out {
                 let handle = driver.engine.schedule(at, Ev::NodeTimer(v, token, 0));
-                driver.dep.nodes[v.index()].attach_timer_handle(token, handle);
+                node.node.attach_timer_handle(token, handle);
                 stale.push(handle);
             }
         }
         assert_eq!(stale.len(), 2);
         let armed = driver.engine.pending();
-        driver.dispatch(Time::ZERO, Ev::Fault(k));
+        apply(&mut driver, Time::ZERO, FaultAction::Crash(v));
         assert_eq!(driver.engine.pending(), armed - 2, "the crash cancelled both deadlines");
 
         // Second life: armed through the driver, into the freed slots.
-        driver.dep.revive(v);
+        apply(&mut driver, Time::ZERO, FaultAction::Rejoin(v));
         propose(&mut driver, 1);
         let before = driver.engine.pending();
         driver.drain_outputs(Time::ZERO, v);
@@ -495,8 +497,32 @@ mod tests {
         }
         assert_eq!(driver.engine.pending(), armed);
         // The new deadlines are the driver's own: the next crash finds them.
-        driver.dispatch(Time::ZERO, Ev::Fault(k));
+        apply(&mut driver, Time::ZERO, FaultAction::Crash(v));
         assert_eq!(driver.engine.pending(), armed - 2);
+    }
+
+    /// An explicit crash of the source ends the stream there: a down source
+    /// publishes nothing — it pins no payload and its player stops counting.
+    #[test]
+    fn a_crashed_source_publishes_nothing() {
+        use gossip_adversity::AdversitySpec;
+
+        let at = Duration::from_secs(5);
+        let crash = AdversitySpec::none().with_explicit_crash(at, vec![NodeId::new(0)]);
+        let cfg = crate::Scenario::tiny(5).with_seed(3).with_adversity(crash);
+        let mut driver = Driver::new(&cfg);
+        driver.run_until(Time::ZERO + at - Duration::from_micros(1));
+        let published = driver.dep.hosted[0].player.packets_received();
+        assert!(published > 0, "the source was streaming");
+        driver.run_to_horizon();
+        let source = &driver.dep.hosted[0];
+        assert!(source.is_down());
+        assert_eq!(source.node.stored_events(), 0, "a down source pins no payload");
+        assert_eq!(
+            source.player.packets_received(),
+            published,
+            "nothing published after the crash"
+        );
     }
 
     #[test]

@@ -93,9 +93,9 @@ impl RunTimeline {
 
     /// Records one per-second sample of the deployment's state.
     pub(crate) fn sample(&mut self, now: Time, dep: &Deployment<'_>) {
-        let delivered: u64 = (1..dep.total_n()).map(|i| dep.players[i].packets_received()).sum();
-        let queued: usize = dep.links.iter().map(|l| l.queued_bytes()).sum();
-        let dropped: u64 = dep.links.iter().map(|l| l.stats().msgs_dropped).sum();
+        let delivered: u64 = dep.hosted[1..].iter().map(|h| h.player.packets_received()).sum();
+        let queued: usize = dep.hosted.iter().map(|h| h.port.link.queued_bytes()).sum();
+        let dropped: u64 = dep.hosted.iter().map(|h| h.port.link.stats().msgs_dropped).sum();
         self.delivered.push(now, delivered as f64);
         self.queued_bytes.push(now, queued as f64);
         self.dropped.push(now, dropped as f64);
@@ -210,16 +210,17 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     let mut net = NetStats::default();
     let elapsed = cfg.total_duration();
 
-    for i in 0..cfg.n {
-        protocol.merge(dep.nodes[i].stats());
-        net.merge(dep.links[i].stats());
-        net.merge(&dep.rx_stats[i]);
-        if !dep.alive[i] || i == 0 {
+    for (i, hosted) in dep.hosted[..cfg.n].iter().enumerate() {
+        let link = hosted.port.link.stats();
+        protocol.merge(hosted.node.stats());
+        net.merge(link);
+        net.merge(&hosted.port.rx);
+        if hosted.is_down() || i == 0 {
             continue;
         }
-        upload_kbps.push(dep.links[i].stats().upload_kbps(elapsed));
+        upload_kbps.push(link.upload_kbps(elapsed));
         qualities.push(NodeQuality::from_player(
-            &dep.players[i],
+            &hosted.player,
             &cfg.stream,
             Time::ZERO,
             first,
@@ -232,16 +233,16 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     // catch-up question is "how well does a newcomer view the rest of the
     // stream", not "did it time-travel to the beginning").
     let mut joiner_qualities = Vec::new();
-    for i in cfg.n..dep.total_n() {
-        protocol.merge(dep.nodes[i].stats());
-        net.merge(dep.links[i].stats());
-        net.merge(&dep.rx_stats[i]);
-        let Some(joined) = dep.joined_at[i] else { continue };
-        if !dep.alive[i] {
+    for (hosted, joined) in dep.hosted[cfg.n..].iter().zip(&dep.joined_at[cfg.n..]) {
+        protocol.merge(hosted.node.stats());
+        net.merge(hosted.port.link.stats());
+        net.merge(&hosted.port.rx);
+        let Some(joined) = *joined else { continue };
+        if hosted.is_down() {
             continue;
         }
         if let Some(q) = NodeQuality::from_player_since(
-            &dep.players[i],
+            &hosted.player,
             &cfg.stream,
             Time::ZERO,
             joined,
@@ -255,7 +256,7 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     RunResult {
         quality: QualityReport::new(qualities),
         upload_kbps,
-        source_upload_kbps: dep.links[0].stats().upload_kbps(elapsed),
+        source_upload_kbps: dep.hosted[0].port.link.stats().upload_kbps(elapsed),
         protocol,
         net,
         windows_measured: last - first + 1,
@@ -272,20 +273,20 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
 /// decodable, with the request state of its missing packets.
 fn report_holes(dep: &Deployment<'_>, first: u32, last: u32) {
     let total = dep.cfg.stream.window.total_packets() as u16;
-    for i in 1..dep.cfg.n {
-        if !dep.alive[i] {
+    for (i, hosted) in dep.hosted[..dep.cfg.n].iter().enumerate().skip(1) {
+        if hosted.is_down() {
             continue;
         }
         for w in first..=last {
-            if dep.players[i].window_decodable_at(w).is_some() {
+            if hosted.player.window_decodable_at(w).is_some() {
                 continue;
             }
-            let have = dep.players[i].packets_in_window(w);
+            let have = hosted.player.packets_in_window(w);
             let mut missing = Vec::new();
             for idx in 0..total {
                 let id = PacketId::new(w, idx);
-                if !dep.nodes[i].has_delivered(&id) {
-                    missing.push((idx, dep.nodes[i].request_info(&id)));
+                if !hosted.node.has_delivered(&id) {
+                    missing.push((idx, hosted.node.request_info(&id)));
                 }
             }
             eprintln!(

@@ -7,8 +7,10 @@
 //! a *reactor*: a small number of worker **shards**, each an event loop
 //! that owns
 //!
-//! * a slice of the cluster's **virtual nodes** (protocol state machine,
-//!   stream player, upload shaper, optionally the stream source),
+//! * a slice of the cluster's nodes, each a [`gossip_udp::hosted::HostedNode`]
+//!   (protocol state machine, stream player, upload shaper, optionally the
+//!   stream source) — the same hosted node, under the same host rules and
+//!   fault interpreter, that the simulator runs,
 //! * a small pool of non-blocking [`std::net::UdpSocket`]s shared by those
 //!   nodes, and
 //! * one **timer wheel** — the calendar queue from `gossip-sim`, reused
@@ -64,7 +66,6 @@ pub mod mmsg;
 pub mod runtime;
 mod shard;
 mod telemetry;
-mod vnode;
 
 pub use mmsg::{mmsg_active, NO_MMSG_ENV};
 pub use runtime::{HostOutcome, NodeHost, ReactorCluster, ReactorOptions};

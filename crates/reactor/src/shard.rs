@@ -1,12 +1,20 @@
 //! The shard event loop: one thread hosting many virtual nodes.
 //!
+//! A shard is a clock, a transport and a loop: the host rules — node
+//! construction, the inbound gate, output routing, crash, revive, throttle
+//! and the fault-timeline interpreter — live in [`gossip_udp::hosted`],
+//! shared with the simulator. What stays here is wait → drain → flush →
+//! dwell plus transport, and the shard's answers to [`Host`] (shaper,
+//! outbox, [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by
+//! id; joiners introduced lazily or by a Cyclon bootstrap).
+//!
 //! A shard multiplexes every deadline of its nodes — gossip rounds,
 //! retransmission timers, source emissions, shaper releases, and the
-//! compiled fault timeline (crash / rejoin / join events from the
-//! `gossip-adversity` crate) — through one timer wheel (the calendar queue
+//! compiled fault timeline — through one timer wheel (the calendar queue
 //! from `gossip-sim`, the same `EventSchedule` implementation the
 //! simulator runs on), and all their traffic through a small pool of
-//! non-blocking sockets.
+//! non-blocking sockets. The loop reads every instant — deadlines, the
+//! dwell, the telemetry phase spans — from its [`ClusterClock`].
 //!
 //! # The loop: wait → drain → flush every wake → dwell
 //!
@@ -94,19 +102,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use gossip_adversity::{
-    ByzantineBehaviour, ChaosPlan, CompiledAdversity, FaultAction, PartitionState,
-};
+use gossip_adversity::{ChaosPlan, CompiledAdversity, PartitionState};
 use gossip_core::index::DenseMap;
-use gossip_core::wire::{decode_frame, encode_message, EventPool, FrameKind};
-use gossip_core::{GossipConfig, Output, TimerToken};
-use gossip_membership::{wire as shuffle_wire, CyclonConfig, CyclonView, ShuffleMessage};
-use gossip_sim::{DetRng, EventQueue};
-use gossip_stream::{byzantine, PacketId, StreamPacket};
+use gossip_core::wire::{decode_frame, encode_message, EventPool};
+use gossip_core::{GossipConfig, Message, TimerToken};
+use gossip_membership::{wire as shuffle_wire, CyclonConfig, ShuffleMessage};
+use gossip_sim::{DetRng, EventHandle, EventQueue};
+use gossip_stream::{PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
+use gossip_udp::hosted::{self, FaultHost, Host, HostedNode, Setup, Uplink};
 use gossip_udp::report::{NodeReport, ShardStats};
+use gossip_udp::shaper::UploadShaper;
 
 use crate::chaos::{self, DatagramFate, SenderChaos, SocketChaos};
 use crate::demux;
@@ -114,7 +122,6 @@ use crate::mmsg::{
     self, Backend, ErrorClass, PollFd, RecvQueue, SendQueue, SendVerdict, WAKE_QUANTUM,
 };
 use crate::telemetry::{ShardTelemetry, GAUGE_PERIOD};
-use crate::vnode::VirtualNode;
 
 /// Size cap of one coalesced kernel datagram. Well under the 64 KiB UDP
 /// limit: a burst lost to a full kernel buffer should not take half a
@@ -223,7 +230,7 @@ struct Shard {
     routes: Routes,
     clock: ClusterClock,
     stop: Arc<AtomicBool>,
-    nodes: Vec<VirtualNode>,
+    nodes: Vec<HostedNode<Port>>,
     wheel: EventQueue<Fire>,
     /// The currently known membership: base nodes plus joiners so far.
     /// Shared with every full-membership node the shard hosts; a join
@@ -258,7 +265,7 @@ struct Shard {
     /// empty, so a flag surviving a drain means unread backlog.
     ready: Vec<PollFd>,
     /// When the last wait returned; the dwell counts from here.
-    last_wake: std::time::Instant,
+    last_wake: Time,
     /// Pool socket the next drain starts at. A drain cut short by a due
     /// deadline resumes here next iteration: without the cursor, dense
     /// deadlines (large shards) would end almost every drain at socket 0
@@ -286,6 +293,49 @@ struct Shard {
     /// Next time the telemetry gauges (completeness scan, queue depths)
     /// are recomputed.
     next_gauge_publish: Time,
+}
+
+/// A hosted node's end of the shard: its upload shaper and its share of the
+/// receive path.
+struct Port {
+    /// Shaped outbound datagrams: `(destination, unframed wire bytes)`.
+    shaper: UploadShaper<(NodeId, Vec<u8>)>,
+    /// Whether a shaper-release deadline for this node is pending in the
+    /// wheel (at most one at a time).
+    armed: bool,
+    /// The shard `members_version` this node's membership reflects; a lag
+    /// means joiners arrived since its last round (refreshed lazily).
+    members_seen: u32,
+    /// Deterministic per-node stream for injected datagram loss.
+    loss_rng: DetRng,
+    recv_msgs: u64,
+    decode_errors: u64,
+}
+
+impl Uplink for Port {
+    fn set_rate(&mut self, rate_bps: Option<u64>) {
+        self.shaper.set_rate(rate_bps);
+    }
+
+    fn discard(&mut self) {
+        self.shaper.discard_backlog();
+        self.armed = false;
+    }
+}
+
+/// Consumes a hosted node into its end-of-run report.
+fn into_report(hosted: HostedNode<Port>) -> NodeReport {
+    let port = &hosted.port;
+    NodeReport {
+        id: hosted.id(),
+        protocol: *hosted.node.stats(),
+        sent_bytes: port.shaper.sent_bytes(),
+        sent_msgs: port.shaper.sent_msgs(),
+        shaper_drops: port.shaper.dropped_msgs(),
+        recv_msgs: port.recv_msgs,
+        decode_errors: port.decode_errors,
+        player: hosted.player,
+    }
 }
 
 /// Per-socket self-healing state.
@@ -401,26 +451,52 @@ impl Shard {
         }
         let pool = sockets.len();
         let members: Arc<[NodeId]> = (0..compiled.base_n as u32).map(NodeId::new).collect();
-        let nodes: Vec<VirtualNode> = (0..)
+        let setup = Setup {
+            gossip: &cluster.gossip,
+            stream: cluster.stream,
+            stream_duration: cluster.stream_duration,
+            seed: cluster.seed,
+            source_uncapped: cluster.source_uncapped,
+        };
+        let nodes: Vec<HostedNode<Port>> = (0..)
             .map(|local| placement.global_of(index, local))
             .take_while(|&g| placement.contains(g))
-            .map(|g| VirtualNode::new(&cluster, &compiled, g, Arc::clone(&members)))
+            .map(|g| {
+                let port = |cap| Port {
+                    shaper: UploadShaper::new(cap, cluster.max_backlog),
+                    armed: false,
+                    members_seen: 0,
+                    loss_rng: DetRng::seed_from(cluster.seed).split(0xD409 + u64::from(g)),
+                    recv_msgs: 0,
+                    decode_errors: 0,
+                };
+                let profile = compiled.profiles[g as usize];
+                let members = Arc::clone(&members);
+                HostedNode::new(
+                    NodeId::new(g),
+                    &setup,
+                    profile,
+                    members,
+                    cluster.upload_cap_bps,
+                    port,
+                )
+            })
             .collect();
 
         let mut wheel: EventQueue<Fire> = EventQueue::new();
         let period = cluster.gossip.gossip_period;
         for (local, vn) in nodes.iter().enumerate() {
-            if vn.down {
+            if vn.is_down() {
                 continue; // flash-crowd joiners start dark
             }
             // Stagger first rounds across one gossip period so the
             // cluster's round traffic does not arrive as one synchronised
             // burst on every socket.
             let phase = Duration::from_micros(
-                u64::from(vn.id.as_u32()) * period.as_micros() / compiled.total_n as u64,
+                u64::from(vn.id().as_u32()) * period.as_micros() / compiled.total_n as u64,
             );
-            wheel.push(Time::ZERO + phase, Fire::Round(local as u32, vn.epoch));
-            if vn.source.is_some() {
+            wheel.push(Time::ZERO + phase, Fire::Round(local as u32, vn.epoch()));
+            if vn.is_source() {
                 wheel.push(Time::ZERO, Fire::Source(local as u32));
             }
         }
@@ -435,7 +511,7 @@ impl Shard {
         let plan = compiled.chaos;
         let chaos = (!plan.is_none()).then(|| ChaosState {
             plan,
-            senders: nodes.iter().map(|vn| SenderChaos::new(&plan, vn.id)).collect(),
+            senders: nodes.iter().map(|vn| SenderChaos::new(&plan, vn.id())).collect(),
             // Socket 0 takes the one-shot kill: every shard then proves
             // the re-bind path, and exactly one socket per shard dies.
             sockets: (0..pool).map(|s| SocketChaos::new(&plan, index, s, s == 0)).collect(),
@@ -477,7 +553,7 @@ impl Shard {
             stats: ShardStats::default(),
             // Nothing is known about the pool yet: read it blind once.
             ready: vec![PollFd::BLIND; pool],
-            last_wake: std::time::Instant::now(),
+            last_wake: clock.now(),
             drain_cursor: 0,
             recv_queue: RecvQueue::new(recv_batch, RECV_BUF_SIZE),
             send_queue: SendQueue::default(),
@@ -507,7 +583,7 @@ impl Shard {
             tel.publish_counters(&self.stats);
         }
         let stats = self.stats;
-        (self.nodes.into_iter().map(VirtualNode::into_report).collect(), stats, failure)
+        (self.nodes.into_iter().map(into_report).collect(), stats, failure)
     }
 
     fn run_loop(&mut self) -> std::io::Result<()> {
@@ -524,7 +600,7 @@ impl Shard {
 
         // Phase wall-time brackets exist only when telemetry is on:
         // four monotonic clock reads per iteration, nothing otherwise.
-        let t0 = self.telemetry.as_ref().map(|_| std::time::Instant::now());
+        let t0 = self.telemetry.as_ref().map(|_| self.clock.now());
 
         // 1. Fire every due deadline.
         while let Some((at, fire)) = self.wheel.pop_before(now) {
@@ -535,11 +611,11 @@ impl Shard {
             self.next_packet_prune = now + self.cluster.gossip.gossip_period;
             self.packets.prune(&self.cluster.gossip, now);
         }
-        let t1 = t0.map(|_| std::time::Instant::now());
+        let t1 = t0.map(|_| self.clock.now());
 
         // 2. Budgeted batched receive from the sockets the wait flagged.
         self.drain_sockets()?;
-        let t2 = t0.map(|_| std::time::Instant::now());
+        let t2 = t0.map(|_| self.clock.now());
 
         // 3. Everything this wake released goes on the wire, along with
         // any retained datagrams whose backoff has run out — once the wake
@@ -547,10 +623,10 @@ impl Shard {
         // run a full quantum working through backlog. A wake cut into
         // several iterations by due deadlines still flushes once.
         self.shed_outbox();
-        if !self.ready.iter().any(PollFd::flagged) || self.last_wake.elapsed() >= WAKE_QUANTUM {
+        if !self.ready.iter().any(PollFd::flagged) || self.awake_for() >= WAKE_QUANTUM {
             self.flush_outbox()?;
         }
-        let t3 = t0.map(|_| std::time::Instant::now());
+        let t3 = t0.map(|_| self.clock.now());
 
         // 4. Dwell out the wake quantum, then sleep until traffic or
         // the next deadline.
@@ -567,15 +643,13 @@ impl Shard {
     fn publish_telemetry(
         &mut self,
         now: Time,
-        timers: Option<(std::time::Instant, std::time::Instant)>,
-        ingress: Option<(std::time::Instant, std::time::Instant)>,
-        flush: Option<(std::time::Instant, std::time::Instant)>,
-        park_from: Option<std::time::Instant>,
+        timers: Option<(Time, Time)>,
+        ingress: Option<(Time, Time)>,
+        flush: Option<(Time, Time)>,
+        park_from: Option<Time>,
     ) {
         let Some(tel) = &self.telemetry else { return };
-        let micros = |(from, to): (std::time::Instant, std::time::Instant)| {
-            u64::try_from((to - from).as_micros()).unwrap_or(u64::MAX)
-        };
+        let micros = |(from, to): (Time, Time)| to.saturating_since(from).as_micros();
         if let Some(span) = timers {
             tel.phase_timers.observe_micros(micros(span));
         }
@@ -586,7 +660,7 @@ impl Shard {
             tel.phase_flush.observe_micros(micros(span));
         }
         if let Some(from) = park_from {
-            tel.phase_park.observe_micros(micros((from, std::time::Instant::now())));
+            tel.phase_park.observe_micros(micros((from, self.clock.now())));
         }
         tel.publish_counters(&self.stats);
         if now >= self.next_gauge_publish {
@@ -630,7 +704,7 @@ impl Shard {
         if self.ready.iter().any(PollFd::flagged) {
             return;
         }
-        thread::sleep(WAKE_QUANTUM.saturating_sub(self.last_wake.elapsed()));
+        thread::sleep(WAKE_QUANTUM.saturating_sub(self.awake_for()));
         let wait =
             self.next_deadline().map_or(WAKE_QUANTUM, |at| self.clock.until(at).min(WAKE_QUANTUM));
         if let Err(e) = mmsg::wait_readable(self.backend, &self.sockets, wait, &mut self.ready) {
@@ -643,7 +717,13 @@ impl Shard {
             // read it blind this once. The dwell still bounds the loop.
             self.ready = vec![PollFd::BLIND; self.sockets.len()];
         }
-        self.last_wake = std::time::Instant::now();
+        self.last_wake = self.clock.now();
+    }
+
+    /// How long the loop has been awake since the last wait returned (zero
+    /// while that instant is still ahead).
+    fn awake_for(&self) -> std::time::Duration {
+        ClusterClock::to_std(self.clock.now().saturating_since(self.last_wake))
     }
 
     /// Receives batches from every flagged pool socket, at most
@@ -731,61 +811,46 @@ impl Shard {
 
     /// Routes one protocol frame to its destination node.
     fn route_frame(&mut self, dest: NodeId, wire: &[u8], now: Time) {
-        let g = dest.as_u32();
-        if !self.placement.contains(g) || self.placement.shard_of(g) != self.index {
+        let Some(local) = self.local_slot(dest) else {
             return; // stray frame for another shard's (or process's) socket
-        }
-        let local = self.placement.local_of(g);
-        if local >= self.nodes.len() {
-            return;
-        }
+        };
         let vn = &mut self.nodes[local];
-        if vn.down {
+        if vn.is_down() {
             return; // crashed and not-yet-joined nodes drop everything
         }
-        if self.cluster.inject_loss > 0.0 && vn.loss_rng.chance(self.cluster.inject_loss) {
+        if self.cluster.inject_loss > 0.0 && vn.port.loss_rng.chance(self.cluster.inject_loss) {
             return; // injected network loss: the frame evaporates
         }
-        vn.recv_msgs += 1;
+        vn.port.recv_msgs += 1;
         if shuffle_wire::is_shuffle(wire) {
             // Membership traffic rides the same sockets as the protocol
             // but never reaches the state machine.
             match shuffle_wire::decode_shuffle(wire) {
                 Some((from, msg)) => {
-                    if self.partition.is_split()
-                        && !self.partition.allows(&self.compiled, from, dest)
-                    {
+                    if !self.partition.allows(&self.compiled, from, dest) {
                         return; // the split eats shuffles too
                     }
                     self.on_shuffle(local, from, msg, now);
                 }
-                None => vn.decode_errors += 1,
+                None => vn.port.decode_errors += 1,
             }
             return;
         }
         match decode_frame::<StreamPacket>(wire) {
             Some(frame) => {
                 let frame = frame.with_pool(&self.packets);
-                if self.partition.is_split()
-                    && !self.partition.allows(&self.compiled, frame.sender(), dest)
-                {
+                if !self.partition.allows(&self.compiled, frame.sender(), dest) {
                     return; // the split eats cross-cell traffic on arrival
-                }
-                if frame.kind() == FrameKind::Request
-                    && self.compiled.profiles[dest.index()].byzantine
-                        == Some(ByzantineBehaviour::EatRequests)
-                {
-                    return; // a request-eater silently ignores pulls
                 }
                 if let Some(view) = vn.view.as_mut() {
                     // Contact is proof of life: protocol traffic keeps the
                     // sender's entry young in a joiner's partial view.
                     view.adopt(frame.sender());
                 }
-                vn.node.on_frame(now, &frame);
+                vn.on_frame(now, &frame);
                 self.drain_outputs(local, now);
             }
-            None => vn.decode_errors += 1,
+            None => vn.port.decode_errors += 1,
         }
     }
 
@@ -796,13 +861,9 @@ impl Shard {
         let vn = &mut self.nodes[local];
         let Some(view) = vn.view.as_mut() else { return };
         if let Some((target, request)) = view.on_shuffle_round(&mut self.membership_rng) {
-            let bytes = shuffle_wire::encode_shuffle(vn.id, &request);
-            let len = bytes.len();
-            vn.shaper.offer(now, len, (target, bytes));
+            offer(vn, now, target, &request);
         }
-        let mut membership = view.view();
-        membership.push(vn.id);
-        vn.node.set_membership(membership);
+        vn.follow_view();
         self.flush_shaper(local, now);
     }
 
@@ -816,11 +877,10 @@ impl Shard {
     /// the joiner's view keeps growing beyond its bootstrap sample.
     fn on_shuffle(&mut self, local: usize, from: NodeId, msg: ShuffleMessage, now: Time) {
         let vn = &mut self.nodes[local];
+        let id = vn.id();
         if let Some(view) = vn.view.as_mut() {
             if let Some(reply) = view.on_message(from, msg, &mut self.membership_rng) {
-                let bytes = shuffle_wire::encode_shuffle(vn.id, &reply);
-                let len = bytes.len();
-                vn.shaper.offer(now, len, (from, bytes));
+                offer(vn, now, from, &reply);
                 self.flush_shaper(local, now);
             }
             return;
@@ -830,12 +890,12 @@ impl Shard {
         };
         let mut membership = vn.node.membership().to_vec();
         for peer in offered.iter().map(|&(n, _)| n).chain([from]) {
-            if peer != vn.id && !membership.contains(&peer) {
+            if peer != id && !membership.contains(&peer) {
                 membership.push(peer);
             }
         }
         let candidates: Vec<NodeId> =
-            membership.iter().copied().filter(|&m| m != vn.id && m != from).collect();
+            membership.iter().copied().filter(|&m| m != id && m != from).collect();
         let picked = self
             .membership_rng
             .sample_indices(candidates.len(), CyclonConfig::default_small().shuffle_size);
@@ -843,9 +903,7 @@ impl Shard {
         // to offer.
         let reply = ShuffleMessage::Reply(picked.into_iter().map(|k| (candidates[k], 0)).collect());
         vn.node.set_membership(membership);
-        let bytes = shuffle_wire::encode_shuffle(vn.id, &reply);
-        let len = bytes.len();
-        vn.shaper.offer(now, len, (from, bytes));
+        offer(vn, now, from, &reply);
         self.flush_shaper(local, now);
     }
 
@@ -855,24 +913,22 @@ impl Shard {
             Fire::Round(l, ep) => {
                 let local = l as usize;
                 let vn = &mut self.nodes[local];
-                if vn.view.is_none() && vn.members_seen != self.members_version && !vn.down {
-                    // Pick up joiners introduced since this node's last
-                    // round (see the Join arm of `apply_fault`). Partial-view
-                    // joiners are exempt: their membership comes from the
-                    // Cyclon view, never the census.
-                    vn.node.set_membership(Arc::clone(&self.members));
-                    vn.members_seen = self.members_version;
-                }
-                if vn.down || vn.epoch != ep {
+                if !vn.is_current(ep) {
                     return; // this incarnation's round chain ends here
                 }
-                if self.nodes[local].view.is_some() {
+                if vn.view.is_some() {
                     // One membership shuffle per gossip round, and this
                     // round's partner selection draws from the shuffled view.
                     self.shuffle_round(local, now);
+                } else if vn.port.members_seen != self.members_version {
+                    // Pick up joiners introduced since this node's last
+                    // round (see `FaultHost::introduce`). Partial-view
+                    // joiners are exempt: their membership comes from the
+                    // Cyclon view, never the census.
+                    vn.node.set_membership(Arc::clone(&self.members));
+                    vn.port.members_seen = self.members_version;
                 }
-                let vn = &mut self.nodes[local];
-                vn.node.on_round(now);
+                self.nodes[local].node.on_round(now);
                 self.drain_outputs(local, now);
                 // Re-arm from the scheduled time, not `now`: rounds must
                 // not drift under load.
@@ -881,151 +937,34 @@ impl Shard {
             Fire::Timer(l, token, ep) => {
                 let local = l as usize;
                 let vn = &mut self.nodes[local];
-                if vn.down || vn.epoch != ep {
-                    return;
+                if vn.is_current(ep) {
+                    vn.node.on_timer(now, token);
+                    self.drain_outputs(local, now);
                 }
-                vn.node.on_timer(now, token);
-                self.drain_outputs(local, now);
             }
             Fire::Source(l) => {
                 let local = l as usize;
-                let vn = &mut self.nodes[local];
-                if vn.down {
-                    return;
-                }
-                let (Some(source), Some(end)) = (vn.source.as_mut(), vn.stream_end) else {
-                    return;
-                };
-                if now <= end {
-                    // Take the emissions and the next deadline in one
-                    // borrow of the source — no "still there" re-lookup
-                    // that could panic if a fault ever cleared it.
-                    let packets = source.poll(now);
-                    let next = source.next_packet_at();
-                    for packet in packets {
-                        vn.node.publish(now, packet);
-                    }
-                    if next <= end {
-                        self.wheel.push(next, Fire::Source(l));
-                    }
+                if let Some(next) = self.nodes[local].emit(now) {
+                    self.wheel.push(next, Fire::Source(l));
                 }
                 self.drain_outputs(local, now);
             }
             Fire::Shaper(l, ep) => {
                 let local = l as usize;
                 let vn = &mut self.nodes[local];
-                if vn.epoch != ep {
+                if vn.epoch() != ep {
                     return; // the crash already reset the shaper
                 }
-                vn.shaper_armed = false;
-                if vn.down {
-                    return;
-                }
-                self.flush_shaper(local, now);
-            }
-            Fire::Fault(k) => self.apply_fault(k as usize, now),
-        }
-    }
-
-    /// Applies the k-th compiled fault event. Crash and rejoin concern only
-    /// the hosting shard; a join also updates the membership every active
-    /// node selects partners from; partition and throttle events are
-    /// network-wide and tracked (or applied to hosted victims) by every
-    /// shard identically.
-    fn apply_fault(&mut self, k: usize, now: Time) {
-        let event = self.compiled.timeline.events()[k];
-        match event.action {
-            FaultAction::Crash(v) => {
-                if let Some(local) = self.local_slot(v) {
-                    if !self.nodes[local].down {
-                        self.nodes[local].crash();
-                        self.cancel_timers(local);
-                    }
+                vn.port.armed = false;
+                if !vn.is_down() {
+                    self.flush_shaper(local, now);
                 }
             }
-            FaultAction::Rejoin(v) => {
-                if let Some(local) = self.local_slot(v) {
-                    if self.nodes[local].down {
-                        let members = Arc::clone(&self.members);
-                        let free_rider = self.compiled.profiles[v.index()].free_rider;
-                        self.nodes[local].revive(&self.cluster, members, free_rider);
-                        self.nodes[local].members_seen = self.members_version;
-                        self.arm_round(local, now);
-                    }
-                }
-            }
-            FaultAction::Join(v) => match self.cluster.joiner_bootstrap {
-                JoinerBootstrap::Tracker => {
-                    // A tracker-style introduction, like the simulator's
-                    // full-membership mode — but applied lazily: bumping the
-                    // version makes every local node refresh its membership at
-                    // its next gossip round (one clone per node per join
-                    // *wave*, not per join — a 100-node flash crowd would
-                    // otherwise cost O(joins × nodes) clones inside the
-                    // real-time loop).
-                    self.admit(v);
-                    self.members_version += 1;
-                    if let Some(local) = self.local_slot(v) {
-                        let vn = &mut self.nodes[local];
-                        debug_assert!(vn.down, "double join of {v}");
-                        vn.node.set_membership(Arc::clone(&self.members));
-                        vn.members_seen = self.members_version;
-                        vn.down = false;
-                        self.arm_round(local, now);
-                    }
-                }
-                JoinerBootstrap::Cyclon { degree } => {
-                    // No tracker push: the census grows (later bootstrap
-                    // samples and rejoins see the joiner) but nobody is
-                    // told and `members_version` stays put. The joiner
-                    // starts from a bounded random partial view; its
-                    // per-round shuffles carry its id outward, and
-                    // established nodes adopt it on contact — knowledge
-                    // spreads epidemically instead of by directory.
-                    let sample: Vec<NodeId> = {
-                        let candidates: Vec<NodeId> =
-                            self.members.iter().copied().filter(|&m| m != v).collect();
-                        let picked = self.membership_rng.sample_indices(candidates.len(), degree);
-                        picked.into_iter().map(|k| candidates[k]).collect()
-                    };
-                    self.admit(v);
-                    if let Some(local) = self.local_slot(v) {
-                        let view = CyclonView::new(v, CyclonConfig::default_small(), &sample);
-                        let vn = &mut self.nodes[local];
-                        debug_assert!(vn.down, "double join of {v}");
-                        let mut membership = view.view();
-                        membership.push(v);
-                        vn.node.set_membership(membership);
-                        vn.view = Some(view);
-                        vn.members_seen = self.members_version;
-                        vn.down = false;
-                        self.arm_round(local, now);
-                    }
-                }
-            },
-            FaultAction::Partition(_) | FaultAction::Heal(_) => {
-                self.partition.on_event(event.action);
-            }
-            FaultAction::ThrottleStart(t) | FaultAction::ThrottleEnd(t) => {
-                let compiled = Arc::clone(&self.compiled);
-                let plan = &compiled.throttles[t as usize];
-                let throttled = matches!(event.action, FaultAction::ThrottleStart(_));
-                for &v in &plan.victims {
-                    if let Some(local) = self.local_slot(v) {
-                        let vn = &mut self.nodes[local];
-                        let rate = if throttled { plan.cap_bps } else { vn.base_rate };
-                        vn.shaper.set_rate(rate);
-                    }
-                }
+            Fire::Fault(k) => {
+                let action = self.compiled.timeline.events()[k as usize].action;
+                hosted::apply(self, now, action);
             }
         }
-    }
-
-    /// Adds joiner `v` to the census. The list is shared, so it is built
-    /// anew: nodes still holding the old one keep a consistent view until
-    /// they pick up the new one.
-    fn admit(&mut self, v: NodeId) {
-        self.members = self.members.iter().copied().chain([v]).collect();
     }
 
     /// The local slot of node `v` when this shard hosts it.
@@ -1036,64 +975,14 @@ impl Shard {
             .filter(|&local| local < self.nodes.len())
     }
 
-    /// Starts (or restarts) a node's round chain, staggered within one
-    /// gossip period by id like the initial deployment.
-    fn arm_round(&mut self, local: usize, now: Time) {
-        let vn = &self.nodes[local];
-        let period = self.cluster.gossip.gossip_period;
-        let phase = Duration::from_micros(
-            u64::from(vn.id.as_u32()) * period.as_micros() / self.compiled.total_n as u64,
-        );
-        self.wheel.push(now + phase, Fire::Round(local as u32, vn.epoch));
-    }
-
-    /// Drains the protocol outputs of one node into its shaper, player and
-    /// the timer wheel, then moves released datagrams to the outbox.
+    /// Hands the outputs of one node to the shard — its shaper, the packet
+    /// table, the wheel — then moves what the shaper released to the
+    /// outbox.
     fn drain_outputs(&mut self, local: usize, now: Time) {
-        let vn = &mut self.nodes[local];
-        while let Some(out) = vn.node.poll_output() {
-            match out {
-                Output::Send { to, msg } => {
-                    // A Byzantine host corrupts its node's *output* at the
-                    // runtime boundary, before the bytes exist — the node
-                    // itself runs honest code (see `gossip_stream::byzantine`).
-                    let msg = match self.compiled.profiles[vn.id.index()].byzantine {
-                        Some(ByzantineBehaviour::ServeCorrupt) => byzantine::corrupt_serves(msg),
-                        Some(ByzantineBehaviour::ProposeGarbage) => byzantine::garble_proposes(msg),
-                        _ => msg,
-                    };
-                    let bytes = encode_message(vn.id, &msg);
-                    let len = bytes.len();
-                    // The shaper charges the unframed wire size: pacing
-                    // does not depend on how the outbox packs frames.
-                    vn.shaper.offer(now, len, (to, bytes));
-                }
-                Output::Deliver { event } => {
-                    // Only intact payloads count as watchable (the
-                    // simulator's measurement boundary too).
-                    if vn.node.delivery_intact(&event) {
-                        vn.player.on_packet(now, event.packet_id());
-                        // The only way into the table: verified, just now.
-                        self.packets.insert_verified(event, now);
-                    }
-                }
-                Output::ScheduleTimer { token, at } => {
-                    let fire = Fire::Timer(local as u32, token, vn.epoch);
-                    let handle = self.wheel.push(at, fire);
-                    vn.node.attach_timer_handle(token, handle);
-                }
-            }
-        }
-        self.cancel_timers(local);
+        let mut outputs =
+            Outputs { wheel: &mut self.wheel, packets: &mut self.packets, local: local as u32 };
+        self.nodes[local].route(now, &mut outputs);
         self.flush_shaper(local, now);
-    }
-
-    /// Takes out of the wheel the retransmission deadlines the node no
-    /// longer needs: every id they guarded has arrived, or the node crashed.
-    fn cancel_timers(&mut self, local: usize) {
-        while let Some(handle) = self.nodes[local].node.poll_cancelled() {
-            self.wheel.cancel(handle);
-        }
     }
 
     /// Moves everything the node's shaper has released into the shard
@@ -1101,7 +990,7 @@ impl Shard {
     /// chaos stream, when a plan is active — and arms one wheel deadline
     /// for the earliest datagram still held back.
     fn flush_shaper(&mut self, local: usize, now: Time) {
-        while let Some((to, bytes)) = self.nodes[local].shaper.pop_due(now) {
+        while let Some((to, bytes)) = self.nodes[local].port.shaper.pop_due(now) {
             let fate = match self.chaos.as_mut() {
                 Some(c) => c.senders[local].fate(&c.plan, bytes.len()),
                 None => DatagramFate::Deliver,
@@ -1139,10 +1028,10 @@ impl Shard {
             }
         }
         let vn = &mut self.nodes[local];
-        if !vn.shaper_armed {
-            if let Some(at) = vn.shaper.next_release() {
-                self.wheel.push(at, Fire::Shaper(local as u32, vn.epoch));
-                vn.shaper_armed = true;
+        if !vn.port.armed {
+            if let Some(at) = vn.port.shaper.next_release() {
+                self.wheel.push(at, Fire::Shaper(local as u32, vn.epoch()));
+                vn.port.armed = true;
             }
         }
     }
@@ -1386,6 +1275,124 @@ impl Shard {
     }
 }
 
+/// Offers one membership shuffle from `vn` to its shaper.
+fn offer(vn: &mut HostedNode<Port>, now: Time, to: NodeId, msg: &ShuffleMessage) {
+    let bytes = shuffle_wire::encode_shuffle(vn.id(), msg);
+    vn.port.shaper.offer(now, bytes.len(), (to, bytes));
+}
+
+/// The shard's side of a node's outputs: sends are encoded into its
+/// shaper, intact deliveries fill the packet table, timers go on the wheel.
+struct Outputs<'s> {
+    wheel: &'s mut EventQueue<Fire>,
+    packets: &'s mut PacketPool,
+    local: u32,
+}
+
+impl Host<Port> for Outputs<'_> {
+    fn send(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        _: u32,
+        port: &mut Port,
+        to: NodeId,
+        msg: Message<StreamPacket>,
+    ) {
+        let bytes = encode_message(from, &msg);
+        // The shaper charges the unframed wire size: pacing does not
+        // depend on how the outbox packs frames.
+        port.shaper.offer(now, bytes.len(), (to, bytes));
+    }
+
+    fn delivered(&mut self, now: Time, _: NodeId, packet: StreamPacket) {
+        // The only way into the table: verified, just now.
+        self.packets.insert_verified(packet, now);
+    }
+
+    fn arm(&mut self, at: Time, _: NodeId, epoch: u32, token: TimerToken) -> EventHandle {
+        self.wheel.push(at, Fire::Timer(self.local, token, epoch))
+    }
+
+    fn cancel(&mut self, handle: EventHandle) {
+        self.wheel.cancel(handle);
+    }
+}
+
+/// Every shard walks the whole fault timeline: a join grows every shard's
+/// census, and the other faults act on the nodes this shard hosts.
+impl FaultHost for Shard {
+    type Port = Port;
+
+    fn compiled(&self) -> &CompiledAdversity {
+        &self.compiled
+    }
+
+    fn partition(&mut self) -> &mut PartitionState {
+        &mut self.partition
+    }
+
+    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Port>> {
+        let local = self.local_slot(v)?;
+        Some(&mut self.nodes[local])
+    }
+
+    fn cancel(&mut self, handle: EventHandle) {
+        self.wheel.cancel(handle);
+    }
+
+    fn members(&self) -> Arc<[NodeId]> {
+        Arc::clone(&self.members)
+    }
+
+    fn introduce(&mut self, _: Time, v: NodeId) -> bool {
+        let view = match self.cluster.joiner_bootstrap {
+            // A tracker-style introduction, like the simulator's
+            // full-membership mode — but applied lazily: bumping the version
+            // makes every local node refresh its membership at its next
+            // gossip round (one clone per node per join *wave*, not per join
+            // — a 100-node flash crowd would otherwise cost O(joins × nodes)
+            // clones inside the real-time loop).
+            JoinerBootstrap::Tracker => {
+                self.members_version += 1;
+                None
+            }
+            // No tracker push: the census grows (later bootstrap samples and
+            // rejoins see the joiner) but nobody is told and
+            // `members_version` stays put. The joiner starts from a bounded
+            // random partial view; its per-round shuffles carry its id
+            // outward, and established nodes adopt it on contact — knowledge
+            // spreads epidemically instead of by directory.
+            JoinerBootstrap::Cyclon { degree } => {
+                let config = CyclonConfig::default_small();
+                let rng = &mut self.membership_rng;
+                Some(hosted::bootstrap_view(v, config, &self.members, degree, rng))
+            }
+        };
+        // The census is shared, so it is built anew: nodes still holding the
+        // old one keep a consistent view until they pick up the new one.
+        self.members = self.members.iter().copied().chain([v]).collect();
+        let members = Arc::clone(&self.members);
+        let Some(vn) = self.hosted(v) else { return false };
+        vn.view = view;
+        vn.join(members);
+        true
+    }
+
+    /// Starts a node's round chain, staggered within one gossip period by
+    /// id like the initial deployment, with the census it now reflects.
+    fn start(&mut self, now: Time, v: NodeId) {
+        let Some(local) = self.local_slot(v) else { return };
+        let period = self.cluster.gossip.gossip_period;
+        let vn = &mut self.nodes[local];
+        vn.port.members_seen = self.members_version;
+        let phase = Duration::from_micros(
+            u64::from(v.as_u32()) * period.as_micros() / self.compiled.total_n as u64,
+        );
+        self.wheel.push(now + phase, Fire::Round(local as u32, vn.epoch()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
@@ -1591,8 +1598,11 @@ mod tests {
             Backend::Fallback => assert_eq!(flagged, [true; 4], "the portable wait reads blind"),
         }
         shard.drain_sockets().expect("drain");
-        assert_eq!(shard.nodes[3].recv_msgs, 1, "the frame reached the node homed on socket 3");
-        assert_eq!(shard.nodes[3].decode_errors, 0);
+        assert_eq!(
+            shard.nodes[3].port.recv_msgs, 1,
+            "the frame reached the node homed on socket 3"
+        );
+        assert_eq!(shard.nodes[3].port.decode_errors, 0);
         assert!(!shard.ready.iter().any(PollFd::flagged), "a drained pool is unflagged");
     }
 
@@ -1743,8 +1753,8 @@ mod tests {
 
         backlog(&mut shard);
         // A wake that has only just begun, however slowly this test runs
-        // (`elapsed` of a future instant is zero).
-        shard.last_wake = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        // (the loop has been awake for no time while its wake lies ahead).
+        shard.last_wake = shard.clock.now() + Duration::from_secs(3600);
         shard.enqueue(NodeId::new(1), vec![0; 8]);
         for _ in 0..2 {
             shard.turn().expect("turn");
@@ -1753,10 +1763,11 @@ mod tests {
         }
         shard.turn().expect("turn"); // 4 left: a short batch ends the wake
         assert_eq!((shard.outbox.len(), shard.stats.kernel_sent), (0, 1));
-        assert_eq!(shard.nodes[3].recv_msgs, 20);
+        assert_eq!(shard.nodes[3].port.recv_msgs, 20);
 
         backlog(&mut shard);
-        shard.last_wake = std::time::Instant::now() - 2 * WAKE_QUANTUM;
+        // A wake that began at the clock's epoch, over a quantum ago.
+        shard.last_wake = Time::ZERO;
         shard.enqueue(NodeId::new(1), vec![0; 8]);
         shard.turn().expect("turn");
         assert!(shard.ready[0].flagged());
@@ -1776,7 +1787,7 @@ mod tests {
         let now = shard.clock.now();
         // The source (node 0) is uncapped: its shaper releases at once.
         for (to, tag) in [(1, b'a'), (2, b'a'), (1, b'b')] {
-            shard.nodes[0].shaper.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
+            shard.nodes[0].port.shaper.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
         }
         shard.flush_shaper(0, now);
         assert_eq!(shard.stats.faults_injected, 3);
@@ -2019,30 +2030,25 @@ mod tests {
         }
     }
 
-    /// A crash takes the victim's retransmission deadlines out of the
-    /// wheel at once — only those — and their handles die with them: shown
-    /// again after the revive, when the new incarnation's deadlines occupy
-    /// the recycled slots, they cancel nothing.
+    /// The shard's wiring of the crash rule: the deadlines a crash hands
+    /// back leave the wheel at once — only those — and their handles die
+    /// with them: shown again after the rejoin, when the new incarnation's
+    /// deadlines occupy the recycled slots, they cancel nothing.
     #[test]
     fn a_crash_cancels_the_victims_retransmit_deadlines_and_their_handles_go_stale() {
+        use gossip_adversity::FaultAction;
+
         let (config, _) = one_shard_of(Backend::Fallback, 2, 4, |cluster| {
             cluster.crashes = vec![(2, Duration::from_secs(3600))];
         });
         let mut shard = Shard::new(config).expect("shard boots");
         while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(7200)).is_some() {}
-        let k = shard
-            .compiled
-            .timeline
-            .events()
-            .iter()
-            .position(|e| matches!(e.action, FaultAction::Crash(_)))
-            .expect("the crash compiled");
-        let now = shard.clock.now();
+        let (v, now) = (NodeId::new(2), shard.clock.now());
         let propose = |shard: &mut Shard, window: u32| {
             for index in 0..2 {
                 let ids = vec![PacketId::new(window, index)].into();
                 let propose = gossip_core::Message::Propose { ids };
-                shard.nodes[2].node.on_message(now, NodeId::new(1), propose);
+                shard.nodes[2].on_message(now, NodeId::new(1), propose);
             }
         };
 
@@ -2050,30 +2056,52 @@ mod tests {
         propose(&mut shard, 0);
         let mut stale = Vec::new();
         while let Some(out) = shard.nodes[2].node.poll_output() {
-            if let Output::ScheduleTimer { token, at } = out {
+            if let gossip_core::Output::ScheduleTimer { token, at } = out {
                 let handle = shard.wheel.push(at, Fire::Timer(2, token, 0));
                 shard.nodes[2].node.attach_timer_handle(token, handle);
                 stale.push(handle);
             }
         }
         assert_eq!((stale.len(), shard.wheel.len()), (2, 2));
-        shard.apply_fault(k, now);
-        assert!(shard.nodes[2].down && shard.wheel.is_empty(), "the crash cancelled both");
+        hosted::apply(&mut shard, now, FaultAction::Crash(v));
+        assert!(shard.nodes[2].is_down() && shard.wheel.is_empty(), "the crash cancelled both");
 
         // Second life: armed through the shard, into the freed slots.
-        let members = Arc::clone(&shard.members);
-        shard.nodes[2].revive(&shard.cluster, members, false);
+        hosted::apply(&mut shard, now, FaultAction::Rejoin(v));
+        assert_eq!(shard.wheel.len(), 1, "the rejoin armed a round");
         propose(&mut shard, 1);
         shard.drain_outputs(2, now);
         let armed = shard.wheel.len();
-        assert!(armed >= 2, "two new deadlines (and the shaper's, if it held the requests)");
+        assert!(armed >= 3, "two new deadlines (and the shaper's, if it held the requests)");
         for handle in stale {
             assert!(!shard.wheel.cancel(handle), "a dead incarnation's handle cancelled something");
         }
         assert_eq!(shard.wheel.len(), armed);
         // The new deadlines are the shard's own: the next crash finds them.
-        shard.apply_fault(k, now);
+        hosted::apply(&mut shard, now, FaultAction::Crash(v));
         assert_eq!(shard.wheel.len(), armed - 2);
+    }
+
+    /// A crashed source ends the stream: its emission chain stops, it pins
+    /// no payload and its player stops counting.
+    #[test]
+    fn a_crashed_source_publishes_nothing() {
+        let mut shard = streaming_shard(4, |cluster| {
+            cluster.crashes = vec![(0, Duration::from_millis(300))];
+        });
+        turn_for(&mut shard, std::time::Duration::from_millis(500));
+        let source = &shard.nodes[0];
+        assert!(source.is_down(), "the crash fault fired");
+        assert_eq!(source.node.stored_events(), 0, "a down source pins no payload");
+        let published = source.player.packets_received();
+        assert!(published > 0, "the source was streaming");
+        turn_for(&mut shard, std::time::Duration::from_millis(200));
+        assert_eq!(shard.nodes[0].player.packets_received(), published);
+        let mut emissions = 0;
+        while let Some((_, fire)) = shard.wheel.pop_before(Time::MAX) {
+            emissions += usize::from(matches!(fire, Fire::Source(_)));
+        }
+        assert_eq!(emissions, 0, "the emission chain ended at the crash");
     }
 
     /// A crashed node lets go of every payload at the crash: it will run
@@ -2084,10 +2112,10 @@ mod tests {
             cluster.crashes = vec![(2, Duration::from_millis(700))];
         });
         turn_for(&mut shard, std::time::Duration::from_millis(500));
-        assert!(!shard.nodes[2].down);
+        assert!(!shard.nodes[2].is_down());
         assert!(shard.nodes[2].node.stored_events() > 0, "the victim was receiving the stream");
         turn_for(&mut shard, std::time::Duration::from_millis(500));
-        assert!(shard.nodes[2].down, "the crash fault fired");
+        assert!(shard.nodes[2].is_down(), "the crash fault fired");
         assert_eq!(shard.nodes[2].node.stored_events(), 0);
         assert!(shard.nodes[2].node.stats().events_delivered > 0, "the counters survive");
         assert!(shard.nodes[1].node.stored_events() > 0, "the survivors keep theirs");

@@ -1,0 +1,620 @@
+//! One node's life on a host, written once for every host.
+//!
+//! A [`HostedNode`] bundles the protocol state machine with its stream
+//! player, upload path, membership view and adversity profile, and owns
+//! every rule a host applies around the protocol: construction, the inbound
+//! gate, output routing, crash, revive and throttle; [`apply`] is the one
+//! interpreter of the compiled fault timeline. A host is a clock, a
+//! transport and a loop: it supplies its deadline queue and upload path
+//! ([`Host`], [`Uplink`]), and how it restarts a node and introduces a
+//! joiner ([`FaultHost`]). The simulator and the reactor's shards host the
+//! same node, so no rule can mean different things on the two.
+
+use std::sync::Arc;
+
+use gossip_adversity::{
+    ByzantineBehaviour, CompiledAdversity, FaultAction, NodeProfile, PartitionState,
+};
+use gossip_core::wire::{Frame, FrameKind};
+use gossip_core::{GossipConfig, GossipNode, Message, Output, TimerToken};
+use gossip_membership::{CyclonConfig, CyclonView};
+use gossip_sim::{DetRng, EventHandle};
+use gossip_stream::{byzantine, StreamConfig, StreamPacket, StreamPlayer, StreamSource};
+use gossip_types::{Duration, NodeId, Time};
+
+/// A hosted node's upload path, as far as the host rules touch it.
+pub trait Uplink {
+    /// Changes the upload cap (`None` = uncapped) from the next
+    /// transmission on.
+    fn set_rate(&mut self, rate_bps: Option<u64>);
+    /// Discards everything queued or in flight.
+    fn discard(&mut self);
+}
+
+/// What a host does with a hosted node's outputs, called by
+/// [`HostedNode::route`] in the order the node emitted them.
+pub trait Host<P> {
+    /// Puts `msg` from `from` (in incarnation `epoch`) on its upload path
+    /// `port`, bound for `to`.
+    fn send(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        epoch: u32,
+        port: &mut P,
+        to: NodeId,
+        msg: Message<StreamPacket>,
+    );
+    /// Observes an intact delivery at `at`, which its player just counted.
+    fn delivered(&mut self, now: Time, at: NodeId, packet: StreamPacket);
+    /// Queues `node`'s retransmission timer `token`, armed in incarnation
+    /// `epoch`, for `at`; returns its handle.
+    fn arm(&mut self, at: Time, node: NodeId, epoch: u32, token: TimerToken) -> EventHandle;
+    /// Takes a deadline the node no longer needs out of the queue.
+    fn cancel(&mut self, handle: EventHandle);
+}
+
+/// The run-wide parameters every hosted node is built from.
+#[derive(Debug, Clone, Copy)]
+pub struct Setup<'a> {
+    /// The protocol configuration.
+    pub gossip: &'a GossipConfig,
+    /// The stream the source publishes and every player watches.
+    pub stream: StreamConfig,
+    /// How long the source publishes.
+    pub stream_duration: Duration,
+    /// The run's seed.
+    pub seed: u64,
+    /// Whether the source is exempt from the upload cap.
+    pub source_uncapped: bool,
+}
+
+/// One node as a host runs it (see the module docs). Every input is
+/// followed by one [`HostedNode::route`].
+#[derive(Debug)]
+pub struct HostedNode<P> {
+    /// The protocol state machine; a revive replaces it.
+    pub node: GossipNode<StreamPacket>,
+    /// What the viewer watched: survives crashes.
+    pub player: StreamPlayer,
+    /// The host's end of this node's transport.
+    pub port: P,
+    /// The Cyclon partial view of a node whose partners come from one.
+    pub view: Option<CyclonView>,
+    /// The stream source, on node 0 only (boxed: the other nodes pay a
+    /// pointer for it).
+    source: Option<Box<StreamSource>>,
+    stream_end: Time,
+    byzantine: Option<ByzantineBehaviour>,
+    /// The node's own upload cap, restored when a throttle ends.
+    base_cap: Option<u64>,
+    down: bool,
+    /// Bumped on every crash; deadlines carry the epoch they were armed in.
+    epoch: u32,
+    seed: u64,
+}
+
+impl<P: Uplink> HostedNode<P> {
+    /// Builds node `id`: the source if it is node 0; a free-rider if its
+    /// profile says so; down until its join if it is a flash-crowd joiner.
+    /// `port` builds its upload path at its cap — none for a provisioned
+    /// source, else the profile's class override, else `uniform_cap`.
+    pub fn new(
+        id: NodeId,
+        setup: &Setup<'_>,
+        profile: NodeProfile,
+        members: Arc<[NodeId]>,
+        uniform_cap: Option<u64>,
+        port: impl FnOnce(Option<u64>) -> P,
+    ) -> Self {
+        let is_source = id == NodeId::new(0);
+        let gossip = setup.gossip.clone();
+        let mut node = if is_source {
+            GossipNode::new_source(id, gossip, Vec::new(), setup.seed)
+        } else {
+            GossipNode::new(id, gossip, Vec::new(), setup.seed)
+        };
+        node.set_membership(members);
+        node.set_free_rider(profile.free_rider);
+        let cap = if is_source && setup.source_uncapped {
+            None
+        } else {
+            profile.resolve_cap(uniform_cap)
+        };
+        HostedNode {
+            node,
+            player: StreamPlayer::new(setup.stream),
+            port: port(cap),
+            view: None,
+            source: is_source.then(|| Box::new(StreamSource::new(setup.stream, Time::ZERO))),
+            stream_end: Time::ZERO + setup.stream_duration,
+            byzantine: profile.byzantine,
+            base_cap: cap,
+            down: profile.join_at.is_some(),
+            epoch: 0,
+            seed: setup.seed,
+        }
+    }
+
+    /// The node's id.
+    pub fn id(&self) -> NodeId {
+        self.node.id()
+    }
+
+    /// Whether the node publishes the stream.
+    pub fn is_source(&self) -> bool {
+        self.source.is_some()
+    }
+
+    /// Whether the node is crashed, or a joiner that has not joined: it
+    /// fires nothing, sends nothing and takes nothing.
+    pub fn is_down(&self) -> bool {
+        self.down
+    }
+
+    /// The node's incarnation counter.
+    pub fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Whether a deadline armed in incarnation `epoch` may still fire.
+    pub fn is_current(&self, epoch: u32) -> bool {
+        !self.down && self.epoch == epoch
+    }
+
+    /// Feeds one received message through the inbound gate.
+    pub fn on_message(&mut self, now: Time, from: NodeId, msg: Message<StreamPacket>) {
+        if self.admits(matches!(msg, Message::Request { .. })) {
+            self.node.on_message(now, from, msg);
+        }
+    }
+
+    /// Feeds one received wire frame through the inbound gate.
+    pub fn on_frame(&mut self, now: Time, frame: &Frame<'_, StreamPacket>) {
+        if self.admits(frame.kind() == FrameKind::Request) {
+            self.node.on_frame(now, frame);
+        }
+    }
+
+    /// The inbound gate: a down node takes nothing, and a request-eater
+    /// silently ignores pulls (the requester's timer retries elsewhere).
+    fn admits(&self, request: bool) -> bool {
+        let eaten = request && self.byzantine == Some(ByzantineBehaviour::EatRequests);
+        !(self.down || eaten)
+    }
+
+    /// Publishes what the source has due at `now`; returns when it is next
+    /// due, `None` once the stream is over — or the node is down: a crashed
+    /// source publishes nothing.
+    pub fn emit(&mut self, now: Time) -> Option<Time> {
+        if self.down || now > self.stream_end {
+            return None;
+        }
+        let source = self.source.as_mut()?;
+        let packets = source.poll(now);
+        let next = source.next_packet_at();
+        for packet in packets {
+            self.node.publish(now, packet);
+        }
+        (next <= self.stream_end).then_some(next)
+    }
+
+    /// Hands the node's pending outputs to `host`, then the deadlines it no
+    /// longer needs. A Byzantine node runs honest code; its *sends* are
+    /// what its host corrupts ([`gossip_stream::byzantine`]). Only an intact
+    /// delivery reaches the player: a poisoned one an undefended node
+    /// accepted is garbage on screen, not a viewed window.
+    pub fn route(&mut self, now: Time, host: &mut impl Host<P>) {
+        let id = self.node.id();
+        while let Some(out) = self.node.poll_output() {
+            match out {
+                Output::Send { to, msg } => {
+                    let msg = match self.byzantine {
+                        Some(ByzantineBehaviour::ServeCorrupt) => byzantine::corrupt_serves(msg),
+                        Some(ByzantineBehaviour::ProposeGarbage) => byzantine::garble_proposes(msg),
+                        _ => msg,
+                    };
+                    host.send(now, id, self.epoch, &mut self.port, to, msg);
+                }
+                Output::Deliver { event } => {
+                    if self.node.delivery_intact(&event) {
+                        self.player.on_packet(now, event.packet_id());
+                        host.delivered(now, id, event);
+                    }
+                }
+                Output::ScheduleTimer { token, at } => {
+                    let handle = host.arm(at, id, self.epoch, token);
+                    self.node.attach_timer_handle(token, handle);
+                }
+            }
+        }
+        while let Some(handle) = self.node.poll_cancelled() {
+            host.cancel(handle);
+        }
+    }
+
+    /// Points partner selection at the node's live partial view, if any.
+    pub fn follow_view(&mut self) {
+        if let Some(view) = &self.view {
+            let mut members = view.view();
+            members.push(self.node.id()); // `set_membership` takes self present or absent alike
+            self.node.set_membership(members);
+        }
+    }
+
+    /// Takes the node down: it drops its payloads (shared buffers must not
+    /// stay pinned by a node that never prunes again), its retransmission
+    /// timers, its upload backlog and its view, and its epoch moves on.
+    /// Returns the timers' deadlines for the host to cancel. A down node
+    /// is left alone.
+    pub fn crash(&mut self) -> Vec<EventHandle> {
+        if self.down {
+            return Vec::new();
+        }
+        self.down = true;
+        self.epoch += 1;
+        self.node.forget_payloads();
+        self.node.forget_retransmits();
+        self.port.discard();
+        self.view = None;
+        std::iter::from_fn(|| self.node.poll_cancelled()).collect()
+    }
+
+    /// Brings a crashed node back with fresh protocol state, drawing
+    /// partners from `members`. The player's history survives, and so does
+    /// who the node is: a free-rider stays one.
+    pub fn revive(&mut self, members: Arc<[NodeId]>) {
+        debug_assert!(self.down, "revive of a live node");
+        let id = self.node.id();
+        let mut node = GossipNode::new(id, self.node.config().clone(), Vec::new(), self.seed);
+        node.set_membership(members);
+        node.set_free_rider(self.node.is_free_rider());
+        self.node = node;
+        self.down = false;
+    }
+
+    /// Brings a joiner up for the first time, drawing partners from its view
+    /// if the host gave it one, from `members` otherwise.
+    pub fn join(&mut self, members: Arc<[NodeId]>) {
+        debug_assert!(self.down, "double join of {}", self.node.id());
+        self.node.set_membership(members);
+        self.follow_view();
+        self.down = false;
+    }
+
+    /// Forces the upload cap to `cap` (a throttle starts).
+    pub fn throttle(&mut self, cap: Option<u64>) {
+        self.port.set_rate(cap);
+    }
+
+    /// Restores the node's own upload cap — class override included, not
+    /// the run's uniform cap (a throttle ends).
+    pub fn unthrottle(&mut self) {
+        self.port.set_rate(self.base_cap);
+    }
+}
+
+/// A fresh Cyclon view for `who`, bootstrapped with `degree` peers drawn
+/// from `members` (`who` excluded) — how every host seeds a partial view.
+pub fn bootstrap_view(
+    who: NodeId,
+    config: CyclonConfig,
+    members: &[NodeId],
+    degree: usize,
+    rng: &mut DetRng,
+) -> CyclonView {
+    let candidates: Vec<NodeId> = members.iter().copied().filter(|&m| m != who).collect();
+    let picked = rng.sample_indices(candidates.len(), degree);
+    let bootstrap: Vec<NodeId> = picked.into_iter().map(|k| candidates[k]).collect();
+    CyclonView::new(who, config, &bootstrap)
+}
+
+/// What a host supplies to [`apply`].
+pub trait FaultHost {
+    /// The upload path of the hosted nodes.
+    type Port: Uplink;
+    /// The compiled plan being applied.
+    fn compiled(&self) -> &CompiledAdversity;
+    /// Which partitions split the network.
+    fn partition(&mut self) -> &mut PartitionState;
+    /// Node `v`, if this host hosts it.
+    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Port>>;
+    /// Takes a crashed node's deadline out of the queue.
+    fn cancel(&mut self, handle: EventHandle);
+    /// The census a revived node draws partners from.
+    fn members(&self) -> Arc<[NodeId]>;
+    /// Adds joiner `v` to the census and, if hosted here, brings it up
+    /// ([`HostedNode::join`]); who else learns of it is the host's.
+    /// Returns whether `v` is hosted here.
+    fn introduce(&mut self, now: Time, v: NodeId) -> bool;
+    /// Arms the recurring deadlines of hosted node `v`, just come up.
+    fn start(&mut self, now: Time, v: NodeId);
+}
+
+/// Applies one fault of the compiled timeline: crash, rejoin and throttles
+/// act on the nodes `host` hosts, a join grows every host's census, a
+/// partition splits the whole network.
+pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
+    match action {
+        FaultAction::Crash(v) => {
+            let cancelled = host.hosted(v).map(HostedNode::crash).unwrap_or_default();
+            for handle in cancelled {
+                host.cancel(handle);
+            }
+        }
+        FaultAction::Rejoin(v) => {
+            let members = host.members();
+            if let Some(node) = host.hosted(v).filter(|node| node.is_down()) {
+                node.revive(members);
+                host.start(now, v);
+            }
+        }
+        FaultAction::Join(v) => {
+            if host.introduce(now, v) {
+                host.start(now, v);
+            }
+        }
+        FaultAction::Partition(_) | FaultAction::Heal(_) => host.partition().on_event(action),
+        FaultAction::ThrottleStart(t) | FaultAction::ThrottleEnd(t) => {
+            let plan = &host.compiled().throttles[t as usize];
+            let (cap, victims) = (plan.cap_bps, plan.victims.clone());
+            for v in victims {
+                match (host.hosted(v), action) {
+                    (Some(node), FaultAction::ThrottleStart(_)) => node.throttle(cap),
+                    (Some(node), _) => node.unthrottle(),
+                    (None, _) => {}
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gossip_core::Event;
+    use gossip_fec::WindowParams;
+    use gossip_sim::EventQueue;
+    use gossip_stream::PacketId;
+
+    use super::*;
+
+    /// An upload path that remembers what the rules did to it.
+    #[derive(Debug, Default)]
+    struct Link {
+        rate: Option<u64>,
+        discarded: bool,
+    }
+
+    impl Uplink for Link {
+        fn set_rate(&mut self, rate_bps: Option<u64>) {
+            self.rate = rate_bps;
+        }
+
+        fn discard(&mut self) {
+            self.discarded = true;
+        }
+    }
+
+    /// A host that records every output it is handed.
+    #[derive(Default)]
+    struct Recorder {
+        sent: Vec<(NodeId, Message<StreamPacket>)>,
+        delivered: Vec<PacketId>,
+        queue: EventQueue<TimerToken>,
+        armed: Vec<EventHandle>,
+        cancelled: Vec<EventHandle>,
+    }
+
+    impl Host<Link> for Recorder {
+        fn send(
+            &mut self,
+            _: Time,
+            _: NodeId,
+            _: u32,
+            _: &mut Link,
+            to: NodeId,
+            msg: Message<StreamPacket>,
+        ) {
+            self.sent.push((to, msg));
+        }
+
+        fn delivered(&mut self, _: Time, _: NodeId, packet: StreamPacket) {
+            self.delivered.push(packet.packet_id());
+        }
+
+        fn arm(&mut self, at: Time, _: NodeId, _: u32, token: TimerToken) -> EventHandle {
+            let handle = self.queue.push(at, token);
+            self.armed.push(handle);
+            handle
+        }
+
+        fn cancel(&mut self, handle: EventHandle) {
+            self.cancelled.push(handle);
+        }
+    }
+
+    const UNIFORM_CAP: Option<u64> = Some(700_000);
+    const PEER: NodeId = NodeId::new(2);
+
+    /// Node `id` of a four-node run, with `profile` and, when `verify` is
+    /// off, no payload validation of its own.
+    fn hosted(id: u32, profile: NodeProfile, verify: bool) -> HostedNode<Link> {
+        let gossip = GossipConfig::new(3).with_verify_payloads(verify);
+        let setup = Setup {
+            gossip: &gossip,
+            stream: StreamConfig {
+                rate_bps: 200_000,
+                packet_payload_bytes: 100,
+                window: WindowParams::new(10, 3),
+            },
+            stream_duration: Duration::from_secs(10),
+            seed: 7,
+            source_uncapped: true,
+        };
+        let members: Arc<[NodeId]> = (0..4).map(NodeId::new).collect();
+        HostedNode::new(NodeId::new(id), &setup, profile, members, UNIFORM_CAP, |cap| Link {
+            rate: cap,
+            discarded: false,
+        })
+    }
+
+    fn byzantine(behaviour: ByzantineBehaviour) -> NodeProfile {
+        NodeProfile { byzantine: Some(behaviour), ..NodeProfile::default() }
+    }
+
+    fn packet(index: u16) -> StreamPacket {
+        StreamPacket::new(PacketId::new(0, index), Time::ZERO, vec![index as u8; 100].into())
+    }
+
+    /// `from` proposes `packet`, the node requests it, `from` serves it.
+    fn fetch(node: &mut HostedNode<Link>, host: &mut Recorder, packet: StreamPacket) {
+        let ids: Arc<[PacketId]> = vec![packet.packet_id()].into();
+        node.on_message(Time::ZERO, PEER, Message::Propose { ids });
+        node.route(Time::ZERO, host);
+        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![packet] });
+        node.route(Time::ZERO, host);
+    }
+
+    /// What the node sends for one propose, one round and one request.
+    fn traffic(profile: NodeProfile) -> (HostedNode<Link>, Recorder) {
+        let (mut node, mut host) = (hosted(1, profile, true), Recorder::default());
+        fetch(&mut node, &mut host, packet(0));
+        node.node.on_round(Time::from_millis(100));
+        node.route(Time::from_millis(100), &mut host);
+        let ids: Arc<[PacketId]> = vec![PacketId::new(0, 0)].into();
+        node.on_message(Time::from_millis(100), NodeId::new(3), Message::Request { ids });
+        node.route(Time::from_millis(100), &mut host);
+        (node, host)
+    }
+
+    #[test]
+    fn corruption_reaches_sends_only_and_each_behaviour_its_own_kind() {
+        for profile in [
+            NodeProfile::default(),
+            byzantine(ByzantineBehaviour::ServeCorrupt),
+            byzantine(ByzantineBehaviour::ProposeGarbage),
+        ] {
+            let (node, host) = traffic(profile);
+            let mut kinds = [0; 3];
+            for (_, msg) in &host.sent {
+                match msg {
+                    Message::Request { ids } => {
+                        kinds[0] += 1;
+                        assert_eq!(ids[..], [PacketId::new(0, 0)], "{profile:?}");
+                    }
+                    Message::Propose { ids } => {
+                        kinds[1] += 1;
+                        let garbled = ids[0].index >= byzantine::GARBLE_INDEX_BIT;
+                        let garbler = profile.byzantine == Some(ByzantineBehaviour::ProposeGarbage);
+                        assert_eq!(garbled, garbler, "{profile:?}");
+                    }
+                    Message::Serve { events } => {
+                        kinds[2] += 1;
+                        let corrupter = profile.byzantine == Some(ByzantineBehaviour::ServeCorrupt);
+                        assert_eq!(events[0].verify(), !corrupter, "{profile:?}");
+                    }
+                    Message::FeedMe => {}
+                }
+            }
+            assert_eq!(
+                kinds,
+                [1, 3, 1],
+                "{profile:?}: one request, a propose per partner, one serve"
+            );
+            // The node's own view of the stream is never corrupted.
+            assert_eq!(host.delivered, [PacketId::new(0, 0)]);
+            assert_eq!(node.player.packets_received(), 1);
+            assert!(node.node.stored(&PacketId::new(0, 0)).expect("stored").verify());
+        }
+    }
+
+    #[test]
+    fn a_request_eater_swallows_requests_but_not_proposes() {
+        for (eater, serves) in [(false, 1), (true, 0)] {
+            let profile = if eater {
+                byzantine(ByzantineBehaviour::EatRequests)
+            } else {
+                NodeProfile::default()
+            };
+            let (_, host) = traffic(profile);
+            let count = |kind: fn(&Message<StreamPacket>) -> bool| {
+                host.sent.iter().filter(|(_, msg)| kind(msg)).count()
+            };
+            assert_eq!(count(|m| matches!(m, Message::Request { .. })), 1, "the propose was taken");
+            assert_eq!(count(|m| matches!(m, Message::Serve { .. })), serves, "eater={eater}");
+        }
+    }
+
+    #[test]
+    fn an_undefended_nodes_poisoned_delivery_stays_out_of_its_player() {
+        let (mut node, mut host) = (hosted(1, NodeProfile::default(), false), Recorder::default());
+        fetch(&mut node, &mut host, packet(0).tampered());
+        fetch(&mut node, &mut host, packet(1));
+        assert_eq!(node.node.stats().events_delivered, 2, "the node itself does not look");
+        assert_eq!(node.player.packets_received(), 1);
+        assert_eq!(host.delivered, [PacketId::new(0, 1)], "only the intact packet is observed");
+    }
+
+    #[test]
+    fn a_crash_bumps_the_epoch_and_drops_payloads_timers_and_backlog() {
+        let (mut node, mut host) = (hosted(1, NodeProfile::default(), true), Recorder::default());
+        fetch(&mut node, &mut host, packet(0));
+        for index in [1, 2] {
+            let ids: Arc<[PacketId]> = vec![PacketId::new(0, index)].into();
+            node.on_message(Time::ZERO, PEER, Message::Propose { ids });
+            node.route(Time::ZERO, &mut host);
+        }
+        assert_eq!(host.armed.len(), 3, "a timer per request");
+        assert_eq!(host.cancelled, host.armed[..1], "the served request's timer went at once");
+        node.view = Some(CyclonView::new(node.id(), Default::default(), &[PEER]));
+
+        let mut handed_back = node.crash();
+        assert!(node.is_down() && !node.is_current(0) && node.epoch() == 1);
+        assert_eq!(node.node.stored_events(), 0, "a down node pins no payload");
+        assert!(node.port.discarded && node.view.is_none());
+        handed_back.sort_unstable();
+        let mut live = host.armed[1..].to_vec();
+        live.sort_unstable();
+        assert_eq!(handed_back, live, "the crash hands back exactly the live timers' deadlines");
+        assert!(node.crash().is_empty() && node.epoch() == 1, "a down node does not crash again");
+    }
+
+    #[test]
+    fn revive_keeps_the_player_history_and_the_free_rider_flag() {
+        let profile = NodeProfile { free_rider: true, ..NodeProfile::default() };
+        let (mut node, mut host) = (hosted(1, profile, true), Recorder::default());
+        fetch(&mut node, &mut host, packet(0));
+        node.crash();
+        let members: Arc<[NodeId]> = vec![NodeId::new(0), NodeId::new(1)].into();
+        node.revive(Arc::clone(&members));
+        assert!(node.is_current(1), "up again, in the incarnation the crash began");
+        assert_eq!(node.node.stats().events_delivered, 0, "fresh protocol state");
+        assert!(!node.node.has_delivered(&PacketId::new(0, 0)));
+        assert_eq!(node.node.membership(), &members[..]);
+        assert!(node.node.is_free_rider(), "a free-rider stays one");
+        assert_eq!(node.player.packets_received(), 1, "what was watched stays watched");
+    }
+
+    #[test]
+    fn throttle_end_restores_the_base_cap_not_the_uniform_one() {
+        let profile = NodeProfile { cap_bps: Some(Some(100_000)), ..NodeProfile::default() };
+        let mut node = hosted(1, profile, true);
+        assert_eq!(node.port.rate, Some(100_000), "the class override wins over the uniform cap");
+        node.throttle(Some(10_000));
+        assert_eq!(node.port.rate, Some(10_000));
+        node.unthrottle();
+        assert_eq!(node.port.rate, Some(100_000));
+        assert_eq!(hosted(0, profile, true).port.rate, None, "the source is provisioned");
+    }
+
+    #[test]
+    fn a_down_source_publishes_nothing() {
+        let mut source = hosted(0, NodeProfile::default(), true);
+        let next = source.emit(Time::ZERO).expect("the stream runs for ten seconds");
+        assert!(source.node.stored_events() > 0);
+        source.crash();
+        assert_eq!(source.emit(next), None, "the chain ends at the crash");
+        assert_eq!(source.node.stored_events(), 0);
+        assert_eq!(hosted(1, NodeProfile::default(), true).emit(Time::ZERO), None);
+    }
+}

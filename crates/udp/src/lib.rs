@@ -1,12 +1,17 @@
-//! The runtime-independent substrate of the live (real-socket) runtimes.
+//! The runtime-independent hosting substrate.
 //!
 //! The simulator answers the paper's questions at scale; the live runtimes
-//! prove the protocol implementation is *deployable*. This crate holds what
-//! a live run needs whatever hosts its nodes — the sharded shared-socket
-//! runtime (`gossip-reactor`) in one process, or `gossipd` workers
-//! (`gossip-deploy`) across several: what to run, what time it is, how fast
-//! a node may upload, and what came of it.
+//! prove the protocol implementation is *deployable*. Both host the same
+//! [`hosted::HostedNode`]: every rule a host applies around the protocol —
+//! construction, the inbound gate, output routing, crash, revive, throttle
+//! and the fault-timeline interpreter — is written once, in [`hosted`].
+//! The rest of this crate is what a live run needs whatever hosts its
+//! nodes — the sharded shared-socket runtime (`gossip-reactor`) in one
+//! process, or `gossipd` workers (`gossip-deploy`) across several: what to
+//! run, what time it is, how fast a node may upload, and what came of it.
 //!
+//! * [`hosted`] — [`hosted::HostedNode`], one node's life on a host, and
+//!   [`hosted::apply`], the one interpreter of the compiled fault timeline;
 //! * [`cluster`] — [`cluster::ClusterConfig`], the description of a run;
 //!   [`cluster::ClusterReport`], its outcome; and
 //!   [`cluster::assemble_report`], which turns per-node reports into the
@@ -45,5 +50,6 @@
 pub mod clock;
 pub mod cluster;
 pub mod codec;
+pub mod hosted;
 pub mod report;
 pub mod shaper;

@@ -143,3 +143,70 @@ fn empty_chaos_section_leaves_digest_pinned() {
     });
     assert_pinned(got, "an empty [chaos] section");
 }
+
+/// The schedule digest and event count of one run that takes every fault
+/// path of the simulator at once: a Cyclon-mode tiny deployment under a
+/// catastrophic crash, Poisson churn with rejoins, a flash crowd, a
+/// Byzantine mix of all three behaviours, a partition that heals and an
+/// upload throttle. Pinned from the commit before the simulator's host rules
+/// moved into the shared hosted node, so that move is proven exact on the
+/// fault paths too. The random processes never pick the source.
+const ADVERSITY_DIGEST: u64 = 0x8a15_5e93_13f6_7e49;
+const ADVERSITY_EVENTS: u64 = 42_386;
+
+#[test]
+fn adversity_digest_is_pinned() {
+    use gossip::adversity::{AdversitySpec, ByzantineBehaviour, ByzantineMix, FaultAction};
+    use gossip::experiments::MembershipMode;
+    use gossip::membership::CyclonConfig;
+
+    let secs = Duration::from_secs;
+    let spec = AdversitySpec::none()
+        .with_catastrophic(secs(9), 0.2)
+        .with_poisson_churn(secs(3), secs(12), 0.6, Some(secs(2)))
+        .with_flash_crowd(secs(5), 4, secs(2))
+        .with_byzantine(
+            0.3,
+            ByzantineMix { serve_corrupt: 1.0, propose_garbage: 1.0, eat_requests: 1.0 },
+        )
+        .with_partition(secs(6), secs(8), 2)
+        .with_throttle(secs(4), secs(10), 0.3, Some(200_000));
+    let scenario = Scenario::tiny(5)
+        .with_seed(42)
+        .with_membership(MembershipMode::Cyclon {
+            config: CyclonConfig { view_size: 8, shuffle_size: 4 },
+            shuffle_period: secs(1),
+            bootstrap_degree: 4,
+        })
+        .with_adversity(spec);
+    let compiled = scenario.adversity.compile(scenario.n, scenario.seed);
+    let fired =
+        |kind: fn(&FaultAction) -> bool| compiled.timeline.events().iter().any(|e| kind(&e.action));
+    assert!(fired(|a| matches!(a, FaultAction::Rejoin(_))), "churn must rejoin someone");
+    assert!(fired(|a| matches!(a, FaultAction::Join(_))));
+    assert!(fired(|a| matches!(a, FaultAction::Heal(_))));
+    assert!(fired(|a| matches!(a, FaultAction::ThrottleEnd(_))));
+    for behaviour in [
+        ByzantineBehaviour::ServeCorrupt,
+        ByzantineBehaviour::ProposeGarbage,
+        ByzantineBehaviour::EatRequests,
+    ] {
+        assert!(compiled.profiles.iter().any(|p| p.byzantine == Some(behaviour)), "{behaviour:?}");
+    }
+    let result = scenario.run();
+
+    let mut h = Fnv::new();
+    fold_result(&mut h, &result);
+    let joiners = result.joiner_quality.as_ref().expect("the flash crowd left survivors");
+    for node in joiners.nodes() {
+        h.write_str(&format!("{:?}", node.window_lags()));
+    }
+    let got = (h.0, result.events_processed);
+    assert_eq!(
+        got,
+        (ADVERSITY_DIGEST, ADVERSITY_EVENTS),
+        "the fault-path schedule moved: digest {:#018x}, {} events",
+        got.0,
+        got.1
+    );
+}
