@@ -54,9 +54,14 @@ pub struct GossipConfig {
     /// `1` is the paper's infect-and-die; larger values are the
     /// infect-forever-style ablation.
     pub propose_lifetime_rounds: u32,
-    /// Events older than this are pruned from the serve store (they can no
-    /// longer be served). Bounds memory in long runs; irrelevant to the
-    /// metrics as long as it comfortably exceeds the largest lag measured.
+    /// How long a node remembers an event. A payload delivered longer ago
+    /// is pruned from the serve store (it can no longer be served), and a
+    /// window whose every id was delivered or first requested longer ago
+    /// leaves the id table whole: its ids are *expired* from then on —
+    /// never requested, never recorded again. Bounds a node's memory by
+    /// this horizon instead of the stream's length; irrelevant to the
+    /// metrics as long as it comfortably exceeds the largest lag measured
+    /// and the retransmission span (`K` requests, each at most `rto_max`).
     pub retention: Duration,
     /// Maximum events per `[SERVE]` datagram.
     ///
@@ -191,10 +196,11 @@ impl GossipConfig {
         self
     }
 
-    /// The oldest delivery time still inside the retention horizon at
-    /// `now`: payloads delivered before it are pruned. `None` while nothing
-    /// can be that old yet (or retention is unbounded). The one rule a
-    /// node's store and a host's shared payload table both prune by.
+    /// The oldest time still inside the retention horizon at `now`:
+    /// payloads delivered before it are pruned, and so are windows whose
+    /// ids all date from before it. `None` while nothing can be that old
+    /// yet (or retention is unbounded). The one rule a node's table and a
+    /// host's shared payload table both prune by.
     pub fn retention_cutoff(&self, now: Time) -> Option<Time> {
         if self.retention == Duration::MAX {
             return None;

@@ -1,8 +1,9 @@
 //! Dense, window-major storage for per-event protocol state.
 //!
-//! A node keeps one record for every event id it ever hears of (request
-//! state, alternate proposer, the payload while it is retained), keyed by
-//! that id. Real stream ids are *dense*: a `PacketId`-style id is a
+//! A node keeps one record for every event id it hears of (request state,
+//! alternate proposer, the payload while it is retained), keyed by that id,
+//! until the id's whole window falls behind the retention horizon. Real
+//! stream ids are *dense*: a `PacketId`-style id is a
 //! `(window, index)` pair with consecutive windows and indices
 //! `0..total_packets` — morally `window * total_packets + index`. Hashing
 //! such keys through a `HashMap` pays a hash + probe on every proposed,
@@ -25,12 +26,12 @@
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`
 //! test ids get a fallback that treats the high bits as the window.
 //!
-//! [`TokenSlab`] is the analogous structure for retransmission timers,
-//! whose [`TimerToken`](crate::TimerToken)s are issued sequentially: a ring
-//! of `Option<T>` slots addressed by `token - base`.
+//! [`TokenSlab`] is the analogous structure for retransmission timers: a
+//! free-list slab whose [`TimerToken`](crate::TimerToken)s are a slot index
+//! and a generation, so its memory is the most timers ever armed at once,
+//! not the span from the oldest armed one to the newest.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// Maps an event id onto dense `(window, offset)` coordinates.
@@ -185,6 +186,26 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         self.rows.iter().map(|(_, row)| row.capacity()).sum()
     }
 
+    /// Returns how many windows have a row.
+    pub fn windows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Drops the oldest rows, in window order, as long as `expired` holds
+    /// for every value of a row; the first row with a live value stops the
+    /// walk. Returns the window after the last row dropped, if one was: no
+    /// row is left below it.
+    pub fn drop_expired_rows(&mut self, mut expired: impl FnMut(&V) -> bool) -> Option<u64> {
+        let dropped =
+            self.rows.iter().take_while(|(_, row)| row.iter().flatten().all(&mut expired)).count();
+        let last = self.rows[..dropped].last()?.0;
+        for (_, row) in self.rows.drain(..dropped) {
+            self.len -= row.iter().flatten().count();
+        }
+        self.cursor.set(0);
+        Some(last.saturating_add(1))
+    }
+
     /// Inserts `value` under `key`, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let (len, slot) = self.slot_mut(&key);
@@ -245,25 +266,33 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     }
 }
 
-/// A slab of values addressed by sequentially issued `u64` tokens.
+/// One slab slot: the value it holds, if any, and how many times it has
+/// been freed.
+struct TokenSlot<T> {
+    generation: u32,
+    value: Option<T>,
+}
+
+/// A slab of values addressed by the `u64` tokens it issues.
 ///
-/// Tokens are expected to be handed out by an incrementing counter
-/// (`insert` asserts it); values are removed exactly once. Storage is a
-/// ring of `Option<T>` slots whose base advances as the oldest tokens are
-/// consumed, so memory is bounded by the number of *outstanding* tokens.
+/// A token is a slot index (low 32 bits) and the generation the slot had
+/// when the value went in (high 32 bits). Freed slots are reused, most
+/// recently freed first, and every free bumps the slot's generation, so a
+/// token whose value is gone never names the slot's next occupant. Memory
+/// is the high-water mark of values held *at once*: however long one value
+/// stays, the values inserted and removed around it reuse the same few
+/// slots.
 pub struct TokenSlab<T> {
-    /// Token number of `slots[0]`.
-    base: u64,
-    slots: VecDeque<Option<T>>,
-    len: usize,
+    slots: Vec<TokenSlot<T>>,
+    /// Vacant slot indices, the next to reuse last.
+    free: Vec<u32>,
 }
 
 impl<T> std::fmt::Debug for TokenSlab<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenSlab")
-            .field("base", &self.base)
-            .field("len", &self.len)
-            .field("span", &self.slots.len())
+            .field("len", &self.len())
+            .field("slots", &self.slots.len())
             .finish()
     }
 }
@@ -277,71 +306,81 @@ impl<T> Default for TokenSlab<T> {
 impl<T> TokenSlab<T> {
     /// Creates an empty slab.
     pub fn new() -> Self {
-        TokenSlab { base: 0, slots: VecDeque::new(), len: 0 }
+        TokenSlab { slots: Vec::new(), free: Vec::new() }
     }
 
-    /// Returns the number of outstanding values.
+    /// Returns the number of stored values.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len() - self.free.len()
     }
 
-    /// Returns `true` if no values are outstanding.
+    /// Returns `true` if no values are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Stores `value` under `token`, which must be the next sequential
-    /// token (the caller's counter and the slab's tail stay in lockstep).
-    pub fn insert(&mut self, token: u64, value: T) {
-        if self.slots.is_empty() {
-            self.base = token;
+    /// Returns how many slots are allocated, occupied or not.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    fn token(slot: u32, generation: u32) -> u64 {
+        (u64::from(generation) << 32) | u64::from(slot)
+    }
+
+    /// Stores `value` and returns the token that names it.
+    pub fn insert(&mut self, value: T) -> u64 {
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.value = Some(value);
+                Self::token(slot, s.generation)
+            }
+            None => {
+                // 2³² values held at once would take hundreds of GiB.
+                let slot = self.slots.len() as u32;
+                self.slots.push(TokenSlot { generation: 0, value: Some(value) });
+                Self::token(slot, 0)
+            }
         }
-        debug_assert_eq!(
-            token,
-            self.base + self.slots.len() as u64,
-            "tokens must be issued sequentially"
-        );
-        self.slots.push_back(Some(value));
-        self.len += 1;
     }
 
     /// Returns a mutable reference to the value stored under `token`, if
-    /// any.
+    /// it is still there.
     pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
-        let idx = token.checked_sub(self.base)?;
-        self.slots.get_mut(idx as usize)?.as_mut()
-    }
-
-    /// Recovers an outstanding token from its low 32 bits: the one token
-    /// at or after the oldest outstanding one that ends in them. Exact for
-    /// any token still stored (the ring never spans 2³² tokens), which is
-    /// what lets a four-byte back-link name a token.
-    pub fn widen(&self, low: u32) -> u64 {
-        self.base + u64::from(low.wrapping_sub(self.base as u32))
-    }
-
-    /// Removes every outstanding value, yielding each with its token.
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
-        let base = self.base;
-        self.len = 0;
-        self.slots
-            .drain(..)
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.map(|value| (base + i as u64, value)))
-    }
-
-    /// Removes and returns the value stored under `token`, if any.
-    pub fn remove(&mut self, token: u64) -> Option<T> {
-        let idx = token.checked_sub(self.base)?;
-        let value = self.slots.get_mut(idx as usize)?.take()?;
-        self.len -= 1;
-        // Shed consumed slots from the front so the ring stays as small as
-        // the outstanding token span.
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
+        let s = self.slots.get_mut(token as u32 as usize)?;
+        if s.generation != (token >> 32) as u32 {
+            return None;
         }
+        s.value.as_mut()
+    }
+
+    /// Recovers the token of the value in `slot` — the token's low 32
+    /// bits — which is what lets a four-byte back-link name a token. Exact
+    /// while the value is stored; a vacant slot's widened token names
+    /// nothing.
+    pub fn widen(&self, slot: u32) -> u64 {
+        let generation = self.slots.get(slot as usize).map_or(0, |s| s.generation);
+        Self::token(slot, generation)
+    }
+
+    /// Removes and returns the value stored under `token`, if it is still
+    /// there.
+    pub fn remove(&mut self, token: u64) -> Option<T> {
+        let slot = token as u32;
+        let s = self.slots.get_mut(slot as usize)?;
+        if s.generation != (token >> 32) as u32 {
+            return None;
+        }
+        let value = s.value.take()?;
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot);
         Some(value)
+    }
+
+    /// Consumes the slab, yielding every stored value.
+    pub fn into_values(self) -> impl Iterator<Item = T> {
+        self.slots.into_iter().filter_map(|s| s.value)
     }
 }
 
@@ -422,57 +461,89 @@ mod tests {
     }
 
     #[test]
+    fn drop_expired_rows_takes_the_oldest_rows_up_to_the_first_live_value() {
+        let mut m: DenseMap<u64, u64> = DenseMap::new();
+        // Windows 0, 1, 2 and 4; the value is the window, except one
+        // straggler in window 1 that is still live.
+        for id in [0u64, 5, 256, 300, 512, 1024] {
+            m.insert(id, id >> 8);
+        }
+        m.insert(257, 9);
+        assert_eq!(m.drop_expired_rows(|&v| v > 5), None, "the first row is live: nothing goes");
+        assert_eq!(m.drop_expired_rows(|&v| v < 4), Some(1), "window 1's straggler stops the walk");
+        assert_eq!((m.len(), m.windows()), (5, 3));
+        assert_eq!(m.get(&5), None);
+        assert_eq!(m.get(&257), Some(&9));
+        // Everything expired: the floor is past the newest row.
+        assert_eq!(m.drop_expired_rows(|_| true), Some(5));
+        assert!(m.is_empty() && m.windows() == 0 && m.capacity() == 0);
+        assert_eq!(m.drop_expired_rows(|_| true), None, "an empty map drops nothing");
+    }
+
+    #[test]
     fn token_slab_inserts_and_removes_in_any_order() {
         let mut s: TokenSlab<&str> = TokenSlab::new();
-        s.insert(0, "a");
-        s.insert(1, "b");
-        s.insert(2, "c");
+        let [a, b, c] = ["a", "b", "c"].map(|v| s.insert(v));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.remove(1), Some("b"));
-        assert_eq!(s.remove(1), None, "double remove is a no-op");
-        assert_eq!(s.remove(0), Some("a"));
-        // Front slots shed: base advanced past the consumed prefix.
-        assert_eq!(s.base, 2);
-        assert_eq!(s.remove(2), Some("c"));
+        assert_eq!(s.remove(b), Some("b"));
+        assert_eq!(s.remove(b), None, "double remove is a no-op");
+        assert_eq!(s.remove(a), Some("a"));
+        assert_eq!(s.remove(c), Some("c"));
         assert!(s.is_empty());
-        // Sequential issuance continues after a full drain.
-        s.insert(3, "d");
-        assert_eq!(s.remove(3), Some("d"));
+
+        // One value held for the whole run while 10 000 others come and
+        // go, at most two at a time: the slab holds what is live at once,
+        // not the span of tokens issued since the oldest.
+        let old = s.insert("old");
+        let mut previous = s.insert("young");
+        for _ in 0..10_000 {
+            let next = s.insert("young");
+            assert_eq!(s.remove(previous), Some("young"));
+            previous = next;
+        }
+        assert_eq!(s.len(), 2);
+        assert!(s.capacity() <= 4, "{} slots for three values at most at once", s.capacity());
+        assert_eq!(s.remove(old), Some("old"));
     }
 
     #[test]
     fn token_slab_finds_a_token_by_its_low_bits_and_drains() {
         let mut s: TokenSlab<u32> = TokenSlab::new();
-        // Straddle a 32-bit boundary: the low bits wrap, the tokens do not.
-        let first = (7u64 << 32) - 2;
-        for i in 0..5 {
-            s.insert(first + i, i as u32);
-        }
-        assert_eq!(s.remove(first), Some(0));
-        for i in 1..5 {
-            let token = first + i;
+        let tokens: Vec<u64> = (0..5).map(|i| s.insert(i)).collect();
+        // Cycle slot 2 through a few generations: its token's high bits move.
+        s.remove(tokens[2]);
+        let reused = (0..3).fold(s.insert(20), |token, i| {
+            s.remove(token);
+            s.insert(21 + i)
+        });
+        assert_eq!(reused as u32, tokens[2] as u32, "the freed slot was reused");
+        assert_ne!(reused, tokens[2]);
+        // A back-link keeps only the low 32 bits; widening restores the
+        // whole token of whatever is stored in that slot now.
+        for (token, value) in [(tokens[0], 0), (tokens[1], 1), (reused, 23), (tokens[4], 4)] {
             assert_eq!(s.widen(token as u32), token);
-            assert_eq!(s.get_mut(token), Some(&mut (i as u32)));
+            assert_eq!(s.get_mut(s.widen(token as u32)), Some(&mut { value }));
         }
-        assert_eq!(s.get_mut(first), None, "consumed");
-        assert_eq!(s.get_mut(first + 5), None, "not issued yet");
-        assert_eq!(s.remove(first + 2), Some(2));
-        let drained: Vec<_> = s.drain().collect();
-        assert_eq!(drained, vec![(first + 1, 1), (first + 3, 3), (first + 4, 4)]);
-        assert!(s.is_empty());
-        // Sequential issuance continues after a drain.
-        s.insert(first + 5, 5);
-        assert_eq!(s.remove(first + 5), Some(5));
+        assert_eq!(s.remove(tokens[3]), Some(3));
+        assert_eq!(s.get_mut(s.widen(tokens[3] as u32)), None, "a vacant slot widens to nothing");
+        assert_eq!(s.get_mut(s.widen(99)), None, "as does one never allocated");
+        let mut values: Vec<u32> = s.into_values().collect();
+        values.sort_unstable();
+        assert_eq!(values, [0, 1, 4, 23]);
     }
 
     #[test]
     fn token_slab_rejects_unknown_tokens() {
         let mut s: TokenSlab<u32> = TokenSlab::new();
         assert_eq!(s.remove(0), None);
-        s.insert(0, 1);
-        s.insert(1, 2);
+        let first = s.insert(1);
         assert_eq!(s.remove(99), None);
-        assert_eq!(s.remove(0), Some(1));
-        assert_eq!(s.remove(0), None, "token below base after shedding");
+        assert_eq!(s.remove(first), Some(1));
+        // The slot is reused; the stale token must not reach its new value.
+        let second = s.insert(2);
+        assert_eq!(second as u32, first as u32, "same slot");
+        assert_eq!(s.get_mut(first), None, "stale after reuse");
+        assert_eq!(s.remove(first), None, "stale after reuse");
+        assert_eq!(s.remove(second), Some(2));
     }
 }

@@ -51,10 +51,10 @@ use crate::view::PartnerView;
 /// A driver that *can* cancel tells the node which of its deadlines the
 /// token became ([`GossipNode::attach_timer_handle`]) and gets that handle
 /// back from [`GossipNode::poll_cancelled`] once every id the timer guards
-/// has been delivered (Algorithm 1, line 24) or the node has been told to
-/// [forget its timers](GossipNode::forget_retransmits). Firing such a timer
-/// would have been a no-op — no output, no random draw — so honouring the
-/// cancellation changes what a driver's queue holds and nothing else.
+/// has been delivered (Algorithm 1, line 24), or from
+/// [`GossipNode::crash`]. Firing such a timer would have been a no-op — no
+/// output, no random draw — so honouring the cancellation changes what a
+/// driver's queue holds and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerToken(u64);
 
@@ -86,9 +86,10 @@ pub enum Output<E: Event> {
 /// the request counter that bounds retransmissions), packed into one
 /// 8-byte word.
 ///
-/// A node holds one of these per event id *forever* (ids are never
-/// re-requested), at the head of that id's [`IdRecord`], so at large n it
-/// is multiplied by every id of the stream at every node. Request counter,
+/// A node holds one of these per event id for as long as the id's window
+/// is inside the retention horizon (ids are never re-requested), at the
+/// head of that id's [`IdRecord`], so at large n it is multiplied by every
+/// retained id of the stream at every node. Request counter,
 /// delivered flag and one timestamp share a `NonZeroU64`, whose niche also
 /// makes the record's `DenseMap` slot (an `Option`) free:
 ///
@@ -102,8 +103,8 @@ pub enum Output<E: Event> {
 /// ```
 ///
 /// The two times never coexist: the first-request time is read once, for
-/// the RTT sample taken at delivery, and the delivery time is only what
-/// retention pruning compares afterwards. Saturation is harmless:
+/// the RTT sample taken at delivery, and otherwise both are only what
+/// retention pruning compares. Saturation is harmless:
 /// `max_requests_per_event` is single-digit in every configuration, and no
 /// run approaches the timestamp horizon.
 #[derive(Debug, Clone, Copy)]
@@ -176,21 +177,25 @@ impl Packed32 {
 /// Everything a node keeps about one event id, in one [`DenseMap`] slot.
 ///
 /// A record exists from the moment the id is first requested (or delivered
-/// unrequested, or published here) and is never removed: its existence is
-/// membership in the paper's `requestedEvents`, which is what keeps a
-/// pruned id from being requested again. Only the payload comes and goes.
+/// unrequested, or published here): its existence is membership in the
+/// paper's `requestedEvents`, which is what keeps an id from being
+/// requested again. The payload goes at the retention horizon; the record
+/// goes with its whole window once every record of that window is older
+/// than the horizon, and from then on the node's record floor answers for
+/// it — an id below the floor is *expired*, never new.
 struct IdRecord<E> {
     state: RequestState,
     /// Most recent *other* proposer while the id is undelivered: where a
     /// corrupted serve is re-requested from (validate-before-relay).
     alternate: Packed32,
-    /// Low 32 bits of the token of the armed [`RetransmitEntry`] that
-    /// counts this id among its undelivered ones, while there is one: what
-    /// the id's delivery settles. Never dangling — whatever removes an
-    /// entry first unlinks the ids it leaves undelivered.
+    /// Slab slot (the token's low 32 bits) of the armed
+    /// [`RetransmitEntry`] that counts this id among its undelivered ones,
+    /// while there is one: what the id's delivery settles. Never dangling —
+    /// whatever removes an entry first unlinks the ids it leaves
+    /// undelivered.
     timer: Packed32,
-    /// The payload, for serving, from delivery until retention pruning (or
-    /// a crash) drops it.
+    /// The payload, for serving, from delivery until retention pruning
+    /// drops it.
     event: Option<E>,
 }
 
@@ -238,10 +243,10 @@ pub struct GossipNode<E: Event> {
     /// Ids to include in upcoming proposals, with the number of rounds they
     /// have left (1 under infect-and-die).
     propose_queue: Vec<(E::Id, u32)>,
-    /// The one per-id table: request/delivery bookkeeping (never pruned; an
-    /// id is requested from exactly one peer, ever, apart from
-    /// retransmissions), alternate proposer and retained payload. Dense
-    /// per-window slab: lookups are array indexings, not hashes.
+    /// The one per-id table: request/delivery bookkeeping (an id is
+    /// requested from exactly one peer, ever, apart from retransmissions),
+    /// alternate proposer and retained payload. Dense per-window slab:
+    /// lookups are array indexings, not hashes.
     ids: DenseMap<E::Id, IdRecord<E>>,
     /// How many records hold a payload.
     payloads: usize,
@@ -249,19 +254,22 @@ pub struct GossipNode<E: Event> {
     /// `prune_store` starts, so it walks what is retained, not every id
     /// the node ever heard of.
     payload_floor: u64,
+    /// Ids of windows before this one are expired: their records aged out
+    /// with their whole window, and they are never recorded again (the
+    /// backward twin of [`GossipConfig::propose_offset_horizon`]).
+    record_floor: u64,
     /// Misbehaviour scores of peers that served corrupted payloads or
     /// proposed garbage ids (sparse: almost always empty).
     misbehaviour: Vec<(NodeId, u32)>,
     /// Peers demoted for repeat misbehaviour: excluded from partner
     /// selection and feed-me adoption, their proposals ignored.
     demoted: Vec<NodeId>,
-    /// Armed retransmission timers, addressed by their sequential token.
+    /// Armed retransmission timers, addressed by their token.
     retransmits: TokenSlab<RetransmitEntry<E::Id>>,
     /// Host deadlines that no longer need to fire, until the host collects
     /// them ([`GossipNode::poll_cancelled`]).
     cancelled: Vec<EventHandle>,
     rtt: RttEstimator,
-    next_token: u64,
     rounds: u64,
     outputs: VecDeque<Output<E>>,
     stats: ProtocolStats,
@@ -309,12 +317,12 @@ impl<E: Event> GossipNode<E> {
             ids: DenseMap::new(),
             payloads: 0,
             payload_floor: u64::MAX,
+            record_floor: 0,
             misbehaviour: Vec::new(),
             demoted: Vec::new(),
             retransmits: TokenSlab::new(),
             cancelled: Vec::new(),
             rtt,
-            next_token: 0,
             rounds: 0,
             outputs: VecDeque::new(),
             stats: ProtocolStats::default(),
@@ -618,10 +626,17 @@ impl<E: Event> GossipNode<E> {
         let mut wanted = std::mem::take(&mut self.scratch_ids);
         wanted.clear();
         for id in ids {
+            let (window, offset) = id.dense_key();
+            // Record floor: an expired id was requested long ago or missed
+            // for good — old news from an honest proposer, not a new id.
+            if window < self.record_floor {
+                self.stats.duplicate_ids_proposed += 1;
+                continue;
+            }
             // Dense-offset horizon: a garbage id (Byzantine proposer) would
             // grow this id's window row to its claimed offset — reject it
             // before it touches the bookkeeping, and score the proposer.
-            if id.dense_key().1 >= self.config.propose_offset_horizon {
+            if offset >= self.config.propose_offset_horizon {
                 self.stats.garbage_ids_rejected += 1;
                 self.note_misbehaviour(from);
                 continue;
@@ -699,11 +714,18 @@ impl<E: Event> GossipNode<E> {
     /// integrity metadata *before* it can be delivered, stored or
     /// re-proposed. A corrupted event is dropped, the server's misbehaviour
     /// score bumped, and — if another peer proposed the same id — the id is
-    /// re-requested from that alternate within the usual `K` budget.
+    /// re-requested from that alternate within the usual `K` budget. An
+    /// expired id (below the record floor) is a duplicate before anything
+    /// else: it is neither checked nor recorded.
     fn handle_serve(&mut self, now: Time, from: NodeId, events: impl Iterator<Item = E>) {
         self.stats.serves_received += 1;
         for event in events {
             let id = event.id();
+            if self.is_expired(&id) {
+                // Too late to matter, and its window must not come back.
+                self.stats.duplicate_events_received += 1;
+                continue;
+            }
             if self.config.verify_payloads && !event.verify() {
                 self.stats.corrupted_events_detected += 1;
                 self.note_misbehaviour(from);
@@ -838,8 +860,10 @@ impl<E: Event> GossipNode<E> {
     /// that entry, which keeps this one's count above zero for good — it
     /// fires and is ignored, as every timer used to.
     fn arm_retransmit(&mut self, now: Time, peer: NodeId, ids: Arc<[E::Id]>, attempt: u32) {
-        let token = TimerToken(self.next_token);
-        self.next_token += 1;
+        let undelivered = ids.len() as u32;
+        let entry =
+            RetransmitEntry { peer, ids: Arc::clone(&ids), attempt, undelivered, handle: None };
+        let token = TimerToken(self.retransmits.insert(entry));
         let link = Packed32::some(token.0 as u32);
         for id in ids.iter() {
             if let Some(record) = self.ids.get_mut(id) {
@@ -849,9 +873,6 @@ impl<E: Event> GossipNode<E> {
                 }
             }
         }
-        let undelivered = ids.len() as u32;
-        self.retransmits
-            .insert(token.0, RetransmitEntry { peer, ids, attempt, undelivered, handle: None });
         let at = now + self.rtt.rto_backoff(attempt);
         self.outputs.push_back(Output::ScheduleTimer { token, at });
     }
@@ -860,8 +881,8 @@ impl<E: Event> GossipNode<E> {
     /// it, and when it was the last one drop the entry and report the
     /// host's deadline for it, if the host attached one, as cancelled.
     fn settle_timer(&mut self, timer: Packed32) {
-        let Some(low) = timer.get() else { return };
-        let token = self.retransmits.widen(low);
+        let Some(slot) = timer.get() else { return };
+        let token = self.retransmits.widen(slot);
         let Some(entry) = self.retransmits.get_mut(token) else {
             debug_assert!(false, "an undelivered id linked to a timer that is gone");
             return;
@@ -878,9 +899,9 @@ impl<E: Event> GossipNode<E> {
         self.rtt.rto()
     }
 
-    /// Drops served payloads older than the retention horizon. The records
-    /// themselves are deliberately kept forever so pruned ids are never
-    /// re-requested.
+    /// Ages the table by the retention horizon: drops the payloads
+    /// delivered before it, then every whole window whose records all
+    /// predate it, raising the record floor past them.
     fn prune_store(&mut self, now: Time) {
         let Some(cutoff) = self.config.retention_cutoff(now) else { return };
         let mut floor = u64::MAX;
@@ -896,49 +917,56 @@ impl<E: Event> GossipNode<E> {
             }
         }
         self.payload_floor = floor;
+        // A record's time is its delivery, or its first request while
+        // undelivered; either way, one older than the horizon holds no
+        // payload any more.
+        if let Some(floor) = self.ids.drop_expired_rows(|record| record.state.at() < cutoff) {
+            self.record_floor = self.record_floor.max(floor);
+        }
     }
 
-    /// Drops every stored payload and the pending proposals, keeping the
-    /// counters and the request bookkeeping for the report.
+    /// Ends this incarnation: drops the whole id table (payloads included),
+    /// every armed retransmission timer, the pending proposals and outputs
+    /// and the scratch buffers, keeping only the counters
+    /// ([`GossipNode::stats`]). Returns the deadlines the host attached to
+    /// the dropped timers, for it to cancel.
     ///
-    /// Hosts call this when the node crashes: a down node runs no rounds,
-    /// so its retention pruning never fires again, and a payload buffer it
-    /// shares with live nodes would otherwise stay pinned for as long as
-    /// the node stays down.
-    pub fn forget_payloads(&mut self) {
-        for (_, record) in self.ids.values_mut_from(self.payload_floor) {
-            record.event = None;
-        }
+    /// Hosts call this when the node crashes. A down node takes no input
+    /// and a revived one is a fresh `GossipNode`, so nothing of this state
+    /// is ever read again — and a payload buffer it shares with live nodes
+    /// would otherwise stay pinned for as long as the node stays down.
+    pub fn crash(&mut self) -> Vec<EventHandle> {
+        let mut cancelled = std::mem::take(&mut self.cancelled);
+        let timers = std::mem::take(&mut self.retransmits);
+        cancelled.extend(timers.into_values().filter_map(|entry| entry.handle));
+        self.ids = DenseMap::new();
         self.payloads = 0;
         self.payload_floor = u64::MAX;
-        self.propose_queue.clear();
-    }
-
-    /// Drops every armed retransmission timer — entries and the id lists
-    /// they pin — and reports the attached host deadlines as cancelled
-    /// ([`GossipNode::poll_cancelled`]); the ids stay requested.
-    ///
-    /// Hosts call this when the node crashes, with
-    /// [`GossipNode::forget_payloads`]: a down node's timers must not fire,
-    /// so neither their state nor their deadlines are worth keeping until
-    /// they come due.
-    pub fn forget_retransmits(&mut self) {
-        for (token, entry) in self.retransmits.drain() {
-            let link = Packed32::some(token as u32);
-            for id in entry.ids.iter() {
-                if let Some(record) = self.ids.get_mut(id) {
-                    if record.timer == link {
-                        record.timer = Packed32::NONE;
-                    }
-                }
-            }
-            self.cancelled.extend(entry.handle);
-        }
+        self.propose_queue = Vec::new();
+        self.misbehaviour = Vec::new();
+        self.demoted = Vec::new();
+        self.outputs = VecDeque::new();
+        self.scratch_ids = Vec::new();
+        self.scratch_partners = Vec::new();
+        self.scratch_events = Vec::new();
+        cancelled
     }
 
     /// Returns the number of events currently stored (servable).
     pub fn stored_events(&self) -> usize {
         self.payloads
+    }
+
+    /// Returns how many ids have a record, and how many windows those
+    /// records span.
+    pub fn recorded_ids(&self) -> (usize, usize) {
+        (self.ids.len(), self.ids.windows())
+    }
+
+    /// Returns whether `id` is below the record floor: its window aged out
+    /// of the table, so the node neither requests nor records it again.
+    pub fn is_expired(&self, id: &E::Id) -> bool {
+        id.dense_key().0 < self.record_floor
     }
 
     /// Returns the stored (servable) copy of an event, if still retained.
@@ -1276,53 +1304,106 @@ mod tests {
     fn store_pruning_forgets_old_payloads_but_not_requests() {
         let config = GossipConfig::new(2).with_retention(Duration::from_secs(10));
         let mut node = GossipNode::new(NodeId::new(1), config, members(5), 1);
-        node.on_message(
-            Time::ZERO,
-            NodeId::new(2),
-            Message::Serve { events: vec![TestEvent::new(1, 10)] },
-        );
+        let (peer, late) = (NodeId::new(2), NodeId::new(3));
+        serve(&mut node, 0, peer, TestEvent::new(1, 10));
+        serve(&mut node, 25_000, peer, TestEvent::new(2, 10));
         drain(&mut node);
-        assert_eq!(node.stored_events(), 1);
+        assert_eq!(node.stored_events(), 2);
 
         node.on_round(Time::from_secs(30));
         drain(&mut node);
-        assert_eq!(node.stored_events(), 0, "payload pruned after retention");
-        assert!(node.has_delivered(&1), "delivery bookkeeping survives pruning");
+        assert_eq!(node.stored_events(), 1, "id 1's payload pruned after retention");
+        assert!(node.has_delivered(&1), "its record stays while its window has a younger one");
 
         // A late proposal for the pruned id is *not* re-requested.
-        node.on_message(
-            Time::from_secs(31),
-            NodeId::new(3),
-            Message::Propose { ids: vec![1].into() },
-        );
+        node.on_message(Time::from_secs(31), late, Message::Propose { ids: vec![1].into() });
         assert!(sends(&drain(&mut node)).is_empty());
+
+        // Once the window's last record is older than the horizon, the
+        // window leaves the table and its ids are expired: still never
+        // requested again, counted as duplicates, held against nobody.
+        node.on_round(Time::from_secs(40));
+        drain(&mut node);
+        assert_eq!((node.stored_events(), node.recorded_ids()), (0, (0, 0)));
+        assert!(node.is_expired(&1) && node.is_expired(&2) && !node.is_expired(&256));
+        assert!(!node.has_delivered(&1));
+        node.on_message(
+            Time::from_secs(41),
+            late,
+            Message::Propose { ids: vec![1, 2, 256].into() },
+        );
+        let out = drain(&mut node);
+        assert_eq!(sends(&out), [(late, &Message::Request { ids: vec![256].into() })]);
+        assert_eq!(node.stats().duplicate_ids_proposed, 3);
+        assert_eq!(node.misbehaviour_score(late), 0);
+        // A serve of an expired id is a duplicate and brings no row back.
+        serve(&mut node, 41_000, late, TestEvent::new(2, 10));
+        assert!(drain(&mut node).iter().all(|o| !matches!(o, Output::Deliver { .. })));
+        assert_eq!(node.stats().duplicate_events_received, 1);
+        assert_eq!(node.recorded_ids(), (1, 1), "only 256's record, in window 1");
     }
 
     #[test]
-    fn forgetting_payloads_empties_the_store_and_keeps_the_bookkeeping() {
+    fn a_crash_empties_the_store_and_keeps_only_the_counters() {
         let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(2), members(5), 1);
-        node.on_message(
-            Time::ZERO,
-            NodeId::new(2),
-            Message::Serve { events: vec![TestEvent::new(1, 10)] },
-        );
+        let peer = NodeId::new(2);
+        serve(&mut node, 0, peer, TestEvent::new(1, 10));
+        node.on_message(Time::ZERO, peer, Message::Propose { ids: vec![2].into() });
         drain(&mut node);
         assert_eq!(node.stored(&1), Some(&TestEvent::new(1, 10)));
+        assert_eq!((node.stored_events(), node.recorded_ids()), (1, (2, 1)));
+        let stats = *node.stats();
 
-        node.forget_payloads();
-        assert_eq!(node.stored_events(), 0);
-        assert_eq!(node.stored(&1), None);
-        assert!(node.has_delivered(&1), "what was delivered stays delivered");
+        // Payloads and records go, buffers included; the counters stay.
+        node.crash();
+        assert_eq!(node.stats(), &stats, "the counters survive");
         assert_eq!(node.stats().events_delivered, 1);
-        node.on_round(Time::from_millis(200));
-        assert!(sends(&drain(&mut node)).is_empty(), "the pending proposal went with the payload");
-        node.on_message(Time::ZERO, NodeId::new(3), Message::Request { ids: vec![1].into() });
-        assert!(sends(&drain(&mut node)).is_empty());
-        assert_eq!(node.stats().unservable_ids, 1);
+        assert_eq!((node.stored_events(), node.recorded_ids()), (0, (0, 0)));
+        assert!(!node.has_delivered(&1) && node.stored(&1).is_none());
+        assert_eq!(node.ids.capacity(), 0);
+        assert_eq!(node.propose_queue.capacity(), 0, "the pending proposals went");
+        assert_eq!(node.outputs.capacity() + node.scratch_ids.capacity(), 0);
+
+        // What follows is a fresh incarnation, which hosts build anew: it
+        // knows nothing of the old one's ids and requests them all.
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(2), members(5), 1);
+        node.on_message(Time::ZERO, peer, Message::Propose { ids: vec![1, 2].into() });
+        let out = drain(&mut node);
+        assert_eq!(sends(&out), [(peer, &Message::Request { ids: vec![1, 2].into() })]);
     }
 
     #[test]
-    fn a_long_stream_holds_one_retention_horizon_of_payloads_and_every_record() {
+    fn a_crash_cancels_every_deadline_and_ends_the_incarnation() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let mut queue = EventQueue::new();
+        let peer = NodeId::new(2);
+        for ids in [vec![1, 2], vec![3]] {
+            node.on_message(Time::ZERO, peer, Message::Propose { ids: ids.into() });
+        }
+        let out = schedule(&mut node, &mut queue);
+        serve(&mut node, 50, peer, TestEvent::new(1, 10));
+        drain(&mut node);
+        assert_eq!((queue.len(), node.retransmits.len()), (2, 2));
+
+        // Both armed timers' deadlines come back, and no timer stays.
+        let handles = node.crash();
+        assert_eq!(handles.len(), 2);
+        assert!(handles.into_iter().all(|h| queue.cancel(h)) && queue.is_empty());
+        assert_eq!(node.poll_cancelled(), None);
+        assert!(node.retransmits.is_empty() && node.retransmits.capacity() == 0);
+        assert_eq!(node.request_info(&2), None, "the request went with the incarnation");
+
+        // The dead incarnation's tokens name nothing.
+        for o in out {
+            if let Output::ScheduleTimer { token, at } = o {
+                node.on_timer(at, token);
+            }
+        }
+        assert!(drain(&mut node).is_empty());
+    }
+
+    #[test]
+    fn a_long_stream_holds_one_retention_horizon_of_payloads_and_records() {
         // Ten ids per 100 ms round for 12 s under a 1 s retention: twelve
         // horizons, 1200 ids over five windows of 256, window 0 left empty.
         const FIRST: u64 = 256;
@@ -1330,7 +1411,7 @@ mod tests {
         const ROUNDS: u64 = 120;
         const END: u64 = FIRST + ROUNDS * PER_ROUND;
         let config = GossipConfig::new(2).with_retention(Duration::from_secs(1));
-        let mut node = GossipNode::new(NodeId::new(1), config, members(5), 1);
+        let mut node = GossipNode::new(NodeId::new(1), config.clone(), members(5), 1);
         let peer = NodeId::new(2);
         // What falls inside [now − 1 s, now]: eleven rounds' deliveries.
         let horizon = 11 * PER_ROUND;
@@ -1345,41 +1426,53 @@ mod tests {
             drain(&mut node);
             let expected = horizon.min((round + 1) * PER_ROUND);
             assert_eq!(node.stored_events() as u64, expected, "round {round}");
+            // Records: every id from the start of the window that holds
+            // the oldest retained one, up to the newest.
+            let oldest = FIRST + round.saturating_sub(10) * PER_ROUND;
+            let newest = FIRST + (round + 1) * PER_ROUND - 1;
+            let kept = newest + 1 - (oldest & !0xFF).max(FIRST);
+            assert_eq!(node.recorded_ids().0 as u64, kept, "round {round}");
+            assert!(node.recorded_ids().1 <= 2, "round {round}: one horizon spans two windows");
         }
         assert_eq!(node.stats().events_delivered, ROUNDS * PER_ROUND);
         assert_eq!(node.stored(&(END - horizon - 1)), None, "pruned");
         assert!(node.stored(&(END - horizon)).is_some() && node.stored(&(END - 1)).is_some());
+        assert!(node.is_expired(&FIRST) && !node.is_expired(&(END - horizon)));
 
-        // Another peer proposes the whole stream again: pruned or retained,
-        // no id is requested a second time.
+        // Another peer proposes the whole stream again: expired, pruned or
+        // retained, no id is requested a second time.
         let all: Vec<u64> = (FIRST..END).collect();
         node.on_message(now, NodeId::new(3), Message::Propose { ids: all.into() });
         assert!(sends(&drain(&mut node)).is_empty(), "a pruned id was re-requested");
+        assert_eq!(node.misbehaviour_score(NodeId::new(3)), 0, "old news is not misbehaviour");
 
-        // Payloads landing in a window behind the pruning cursor, and far
-        // ahead of it, are counted, served and aged out like any other.
+        // A payload behind the record floor is a duplicate that brings no
+        // window back; one far ahead of the stream is counted, served and
+        // aged out like any other.
+        let records = node.recorded_ids();
         node.on_message(now, peer, Message::Serve { events: vec![TestEvent::new(7, 10)] });
+        assert_eq!((node.stored(&7), node.recorded_ids()), (None, records));
         node.publish(now, TestEvent::new(3 << 40, 10));
         drain(&mut node);
-        assert_eq!(node.stored_events() as u64, horizon + 2);
-        assert!(node.stored(&7).is_some());
+        assert_eq!(node.stored_events() as u64, horizon + 1);
+        assert!(node.stored(&(3 << 40)).is_some());
         node.on_round(now + Duration::from_secs(2));
         drain(&mut node);
         assert_eq!(node.stored_events(), 0, "everything aged out");
-        assert_eq!(node.stored(&7), None);
+        assert_eq!(node.recorded_ids(), (0, 0), "and every window with it");
+        assert!(node.is_expired(&(3 << 40)) && !node.is_expired(&((3 << 40) + 256)));
 
-        // A crash drops payloads, never bookkeeping.
-        node.on_message(now, peer, Message::Serve { events: vec![TestEvent::new(END, 10)] });
+        // A crash ends the incarnation: only the counters stay, and the
+        // next life starts from nothing — no floor, so it requests again.
+        node.on_message(now, peer, Message::Serve { events: vec![TestEvent::new(4 << 40, 10)] });
         assert_eq!(node.stored_events(), 1);
-        node.forget_payloads();
-        assert_eq!(node.stored_events(), 0);
-        assert_eq!(node.stored(&END), None);
-        for id in [7, FIRST, END - horizon, END - 1, END] {
-            assert!(node.has_delivered(&id), "id {id}");
-        }
-        assert_eq!(node.request_info(&FIRST), Some((1, true)));
-        assert_eq!(node.request_info(&END), Some((0, true)), "served unrequested");
-        assert_eq!(node.request_info(&(END + 1)), None);
+        node.crash();
+        assert_eq!((node.stored_events(), node.recorded_ids()), (0, (0, 0)));
+        assert_eq!(node.stats().events_delivered, ROUNDS * PER_ROUND + 2);
+        let mut node = GossipNode::new(NodeId::new(1), config, members(5), 1);
+        node.on_message(now, peer, Message::Propose { ids: vec![FIRST, END - 1].into() });
+        assert_eq!(sends(&drain(&mut node)).len(), 1, "a fresh life requests what the old had");
+        assert_eq!(node.request_info(&FIRST), Some((1, false)));
     }
 
     #[test]
@@ -1777,38 +1870,6 @@ mod tests {
             assert!(drain(&mut node).is_empty());
         }
         assert_eq!(node.stats().retransmit_requests, 0);
-    }
-
-    #[test]
-    fn forgetting_retransmits_cancels_every_deadline_and_keeps_the_ids_requested() {
-        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
-        let mut queue = EventQueue::new();
-        let peer = NodeId::new(2);
-        for ids in [vec![1, 2], vec![3]] {
-            node.on_message(Time::ZERO, peer, Message::Propose { ids: ids.into() });
-        }
-        let out = schedule(&mut node, &mut queue);
-        serve(&mut node, 50, peer, TestEvent::new(1, 10));
-        drain(&mut node);
-        assert_eq!((queue.len(), node.retransmits.len()), (2, 2));
-
-        node.forget_retransmits();
-        assert!(node.retransmits.is_empty());
-        assert_eq!(cancel(&mut node, &mut queue), 2);
-        assert!(queue.is_empty());
-        assert_eq!(node.request_info(&2), Some((1, false)), "still requested, never re-requested");
-
-        // What the dropped timers guarded can still arrive, and their
-        // tokens are stale.
-        serve(&mut node, 60, peer, TestEvent::new(2, 10));
-        assert!(node.has_delivered(&2));
-        assert_eq!(node.poll_cancelled(), None);
-        for o in out {
-            if let Output::ScheduleTimer { token, at } = o {
-                node.on_timer(at, token);
-            }
-        }
-        assert!(drain(&mut node).iter().all(|o| matches!(o, Output::Deliver { .. })));
     }
 
     #[test]

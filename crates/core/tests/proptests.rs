@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use gossip_core::index::{DenseMap, EventIndex};
 use gossip_core::wire::{decode_frame, decode_message, encode_message};
 use gossip_core::{Event, GossipConfig, GossipNode, Message, Output, TestEvent, TimerToken};
-use gossip_sim::EventQueue;
+use gossip_sim::{EventHandle, EventQueue};
 use gossip_types::{Duration, NodeId, Time};
 
 fn members(n: u32) -> Vec<NodeId> {
@@ -16,7 +16,8 @@ fn members(n: u32) -> Vec<NodeId> {
 }
 
 /// An arbitrary protocol input. `CorruptServe` is a serve whose payloads
-/// fail verification; `Forget` is what a host does to a node that crashes.
+/// fail verification; `Crash` is a node crashing and coming back, as hosts
+/// revive one: a fresh incarnation.
 #[derive(Debug, Clone)]
 enum Input {
     Propose { from: u32, ids: Vec<u64> },
@@ -25,11 +26,14 @@ enum Input {
     CorruptServe { from: u32, ids: Vec<u64> },
     FeedMe { from: u32 },
     Round,
-    Forget,
+    Crash,
 }
 
 impl Input {
-    fn apply(self, node: &mut GossipNode<TestEvent>, now: Time) {
+    /// Feeds the input to `node`. A crash ends its incarnation and puts a
+    /// fresh node in its place, returning the deadlines the old one handed
+    /// back.
+    fn apply(self, node: &mut GossipNode<TestEvent>, now: Time) -> Vec<EventHandle> {
         let serve = |ids: Vec<u64>, corrupt: bool| Message::Serve {
             events: ids
                 .into_iter()
@@ -52,10 +56,25 @@ impl Input {
             }
             Input::FeedMe { from } => node.on_message(now, NodeId::new(from), Message::FeedMe),
             Input::Round => node.on_round(now),
-            Input::Forget => {
-                node.forget_payloads();
-                node.forget_retransmits();
+            Input::Crash => {
+                let handed_back = node.crash();
+                let (id, config) = (node.id(), node.config().clone());
+                *node = GossipNode::new(id, config, node.membership().to_vec(), 1);
+                return handed_back;
             }
+        }
+        Vec::new()
+    }
+
+    /// The same input with every id passed through `f`.
+    fn map_ids(self, f: impl Fn(u64) -> u64) -> Input {
+        let map = |ids: Vec<u64>| ids.into_iter().map(&f).collect();
+        match self {
+            Input::Propose { from, ids } => Input::Propose { from, ids: map(ids) },
+            Input::Request { from, ids } => Input::Request { from, ids: map(ids) },
+            Input::Serve { from, ids } => Input::Serve { from, ids: map(ids) },
+            Input::CorruptServe { from, ids } => Input::CorruptServe { from, ids: map(ids) },
+            other => other,
         }
     }
 }
@@ -68,7 +87,7 @@ fn input_strategy() -> impl Strategy<Value = Input> {
         (0u32..10, vec(0u64..50, 0..3)).prop_map(|(from, ids)| Input::CorruptServe { from, ids }),
         (0u32..10).prop_map(|from| Input::FeedMe { from }),
         Just(Input::Round),
-        Just(Input::Forget),
+        Just(Input::Crash),
     ]
 }
 
@@ -83,6 +102,8 @@ enum MapOp {
     DropMultiplesOf(u32),
     /// Add one to every value in this window or a later one.
     BumpFrom(u64),
+    /// `drop_expired_rows` with values below this expired.
+    DropRowsBelow(u32),
 }
 
 fn map_op_strategy() -> impl Strategy<Value = MapOp> {
@@ -94,6 +115,7 @@ fn map_op_strategy() -> impl Strategy<Value = MapOp> {
         (key(), 0u32..100).prop_map(|(k, v)| MapOp::Bump(k, v)),
         (2u32..5).prop_map(MapOp::DropMultiplesOf),
         (0u64..4).prop_map(MapOp::BumpFrom),
+        (0u32..100).prop_map(MapOp::DropRowsBelow),
     ]
 }
 
@@ -142,6 +164,20 @@ proptest! {
                     let recent = model.iter_mut().filter(|(k, _)| k.dense_key().0 >= window);
                     prop_assert_eq!(visited, recent.map(|(_, v)| *v += 1).count());
                 }
+                MapOp::DropRowsBelow(t) => {
+                    // The model's oldest windows, while all of theirs is below t.
+                    let windows: std::collections::BTreeSet<u64> =
+                        model.keys().map(|k| k.dense_key().0).collect();
+                    let expired = |w: u64| {
+                        model.iter().filter(|(k, _)| k.dense_key().0 == w).all(|(_, v)| *v < t)
+                    };
+                    let last = windows.into_iter().take_while(|&w| expired(w)).last();
+                    prop_assert_eq!(dense.drop_expired_rows(|v| *v < t), last.map(|w| w + 1));
+                    if let Some(last) = last {
+                        model.retain(|k, _| k.dense_key().0 > last);
+                    }
+                    prop_assert_eq!(dense.windows(), model.keys().map(|k| k.dense_key().0).collect::<std::collections::BTreeSet<_>>().len());
+                }
             }
             prop_assert_eq!(dense.len(), model.len());
             prop_assert_eq!(dense.is_empty(), model.is_empty());
@@ -164,7 +200,8 @@ proptest! {
     }
 
     /// Under any interleaving of inputs: no panics, every event delivered
-    /// at most once, and every outgoing message is non-empty.
+    /// at most once per incarnation, and every outgoing message is
+    /// non-empty.
     #[test]
     fn node_invariants_under_arbitrary_inputs(inputs in vec(input_strategy(), 1..200)) {
         let mut node: GossipNode<TestEvent> =
@@ -174,6 +211,16 @@ proptest! {
         let mut timers = Vec::new();
         for input in inputs {
             now += Duration::from_millis(10);
+            if matches!(input, Input::Crash) {
+                // The next incarnation starts from nothing, its timers its
+                // own.
+                prop_assert_eq!(delivered.len() as u64, node.stats().events_delivered);
+                input.apply(&mut node, now);
+                prop_assert_eq!(node.stats().events_delivered, 0);
+                delivered.clear();
+                timers.clear();
+                continue;
+            }
             input.apply(&mut node, now);
             // Occasionally fire a pending timer.
             if let Some((token, at)) = timers.pop() {
@@ -254,7 +301,19 @@ proptest! {
                     // A no-op fire leaves no trace, so the steps line up.
                     out.extend(host.outputs());
                 }
-                input.clone().apply(&mut host.node, now);
+                let handed_back = input.clone().apply(&mut host.node, now);
+                if matches!(input, Input::Crash) {
+                    // Everything still pending is the dead incarnation's,
+                    // and a cancelling host gets every deadline back.
+                    for handle in handed_back {
+                        prop_assert!(host.queue.cancel(handle), "a handed-back deadline was not pending");
+                    }
+                    if host.cancels {
+                        prop_assert!(host.queue.is_empty(), "the crash kept a deadline");
+                    }
+                    // Its deadlines die with its epoch, as on every host.
+                    host.queue = EventQueue::new();
+                }
                 out.extend(host.outputs());
                 seen.push(out);
             }
@@ -263,6 +322,102 @@ proptest! {
             prop_assert_eq!(hosts[0].node.current_rto(), hosts[1].node.current_rto());
         }
         prop_assert!(fired[0] <= fired[1], "the cancelling host fired more timers");
+    }
+
+    /// The record floor across many retention horizons: the stream's head
+    /// window moves on every 250 ms, inputs name ids up to four windows
+    /// behind it, rounds prune every 100 ms under a 500 ms retention, and
+    /// retransmission timers fire when due. An id below the floor is never
+    /// requested (first or again) and never recorded again, no id is
+    /// delivered twice in one incarnation, and no proposal of an expired id
+    /// counts against its proposer.
+    #[test]
+    fn expired_ids_are_never_requested_nor_delivered_twice_nor_held_against_anyone(
+        inputs in vec(input_strategy(), 60..200)
+    ) {
+        let config = GossipConfig::new(3)
+            .with_max_requests(4)
+            .with_retention(Duration::from_millis(500))
+            .with_retransmit_timeout(Duration::from_millis(40))
+            .with_rto_bounds(Duration::from_millis(20), Duration::from_millis(200));
+        /// Drains one step's outputs, checking each against the floor as
+        /// it stands after the step (only a round moves it, and a round
+        /// requests nothing).
+        fn settle(
+            node: &mut GossipNode<TestEvent>,
+            queue: &mut EventQueue<TimerToken>,
+            delivered: &mut std::collections::HashSet<u64>,
+        ) {
+            while let Some(out) = node.poll_output() {
+                match out {
+                    Output::Send { msg: Message::Request { ids }, .. } => {
+                        for id in ids.iter() {
+                            prop_assert!(!node.is_expired(id), "expired id {} requested", id);
+                        }
+                    }
+                    Output::Deliver { event } => {
+                        prop_assert!(delivered.insert(event.id()), "{} delivered twice", event.id());
+                    }
+                    Output::ScheduleTimer { token, at } => {
+                        let handle = queue.push(at, token);
+                        node.attach_timer_handle(token, handle);
+                    }
+                    Output::Send { .. } => {}
+                }
+            }
+            while let Some(handle) = node.poll_cancelled() {
+                queue.cancel(handle);
+            }
+        }
+        let mut node = GossipNode::new(NodeId::new(0), config, members(10), 1);
+        let mut queue: EventQueue<TimerToken> = EventQueue::new();
+        let mut delivered = std::collections::HashSet::new();
+        let mut named = std::collections::BTreeSet::new();
+        let (mut now, mut next_round) = (Time::ZERO, Time::ZERO);
+        for input in inputs {
+            now += Duration::from_millis(50);
+            while let Some((_, token)) = queue.pop_before(now) {
+                node.on_timer(now, token);
+                settle(&mut node, &mut queue, &mut delivered);
+            }
+            if next_round <= now {
+                node.on_round(now);
+                settle(&mut node, &mut queue, &mut delivered);
+                next_round = now + Duration::from_millis(100);
+            }
+            // Raw ids 0..50 become offsets 0..10 of the head window and the
+            // four before it. A crash would reset the floor: not here.
+            let head = now.as_millis() / 250;
+            let input = match input {
+                Input::Crash => Input::Round,
+                input => input.map_ids(|raw| (head.saturating_sub(raw / 10) << 8) | (raw % 10)),
+            };
+            let proposal = match &input {
+                Input::Propose { from, ids } => {
+                    // A demoted peer's proposals are dropped unread.
+                    let from = NodeId::new(*from);
+                    let expired = ids.iter().filter(|id| node.is_expired(id)).count() as u64;
+                    let heard = !node.demoted_peers().contains(&from);
+                    Some((from, expired * u64::from(heard), node.misbehaviour_score(from), *node.stats()))
+                }
+                _ => None,
+            };
+            if let Input::Propose { ids, .. } | Input::Serve { ids, .. } = &input {
+                named.extend(ids.iter().copied());
+            }
+            input.apply(&mut node, now);
+            if let Some((from, expired, score, before)) = proposal {
+                prop_assert_eq!(node.misbehaviour_score(from), score, "an expired id scored {}", from);
+                let duplicates = node.stats().duplicate_ids_proposed - before.duplicate_ids_proposed;
+                prop_assert!(duplicates >= expired, "{} expired ids, {} duplicates", expired, duplicates);
+            }
+            settle(&mut node, &mut queue, &mut delivered);
+            for id in named.iter().filter(|id| node.is_expired(id)) {
+                prop_assert_eq!(node.request_info(id), None, "expired id {} is recorded", id);
+            }
+        }
+        // Six or more horizons passed: the floor did move.
+        prop_assert!(named.iter().any(|id| node.is_expired(id)), "no id ever expired");
     }
 
     /// The node never requests an id twice via fresh proposals, no matter

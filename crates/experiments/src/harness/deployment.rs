@@ -54,7 +54,7 @@ impl Envelope {
 
 /// A simulated node's end of the network: its queueing upload link and its
 /// traffic counters.
-pub(crate) struct Port {
+pub struct Port {
     pub(crate) link: UploadLink<(NodeId, Envelope)>,
     /// What reached the node, and what it sent that the network lost.
     pub(crate) rx: NetStats,

@@ -47,6 +47,26 @@ pub(crate) fn execute(cfg: &Scenario) -> RunResult {
     Driver::new(cfg).run()
 }
 
+/// Like [`execute`], handing `probe` every node at each multiple of `every`
+/// (and at the horizon). The engine runs to each instant and stops: slicing
+/// its run changes nothing it dispatches.
+pub(crate) fn execute_probed(
+    cfg: &Scenario,
+    every: Duration,
+    mut probe: impl FnMut(Time, &[HostedNode<Port>]),
+) -> RunResult {
+    assert!(!every.is_zero(), "a probe needs a positive period");
+    let mut driver = Driver::new(cfg);
+    let end = Time::ZERO + cfg.total_duration();
+    let mut at = Time::ZERO;
+    while at < end {
+        at = (at + every).min(end);
+        driver.run_until(at);
+        probe(at, &driver.dep.hosted);
+    }
+    result::collect(driver)
+}
+
 /// Like [`execute`], publishing live aggregates into `registry` on every
 /// per-second probe (metric publication never feeds back into the
 /// simulation, so a telemetered run is bit-identical to a silent one).
@@ -523,6 +543,41 @@ mod tests {
             published,
             "nothing published after the crash"
         );
+    }
+
+    /// Probed every simulated second of a run whose links do queue: an
+    /// upload link whose queue has drained holds no buffer for it, and a
+    /// crashed node holds neither a queue nor a single id record. Probing
+    /// leaves the run as it would have been.
+    #[test]
+    fn drained_uplinks_and_crashed_nodes_hold_no_buffers() {
+        use gossip_adversity::AdversitySpec;
+
+        let victim = NodeId::new(3);
+        let crash = AdversitySpec::none().with_explicit_crash(Duration::from_secs(5), vec![victim]);
+        let cfg = crate::Scenario::tiny(7).with_seed(2).with_adversity(crash);
+        let (mut queueing, mut drained, mut victim_down) = (0, 0, false);
+        let result = cfg.run_probed(Duration::from_secs(1), |at, hosted| {
+            for node in hosted {
+                let link = &node.port.link;
+                if link.queue_len() > 0 {
+                    queueing += 1;
+                } else {
+                    drained += 1;
+                    assert_eq!(link.queue_capacity(), 0, "node {} at {at:?}", node.id());
+                }
+            }
+            let victim = &hosted[victim.index()];
+            if victim.is_down() {
+                victim_down = true;
+                assert_eq!(victim.node.recorded_ids(), (0, 0), "at {at:?}");
+            }
+        });
+        assert!(queueing > 0 && drained > 0, "{queueing} queueing and {drained} drained samples");
+        assert!(victim_down, "the crash fired");
+        let unprobed = cfg.run();
+        assert_eq!(result.events_processed, unprobed.events_processed);
+        assert_eq!(result.protocol, unprobed.protocol);
     }
 
     #[test]

@@ -25,6 +25,9 @@ use gossip_membership::CyclonConfig;
 use gossip_net::{ChurnPlan, LatencyModel, LossModel};
 use gossip_stream::StreamConfig;
 use gossip_types::{Duration, Time};
+use gossip_udp::hosted::HostedNode;
+
+use crate::harness::deployment::Port;
 
 // Re-exported here so pre-refactor paths (`scenario::RunResult` et al.)
 // keep working; the types now live with the harness's result layer.
@@ -287,6 +290,25 @@ impl Scenario {
     pub fn run_with_telemetry(&self, registry: &gossip_telemetry::Registry) -> RunResult {
         assert!(self.n >= 2, "a deployment needs a source and at least one receiver");
         crate::harness::driver::execute_with_telemetry(self, registry)
+    }
+
+    /// Like [`Scenario::run`], handing `probe` every node of the deployment
+    /// (crashed ones and dark joiners included) at each multiple of `every`
+    /// of simulated time, and at the horizon: a read-only window onto the
+    /// run's state for soak tests and diagnostics. The run is bit-identical
+    /// to an unprobed one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario is degenerate (fewer than 2 nodes) or `every`
+    /// is zero.
+    pub fn run_probed(
+        &self,
+        every: Duration,
+        probe: impl FnMut(Time, &[HostedNode<Port>]),
+    ) -> RunResult {
+        assert!(self.n >= 2, "a deployment needs a source and at least one receiver");
+        crate::harness::driver::execute_probed(self, every, probe)
     }
 
     /// The total simulated time of the run.

@@ -211,6 +211,11 @@ impl<T> UploadLink<T> {
             self.in_flight = Some(next);
             at
         });
+        if self.queue.is_empty() {
+            // A drained queue lets go of its buffer whole: a burst's
+            // high-water mark is not worth keeping until the next one.
+            self.queue = VecDeque::new();
+        }
         (done.item, next_at)
     }
 
@@ -229,6 +234,12 @@ impl<T> UploadLink<T> {
         self.queued_bytes
     }
 
+    /// Returns how many messages the queue's buffer has room for: zero
+    /// whenever the queue is empty.
+    pub fn queue_capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
     /// Returns the accumulated transmit-side statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -238,7 +249,7 @@ impl<T> UploadLink<T> {
     /// crashes). Returns how many messages were discarded.
     pub fn crash(&mut self) -> usize {
         let discarded = self.queue.len() + usize::from(self.in_flight.is_some());
-        self.queue.clear();
+        self.queue = VecDeque::new();
         self.queued_bytes = 0;
         self.in_flight = None;
         discarded
@@ -299,9 +310,11 @@ mod tests {
         let (done, next) = link.complete_head(Time::from_millis(10));
         assert_eq!(done, 1);
         assert_eq!(next, Some(Time::from_millis(20)));
+        assert!(link.queue_capacity() > 0, "message 3 still waits");
         let (done, next) = link.complete_head(Time::from_millis(20));
         assert_eq!(done, 2);
         assert_eq!(next, Some(Time::from_millis(30)));
+        assert_eq!(link.queue_capacity(), 0, "the drained queue let go of its buffer");
         let (done, next) = link.complete_head(Time::from_millis(30));
         assert_eq!(done, 3);
         assert_eq!(next, None);
@@ -381,6 +394,7 @@ mod tests {
         assert!(!link.is_busy());
         assert_eq!(link.queue_len(), 0);
         assert_eq!(link.queued_bytes(), 0);
+        assert_eq!(link.queue_capacity(), 0);
     }
 
     #[test]

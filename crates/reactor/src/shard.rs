@@ -2104,8 +2104,10 @@ mod tests {
         assert_eq!(emissions, 0, "the emission chain ended at the crash");
     }
 
-    /// A crashed node lets go of every payload at the crash: it will run
-    /// no round to prune them, and nothing brings this one back.
+    /// A crashed node lets go of every payload at the crash — it will run
+    /// no round to prune them, and nothing brings this one back — and of
+    /// every id record and its shaper's buffer too; a live node's shaper
+    /// that has drained holds no buffer either.
     #[test]
     fn a_crashed_node_holds_no_payloads() {
         let mut shard = streaming_shard(4, |cluster| {
@@ -2115,9 +2117,17 @@ mod tests {
         assert!(!shard.nodes[2].is_down());
         assert!(shard.nodes[2].node.stored_events() > 0, "the victim was receiving the stream");
         turn_for(&mut shard, std::time::Duration::from_millis(500));
-        assert!(shard.nodes[2].is_down(), "the crash fault fired");
-        assert_eq!(shard.nodes[2].node.stored_events(), 0);
-        assert!(shard.nodes[2].node.stats().events_delivered > 0, "the counters survive");
+        let victim = &shard.nodes[2];
+        assert!(victim.is_down(), "the crash fault fired");
+        assert_eq!(victim.node.stored_events(), 0);
+        assert_eq!(victim.node.recorded_ids(), (0, 0));
+        assert_eq!(victim.port.shaper.backlog_capacity(), 0);
+        assert!(victim.node.stats().events_delivered > 0, "the counters survive");
         assert!(shard.nodes[1].node.stored_events() > 0, "the survivors keep theirs");
+        for vn in &shard.nodes {
+            if vn.port.shaper.backlog() == 0 {
+                assert_eq!(vn.port.shaper.backlog_capacity(), 0, "{} drained", vn.id());
+            }
+        }
     }
 }

@@ -242,22 +242,21 @@ impl<P: Uplink> HostedNode<P> {
         }
     }
 
-    /// Takes the node down: it drops its payloads (shared buffers must not
-    /// stay pinned by a node that never prunes again), its retransmission
-    /// timers, its upload backlog and its view, and its epoch moves on.
-    /// Returns the timers' deadlines for the host to cancel. A down node
-    /// is left alone.
+    /// Takes the node down: the protocol state ends its incarnation
+    /// ([`GossipNode::crash`]: id table, payloads, timers — shared buffers
+    /// must not stay pinned by a node that never prunes again — keeping
+    /// the counters), the upload backlog and the view go, and the epoch
+    /// moves on. Returns the timers' deadlines for the host to cancel. A
+    /// down node is left alone.
     pub fn crash(&mut self) -> Vec<EventHandle> {
         if self.down {
             return Vec::new();
         }
         self.down = true;
         self.epoch += 1;
-        self.node.forget_payloads();
-        self.node.forget_retransmits();
         self.port.discard();
         self.view = None;
-        std::iter::from_fn(|| self.node.poll_cancelled()).collect()
+        self.node.crash()
     }
 
     /// Brings a crashed node back with fresh protocol state, drawing
@@ -571,6 +570,8 @@ mod tests {
         let mut handed_back = node.crash();
         assert!(node.is_down() && !node.is_current(0) && node.epoch() == 1);
         assert_eq!(node.node.stored_events(), 0, "a down node pins no payload");
+        assert_eq!(node.node.recorded_ids(), (0, 0), "nor any id record");
+        assert_eq!(node.node.stats().events_delivered, 1, "the counters survive");
         assert!(node.port.discarded && node.view.is_none());
         handed_back.sort_unstable();
         let mut live = host.armed[1..].to_vec();

@@ -98,13 +98,18 @@ impl<T> UploadShaper<T> {
         self.rate_bps = rate_bps;
     }
 
-    /// Pops the head datagram if its release time has passed.
+    /// Pops the head datagram if its release time has passed. The pop that
+    /// drains the queue lets go of its buffer whole: a burst's high-water
+    /// mark is not worth keeping until the next one.
     pub fn pop_due(&mut self, now: Time) -> Option<T> {
-        if self.queue.front().is_some_and(|s| s.release_at <= now) {
-            Some(self.queue.pop_front().expect("checked non-empty").item)
-        } else {
-            None
+        if self.queue.front().is_none_or(|s| s.release_at > now) {
+            return None;
         }
+        let head = self.queue.pop_front().map(|s| s.item);
+        if self.queue.is_empty() {
+            self.queue = VecDeque::new();
+        }
+        head
     }
 
     /// Returns the release time of the head datagram, if any.
@@ -117,12 +122,19 @@ impl<T> UploadShaper<T> {
         self.queue.len()
     }
 
-    /// Discards every queued datagram and resets pacing — a crashed node's
-    /// backlog never reaches the wire, and a later incarnation starts with
-    /// a clean bucket. The accepted-traffic counters are kept: they
-    /// describe what the node *offered*, not what reached the wire.
+    /// How many datagrams the queue's buffer has room for: zero whenever
+    /// the queue is empty.
+    pub fn backlog_capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
+    /// Discards every queued datagram, and the buffer they were in, and
+    /// resets pacing — a crashed node's backlog never reaches the wire, and
+    /// a later incarnation starts with a clean bucket. The accepted-traffic
+    /// counters are kept: they describe what the node *offered*, not what
+    /// reached the wire.
     pub fn discard_backlog(&mut self) {
-        self.queue.clear();
+        self.queue = VecDeque::new();
         self.next_free = Time::ZERO;
     }
 
@@ -169,7 +181,12 @@ mod tests {
         assert_eq!(s.pop_due(Time::from_millis(100)), Some(1));
         assert_eq!(s.pop_due(Time::from_millis(400)), Some(2));
         assert_eq!(s.pop_due(Time::from_millis(400)), Some(3));
+        assert!(s.backlog_capacity() > 0, "one datagram still waits");
         assert_eq!(s.pop_due(Time::from_millis(400)), Some(4));
+        assert_eq!(s.backlog_capacity(), 0, "the drained queue let go of its buffer");
+        s.offer(Time::from_secs(1), 1250, 5);
+        s.discard_backlog();
+        assert_eq!((s.backlog(), s.backlog_capacity()), (0, 0));
     }
 
     #[test]

@@ -3,66 +3,17 @@
 //! received can hold. Measured with a counting allocator — the decoders'
 //! results look the same either way.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
+use counting_alloc::largest_allocation_in;
 use gossip::core::wire::decode_message;
 use gossip::core::TestEvent;
 use gossip::deploy::proto::{read_message, ProtoError};
 use gossip::stream::StreamPacket;
-
-thread_local! {
-    /// The largest single request this thread has made of the allocator.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, noting the largest request per thread.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised,
-// destructor-free thread-local `Cell`, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are exactly `System.alloc_zeroed`'s.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: the caller's obligations are exactly `System.realloc`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are exactly `System.dealloc`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn note(size: usize) {
-    LARGEST.with(|largest| largest.set(largest.get().max(size)));
-}
-
-/// Runs `f` and returns its result with the largest allocation it requested
-/// on this thread.
-fn largest_allocation_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|largest| largest.set(0));
-    let out = f();
-    (out, LARGEST.with(Cell::get))
-}
 
 #[test]
 fn a_seven_byte_datagram_cannot_reserve_a_full_u16_of_elements() {

@@ -1,0 +1,119 @@
+//! A long stream, simulated: thirty minutes past the first retention
+//! horizon, with a thin stream and six nodes, probed every ten simulated
+//! seconds. What a node holds is bounded by the horizon, not by the stream:
+//! each live node's id records stop growing once the first horizon has
+//! passed, the bytes the run holds grow by no more than its measurement
+//! history (a player's record of each window, the per-second timeline),
+//! and a crashed node holds nothing at all.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use gossip::adversity::AdversitySpec;
+use gossip::core::GossipConfig;
+use gossip::experiments::Scenario;
+use gossip::fec::WindowParams;
+use gossip::stream::StreamConfig;
+use gossip::types::{Duration, NodeId, Time};
+
+const N: usize = 6;
+/// One 55-packet window a second: 50 data packets of 50 B at 20 kbit/s,
+/// plus 5 parity.
+const WINDOW_PACKETS: usize = 55;
+/// What the run's measurement history may add per window per node: a
+/// player's record of the window — a 56 B element of a `Vec` that doubles,
+/// so up to 112 B, and its one-word bitmask — with room to spare.
+const HISTORY_PER_WINDOW: usize = 128;
+/// And per simulated second: three timeline samples of 16 B, doubling.
+const HISTORY_PER_SECOND: usize = 96;
+
+/// One probe: when, each node's id records, and the bytes the run held.
+#[derive(Clone, Copy)]
+struct Sample {
+    at: Time,
+    records: [usize; N],
+    windows: [usize; N],
+    down: [bool; N],
+    live_bytes: isize,
+}
+
+#[test]
+fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
+    let horizon = Duration::from_secs(120);
+    let (crash_at, victim) = (Duration::from_secs(600), NodeId::new(N as u32 - 1));
+    let mut scenario = Scenario::tiny(3)
+        .with_seed(11)
+        .with_gossip(GossipConfig::new(4).with_source_fanout(5))
+        .with_adversity(AdversitySpec::none().with_explicit_crash(crash_at, vec![victim]));
+    scenario.n = N;
+    scenario.stream = StreamConfig {
+        rate_bps: 20_000,
+        packet_payload_bytes: 50,
+        window: WindowParams::new(50, 5),
+    };
+    scenario.stream_duration = horizon + Duration::from_secs(30 * 60);
+    scenario.drain_duration = Duration::from_secs(5);
+    assert_eq!(scenario.gossip.retention, horizon, "the default horizon");
+
+    // Room for every probe up front: the samples must not count as growth.
+    let mut samples = Vec::with_capacity(256);
+    let result = scenario.run_probed(Duration::from_secs(10), |at, hosted| {
+        let mut sample =
+            Sample { at, records: [0; N], windows: [0; N], down: [false; N], live_bytes: 0 };
+        for (i, node) in hosted.iter().enumerate() {
+            (sample.records[i], sample.windows[i]) = node.node.recorded_ids();
+            sample.down[i] = node.is_down();
+        }
+        sample.live_bytes = counting_alloc::live_bytes();
+        samples.push(sample);
+    });
+    assert!(samples.len() <= samples.capacity(), "the probe log reallocated");
+    assert_eq!(result.quality.percent_viewing(0.01, Duration::MAX), 100.0, "the stream flowed");
+
+    // Settled: the first horizon and some lag behind us. The first stretch
+    // after it sets each node's level; from then on a node holds that
+    // level, give or take the windows a late retransmission keeps a little
+    // past the horizon (its first two retries come 8 s and 16 s apart).
+    let settled = Time::ZERO + horizon + Duration::from_secs(30);
+    let stretch = settled + Duration::from_secs(150);
+    let after: Vec<&Sample> = samples.iter().filter(|s| s.at >= settled).collect();
+    let (first, later): (Vec<&Sample>, Vec<&Sample>) =
+        after.into_iter().partition(|s| s.at < stretch);
+    const LATE_WINDOWS: usize = 24;
+    for i in (0..N).filter(|&i| i != victim.index()) {
+        let level = first.iter().map(|s| s.records[i]).max().expect("samples");
+        assert!(level > 100 * WINDOW_PACKETS, "node {i} holds only {level} records");
+        for s in &later {
+            assert!(
+                s.records[i] <= level + LATE_WINDOWS * WINDOW_PACKETS,
+                "node {i}: {} records at {:?}, {level} after the first horizon",
+                s.records[i],
+                s.at
+            );
+            assert!(s.windows[i] <= level.div_ceil(WINDOW_PACKETS) + LATE_WINDOWS, "node {i}");
+            assert!(s.records[i] * 10 > level * 9, "node {i} stopped receiving at {:?}", s.at);
+        }
+    }
+
+    // The victim: one horizon's records while up, none once down.
+    let v = victim.index();
+    for s in &samples {
+        let crashed = s.at >= Time::ZERO + crash_at;
+        assert_eq!(s.down[v], crashed, "at {:?}", s.at);
+        if crashed {
+            assert_eq!((s.records[v], s.windows[v]), (0, 0), "a crashed node holds rows");
+        }
+    }
+
+    // Bytes: what the run holds grows by its measurement history, nothing
+    // more. Unbounded records alone would add 24 B for each of the
+    // `WINDOW_PACKETS` ids of every window at every live node.
+    let (from, to) = (first[0], samples.last().expect("samples"));
+    let secs = (to.at.as_micros() - from.at.as_micros()) / 1_000_000;
+    let history = secs as usize * (N * HISTORY_PER_WINDOW + HISTORY_PER_SECOND);
+    let grown = to.live_bytes - from.live_bytes;
+    assert!(
+        grown <= (history + (64 << 10)) as isize,
+        "{grown} B grew over {secs} s; the measurement history accounts for {history} B"
+    );
+}
