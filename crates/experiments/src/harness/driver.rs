@@ -369,33 +369,26 @@ impl FaultHost for Driver<'_> {
         self.engine.cancel(handle);
     }
 
-    fn members(&self) -> Arc<[NodeId]> {
-        Arc::clone(&self.dep.members)
+    fn census(&mut self) -> &mut Arc<[NodeId]> {
+        &mut self.dep.members
     }
 
-    /// The joiner enters the census, and in full-membership mode everyone
-    /// is told about it (a tracker-style introduction; under Cyclon the
-    /// newcomer spreads through shuffles from the bootstrap its start
-    /// draws).
-    fn introduce(&mut self, now: Time, v: NodeId) -> bool {
-        let dep = &mut self.dep;
-        debug_assert!(dep.joined_at[v.index()].is_none(), "double join of {v}");
-        dep.joined_at[v.index()] = Some(now);
-        dep.members = dep.members.iter().copied().chain([v]).collect();
-        if dep.cfg.membership == MembershipMode::Full {
-            for m in dep.members.iter().filter(|&&m| m != v) {
-                dep.hosted[m.index()].node.set_membership(Arc::clone(&dep.members));
-            }
-        }
-        dep.hosted[v.index()].join(Arc::clone(&dep.members));
-        true
+    /// In full-membership mode everyone is told about a joiner (a
+    /// tracker-style introduction); under Cyclon the newcomer spreads
+    /// through shuffles from the bootstrap its start draws.
+    fn announces_joins(&self) -> bool {
+        self.dep.cfg.membership == MembershipMode::Full
     }
 
-    /// Under Cyclon a node that comes up draws a fresh bootstrap, like any
-    /// newcomer; then its first round (and shuffle) is staggered inside one
-    /// period, like the initial deployment's.
+    /// A joiner's first coming up is its arrival. Under Cyclon a node that
+    /// comes up draws a fresh bootstrap, like any newcomer; then its first
+    /// round (and shuffle) is staggered inside one period, like the initial
+    /// deployment's.
     fn start(&mut self, now: Time, v: NodeId) {
         let cfg = self.dep.cfg;
+        if v.index() >= cfg.n {
+            self.dep.joined_at[v.index()].get_or_insert(now);
+        }
         if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &cfg.membership {
             let dep = &mut self.dep;
             let rng = &mut dep.membership_rng;

@@ -67,5 +67,5 @@ pub mod runtime;
 mod shard;
 mod telemetry;
 
-pub use mmsg::{mmsg_active, NO_MMSG_ENV};
+pub use mmsg::mmsg_active;
 pub use runtime::{HostOutcome, NodeHost, ReactorCluster, ReactorOptions};

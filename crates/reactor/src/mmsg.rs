@@ -1,52 +1,54 @@
-//! Kernel-batched socket I/O: `sendmmsg`/`recvmmsg` with a portable
-//! per-datagram fallback.
+//! Kernel socket I/O: a live shard's environment, with batched
+//! `sendmmsg`/`recvmmsg` and a portable per-datagram fallback.
+//!
+//! `UdpEnv` is the environment (`ShardEnv`) a live shard runs on: the cluster clock,
+//! the shard's pool of non-blocking sockets, and the I/O path the platform
+//! gives it. It is the one type that tells the two paths apart; every other
+//! line of the shard is identical on both.
 //!
 //! One shard iteration releases many kernel datagrams (coalesced bursts to
 //! many destinations) and wants to drain many more; paying one syscall per
 //! datagram caps the whole runtime at the syscall rate. Linux batches both
 //! directions: `sendmmsg(2)` hands the kernel a vector of datagrams with
-//! per-entry destinations, `recvmmsg(2)` fills a vector of buffers. This
-//! module wraps both behind the [`Backend`] enum so every other line of
-//! the shard is identical on the two paths:
+//! per-entry destinations, `recvmmsg(2)` fills a vector of buffers.
 //!
 //! * **Send** — the shard packs its outbox into a [`SendQueue`]: one flat
 //!   reusable byte arena plus a segment table `(offset, len, destination)`.
-//!   [`flush_queue`] then drains the whole queue, [`MAX_VLEN`] datagrams
-//!   per syscall, resuming after partial sends (the kernel may accept
-//!   fewer than asked). Send errors go through an explicit taxonomy
-//!   ([`classify`]): *transient* pressure retains the unsent tail for a
-//!   backed-off retry, `ENOSYS` asks the caller to downgrade the backend,
-//!   and a *fatal* socket error drops exactly the refused datagram,
-//!   retains the rest, and asks the caller to re-bind the socket — the
-//!   [`SendVerdict`] tells the shard which recovery to run.
+//!   [`drain_queue`] then drains the whole queue through an environment's
+//!   `send_from`, [`MAX_VLEN`] datagrams per syscall on the batched path,
+//!   resuming after partial sends (the kernel may accept fewer than asked).
+//!   Send errors go through an explicit taxonomy ([`classify`]):
+//!   *transient* pressure retains the unsent tail for a backed-off retry,
+//!   `ENOSYS` asks the caller to downgrade the path, and a *fatal* socket
+//!   error drops exactly the refused datagram, retains the rest, and asks
+//!   the caller to re-bind the socket — the [`SendVerdict`] tells the shard
+//!   which recovery to run.
 //! * **Recv** — a [`RecvQueue`] owns a pool of fixed buffers; one
 //!   `recvmmsg` fills up to a batch of them, and the shard demuxes each as
 //!   a borrowed slice.
-//! * **Wait** — [`wait_readable`] is where a shard sleeps: one `ppoll(2)`
-//!   over its whole socket pool, returning which sockets have something to
-//!   read. The fallback cannot watch a pool: it returns at once with every
-//!   socket flagged, and the shard's [`WAKE_QUANTUM`] dwell paces the loop.
+//! * **Wait** — `UdpEnv`'s wait is where a live shard sleeps: the dwell,
+//!   then one `ppoll(2)` over its whole socket pool, returning which sockets
+//!   have something to read. The portable path cannot watch a pool: it
+//!   returns after the dwell with every socket flagged.
 //!
-//! The fallback path (`send_to`/`recv_from` per datagram) serves non-Linux
-//! builds, kernels without the syscalls (runtime `ENOSYS` probe), the
-//! [`NO_MMSG_ENV`] escape hatch, and an explicit
-//! [`crate::ReactorOptions::mmsg`] override — CI exercises it on Linux so
-//! both paths stay green.
+//! The platform alone picks the path: the portable one serves non-Linux
+//! builds and kernels without the syscalls (a runtime `ENOSYS` probe), and
+//! takes over mid-run when a batched call answers `ENOSYS`
+//! (`ShardEnv::downgrade`). Tests pin it by downgrading an environment.
 //!
 //! The FFI layer is hand-rolled (`#[repr(C)]` structs against the system
 //! libc) and gated to `linux`/`gnu` targets whose `msghdr` layout it
 //! mirrors; everything else gets the fallback at compile time.
 
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::time::Instant;
 
+use gossip_types::{Duration, Time};
+use gossip_udp::clock::ClusterClock;
 use gossip_udp::report::ShardStats;
 
-/// Setting this environment variable (to anything but `0`) forces the
-/// portable per-datagram fallback even where `sendmmsg`/`recvmmsg` are
-/// available. CI uses it to keep the fallback path exercised.
-pub const NO_MMSG_ENV: &str = "GOSSIP_REACTOR_NO_MMSG";
+use crate::shard::ShardEnv;
 
 /// Most kernel datagrams one `sendmmsg`/`recvmmsg` call moves. Well under
 /// the kernel's `UIO_MAXIOV`; bounds the stack-held header blocks.
@@ -66,37 +68,23 @@ pub(crate) const MAX_VLEN: usize = 64;
 /// against gossip rounds of 100 ms and more.
 pub const WAKE_QUANTUM: Duration = Duration::from_millis(1);
 
-/// Which I/O path a shard runs.
+/// Which I/O path a [`UdpEnv`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Backend {
-    /// Batched `sendmmsg`/`recvmmsg` syscalls.
+enum Backend {
+    /// Batched `sendmmsg`/`recvmmsg` syscalls, `ppoll` over the pool.
     Mmsg,
     /// Portable `send_to`/`recv_from`, one datagram per syscall.
     Fallback,
 }
 
-/// Resolves the backend from an explicit preference (`ReactorOptions`),
-/// the [`NO_MMSG_ENV`] environment toggle, and compile-/run-time support.
-/// A `Some(true)` preference still degrades to the fallback where the
-/// syscalls do not exist.
-pub(crate) fn select_backend(pref: Option<bool>) -> Backend {
-    let want = pref.unwrap_or_else(|| std::env::var_os(NO_MMSG_ENV).is_none_or(|v| v == *"0"));
-    if want && sys::supported() {
-        Backend::Mmsg
-    } else {
-        Backend::Fallback
-    }
-}
-
-/// Returns whether the batched backend would actually run here (platform
-/// support, runtime probe and the [`NO_MMSG_ENV`] toggle all considered).
-/// Benchmarks record this next to their numbers.
+/// Returns whether the batched path runs here (platform support and the
+/// runtime probe). Benchmarks record this next to their numbers.
 pub fn mmsg_active() -> bool {
-    select_backend(None) == Backend::Mmsg
+    sys::supported()
 }
 
 /// One pool socket's slot in a shard's wait set, laid out as C's
-/// `struct pollfd` so the batched backend hands the set to `ppoll` in place.
+/// `struct pollfd` so the batched path hands the set to `ppoll` in place.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PollFd {
@@ -120,27 +108,6 @@ impl PollFd {
     /// Unflags the slot once a read found its socket empty.
     pub fn clear(&mut self) {
         self.revents = 0;
-    }
-}
-
-/// Sleeps until a socket of `sockets` is readable or `timeout` passes, and
-/// rebuilds `set` (one slot per socket, in pool order) with the outcome:
-/// one `ppoll` over the pool. The portable backend has nothing to watch
-/// with: it flags every socket and returns at once, leaving the pacing to
-/// the caller's dwell — a sleep here would halve the wake rate.
-pub(crate) fn wait_readable(
-    backend: Backend,
-    sockets: &[UdpSocket],
-    timeout: Duration,
-    set: &mut Vec<PollFd>,
-) -> io::Result<()> {
-    set.clear();
-    match backend {
-        Backend::Mmsg => sys::poll_readable(sockets, timeout, set),
-        Backend::Fallback => {
-            set.resize(sockets.len(), PollFd::BLIND);
-            Ok(())
-        }
     }
 }
 
@@ -237,53 +204,6 @@ impl SendQueue {
     }
 }
 
-/// A send backend: moves sealed [`SendQueue`] segments to the kernel.
-///
-/// A trait rather than a match so tests can inject short returns and
-/// errors mid-batch and assert the resumption logic in [`drain_queue`]
-/// neither drops nor duplicates datagrams.
-pub(crate) trait BatchSender {
-    /// Attempts to send segments `first..` of `queue` — as many as one
-    /// kernel interaction covers — returning how many the kernel accepted
-    /// (at least 1). An error refers to segment `first` alone.
-    fn send_from(
-        &mut self,
-        socket: &UdpSocket,
-        queue: &SendQueue,
-        first: usize,
-    ) -> io::Result<usize>;
-}
-
-/// The portable backend: one `send_to` per datagram.
-pub(crate) struct FallbackSender;
-
-impl BatchSender for FallbackSender {
-    fn send_from(
-        &mut self,
-        socket: &UdpSocket,
-        queue: &SendQueue,
-        first: usize,
-    ) -> io::Result<usize> {
-        let (bytes, addr) = queue.seg(first);
-        socket.send_to(bytes, addr).map(|_| 1)
-    }
-}
-
-/// The batched backend: up to [`MAX_VLEN`] datagrams per `sendmmsg`.
-/// Constructed only when [`select_backend`] confirmed support.
-pub(crate) struct MmsgSender;
-
-impl BatchSender for MmsgSender {
-    fn send_from(
-        &mut self,
-        socket: &UdpSocket,
-        queue: &SendQueue,
-        first: usize,
-    ) -> io::Result<usize> {
-        sys::send_batch(socket, queue, first)
-    }
-}
-
 /// What [`classify`] says an I/O error means for the socket it hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ErrorClass {
@@ -331,7 +251,7 @@ pub(crate) enum SendVerdict {
     /// the refused segment) moved to `pending` — back off, then retry.
     Backoff,
     /// `ENOSYS` mid-run: the unsent tail moved to `pending` — downgrade
-    /// the backend, then retry.
+    /// the path, then retry.
     Downgrade,
     /// A fatal socket error: the refused head was dropped (counted), the
     /// rest moved to `pending` — re-bind the socket, then retry.
@@ -342,17 +262,18 @@ pub(crate) enum SendVerdict {
 /// and backs off (guards against a pathological interruption storm).
 const MAX_EINTR_RETRIES: u32 = 8;
 
-/// Drives a sender across the whole queue with partial-send resumption: a
-/// short return re-enters at the first unsent segment; `EINTR` retries in
-/// place (the syscall did nothing). Any other error routes through
-/// [`classify`]: the unsent tail is retained into `pending` — minus the
-/// refused head on a fatal error — and the [`SendVerdict`] names the
-/// recovery the caller owes the socket. No segment is ever offered to the
-/// kernel twice by one pass. Clears `queue` (retained bytes live on in
-/// `pending`).
-pub(crate) fn drain_queue<S: BatchSender>(
-    sender: &mut S,
-    socket: &UdpSocket,
+/// Drives `send_from` across the whole queue with partial-send resumption.
+/// Each call is one kernel interaction: it sends segments `first..` of the
+/// queue — as many as the interaction covers — and returns how many the
+/// kernel accepted; an error refers to segment `first` alone. A short
+/// return re-enters at the first unsent segment; `EINTR` retries in place
+/// (the syscall did nothing). Any other error routes through [`classify`]:
+/// the unsent tail is retained into `pending` — minus the refused head on a
+/// fatal error — and the [`SendVerdict`] names the recovery the caller owes
+/// the socket. No segment is ever offered to the kernel twice by one pass.
+/// Clears `queue` (retained bytes live on in `pending`).
+pub(crate) fn drain_queue(
+    mut send_from: impl FnMut(&SendQueue, usize) -> io::Result<usize>,
     queue: &mut SendQueue,
     pending: &mut SendQueue,
     stats: &mut ShardStats,
@@ -363,9 +284,9 @@ pub(crate) fn drain_queue<S: BatchSender>(
         if first >= queue.len() {
             break SendVerdict::Drained;
         }
-        match sender.send_from(socket, queue, first) {
+        stats.send_syscalls += 1;
+        match send_from(queue, first) {
             Ok(sent) => {
-                stats.send_syscalls += 1;
                 eintr = 0;
                 // A compliant sender returns 1..=remaining; clamp so a
                 // misbehaving one cannot stall or overrun the loop.
@@ -373,31 +294,28 @@ pub(crate) fn drain_queue<S: BatchSender>(
                 stats.kernel_sent += sent as u64;
                 first += sent;
             }
-            Err(e) => {
-                stats.send_syscalls += 1;
-                match classify(&e) {
-                    ErrorClass::Transient
-                        if e.kind() == io::ErrorKind::Interrupted && eintr < MAX_EINTR_RETRIES =>
-                    {
-                        eintr += 1;
-                        stats.transients_recovered += 1;
-                    }
-                    ErrorClass::Transient => {
-                        stats.transients_recovered += 1;
-                        retain_tail(queue, first, pending);
-                        break SendVerdict::Backoff;
-                    }
-                    ErrorClass::Downgrade => {
-                        retain_tail(queue, first, pending);
-                        break SendVerdict::Downgrade;
-                    }
-                    ErrorClass::Fatal => {
-                        stats.send_drops += 1;
-                        retain_tail(queue, first + 1, pending);
-                        break SendVerdict::Rebind;
-                    }
+            Err(e) => match classify(&e) {
+                ErrorClass::Transient
+                    if e.kind() == io::ErrorKind::Interrupted && eintr < MAX_EINTR_RETRIES =>
+                {
+                    eintr += 1;
+                    stats.transients_recovered += 1;
                 }
-            }
+                ErrorClass::Transient => {
+                    stats.transients_recovered += 1;
+                    retain_tail(queue, first, pending);
+                    break SendVerdict::Backoff;
+                }
+                ErrorClass::Downgrade => {
+                    retain_tail(queue, first, pending);
+                    break SendVerdict::Downgrade;
+                }
+                ErrorClass::Fatal => {
+                    stats.send_drops += 1;
+                    retain_tail(queue, first + 1, pending);
+                    break SendVerdict::Rebind;
+                }
+            },
         }
     };
     queue.clear();
@@ -409,23 +327,6 @@ fn retain_tail(queue: &SendQueue, first: usize, pending: &mut SendQueue) {
     for i in first..queue.len() {
         let (bytes, addr) = queue.seg(i);
         pending.push_datagram(addr, bytes);
-    }
-}
-
-/// Flushes a sealed queue on `socket` with the chosen backend.
-pub(crate) fn flush_queue(
-    backend: Backend,
-    socket: &UdpSocket,
-    queue: &mut SendQueue,
-    pending: &mut SendQueue,
-    stats: &mut ShardStats,
-) -> SendVerdict {
-    if queue.is_empty() {
-        return SendVerdict::Drained;
-    }
-    match backend {
-        Backend::Mmsg => drain_queue(&mut MmsgSender, socket, queue, pending, stats),
-        Backend::Fallback => drain_queue(&mut FallbackSender, socket, queue, pending, stats),
     }
 }
 
@@ -452,83 +353,17 @@ impl RecvQueue {
         }
     }
 
-    /// Datagrams one [`RecvQueue::recv`] can return: a shorter batch means
-    /// the socket's kernel queue is empty.
+    /// Datagrams one receive call can return: a shorter batch means the
+    /// socket's kernel queue is empty.
     pub fn capacity(&self) -> usize {
         self.bufs.len()
     }
 
-    /// Receives up to one batch from `socket` without blocking. Returns
-    /// the number of datagrams now readable via [`RecvQueue::datagrams`]
-    /// (0 = nothing pending). Transient conditions (empty queue, stray
-    /// ICMP port-unreachable) are 0, not errors.
-    pub fn recv(
-        &mut self,
-        socket: &UdpSocket,
-        backend: Backend,
-        stats: &mut ShardStats,
-    ) -> io::Result<usize> {
-        self.count = 0;
-        match backend {
-            Backend::Mmsg => self.recv_mmsg(socket, stats),
-            Backend::Fallback => self.recv_fallback(socket, stats),
-        }
-    }
-
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn recv_mmsg(&mut self, socket: &UdpSocket, stats: &mut ShardStats) -> io::Result<usize> {
-        let got = match sys::recv_batch(socket, &mut self.bufs, &mut self.lens) {
-            Ok(got) => got,
-            Err(e) if transient_recv_error(&e) => 0,
-            Err(e) => return Err(e),
-        };
-        self.count = got;
-        if got > 0 {
-            stats.recv_syscalls += 1;
-            stats.kernel_received += got as u64;
-            stats.recv_capacity += self.bufs.len() as u64;
-        }
-        Ok(got)
-    }
-
-    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-    fn recv_mmsg(&mut self, socket: &UdpSocket, stats: &mut ShardStats) -> io::Result<usize> {
-        // select_backend never yields Mmsg here; route defensively.
-        self.recv_fallback(socket, stats)
-    }
-
-    fn recv_fallback(&mut self, socket: &UdpSocket, stats: &mut ShardStats) -> io::Result<usize> {
-        for i in 0..self.bufs.len() {
-            match socket.recv_from(&mut self.bufs[i]) {
-                Ok((len, _)) => {
-                    self.lens[i] = len;
-                    self.count = i + 1;
-                    stats.recv_syscalls += 1;
-                    stats.kernel_received += 1;
-                    stats.recv_capacity += 1;
-                }
-                Err(e) if transient_recv_error(&e) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(self.count)
-    }
-
-    /// The datagrams the last [`RecvQueue::recv`] call produced, borrowed
-    /// straight from the pool.
+    /// The datagrams the last receive call produced, borrowed straight
+    /// from the pool.
     pub fn datagrams(&self) -> impl Iterator<Item = &[u8]> {
         self.bufs.iter().zip(&self.lens).take(self.count).map(|(buf, &len)| &buf[..len])
     }
-}
-
-/// Receive errors that mean "no datagram right now", not "the socket is
-/// broken": empty queue (`WouldBlock`/`TimedOut`), interruption, and the
-/// ICMP port-unreachable echo Linux surfaces when a peer socket has
-/// already closed at shutdown (`ConnectionRefused`). A thin view of
-/// [`classify`] for the receive path, which absorbs transients as
-/// zero-datagram reads.
-pub(crate) fn transient_recv_error(e: &io::Error) -> bool {
-    classify(e) == ErrorClass::Transient
 }
 
 /// Grows `socket`'s kernel buffers to `bytes` in each direction, best
@@ -540,6 +375,150 @@ pub(crate) fn transient_recv_error(e: &io::Error) -> bool {
 /// that batched draining alone cannot smooth.
 pub(crate) fn set_socket_buffers(socket: &UdpSocket, bytes: usize) {
     sys::set_socket_buffers(socket, bytes);
+}
+
+/// A live shard's environment: the cluster clock, the shard's socket pool
+/// and the I/O path the platform probe picked — batched where the
+/// syscalls exist, portable otherwise or once they vanish mid-run.
+#[derive(Debug)]
+pub(crate) struct UdpEnv {
+    clock: ClusterClock,
+    /// The pool, non-blocking.
+    pub(crate) sockets: Vec<UdpSocket>,
+    backend: Backend,
+    /// Each socket's original local address, kept for in-place re-binds.
+    local_addrs: Vec<SocketAddr>,
+    /// Kernel buffer size re-applied when a socket is re-bound.
+    buffer_bytes: usize,
+}
+
+impl UdpEnv {
+    /// Takes over a bound pool, made non-blocking here, on `clock`.
+    pub fn new(
+        clock: ClusterClock,
+        sockets: Vec<UdpSocket>,
+        buffer_bytes: usize,
+    ) -> io::Result<Self> {
+        for socket in &sockets {
+            socket.set_nonblocking(true)?;
+        }
+        let local_addrs = sockets.iter().map(UdpSocket::local_addr).collect::<io::Result<_>>()?;
+        let backend = if sys::supported() { Backend::Mmsg } else { Backend::Fallback };
+        Ok(UdpEnv { clock, sockets, backend, local_addrs, buffer_bytes })
+    }
+}
+
+impl ShardEnv for UdpEnv {
+    fn now(&self) -> Time {
+        self.clock.now()
+    }
+
+    fn pool(&self) -> usize {
+        self.sockets.len()
+    }
+
+    fn batched(&self) -> bool {
+        self.backend == Backend::Mmsg
+    }
+
+    /// The dwell is a plain sleep. The batched path then makes one `ppoll`
+    /// over the pool; the portable path has nothing to watch with and flags
+    /// every socket at once — a second sleep would halve the wake rate.
+    fn wait(
+        &mut self,
+        dwell: Duration,
+        timeout: Duration,
+        ready: &mut Vec<PollFd>,
+    ) -> io::Result<()> {
+        let (dwell, timeout) = (ClusterClock::to_std(dwell), ClusterClock::to_std(timeout));
+        let asleep = Instant::now();
+        std::thread::sleep(dwell);
+        // An oversleep eats into the timeout instead of pushing the wake
+        // past the deadline it was computed for.
+        let timeout = timeout.saturating_sub(asleep.elapsed().saturating_sub(dwell));
+        ready.clear();
+        match self.backend {
+            Backend::Mmsg => sys::poll_readable(&self.sockets, timeout, ready),
+            Backend::Fallback => {
+                ready.resize(self.sockets.len(), PollFd::BLIND);
+                Ok(())
+            }
+        }
+    }
+
+    /// One `recvmmsg` on the batched path, one `recv_from` per datagram on
+    /// the portable one. What [`classify`] calls transient — an empty queue,
+    /// an interruption, the ICMP port-unreachable echo of a peer socket
+    /// already closed at shutdown — is 0 datagrams, not an error.
+    fn recv(
+        &mut self,
+        si: usize,
+        queue: &mut RecvQueue,
+        stats: &mut ShardStats,
+    ) -> io::Result<usize> {
+        let socket = &self.sockets[si];
+        queue.count = 0;
+        match self.backend {
+            Backend::Mmsg => {
+                queue.count = match sys::recv_batch(socket, &mut queue.bufs, &mut queue.lens) {
+                    Ok(got) => got,
+                    Err(e) if classify(&e) == ErrorClass::Transient => 0,
+                    Err(e) => return Err(e),
+                };
+                if queue.count > 0 {
+                    stats.recv_syscalls += 1;
+                    stats.kernel_received += queue.count as u64;
+                    stats.recv_capacity += queue.capacity() as u64;
+                }
+            }
+            Backend::Fallback => {
+                while queue.count < queue.capacity() {
+                    match socket.recv_from(&mut queue.bufs[queue.count]) {
+                        Ok((len, _)) => {
+                            queue.lens[queue.count] = len;
+                            queue.count += 1;
+                            stats.recv_syscalls += 1;
+                            stats.kernel_received += 1;
+                            stats.recv_capacity += 1;
+                        }
+                        Err(e) if classify(&e) == ErrorClass::Transient => break,
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+        }
+        Ok(queue.count)
+    }
+
+    /// Up to [`MAX_VLEN`] datagrams per `sendmmsg` on the batched path, one
+    /// `send_to` on the portable one.
+    fn send_from(&mut self, si: usize, queue: &SendQueue, first: usize) -> io::Result<usize> {
+        let socket = &self.sockets[si];
+        match self.backend {
+            Backend::Mmsg => sys::send_batch(socket, queue, first),
+            Backend::Fallback => {
+                let (bytes, addr) = queue.seg(first);
+                socket.send_to(bytes, addr).map(|_| 1)
+            }
+        }
+    }
+
+    /// Re-binds to the socket's original local address, restoring
+    /// non-blocking mode and the kernel buffer sizes. The old socket is
+    /// dropped first (via a throwaway placeholder) so the port is free.
+    fn rebind(&mut self, si: usize) -> io::Result<()> {
+        let placeholder = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
+        drop(std::mem::replace(&mut self.sockets[si], placeholder));
+        let fresh = UdpSocket::bind(self.local_addrs[si])?;
+        fresh.set_nonblocking(true)?;
+        set_socket_buffers(&fresh, self.buffer_bytes);
+        self.sockets[si] = fresh;
+        Ok(())
+    }
+
+    fn downgrade(&mut self) {
+        self.backend = Backend::Fallback;
+    }
 }
 
 /// The raw `sendmmsg`/`recvmmsg` FFI, hand-declared against the system
@@ -774,8 +753,8 @@ mod sys {
 }
 
 /// Compile-time stub for targets without the mmsg FFI: never supported,
-/// so [`select_backend`] always resolves [`Backend::Fallback`] and the
-/// batch entry points are unreachable.
+/// so [`UdpEnv`] always runs the portable path and the batch entry points
+/// are unreachable.
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 mod sys {
     use std::io;
@@ -789,14 +768,253 @@ mod sys {
     }
 
     pub fn poll_readable(_: &[UdpSocket], _: Duration, _: &mut Vec<PollFd>) -> io::Result<()> {
-        unreachable!("mmsg backend selected on a target without mmsg support")
+        unreachable!("batched path on a target without mmsg support")
     }
 
     pub fn send_batch(_: &UdpSocket, _: &SendQueue, _: usize) -> io::Result<usize> {
-        unreachable!("mmsg backend selected on a target without mmsg support")
+        unreachable!("batched path on a target without mmsg support")
+    }
+
+    pub fn recv_batch(_: &UdpSocket, _: &mut [Vec<u8>], _: &mut [usize]) -> io::Result<usize> {
+        unreachable!("batched path on a target without mmsg support")
     }
 
     pub fn set_socket_buffers(_: &UdpSocket, _: usize) {}
+}
+
+#[cfg(test)]
+/// The shard's environment on virtual time: every socket of a test cluster
+/// in memory, and the one stepped clock they all read. A shard's loop runs
+/// on it unchanged — the same wait, drain, flush, backoff and re-bind —
+/// while a driver (`crate::shard::stepped`) moves the clock; nothing
+/// sleeps, and a seeded run is a pure function of its configuration.
+pub(crate) mod testnet {
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::io;
+    use std::net::{Ipv4Addr, SocketAddr};
+    use std::ops::Range;
+    use std::rc::Rc;
+
+    use gossip_types::{Duration, Time};
+    use gossip_udp::report::ShardStats;
+
+    use super::{PollFd, RecvQueue, SendQueue, MAX_VLEN};
+    use crate::shard::ShardEnv;
+
+    /// One-way delay of the in-memory wire: loopback-like.
+    pub const WIRE_DELAY: Duration = Duration::from_micros(50);
+
+    /// Socket `k` of a net answers at `127.0.0.1:(BASE_PORT + k)`.
+    const BASE_PORT: u16 = 20_000;
+
+    /// One datagram in a socket's receive queue.
+    #[derive(Debug)]
+    pub struct Arrival {
+        /// When it is (or was) readable.
+        pub at: Time,
+        /// The sending socket's address.
+        pub from: SocketAddr,
+        pub bytes: Vec<u8>,
+    }
+
+    #[derive(Debug, Default)]
+    struct Socket {
+        queue: VecDeque<Arrival>,
+        bytes: usize,
+    }
+
+    /// Every socket of a test cluster, and its clock.
+    #[derive(Debug)]
+    pub struct Net {
+        now: Time,
+        sockets: Vec<Socket>,
+        /// Receive-buffer size of every socket: past it, arrivals drop.
+        buffer_bytes: usize,
+    }
+
+    /// The handle the driver and every shard's environment share.
+    pub type SharedNet = Rc<RefCell<Net>>;
+
+    impl Net {
+        /// `sockets` empty sockets with `buffer_bytes` receive buffers, at
+        /// [`Time::ZERO`].
+        pub fn shared(sockets: usize, buffer_bytes: usize) -> SharedNet {
+            let sockets = (0..sockets).map(|_| Socket::default()).collect();
+            Rc::new(RefCell::new(Net { now: Time::ZERO, sockets, buffer_bytes }))
+        }
+
+        /// The address of socket `k`.
+        pub fn addr(k: usize) -> SocketAddr {
+            (Ipv4Addr::LOCALHOST, BASE_PORT + k as u16).into()
+        }
+
+        pub fn now(&self) -> Time {
+            self.now
+        }
+
+        /// Steps the clock to `t` (never backwards).
+        pub fn set_now(&mut self, t: Time) {
+            assert!(t >= self.now, "the clock steps back from {} to {t}", self.now);
+            self.now = t;
+        }
+
+        /// When the first datagram queued on `sockets` arrives, or arrived.
+        pub fn first_arrival(&self, sockets: Range<usize>) -> Option<Time> {
+            self.sockets[sockets].iter().filter_map(|s| s.queue.front().map(|a| a.at)).min()
+        }
+
+        fn readable(&self, k: usize) -> bool {
+            self.sockets[k].queue.front().is_some_and(|a| a.at <= self.now)
+        }
+
+        /// Puts `bytes` on the wire from `from` to `to`: readable there
+        /// [`WIRE_DELAY`] from now, or dropped, as a kernel drops it, when
+        /// the receive buffer is full or nothing answers at `to`.
+        pub fn send(&mut self, from: SocketAddr, to: SocketAddr, bytes: &[u8]) {
+            let k = usize::from(to.port().wrapping_sub(BASE_PORT));
+            let (at, cap) = (self.now + WIRE_DELAY, self.buffer_bytes);
+            let Some(socket) = self.sockets.get_mut(k) else { return };
+            if socket.bytes + bytes.len() <= cap {
+                socket.bytes += bytes.len();
+                socket.queue.push_back(Arrival { at, from, bytes: bytes.to_vec() });
+            }
+        }
+
+        /// Takes everything queued on socket `k`, arrived or in flight — a
+        /// test reading the pool as a peer would.
+        pub fn take(&mut self, k: usize) -> Vec<Arrival> {
+            self.sockets[k].bytes = 0;
+            self.sockets[k].queue.drain(..).collect()
+        }
+    }
+
+    /// One re-bind: when, which pool socket, and when that socket last sent
+    /// before it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Rebind {
+        pub at: Time,
+        pub socket: usize,
+        pub last_send: Option<Time>,
+    }
+
+    /// One shard's environment on a [`Net`]: its slice of the pool, and the
+    /// I/O path it models — the batched one's wait flags the sockets that
+    /// hold data, the portable one's flags them all; a batched send moves
+    /// up to [`MAX_VLEN`] datagrams, a portable one a single datagram.
+    #[derive(Debug)]
+    pub struct VirtualEnv {
+        net: SharedNet,
+        /// The shard's first socket in the net.
+        first: usize,
+        pool: usize,
+        batched: bool,
+        /// When each pool socket last sent.
+        last_send: Vec<Option<Time>>,
+        /// Every re-bind, in order.
+        pub rebinds: Vec<Rebind>,
+    }
+
+    impl VirtualEnv {
+        /// Sockets `first..first + pool` of `net`, on the batched path or
+        /// the portable one.
+        pub fn new(net: SharedNet, first: usize, pool: usize, batched: bool) -> Self {
+            let last_send = vec![None; pool];
+            VirtualEnv { net, first, pool, batched, last_send, rebinds: Vec::new() }
+        }
+
+        /// The shard's sockets' indices in the net.
+        pub fn sockets(&self) -> Range<usize> {
+            self.first..self.first + self.pool
+        }
+    }
+
+    impl ShardEnv for VirtualEnv {
+        fn now(&self) -> Time {
+            self.net.borrow().now
+        }
+
+        fn pool(&self) -> usize {
+            self.pool
+        }
+
+        fn batched(&self) -> bool {
+            self.batched
+        }
+
+        /// The driver has already stepped the clock to the instant this
+        /// wait returns (see `crate::shard::stepped`); what is left is its
+        /// answer.
+        fn wait(&mut self, _: Duration, _: Duration, ready: &mut Vec<PollFd>) -> io::Result<()> {
+            let net = self.net.borrow();
+            ready.clear();
+            ready.extend(self.sockets().map(|k| {
+                let mut slot = PollFd::BLIND;
+                if self.batched && !net.readable(k) {
+                    slot.clear();
+                }
+                slot
+            }));
+            Ok(())
+        }
+
+        fn recv(
+            &mut self,
+            si: usize,
+            queue: &mut RecvQueue,
+            stats: &mut ShardStats,
+        ) -> io::Result<usize> {
+            let mut net = self.net.borrow_mut();
+            let now = net.now;
+            let socket = &mut net.sockets[self.first + si];
+            queue.count = 0;
+            while queue.count < queue.capacity()
+                && socket.queue.front().is_some_and(|a| a.at <= now)
+            {
+                let Some(arrival) = socket.queue.pop_front() else { break };
+                socket.bytes -= arrival.bytes.len();
+                let buf = &mut queue.bufs[queue.count];
+                let len = arrival.bytes.len().min(buf.len());
+                buf[..len].copy_from_slice(&arrival.bytes[..len]);
+                queue.lens[queue.count] = len;
+                queue.count += 1;
+            }
+            let got = queue.count as u64;
+            stats.kernel_received += got;
+            if !self.batched {
+                stats.recv_syscalls += got;
+                stats.recv_capacity += got;
+            } else if got > 0 {
+                stats.recv_syscalls += 1;
+                stats.recv_capacity += queue.capacity() as u64;
+            }
+            Ok(queue.count)
+        }
+
+        fn send_from(&mut self, si: usize, queue: &SendQueue, first: usize) -> io::Result<usize> {
+            let sent = if self.batched { (queue.len() - first).min(MAX_VLEN) } else { 1 };
+            let mut net = self.net.borrow_mut();
+            let from = Net::addr(self.first + si);
+            for k in first..first + sent {
+                let (bytes, to) = queue.seg(k);
+                net.send(from, to, bytes);
+            }
+            self.last_send[si] = Some(net.now);
+            Ok(sent)
+        }
+
+        /// The socket's receive backlog dies with it.
+        fn rebind(&mut self, si: usize) -> io::Result<()> {
+            let mut net = self.net.borrow_mut();
+            net.take(self.first + si);
+            self.rebinds.push(Rebind { at: net.now, socket: si, last_send: self.last_send[si] });
+            Ok(())
+        }
+
+        fn downgrade(&mut self) {
+            self.batched = false;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -810,6 +1028,16 @@ mod tests {
         let b = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let addr = b.local_addr().expect("addr");
         (a, b, addr)
+    }
+
+    /// A live environment over `sockets`, on the batched path or pinned to
+    /// the portable one.
+    fn env_of(sockets: Vec<UdpSocket>, batched: bool) -> UdpEnv {
+        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
+        if !batched {
+            env.downgrade();
+        }
+        env
     }
 
     fn queue_of(payloads: &[&[u8]], addr: SocketAddr) -> SendQueue {
@@ -836,32 +1064,44 @@ mod tests {
     }
 
     /// A sender that returns scripted outcomes, recording which segment
-    /// each call started at — the mock the partial-send test injects.
-    struct ScriptedSender {
+    /// each call started at — the mock the partial-send tests inject.
+    fn scripted(
         script: Vec<io::Result<usize>>,
-        calls: Vec<usize>,
+        calls: &mut Vec<usize>,
+    ) -> impl FnMut(&SendQueue, usize) -> io::Result<usize> + '_ {
+        let mut script = script.into_iter();
+        move |_, first| {
+            calls.push(first);
+            script.next().expect("a scripted outcome per call")
+        }
     }
 
-    impl BatchSender for ScriptedSender {
-        fn send_from(&mut self, _: &UdpSocket, _: &SendQueue, first: usize) -> io::Result<usize> {
-            self.calls.push(first);
-            self.script.remove(0)
-        }
+    /// Drains `queue` through `script`; returns the verdict, the segment
+    /// each call started at, what was retained and the counters.
+    fn drain_scripted(
+        queue: &mut SendQueue,
+        script: Vec<io::Result<usize>>,
+    ) -> (SendVerdict, Vec<usize>, SendQueue, ShardStats) {
+        let (mut calls, mut pending, mut stats) =
+            (Vec::new(), SendQueue::default(), ShardStats::default());
+        let verdict = drain_queue(scripted(script, &mut calls), queue, &mut pending, &mut stats);
+        (verdict, calls, pending, stats)
+    }
+
+    fn addr() -> SocketAddr {
+        (Ipv4Addr::LOCALHOST, 9).into()
     }
 
     #[test]
     fn partial_send_resumes_without_drop_or_duplicate() {
-        let (socket, _peer, addr) = loopback_pair();
         let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 10]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let mut queue = queue_of(&refs, addr);
+        let mut queue = queue_of(&refs, addr());
         // The kernel accepts 2 of 5, then 1, then the remaining 2.
-        let mut sender = ScriptedSender { script: vec![Ok(2), Ok(1), Ok(2)], calls: Vec::new() };
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        let verdict = drain_queue(&mut sender, &socket, &mut queue, &mut pending, &mut stats);
+        let (verdict, calls, pending, stats) =
+            drain_scripted(&mut queue, vec![Ok(2), Ok(1), Ok(2)]);
         assert_eq!(verdict, SendVerdict::Drained);
-        assert_eq!(sender.calls, vec![0, 2, 3], "each retry resumes at the first unsent segment");
+        assert_eq!(calls, vec![0, 2, 3], "each retry resumes at the first unsent segment");
         assert_eq!(stats.send_syscalls, 3);
         assert_eq!(stats.kernel_sent, 5, "every datagram handed off exactly once");
         assert_eq!(stats.send_drops, 0);
@@ -871,19 +1111,13 @@ mod tests {
 
     #[test]
     fn transient_send_error_retains_the_unsent_tail() {
-        let (socket, _peer, addr) = loopback_pair();
         let payloads: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let mut queue = queue_of(&refs, addr);
-        let mut sender = ScriptedSender {
-            script: vec![Ok(1), Err(io::Error::from(io::ErrorKind::WouldBlock))],
-            calls: Vec::new(),
-        };
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        let verdict = drain_queue(&mut sender, &socket, &mut queue, &mut pending, &mut stats);
+        let mut queue = queue_of(&refs, addr());
+        let script = vec![Ok(1), Err(io::Error::from(io::ErrorKind::WouldBlock))];
+        let (verdict, calls, pending, stats) = drain_scripted(&mut queue, script);
         assert_eq!(verdict, SendVerdict::Backoff);
-        assert_eq!(sender.calls, vec![0, 1], "the drain stops at the transient error");
+        assert_eq!(calls, vec![0, 1], "the drain stops at the transient error");
         assert_eq!(stats.kernel_sent, 1);
         assert_eq!(stats.send_drops, 0, "pressure loses nothing");
         assert_eq!(stats.transients_recovered, 1);
@@ -893,18 +1127,12 @@ mod tests {
 
     #[test]
     fn fatal_send_error_drops_the_head_and_asks_for_a_rebind() {
-        let (socket, _peer, addr) = loopback_pair();
         let payloads: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let mut queue = queue_of(&refs, addr);
+        let mut queue = queue_of(&refs, addr());
         const EBADF: i32 = 9;
-        let mut sender = ScriptedSender {
-            script: vec![Ok(1), Err(io::Error::from_raw_os_error(EBADF))],
-            calls: Vec::new(),
-        };
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        let verdict = drain_queue(&mut sender, &socket, &mut queue, &mut pending, &mut stats);
+        let script = vec![Ok(1), Err(io::Error::from_raw_os_error(EBADF))];
+        let (verdict, _, pending, stats) = drain_scripted(&mut queue, script);
         assert_eq!(verdict, SendVerdict::Rebind);
         assert_eq!(stats.send_drops, 1, "exactly the refused datagram is lost");
         assert_eq!(pending.len(), 2, "the rest outlives the socket");
@@ -913,17 +1141,11 @@ mod tests {
 
     #[test]
     fn eintr_retries_in_place_without_losing_position() {
-        let (socket, _peer, addr) = loopback_pair();
-        let mut queue = queue_of(&[b"a", b"b"], addr);
-        let mut sender = ScriptedSender {
-            script: vec![Ok(1), Err(io::Error::from(io::ErrorKind::Interrupted)), Ok(1)],
-            calls: Vec::new(),
-        };
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        let verdict = drain_queue(&mut sender, &socket, &mut queue, &mut pending, &mut stats);
+        let mut queue = queue_of(&[b"a", b"b"], addr());
+        let script = vec![Ok(1), Err(io::Error::from(io::ErrorKind::Interrupted)), Ok(1)];
+        let (verdict, calls, pending, stats) = drain_scripted(&mut queue, script);
         assert_eq!(verdict, SendVerdict::Drained);
-        assert_eq!(sender.calls, vec![0, 1, 1], "the interrupted segment is retried in place");
+        assert_eq!(calls, vec![0, 1, 1], "the interrupted segment is retried in place");
         assert_eq!(stats.kernel_sent, 2);
         assert_eq!(stats.transients_recovered, 1);
         assert!(pending.is_empty());
@@ -931,14 +1153,10 @@ mod tests {
 
     #[test]
     fn misbehaving_sender_cannot_stall_or_overrun() {
-        let (socket, _peer, addr) = loopback_pair();
-        let mut queue = queue_of(&[b"a", b"b"], addr);
+        let mut queue = queue_of(&[b"a", b"b"], addr());
         // Ok(0) would loop forever and Ok(100) would overrun; both clamp.
-        let mut sender = ScriptedSender { script: vec![Ok(0), Ok(100)], calls: Vec::new() };
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        drain_queue(&mut sender, &socket, &mut queue, &mut pending, &mut stats);
-        assert_eq!(sender.calls, vec![0, 1]);
+        let (_, calls, _, stats) = drain_scripted(&mut queue, vec![Ok(0), Ok(100)]);
+        assert_eq!(calls, vec![0, 1]);
         assert_eq!(stats.kernel_sent, 2);
     }
 
@@ -958,22 +1176,30 @@ mod tests {
         }
     }
 
+    /// Sends `queue` from socket 0 of `env` and reads socket 1 once the
+    /// loopback has delivered: the send and receive counters, and what
+    /// arrived.
+    fn round_trip(
+        env: &mut UdpEnv,
+        queue: &mut SendQueue,
+    ) -> (ShardStats, ShardStats, Vec<Vec<u8>>) {
+        let (mut stats, mut pending) = (ShardStats::default(), SendQueue::default());
+        drain_queue(|q, first| env.send_from(0, q, first), queue, &mut pending, &mut stats);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut recv = RecvQueue::new(16, 2048);
+        let mut rstats = ShardStats::default();
+        env.recv(1, &mut recv, &mut rstats).expect("recv");
+        (stats, rstats, recv.datagrams().map(<[u8]>::to_vec).collect())
+    }
+
     #[test]
     fn fallback_round_trips_a_queue() {
         let (tx, rx, addr) = loopback_pair();
+        let mut env = env_of(vec![tx, rx], false);
         let mut queue = queue_of(&[b"one", b"two", b"three"], addr);
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        drain_queue(&mut FallbackSender, &tx, &mut queue, &mut pending, &mut stats);
+        let (stats, rstats, datagrams) = round_trip(&mut env, &mut queue);
         assert_eq!(stats.send_syscalls, 3);
         assert_eq!(stats.kernel_sent, 3);
-        rx.set_nonblocking(true).expect("nonblocking");
-        std::thread::sleep(Duration::from_millis(20));
-        let mut recv = RecvQueue::new(8, 2048);
-        let mut rstats = ShardStats::default();
-        let got = recv.recv(&rx, Backend::Fallback, &mut rstats).expect("recv");
-        assert_eq!(got, 3);
-        let datagrams: Vec<Vec<u8>> = recv.datagrams().map(<[u8]>::to_vec).collect();
         assert_eq!(datagrams, vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
         assert_eq!(rstats.kernel_received, 3);
         assert_eq!(rstats.recv_syscalls, 3, "fallback pays one syscall per datagram");
@@ -986,21 +1212,13 @@ mod tests {
             return; // ancient kernel: nothing to test
         }
         let (tx, rx, addr) = loopback_pair();
+        let mut env = env_of(vec![tx, rx], true);
         let payloads: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 100 + usize::from(i)]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
         let mut queue = queue_of(&refs, addr);
-        let mut stats = ShardStats::default();
-        let mut pending = SendQueue::default();
-        flush_queue(Backend::Mmsg, &tx, &mut queue, &mut pending, &mut stats);
+        let (stats, rstats, datagrams) = round_trip(&mut env, &mut queue);
         assert_eq!(stats.kernel_sent, 10);
         assert_eq!(stats.send_syscalls, 1, "one sendmmsg covers the whole queue");
-        rx.set_nonblocking(true).expect("nonblocking");
-        std::thread::sleep(Duration::from_millis(20));
-        let mut recv = RecvQueue::new(16, 2048);
-        let mut rstats = ShardStats::default();
-        let got = recv.recv(&rx, Backend::Mmsg, &mut rstats).expect("recv");
-        assert_eq!(got, 10);
-        let datagrams: Vec<Vec<u8>> = recv.datagrams().map(<[u8]>::to_vec).collect();
         assert_eq!(datagrams, payloads, "payloads arrive intact and in order");
         assert_eq!(rstats.recv_syscalls, 1, "one recvmmsg drains the backlog");
         assert_eq!(rstats.kernel_received, 10);
@@ -1016,55 +1234,61 @@ mod tests {
 
     #[test]
     fn wait_on_quiet_sockets_times_out_with_nothing_flagged() {
-        if select_backend(None) != Backend::Mmsg {
+        if !mmsg_active() {
             return; // no ppoll here: the portable wait has its own test
         }
-        let (sockets, _) = pool(3);
+        let mut env = env_of(pool(3).0, true);
         let mut set = vec![PollFd::BLIND; 7]; // stale slots must not survive
         let timeout = Duration::from_micros(3_500);
-        let started = std::time::Instant::now();
-        wait_readable(Backend::Mmsg, &sockets, timeout, &mut set).expect("wait");
-        assert!(started.elapsed() >= timeout, "the wait returned early with nothing to read");
+        let started = Instant::now();
+        env.wait(Duration::ZERO, timeout, &mut set).expect("wait");
+        assert!(
+            started.elapsed() >= ClusterClock::to_std(timeout),
+            "the wait returned early with nothing to read"
+        );
         assert_eq!(set.len(), 3, "one slot per socket");
         assert!(!set.iter().any(PollFd::flagged));
     }
 
     #[test]
     fn wait_flags_exactly_the_socket_that_was_written_to() {
-        if select_backend(None) != Backend::Mmsg {
+        if !mmsg_active() {
             return;
         }
         let (sockets, addrs) = pool(4);
+        let mut env = env_of(sockets, true);
         let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         tx.send_to(b"wake", addrs[2]).expect("send");
         let mut set = Vec::new();
         // Far longer than loopback delivery: returning at all means the
         // datagram, not the clock, ended the wait.
         let timeout = Duration::from_secs(20);
-        let started = std::time::Instant::now();
-        wait_readable(Backend::Mmsg, &sockets, timeout, &mut set).expect("wait");
-        assert!(started.elapsed() < timeout);
+        let started = Instant::now();
+        env.wait(Duration::ZERO, timeout, &mut set).expect("wait");
+        assert!(started.elapsed() < ClusterClock::to_std(timeout));
         let flagged: Vec<bool> = set.iter().map(PollFd::flagged).collect();
         assert_eq!(flagged, [false, false, true, false]);
         // Readiness is level-triggered: unread data flags again, and a
         // zero timeout only looks.
-        wait_readable(Backend::Mmsg, &sockets, Duration::ZERO, &mut set).expect("wait");
+        env.wait(Duration::ZERO, Duration::ZERO, &mut set).expect("wait");
         assert!(set[2].flagged());
     }
 
     #[test]
     fn portable_wait_flags_every_socket_without_sleeping() {
-        let (sockets, _) = pool(3);
+        let mut env = env_of(pool(3).0, false);
         let mut set = Vec::new();
         // Fifty waits in well under fifty quanta: sleeps only overshoot, so
-        // not one of them slept — the shard's dwell is the portable
-        // backend's only sleep, or it would wake every other quantum.
-        let started = std::time::Instant::now();
+        // not one of them slept past its dwell — the dwell is the portable
+        // path's only sleep, or it would wake every other quantum.
+        let started = Instant::now();
         for _ in 0..50 {
-            wait_readable(Backend::Fallback, &sockets, Duration::from_secs(20), &mut set)
-                .expect("wait");
+            env.wait(Duration::ZERO, Duration::from_secs(20), &mut set).expect("wait");
         }
-        assert!(started.elapsed() < 25 * WAKE_QUANTUM, "the portable wait slept");
+        assert!(
+            started.elapsed() < ClusterClock::to_std(WAKE_QUANTUM * 25),
+            "the portable wait slept"
+        );
         assert_eq!(set.iter().filter(|slot| slot.flagged()).count(), 3);
         set[1].clear();
         assert!(!set[1].flagged());
@@ -1080,12 +1304,11 @@ mod tests {
 
     #[test]
     fn empty_socket_reads_zero() {
-        let (_tx, rx, _) = loopback_pair();
-        rx.set_nonblocking(true).expect("nonblocking");
         let mut recv = RecvQueue::new(4, 512);
         let mut stats = ShardStats::default();
-        for backend in [Backend::Fallback, select_backend(None)] {
-            assert_eq!(recv.recv(&rx, backend, &mut stats).expect("recv"), 0);
+        for batched in [false, true] {
+            let mut env = env_of(pool(1).0, batched);
+            assert_eq!(env.recv(0, &mut recv, &mut stats).expect("recv"), 0);
         }
         assert_eq!(stats.recv_syscalls, 0, "empty reads are not data-bearing");
     }

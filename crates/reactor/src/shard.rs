@@ -1,40 +1,53 @@
 //! The shard event loop: one thread hosting many virtual nodes.
 //!
-//! A shard is a clock, a transport and a loop: the host rules — node
+//! A shard is an environment and a loop: the host rules — node
 //! construction, the inbound gate, output routing, crash, revive, throttle
 //! and the fault-timeline interpreter — live in [`gossip_udp::hosted`],
-//! shared with the simulator. What stays here is wait → drain → flush →
-//! dwell plus transport, and the shard's answers to [`Host`] (shaper,
-//! outbox, [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by
-//! id; joiners introduced lazily or by a Cyclon bootstrap).
+//! shared with the simulator. What stays here is wait → fire → drain →
+//! flush, and the shard's answers to [`Host`] (shaper, outbox,
+//! [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by id;
+//! joiners introduced lazily or by a Cyclon bootstrap).
 //!
 //! A shard multiplexes every deadline of its nodes — gossip rounds,
 //! retransmission timers, source emissions, shaper releases, and the
 //! compiled fault timeline — through one timer wheel (the calendar queue
 //! from `gossip-sim`, the same `EventSchedule` implementation the
 //! simulator runs on), and all their traffic through a small pool of
-//! non-blocking sockets. The loop reads every instant — deadlines, the
-//! dwell, the telemetry phase spans — from its [`ClusterClock`].
+//! non-blocking sockets.
 //!
-//! # The loop: wait → drain → flush every wake → dwell
+//! # The environment seam
 //!
-//! A shard sleeps in exactly one place: [`mmsg::wait_readable`], one
-//! `ppoll` over its whole socket pool that returns when a socket has
-//! something to read or at the shard's next deadline — the earlier of the
-//! wheel's next fire and the backoff expiry of a socket with retained
-//! datagrams — and never later than one [`WAKE_QUANTUM`], so a raised
-//! stop flag is noticed promptly. It then fires the due deadlines, reads
-//! **only the sockets the wait flagged**, and flushes: what a wake
-//! produced leaves in that wake. Before it waits again it *dwells* out the
-//! rest of one [`WAKE_QUANTUM`] since it last woke, not watching the
-//! sockets, so arrivals and deadlines pile up into one batch per wake
-//! instead of one wake (a context switch) per datagram. The dwell is
-//! skipped only when the drain left flagged sockets unread — a socket used
-//! its whole receive budget, or a due deadline cut the drain short:
-//! backlog goes straight round again, and the wake's one flush waits for
-//! the iteration that clears it, or for the wake to have run a full
-//! quantum, whichever comes first. On the portable backend the dwell is
-//! the only sleep: the wait returns at once with every socket flagged.
+//! [`Shard`] has one type parameter, its environment ([`ShardEnv`]): the
+//! only thing the loop reads time from or moves datagrams through. It
+//! answers `now` — every deadline, the dwell and the telemetry phase spans
+//! are read there —, waits (the dwell, then the pool's readiness),
+//! receives a batch on one pool socket, sends from one, re-binds a dead
+//! socket in place and downgrades to the portable I/O path. Time and
+//! sockets are one seam, not two: only the loop and its wait read either.
+//! A live shard runs on [`crate::mmsg::UdpEnv`] — the cluster clock, real
+//! sockets, `ppoll` and `sendmmsg`/`recvmmsg` or their portable fallback;
+//! the tests run the *same* loop on an in-memory pool and a stepped clock,
+//! every shard of a cluster on one virtual clock, deterministically and
+//! without sleeping.
+//!
+//! # The loop: dwell and wait → fire → drain → flush every wake
+//!
+//! A shard sleeps in exactly one place: its environment's wait. It first
+//! *dwells* out the rest of one [`WAKE_QUANTUM`] since it last woke, not
+//! watching the sockets, so arrivals and deadlines pile up into one batch
+//! per wake instead of one wake (a context switch) per datagram; then it
+//! waits over its whole socket pool until a socket has something to read
+//! or the shard's next deadline — the earlier of the wheel's next fire and
+//! the backoff expiry of a socket with retained datagrams — and never
+//! longer than one more quantum, so a raised stop flag is noticed promptly.
+//! It then fires the due deadlines, reads **only the sockets the wait
+//! flagged**, and flushes: what a wake produced leaves in that wake. The
+//! wait is skipped only when the drain left flagged sockets unread — a
+//! socket used its whole receive budget, or a due deadline cut the drain
+//! short: backlog goes straight round again, and the wake's one flush waits
+//! for the iteration that clears it, or for the wake to have run a full
+//! quantum, whichever comes first. On the portable path the dwell is the
+//! only sleep: the wait returns after it with every socket flagged.
 //!
 //! One constant paces the loop. A datagram waits at most one quantum in a
 //! kernel receive queue, and in the outbox only while the wake that
@@ -60,8 +73,8 @@
 //! the groups spread over the whole pool and one destination's datagrams
 //! never overtake each other on different sockets; a node's *home* socket
 //! is only where it receives. The packed queues then drain through the
-//! [`crate::mmsg`] backend — batches of kernel datagrams per `sendmmsg`
-//! where the platform has it, per-datagram `send_to` otherwise. Ingress
+//! environment — batches of kernel datagrams per `sendmmsg` where the
+//! platform has it, per-datagram `send_to` otherwise. Ingress
 //! is symmetric: `recvmmsg` fills a pooled batch of buffers, and each
 //! received datagram is demuxed as a *borrowed* slice whose frames feed
 //! the protocol through the zero-copy `decode_frame`/`on_frame` path —
@@ -97,10 +110,10 @@
 //! protocol's `retention` horizon, like the nodes' payloads. One table per
 //! shard, touched only by the shard's thread: no locks.
 
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 use gossip_adversity::{ChaosPlan, CompiledAdversity, PartitionState};
 use gossip_core::index::DenseMap;
@@ -110,18 +123,60 @@ use gossip_membership::{wire as shuffle_wire, CyclonConfig, ShuffleMessage};
 use gossip_sim::{DetRng, EventHandle, EventQueue};
 use gossip_stream::{PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
-use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
 use gossip_udp::hosted::{self, FaultHost, Host, HostedNode, Setup, Uplink};
 use gossip_udp::report::{NodeReport, ShardStats};
 use gossip_udp::shaper::UploadShaper;
 
-use crate::chaos::{self, DatagramFate, SenderChaos, SocketChaos};
+use crate::chaos::{ChaosSender, DatagramFate, SenderChaos, SocketChaos};
 use crate::demux;
-use crate::mmsg::{
-    self, Backend, ErrorClass, PollFd, RecvQueue, SendQueue, SendVerdict, WAKE_QUANTUM,
-};
+use crate::mmsg::{classify, ErrorClass, PollFd, RecvQueue, SendQueue, SendVerdict, WAKE_QUANTUM};
 use crate::telemetry::{ShardTelemetry, GAUGE_PERIOD};
+
+/// What a shard runs on: the only thing its loop reads time from or moves
+/// datagrams through (see the module docs).
+pub(crate) trait ShardEnv {
+    /// The current instant on the cluster's time axis.
+    fn now(&self) -> Time;
+
+    /// Number of sockets in the pool.
+    fn pool(&self) -> usize;
+
+    /// Whether the batched path (`sendmmsg`/`recvmmsg`, `ppoll`) is live.
+    fn batched(&self) -> bool;
+
+    /// Dwells for `dwell`, then waits until a pool socket is readable or
+    /// `timeout` more has passed, and rebuilds `ready` — one slot per
+    /// socket, in pool order — with the outcome.
+    fn wait(
+        &mut self,
+        dwell: Duration,
+        timeout: Duration,
+        ready: &mut Vec<PollFd>,
+    ) -> io::Result<()>;
+
+    /// Receives up to one batch on pool socket `si` into `queue` without
+    /// blocking, counting the calls that moved data into `stats`. Returns
+    /// how many datagrams `queue` now holds (0: none pending).
+    fn recv(
+        &mut self,
+        si: usize,
+        queue: &mut RecvQueue,
+        stats: &mut ShardStats,
+    ) -> io::Result<usize>;
+
+    /// Sends segments `first..` of `queue` from pool socket `si` — as many
+    /// as one kernel interaction covers — and returns how many were
+    /// accepted (at least 1). An error refers to segment `first` alone.
+    fn send_from(&mut self, si: usize, queue: &SendQueue, first: usize) -> io::Result<usize>;
+
+    /// Replaces dead pool socket `si` in place, on its local address.
+    fn rebind(&mut self, si: usize) -> io::Result<()>;
+
+    /// Takes the portable path for the rest of the run (the batched
+    /// syscalls answered `ENOSYS`).
+    fn downgrade(&mut self);
+}
 
 /// Size cap of one coalesced kernel datagram. Well under the 64 KiB UDP
 /// limit: a burst lost to a full kernel buffer should not take half a
@@ -139,7 +194,7 @@ const BACKOFF_BASE: Duration = Duration::from_millis(1);
 
 /// Upper bound on one backoff interval: short against the protocol's
 /// 100 ms rounds, long enough to let a kernel buffer drain.
-const BACKOFF_CAP: Duration = Duration::from_millis(16);
+pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(16);
 
 /// Byte budget of one socket's retained (pending-retry) queue: past it
 /// the oldest retained datagrams are shed, counted, and the stream's
@@ -185,19 +240,12 @@ pub(crate) struct ShardConfig {
     pub placement: demux::Placement,
     /// Maximum datagrams drained per socket per loop iteration.
     pub recv_batch: usize,
-    /// Which I/O backend to run (resolved once by the runtime).
-    pub backend: Backend,
     pub cluster: ClusterConfig,
     /// The compiled fault plan (shared; every shard walks the same
     /// timeline and applies the slice that concerns its nodes).
     pub compiled: Arc<CompiledAdversity>,
-    /// This shard's socket pool, already bound.
-    pub sockets: Vec<UdpSocket>,
     /// Global node id → home socket address (local or remote alike).
     pub addresses: Arc<Vec<SocketAddr>>,
-    /// Kernel buffer size re-applied when a socket is re-bound.
-    pub socket_buffer_bytes: usize,
-    pub clock: ClusterClock,
     pub stop: Arc<AtomicBool>,
     /// Live telemetry cells, pre-registered by the runtime (`None` when
     /// the run has no registry — the hot loop then carries no atomic
@@ -205,40 +253,27 @@ pub(crate) struct ShardConfig {
     pub telemetry: Option<ShardTelemetry>,
 }
 
-/// Runs a shard until `stop` is raised and returns the reports of its
-/// nodes, the shard's I/O statistics, and the I/O error that ended the
-/// loop early, if any. Even a failed shard hands back everything it
-/// accumulated: a partial measurement beats a silent gap in the report.
-pub(crate) fn run_shard(
-    config: ShardConfig,
-) -> (Vec<NodeReport>, ShardStats, Option<std::io::Error>) {
-    match Shard::new(config) {
-        Ok(shard) => shard.run(),
-        Err(e) => (Vec::new(), ShardStats::default(), Some(e)),
-    }
-}
+/// What a finished shard hands back: its nodes' reports, its I/O
+/// statistics, and the I/O error that ended its loop early, if any.
+pub(crate) type ShardOutcome = (Vec<NodeReport>, ShardStats, Option<io::Error>);
 
-struct Shard {
+pub(crate) struct Shard<E> {
     index: usize,
     placement: demux::Placement,
     recv_batch: usize,
-    backend: Backend,
     cluster: ClusterConfig,
     compiled: Arc<CompiledAdversity>,
-    sockets: Vec<UdpSocket>,
+    /// What the loop reads time from and moves datagrams through.
+    pub(crate) env: E,
     /// Where every node of the cluster receives, by destination group.
     routes: Routes,
-    clock: ClusterClock,
     stop: Arc<AtomicBool>,
     nodes: Vec<HostedNode<Port>>,
     wheel: EventQueue<Fire>,
-    /// The currently known membership: base nodes plus joiners so far.
-    /// Shared with every full-membership node the shard hosts; a join
-    /// builds a new list (copy-on-join) and the nodes pick it up lazily.
+    /// The census: base nodes plus joiners so far. Shared with every
+    /// full-membership node the shard hosts; a join builds a new list
+    /// (copy-on-join).
     members: Arc<[NodeId]>,
-    /// Bumped on every join; nodes whose `members_seen` lags refresh
-    /// their membership lazily at their next round.
-    members_version: u32,
     /// Which partition events are live. Every shard walks the same fault
     /// timeline, so every shard's view of the split agrees; cross-cell
     /// frames are dropped on arrival in [`Shard::route_frame`].
@@ -259,10 +294,10 @@ struct Shard {
     /// Scratch for the flush: the outbox's entries as `(sending socket,
     /// destination group, outbox index)`, sorted.
     flush_order: Vec<(usize, usize, usize)>,
-    stats: ShardStats,
-    /// Which pool sockets are worth reading, rebuilt from `sockets` by
-    /// every wait. A slot stays flagged until a read finds its socket
-    /// empty, so a flag surviving a drain means unread backlog.
+    pub(crate) stats: ShardStats,
+    /// Which pool sockets are worth reading, rebuilt by every wait. A slot
+    /// stays flagged until a read finds its socket empty, so a flag
+    /// surviving a drain means unread backlog.
     ready: Vec<PollFd>,
     /// When the last wait returned; the dwell counts from here.
     last_wake: Time,
@@ -281,10 +316,6 @@ struct Shard {
     outbox_bytes: usize,
     /// Per-socket recovery state: backoff clocks and retained queues.
     recovery: Vec<SocketRecovery>,
-    /// Original local addresses of the pool, kept for in-place re-binds.
-    local_addrs: Vec<SocketAddr>,
-    /// Kernel buffer size re-applied when a socket is re-bound.
-    socket_buffer_bytes: usize,
     /// The chaos engine, present only when the compiled plan injects
     /// anything.
     chaos: Option<ChaosState>,
@@ -297,15 +328,12 @@ struct Shard {
 
 /// A hosted node's end of the shard: its upload shaper and its share of the
 /// receive path.
-struct Port {
+pub(crate) struct Port {
     /// Shaped outbound datagrams: `(destination, unframed wire bytes)`.
     shaper: UploadShaper<(NodeId, Vec<u8>)>,
     /// Whether a shaper-release deadline for this node is pending in the
     /// wheel (at most one at a time).
     armed: bool,
-    /// The shard `members_version` this node's membership reflects; a lag
-    /// means joiners arrived since its last round (refreshed lazily).
-    members_seen: u32,
     /// Deterministic per-node stream for injected datagram loss.
     loss_rng: DetRng,
     recv_msgs: u64,
@@ -430,26 +458,19 @@ impl Routes {
     }
 }
 
-impl Shard {
-    fn new(config: ShardConfig) -> std::io::Result<Self> {
+impl<E: ShardEnv> Shard<E> {
+    pub(crate) fn new(config: ShardConfig, env: E) -> Self {
         let ShardConfig {
             index,
             placement,
             recv_batch,
-            backend,
             cluster,
             compiled,
-            sockets,
             addresses,
-            socket_buffer_bytes,
-            clock,
             stop,
             telemetry,
         } = config;
-        for socket in &sockets {
-            socket.set_nonblocking(true)?;
-        }
-        let pool = sockets.len();
+        let pool = env.pool();
         let members: Arc<[NodeId]> = (0..compiled.base_n as u32).map(NodeId::new).collect();
         let setup = Setup {
             gossip: &cluster.gossip,
@@ -465,7 +486,6 @@ impl Shard {
                 let port = |cap| Port {
                     shaper: UploadShaper::new(cap, cluster.max_backlog),
                     armed: false,
-                    members_seen: 0,
                     loss_rng: DetRng::seed_from(cluster.seed).split(0xD409 + u64::from(g)),
                     recv_msgs: 0,
                     decode_errors: 0,
@@ -527,23 +547,19 @@ impl Shard {
                     .split(0xBACC_0000 + (index * 1024 + s) as u64),
             })
             .collect();
-        let local_addrs =
-            sockets.iter().map(UdpSocket::local_addr).collect::<std::io::Result<Vec<_>>>()?;
-        Ok(Shard {
+        Shard {
             index,
             placement,
             recv_batch,
-            backend,
             cluster,
             compiled,
-            sockets,
+            last_wake: env.now(),
+            env,
             routes: Routes::new(&addresses),
-            clock,
             stop,
             nodes,
             wheel,
             members,
-            members_version: 0,
             partition: PartitionState::new(),
             membership_rng,
             packets: PacketPool::default(),
@@ -553,23 +569,29 @@ impl Shard {
             stats: ShardStats::default(),
             // Nothing is known about the pool yet: read it blind once.
             ready: vec![PollFd::BLIND; pool],
-            last_wake: clock.now(),
             drain_cursor: 0,
             recv_queue: RecvQueue::new(recv_batch, RECV_BUF_SIZE),
             send_queue: SendQueue::default(),
             scratch_queue: SendQueue::default(),
             outbox_bytes: 0,
             recovery,
-            local_addrs,
-            socket_buffer_bytes,
             chaos,
             telemetry,
             next_gauge_publish: Time::ZERO,
-        })
+        }
     }
 
-    fn run(mut self) -> (Vec<NodeReport>, ShardStats, Option<std::io::Error>) {
+    /// Runs the loop until `stop` is raised, then [`Shard::finish`]es.
+    /// Even a failed shard hands back everything it accumulated: a partial
+    /// measurement beats a silent gap in the report.
+    pub(crate) fn run(mut self) -> ShardOutcome {
         let failure = self.run_loop().err();
+        self.finish(failure)
+    }
+
+    /// Ends the run after `failure`, if any: sends what is still held back
+    /// and hands back the outcome.
+    fn finish(mut self, failure: Option<io::Error>) -> ShardOutcome {
         // Don't strand held-back datagrams at shutdown (best-effort once
         // the loop already failed — the first error is the one reported).
         let failure = match self.flush_outbox() {
@@ -586,21 +608,24 @@ impl Shard {
         (self.nodes.into_iter().map(into_report).collect(), stats, failure)
     }
 
-    fn run_loop(&mut self) -> std::io::Result<()> {
+    fn run_loop(&mut self) -> io::Result<()> {
         while !self.stop.load(Ordering::Relaxed) {
             self.turn()?;
         }
         Ok(())
     }
 
-    /// One loop iteration: fire, drain, flush, then dwell and wait.
-    fn turn(&mut self) -> std::io::Result<()> {
-        self.stats.iterations += 1;
-        let now = self.clock.now();
-
+    /// One loop iteration: dwell and wait, then fire, drain and flush.
+    fn turn(&mut self) -> io::Result<()> {
         // Phase wall-time brackets exist only when telemetry is on:
-        // four monotonic clock reads per iteration, nothing otherwise.
-        let t0 = self.telemetry.as_ref().map(|_| self.clock.now());
+        // four more clock reads per iteration, nothing otherwise.
+        let t0 = self.telemetry.as_ref().map(|_| self.env.now());
+
+        // 0. Dwell out the wake quantum, then sleep until traffic or the
+        // next deadline.
+        self.park();
+        self.stats.iterations += 1;
+        let now = self.env.now();
 
         // 1. Fire every due deadline.
         while let Some((at, fire)) = self.wheel.pop_before(now) {
@@ -611,11 +636,11 @@ impl Shard {
             self.next_packet_prune = now + self.cluster.gossip.gossip_period;
             self.packets.prune(&self.cluster.gossip, now);
         }
-        let t1 = t0.map(|_| self.clock.now());
+        let t1 = t0.map(|_| self.env.now());
 
         // 2. Budgeted batched receive from the sockets the wait flagged.
         self.drain_sockets()?;
-        let t2 = t0.map(|_| self.clock.now());
+        let t2 = t0.map(|_| self.env.now());
 
         // 3. Everything this wake released goes on the wire, along with
         // any retained datagrams whose backoff has run out — once the wake
@@ -626,13 +651,10 @@ impl Shard {
         if !self.ready.iter().any(PollFd::flagged) || self.awake_for() >= WAKE_QUANTUM {
             self.flush_outbox()?;
         }
-        let t3 = t0.map(|_| self.clock.now());
+        let t3 = t0.map(|_| self.env.now());
 
-        // 4. Dwell out the wake quantum, then sleep until traffic or
-        // the next deadline.
-        self.park();
-
-        self.publish_telemetry(now, t0.zip(t1), t1.zip(t2), t2.zip(t3), t3);
+        let fired = t0.map(|_| now);
+        self.publish_telemetry(now, t0.zip(fired), fired.zip(t1), t1.zip(t2), t2.zip(t3));
         Ok(())
     }
 
@@ -643,13 +665,16 @@ impl Shard {
     fn publish_telemetry(
         &mut self,
         now: Time,
+        park: Option<(Time, Time)>,
         timers: Option<(Time, Time)>,
         ingress: Option<(Time, Time)>,
         flush: Option<(Time, Time)>,
-        park_from: Option<Time>,
     ) {
         let Some(tel) = &self.telemetry else { return };
         let micros = |(from, to): (Time, Time)| to.saturating_since(from).as_micros();
+        if let Some(span) = park {
+            tel.phase_park.observe_micros(micros(span));
+        }
         if let Some(span) = timers {
             tel.phase_timers.observe_micros(micros(span));
         }
@@ -658,9 +683,6 @@ impl Shard {
         }
         if let Some(span) = flush {
             tel.phase_flush.observe_micros(micros(span));
-        }
-        if let Some(from) = park_from {
-            tel.phase_park.observe_micros(micros((from, self.clock.now())));
         }
         tel.publish_counters(&self.stats);
         if now >= self.next_gauge_publish {
@@ -696,41 +718,50 @@ impl Shard {
         self.wheel.peek_time().into_iter().chain(retries).min()
     }
 
-    /// Dwells until one [`WAKE_QUANTUM`] has passed since the last wake,
-    /// then sleeps until a pool socket is readable or the next deadline,
-    /// one more quantum at most. Returns at once, flags untouched, while
-    /// the last drain left flagged sockets unread.
-    fn park(&mut self) {
+    /// What the next wait asks of the environment: dwell until one
+    /// [`WAKE_QUANTUM`] has passed since the last wake, then wait until a
+    /// pool socket is readable or the next deadline, one more quantum at
+    /// most. `None` while the last drain left flagged sockets unread:
+    /// backlog goes straight round.
+    fn wait_plan(&self) -> Option<(Duration, Duration)> {
         if self.ready.iter().any(PollFd::flagged) {
-            return;
+            return None;
         }
-        thread::sleep(WAKE_QUANTUM.saturating_sub(self.awake_for()));
-        let wait =
-            self.next_deadline().map_or(WAKE_QUANTUM, |at| self.clock.until(at).min(WAKE_QUANTUM));
-        if let Err(e) = mmsg::wait_readable(self.backend, &self.sockets, wait, &mut self.ready) {
+        let dwell = WAKE_QUANTUM.saturating_sub(self.awake_for());
+        let woken = self.env.now() + dwell;
+        let timeout = self
+            .next_deadline()
+            .map_or(WAKE_QUANTUM, |at| at.saturating_since(woken).min(WAKE_QUANTUM));
+        Some((dwell, timeout))
+    }
+
+    /// Waits as [`Shard::wait_plan`] says; returns at once, flags
+    /// untouched, while the last drain left backlog.
+    fn park(&mut self) {
+        let Some((dwell, timeout)) = self.wait_plan() else { return };
+        if let Err(e) = self.env.wait(dwell, timeout, &mut self.ready) {
             // `ppoll` vanished mid-run: the dwell becomes the only sleep.
-            if mmsg::classify(&e) == ErrorClass::Downgrade {
-                self.backend = Backend::Fallback;
-                self.stats.backend_downgrades += 1;
+            if classify(&e) == ErrorClass::Downgrade {
+                self.downgrade();
             }
             // A failed wait (EINTR included) says nothing about the pool:
             // read it blind this once. The dwell still bounds the loop.
-            self.ready = vec![PollFd::BLIND; self.sockets.len()];
+            self.ready = vec![PollFd::BLIND; self.env.pool()];
         }
-        self.last_wake = self.clock.now();
+        self.last_wake = self.env.now();
     }
 
     /// How long the loop has been awake since the last wait returned (zero
     /// while that instant is still ahead).
-    fn awake_for(&self) -> std::time::Duration {
-        ClusterClock::to_std(self.clock.now().saturating_since(self.last_wake))
+    fn awake_for(&self) -> Duration {
+        self.env.now().saturating_since(self.last_wake)
     }
 
     /// Receives batches from every flagged pool socket, at most
     /// `recv_batch` datagrams per socket, ending the whole drain early the
     /// moment a wheel deadline comes due — ingress floods must not delay
     /// timers.
-    fn drain_sockets(&mut self) -> std::io::Result<()> {
+    fn drain_sockets(&mut self) -> io::Result<()> {
         // The pool is moved out for the drain so routing can borrow the
         // shard mutably while datagrams stay borrowed from the pool.
         let mut queue = std::mem::take(&mut self.recv_queue);
@@ -739,21 +770,21 @@ impl Shard {
         result
     }
 
-    fn drain_into(&mut self, queue: &mut RecvQueue) -> std::io::Result<()> {
+    fn drain_into(&mut self, queue: &mut RecvQueue) -> io::Result<()> {
         let first = self.drain_cursor;
-        for k in 0..self.sockets.len() {
-            let si = (first + k) % self.sockets.len();
+        let pool = self.env.pool();
+        for k in 0..pool {
+            let si = (first + k) % pool;
             let mut received = 0;
             while self.ready[si].flagged() && received < self.recv_batch {
-                let n = match queue.recv(&self.sockets[si], self.backend, &mut self.stats) {
+                let n = match self.env.recv(si, queue, &mut self.stats) {
                     Ok(n) => n,
-                    Err(e) => match mmsg::classify(&e) {
+                    Err(e) => match classify(&e) {
                         // The batched syscall vanished mid-run: fall back
                         // to plain recv_from; the socket stays flagged, so
                         // the retry is the next iteration, undwelt.
                         ErrorClass::Downgrade => {
-                            self.backend = Backend::Fallback;
-                            self.stats.backend_downgrades += 1;
+                            self.downgrade();
                             break;
                         }
                         ErrorClass::Transient => 0,
@@ -761,7 +792,7 @@ impl Shard {
                         // move on — its kernel backlog is lost, which is
                         // UDP semantics anyway.
                         ErrorClass::Fatal => {
-                            self.rebind_socket(si)?;
+                            self.rebind(si)?;
                             0
                         }
                     },
@@ -773,14 +804,14 @@ impl Shard {
                     break;
                 }
                 received += n;
-                let now = self.clock.now();
+                let now = self.env.now();
                 for datagram in queue.datagrams() {
                     // Borrowed all the way down: demux slices this pooled
                     // buffer and `decode_frame` lends the protocol a view
                     // of the same bytes.
                     self.on_datagram(datagram, now);
                 }
-                if self.wheel.peek_time().is_some_and(|at| at <= self.clock.now()) {
+                if self.wheel.peek_time().is_some_and(|at| at <= self.env.now()) {
                     // A deadline is due: timers beat ingress. Resume at
                     // this (possibly still backlogged) socket next time.
                     self.drain_cursor = si;
@@ -789,7 +820,7 @@ impl Shard {
             }
             // This socket is drained (or used its budget): start the next
             // drain at its successor so the pool is served round-robin.
-            self.drain_cursor = (si + 1) % self.sockets.len();
+            self.drain_cursor = (si + 1) % pool;
         }
         Ok(())
     }
@@ -920,13 +951,6 @@ impl Shard {
                     // One membership shuffle per gossip round, and this
                     // round's partner selection draws from the shuffled view.
                     self.shuffle_round(local, now);
-                } else if vn.port.members_seen != self.members_version {
-                    // Pick up joiners introduced since this node's last
-                    // round (see `FaultHost::introduce`). Partial-view
-                    // joiners are exempt: their membership comes from the
-                    // Cyclon view, never the census.
-                    vn.node.set_membership(Arc::clone(&self.members));
-                    vn.port.members_seen = self.members_version;
                 }
                 self.nodes[local].node.on_round(now);
                 self.drain_outputs(local, now);
@@ -1065,28 +1089,16 @@ impl Shard {
     /// address, each group coalesced into as few kernel datagrams as
     /// [`MAX_COALESCED`] allows and queued on the group's fixed pool socket
     /// ([`Routes::send_socket`]) — and flushes each socket's queue through
-    /// the batched backend, retained datagrams from earlier transient
-    /// failures going out first. Within a group the outbox order is kept.
+    /// the environment, retained datagrams from earlier transient failures
+    /// going out first. Within a group the outbox order is kept.
     ///
     /// UDP semantics throughout: a full kernel buffer drops the datagram,
     /// like any congested link; the protocol's FEC + retransmission absorb
     /// it.
-    fn flush_outbox(&mut self) -> std::io::Result<()> {
+    fn flush_outbox(&mut self) -> io::Result<()> {
         self.outbox_bytes = 0;
-        let now = self.clock.now();
-        // The scheduled ENOSYS fires at the shard level: the next batched
-        // flush discovers the syscall gone and downgrades, once.
-        if self.backend == Backend::Mmsg {
-            if let Some(c) = self.chaos.as_mut() {
-                if c.plan.enosys_at.is_some_and(|t| now >= t) {
-                    c.plan.enosys_at = None;
-                    self.backend = Backend::Fallback;
-                    self.stats.faults_injected += 1;
-                    self.stats.backend_downgrades += 1;
-                }
-            }
-        }
-        let pool = self.sockets.len();
+        let now = self.env.now();
+        let pool = self.env.pool();
         let outbox = std::mem::take(&mut self.outbox);
         // Socket-major, then by group, then by outbox position: the index
         // in the key makes the unstable (allocation-free) sort stable.
@@ -1135,13 +1147,13 @@ impl Shard {
         Ok(())
     }
 
-    /// Drains one socket's packed queue through the backend (chaos
-    /// interposed when a plan is active), honouring its backoff clock and
-    /// handling the drain verdict: exponential backoff with deterministic
-    /// jitter on transient failures, a backend downgrade on ENOSYS, an
-    /// in-place re-bind on fatal errors. Retained datagrams go out ahead
-    /// of this flush's batch, oldest first.
-    fn flush_socket(&mut self, si: usize, queue: &mut SendQueue, now: Time) -> std::io::Result<()> {
+    /// Drains one socket's packed queue through the environment (behind
+    /// the chaos interposer), honouring its backoff clock and handling the
+    /// drain verdict: exponential backoff with deterministic jitter on
+    /// transient failures, a downgrade to the portable path on ENOSYS, an
+    /// in-place re-bind on fatal errors. Retained datagrams go out ahead of
+    /// this flush's batch, oldest first.
+    fn flush_socket(&mut self, si: usize, queue: &mut SendQueue, now: Time) -> io::Result<()> {
         {
             let rec = &mut self.recovery[si];
             // Retained traffic for a live stream goes stale: past the age
@@ -1182,25 +1194,13 @@ impl Shard {
         if queue.is_empty() {
             return Ok(());
         }
-        let verdict = match self.chaos.as_mut() {
-            Some(c) => chaos::flush_queue_chaos(
-                self.backend,
-                &c.plan,
-                &mut c.sockets[si],
-                now,
-                &self.sockets[si],
-                queue,
-                &mut self.recovery[si].pending,
-                &mut self.stats,
-            ),
-            None => mmsg::flush_queue(
-                self.backend,
-                &self.sockets[si],
-                queue,
-                &mut self.recovery[si].pending,
-                &mut self.stats,
-            ),
-        };
+        let chaos = self.chaos.as_mut().map(|c| (&c.plan, &mut c.sockets[si]));
+        let verdict = ChaosSender::new(&mut self.env, chaos, now).drain(
+            si,
+            queue,
+            &mut self.recovery[si].pending,
+            &mut self.stats,
+        );
         let rec = &mut self.recovery[si];
         match verdict {
             SendVerdict::Drained => rec.backoff_level = 0,
@@ -1214,21 +1214,16 @@ impl Shard {
                 self.stats.send_backoffs += 1;
                 Self::shed_pending(rec, &mut self.scratch_queue, &mut self.stats);
             }
-            SendVerdict::Downgrade => {
-                self.backend = Backend::Fallback;
-                self.stats.backend_downgrades += 1;
-                if !rec.pending.is_empty() {
-                    rec.pending_since.get_or_insert(now);
-                }
-            }
-            SendVerdict::Rebind => {
+            SendVerdict::Downgrade | SendVerdict::Rebind => {
                 if !rec.pending.is_empty() {
                     rec.pending_since.get_or_insert(now);
                 }
             }
         }
-        if verdict == SendVerdict::Rebind {
-            self.rebind_socket(si)?;
+        match verdict {
+            SendVerdict::Downgrade => self.downgrade(),
+            SendVerdict::Rebind => self.rebind(si)?,
+            SendVerdict::Drained | SendVerdict::Backoff => {}
         }
         Ok(())
     }
@@ -1259,17 +1254,16 @@ impl Shard {
         stats.datagrams_shed += dropped as u64;
     }
 
-    /// Re-binds a dead pool socket to its original local address, restoring
-    /// non-blocking mode and the kernel buffer sizes. The old socket is
-    /// dropped first (via a throwaway placeholder) so the port is free to
-    /// re-bind.
-    fn rebind_socket(&mut self, si: usize) -> std::io::Result<()> {
-        let placeholder = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-        drop(std::mem::replace(&mut self.sockets[si], placeholder));
-        let fresh = UdpSocket::bind(self.local_addrs[si])?;
-        fresh.set_nonblocking(true)?;
-        mmsg::set_socket_buffers(&fresh, self.socket_buffer_bytes);
-        self.sockets[si] = fresh;
+    /// The batched syscalls are gone: the environment takes the portable
+    /// path from here on.
+    fn downgrade(&mut self) {
+        self.env.downgrade();
+        self.stats.backend_downgrades += 1;
+    }
+
+    /// Pool socket `si` is dead: the environment re-binds it in place.
+    fn rebind(&mut self, si: usize) -> io::Result<()> {
+        self.env.rebind(si)?;
         self.stats.socket_rebinds += 1;
         Ok(())
     }
@@ -1321,7 +1315,7 @@ impl Host<Port> for Outputs<'_> {
 
 /// Every shard walks the whole fault timeline: a join grows every shard's
 /// census, and the other faults act on the nodes this shard hosts.
-impl FaultHost for Shard {
+impl<E: ShardEnv> FaultHost for Shard<E> {
     type Port = Port;
 
     fn compiled(&self) -> &CompiledAdversity {
@@ -1341,51 +1335,34 @@ impl FaultHost for Shard {
         self.wheel.cancel(handle);
     }
 
-    fn members(&self) -> Arc<[NodeId]> {
-        Arc::clone(&self.members)
+    fn census(&mut self) -> &mut Arc<[NodeId]> {
+        &mut self.members
     }
 
-    fn introduce(&mut self, _: Time, v: NodeId) -> bool {
-        let view = match self.cluster.joiner_bootstrap {
-            // A tracker-style introduction, like the simulator's
-            // full-membership mode — but applied lazily: bumping the version
-            // makes every local node refresh its membership at its next
-            // gossip round (one clone per node per join *wave*, not per join
-            // — a 100-node flash crowd would otherwise cost O(joins × nodes)
-            // clones inside the real-time loop).
-            JoinerBootstrap::Tracker => {
-                self.members_version += 1;
-                None
-            }
-            // No tracker push: the census grows (later bootstrap samples and
-            // rejoins see the joiner) but nobody is told and
-            // `members_version` stays put. The joiner starts from a bounded
-            // random partial view; its per-round shuffles carry its id
-            // outward, and established nodes adopt it on contact — knowledge
-            // spreads epidemically instead of by directory.
-            JoinerBootstrap::Cyclon { degree } => {
-                let config = CyclonConfig::default_small();
-                let rng = &mut self.membership_rng;
-                Some(hosted::bootstrap_view(v, config, &self.members, degree, rng))
-            }
-        };
-        // The census is shared, so it is built anew: nodes still holding the
-        // old one keep a consistent view until they pick up the new one.
-        self.members = self.members.iter().copied().chain([v]).collect();
-        let members = Arc::clone(&self.members);
-        let Some(vn) = self.hosted(v) else { return false };
-        vn.view = view;
-        vn.join(members);
-        true
+    /// Under Cyclon bootstrapping there is no tracker push: the census grows
+    /// (later bootstrap samples and rejoins see the joiner) but nobody is
+    /// told. The joiner starts from a bounded random partial view; its
+    /// per-round shuffles carry its id outward, and established nodes adopt
+    /// it on contact — knowledge spreads epidemically instead of by
+    /// directory.
+    fn announces_joins(&self) -> bool {
+        self.cluster.joiner_bootstrap == JoinerBootstrap::Tracker
     }
 
     /// Starts a node's round chain, staggered within one gossip period by
-    /// id like the initial deployment, with the census it now reflects.
+    /// id like the initial deployment. A joiner bootstrapped by Cyclon
+    /// first draws its partial view from the census.
     fn start(&mut self, now: Time, v: NodeId) {
         let Some(local) = self.local_slot(v) else { return };
         let period = self.cluster.gossip.gossip_period;
         let vn = &mut self.nodes[local];
-        vn.port.members_seen = self.members_version;
+        if let JoinerBootstrap::Cyclon { degree } = self.cluster.joiner_bootstrap {
+            if self.compiled.profiles[v.index()].join_at.is_some() {
+                let (config, rng) = (CyclonConfig::default_small(), &mut self.membership_rng);
+                vn.view = Some(hosted::bootstrap_view(v, config, &self.members, degree, rng));
+                vn.follow_view();
+            }
+        }
         let phase = Duration::from_micros(
             u64::from(v.as_u32()) * period.as_micros() / self.compiled.total_n as u64,
         );
@@ -1394,31 +1371,201 @@ impl FaultHost for Shard {
 }
 
 #[cfg(test)]
+/// The shard loop on virtual time: a single-threaded driver that steps
+/// every shard of a cluster on one in-memory [`Net`] and its clock.
+///
+/// It builds the shards with [`Shard::new`] on [`VirtualEnv`]s and the
+/// report with [`assemble_report`], as a live host does. Each step runs the
+/// shard whose wait returns first, at the instant it returns: the dwell of
+/// the shard's own [`Shard::wait_plan`], then — on the batched path — the
+/// first arrival on its sockets or the plan's timeout, whichever comes
+/// first, while the portable path returns when the dwell ends. The clock
+/// jumps from one such instant to the next, so idle stretches cost nothing
+/// and no test sleeps.
+///
+/// [`Net`]: crate::mmsg::testnet::Net
+pub(crate) mod stepped {
+    use std::rc::Rc;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    use gossip_types::Time;
+    use gossip_udp::cluster::{assemble_report, ClusterConfig, ClusterReport};
+
+    use super::{Shard, ShardConfig, ShardEnv};
+    use crate::demux::{self, Placement};
+    use crate::mmsg::testnet::{Net, SharedNet, VirtualEnv};
+    use crate::ReactorOptions;
+
+    /// A cluster whose shards run on virtual time.
+    pub(crate) struct VirtualCluster {
+        pub config: ClusterConfig,
+        pub net: SharedNet,
+        pub shards: Vec<Shard<VirtualEnv>>,
+        /// Per shard: when its pending wait's dwell ends, and when the wait
+        /// times out.
+        waits: Vec<(Time, Time)>,
+        /// Every backoff a send entered: when, and on which shard.
+        pub backoffs: Vec<(Time, usize)>,
+    }
+
+    impl VirtualCluster {
+        /// The whole id space of `config` on the shards and pools `options`
+        /// ask for, every shard on the batched path or the portable one.
+        pub fn new(config: ClusterConfig, options: &ReactorOptions, batched: bool) -> Self {
+            let compiled = Arc::new(config.compiled_adversity());
+            let total = compiled.total_n;
+            let (shards, pool) = (options.resolve_shards(total), options.sockets_per_shard);
+            let placement = Placement::whole(total, shards);
+            let net = Net::shared(shards * pool, options.socket_buffer_bytes);
+            let addresses = (0..total as u32).map(|g| {
+                let home = demux::home_socket(placement.local_of(g), pool);
+                Net::addr(placement.shard_of(g) * pool + home)
+            });
+            let addresses = Arc::new(addresses.collect());
+            let shards: Vec<_> = (0..shards)
+                .map(|index| {
+                    let shard_config = ShardConfig {
+                        index,
+                        placement,
+                        recv_batch: options.recv_batch,
+                        cluster: config.clone(),
+                        compiled: Arc::clone(&compiled),
+                        addresses: Arc::clone(&addresses),
+                        stop: Arc::new(AtomicBool::new(false)),
+                        telemetry: None,
+                    };
+                    let env = VirtualEnv::new(Rc::clone(&net), index * pool, pool, batched);
+                    Shard::new(shard_config, env)
+                })
+                .collect();
+            let waits = vec![(Time::ZERO, Time::ZERO); shards.len()];
+            VirtualCluster { config, net, shards, waits, backoffs: Vec::new() }
+        }
+
+        /// Runs `config` to its end and reports — `ReactorCluster::run_with`
+        /// on virtual time.
+        pub fn run(
+            config: ClusterConfig,
+            options: &ReactorOptions,
+            batched: bool,
+        ) -> ClusterReport {
+            let mut cluster = Self::new(config, options, batched);
+            cluster.run_until(cluster.end());
+            cluster.finish()
+        }
+
+        /// When a live run of the config stops: the stream and its drain.
+        pub fn end(&self) -> Time {
+            Time::ZERO + self.config.stream_duration + self.config.drain_duration
+        }
+
+        pub fn now(&self) -> Time {
+            self.net.borrow().now()
+        }
+
+        /// When shard `k`'s pending wait returns.
+        fn wakes_at(&self, k: usize) -> Time {
+            let (woken, by) = self.waits[k];
+            let env = &self.shards[k].env;
+            if !env.batched() {
+                return woken;
+            }
+            self.net.borrow().first_arrival(env.sockets()).map_or(by, |at| at.clamp(woken, by))
+        }
+
+        /// Steps every shard's loop until the clock reaches `end`.
+        pub fn run_until(&mut self, end: Time) {
+            while let Some((at, k)) = (0..self.shards.len()).map(|k| (self.wakes_at(k), k)).min() {
+                if at > end {
+                    break;
+                }
+                self.net.borrow_mut().set_now(at);
+                let shard = &mut self.shards[k];
+                let backoffs = shard.stats.send_backoffs;
+                shard.turn().expect("in-memory sockets re-bind without fail");
+                self.backoffs.extend((backoffs..shard.stats.send_backoffs).map(|_| (at, k)));
+                self.waits[k] = match shard.wait_plan() {
+                    Some((dwell, timeout)) => (at + dwell, at + dwell + timeout),
+                    None => (at, at),
+                };
+            }
+            self.net.borrow_mut().set_now(end);
+        }
+
+        /// Ends the run as a live host does: every shard's final flush, then
+        /// one report.
+        pub fn finish(self) -> ClusterReport {
+            let (mut nodes, mut shard_stats) = (Vec::new(), Vec::new());
+            for shard in self.shards {
+                let (reports, stats, failure) = shard.finish(None);
+                assert!(failure.is_none(), "in-memory I/O failed: {failure:?}");
+                nodes.extend(reports);
+                shard_stats.push(stats);
+            }
+            let mut report = assemble_report(&self.config, nodes);
+            report.shard_stats = shard_stats;
+            report
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
-    use std::net::Ipv4Addr;
+    use std::net::{Ipv4Addr, UdpSocket};
+    use std::rc::Rc;
+    use std::thread;
+    use std::time::Instant;
 
     use gossip_core::Event;
+    use gossip_udp::clock::ClusterClock;
+    use gossip_udp::cluster::assemble_report;
 
+    use super::stepped::VirtualCluster;
     use super::*;
+    use crate::mmsg::testnet::{Net, VirtualEnv, WIRE_DELAY};
+    use crate::mmsg::UdpEnv;
+    use crate::ReactorOptions;
 
-    /// A one-shard, 4-node cluster over a pool of `pool` loopback sockets
-    /// (node `g` homes on socket `g % pool`), with or without a live
-    /// stream. Returns the config plus the pool's addresses.
-    fn one_shard(backend: Backend, pool: usize, streaming: bool) -> (ShardConfig, Vec<SocketAddr>) {
-        one_shard_of(backend, pool, 4, |cluster| {
+    /// A one-shard cluster of `n` smoke-test nodes that `tweak` has
+    /// adjusted, over a pool of `pool` in-memory sockets (node `g` homes on
+    /// socket `g % pool`), receive budget 8, on the batched path or the
+    /// portable one.
+    fn one_shard_of(
+        batched: bool,
+        pool: usize,
+        n: usize,
+        tweak: impl FnOnce(&mut ClusterConfig),
+    ) -> VirtualCluster {
+        let mut cluster = ClusterConfig::smoke_test();
+        cluster.n = n;
+        tweak(&mut cluster);
+        let options = ReactorOptions {
+            shards: Some(1),
+            sockets_per_shard: pool,
+            recv_batch: 8,
+            ..ReactorOptions::default()
+        };
+        VirtualCluster::new(cluster, &options, batched)
+    }
+
+    /// [`one_shard_of`] for 4 nodes, with or without a live stream.
+    fn one_shard(batched: bool, pool: usize, streaming: bool) -> VirtualCluster {
+        one_shard_of(batched, pool, 4, |cluster| {
             // Outlives the test window, or never starts at all.
             cluster.stream_duration = Duration::from_secs(if streaming { 30 } else { 0 });
         })
     }
 
-    /// [`one_shard`] for `n` nodes of a smoke-test cluster that `tweak`
-    /// has adjusted.
-    fn one_shard_of(
-        backend: Backend,
+    /// [`one_shard_of`]'s cluster on real loopback sockets, on the probed
+    /// path or pinned to the portable one. Returns the shard and the pool's
+    /// addresses.
+    fn live_shard_of(
+        batched: bool,
         pool: usize,
         n: usize,
         tweak: impl FnOnce(&mut ClusterConfig),
-    ) -> (ShardConfig, Vec<SocketAddr>) {
+    ) -> (Shard<UdpEnv>, Vec<SocketAddr>) {
         let mut cluster = ClusterConfig::smoke_test();
         cluster.n = n;
         tweak(&mut cluster);
@@ -1433,31 +1580,30 @@ mod tests {
             index: 0,
             placement: demux::Placement::whole(n, 1),
             recv_batch: 8,
-            backend,
             cluster,
             compiled,
-            sockets,
             addresses,
-            socket_buffer_bytes: 1 << 20,
-            clock: ClusterClock::start(),
             stop: Arc::new(AtomicBool::new(false)),
             telemetry: None,
         };
-        (config, addrs)
+        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
+        if !batched {
+            env.downgrade();
+        }
+        (Shard::new(config, env), addrs)
     }
 
-    /// Runs `shard` on its own thread for `window`, then stops it. Returns
-    /// its reports, its statistics and how long the loop actually ran.
+    /// Runs a live `shard` on its own thread for `window`, then stops it.
+    /// Returns its outcome and how long the loop actually ran.
     fn run_for(
-        config: ShardConfig,
+        mut shard: Shard<UdpEnv>,
         window: std::time::Duration,
-        prepare: impl FnOnce(&mut Shard) + Send + 'static,
+        prepare: impl FnOnce(&mut Shard<UdpEnv>),
     ) -> (Vec<NodeReport>, ShardStats, std::time::Duration) {
-        let stop = Arc::clone(&config.stop);
+        prepare(&mut shard);
+        let stop = Arc::clone(&shard.stop);
         let handle = thread::spawn(move || {
-            let mut shard = Shard::new(config).expect("shard boots");
-            prepare(&mut shard);
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             let outcome = shard.run();
             (outcome, started.elapsed())
         });
@@ -1468,57 +1614,64 @@ mod tests {
         (reports, stats, wall)
     }
 
-    /// Most iterations a loop that honours the dwell can run in `wall`:
-    /// one per wake quantum, plus the undwelt re-loops — each of which
-    /// follows an iteration that made a data-bearing receive call (budget
-    /// used up, or a due deadline cut the drain after a batch).
-    fn iteration_bound(wall: std::time::Duration, stats: &ShardStats) -> u64 {
-        (1.5 * wall.as_secs_f64() / WAKE_QUANTUM.as_secs_f64()) as u64 + stats.recv_syscalls
+    /// Most iterations a loop that honours the dwell can run in `wall`
+    /// seconds: one per wake quantum, plus the undwelt re-loops — each of
+    /// which follows an iteration that made a data-bearing receive call
+    /// (budget used up, or a due deadline cut the drain after a batch).
+    fn iteration_bound(wall: f64, stats: &ShardStats) -> u64 {
+        (1.5 * wall / WAKE_QUANTUM.as_secs_f64()) as u64 + stats.recv_syscalls
+    }
+
+    /// The run's shard after `config` has run for `ms` of virtual time.
+    fn at_ms(ms: u64) -> Time {
+        Time::ZERO + Duration::from_millis(ms)
+    }
+
+    /// A sender outside the pool.
+    fn stranger() -> SocketAddr {
+        (Ipv4Addr::LOCALHOST, 9).into()
     }
 
     /// Boots one shard hosting a 4-node cluster, floods its only socket
     /// with malformed traffic for a few hundred milliseconds, then stops
-    /// it and returns what it reported.
-    fn shard_under_flood(backend: Backend) -> (Vec<NodeReport>, ShardStats, std::time::Duration) {
-        let (config, addrs) = one_shard(backend, 1, true);
-        let flood = thread::spawn(move || {
-            let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-            // Three flavours of damage: a runt tail shorter than a frame
-            // header, a length field running past the datagram end, and
-            // well-framed junk that fails protocol decode at node 1.
-            let runt = [0xFFu8; 9];
-            let mut overrun = Vec::new();
-            overrun.extend_from_slice(&1u32.to_le_bytes());
-            overrun.extend_from_slice(&60_000u16.to_le_bytes());
-            overrun.extend_from_slice(&[0xAB; 32]);
-            let mut junk = Vec::new();
-            assert!(demux::append_frame(&mut junk, NodeId::new(1), &[0x7F; 24]));
-            for _wave in 0..10 {
-                for _ in 0..500 {
-                    for datagram in [&runt[..], &overrun[..], &junk[..]] {
-                        let _ = tx.send_to(datagram, addrs[0]);
-                    }
+    /// it and returns what it reported and how long it ran.
+    fn shard_under_flood(batched: bool) -> (Vec<NodeReport>, ShardStats, Duration) {
+        let mut cluster = one_shard(batched, 1, true);
+        // Three flavours of damage: a runt tail shorter than a frame
+        // header, a length field running past the datagram end, and
+        // well-framed junk that fails protocol decode at node 1.
+        let runt = [0xFFu8; 9];
+        let mut overrun = Vec::new();
+        overrun.extend_from_slice(&1u32.to_le_bytes());
+        overrun.extend_from_slice(&60_000u16.to_le_bytes());
+        overrun.extend_from_slice(&[0xAB; 32]);
+        let mut junk = Vec::new();
+        assert!(demux::append_frame(&mut junk, NodeId::new(1), &[0x7F; 24]));
+        for wave in 0..10 {
+            for _ in 0..500 {
+                for datagram in [&runt[..], &overrun[..], &junk[..]] {
+                    cluster.net.borrow_mut().send(stranger(), Net::addr(0), datagram);
                 }
-                thread::sleep(std::time::Duration::from_millis(30));
             }
-        });
-        let outcome = run_for(config, std::time::Duration::from_millis(320), |_| {});
-        flood.join().expect("flood thread");
-        outcome
+            cluster.run_until(at_ms(30 * (wave + 1)));
+        }
+        cluster.run_until(at_ms(320));
+        let report = cluster.finish();
+        (report.nodes, report.shard_stats[0], Duration::from_millis(320))
     }
 
     /// Regression test for the recv head-of-line stall: a sustained
     /// malformed-datagram flood must be salvaged deterministically and
     /// counted — never panic — while the budgeted drain keeps the timer
     /// wheel firing (rounds and source emissions continue throughout),
-    /// on the batched and on the portable backend. Nor may load make the
+    /// on the batched and on the portable path. Nor may load make the
     /// loop spin: it wakes at most once per [`WAKE_QUANTUM`] plus its
     /// backlog re-loops (the spin/park cadence this replaced ran far past
     /// that bound).
     #[test]
     fn garbage_flood_is_counted_and_never_stalls_the_loop() {
-        for backend in [mmsg::select_backend(None), Backend::Fallback] {
-            let (reports, stats, wall) = shard_under_flood(backend);
+        for batched in [true, false] {
+            let (reports, stats, wall) = shard_under_flood(batched);
             assert!(stats.frame_errors > 0, "malformed kernel datagrams must be counted");
             let decode_errors: u64 = reports.iter().map(|r| r.decode_errors).sum();
             assert!(decode_errors > 0, "well-framed junk must land on the node's decode_errors");
@@ -1527,39 +1680,40 @@ mod tests {
             // chain, all of which produce sends — impossible if ingress
             // starved the wheel.
             assert!(stats.iterations > 50, "only {} iterations under flood", stats.iterations);
-            let bound = iteration_bound(wall, &stats);
+            let bound = iteration_bound(wall.as_secs_f64(), &stats);
             assert!(
                 stats.iterations <= bound,
-                "{backend:?}: {} iterations in {wall:?}, bound {bound}",
+                "batched={batched}: {} iterations in {wall}, bound {bound}",
                 stats.iterations
             );
             assert!(stats.datagrams_sent > 0, "rounds and source emissions must keep firing");
             // And on time: every node ran the rounds its period allows.
-            let due = wall.as_micros() as u64 / 100_000;
+            let due = wall.as_micros() / 100_000;
             for report in &reports {
                 let rounds = report.protocol.rounds;
                 assert!(
                     rounds.abs_diff(due) <= 1,
-                    "{backend:?}: node ran {rounds} rounds in {wall:?}, {due} were due"
+                    "batched={batched}: node ran {rounds} rounds in {wall}, {due} were due"
                 );
             }
         }
     }
 
     /// An idle shard sleeps through every iteration: the dwell and then a
-    /// full wait where `ppoll` watches the pool, the dwell alone where the
-    /// portable backend has to look for itself.
+    /// full wait where the batched path watches the pool, the dwell alone
+    /// where the portable path has to look for itself.
     #[test]
     fn an_idle_shard_does_not_spin() {
-        for backend in [mmsg::select_backend(None), Backend::Fallback] {
-            let sleeps = if backend == Backend::Mmsg { 2 } else { 1 };
-            let (config, _) = one_shard(backend, 4, false);
-            let (_, stats, wall) = run_for(config, std::time::Duration::from_millis(300), |_| {});
-            let bound = (1.5 * wall.as_secs_f64() / (sleeps * WAKE_QUANTUM).as_secs_f64()) as u64;
+        for batched in [true, false] {
+            let sleeps = if batched { 2 } else { 1 };
+            let mut cluster = one_shard(batched, 4, false);
+            let wall = Duration::from_millis(300);
+            cluster.run_until(Time::ZERO + wall);
+            let iterations = cluster.shards[0].stats.iterations;
+            let bound = (1.5 * wall.as_secs_f64() / (WAKE_QUANTUM * sleeps).as_secs_f64()) as u64;
             assert!(
-                stats.iterations <= bound,
-                "{backend:?}: {} idle iterations in {wall:?}, bound {bound}",
-                stats.iterations
+                iterations <= bound,
+                "batched={batched}: {iterations} idle iterations in {wall}, bound {bound}"
             );
         }
     }
@@ -1567,12 +1721,10 @@ mod tests {
     /// Regression test for the socket-0-only park: the wait watches the
     /// whole pool, so a frame for a node homed on the *last* socket wakes
     /// the shard with exactly that socket flagged, and the drain that
-    /// follows hands it to the node.
+    /// follows hands it to the node. Real sockets: this is `ppoll`'s part.
     #[test]
     fn a_frame_on_any_pool_socket_ends_the_wait() {
-        let backend = mmsg::select_backend(None);
-        let (config, addrs) = one_shard(backend, 4, false);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let (mut shard, addrs) = live_shard_of(true, 4, 4, |c| c.stream_duration = Duration::ZERO);
         // Settle: one blind pass over the (empty) pool clears every flag.
         shard.drain_sockets().expect("drain");
         assert!(!shard.ready.iter().any(PollFd::flagged));
@@ -1593,9 +1745,10 @@ mod tests {
             }
         }
         let flagged: Vec<bool> = shard.ready.iter().map(PollFd::flagged).collect();
-        match backend {
-            Backend::Mmsg => assert_eq!(flagged, [false, false, false, true]),
-            Backend::Fallback => assert_eq!(flagged, [true; 4], "the portable wait reads blind"),
+        if shard.env.batched() {
+            assert_eq!(flagged, [false, false, false, true]);
+        } else {
+            assert_eq!(flagged, [true; 4], "the portable wait reads blind");
         }
         shard.drain_sockets().expect("drain");
         assert_eq!(
@@ -1606,19 +1759,18 @@ mod tests {
         assert!(!shard.ready.iter().any(PollFd::flagged), "a drained pool is unflagged");
     }
 
-    /// Everything waiting on the pool's sockets, read the way a peer shard
-    /// would: per kernel datagram, the pool socket it arrived on, the
+    /// Everything on the wire to the pool's sockets, read the way a peer
+    /// shard would: per kernel datagram, the pool socket it went to, the
     /// address it was sent from, and its frames.
     type Arrival = (usize, SocketAddr, Vec<(NodeId, Vec<u8>)>);
 
-    fn read_pool(shard: &Shard) -> Vec<Arrival> {
-        thread::sleep(std::time::Duration::from_millis(20)); // loopback delivery
-        let mut buf = vec![0u8; RECV_BUF_SIZE];
+    fn read_pool(cluster: &VirtualCluster) -> Vec<Arrival> {
+        let mut net = cluster.net.borrow_mut();
         let mut arrivals = Vec::new();
-        for (si, socket) in shard.sockets.iter().enumerate() {
-            while let Ok((len, from)) = socket.recv_from(&mut buf) {
-                let frames = demux::frames(&buf[..len]).map(|(d, w)| (d, w.to_vec())).collect();
-                arrivals.push((si, from, frames));
+        for si in cluster.shards[0].env.sockets() {
+            for arrival in net.take(si) {
+                let frames = demux::frames(&arrival.bytes).map(|(d, w)| (d, w.to_vec())).collect();
+                arrivals.push((si, arrival.from, frames));
             }
         }
         arrivals
@@ -1630,26 +1782,26 @@ mod tests {
     /// release order inside it.
     #[test]
     fn interleaved_destinations_leave_as_one_kernel_datagram_each() {
-        for backend in [mmsg::select_backend(None), Backend::Fallback] {
+        for batched in [true, false] {
             // Pool of 2: nodes 0 and 2 receive on address A, 1 and 3 on B.
-            let (config, addrs) = one_shard(backend, 2, false);
-            let mut shard = Shard::new(config).expect("shard boots");
+            let mut cluster = one_shard(batched, 2, false);
+            let shard = &mut cluster.shards[0];
             let offers: Vec<(NodeId, Vec<u8>)> =
                 (0..12u8).map(|k| (NodeId::new(u32::from(k) % 4), vec![k; 20])).collect();
             for (to, bytes) in &offers {
                 shard.enqueue(*to, bytes.clone()); // A, B, A, B, …
             }
             shard.flush_outbox().expect("flush");
-            assert_eq!(shard.stats.datagrams_sent, 12, "{backend:?}");
-            assert_eq!(shard.stats.kernel_sent, 2, "{backend:?}: one kernel datagram per address");
+            assert_eq!(shard.stats.datagrams_sent, 12, "batched={batched}");
+            assert_eq!(shard.stats.kernel_sent, 2, "batched={batched}: one datagram per address");
             assert!(shard.outbox.is_empty() && shard.outbox_bytes == 0);
 
-            let arrivals = read_pool(&shard);
+            let arrivals = read_pool(&cluster);
             assert_eq!(arrivals.len(), 2);
             for (si, _, frames) in arrivals {
                 let want: Vec<(NodeId, Vec<u8>)> =
                     offers.iter().filter(|(to, _)| to.index() % 2 == si).cloned().collect();
-                assert_eq!(frames, want, "{backend:?}: socket {si} ({})", addrs[si]);
+                assert_eq!(frames, want, "batched={batched}: socket {si}");
             }
         }
     }
@@ -1658,8 +1810,8 @@ mod tests {
     /// datagrams as hold it, dropping nothing and keeping the order.
     #[test]
     fn an_oversized_group_splits_and_drops_nothing() {
-        let (config, _) = one_shard(mmsg::select_backend(None), 4, false);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let mut cluster = one_shard(true, 4, false);
+        let shard = &mut cluster.shards[0];
         // 40 frames of 1006 framed bytes: 16 fit one 16 KiB datagram.
         for k in 0..40u8 {
             shard.enqueue(NodeId::new(1), vec![k; 1000]);
@@ -1674,7 +1826,7 @@ mod tests {
         );
         assert_eq!(shard.stats.send_drops + shard.stats.datagrams_shed, 0);
 
-        let arrivals = read_pool(&shard);
+        let arrivals = read_pool(&cluster);
         let to_one: Vec<&Arrival> = arrivals.iter().filter(|(si, ..)| *si == 1).collect();
         assert_eq!(to_one.iter().map(|(_, _, f)| f.len()).collect::<Vec<_>>(), [16, 16, 8]);
         let payloads = to_one.iter().flat_map(|(_, _, frames)| frames).map(|(_, wire)| wire[0]);
@@ -1687,22 +1839,21 @@ mod tests {
     /// send path) always finds traffic to interrupt.
     #[test]
     fn every_pool_socket_carries_sends() {
-        let (config, addrs) = one_shard(mmsg::select_backend(None), 4, false);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let mut cluster = one_shard(true, 4, false);
         for round in 0..3u8 {
+            let shard = &mut cluster.shards[0];
             for g in 0..4 {
                 shard.enqueue(NodeId::new(g), vec![round; 16]);
             }
             shard.flush_outbox().expect("flush");
         }
-        let arrivals = read_pool(&shard);
+        let arrivals = read_pool(&cluster);
         assert_eq!(arrivals.len(), 12);
         let mut senders: Vec<SocketAddr> = arrivals.iter().map(|&(_, from, _)| from).collect();
         senders.sort_unstable();
         senders.dedup();
-        let mut pool = addrs.clone();
-        pool.sort_unstable();
-        assert_eq!(senders, pool, "all four pool sockets sent");
+        let addrs: Vec<SocketAddr> = (0..4).map(Net::addr).collect();
+        assert_eq!(senders, addrs, "all four pool sockets sent");
         // …and a destination never changes its socket.
         for (si, addr) in addrs.iter().enumerate() {
             let mut from = arrivals.iter().filter(|a| a.0 == si).map(|a| a.1);
@@ -1716,10 +1867,10 @@ mod tests {
     /// datagrams on the wire.
     #[test]
     fn one_iteration_empties_the_outbox() {
-        let (config, _) = one_shard(mmsg::select_backend(None), 4, true);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let mut cluster = one_shard(true, 4, true);
         // Let a few rounds and source packets fall due, then run once.
-        thread::sleep(std::time::Duration::from_millis(250));
+        cluster.net.borrow_mut().set_now(at_ms(250));
+        let shard = &mut cluster.shards[0];
         shard.turn().expect("turn");
         assert!(shard.stats.datagrams_sent > 0, "due rounds produced traffic");
         assert!(shard.stats.kernel_sent > 0);
@@ -1734,27 +1885,28 @@ mod tests {
     #[test]
     fn a_wake_cut_into_iterations_flushes_once() {
         // One socket, receive budget 8: twenty datagrams are three drains.
-        let (config, addrs) = one_shard(mmsg::select_backend(None), 1, false);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let mut cluster = one_shard(true, 1, false);
+        let net = Rc::clone(&cluster.net);
+        let shard = &mut cluster.shards[0];
         while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(3600)).is_some() {}
         shard.drain_sockets().expect("drain");
-        let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let mut frame = Vec::new();
         let reply =
             shuffle_wire::encode_shuffle(NodeId::new(0), &ShuffleMessage::Reply(Vec::new()));
         assert!(demux::append_frame(&mut frame, NodeId::new(3), &reply));
-        let backlog = |shard: &mut Shard| {
+        let backlog = |shard: &mut Shard<VirtualEnv>| {
+            let mut net = net.borrow_mut();
             for _ in 0..20 {
-                tx.send_to(&frame, addrs[0]).expect("send");
+                net.send(stranger(), Net::addr(0), &frame);
             }
-            thread::sleep(std::time::Duration::from_millis(20)); // loopback delivery
+            let delivered = net.now() + WIRE_DELAY;
+            net.set_now(delivered);
             shard.ready[0] = PollFd::BLIND;
         };
 
-        backlog(&mut shard);
-        // A wake that has only just begun, however slowly this test runs
-        // (the loop has been awake for no time while its wake lies ahead).
-        shard.last_wake = shard.clock.now() + Duration::from_secs(3600);
+        backlog(shard);
+        // A wake that has only just begun.
+        shard.last_wake = shard.env.now();
         shard.enqueue(NodeId::new(1), vec![0; 8]);
         for _ in 0..2 {
             shard.turn().expect("turn");
@@ -1765,9 +1917,11 @@ mod tests {
         assert_eq!((shard.outbox.len(), shard.stats.kernel_sent), (0, 1));
         assert_eq!(shard.nodes[3].port.recv_msgs, 20);
 
-        backlog(&mut shard);
-        // A wake that began at the clock's epoch, over a quantum ago.
-        shard.last_wake = Time::ZERO;
+        backlog(shard);
+        // A wake that began a quantum ago.
+        shard.last_wake = shard.env.now();
+        let later = shard.last_wake + WAKE_QUANTUM;
+        net.borrow_mut().set_now(later);
         shard.enqueue(NodeId::new(1), vec![0; 8]);
         shard.turn().expect("turn");
         assert!(shard.ready[0].flagged());
@@ -1779,12 +1933,13 @@ mod tests {
     /// regrouping and reaches a receiver out of order.
     #[test]
     fn a_reordered_datagram_swaps_within_its_destination() {
-        let (mut config, _) = one_shard(Backend::Fallback, 4, false);
-        let chaos = gossip_adversity::ChaosSpec { reorder: 1.0, ..Default::default() };
-        config.cluster.adversity = config.cluster.adversity.clone().with_chaos(chaos);
-        config.compiled = Arc::new(config.cluster.compiled_adversity());
-        let mut shard = Shard::new(config).expect("shard boots");
-        let now = shard.clock.now();
+        let mut cluster = one_shard_of(false, 4, 4, |cluster| {
+            cluster.stream_duration = Duration::ZERO;
+            let chaos = gossip_adversity::ChaosSpec { reorder: 1.0, ..Default::default() };
+            cluster.adversity = cluster.adversity.clone().with_chaos(chaos);
+        });
+        let shard = &mut cluster.shards[0];
+        let now = shard.env.now();
         // The source (node 0) is uncapped: its shaper releases at once.
         for (to, tag) in [(1, b'a'), (2, b'a'), (1, b'b')] {
             shard.nodes[0].port.shaper.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
@@ -1802,12 +1957,13 @@ mod tests {
     /// `backoff_until`, not at whatever tick comes after.
     #[test]
     fn a_retained_queue_is_retried_at_its_backoff_expiry() {
-        let (config, addrs) = one_shard(Backend::Fallback, 4, false);
-        let mut shard = Shard::new(config).expect("shard boots");
+        let mut cluster = one_shard(false, 4, false);
+        let net = Rc::clone(&cluster.net);
+        let shard = &mut cluster.shards[0];
         while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(3600)).is_some() {}
         assert_eq!(shard.next_deadline(), None, "nothing armed, nothing retained");
 
-        let far = shard.clock.now() + Duration::from_secs(3600);
+        let far = shard.env.now() + Duration::from_secs(3600);
         shard.wheel.push(far, Fire::Source(0));
         assert_eq!(shard.next_deadline(), Some(far));
         // An outbox is nobody's deadline: it never outlives its wake.
@@ -1817,8 +1973,8 @@ mod tests {
         assert_eq!(shard.stats.kernel_sent, 1);
 
         // Retained datagrams behind a backoff: due at its expiry…
-        let until = shard.clock.now() + Duration::from_millis(30);
-        shard.recovery[2].pending.push_datagram(addrs[1], b"retained");
+        let until = shard.env.now() + Duration::from_millis(30);
+        shard.recovery[2].pending.push_datagram(Net::addr(1), b"retained");
         shard.recovery[2].backoff_until = Some(until);
         assert_eq!(shard.next_deadline(), Some(until));
         // …held until then, however often the loop flushes…
@@ -1826,7 +1982,7 @@ mod tests {
         assert_eq!(shard.stats.kernel_sent, 1, "still backing off");
         assert_eq!(shard.recovery[2].pending.len(), 1);
         // …and sent by the first flush after it, with an empty outbox.
-        thread::sleep(std::time::Duration::from_millis(35));
+        net.borrow_mut().set_now(until);
         shard.flush_outbox().expect("flush");
         assert_eq!(shard.stats.kernel_sent, 2, "the retry went out");
         assert!(shard.recovery[2].pending.is_empty());
@@ -1838,7 +1994,7 @@ mod tests {
         shard.recovery[1].backoff_until = Some(Time::ZERO);
         assert_eq!(shard.next_deadline(), Some(far));
         shard.recovery[1].backoff_until = None;
-        shard.recovery[1].pending.push_datagram(addrs[1], b"retained");
+        shard.recovery[1].pending.push_datagram(Net::addr(1), b"retained");
         assert_eq!(shard.next_deadline(), Some(Time::ZERO));
     }
 
@@ -1846,7 +2002,8 @@ mod tests {
     /// because the wait flags it (`revents != 0` — the path `POLLNVAL` and
     /// `POLLERR` take too), classified fatal, re-bound in place exactly
     /// once, and watched again through the rebuilt wait set: the loop
-    /// neither dies nor spins on it.
+    /// neither dies nor spins on it. Real sockets: this is the kernel's
+    /// part.
     ///
     /// Safe Rust cannot close a descriptor under a live `UdpSocket` (and
     /// a double close would race the other tests' descriptors), so the
@@ -1855,48 +2012,85 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn a_dead_pool_socket_is_rebound_once_and_not_spun_on() {
-        for backend in [mmsg::select_backend(None), Backend::Fallback] {
-            let (config, _) = one_shard(backend, 4, false);
-            let (reports, stats, wall) =
-                run_for(config, std::time::Duration::from_millis(300), |shard| {
-                    let null = std::fs::File::open("/dev/null").expect("open /dev/null");
-                    // Dropping the real socket frees its port for the re-bind.
-                    shard.sockets[2] = UdpSocket::from(std::os::fd::OwnedFd::from(null));
-                });
-            assert_eq!(stats.socket_rebinds, 1, "{backend:?}");
-            assert!(stats.iterations <= iteration_bound(wall, &stats), "{backend:?} spun");
+        for batched in [true, false] {
+            let (shard, _) = live_shard_of(batched, 4, 4, |c| c.stream_duration = Duration::ZERO);
+            let window = std::time::Duration::from_millis(300);
+            let (reports, stats, wall) = run_for(shard, window, |shard| {
+                let null = std::fs::File::open("/dev/null").expect("open /dev/null");
+                // Dropping the real socket frees its port for the re-bind.
+                shard.env.sockets[2] = UdpSocket::from(std::os::fd::OwnedFd::from(null));
+            });
+            assert_eq!(stats.socket_rebinds, 1, "batched={batched}");
+            let bound = iteration_bound(wall.as_secs_f64(), &stats);
+            assert!(stats.iterations <= bound, "batched={batched}: spun");
             assert_eq!(reports.len(), 4);
         }
     }
 
-    /// A streaming one-shard cluster of `n` nodes on the batched backend,
-    /// booted and ready to be driven on the test's own thread.
-    fn streaming_shard(n: usize, tweak: impl FnOnce(&mut ClusterConfig)) -> Shard {
-        let (config, _) = one_shard_of(mmsg::select_backend(None), 2, n, |cluster| {
-            cluster.stream_duration = Duration::from_secs(30);
-            tweak(cluster);
-        });
-        Shard::new(config).expect("shard boots")
+    /// One short streaming leg per I/O path on real loopback sockets —
+    /// the kernel's side of what the virtual-time tests check of the loop:
+    /// the stream decodes, nothing on loopback is malformed, and the loop
+    /// sleeps. The bound is structural, not a timing threshold: a shard
+    /// dwells out one wake quantum per iteration unless its last drain left
+    /// backlog, and every such undwelt re-loop follows a data-bearing
+    /// receive call. Sleeps only ever overshoot, so a busy box lowers the
+    /// count; a loop that polls instead of sleeping lands several times
+    /// past it.
+    #[test]
+    fn both_io_backends_stream_on_real_sockets_without_spinning() {
+        let legs: Vec<_> = [true, false]
+            .map(|batched| {
+                let (shard, _) = live_shard_of(batched, 2, 8, |cluster| {
+                    cluster.stream_duration = Duration::from_millis(1500);
+                });
+                let config = shard.cluster.clone();
+                let window = std::time::Duration::from_millis(2000);
+                (batched, config, thread::spawn(move || run_for(shard, window, |_| {})))
+            })
+            .into_iter()
+            .collect();
+        for (batched, config, leg) in legs {
+            let (reports, stats, wall) = leg.join().expect("leg");
+            let report = assemble_report(&config, reports);
+            let q = report.quality.average_quality_percent(Duration::MAX);
+            assert!(q >= 80.0, "batched={batched}: quality {q:.1}%");
+            assert!(report.windows_verified > 0, "batched={batched}: windows must byte-verify");
+            assert_eq!(stats.frame_errors, 0, "batched={batched}: malformed framing on loopback");
+            assert!(stats.datagrams_sent > 0 && stats.datagrams_received > 0);
+            let decode_errors: u64 = report.nodes.iter().map(|n| n.decode_errors).sum();
+            assert_eq!(decode_errors, 0, "batched={batched}: malformed datagrams on loopback");
+            let bound = iteration_bound(wall.as_secs_f64(), &stats) + stats.backend_downgrades;
+            assert!(
+                stats.iterations <= bound,
+                "batched={batched}: the loop is spinning: {} iterations in {wall:?} (bound {bound})",
+                stats.iterations
+            );
+        }
     }
 
-    /// Runs the shard's loop on this thread for `window`.
-    fn turn_for(shard: &mut Shard, window: std::time::Duration) {
-        let started = std::time::Instant::now();
-        while started.elapsed() < window {
-            shard.turn().expect("turn");
-        }
+    /// A streaming one-shard cluster of `n` nodes on the batched path.
+    fn streaming_shard(n: usize, tweak: impl FnOnce(&mut ClusterConfig)) -> VirtualCluster {
+        one_shard_of(true, 2, n, |cluster| {
+            cluster.stream_duration = Duration::from_secs(30);
+            tweak(cluster);
+        })
+    }
+
+    /// Runs the cluster's loop for `window` more of virtual time.
+    fn turn_for(cluster: &mut VirtualCluster, window: Duration) {
+        cluster.run_until(cluster.now() + window);
     }
 
     /// Every packet id the stream can have published in its first
     /// `windows` windows.
-    fn stream_ids(shard: &Shard, windows: u32) -> impl Iterator<Item = PacketId> {
+    fn stream_ids(shard: &Shard<VirtualEnv>, windows: u32) -> impl Iterator<Item = PacketId> {
         let per_window = shard.cluster.stream.window.total_packets() as u16;
         (0..windows).flat_map(move |w| (0..per_window).map(move |i| PacketId::new(w, i)))
     }
 
     /// Where the payload bytes of every held copy of `id` live: the
     /// shard's table first, then each hosted node's store.
-    fn payload_addresses(shard: &Shard, id: &PacketId) -> Vec<*const u8> {
+    fn payload_addresses(shard: &Shard<VirtualEnv>, id: &PacketId) -> Vec<*const u8> {
         let nodes = shard.nodes.iter().filter_map(|vn| vn.node.stored(id));
         shard.packets.lookup(id).into_iter().chain(nodes).map(|p| p.payload().as_ptr()).collect()
     }
@@ -1906,11 +2100,12 @@ mod tests {
     /// table's buffer, so distinct buffers equal distinct packets.
     #[test]
     fn a_shard_holds_one_payload_buffer_per_packet() {
-        let mut shard = streaming_shard(6, |_| {});
-        turn_for(&mut shard, std::time::Duration::from_millis(1200));
+        let mut cluster = streaming_shard(6, |_| {});
+        turn_for(&mut cluster, Duration::from_millis(1200));
+        let shard = &cluster.shards[0];
         let (mut packets, mut copies, mut buffers) = (0, 0, 0);
-        for id in stream_ids(&shard, 10) {
-            let mut held = payload_addresses(&shard, &id);
+        for id in stream_ids(shard, 10) {
+            let mut held = payload_addresses(shard, &id);
             packets += usize::from(!held.is_empty());
             copies += held.len();
             held.sort_unstable();
@@ -1932,7 +2127,7 @@ mod tests {
     #[test]
     fn corrupted_payloads_never_enter_or_alias_the_table() {
         for defended in [true, false] {
-            let mut shard = streaming_shard(8, |cluster| {
+            let mut cluster = streaming_shard(8, |cluster| {
                 // A source that reaches only two receivers itself leaves the
                 // rest to be served by relays, corruptors among them.
                 cluster.gossip =
@@ -1942,11 +2137,12 @@ mod tests {
                     .clone()
                     .with_byzantine(0.3, gossip_adversity::ByzantineMix::serve_corruptors());
             });
-            assert!(shard.compiled.profiles.iter().any(|p| p.byzantine.is_some()));
-            turn_for(&mut shard, std::time::Duration::from_millis(1500));
+            assert!(cluster.shards[0].compiled.profiles.iter().any(|p| p.byzantine.is_some()));
+            turn_for(&mut cluster, Duration::from_millis(1500));
+            let shard = &cluster.shards[0];
 
             let (mut pooled, mut swallowed) = (0, 0);
-            for id in stream_ids(&shard, 12) {
+            for id in stream_ids(shard, 12) {
                 let Some(entry) = shard.packets.lookup(&id) else { continue };
                 pooled += 1;
                 assert!(entry.verify(), "defended={defended}: {id} pooled corrupt");
@@ -1976,12 +2172,12 @@ mod tests {
     /// pooled and shared.
     #[test]
     fn an_undefended_nodes_corrupt_delivery_is_not_pooled() {
-        let (config, _) = one_shard_of(Backend::Fallback, 1, 4, |cluster| {
+        let mut cluster = one_shard_of(false, 1, 4, |cluster| {
             cluster.stream_duration = Duration::ZERO;
             cluster.gossip = cluster.gossip.clone().with_verify_payloads(false);
         });
-        let mut shard = Shard::new(config).expect("shard boots");
-        let now = shard.clock.now();
+        let shard = &mut cluster.shards[0];
+        let now = shard.env.now();
         let packet = StreamPacket::new(PacketId::new(0, 0), Time::ZERO, vec![5u8; 500].into());
         let id = packet.packet_id();
         let serve = |packet: StreamPacket| {
@@ -2008,25 +2204,27 @@ mod tests {
     /// left — their buffers are freed.
     #[test]
     fn the_table_and_the_stores_plateau_at_the_retention_horizon() {
-        let mut shard = streaming_shard(4, |cluster| {
+        let mut cluster = streaming_shard(4, |cluster| {
             cluster.gossip = cluster.gossip.clone().with_retention(Duration::from_secs(1));
         });
-        let held = |shard: &Shard| -> Vec<usize> {
+        let held = |cluster: &VirtualCluster| -> Vec<usize> {
+            let shard = &cluster.shards[0];
             let nodes = shard.nodes.iter().map(|vn| vn.node.stored_events());
             std::iter::once(shard.packets.by_id.len()).chain(nodes).collect()
         };
-        turn_for(&mut shard, std::time::Duration::from_millis(2500));
-        let mid = held(&shard);
-        turn_for(&mut shard, std::time::Duration::from_millis(2000));
-        let late = held(&shard);
+        turn_for(&mut cluster, Duration::from_millis(2500));
+        let mid = held(&cluster);
+        turn_for(&mut cluster, Duration::from_millis(2000));
+        let late = held(&cluster);
         // 65 packets a second (50 data + parity) for 1 s, plus the 100 ms
         // pruning cadence; unpruned, 4.5 s would hold ≈ 290.
         for (mid, late) in mid.iter().zip(&late) {
             assert!((40..=110).contains(late), "holding {late} packets at 4.5 s (table, nodes…)");
             assert!(late.abs_diff(*mid) <= 25, "{mid} at 2.5 s, {late} at 4.5 s: still growing");
         }
-        for id in stream_ids(&shard, 10) {
-            assert!(payload_addresses(&shard, &id).is_empty(), "{id} is still held at 4.5 s");
+        for id in stream_ids(&cluster.shards[0], 10) {
+            let held = payload_addresses(&cluster.shards[0], &id);
+            assert!(held.is_empty(), "{id} is still held at 4.5 s");
         }
     }
 
@@ -2038,13 +2236,13 @@ mod tests {
     fn a_crash_cancels_the_victims_retransmit_deadlines_and_their_handles_go_stale() {
         use gossip_adversity::FaultAction;
 
-        let (config, _) = one_shard_of(Backend::Fallback, 2, 4, |cluster| {
+        let mut cluster = one_shard_of(false, 2, 4, |cluster| {
             cluster.crashes = vec![(2, Duration::from_secs(3600))];
         });
-        let mut shard = Shard::new(config).expect("shard boots");
+        let shard = &mut cluster.shards[0];
         while shard.wheel.pop_before(Time::ZERO + Duration::from_secs(7200)).is_some() {}
-        let (v, now) = (NodeId::new(2), shard.clock.now());
-        let propose = |shard: &mut Shard, window: u32| {
+        let (v, now) = (NodeId::new(2), shard.env.now());
+        let propose = |shard: &mut Shard<VirtualEnv>, window: u32| {
             for index in 0..2 {
                 let ids = vec![PacketId::new(window, index)].into();
                 let propose = gossip_core::Message::Propose { ids };
@@ -2053,7 +2251,7 @@ mod tests {
         };
 
         // First life: the host's part played by hand, to keep the handles.
-        propose(&mut shard, 0);
+        propose(shard, 0);
         let mut stale = Vec::new();
         while let Some(out) = shard.nodes[2].node.poll_output() {
             if let gossip_core::Output::ScheduleTimer { token, at } = out {
@@ -2063,13 +2261,13 @@ mod tests {
             }
         }
         assert_eq!((stale.len(), shard.wheel.len()), (2, 2));
-        hosted::apply(&mut shard, now, FaultAction::Crash(v));
+        hosted::apply(shard, now, FaultAction::Crash(v));
         assert!(shard.nodes[2].is_down() && shard.wheel.is_empty(), "the crash cancelled both");
 
         // Second life: armed through the shard, into the freed slots.
-        hosted::apply(&mut shard, now, FaultAction::Rejoin(v));
+        hosted::apply(shard, now, FaultAction::Rejoin(v));
         assert_eq!(shard.wheel.len(), 1, "the rejoin armed a round");
-        propose(&mut shard, 1);
+        propose(shard, 1);
         shard.drain_outputs(2, now);
         let armed = shard.wheel.len();
         assert!(armed >= 3, "two new deadlines (and the shaper's, if it held the requests)");
@@ -2078,7 +2276,7 @@ mod tests {
         }
         assert_eq!(shard.wheel.len(), armed);
         // The new deadlines are the shard's own: the next crash finds them.
-        hosted::apply(&mut shard, now, FaultAction::Crash(v));
+        hosted::apply(shard, now, FaultAction::Crash(v));
         assert_eq!(shard.wheel.len(), armed - 2);
     }
 
@@ -2086,16 +2284,17 @@ mod tests {
     /// no payload and its player stops counting.
     #[test]
     fn a_crashed_source_publishes_nothing() {
-        let mut shard = streaming_shard(4, |cluster| {
+        let mut cluster = streaming_shard(4, |cluster| {
             cluster.crashes = vec![(0, Duration::from_millis(300))];
         });
-        turn_for(&mut shard, std::time::Duration::from_millis(500));
-        let source = &shard.nodes[0];
+        turn_for(&mut cluster, Duration::from_millis(500));
+        let source = &cluster.shards[0].nodes[0];
         assert!(source.is_down(), "the crash fault fired");
         assert_eq!(source.node.stored_events(), 0, "a down source pins no payload");
         let published = source.player.packets_received();
         assert!(published > 0, "the source was streaming");
-        turn_for(&mut shard, std::time::Duration::from_millis(200));
+        turn_for(&mut cluster, Duration::from_millis(200));
+        let shard = &mut cluster.shards[0];
         assert_eq!(shard.nodes[0].player.packets_received(), published);
         let mut emissions = 0;
         while let Some((_, fire)) = shard.wheel.pop_before(Time::MAX) {
@@ -2110,13 +2309,15 @@ mod tests {
     /// that has drained holds no buffer either.
     #[test]
     fn a_crashed_node_holds_no_payloads() {
-        let mut shard = streaming_shard(4, |cluster| {
+        let mut cluster = streaming_shard(4, |cluster| {
             cluster.crashes = vec![(2, Duration::from_millis(700))];
         });
-        turn_for(&mut shard, std::time::Duration::from_millis(500));
+        turn_for(&mut cluster, Duration::from_millis(500));
+        let shard = &cluster.shards[0];
         assert!(!shard.nodes[2].is_down());
         assert!(shard.nodes[2].node.stored_events() > 0, "the victim was receiving the stream");
-        turn_for(&mut shard, std::time::Duration::from_millis(500));
+        turn_for(&mut cluster, Duration::from_millis(500));
+        let shard = &cluster.shards[0];
         let victim = &shard.nodes[2];
         assert!(victim.is_down(), "the crash fault fired");
         assert_eq!(victim.node.stored_events(), 0);
@@ -2129,5 +2330,99 @@ mod tests {
                 assert_eq!(vn.port.shaper.backlog_capacity(), 0, "{} drained", vn.id());
             }
         }
+    }
+
+    /// The shard leg of the long-stream soak (`tests/soak.rs` runs the
+    /// simulator's): thirty minutes past the first retention horizon of a
+    /// thin stream on six nodes, probed every ten seconds of virtual time.
+    /// Each live node's id records stop growing once the first horizon has
+    /// passed, the crashed node holds no rows and no shaper buffer, and the
+    /// shard's packet table holds at most one horizon of packets.
+    #[test]
+    fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
+        const N: usize = 6;
+        // One 55-packet window a second: 50 data packets of 50 B at
+        // 20 kbit/s, plus 5 parity.
+        const WINDOW_PACKETS: usize = 55;
+        let horizon = Duration::from_secs(120);
+        let (crash_at, victim) = (Duration::from_secs(600), N - 1);
+        let mut cluster = one_shard_of(true, 2, N, |cluster| {
+            cluster.gossip = GossipConfig::new(4)
+                .with_gossip_period(Duration::from_millis(100))
+                .with_source_fanout(5);
+            cluster.stream = gossip_stream::StreamConfig {
+                rate_bps: 20_000,
+                packet_payload_bytes: 50,
+                window: gossip_fec::WindowParams::new(50, 5),
+            };
+            cluster.stream_duration = horizon + Duration::from_secs(30 * 60);
+            cluster.drain_duration = Duration::from_secs(5);
+            cluster.crashes = vec![(victim, crash_at)];
+        });
+        assert_eq!(cluster.config.gossip.retention, horizon, "the default horizon");
+
+        // One probe: when, each node's id records and windows, whether it
+        // is down, the victim's shaper buffer and the packet table.
+        let mut samples = Vec::new();
+        let end = cluster.end();
+        let mut at = Time::ZERO;
+        while at < end {
+            at = (at + Duration::from_secs(10)).min(end);
+            cluster.run_until(at);
+            let shard = &cluster.shards[0];
+            let records: Vec<(usize, usize)> =
+                shard.nodes.iter().map(|vn| vn.node.recorded_ids()).collect();
+            let down: Vec<bool> = shard.nodes.iter().map(HostedNode::is_down).collect();
+            let shaper = shard.nodes[victim].port.shaper.backlog_capacity();
+            samples.push((at, records, down, shaper, shard.packets.by_id.len()));
+        }
+        let report = cluster.finish();
+        for (r, quality) in report.quality.nodes().iter().enumerate() {
+            let complete = quality.complete_fraction();
+            assert!(r + 1 == victim || complete >= 0.99, "node {}: {complete}", r + 1);
+        }
+
+        // Settled: the first horizon and some lag behind us. The first
+        // stretch after it sets each node's level; from then on a node
+        // holds that level, give or take the windows a late retransmission
+        // keeps a little past the horizon.
+        let settled = Time::ZERO + horizon + Duration::from_secs(30);
+        let stretch = settled + Duration::from_secs(150);
+        let after: Vec<_> = samples.iter().filter(|s| s.0 >= settled).collect();
+        let (first, later): (Vec<_>, Vec<_>) = after.into_iter().partition(|s| s.0 < stretch);
+        const LATE_WINDOWS: usize = 24;
+        for i in (0..N).filter(|&i| i != victim) {
+            let level = first.iter().map(|s| s.1[i].0).max().expect("samples");
+            assert!(level > 100 * WINDOW_PACKETS, "node {i} holds only {level} records");
+            for (at, records, ..) in &later {
+                let (ids, windows) = records[i];
+                assert!(
+                    ids <= level + LATE_WINDOWS * WINDOW_PACKETS,
+                    "node {i}: {ids} records at {at}, {level} after the first horizon"
+                );
+                assert!(windows <= level.div_ceil(WINDOW_PACKETS) + LATE_WINDOWS, "node {i}");
+                assert!(ids * 10 > level * 9, "node {i} stopped receiving at {at}");
+            }
+        }
+
+        // The victim: one horizon's records while up; none, and no shaper
+        // buffer, once down — within a wake quantum of the crash's instant.
+        let crash = Time::ZERO + crash_at;
+        for (at, records, down, shaper, _) in &samples {
+            if *at < crash {
+                assert!(!down[victim], "down at {at}");
+            } else if *at >= crash + WAKE_QUANTUM {
+                assert!(down[victim], "up at {at}");
+                assert_eq!(records[victim], (0, 0), "a crashed node holds rows at {at}");
+                assert_eq!(*shaper, 0, "a crashed node holds a shaper buffer at {at}");
+            }
+        }
+
+        // The table: one horizon of packets, plus the round between prunes.
+        let horizon_packets = WINDOW_PACKETS * (horizon.as_micros() / 1_000_000 + 1) as usize;
+        for (at, .., pooled) in &samples {
+            assert!(*pooled <= horizon_packets, "{pooled} packets pooled at {at}");
+        }
+        assert!(samples.iter().any(|s| s.4 > horizon_packets / 2), "the table filled");
     }
 }

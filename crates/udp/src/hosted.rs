@@ -6,9 +6,9 @@
 //! gate, output routing, crash, revive and throttle; [`apply`] is the one
 //! interpreter of the compiled fault timeline. A host is a clock, a
 //! transport and a loop: it supplies its deadline queue and upload path
-//! ([`Host`], [`Uplink`]), and how it restarts a node and introduces a
-//! joiner ([`FaultHost`]). The simulator and the reactor's shards host the
-//! same node, so no rule can mean different things on the two.
+//! ([`Host`], [`Uplink`]), its census and how it restarts a node
+//! ([`FaultHost`]). The simulator and the reactor's shards host the same
+//! node, so no rule can mean different things on the two.
 
 use std::sync::Arc;
 
@@ -320,19 +320,27 @@ pub trait FaultHost {
     fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Port>>;
     /// Takes a crashed node's deadline out of the queue.
     fn cancel(&mut self, handle: EventHandle);
-    /// The census a revived node draws partners from.
-    fn members(&self) -> Arc<[NodeId]>;
-    /// Adds joiner `v` to the census and, if hosted here, brings it up
-    /// ([`HostedNode::join`]); who else learns of it is the host's.
-    /// Returns whether `v` is hosted here.
-    fn introduce(&mut self, now: Time, v: NodeId) -> bool;
-    /// Arms the recurring deadlines of hosted node `v`, just come up.
+    /// The census: every node the host knows of, base nodes first, then
+    /// joiners in join order. Revived and joining nodes draw partners
+    /// from it.
+    fn census(&mut self) -> &mut Arc<[NodeId]>;
+    /// Whether a joiner is announced to every node at once (a tracker) or
+    /// left to spread through its own shuffles (Cyclon).
+    fn announces_joins(&self) -> bool;
+    /// Arms the recurring deadlines of hosted node `v`, just come up — and
+    /// draws its partial view, if it shuffles one.
     fn start(&mut self, now: Time, v: NodeId);
 }
 
 /// Applies one fault of the compiled timeline: crash, rejoin and throttles
 /// act on the nodes `host` hosts, a join grows every host's census, a
 /// partition splits the whole network.
+///
+/// The join rule is the same on every host: the census grows by the
+/// joiner; under a tracker every hosted node learns it at once (a
+/// membership list is shared, so that is a reference count per node); under
+/// Cyclon nobody is told and the joiner's shuffles carry its id. The
+/// joiner itself comes up drawing partners from the census.
 pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
     match action {
         FaultAction::Crash(v) => {
@@ -342,14 +350,25 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
             }
         }
         FaultAction::Rejoin(v) => {
-            let members = host.members();
+            let members = Arc::clone(host.census());
             if let Some(node) = host.hosted(v).filter(|node| node.is_down()) {
                 node.revive(members);
                 host.start(now, v);
             }
         }
         FaultAction::Join(v) => {
-            if host.introduce(now, v) {
+            let census = host.census();
+            *census = census.iter().copied().chain([v]).collect();
+            let members = Arc::clone(census);
+            if host.announces_joins() {
+                for &m in members.iter().filter(|&&m| m != v) {
+                    if let Some(node) = host.hosted(m) {
+                        node.node.set_membership(Arc::clone(&members));
+                    }
+                }
+            }
+            if let Some(node) = host.hosted(v) {
+                node.join(members);
                 host.start(now, v);
             }
         }
