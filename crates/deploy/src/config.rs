@@ -24,7 +24,7 @@
 //! stream_secs = 5
 //! drain_secs = 3
 //! seed = 1
-//! inject_loss = 0.0
+//! inject_loss = 0.0      # shorthand for [chaos] drop, combined as independent losses
 //! cyclon_degree = 0      # >0: flash-crowd joiners bootstrap via Cyclon
 //!
 //! [deploy]

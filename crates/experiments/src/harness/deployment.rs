@@ -25,14 +25,14 @@ use gossip_net::{Enqueued, LatencySampler, LossProcess, NetStats, UploadLink};
 use gossip_sim::{DetRng, Engine};
 use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
-use gossip_udp::hosted::{bootstrap_view, HostedNode, Setup, Uplink};
+use gossip_udp::hosted::{bootstrap_view, HostedNode, Setup};
 
 use crate::harness::driver::Ev;
 use crate::scenario::{MembershipMode, Scenario};
 
 /// What travels through the simulated network: protocol messages plus, in
 /// Cyclon mode, membership shuffles.
-pub(crate) enum Envelope {
+pub enum Envelope {
     /// A gossip protocol message.
     Gossip(Message<StreamPacket>),
     /// A Cyclon shuffle request/reply.
@@ -52,32 +52,27 @@ impl Envelope {
     }
 }
 
-/// A simulated node's end of the network: its queueing upload link and its
-/// traffic counters.
+/// A simulated node's end of the network beside its upload link: its
+/// receive counters.
 pub struct Port {
-    pub(crate) link: UploadLink<(NodeId, Envelope)>,
     /// What reached the node, and what it sent that the network lost.
     pub(crate) rx: NetStats,
 }
 
-impl Port {
-    /// Offers an envelope to the upload link. Returns when it finishes
-    /// transmitting if the link was idle and started it at once.
-    pub(crate) fn offer(&mut self, now: Time, to: NodeId, envelope: Envelope) -> Option<Time> {
-        match self.link.enqueue(now, envelope.wire_size(), (to, envelope)) {
-            Enqueued::Started { completes_at } => Some(completes_at),
-            Enqueued::Queued | Enqueued::Dropped => None,
-        }
-    }
-}
+/// A node as the simulator hosts it.
+pub type SimNode = HostedNode<Envelope, Port>;
 
-impl Uplink for Port {
-    fn set_rate(&mut self, rate_bps: Option<u64>) {
-        self.link.set_rate(rate_bps);
-    }
-
-    fn discard(&mut self) {
-        self.link.crash();
+/// Offers an envelope to an upload link. Returns when it finishes
+/// transmitting if the link was idle and started it at once.
+pub(crate) fn offer(
+    link: &mut UploadLink<(NodeId, Envelope)>,
+    now: Time,
+    to: NodeId,
+    envelope: Envelope,
+) -> Option<Time> {
+    match link.enqueue(now, envelope.wire_size(), (to, envelope)) {
+        Enqueued::Started { completes_at } => Some(completes_at),
+        Enqueued::Queued | Enqueued::Dropped => None,
     }
 }
 
@@ -90,7 +85,7 @@ pub(crate) struct Deployment<'a> {
     /// Which compiled partitions are currently splitting the network.
     pub(crate) partition: PartitionState,
     /// Every node of the total population, indexed by id.
-    pub(crate) hosted: Vec<HostedNode<Port>>,
+    pub(crate) hosted: Vec<SimNode>,
     /// When each node joined (`None` = present from the start).
     pub(crate) joined_at: Vec<Option<Time>>,
     /// The currently known membership: base nodes plus joiners so far.
@@ -137,21 +132,17 @@ impl<'a> Deployment<'a> {
             seed: cfg.seed,
             source_uncapped: cfg.source_uncapped,
         };
-        let mut hosted: Vec<HostedNode<Port>> = (0..total)
+        let mut hosted: Vec<SimNode> = (0..total)
             .map(|i| {
                 let uniform = class_caps.as_ref().map_or(cfg.upload_cap_bps, |caps| Some(caps[i]));
-                let port = |cap| Port {
-                    link: UploadLink::new(cap, cfg.max_queue_delay),
-                    rx: NetStats::default(),
-                };
-                let id = NodeId::new(i as u32);
                 HostedNode::new(
-                    id,
+                    NodeId::new(i as u32),
                     &setup,
                     compiled.profiles[i],
                     Arc::clone(&membership),
                     uniform,
-                    port,
+                    cfg.max_queue_delay,
+                    Port { rx: NetStats::default() },
                 )
             })
             .collect();
@@ -234,7 +225,7 @@ mod tests {
         // An uncapped link transmits instantaneously: enqueueing completes
         // at the same instant.
         let huge = 100_000_000;
-        match dep.hosted[0].port.link.enqueue(
+        match dep.hosted[0].link.enqueue(
             Time::ZERO,
             huge,
             (NodeId::new(1), Envelope::Gossip(Message::FeedMe)),

@@ -5,12 +5,13 @@ use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
 use gossip_core::{Message, TimerToken};
+use gossip_net::UploadLink;
 use gossip_sim::{Engine, EventHandle};
 use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
-use gossip_udp::hosted::{self, FaultHost, Host, HostedNode};
+use gossip_udp::hosted::{self, FaultHost, Host};
 
-use crate::harness::deployment::{Deployment, Envelope, Port};
+use crate::harness::deployment::{offer, Deployment, Envelope, Port, SimNode};
 use crate::harness::result::{self, DepthTracker, RunResult, RunTimeline};
 use crate::scenario::{MembershipMode, Scenario};
 
@@ -53,7 +54,7 @@ pub(crate) fn execute(cfg: &Scenario) -> RunResult {
 pub(crate) fn execute_probed(
     cfg: &Scenario,
     every: Duration,
-    mut probe: impl FnMut(Time, &[HostedNode<Port>]),
+    mut probe: impl FnMut(Time, &[SimNode]),
 ) -> RunResult {
     assert!(!every.is_zero(), "a probe needs a positive period");
     let mut driver = Driver::new(cfg);
@@ -225,7 +226,7 @@ impl<'a> Driver<'a> {
                 if !node.is_current(ep) {
                     return; // the crash already discarded the link state
                 }
-                let (queued, next_at) = node.port.link.complete_head(now);
+                let (queued, next_at) = node.link.complete_head(now);
                 self.dispatch_transmitted(now, from, queued);
                 if let Some(at) = next_at {
                     self.engine.schedule(at, Ev::LinkDone(from, ep));
@@ -298,7 +299,7 @@ impl<'a> Driver<'a> {
     /// the completion event if the link was idle.
     fn send_envelope(&mut self, now: Time, from: NodeId, to: NodeId, envelope: Envelope) {
         let node = &mut self.dep.hosted[from.index()];
-        if let Some(at) = node.port.offer(now, to, envelope) {
+        if let Some(at) = offer(&mut node.link, now, to, envelope) {
             self.engine.schedule(at, Ev::LinkDone(from, node.epoch()));
         }
     }
@@ -317,13 +318,13 @@ struct Outputs<'d> {
     depth: &'d mut DepthTracker,
 }
 
-impl Host<Port> for Outputs<'_> {
+impl Host<Envelope> for Outputs<'_> {
     fn send(
         &mut self,
         now: Time,
         from: NodeId,
         epoch: u32,
-        port: &mut Port,
+        link: &mut UploadLink<(NodeId, Envelope)>,
         to: NodeId,
         msg: Message<StreamPacket>,
     ) {
@@ -331,7 +332,7 @@ impl Host<Port> for Outputs<'_> {
         // the bytes the application sends (message payloads and headers),
         // not the kernel's IP/UDP overhead. Charging app bytes is also what
         // its Figure 4 reports.
-        if let Some(at) = port.offer(now, to, Envelope::Gossip(msg)) {
+        if let Some(at) = offer(link, now, to, Envelope::Gossip(msg)) {
             self.engine.schedule(at, Ev::LinkDone(from, epoch));
         }
     }
@@ -351,6 +352,7 @@ impl Host<Port> for Outputs<'_> {
 
 /// The simulator hosts every node: the fault timeline reaches each of them.
 impl FaultHost for Driver<'_> {
+    type Item = Envelope;
     type Port = Port;
 
     fn compiled(&self) -> &CompiledAdversity {
@@ -361,7 +363,7 @@ impl FaultHost for Driver<'_> {
         &mut self.dep.partition
     }
 
-    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Port>> {
+    fn hosted(&mut self, v: NodeId) -> Option<&mut SimNode> {
         self.dep.hosted.get_mut(v.index())
     }
 
@@ -552,7 +554,7 @@ mod tests {
         let (mut queueing, mut drained, mut victim_down) = (0, 0, false);
         let result = cfg.run_probed(Duration::from_secs(1), |at, hosted| {
             for node in hosted {
-                let link = &node.port.link;
+                let link = &node.link;
                 if link.queue_len() > 0 {
                     queueing += 1;
                 } else {

@@ -94,8 +94,8 @@ impl RunTimeline {
     /// Records one per-second sample of the deployment's state.
     pub(crate) fn sample(&mut self, now: Time, dep: &Deployment<'_>) {
         let delivered: u64 = dep.hosted[1..].iter().map(|h| h.player.packets_received()).sum();
-        let queued: usize = dep.hosted.iter().map(|h| h.port.link.queued_bytes()).sum();
-        let dropped: u64 = dep.hosted.iter().map(|h| h.port.link.stats().msgs_dropped).sum();
+        let queued: usize = dep.hosted.iter().map(|h| h.link.queued_bytes()).sum();
+        let dropped: u64 = dep.hosted.iter().map(|h| h.link.stats().msgs_dropped).sum();
         self.delivered.push(now, delivered as f64);
         self.queued_bytes.push(now, queued as f64);
         self.dropped.push(now, dropped as f64);
@@ -211,7 +211,7 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     let elapsed = cfg.total_duration();
 
     for (i, hosted) in dep.hosted[..cfg.n].iter().enumerate() {
-        let link = hosted.port.link.stats();
+        let link = hosted.link.stats();
         protocol.merge(hosted.node.stats());
         net.merge(link);
         net.merge(&hosted.port.rx);
@@ -235,7 +235,7 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     let mut joiner_qualities = Vec::new();
     for (hosted, joined) in dep.hosted[cfg.n..].iter().zip(&dep.joined_at[cfg.n..]) {
         protocol.merge(hosted.node.stats());
-        net.merge(hosted.port.link.stats());
+        net.merge(hosted.link.stats());
         net.merge(&hosted.port.rx);
         let Some(joined) = *joined else { continue };
         if hosted.is_down() {
@@ -256,7 +256,7 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     RunResult {
         quality: QualityReport::new(qualities),
         upload_kbps,
-        source_upload_kbps: dep.hosted[0].port.link.stats().upload_kbps(elapsed),
+        source_upload_kbps: dep.hosted[0].link.stats().upload_kbps(elapsed),
         protocol,
         net,
         windows_measured: last - first + 1,

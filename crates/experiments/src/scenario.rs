@@ -25,9 +25,8 @@ use gossip_membership::CyclonConfig;
 use gossip_net::{ChurnPlan, LatencyModel, LossModel};
 use gossip_stream::StreamConfig;
 use gossip_types::{Duration, Time};
-use gossip_udp::hosted::HostedNode;
 
-use crate::harness::deployment::Port;
+use crate::harness::deployment::SimNode;
 
 // Re-exported here so pre-refactor paths (`scenario::RunResult` et al.)
 // keep working; the types now live with the harness's result layer.
@@ -302,11 +301,7 @@ impl Scenario {
     ///
     /// Panics if the scenario is degenerate (fewer than 2 nodes) or `every`
     /// is zero.
-    pub fn run_probed(
-        &self,
-        every: Duration,
-        probe: impl FnMut(Time, &[HostedNode<Port>]),
-    ) -> RunResult {
+    pub fn run_probed(&self, every: Duration, probe: impl FnMut(Time, &[SimNode])) -> RunResult {
         assert!(self.n >= 2, "a deployment needs a source and at least one receiver");
         crate::harness::driver::execute_probed(self, every, probe)
     }

@@ -2,18 +2,35 @@
 //!
 //! This is the heart of the reproduction: the paper's "bandwidth limiter
 //! \[that\] also implements a bandwidth throttling mechanism". Every node owns
-//! one [`UploadLink`]. Messages offered to the link serialise through it at
-//! the configured rate: if the link is idle the message starts transmitting
-//! immediately; otherwise it waits in a FIFO queue (throttling — bursts are
-//! converted into delay). The queue is bounded; once the backlog exceeds the
-//! configured depth, further messages are dropped (sustained overload
-//! becomes loss). Both effects — congestion latency and overflow loss — are
-//! exactly the failure modes the paper attributes to high fanouts.
+//! one [`UploadLink`], on every host. Messages offered to the link serialise
+//! through it at the configured rate: if the link is idle the message starts
+//! transmitting immediately; otherwise it waits in a FIFO queue (throttling —
+//! bursts are converted into delay). The queue is bounded; once the backlog
+//! exceeds the configured depth, further messages are dropped (sustained
+//! overload becomes loss). Both effects — congestion latency and overflow
+//! loss — are exactly the failure modes the paper attributes to high fanouts.
 //!
-//! The link is a pure state machine over virtual time so the simulator and
-//! the tests can drive it directly; the experiment harness schedules a
-//! "transmission complete" event at every [`Enqueued::Started`] /
-//! [`UploadLink::complete_head`] boundary.
+//! The link is a pure state machine over `(now, bytes)` that knows two
+//! instants of every transmission — its start and its completion — and a
+//! host drives it through the API that hands messages back at the one it
+//! needs:
+//!
+//! * the **completion API** ([`UploadLink::enqueue`],
+//!   [`UploadLink::complete_head`]) hands a message back when its last byte
+//!   has left: the simulator schedules a "transmission complete" event at
+//!   every [`Enqueued::Started`] / [`UploadLink::complete_head`] boundary
+//!   and delivers at that instant plus latency;
+//! * the **release API** ([`UploadLink::offer`], [`UploadLink::pop_due`],
+//!   [`UploadLink::next_release`]) hands it back when its first byte leaves:
+//!   the reactor's shards give it to the kernel there, since on loopback the
+//!   kernel is the wire.
+//!
+//! One rule set serves both: a waiting message starts at its predecessor's
+//! completion instant, however late the host looks; the queue bound counts
+//! the bytes waiting to start, the message on the wire excluded; a rate
+//! change applies from the next start. The release API settles starts when
+//! it is polled, so a rate change or a crash acts on what its last poll had
+//! not yet started. A link is driven through one API for its whole life.
 
 use std::collections::VecDeque;
 
@@ -45,9 +62,9 @@ struct Pending<T> {
 
 /// A rate-capped upload link with a bounded throttling queue.
 ///
-/// Generic over the queued item `T` (the harness queues addressed, encoded
-/// messages). An *uncapped* link (`rate_bps = None`) transmits instantly and
-/// never queues.
+/// Generic over the queued item `T` (the hosts queue addressed messages).
+/// An *uncapped* link (`rate_bps = None`) transmits instantly and never
+/// queues.
 ///
 /// # Examples
 ///
@@ -63,6 +80,14 @@ struct Pending<T> {
 ///     }
 ///     _ => unreachable!("idle link starts immediately"),
 /// }
+///
+/// // The same link on the release API: the second message is released
+/// // when the first one's last byte has left.
+/// let mut link: UploadLink<&str> = UploadLink::new(Some(800_000), Duration::from_secs(1));
+/// assert!(link.offer(Time::ZERO, 1000, "a") && link.offer(Time::ZERO, 1000, "b"));
+/// assert_eq!(link.pop_due(Time::ZERO), Some("a"));
+/// assert_eq!(link.next_release(), Some(Time::from_millis(10)));
+/// assert_eq!(link.pop_due(Time::from_millis(10)), Some("b"));
 /// ```
 pub struct UploadLink<T> {
     /// Upload cap in bits per second; `None` = unconstrained.
@@ -77,10 +102,21 @@ pub struct UploadLink<T> {
     /// The configured queueing-delay bound, kept so a rate change
     /// ([`UploadLink::set_rate`]) can recompute `max_queue_bytes`.
     max_queue_delay: Duration,
-    queue: VecDeque<Pending<T>>,
-    queued_bytes: usize,
-    /// The message currently on the wire, if any.
+    /// The oldest started message not yet handed back: on the completion
+    /// API the one on the wire, on the release API the next to release.
     in_flight: Option<Pending<T>>,
+    /// The messages behind it, in FIFO order: on the release API polled
+    /// late, the first `starts.len() - 1` have started too; the rest wait.
+    queue: VecDeque<Pending<T>>,
+    /// Release API only: when each started message not yet released
+    /// started, `in_flight` first. Its buffer is kept between bursts (it
+    /// holds a few instants); the completion API never allocates it.
+    starts: VecDeque<Time>,
+    /// Bytes of the messages waiting to start: what the bound applies to.
+    queued_bytes: usize,
+    /// When the wire frees — the last started message's completion — while
+    /// one transmits.
+    busy_until: Option<Time>,
     stats: NetStats,
 }
 
@@ -88,9 +124,9 @@ impl<T> std::fmt::Debug for UploadLink<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UploadLink")
             .field("rate_bps", &self.rate_bps)
-            .field("queued", &self.queue.len())
+            .field("queued", &self.queue_len())
             .field("queued_bytes", &self.queued_bytes)
-            .field("busy", &self.in_flight.is_some())
+            .field("busy_until", &self.busy_until)
             .finish()
     }
 }
@@ -102,26 +138,20 @@ impl<T> UploadLink<T> {
     /// throttler absorbs before dropping; the paper's limiter smooths bursts,
     /// so the default used by the experiments is several seconds.
     pub fn new(rate_bps: Option<u64>, max_queue_delay: Duration) -> Self {
-        let max_queue_bytes = match rate_bps {
-            Some(bps) => ((bps as u128 * max_queue_delay.as_micros() as u128) / 8_000_000) as usize,
-            None => usize::MAX,
-        };
-        // ceil(2^64 / bps): `u64::MAX / bps` is floor((2^64 - 1) / bps),
-        // which is floor(2^64 / bps) whenever bps does not divide 2^64, and
-        // one less when it does — so +1 lands on the ceiling either way.
-        // For bps = 1 the ceiling (2^64) wraps to 0, which simply disables
-        // the fast path below (`bits < 0` is never true).
-        let rate_reciprocal = rate_bps.map_or(0, |bps| (u64::MAX / bps).wrapping_add(1));
-        UploadLink {
+        let mut link = UploadLink {
             rate_bps,
-            rate_reciprocal,
-            max_queue_bytes,
+            rate_reciprocal: 0,
+            max_queue_bytes: usize::MAX,
             max_queue_delay,
-            queue: VecDeque::new(),
-            queued_bytes: 0,
             in_flight: None,
+            queue: VecDeque::new(),
+            starts: VecDeque::new(),
+            queued_bytes: 0,
+            busy_until: None,
             stats: NetStats::default(),
-        }
+        };
+        link.set_rate(rate_bps);
+        link
     }
 
     /// Changes the link's upload cap in place (a scheduled throttle event).
@@ -138,6 +168,11 @@ impl<T> UploadLink<T> {
                 .min(usize::MAX as u128) as usize,
             None => usize::MAX,
         };
+        // ceil(2^64 / bps): `u64::MAX / bps` is floor((2^64 - 1) / bps),
+        // which is floor(2^64 / bps) whenever bps does not divide 2^64, and
+        // one less when it does — so +1 lands on the ceiling either way.
+        // For bps = 1 the ceiling (2^64) wraps to 0, which simply disables
+        // the fast path in `tx_time` (`bits < 0` is never true).
         self.rate_reciprocal = rate_bps.map_or(0, |bps| (u64::MAX / bps).wrapping_add(1));
         self.rate_bps = rate_bps;
     }
@@ -172,19 +207,26 @@ impl<T> UploadLink<T> {
         }
     }
 
-    /// Offers a message of `wire_bytes` to the link at time `now`.
+    /// Offers a message of `wire_bytes` to the link at time `now`
+    /// (completion API).
     ///
     /// Returns whether transmission started, the message was queued, or the
     /// message was dropped because the backlog exceeded the queue bound.
     pub fn enqueue(&mut self, now: Time, wire_bytes: usize, item: T) -> Enqueued {
-        if self.in_flight.is_none() {
-            debug_assert!(self.queue.is_empty(), "idle link must have an empty queue");
+        let pending = Pending { item, wire_bytes };
+        if self.busy_until.is_none() {
+            debug_assert!(self.queue_len() == 0, "an idle link has nothing waiting");
             let completes_at = now + self.tx_time(wire_bytes);
-            self.in_flight = Some(Pending { item, wire_bytes });
+            self.busy_until = Some(completes_at);
+            if self.in_flight.is_none() {
+                self.in_flight = Some(pending);
+            } else {
+                self.queue.push_back(pending);
+            }
             Enqueued::Started { completes_at }
         } else if self.queued_bytes + wire_bytes <= self.max_queue_bytes {
             self.queued_bytes += wire_bytes;
-            self.queue.push_back(Pending { item, wire_bytes });
+            self.queue.push_back(pending);
             Enqueued::Queued
         } else {
             self.stats.msgs_dropped += 1;
@@ -195,7 +237,8 @@ impl<T> UploadLink<T> {
 
     /// Completes the in-flight transmission at time `now`, returning the
     /// finished item and — if the queue was non-empty — the completion time
-    /// of the next message, which starts transmitting immediately.
+    /// of the next message, which starts transmitting immediately
+    /// (completion API).
     ///
     /// # Panics
     ///
@@ -205,28 +248,96 @@ impl<T> UploadLink<T> {
         let done = self.in_flight.take().expect("complete_head called on an idle link");
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += done.wire_bytes as u64;
-        let next_at = self.queue.pop_front().map(|next| {
-            self.queued_bytes -= next.wire_bytes;
-            let at = now + self.tx_time(next.wire_bytes);
-            self.in_flight = Some(next);
-            at
-        });
-        if self.queue.is_empty() {
-            // A drained queue lets go of its buffer whole: a burst's
-            // high-water mark is not worth keeping until the next one.
-            self.queue = VecDeque::new();
-        }
-        (done.item, next_at)
+        (done.item, self.start_next(now))
     }
 
-    /// Returns `true` if a message is currently transmitting.
+    /// Offers a message of `wire_bytes` at time `now` (release API).
+    /// Returns `false` when the queue bound dropped it.
+    pub fn offer(&mut self, now: Time, wire_bytes: usize, item: T) -> bool {
+        self.settle(now);
+        match self.enqueue(now, wire_bytes, item) {
+            Enqueued::Started { .. } => self.starts.push_back(now),
+            Enqueued::Queued => {}
+            Enqueued::Dropped => return false,
+        }
+        true
+    }
+
+    /// Releases the head message if it has started by `now` (release API):
+    /// its bytes count as sent from here on.
+    pub fn pop_due(&mut self, now: Time) -> Option<T> {
+        self.settle(now);
+        let done = self.in_flight.take()?;
+        let start = self.starts.pop_front();
+        debug_assert!(start.is_some_and(|at| at <= now), "polled in time order");
+        if !self.starts.is_empty() {
+            self.in_flight = self.take_front();
+        }
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += done.wire_bytes as u64;
+        Some(done.item)
+    }
+
+    /// When the head message starts — or started, if the link was polled
+    /// late — (release API); `None` when nothing waits for release.
+    pub fn next_release(&self) -> Option<Time> {
+        let waits = !self.queue.is_empty();
+        self.starts.front().copied().or(self.busy_until.filter(|_| waits))
+    }
+
+    /// Starts every message whose turn came by `now`, each at the instant
+    /// the wire freed for it (release API).
+    fn settle(&mut self, now: Time) {
+        while let Some(free) = self.busy_until.filter(|&at| at <= now) {
+            if self.start_next(free).is_some() {
+                self.starts.push_back(free);
+            }
+        }
+    }
+
+    /// How many messages in `queue` have started (release API, polled
+    /// late); the completion API keeps no starts.
+    fn started(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Starts the first waiting message at `at`, when the wire freed, and
+    /// returns its completion — or idles the wire if nothing waits.
+    fn start_next(&mut self, at: Time) -> Option<Time> {
+        let Some(next) = self.queue.get(self.started()) else {
+            self.busy_until = None;
+            return None;
+        };
+        let wire_bytes = next.wire_bytes;
+        self.queued_bytes -= wire_bytes;
+        if self.in_flight.is_none() {
+            self.in_flight = self.take_front();
+        }
+        let completes_at = at + self.tx_time(wire_bytes);
+        self.busy_until = Some(completes_at);
+        Some(completes_at)
+    }
+
+    /// Pops the queue's front. The pop that drains the queue lets go of its
+    /// buffer whole: a burst's high-water mark is not worth keeping until
+    /// the next one.
+    fn take_front(&mut self) -> Option<Pending<T>> {
+        let front = self.queue.pop_front();
+        if self.queue.is_empty() {
+            self.queue = VecDeque::new();
+        }
+        front
+    }
+
+    /// Returns `true` if a message is currently transmitting (on the
+    /// release API: as of the last poll).
     pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some()
+        self.busy_until.is_some()
     }
 
     /// Returns the number of queued (not yet transmitting) messages.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.started()
     }
 
     /// Returns the queued backlog in bytes.
@@ -235,7 +346,7 @@ impl<T> UploadLink<T> {
     }
 
     /// Returns how many messages the queue's buffer has room for: zero
-    /// whenever the queue is empty.
+    /// whenever nothing waits behind the head.
     pub fn queue_capacity(&self) -> usize {
         self.queue.capacity()
     }
@@ -246,12 +357,15 @@ impl<T> UploadLink<T> {
     }
 
     /// Drops all queued messages and the in-flight message (used when a node
-    /// crashes). Returns how many messages were discarded.
+    /// crashes), and idles the wire. Returns how many messages were
+    /// discarded; none of them counts as sent.
     pub fn crash(&mut self) -> usize {
         let discarded = self.queue.len() + usize::from(self.in_flight.is_some());
         self.queue = VecDeque::new();
+        self.starts = VecDeque::new();
         self.queued_bytes = 0;
         self.in_flight = None;
+        self.busy_until = None;
         discarded
     }
 
@@ -445,5 +559,102 @@ mod tests {
             Enqueued::Started { completes_at } => assert_eq!(completes_at, Time::from_millis(120)),
             other => panic!("expected start, got {other:?}"),
         }
+    }
+
+    // The release API: what the reactor's shards pace through.
+
+    #[test]
+    fn unshaped_releases_immediately() {
+        let mut link: UploadLink<u32> = UploadLink::new(None, Duration::MAX);
+        for i in 0..10 {
+            assert!(link.offer(Time::ZERO, 10_000, i));
+        }
+        for i in 0..10 {
+            assert_eq!(link.pop_due(Time::ZERO), Some(i));
+        }
+        assert_eq!(link.stats().bytes_sent, 100_000);
+    }
+
+    #[test]
+    fn pacing_matches_rate() {
+        // 100 kbps: 1250 bytes = 100 ms each.
+        let mut link: UploadLink<u32> = UploadLink::new(Some(100_000), Duration::from_secs(10));
+        for i in 0..5 {
+            assert!(link.offer(Time::ZERO, 1250, i));
+        }
+        assert_eq!(link.pop_due(Time::ZERO), Some(0));
+        assert_eq!(link.pop_due(Time::from_millis(99)), None);
+        assert_eq!(link.pop_due(Time::from_millis(100)), Some(1));
+        // Polled late: 2, 3 and 4 started at 200, 300 and 400 ms.
+        assert_eq!(link.next_release(), Some(Time::from_millis(200)));
+        assert_eq!(link.pop_due(Time::from_millis(400)), Some(2));
+        assert!(link.queue_capacity() > 0, "two started datagrams wait to be popped");
+        assert_eq!(link.next_release(), Some(Time::from_millis(300)));
+        assert_eq!(link.pop_due(Time::from_millis(400)), Some(3));
+        assert_eq!(link.pop_due(Time::from_millis(400)), Some(4));
+        assert_eq!(link.queue_capacity(), 0, "the drained queue let go of its buffer");
+        assert_eq!(link.next_release(), None);
+        link.offer(Time::from_secs(1), 1250, 5);
+        link.offer(Time::from_secs(1), 1250, 6);
+        link.crash();
+        assert_eq!(
+            (link.queue_len(), link.queue_capacity(), link.pop_due(Time::MAX)),
+            (0, 0, None)
+        );
+    }
+
+    #[test]
+    fn backlog_bound_drops() {
+        // 100 kbps with 200 ms of queue = 2500 bytes waiting behind the wire.
+        let mut link: UploadLink<u32> = UploadLink::new(Some(100_000), Duration::from_millis(200));
+        assert!(link.offer(Time::ZERO, 1250, 0)); // starts immediately
+        assert!(link.offer(Time::ZERO, 1250, 1)); // 1250 bytes wait
+        assert!(link.offer(Time::ZERO, 1250, 2)); // 2500: at the bound
+        assert!(!link.offer(Time::ZERO, 1250, 3)); // beyond the bound
+        assert_eq!(link.stats().msgs_dropped, 1);
+        while link.pop_due(Time::from_millis(200)).is_some() {}
+        assert_eq!(link.stats().msgs_sent, 3, "counted as they are released");
+    }
+
+    #[test]
+    fn idle_time_resets_pacing() {
+        let mut link: UploadLink<u32> = UploadLink::new(Some(100_000), Duration::from_secs(1));
+        link.offer(Time::ZERO, 1250, 0);
+        link.pop_due(Time::ZERO);
+        // After a long idle gap, a new datagram goes out immediately.
+        assert!(link.offer(Time::from_secs(5), 1250, 1));
+        assert_eq!(link.pop_due(Time::from_secs(5)), Some(1));
+    }
+
+    #[test]
+    fn set_rate_repaces_from_the_next_start() {
+        // 800 kbps: 1000 bytes = 10 ms; throttled to 80 kbps: 100 ms.
+        let mut link: UploadLink<u32> = UploadLink::new(Some(800_000), Duration::from_secs(10));
+        for i in 0..3 {
+            assert!(link.offer(Time::ZERO, 1000, i)); // 0 on the wire until 10 ms
+        }
+        // The throttle reaches the waiting datagrams, not only later offers.
+        link.set_rate(Some(80_000));
+        assert_eq!(link.pop_due(Time::ZERO), Some(0));
+        assert_eq!(link.pop_due(Time::from_millis(10)), Some(1)); // on the wire until 110 ms
+        assert_eq!(link.pop_due(Time::from_millis(109)), None, "head paced at the throttled rate");
+        assert_eq!(link.pop_due(Time::from_millis(110)), Some(2));
+        link.set_rate(None);
+        assert!(link.offer(Time::from_secs(1), 1000, 3));
+        assert!(link.offer(Time::from_secs(1), 1000, 4));
+        assert_eq!(link.pop_due(Time::from_secs(1)), Some(3));
+        assert_eq!(link.pop_due(Time::from_secs(1)), Some(4), "unshaped again after the heal");
+    }
+
+    #[test]
+    fn next_release_exposes_head_deadline() {
+        let mut link: UploadLink<u32> = UploadLink::new(Some(100_000), Duration::from_secs(1));
+        assert_eq!(link.next_release(), None);
+        link.offer(Time::from_millis(7), 1250, 0);
+        assert_eq!(link.next_release(), Some(Time::from_millis(7)));
+        link.offer(Time::from_millis(7), 1250, 1);
+        assert_eq!(link.queue_len(), 1, "one datagram waits behind the wire");
+        assert_eq!(link.pop_due(Time::from_millis(7)), Some(0));
+        assert_eq!(link.next_release(), Some(Time::from_millis(107)));
     }
 }

@@ -9,13 +9,15 @@
 //! * [`loss`] — packet-loss models (Bernoulli and bursty Gilbert–Elliott);
 //! * [`bandwidth`] — the upload link: messages serialise through a
 //!   rate-capped queue (throttling), and sustained overload overflows the
-//!   queue into drops — exactly the limiter the paper describes;
+//!   queue into drops — exactly the limiter the paper describes, and the
+//!   one every host (the simulator and the live shards alike) paces
+//!   through;
 //! * [`stats`] — per-node byte/message accounting used for Figure 4;
 //! * [`churn`] — catastrophic-failure plans (simultaneous crash of a random
 //!   fraction of nodes) for Figures 7 and 8.
 //!
-//! The crate knows nothing about gossip or streams; the experiment harness
-//! (`gossip-experiments`) wires it to the protocol core.
+//! The crate knows nothing about gossip or streams; the hosts
+//! (`gossip-experiments`, `gossip-reactor`) wire it to the protocol core.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,11 @@ use gossip_types::Duration;
 /// Byte and message counters for one node's network activity.
 ///
 /// The transmit-side counters are maintained by
-/// [`crate::bandwidth::UploadLink`]; the receive-side ones by the experiment
-/// harness. Figure 4 of the paper is the distribution of
-/// [`NetStats::upload_kbps`] across nodes.
+/// [`crate::bandwidth::UploadLink`] on every host — a message counts as sent
+/// when the link hands it back, at completion in the simulator and at its
+/// start on a live shard; the receive-side ones by the experiment harness.
+/// Figure 4 of the paper is the distribution of [`NetStats::upload_kbps`]
+/// across nodes.
 ///
 /// # Examples
 ///
@@ -20,9 +22,9 @@ use gossip_types::Duration;
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Bytes fully transmitted (wire bytes, including header overhead).
+    /// Bytes sent (wire bytes, including header overhead).
     pub bytes_sent: u64,
-    /// Messages fully transmitted.
+    /// Messages sent.
     pub msgs_sent: u64,
     /// Bytes dropped by the sender's own throttling queue.
     pub bytes_dropped: u64,

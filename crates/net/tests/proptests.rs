@@ -1,11 +1,71 @@
 //! Property-based tests of the network substrate, centred on the
 //! conservation laws of the bandwidth-capped link.
 
+use std::collections::VecDeque;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gossip_net::{Enqueued, UploadLink};
 use gossip_types::{Duration, Time};
+
+/// The completion API driven the way the simulator drives it:
+/// `complete_head` at every instant the link reports, before anything
+/// else happens at that instant.
+struct Completion {
+    link: UploadLink<usize>,
+    done_at: Option<Time>,
+    /// Ids of the queued messages, in order.
+    waiting: VecDeque<usize>,
+    /// When each message started, if it did.
+    starts: Vec<Option<Time>>,
+}
+
+impl Completion {
+    fn run_to(&mut self, t: Time) {
+        while let Some(at) = self.done_at.filter(|&at| at <= t) {
+            let (_, next) = self.link.complete_head(at);
+            self.done_at = next;
+            if next.is_some() {
+                let id = self.waiting.pop_front().expect("the started message was queued");
+                self.starts[id] = Some(at);
+            }
+        }
+    }
+
+    fn offer(&mut self, t: Time, bytes: usize, id: usize) -> bool {
+        self.run_to(t);
+        match self.link.enqueue(t, bytes, id) {
+            Enqueued::Started { completes_at } => {
+                self.starts[id] = Some(t);
+                self.done_at = Some(completes_at);
+            }
+            Enqueued::Queued => self.waiting.push_back(id),
+            Enqueued::Dropped => return false,
+        }
+        true
+    }
+}
+
+/// The release API polled the way a shard's loop polls it: whenever it
+/// gets round to it, taking the head's release instant from
+/// `next_release`.
+struct Release {
+    link: UploadLink<usize>,
+    /// When each message was released, if it was.
+    releases: Vec<Option<Time>>,
+    last: Time,
+}
+
+impl Release {
+    fn poll(&mut self, t: Time) {
+        while let Some(at) = self.link.next_release().filter(|&at| at <= t) {
+            let id = self.link.pop_due(t).expect("the head is due at its release instant");
+            assert!(at >= self.last, "releases go out in order");
+            (self.releases[id], self.last) = (Some(at), at);
+        }
+    }
+}
 
 proptest! {
     /// Conservation: every message offered to the link is eventually either
@@ -89,5 +149,63 @@ proptest! {
             link.enqueue(Time::ZERO, size, i);
             prop_assert!(link.queued_bytes() <= bound_bytes);
         }
+    }
+
+    /// One limiter, two APIs: a random offer script — sizes, idle gaps, a
+    /// rate change mid-backlog, a crash — driven through the completion
+    /// API and through the release API, the latter polled at arbitrary
+    /// later instants (and at the instant of the rate change and the crash,
+    /// which act on what the link has not started). Every release instant
+    /// equals the matching start instant, the drop decisions are the same,
+    /// and so polling late never delays a later start.
+    #[test]
+    fn completion_and_release_apis_start_and_drop_alike(
+        steps in vec((0u64..30_000, 1usize..3_000, 0u64..90_000), 1..150),
+        rate_kbps in 50u64..2_000,
+        throttle_kbps in proptest::option::of(20u64..4_000),
+        (throttle_at, crash_at) in (0usize..150, 0usize..150),
+        backlog_ms in 5u64..400,
+    ) {
+        let link = || UploadLink::new(Some(rate_kbps * 1000), Duration::from_millis(backlog_ms));
+        let n = steps.len();
+        let mut cmp = Completion {
+            link: link(),
+            done_at: None,
+            waiting: VecDeque::new(),
+            starts: vec![None; n],
+        };
+        let mut rel = Release { link: link(), releases: vec![None; n], last: Time::ZERO };
+        let throttle = throttle_kbps.map(|kbps| kbps * 1000);
+        let mut t = Time::ZERO;
+        for (id, &(gap, bytes, late)) in steps.iter().enumerate() {
+            // The shard looks in some time after the last step, or not at all.
+            if late % 3 != 0 {
+                rel.poll(t + Duration::from_micros(late % (gap + 1)));
+            }
+            t += Duration::from_micros(gap);
+            if id == throttle_at {
+                cmp.run_to(t);
+                cmp.link.set_rate(throttle);
+                rel.poll(t);
+                rel.link.set_rate(throttle);
+            }
+            if id == crash_at {
+                cmp.run_to(t);
+                cmp.link.crash();
+                (cmp.done_at, cmp.waiting) = (None, VecDeque::new());
+                rel.poll(t);
+                rel.link.crash();
+            }
+            let accepted = cmp.offer(t, bytes, id);
+            prop_assert_eq!(rel.link.offer(t, bytes, id), accepted, "drop decision of {}", id);
+        }
+        // Long enough to drain any backlog the bound admits, at any rate.
+        let end = t + Duration::from_secs(3_600);
+        cmp.run_to(end);
+        rel.poll(end);
+        prop_assert_eq!(&rel.releases, &cmp.starts);
+        prop_assert_eq!(rel.link.stats().msgs_dropped, cmp.link.stats().msgs_dropped);
+        prop_assert_eq!(rel.link.stats().bytes_dropped, cmp.link.stats().bytes_dropped);
+        prop_assert!(!rel.link.is_busy() && rel.link.queue_capacity() == 0, "drained");
     }
 }

@@ -8,15 +8,15 @@
 //! that owns
 //!
 //! * a slice of the cluster's nodes, each a [`gossip_udp::hosted::HostedNode`]
-//!   (protocol state machine, stream player, upload shaper, optionally the
-//!   stream source) — the same hosted node, under the same host rules and
-//!   fault interpreter, that the simulator runs,
+//!   (protocol state machine, stream player, upload link, optionally the
+//!   stream source) — the same hosted node, under the same host rules,
+//!   fault interpreter and bandwidth limiter, that the simulator runs,
 //! * a small pool of non-blocking [`std::net::UdpSocket`]s shared by those
 //!   nodes, and
 //! * one **timer wheel** — the calendar queue from `gossip-sim`, reused
 //!   through its [`gossip_sim::EventSchedule`] abstraction — holding every
 //!   deadline of every hosted node (gossip rounds, retransmission timers,
-//!   source emissions, shaper releases).
+//!   source emissions, upload-link releases).
 //!
 //! # Demultiplexing
 //!
@@ -27,7 +27,7 @@
 //! [`gossip_core::wire`] encoding; the receiving shard routes on the prefix
 //! and strips it before handing the bytes to the protocol codec (see
 //! [`demux`]). The prefix is runtime framing, not protocol bytes: the
-//! upload shaper charges only the inner (unframed) wire size, so a node's
+//! upload link charges only the inner (unframed) wire size, so a node's
 //! pacing does not depend on how its datagrams are packed.
 //!
 //! Nodes are striped across shards (`shard = id % shards`) and across each

@@ -588,7 +588,7 @@ mod tests {
         assert!(avg >= 60.0, "2% injected loss should be survivable: {avg}%");
     }
 
-    /// Shapers actually limit throughput: with a tight cap, a node cannot send
+    /// Upload links actually limit throughput: with a tight cap, a node cannot send
     /// faster than configured.
     #[test]
     fn shaper_limits_throughput() {

@@ -4,12 +4,12 @@
 //! construction, the inbound gate, output routing, crash, revive, throttle
 //! and the fault-timeline interpreter — live in [`gossip_udp::hosted`],
 //! shared with the simulator. What stays here is wait → fire → drain →
-//! flush, and the shard's answers to [`Host`] (shaper, outbox,
+//! flush, and the shard's answers to [`Host`] (upload link, outbox,
 //! [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by id;
 //! joiners introduced lazily or by a Cyclon bootstrap).
 //!
 //! A shard multiplexes every deadline of its nodes — gossip rounds,
-//! retransmission timers, source emissions, shaper releases, and the
+//! retransmission timers, source emissions, upload-link releases, and the
 //! compiled fault timeline — through one timer wheel (the calendar queue
 //! from `gossip-sim`, the same `EventSchedule` implementation the
 //! simulator runs on), and all their traffic through a small pool of
@@ -85,7 +85,7 @@
 //! Receive work is budgeted: at most `recv_batch` datagrams per socket
 //! per iteration, and a wheel deadline coming due ends the drain early —
 //! an ingress flood cannot stall the timers that keep rounds, sources
-//! and shapers on schedule. A socket stays flagged until a read comes
+//! and upload links on schedule. A socket stays flagged until a read comes
 //! back short of a full batch, which proves its kernel queue empty
 //! without paying for an `EAGAIN`.
 //!
@@ -120,13 +120,13 @@ use gossip_core::index::DenseMap;
 use gossip_core::wire::{decode_frame, encode_message, EventPool};
 use gossip_core::{GossipConfig, Message, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, ShuffleMessage};
+use gossip_net::UploadLink;
 use gossip_sim::{DetRng, EventHandle, EventQueue};
 use gossip_stream::{PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
-use gossip_udp::hosted::{self, FaultHost, Host, HostedNode, Setup, Uplink};
+use gossip_udp::hosted::{self, FaultHost, Host, HostedNode, Setup};
 use gossip_udp::report::{NodeReport, ShardStats};
-use gossip_udp::shaper::UploadShaper;
 
 use crate::chaos::{ChaosSender, DatagramFate, SenderChaos, SocketChaos};
 use crate::demux;
@@ -223,8 +223,8 @@ enum Fire {
     Timer(u32, TimerToken, u32),
     /// The source's next packet emission.
     Source(u32),
-    /// The node's upload shaper has a datagram coming due.
-    Shaper(u32, u32),
+    /// The node's upload link has a datagram coming due.
+    Release(u32, u32),
     /// The k-th event of the compiled fault timeline.
     Fault(u32),
 }
@@ -268,7 +268,7 @@ pub(crate) struct Shard<E> {
     /// Where every node of the cluster receives, by destination group.
     routes: Routes,
     stop: Arc<AtomicBool>,
-    nodes: Vec<HostedNode<Port>>,
+    nodes: Vec<ShardNode>,
     wheel: EventQueue<Fire>,
     /// The census: base nodes plus joiners so far. Shared with every
     /// full-membership node the shard hosts; a join builds a new list
@@ -326,40 +326,30 @@ pub(crate) struct Shard<E> {
     next_gauge_publish: Time,
 }
 
-/// A hosted node's end of the shard: its upload shaper and its share of the
-/// receive path.
+/// A node as a shard hosts it: its link carries `(destination, unframed
+/// wire bytes)`, released to the kernel as each one starts.
+pub(crate) type ShardNode = HostedNode<Vec<u8>, Port>;
+
+/// A hosted node's end of the shard beside its link: its release deadline
+/// and its share of the receive path.
 pub(crate) struct Port {
-    /// Shaped outbound datagrams: `(destination, unframed wire bytes)`.
-    shaper: UploadShaper<(NodeId, Vec<u8>)>,
-    /// Whether a shaper-release deadline for this node is pending in the
-    /// wheel (at most one at a time).
-    armed: bool,
-    /// Deterministic per-node stream for injected datagram loss.
-    loss_rng: DetRng,
+    /// The incarnation whose link-release deadline is pending in the wheel,
+    /// if any (at most one at a time): a crash moves the epoch on, which
+    /// disarms it.
+    armed: Option<u32>,
     recv_msgs: u64,
     decode_errors: u64,
 }
 
-impl Uplink for Port {
-    fn set_rate(&mut self, rate_bps: Option<u64>) {
-        self.shaper.set_rate(rate_bps);
-    }
-
-    fn discard(&mut self) {
-        self.shaper.discard_backlog();
-        self.armed = false;
-    }
-}
-
 /// Consumes a hosted node into its end-of-run report.
-fn into_report(hosted: HostedNode<Port>) -> NodeReport {
-    let port = &hosted.port;
+fn into_report(hosted: ShardNode) -> NodeReport {
+    let (port, link) = (&hosted.port, hosted.link.stats());
     NodeReport {
         id: hosted.id(),
         protocol: *hosted.node.stats(),
-        sent_bytes: port.shaper.sent_bytes(),
-        sent_msgs: port.shaper.sent_msgs(),
-        shaper_drops: port.shaper.dropped_msgs(),
+        sent_bytes: link.bytes_sent,
+        sent_msgs: link.msgs_sent,
+        shaper_drops: link.msgs_dropped,
         recv_msgs: port.recv_msgs,
         decode_errors: port.decode_errors,
         player: hosted.player,
@@ -479,26 +469,18 @@ impl<E: ShardEnv> Shard<E> {
             seed: cluster.seed,
             source_uncapped: cluster.source_uncapped,
         };
-        let nodes: Vec<HostedNode<Port>> = (0..)
+        let nodes: Vec<ShardNode> = (0..)
             .map(|local| placement.global_of(index, local))
             .take_while(|&g| placement.contains(g))
             .map(|g| {
-                let port = |cap| Port {
-                    shaper: UploadShaper::new(cap, cluster.max_backlog),
-                    armed: false,
-                    loss_rng: DetRng::seed_from(cluster.seed).split(0xD409 + u64::from(g)),
-                    recv_msgs: 0,
-                    decode_errors: 0,
-                };
-                let profile = compiled.profiles[g as usize];
-                let members = Arc::clone(&members);
                 HostedNode::new(
                     NodeId::new(g),
                     &setup,
-                    profile,
-                    members,
+                    compiled.profiles[g as usize],
+                    Arc::clone(&members),
                     cluster.upload_cap_bps,
-                    port,
+                    cluster.max_backlog,
+                    Port { armed: None, recv_msgs: 0, decode_errors: 0 },
                 )
             })
             .collect();
@@ -849,9 +831,6 @@ impl<E: ShardEnv> Shard<E> {
         if vn.is_down() {
             return; // crashed and not-yet-joined nodes drop everything
         }
-        if self.cluster.inject_loss > 0.0 && vn.port.loss_rng.chance(self.cluster.inject_loss) {
-            return; // injected network loss: the frame evaporates
-        }
         vn.port.recv_msgs += 1;
         if shuffle_wire::is_shuffle(wire) {
             // Membership traffic rides the same sockets as the protocol
@@ -895,7 +874,7 @@ impl<E: ShardEnv> Shard<E> {
             offer(vn, now, target, &request);
         }
         vn.follow_view();
-        self.flush_shaper(local, now);
+        self.flush_link(local, now);
     }
 
     /// Handles one membership shuffle frame addressed to a local node.
@@ -912,7 +891,7 @@ impl<E: ShardEnv> Shard<E> {
         if let Some(view) = vn.view.as_mut() {
             if let Some(reply) = view.on_message(from, msg, &mut self.membership_rng) {
                 offer(vn, now, from, &reply);
-                self.flush_shaper(local, now);
+                self.flush_link(local, now);
             }
             return;
         }
@@ -935,7 +914,7 @@ impl<E: ShardEnv> Shard<E> {
         let reply = ShuffleMessage::Reply(picked.into_iter().map(|k| (candidates[k], 0)).collect());
         vn.node.set_membership(membership);
         offer(vn, now, from, &reply);
-        self.flush_shaper(local, now);
+        self.flush_link(local, now);
     }
 
     /// Fires one wheel deadline.
@@ -973,15 +952,15 @@ impl<E: ShardEnv> Shard<E> {
                 }
                 self.drain_outputs(local, now);
             }
-            Fire::Shaper(l, ep) => {
+            Fire::Release(l, ep) => {
                 let local = l as usize;
                 let vn = &mut self.nodes[local];
                 if vn.epoch() != ep {
-                    return; // the crash already reset the shaper
+                    return; // the crash already emptied the link
                 }
-                vn.port.armed = false;
+                vn.port.armed = None;
                 if !vn.is_down() {
-                    self.flush_shaper(local, now);
+                    self.flush_link(local, now);
                 }
             }
             Fire::Fault(k) => {
@@ -999,22 +978,22 @@ impl<E: ShardEnv> Shard<E> {
             .filter(|&local| local < self.nodes.len())
     }
 
-    /// Hands the outputs of one node to the shard — its shaper, the packet
-    /// table, the wheel — then moves what the shaper released to the
-    /// outbox.
+    /// Hands the outputs of one node to the shard — its link, the packet
+    /// table, the wheel — then moves what the link released to the outbox.
     fn drain_outputs(&mut self, local: usize, now: Time) {
         let mut outputs =
             Outputs { wheel: &mut self.wheel, packets: &mut self.packets, local: local as u32 };
         self.nodes[local].route(now, &mut outputs);
-        self.flush_shaper(local, now);
+        self.flush_link(local, now);
     }
 
-    /// Moves everything the node's shaper has released into the shard
-    /// outbox — each datagram first drawing its fate from the node's
-    /// chaos stream, when a plan is active — and arms one wheel deadline
-    /// for the earliest datagram still held back.
-    fn flush_shaper(&mut self, local: usize, now: Time) {
-        while let Some((to, bytes)) = self.nodes[local].port.shaper.pop_due(now) {
+    /// Moves everything the node's link has released — each datagram as it
+    /// starts, the loopback wire being the kernel's — into the shard
+    /// outbox, each first drawing its fate from the node's chaos stream
+    /// when a plan is active, and arms one wheel deadline for the earliest
+    /// datagram still held back.
+    fn flush_link(&mut self, local: usize, now: Time) {
+        while let Some((to, bytes)) = self.nodes[local].link.pop_due(now) {
             let fate = match self.chaos.as_mut() {
                 Some(c) => c.senders[local].fate(&c.plan, bytes.len()),
                 None => DatagramFate::Deliver,
@@ -1052,10 +1031,10 @@ impl<E: ShardEnv> Shard<E> {
             }
         }
         let vn = &mut self.nodes[local];
-        if !vn.port.armed {
-            if let Some(at) = vn.port.shaper.next_release() {
-                self.wheel.push(at, Fire::Shaper(local as u32, vn.epoch()));
-                vn.port.armed = true;
+        if vn.port.armed != Some(vn.epoch()) {
+            if let Some(at) = vn.link.next_release() {
+                self.wheel.push(at, Fire::Release(local as u32, vn.epoch()));
+                vn.port.armed = Some(vn.epoch());
             }
         }
     }
@@ -1269,34 +1248,34 @@ impl<E: ShardEnv> Shard<E> {
     }
 }
 
-/// Offers one membership shuffle from `vn` to its shaper.
-fn offer(vn: &mut HostedNode<Port>, now: Time, to: NodeId, msg: &ShuffleMessage) {
+/// Offers one membership shuffle from `vn` to its link.
+fn offer(vn: &mut ShardNode, now: Time, to: NodeId, msg: &ShuffleMessage) {
     let bytes = shuffle_wire::encode_shuffle(vn.id(), msg);
-    vn.port.shaper.offer(now, bytes.len(), (to, bytes));
+    vn.link.offer(now, bytes.len(), (to, bytes));
 }
 
-/// The shard's side of a node's outputs: sends are encoded into its
-/// shaper, intact deliveries fill the packet table, timers go on the wheel.
+/// The shard's side of a node's outputs: sends are encoded onto its link,
+/// intact deliveries fill the packet table, timers go on the wheel.
 struct Outputs<'s> {
     wheel: &'s mut EventQueue<Fire>,
     packets: &'s mut PacketPool,
     local: u32,
 }
 
-impl Host<Port> for Outputs<'_> {
+impl Host<Vec<u8>> for Outputs<'_> {
     fn send(
         &mut self,
         now: Time,
         from: NodeId,
         _: u32,
-        port: &mut Port,
+        link: &mut UploadLink<(NodeId, Vec<u8>)>,
         to: NodeId,
         msg: Message<StreamPacket>,
     ) {
         let bytes = encode_message(from, &msg);
-        // The shaper charges the unframed wire size: pacing does not
-        // depend on how the outbox packs frames.
-        port.shaper.offer(now, bytes.len(), (to, bytes));
+        // The link charges the unframed wire size: pacing does not depend
+        // on how the outbox packs frames.
+        link.offer(now, bytes.len(), (to, bytes));
     }
 
     fn delivered(&mut self, now: Time, _: NodeId, packet: StreamPacket) {
@@ -1316,6 +1295,7 @@ impl Host<Port> for Outputs<'_> {
 /// Every shard walks the whole fault timeline: a join grows every shard's
 /// census, and the other faults act on the nodes this shard hosts.
 impl<E: ShardEnv> FaultHost for Shard<E> {
+    type Item = Vec<u8>;
     type Port = Port;
 
     fn compiled(&self) -> &CompiledAdversity {
@@ -1326,7 +1306,7 @@ impl<E: ShardEnv> FaultHost for Shard<E> {
         &mut self.partition
     }
 
-    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Port>> {
+    fn hosted(&mut self, v: NodeId) -> Option<&mut ShardNode> {
         let local = self.local_slot(v)?;
         Some(&mut self.nodes[local])
     }
@@ -1940,15 +1920,44 @@ mod tests {
         });
         let shard = &mut cluster.shards[0];
         let now = shard.env.now();
-        // The source (node 0) is uncapped: its shaper releases at once.
+        // The source (node 0) is uncapped: its link releases at once.
         for (to, tag) in [(1, b'a'), (2, b'a'), (1, b'b')] {
-            shard.nodes[0].port.shaper.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
+            shard.nodes[0].link.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
         }
-        shard.flush_shaper(0, now);
+        shard.flush_link(0, now);
         assert_eq!(shard.stats.faults_injected, 3);
         let queued: Vec<(u32, u8)> =
             shard.outbox.iter().map(|(to, b)| (to.as_u32(), b[0])).collect();
         assert_eq!(queued, [(1, b'b'), (2, b'a'), (1, b'a')], "node 1 gets b before a");
+    }
+
+    /// A node's report counts what its link released to the kernel, not
+    /// what the node offered: a node that crashes holding a queued backlog
+    /// reports the bytes that left before the crash and nothing of the
+    /// backlog the crash discarded.
+    #[test]
+    fn a_crashed_node_reports_only_what_its_link_released() {
+        use gossip_adversity::FaultAction;
+
+        // 80 kbit/s: a 1000-byte datagram holds the wire for 100 ms.
+        let mut cluster = one_shard_of(false, 1, 4, |cluster| {
+            cluster.stream_duration = Duration::ZERO;
+            cluster.upload_cap_bps = Some(80_000);
+        });
+        let net = Rc::clone(&cluster.net);
+        let shard = &mut cluster.shards[0];
+        let start = shard.env.now();
+        for tag in 0..5 {
+            assert!(shard.nodes[1].link.offer(start, 1000, (NodeId::new(2), vec![tag; 1000])));
+        }
+        shard.flush_link(1, start);
+        let later = start + Duration::from_millis(150);
+        net.borrow_mut().set_now(later);
+        shard.flush_link(1, later);
+        assert_eq!(shard.outbox.len(), 2, "two datagrams started by 150 ms");
+        hosted::apply(shard, later, FaultAction::Crash(NodeId::new(1)));
+        let node = &cluster.finish().nodes[1];
+        assert_eq!((node.sent_bytes, node.sent_msgs), (2000, 2), "three died queued");
     }
 
     /// A backed-off socket's retry instant is an input of the wait,
@@ -2270,7 +2279,7 @@ mod tests {
         propose(shard, 1);
         shard.drain_outputs(2, now);
         let armed = shard.wheel.len();
-        assert!(armed >= 3, "two new deadlines (and the shaper's, if it held the requests)");
+        assert!(armed >= 3, "two new deadlines (and the link's, if it held the requests)");
         for handle in stale {
             assert!(!shard.wheel.cancel(handle), "a dead incarnation's handle cancelled something");
         }
@@ -2305,8 +2314,8 @@ mod tests {
 
     /// A crashed node lets go of every payload at the crash — it will run
     /// no round to prune them, and nothing brings this one back — and of
-    /// every id record and its shaper's buffer too; a live node's shaper
-    /// that has drained holds no buffer either.
+    /// every id record and its link's buffer too; a live node's link that
+    /// has drained holds no buffer either.
     #[test]
     fn a_crashed_node_holds_no_payloads() {
         let mut cluster = streaming_shard(4, |cluster| {
@@ -2322,12 +2331,12 @@ mod tests {
         assert!(victim.is_down(), "the crash fault fired");
         assert_eq!(victim.node.stored_events(), 0);
         assert_eq!(victim.node.recorded_ids(), (0, 0));
-        assert_eq!(victim.port.shaper.backlog_capacity(), 0);
+        assert_eq!(victim.link.queue_capacity(), 0);
         assert!(victim.node.stats().events_delivered > 0, "the counters survive");
         assert!(shard.nodes[1].node.stored_events() > 0, "the survivors keep theirs");
         for vn in &shard.nodes {
-            if vn.port.shaper.backlog() == 0 {
-                assert_eq!(vn.port.shaper.backlog_capacity(), 0, "{} drained", vn.id());
+            if vn.link.queue_len() == 0 {
+                assert_eq!(vn.link.queue_capacity(), 0, "{} drained", vn.id());
             }
         }
     }
@@ -2336,7 +2345,7 @@ mod tests {
     /// simulator's): thirty minutes past the first retention horizon of a
     /// thin stream on six nodes, probed every ten seconds of virtual time.
     /// Each live node's id records stop growing once the first horizon has
-    /// passed, the crashed node holds no rows and no shaper buffer, and the
+    /// passed, the crashed node holds no rows and no link buffer, and the
     /// shard's packet table holds at most one horizon of packets.
     #[test]
     fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
@@ -2362,7 +2371,7 @@ mod tests {
         assert_eq!(cluster.config.gossip.retention, horizon, "the default horizon");
 
         // One probe: when, each node's id records and windows, whether it
-        // is down, the victim's shaper buffer and the packet table.
+        // is down, the victim's link buffer and the packet table.
         let mut samples = Vec::new();
         let end = cluster.end();
         let mut at = Time::ZERO;
@@ -2373,8 +2382,8 @@ mod tests {
             let records: Vec<(usize, usize)> =
                 shard.nodes.iter().map(|vn| vn.node.recorded_ids()).collect();
             let down: Vec<bool> = shard.nodes.iter().map(HostedNode::is_down).collect();
-            let shaper = shard.nodes[victim].port.shaper.backlog_capacity();
-            samples.push((at, records, down, shaper, shard.packets.by_id.len()));
+            let link = shard.nodes[victim].link.queue_capacity();
+            samples.push((at, records, down, link, shard.packets.by_id.len()));
         }
         let report = cluster.finish();
         for (r, quality) in report.quality.nodes().iter().enumerate() {
@@ -2405,16 +2414,16 @@ mod tests {
             }
         }
 
-        // The victim: one horizon's records while up; none, and no shaper
+        // The victim: one horizon's records while up; none, and no link
         // buffer, once down — within a wake quantum of the crash's instant.
         let crash = Time::ZERO + crash_at;
-        for (at, records, down, shaper, _) in &samples {
+        for (at, records, down, link, _) in &samples {
             if *at < crash {
                 assert!(!down[victim], "down at {at}");
             } else if *at >= crash + WAKE_QUANTUM {
                 assert!(down[victim], "up at {at}");
                 assert_eq!(records[victim], (0, 0), "a crashed node holds rows at {at}");
-                assert_eq!(*shaper, 0, "a crashed node holds a shaper buffer at {at}");
+                assert_eq!(*link, 0, "a crashed node holds a link buffer at {at}");
             }
         }
 

@@ -29,7 +29,8 @@ pub struct ClusterConfig {
     pub upload_cap_bps: Option<u64>,
     /// Whether the source is exempt from the cap.
     pub source_uncapped: bool,
-    /// Shaper backlog bound.
+    /// How much backlog, as wire time, a node's upload link absorbs
+    /// before it drops.
     pub max_backlog: Duration,
     /// How long the source streams.
     pub stream_duration: Duration,
@@ -37,8 +38,9 @@ pub struct ClusterConfig {
     pub drain_duration: Duration,
     /// Cluster seed.
     pub seed: u64,
-    /// Probability of dropping each received datagram (impairment
-    /// injection).
+    /// Probability of losing each datagram in the network — shorthand for
+    /// the spec's `[chaos] drop`, folded into [`ClusterConfig::adversity`]
+    /// at compile time as an independent loss.
     pub inject_loss: f64,
     /// Nodes that crash mid-run: `(node index, crash offset)` — shorthand
     /// for hand-picked victims, folded into [`ClusterConfig::adversity`]
@@ -111,13 +113,18 @@ impl ClusterConfig {
 
     /// Compiles the cluster's fault plan: the declarative spec plus the
     /// [`ClusterConfig::crashes`] shorthand (folded in as explicit crash
-    /// events), a pure function of `(config, seed)` — so every shard, every
+    /// events) and the [`ClusterConfig::inject_loss`] one (combined with
+    /// the spec's `[chaos] drop` as independent losses, `1 − (1 − d)(1 −
+    /// p)`), a pure function of `(config, seed)` — so every shard, every
     /// process and the report assembly all derive the identical timeline
     /// independently.
     pub fn compiled_adversity(&self) -> CompiledAdversity {
         let mut spec = self.adversity.clone();
         for &(node, at) in &self.crashes {
             spec = spec.with_explicit_crash(at, vec![NodeId::new(node as u32)]);
+        }
+        if self.inject_loss > 0.0 {
+            spec.chaos.drop = 1.0 - (1.0 - spec.chaos.drop) * (1.0 - self.inject_loss);
         }
         spec.compile(self.n, self.seed)
     }

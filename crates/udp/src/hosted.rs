@@ -5,10 +5,13 @@
 //! every rule a host applies around the protocol: construction, the inbound
 //! gate, output routing, crash, revive and throttle; [`apply`] is the one
 //! interpreter of the compiled fault timeline. A host is a clock, a
-//! transport and a loop: it supplies its deadline queue and upload path
-//! ([`Host`], [`Uplink`]), its census and how it restarts a node
+//! transport and a loop: it supplies its deadline queue and what it does
+//! with a send ([`Host`]), its census and how it restarts a node
 //! ([`FaultHost`]). The simulator and the reactor's shards host the same
-//! node, so no rule can mean different things on the two.
+//! node, so no rule can mean different things on the two — the throttle
+//! included: a node uploads through one [`UploadLink`] on every host, the
+//! simulator delivering what it completes, a shard handing the kernel what
+//! it starts.
 
 use std::sync::Arc;
 
@@ -18,30 +21,23 @@ use gossip_adversity::{
 use gossip_core::wire::{Frame, FrameKind};
 use gossip_core::{GossipConfig, GossipNode, Message, Output, TimerToken};
 use gossip_membership::{CyclonConfig, CyclonView};
+use gossip_net::UploadLink;
 use gossip_sim::{DetRng, EventHandle};
 use gossip_stream::{byzantine, StreamConfig, StreamPacket, StreamPlayer, StreamSource};
 use gossip_types::{Duration, NodeId, Time};
 
-/// A hosted node's upload path, as far as the host rules touch it.
-pub trait Uplink {
-    /// Changes the upload cap (`None` = uncapped) from the next
-    /// transmission on.
-    fn set_rate(&mut self, rate_bps: Option<u64>);
-    /// Discards everything queued or in flight.
-    fn discard(&mut self);
-}
-
 /// What a host does with a hosted node's outputs, called by
-/// [`HostedNode::route`] in the order the node emitted them.
-pub trait Host<P> {
-    /// Puts `msg` from `from` (in incarnation `epoch`) on its upload path
-    /// `port`, bound for `to`.
+/// [`HostedNode::route`] in the order the node emitted them. A host's
+/// messages travel its nodes' links as `(destination, T)`.
+pub trait Host<T> {
+    /// Puts `msg` from `from` (in incarnation `epoch`) on its upload link,
+    /// bound for `to`.
     fn send(
         &mut self,
         now: Time,
         from: NodeId,
         epoch: u32,
-        port: &mut P,
+        link: &mut UploadLink<(NodeId, T)>,
         to: NodeId,
         msg: Message<StreamPacket>,
     );
@@ -70,14 +66,17 @@ pub struct Setup<'a> {
 }
 
 /// One node as a host runs it (see the module docs). Every input is
-/// followed by one [`HostedNode::route`].
+/// followed by one [`HostedNode::route`]. Its messages travel its link as
+/// `(destination, T)`; `P` is what the host keeps beside them.
 #[derive(Debug)]
-pub struct HostedNode<P> {
+pub struct HostedNode<T, P> {
     /// The protocol state machine; a revive replaces it.
     pub node: GossipNode<StreamPacket>,
     /// What the viewer watched: survives crashes.
     pub player: StreamPlayer,
-    /// The host's end of this node's transport.
+    /// The node's upload limiter.
+    pub link: UploadLink<(NodeId, T)>,
+    /// The host's own per-node state.
     pub port: P,
     /// The Cyclon partial view of a node whose partners come from one.
     pub view: Option<CyclonView>,
@@ -94,18 +93,20 @@ pub struct HostedNode<P> {
     seed: u64,
 }
 
-impl<P: Uplink> HostedNode<P> {
+impl<T, P> HostedNode<T, P> {
     /// Builds node `id`: the source if it is node 0; a free-rider if its
     /// profile says so; down until its join if it is a flash-crowd joiner.
-    /// `port` builds its upload path at its cap — none for a provisioned
-    /// source, else the profile's class override, else `uniform_cap`.
+    /// Its link is capped at none for a provisioned source, else the
+    /// profile's class override, else `uniform_cap`, and absorbs
+    /// `max_backlog` of wire time before it drops.
     pub fn new(
         id: NodeId,
         setup: &Setup<'_>,
         profile: NodeProfile,
         members: Arc<[NodeId]>,
         uniform_cap: Option<u64>,
-        port: impl FnOnce(Option<u64>) -> P,
+        max_backlog: Duration,
+        port: P,
     ) -> Self {
         let is_source = id == NodeId::new(0);
         let gossip = setup.gossip.clone();
@@ -124,7 +125,8 @@ impl<P: Uplink> HostedNode<P> {
         HostedNode {
             node,
             player: StreamPlayer::new(setup.stream),
-            port: port(cap),
+            link: UploadLink::new(cap, max_backlog),
+            port,
             view: None,
             source: is_source.then(|| Box::new(StreamSource::new(setup.stream, Time::ZERO))),
             stream_end: Time::ZERO + setup.stream_duration,
@@ -204,7 +206,7 @@ impl<P: Uplink> HostedNode<P> {
     /// what its host corrupts ([`gossip_stream::byzantine`]). Only an intact
     /// delivery reaches the player: a poisoned one an undefended node
     /// accepted is garbage on screen, not a viewed window.
-    pub fn route(&mut self, now: Time, host: &mut impl Host<P>) {
+    pub fn route(&mut self, now: Time, host: &mut impl Host<T>) {
         let id = self.node.id();
         while let Some(out) = self.node.poll_output() {
             match out {
@@ -214,7 +216,7 @@ impl<P: Uplink> HostedNode<P> {
                         Some(ByzantineBehaviour::ProposeGarbage) => byzantine::garble_proposes(msg),
                         _ => msg,
                     };
-                    host.send(now, id, self.epoch, &mut self.port, to, msg);
+                    host.send(now, id, self.epoch, &mut self.link, to, msg);
                 }
                 Output::Deliver { event } => {
                     if self.node.delivery_intact(&event) {
@@ -245,7 +247,7 @@ impl<P: Uplink> HostedNode<P> {
     /// Takes the node down: the protocol state ends its incarnation
     /// ([`GossipNode::crash`]: id table, payloads, timers — shared buffers
     /// must not stay pinned by a node that never prunes again — keeping
-    /// the counters), the upload backlog and the view go, and the epoch
+    /// the counters), the link's backlog and the view go, and the epoch
     /// moves on. Returns the timers' deadlines for the host to cancel. A
     /// down node is left alone.
     pub fn crash(&mut self) -> Vec<EventHandle> {
@@ -254,7 +256,7 @@ impl<P: Uplink> HostedNode<P> {
         }
         self.down = true;
         self.epoch += 1;
-        self.port.discard();
+        self.link.crash();
         self.view = None;
         self.node.crash()
     }
@@ -283,13 +285,13 @@ impl<P: Uplink> HostedNode<P> {
 
     /// Forces the upload cap to `cap` (a throttle starts).
     pub fn throttle(&mut self, cap: Option<u64>) {
-        self.port.set_rate(cap);
+        self.link.set_rate(cap);
     }
 
     /// Restores the node's own upload cap — class override included, not
     /// the run's uniform cap (a throttle ends).
     pub fn unthrottle(&mut self) {
-        self.port.set_rate(self.base_cap);
+        self.link.set_rate(self.base_cap);
     }
 }
 
@@ -310,14 +312,16 @@ pub fn bootstrap_view(
 
 /// What a host supplies to [`apply`].
 pub trait FaultHost {
-    /// The upload path of the hosted nodes.
-    type Port: Uplink;
+    /// What the hosted nodes' messages carry besides their destination.
+    type Item;
+    /// What the host keeps per node beside the link.
+    type Port;
     /// The compiled plan being applied.
     fn compiled(&self) -> &CompiledAdversity;
     /// Which partitions split the network.
     fn partition(&mut self) -> &mut PartitionState;
     /// Node `v`, if this host hosts it.
-    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Port>>;
+    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Item, Self::Port>>;
     /// Takes a crashed node's deadline out of the queue.
     fn cancel(&mut self, handle: EventHandle);
     /// The census: every node the host knows of, base nodes first, then
@@ -396,24 +400,8 @@ mod tests {
 
     use super::*;
 
-    /// An upload path that remembers what the rules did to it.
-    #[derive(Debug, Default)]
-    struct Link {
-        rate: Option<u64>,
-        discarded: bool,
-    }
-
-    impl Uplink for Link {
-        fn set_rate(&mut self, rate_bps: Option<u64>) {
-            self.rate = rate_bps;
-        }
-
-        fn discard(&mut self) {
-            self.discarded = true;
-        }
-    }
-
-    /// A host that records every output it is handed.
+    /// A host that records every output it is handed, and puts each send on
+    /// the sender's link as a one-byte message.
     #[derive(Default)]
     struct Recorder {
         sent: Vec<(NodeId, Message<StreamPacket>)>,
@@ -423,16 +411,17 @@ mod tests {
         cancelled: Vec<EventHandle>,
     }
 
-    impl Host<Link> for Recorder {
+    impl Host<()> for Recorder {
         fn send(
             &mut self,
-            _: Time,
+            now: Time,
             _: NodeId,
             _: u32,
-            _: &mut Link,
+            link: &mut UploadLink<(NodeId, ())>,
             to: NodeId,
             msg: Message<StreamPacket>,
         ) {
+            link.enqueue(now, 1, (to, ()));
             self.sent.push((to, msg));
         }
 
@@ -456,7 +445,7 @@ mod tests {
 
     /// Node `id` of a four-node run, with `profile` and, when `verify` is
     /// off, no payload validation of its own.
-    fn hosted(id: u32, profile: NodeProfile, verify: bool) -> HostedNode<Link> {
+    fn hosted(id: u32, profile: NodeProfile, verify: bool) -> HostedNode<(), ()> {
         let gossip = GossipConfig::new(3).with_verify_payloads(verify);
         let setup = Setup {
             gossip: &gossip,
@@ -470,10 +459,8 @@ mod tests {
             source_uncapped: true,
         };
         let members: Arc<[NodeId]> = (0..4).map(NodeId::new).collect();
-        HostedNode::new(NodeId::new(id), &setup, profile, members, UNIFORM_CAP, |cap| Link {
-            rate: cap,
-            discarded: false,
-        })
+        let backlog = Duration::from_secs(1);
+        HostedNode::new(NodeId::new(id), &setup, profile, members, UNIFORM_CAP, backlog, ())
     }
 
     fn byzantine(behaviour: ByzantineBehaviour) -> NodeProfile {
@@ -485,7 +472,7 @@ mod tests {
     }
 
     /// `from` proposes `packet`, the node requests it, `from` serves it.
-    fn fetch(node: &mut HostedNode<Link>, host: &mut Recorder, packet: StreamPacket) {
+    fn fetch(node: &mut HostedNode<(), ()>, host: &mut Recorder, packet: StreamPacket) {
         let ids: Arc<[PacketId]> = vec![packet.packet_id()].into();
         node.on_message(Time::ZERO, PEER, Message::Propose { ids });
         node.route(Time::ZERO, host);
@@ -494,7 +481,7 @@ mod tests {
     }
 
     /// What the node sends for one propose, one round and one request.
-    fn traffic(profile: NodeProfile) -> (HostedNode<Link>, Recorder) {
+    fn traffic(profile: NodeProfile) -> (HostedNode<(), ()>, Recorder) {
         let (mut node, mut host) = (hosted(1, profile, true), Recorder::default());
         fetch(&mut node, &mut host, packet(0));
         node.node.on_round(Time::from_millis(100));
@@ -585,13 +572,19 @@ mod tests {
         assert_eq!(host.armed.len(), 3, "a timer per request");
         assert_eq!(host.cancelled, host.armed[..1], "the served request's timer went at once");
         node.view = Some(CyclonView::new(node.id(), Default::default(), &[PEER]));
+        assert!(
+            node.link.is_busy() && node.link.queue_len() > 0,
+            "requests on the wire and queued"
+        );
 
         let mut handed_back = node.crash();
         assert!(node.is_down() && !node.is_current(0) && node.epoch() == 1);
         assert_eq!(node.node.stored_events(), 0, "a down node pins no payload");
         assert_eq!(node.node.recorded_ids(), (0, 0), "nor any id record");
         assert_eq!(node.node.stats().events_delivered, 1, "the counters survive");
-        assert!(node.port.discarded && node.view.is_none());
+        assert!(!node.link.is_busy() && node.link.queue_len() == 0, "the backlog went");
+        assert_eq!(node.link.stats().msgs_sent, 0, "and none of it counts as sent");
+        assert!(node.view.is_none());
         handed_back.sort_unstable();
         let mut live = host.armed[1..].to_vec();
         live.sort_unstable();
@@ -619,12 +612,13 @@ mod tests {
     fn throttle_end_restores_the_base_cap_not_the_uniform_one() {
         let profile = NodeProfile { cap_bps: Some(Some(100_000)), ..NodeProfile::default() };
         let mut node = hosted(1, profile, true);
-        assert_eq!(node.port.rate, Some(100_000), "the class override wins over the uniform cap");
+        let rate = |node: &HostedNode<(), ()>| node.link.rate_bps();
+        assert_eq!(rate(&node), Some(100_000), "the class override wins over the uniform cap");
         node.throttle(Some(10_000));
-        assert_eq!(node.port.rate, Some(10_000));
+        assert_eq!(rate(&node), Some(10_000));
         node.unthrottle();
-        assert_eq!(node.port.rate, Some(100_000));
-        assert_eq!(hosted(0, profile, true).port.rate, None, "the source is provisioned");
+        assert_eq!(rate(&node), Some(100_000));
+        assert_eq!(rate(&hosted(0, profile, true)), None, "the source is provisioned");
     }
 
     #[test]

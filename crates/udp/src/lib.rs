@@ -8,7 +8,9 @@
 //! The rest of this crate is what a live run needs whatever hosts its
 //! nodes — the sharded shared-socket runtime (`gossip-reactor`) in one
 //! process, or `gossipd` workers (`gossip-deploy`) across several: what to
-//! run, what time it is, how fast a node may upload, and what came of it.
+//! run, what time it is, and what came of it. How fast a node may upload
+//! is the simulator's answer too: every host paces its nodes through
+//! `gossip_net::UploadLink`.
 //!
 //! * [`hosted`] — [`hosted::HostedNode`], one node's life on a host, and
 //!   [`hosted::apply`], the one interpreter of the compiled fault timeline;
@@ -19,8 +21,7 @@
 //!   Reed–Solomon reconstruction against the source's payload generator;
 //! * [`clock`] — maps wall-clock instants onto the protocol's virtual
 //!   [`gossip_types::Time`];
-//! * [`shaper`] — real-time upload rate limiting (the deployed counterpart
-//!   of the simulator's queueing link);
+//! * [`shaper`] — the upload limiter under the name the benchmark imports;
 //! * [`report`] — the per-node run report and the per-shard I/O counters;
 //! * [`codec`] — the binary wire form of run reports, for deployments that
 //!   ship per-process reports to a coordinator.

@@ -17,11 +17,12 @@ pub struct NodeReport {
     pub protocol: gossip_core::ProtocolStats,
     /// The playout state (window completeness and timing).
     pub player: StreamPlayer,
-    /// Bytes handed to the kernel.
+    /// Bytes handed to the kernel: counted as the upload link releases
+    /// them, so a crashed node's discarded backlog is not among them.
     pub sent_bytes: u64,
     /// Datagrams handed to the kernel.
     pub sent_msgs: u64,
-    /// Datagrams dropped by the local shaper.
+    /// Datagrams dropped by the node's upload link.
     pub shaper_drops: u64,
     /// Datagrams received.
     pub recv_msgs: u64,

@@ -7,10 +7,12 @@
 //!   contribution);
 //! * [`gossip_stream`] — the live-streaming layer (source, player, quality);
 //! * [`gossip_fec`] — systematic Reed–Solomon erasure coding;
-//! * [`gossip_sim`] / [`gossip_net`] — the deterministic simulation substrate;
+//! * [`gossip_sim`] / [`gossip_net`] — the deterministic simulation substrate
+//!   (the upload limiter in `gossip_net` paces the live runtimes too);
 //! * [`gossip_experiments`] — the figure-by-figure reproduction harness;
-//! * [`gossip_udp`] — the live runtimes' shared substrate (cluster config
-//!   and report, wall clock, upload shaper, report codec);
+//! * [`gossip_udp`] — the hosted node every host runs, and the live
+//!   runtimes' shared substrate (cluster config and report, wall clock,
+//!   report codec);
 //! * [`gossip_reactor`] — the sharded shared-socket runtime (thousands of
 //!   live UDP nodes in one process);
 //! * [`gossip_deploy`] — the cross-process deployment layer (`gossipd`
