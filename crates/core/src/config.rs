@@ -81,11 +81,12 @@ pub struct GossipConfig {
     /// accumulate before it is demoted out of partner selection and its
     /// proposals are ignored.
     pub misbehaviour_threshold: u32,
-    /// Upper bound on the dense-key *offset* of a proposed id. Ids above
-    /// the horizon are rejected (and scored as misbehaviour) instead of
-    /// inflating per-window bookkeeping rows — a Byzantine proposer could
-    /// otherwise grow a row to its largest claimed offset. The default
-    /// admits any 16-bit packet index, which no honest stream exceeds.
+    /// Upper bound on the dense-key *offset* of a proposed or served id.
+    /// Ids above the horizon are rejected (and scored as misbehaviour)
+    /// instead of inflating per-window bookkeeping rows — a Byzantine peer
+    /// could otherwise grow a row to its largest claimed offset. The
+    /// default admits any 16-bit packet index, which no honest stream
+    /// exceeds.
     pub propose_offset_horizon: u32,
 }
 
@@ -229,7 +230,7 @@ impl GossipConfig {
         self
     }
 
-    /// Sets the dense-offset horizon for proposed ids.
+    /// Sets the dense-offset horizon for proposed and served ids.
     pub fn with_propose_offset_horizon(mut self, horizon: u32) -> Self {
         assert!(horizon >= 1, "a zero horizon would reject every id");
         self.propose_offset_horizon = horizon;

@@ -1,7 +1,7 @@
 //! Dense, window-major storage for per-event protocol state.
 //!
-//! A node keeps one record for every event id it hears of (request state,
-//! alternate proposer, the payload while it is retained), keyed by that id,
+//! A node keeps one record for every event id it hears of (request state
+//! and the payload while it is retained), keyed by that id,
 //! until the id's whole window falls behind the retention horizon. Real
 //! stream ids are *dense*: a `PacketId`-style id is a
 //! `(window, index)` pair with consecutive windows and indices
@@ -20,7 +20,9 @@
 //! A slot is an `Option<V>` and nothing else: the key is the slot's
 //! position, so it is not stored, and a `V` with a niche (the node's record
 //! leads with a `NonZeroU64`) makes the `Option` free. What a node pays per
-//! id is `size_of::<V>()`.
+//! id is `size_of::<V>()`. What only a few ids need at a time — the links
+//! an undelivered id carries — goes in a hash map beside it instead of
+//! widening every slot.
 //!
 //! [`EventIndex`] is the small trait an id type implements to opt in:
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`
@@ -32,6 +34,8 @@
 //! not the span from the oldest armed one to the newest.
 
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
 /// Maps an event id onto dense `(window, offset)` coordinates.
@@ -265,6 +269,61 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         })
     }
 }
+
+/// A hasher for small `Copy` ids: each word written is folded in with one
+/// rotate, xor and multiply (the Fx construction), and `finish` rotates the
+/// well-mixed high bits down to where the table takes its bucket index.
+///
+/// Unkeyed, so a few instructions per id and the same on every run — but
+/// not proof against ids crafted to collide. The one map it keys holds only
+/// ids the node has itself requested and not yet received, each for at
+/// most its request budget's timers, so a peer that proposes such ids
+/// slows the lookups of the nodes that request them from it, and no more.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`]: the side table for what only the
+/// ids in flight need, next to a [`DenseMap`] that gives every id a slot.
+pub(crate) type SparseMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// One slab slot: the value it holds, if any, and how many times it has
 /// been freed.

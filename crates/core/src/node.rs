@@ -27,6 +27,7 @@
 //!   have been requested fewer than `K` times are re-requested from the same
 //!   proposer.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ use gossip_types::{NodeId, Time};
 
 use crate::config::GossipConfig;
 use crate::event::Event;
-use crate::index::{DenseMap, EventIndex, TokenSlab};
+use crate::index::{DenseMap, EventIndex, SparseMap, TokenSlab};
 use crate::message::Message;
 use crate::rto::RttEstimator;
 use crate::stats::ProtocolStats;
@@ -87,11 +88,13 @@ pub enum Output<E: Event> {
 /// 8-byte word.
 ///
 /// A node holds one of these per event id for as long as the id's window
-/// is inside the retention horizon (ids are never re-requested), at the
-/// head of that id's [`IdRecord`], so at large n it is multiplied by every
-/// retained id of the stream at every node. Request counter,
-/// delivered flag and one timestamp share a `NonZeroU64`, whose niche also
-/// makes the record's `DenseMap` slot (an `Option`) free:
+/// is inside the retention horizon (ids are never re-requested), as half
+/// of that id's 16-byte [`IdRecord`] (the other half is the payload
+/// handle), so at large n it is multiplied by every retained id of the
+/// stream at every node. Request counter, delivered flag and one timestamp
+/// share a `NonZeroU64`, whose niche also makes the record's `DenseMap`
+/// slot (an `Option`) free; the two links an undelivered id may carry live
+/// in the node's sparse side table ([`Links`]), not here:
 ///
 /// ```text
 /// bit  63      — marker, always set (the non-zero niche)
@@ -155,11 +158,12 @@ impl RequestState {
 }
 
 /// An `Option<u32>` in four bytes, for the two optional words an
-/// undelivered id carries: the value is kept plus one in a `NonZeroU32`.
+/// undelivered id carries ([`Links`]): the value is kept plus one in a
+/// `NonZeroU32`.
 /// `u32::MAX` cannot be held and reads back as `None`, which both users
 /// can afford: no deployment has a node of that index, and one timer in
 /// 2³² going unlinked only means it is never cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Packed32(Option<std::num::NonZeroU32>);
 
 impl Packed32 {
@@ -185,15 +189,6 @@ impl Packed32 {
 /// it — an id below the floor is *expired*, never new.
 struct IdRecord<E> {
     state: RequestState,
-    /// Most recent *other* proposer while the id is undelivered: where a
-    /// corrupted serve is re-requested from (validate-before-relay).
-    alternate: Packed32,
-    /// Slab slot (the token's low 32 bits) of the armed
-    /// [`RetransmitEntry`] that counts this id among its undelivered ones,
-    /// while there is one: what the id's delivery settles. Never dangling —
-    /// whatever removes an entry first unlinks the ids it leaves
-    /// undelivered.
-    timer: Packed32,
     /// The payload, for serving, from delivery until retention pruning
     /// drops it.
     event: Option<E>,
@@ -201,8 +196,27 @@ struct IdRecord<E> {
 
 impl<E> IdRecord<E> {
     fn new(state: RequestState) -> Self {
-        IdRecord { state, alternate: Packed32::NONE, timer: Packed32::NONE, event: None }
+        IdRecord { state, event: None }
     }
+}
+
+/// What an undelivered id may carry besides its record, in the node's
+/// sparse side table: an entry exists only while one of the two is set, so
+/// the table holds about the requests in flight, not a word per retained
+/// id. Delivery, the id's last timer firing with its budget spent, the
+/// record floor passing its window and a crash each take the entry out.
+#[derive(Debug, Default, Clone, Copy)]
+struct Links {
+    /// Most recent proposer after the first, while the id is undelivered
+    /// and its request budget lasts: where a corrupted serve is
+    /// re-requested from (validate-before-relay).
+    alternate: Packed32,
+    /// Slab slot (the token's low 32 bits) of the armed
+    /// [`RetransmitEntry`] that counts this id among its undelivered ones,
+    /// while there is one: what the id's delivery settles. Never dangling —
+    /// whatever removes an entry first unlinks the ids it leaves
+    /// undelivered.
+    timer: Packed32,
 }
 
 /// A pending retransmission timer: re-request the still-missing ids of a
@@ -244,10 +258,12 @@ pub struct GossipNode<E: Event> {
     /// have left (1 under infect-and-die).
     propose_queue: Vec<(E::Id, u32)>,
     /// The one per-id table: request/delivery bookkeeping (an id is
-    /// requested from exactly one peer, ever, apart from retransmissions),
-    /// alternate proposer and retained payload. Dense per-window slab:
-    /// lookups are array indexings, not hashes.
+    /// requested from exactly one peer, ever, apart from retransmissions)
+    /// and retained payload. Dense per-window slab: lookups are array
+    /// indexings, not hashes.
     ids: DenseMap<E::Id, IdRecord<E>>,
+    /// The links of the undelivered ids that have one, keyed by id.
+    links: SparseMap<E::Id, Links>,
     /// How many records hold a payload.
     payloads: usize,
     /// No record in a window before this one holds a payload: where
@@ -315,6 +331,7 @@ impl<E: Event> GossipNode<E> {
             free_rider: false,
             propose_queue: Vec::new(),
             ids: DenseMap::new(),
+            links: SparseMap::default(),
             payloads: 0,
             payload_floor: u64::MAX,
             record_floor: 0,
@@ -484,7 +501,9 @@ impl<E: Event> GossipNode<E> {
             // Publishing an id again replaces its payload, it does not add
             // one; publishing one that was on request delivers it.
             self.payloads -= usize::from(previous.event.is_some());
-            self.settle_timer(previous.timer);
+            if let Some(links) = self.links.remove(&id) {
+                self.settle_timer(links.timer);
+            }
         }
         self.finish_delivery(id, event);
     }
@@ -566,20 +585,18 @@ impl<E: Event> GossipNode<E> {
         let mut missing = std::mem::take(&mut self.scratch_ids);
         missing.clear();
         for &id in entry.ids.iter() {
-            if let Some(IdRecord { state, timer, .. }) = self.ids.get_mut(&id) {
-                if state.delivered() {
-                    continue;
-                }
-                // The entry is gone: the ids it counted are nobody's until
-                // (and unless) the re-armed entry below takes them.
-                if *timer == fired {
-                    *timer = Packed32::NONE;
-                }
-                if state.times_requested() < cap {
-                    state.bump_requested();
-                    missing.push(id);
-                }
+            let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { continue };
+            if state.delivered() {
+                continue;
             }
+            if state.times_requested() < cap {
+                state.bump_requested();
+                missing.push(id);
+            }
+            // The entry is gone: the ids it counted are nobody's until (and
+            // unless) the re-armed entry below takes them.
+            let spent = state.times_requested() >= cap;
+            self.unlink(id, fired, spent);
         }
         if missing.is_empty() {
             self.scratch_ids = missing;
@@ -623,22 +640,17 @@ impl<E: Event> GossipNode<E> {
             self.stats.proposes_from_demoted_ignored += 1;
             return;
         }
+        let cap = self.max_requests_cap();
         let mut wanted = std::mem::take(&mut self.scratch_ids);
         wanted.clear();
         for id in ids {
-            let (window, offset) = id.dense_key();
             // Record floor: an expired id was requested long ago or missed
             // for good — old news from an honest proposer, not a new id.
-            if window < self.record_floor {
+            if self.is_expired(&id) {
                 self.stats.duplicate_ids_proposed += 1;
                 continue;
             }
-            // Dense-offset horizon: a garbage id (Byzantine proposer) would
-            // grow this id's window row to its claimed offset — reject it
-            // before it touches the bookkeeping, and score the proposer.
-            if offset >= self.config.propose_offset_horizon {
-                self.stats.garbage_ids_rejected += 1;
-                self.note_misbehaviour(from);
+            if self.reject_garbage(from, &id) {
                 continue;
             }
             // Already requested (from whoever proposed first) or already
@@ -653,9 +665,10 @@ impl<E: Event> GossipNode<E> {
             } else {
                 self.stats.duplicate_ids_proposed += 1;
                 // Remember the redundant proposer: if the first peer's serve
-                // turns out corrupted, this is where the re-request goes.
-                if !record.state.delivered() {
-                    record.alternate = Packed32::some(from.as_u32());
+                // turns out corrupted, this is where the re-request goes —
+                // as long as the budget allows one.
+                if !record.state.delivered() && record.state.times_requested() < cap {
+                    self.links.entry(id).or_default().alternate = Packed32::some(from.as_u32());
                 }
             }
         }
@@ -716,7 +729,8 @@ impl<E: Event> GossipNode<E> {
     /// score bumped, and — if another peer proposed the same id — the id is
     /// re-requested from that alternate within the usual `K` budget. An
     /// expired id (below the record floor) is a duplicate before anything
-    /// else: it is neither checked nor recorded.
+    /// else: it is neither checked nor recorded. An id past the offset
+    /// horizon is garbage here exactly as in a proposal.
     fn handle_serve(&mut self, now: Time, from: NodeId, events: impl Iterator<Item = E>) {
         self.stats.serves_received += 1;
         for event in events {
@@ -724,6 +738,9 @@ impl<E: Event> GossipNode<E> {
             if self.is_expired(&id) {
                 // Too late to matter, and its window must not come back.
                 self.stats.duplicate_events_received += 1;
+                continue;
+            }
+            if self.reject_garbage(from, &id) {
                 continue;
             }
             if self.config.verify_payloads && !event.verify() {
@@ -746,10 +763,12 @@ impl<E: Event> GossipNode<E> {
             }
             record.state.mark_delivered(now);
             record.event = Some(event.clone());
-            let timer = std::mem::replace(&mut record.timer, Packed32::NONE);
+            let links = self.links.remove(&id);
             self.finish_delivery(id, event);
             // Line 24 (cancel RetTimer).
-            self.settle_timer(timer);
+            if let Some(links) = links {
+                self.settle_timer(links.timer);
+            }
         }
     }
 
@@ -799,6 +818,19 @@ impl<E: Event> GossipNode<E> {
         }
     }
 
+    /// Dense-offset horizon: a garbage id (a Byzantine proposer's, or a
+    /// forged serve's) would grow its window's row to its claimed offset.
+    /// Returns whether `id` is one, counting it and scoring `from` if so,
+    /// before it can touch the bookkeeping.
+    fn reject_garbage(&mut self, from: NodeId, id: &E::Id) -> bool {
+        if id.dense_key().1 < self.config.propose_offset_horizon {
+            return false;
+        }
+        self.stats.garbage_ids_rejected += 1;
+        self.note_misbehaviour(from);
+        true
+    }
+
     /// Bumps `peer`'s misbehaviour score; at
     /// [`GossipConfig::misbehaviour_threshold`] the peer is demoted:
     /// excluded from partner selection, refused feed-me adoption, and its
@@ -830,9 +862,9 @@ impl<E: Event> GossipNode<E> {
     /// undelivered — the armed retransmission timer retries as usual.
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
         let cap = self.max_requests_cap();
-        let Some(IdRecord { state, alternate, .. }) = self.ids.get_mut(&id) else { return };
-        let alt = match alternate.get().map(NodeId::new) {
-            Some(a) if a != offender => a,
+        let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { return };
+        let alt = match self.links.get(&id).and_then(|links| links.alternate.get()) {
+            Some(a) if a != offender.as_u32() => NodeId::new(a),
             _ => return,
         };
         if state.delivered() || state.times_requested() >= cap {
@@ -841,6 +873,9 @@ impl<E: Event> GossipNode<E> {
         state.bump_requested();
         let attempt = state.times_requested();
         let budget_left = attempt < cap;
+        if !budget_left {
+            self.unlink(id, Packed32::NONE, true);
+        }
         self.stats.corrupt_rerequests += 1;
         self.stats.requests_sent += 1;
         let shared: Arc<[E::Id]> = std::iter::once(id).collect();
@@ -865,12 +900,14 @@ impl<E: Event> GossipNode<E> {
             RetransmitEntry { peer, ids: Arc::clone(&ids), attempt, undelivered, handle: None };
         let token = TimerToken(self.retransmits.insert(entry));
         let link = Packed32::some(token.0 as u32);
-        for id in ids.iter() {
-            if let Some(record) = self.ids.get_mut(id) {
-                debug_assert!(!record.state.delivered(), "armed a timer for a delivered id");
-                if record.timer == Packed32::NONE {
-                    record.timer = link;
-                }
+        for &id in ids.iter() {
+            debug_assert!(
+                self.ids.get(&id).is_some_and(|r| !r.state.delivered()),
+                "armed a timer for a delivered or unrecorded id"
+            );
+            let links = self.links.entry(id).or_default();
+            if links.timer == Packed32::NONE {
+                links.timer = link;
             }
         }
         let at = now + self.rtt.rto_backoff(attempt);
@@ -891,6 +928,25 @@ impl<E: Event> GossipNode<E> {
         if entry.undelivered == 0 {
             let entry = self.retransmits.remove(token).expect("present a moment ago");
             self.cancelled.extend(entry.handle);
+        }
+    }
+
+    /// Undelivered `id` loses its back-link to the timer `fired` (if that
+    /// is the one it names) and, once its request budget is `spent`, its
+    /// alternate proposer, which `rerequest_corrupted` could no longer use.
+    /// A spent id's entry goes once no timer links it; an unspent one's is
+    /// left for the re-armed timer to link again at once.
+    fn unlink(&mut self, id: E::Id, fired: Packed32, spent: bool) {
+        let Entry::Occupied(mut entry) = self.links.entry(id) else { return };
+        let links = entry.get_mut();
+        if links.timer == fired {
+            links.timer = Packed32::NONE;
+        }
+        if spent {
+            links.alternate = Packed32::NONE;
+            if links.timer == Packed32::NONE {
+                entry.remove();
+            }
         }
     }
 
@@ -922,6 +978,10 @@ impl<E: Event> GossipNode<E> {
         // payload any more.
         if let Some(floor) = self.ids.drop_expired_rows(|record| record.state.at() < cutoff) {
             self.record_floor = self.record_floor.max(floor);
+            // The dropped records' links go with them. A timer that still
+            // counts one of those ids fires and finds no record, as before.
+            let floor = self.record_floor;
+            self.links.retain(|id, _| id.dense_key().0 >= floor);
         }
     }
 
@@ -940,6 +1000,7 @@ impl<E: Event> GossipNode<E> {
         let timers = std::mem::take(&mut self.retransmits);
         cancelled.extend(timers.into_values().filter_map(|entry| entry.handle));
         self.ids = DenseMap::new();
+        self.links = SparseMap::default();
         self.payloads = 0;
         self.payload_floor = u64::MAX;
         self.propose_queue = Vec::new();
@@ -961,6 +1022,13 @@ impl<E: Event> GossipNode<E> {
     /// records span.
     pub fn recorded_ids(&self) -> (usize, usize) {
         (self.ids.len(), self.ids.windows())
+    }
+
+    /// Returns how many ids have an entry in the side table of links (an
+    /// alternate proposer or a timer back-link): about the requests in
+    /// flight, never more than the undelivered records.
+    pub fn linked_ids(&self) -> usize {
+        self.links.len()
     }
 
     /// Returns whether `id` is below the record floor: its window aged out
@@ -1523,13 +1591,94 @@ mod tests {
     }
 
     #[test]
-    fn a_one_pointer_event_costs_a_node_24_bytes_per_id() {
+    fn a_one_pointer_event_costs_a_node_16_bytes_per_id() {
         // What `StreamPacket` is (pinned beside it): 8 bytes with a niche.
         type Handle = Arc<[u8; 1000]>;
-        assert_eq!(std::mem::size_of::<IdRecord<Handle>>(), 24);
+        assert_eq!(std::mem::size_of::<IdRecord<Handle>>(), 16);
         // The marker bit is the whole point: the DenseMap slot needs no
         // discriminant beyond the NonZeroU64 niche.
-        assert_eq!(std::mem::size_of::<Option<IdRecord<Handle>>>(), 24);
+        assert_eq!(std::mem::size_of::<Option<IdRecord<Handle>>>(), 16);
+        // The two links an undelivered id may carry are a side-table entry.
+        assert_eq!(std::mem::size_of::<Links>(), 8);
+    }
+
+    /// The one retransmission timer among `out`.
+    fn timer_of(out: &[Output<TestEvent>]) -> Option<(TimerToken, Time)> {
+        out.iter().find_map(|o| match o {
+            Output::ScheduleTimer { token, at } => Some((*token, *at)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn serving_every_requested_id_empties_the_link_table() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let (first, second) = (NodeId::new(2), NodeId::new(3));
+        node.on_message(Time::ZERO, first, Message::Propose { ids: vec![1, 2, 3].into() });
+        node.on_message(Time::ZERO, second, Message::Propose { ids: vec![2, 3, 4].into() });
+        drain(&mut node);
+        // Each id links its timer; 2 and 3 also remember `second`.
+        assert_eq!(node.linked_ids(), 4);
+        assert_eq!(node.links[&2].alternate.get(), Some(second.as_u32()));
+        assert_eq!(node.links[&1].alternate, Packed32::NONE);
+        for (id, from) in [(1, first), (2, first), (4, second)] {
+            serve(&mut node, 10, from, TestEvent::new(id, 10));
+        }
+        assert_eq!(node.linked_ids(), 1, "only 3 is still in flight");
+        serve(&mut node, 20, first, TestEvent::new(3, 10));
+        drain(&mut node);
+        assert!(node.links.is_empty() && node.retransmits.is_empty());
+        // A proposal of what is delivered links nothing.
+        node.on_message(Time::ZERO, NodeId::new(4), Message::Propose { ids: vec![1, 3].into() });
+        assert_eq!(node.linked_ids(), 0);
+    }
+
+    #[test]
+    fn a_silent_peers_id_holds_a_link_only_while_its_timer_or_budget_lasts() {
+        let config = GossipConfig::new(3).with_retention(Duration::from_secs(60));
+        let mut node = GossipNode::new(NodeId::new(1), config, members(10), 1);
+        let (silent, other) = (NodeId::new(2), NodeId::new(3));
+        node.on_message(Time::ZERO, silent, Message::Propose { ids: vec![1].into() });
+        let mut timer = timer_of(&drain(&mut node));
+        node.on_message(Time::ZERO, other, Message::Propose { ids: vec![1].into() });
+        assert_eq!(node.linked_ids(), 1);
+        // K = 3: the first and second expiries re-request and re-arm, the
+        // last request leaves no budget and nothing to link.
+        for requests in [2, 3] {
+            let (token, at) = timer.expect("budget left: a timer is armed");
+            node.on_timer(at, token);
+            let out = drain(&mut node);
+            assert_eq!(node.request_info(&1), Some((requests, false)));
+            timer = timer_of(&out);
+            assert_eq!(node.linked_ids(), usize::from(timer.is_some()), "request {requests}");
+        }
+        assert!(timer.is_none() && node.retransmits.is_empty());
+        // A spent id takes no alternate any more: nothing could use it.
+        node.on_message(Time::ZERO, other, Message::Propose { ids: vec![1].into() });
+        assert_eq!(node.linked_ids(), 0);
+
+        // An id whose window passes the record floor undelivered loses its
+        // entry with its record; its timer, still armed, then fires into
+        // nothing.
+        node.on_message(Time::ZERO, silent, Message::Propose { ids: vec![300].into() });
+        let (token, at) = timer_of(&drain(&mut node)).expect("armed");
+        assert_eq!(node.linked_ids(), 1);
+        node.on_round(Time::from_secs(61));
+        assert!(node.is_expired(&300) && node.linked_ids() == 0);
+        assert_eq!(node.retransmits.len(), 1);
+        node.on_timer(at, token);
+        assert!(drain(&mut node).is_empty() && node.links.is_empty());
+    }
+
+    #[test]
+    fn a_crash_leaves_the_link_table_without_capacity() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let ids: Vec<u64> = (0..100).collect();
+        node.on_message(Time::ZERO, NodeId::new(2), Message::Propose { ids: ids.into() });
+        drain(&mut node);
+        assert_eq!(node.linked_ids(), 100);
+        node.crash();
+        assert_eq!((node.linked_ids(), node.links.capacity()), (0, 0));
     }
 
     #[test]
@@ -1708,6 +1857,30 @@ mod tests {
         assert_eq!(node.stats().garbage_ids_rejected, 1);
         assert_eq!(node.misbehaviour_score(peer), 1);
         assert_eq!(node.request_info(&200), None, "the garbage id never touched bookkeeping");
+    }
+
+    #[test]
+    fn garbage_serve_ids_beyond_the_horizon_are_rejected() {
+        // The serve twin: an unrequested payload past the horizon is not
+        // delivered, recorded or relayed, and scores its server.
+        let config = GossipConfig::new(3).with_propose_offset_horizon(100);
+        let mut node = GossipNode::new(NodeId::new(1), config, members(10), 1);
+        let peer = NodeId::new(2);
+        serve(&mut node, 0, peer, TestEvent::new(200, 10));
+        serve(&mut node, 0, peer, TestEvent::new(5, 10));
+        let out = drain(&mut node);
+        let delivered: Vec<u64> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Deliver { event } => Some(event.id()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [5], "the in-horizon payload is still delivered");
+        assert_eq!(node.stats().garbage_ids_rejected, 1);
+        assert_eq!(node.misbehaviour_score(peer), 1);
+        assert_eq!(node.request_info(&200), None, "the garbage id never touched bookkeeping");
+        assert!(node.ids.capacity() <= 100, "no row grew past the horizon");
     }
 
     #[test]

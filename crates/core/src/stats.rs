@@ -50,8 +50,9 @@ pub struct ProtocolStats {
     pub peers_demoted: u64,
     /// `[PROPOSE]` messages ignored because the sender was demoted.
     pub proposes_from_demoted_ignored: u64,
-    /// Proposed ids rejected by the dense-offset horizon (garbage ids that
-    /// would otherwise inflate per-window bookkeeping rows).
+    /// Proposed or served ids rejected by the dense-offset horizon
+    /// (garbage ids that would otherwise inflate per-window bookkeeping
+    /// rows).
     pub garbage_ids_rejected: u64,
 }
 

@@ -383,8 +383,8 @@ mod tests {
         // What every store slot, serve element, delivery and simulated
         // envelope carries; the niche keeps `Option` (a node's "payload
         // retained?") the same size. With `gossip-core`'s 8-byte request
-        // word and 8-byte alternate proposer that is 24 bytes per id per
-        // node (pinned there for any one-pointer event).
+        // word that is 16 bytes per id per node (pinned there for any
+        // one-pointer event).
         assert_eq!(std::mem::size_of::<StreamPacket>(), 8);
         assert_eq!(std::mem::size_of::<Option<StreamPacket>>(), 8);
         let p = StreamPacket::new(PacketId::new(0, 0), Time::ZERO, Bytes::from(vec![0u8; 10]));

@@ -204,10 +204,14 @@ impl<T, P> HostedNode<T, P> {
     /// Hands the node's pending outputs to `host`, then the deadlines it no
     /// longer needs. A Byzantine node runs honest code; its *sends* are
     /// what its host corrupts ([`gossip_stream::byzantine`]). Only an intact
-    /// delivery reaches the player: a poisoned one an undefended node
-    /// accepted is garbage on screen, not a viewed window.
+    /// delivery of the stream reaches the player and the host: a poisoned
+    /// one an undefended node accepted is garbage on screen, not a viewed
+    /// window, and one past the window's last index is no packet of the
+    /// stream at all, however valid its checksum (which is unkeyed: anyone
+    /// can forge one).
     pub fn route(&mut self, now: Time, host: &mut impl Host<T>) {
         let id = self.node.id();
+        let total = self.player.config().window.total_packets();
         while let Some(out) = self.node.poll_output() {
             match out {
                 Output::Send { to, msg } => {
@@ -219,7 +223,8 @@ impl<T, P> HostedNode<T, P> {
                     host.send(now, id, self.epoch, &mut self.link, to, msg);
                 }
                 Output::Deliver { event } => {
-                    if self.node.delivery_intact(&event) {
+                    let in_geometry = usize::from(event.packet_id().index) < total;
+                    if in_geometry && self.node.delivery_intact(&event) {
                         self.player.on_packet(now, event.packet_id());
                         host.delivered(now, id, event);
                     }
@@ -558,6 +563,24 @@ mod tests {
         assert_eq!(node.node.stats().events_delivered, 2, "the node itself does not look");
         assert_eq!(node.player.packets_received(), 1);
         assert_eq!(host.delivered, [PacketId::new(0, 1)], "only the intact packet is observed");
+    }
+
+    #[test]
+    fn a_forged_packet_past_the_window_stays_out_of_the_player_and_the_host() {
+        // Index 14 of a 13-packet window, with a checksum that matches: the
+        // node's default horizon admits any 16-bit index, so the node takes
+        // it, but it is no packet of this stream.
+        let (mut node, mut host) = (hosted(1, NodeProfile::default(), true), Recorder::default());
+        let total = node.player.config().window.total_packets();
+        let forged = packet(total as u16 + 1);
+        assert!(forged.verify());
+        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![forged] });
+        node.route(Time::ZERO, &mut host);
+        assert_eq!(node.node.stats().events_delivered, 1, "the node itself does not look");
+        assert_eq!(node.player.packets_received(), 0);
+        assert!(host.delivered.is_empty(), "the host never sees it");
+        fetch(&mut node, &mut host, packet(0));
+        assert_eq!(host.delivered, [PacketId::new(0, 0)], "a packet of the stream still gets in");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 # `#[cfg(test)]` (the whole file when it has none), comments and blank
 # lines included. Prints one `<crate> <lines>` row per crate and a total.
 #
-# Usage: scripts/nontest_lines.sh net udp reactor experiments deploy
+# Usage: scripts/nontest_lines.sh core stream net udp reactor experiments deploy
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then

@@ -1,0 +1,63 @@
+//! What one recorded id costs a node, in peak heap. Inside one retention
+//! horizon nothing is pruned, so a longer stream adds to the peak exactly
+//! what it adds to the nodes' id tables — one 16-byte record per (node, id)
+//! — plus its share of what grows with the stream but not per node: the
+//! packets themselves and the players' measurement history. Dividing the
+//! peaks' difference between two stream lengths by the records' difference
+//! cancels everything the run holds whatever its length.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use gossip::core::GossipConfig;
+use gossip::experiments::Scenario;
+use gossip::fec::WindowParams;
+use gossip::stream::StreamConfig;
+use gossip::types::Duration;
+
+/// Enough receivers that one packet's shared cost is small per receiver.
+const N: usize = 96;
+/// The record a node keeps per id: request word and payload handle.
+const RECORD: f64 = 16.0;
+/// What else a longer stream adds per (node, id): a player's record of each
+/// window (at most 128 B, doubling `Vec` included, over 110 ids) and one
+/// packet — its shared header and 50-byte payload, under 256 B with the
+/// allocator's rounding — over the 95 receivers that record it. The two
+/// come to 3.9 B; the ids in flight, whose links are all a node keeps
+/// beside the record, do not grow with the stream.
+const MARGIN: f64 = 128.0 / 110.0 + 256.0 / (N - 1) as f64;
+
+/// Runs `secs` of stream (the paper's 100 + 10 windows, one a second) and
+/// returns the run's peak heap and its (node, id) records at the end.
+fn run(secs: u64) -> (isize, usize) {
+    let mut scenario = Scenario::tiny(3).with_seed(5).with_gossip(GossipConfig::new(4));
+    scenario.n = N;
+    scenario.stream = StreamConfig {
+        rate_bps: 40_000,
+        packet_payload_bytes: 50,
+        window: WindowParams::new(100, 10),
+    };
+    scenario.stream_duration = Duration::from_secs(secs);
+    scenario.drain_duration = Duration::from_secs(5);
+    assert!(scenario.total_duration() < scenario.gossip.retention, "nothing may be pruned");
+    let mut records = 0;
+    let every = scenario.total_duration();
+    let (_, peak) = counting_alloc::peak_bytes_in(|| {
+        scenario.run_probed(every, |_, hosted| {
+            records = hosted.iter().map(|node| node.node.recorded_ids().0).sum();
+        })
+    });
+    (peak, records)
+}
+
+#[test]
+fn a_recorded_id_costs_a_node_sixteen_bytes_of_peak_heap() {
+    let ((short_peak, short_records), (long_peak, long_records)) = (run(20), run(60));
+    assert!(long_records > 2 * short_records, "{short_records} → {long_records} records");
+    let per_id = (long_peak - short_peak) as f64 / (long_records - short_records) as f64;
+    assert!(
+        per_id <= RECORD + MARGIN,
+        "{per_id:.2} B of peak heap per recorded id; a record is {RECORD} B and the \
+         stream's own growth at most {MARGIN:.2} B more"
+    );
+}

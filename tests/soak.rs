@@ -2,9 +2,10 @@
 //! horizon, with a thin stream and six nodes, probed every ten simulated
 //! seconds. What a node holds is bounded by the horizon, not by the stream:
 //! each live node's id records stop growing once the first horizon has
-//! passed, the bytes the run holds grow by no more than its measurement
-//! history (a player's record of each window, the per-second timeline),
-//! and a crashed node holds nothing at all.
+//! passed, its links stay at the ids in flight, the bytes the run holds
+//! grow by no more than its measurement history (a player's record of each
+//! window, the per-second timeline), and a crashed node holds nothing at
+//! all.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -33,6 +34,7 @@ struct Sample {
     at: Time,
     records: [usize; N],
     windows: [usize; N],
+    links: [usize; N],
     down: [bool; N],
     live_bytes: isize,
 }
@@ -58,10 +60,17 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
     // Room for every probe up front: the samples must not count as growth.
     let mut samples = Vec::with_capacity(256);
     let result = scenario.run_probed(Duration::from_secs(10), |at, hosted| {
-        let mut sample =
-            Sample { at, records: [0; N], windows: [0; N], down: [false; N], live_bytes: 0 };
+        let mut sample = Sample {
+            at,
+            records: [0; N],
+            windows: [0; N],
+            links: [0; N],
+            down: [false; N],
+            live_bytes: 0,
+        };
         for (i, node) in hosted.iter().enumerate() {
             (sample.records[i], sample.windows[i]) = node.node.recorded_ids();
+            sample.links[i] = node.node.linked_ids();
             sample.down[i] = node.is_down();
         }
         sample.live_bytes = counting_alloc::live_bytes();
@@ -95,6 +104,18 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
         }
     }
 
+    // Links: only the ids in flight have one. Measured, no node holds
+    // more than 20 at any probe (a request's round trip at 55 packets a
+    // second, plus the odd lost serve waiting for its timer). The bound is
+    // one window, 55: a table that kept each requested id's entry until its
+    // window aged out would hold one horizon's ids, over a hundred times
+    // that.
+    for s in &samples {
+        for i in 0..N {
+            assert!(s.links[i] <= WINDOW_PACKETS, "node {i}: {} links at {:?}", s.links[i], s.at);
+        }
+    }
+
     // The victim: one horizon's records while up, none once down.
     let v = victim.index();
     for s in &samples {
@@ -102,12 +123,15 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
         assert_eq!(s.down[v], crashed, "at {:?}", s.at);
         if crashed {
             assert_eq!((s.records[v], s.windows[v]), (0, 0), "a crashed node holds rows");
+            assert_eq!(s.links[v], 0, "a crashed node holds links");
         }
     }
 
     // Bytes: what the run holds grows by its measurement history, nothing
-    // more. Unbounded records alone would add 24 B for each of the
-    // `WINDOW_PACKETS` ids of every window at every live node.
+    // more. Unbounded records alone would add 16 B (a request word and a
+    // payload handle; an id's links live in a side table only while it is
+    // in flight) for each of the `WINDOW_PACKETS` ids of every window at
+    // every live node.
     let (from, to) = (first[0], samples.last().expect("samples"));
     let secs = (to.at.as_micros() - from.at.as_micros()) / 1_000_000;
     let history = secs as usize * (N * HISTORY_PER_WINDOW + HISTORY_PER_SECOND);

@@ -1,7 +1,7 @@
 //! The counting allocator the allocation tests share: the system allocator,
-//! noting per thread the largest single request and the bytes currently
-//! live. A test binary that includes this module makes it its global
-//! allocator; each uses the half it needs.
+//! noting per thread the largest single request, the bytes currently live
+//! and their high-water mark. A test binary that includes this module
+//! makes it its global allocator; each uses what it needs.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,6 +13,8 @@ thread_local! {
     /// Bytes this thread has allocated and not yet freed (frees of memory
     /// another thread allocated count too, so it can dip below zero).
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since `peak_bytes_in` last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting per thread.
@@ -53,7 +55,11 @@ static ALLOCATOR: Counting = Counting;
 /// A block of `old` bytes became `new` bytes (either may be zero).
 fn note(new: usize, old: usize) {
     LARGEST.with(|largest| largest.set(largest.get().max(new)));
-    LIVE.with(|live| live.set(live.get() + new as isize - old as isize));
+    let live = LIVE.with(|live| {
+        live.set(live.get() + new as isize - old as isize);
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
 }
 
 /// Runs `f` and returns its result with the largest allocation it requested
@@ -67,4 +73,13 @@ pub fn largest_allocation_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// The bytes this thread holds from the allocator right now.
 pub fn live_bytes() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the most bytes this thread held at
+/// once while it ran, over what it held when `f` began.
+pub fn peak_bytes_in<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let start = live_bytes();
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (out, PEAK.with(Cell::get) - start)
 }
