@@ -91,6 +91,18 @@ fn input_strategy() -> impl Strategy<Value = Input> {
     ]
 }
 
+/// Inputs that fight over a few ids: proposals from many peers (an id
+/// repeated within one proposal included), corrupt serves, few clean ones.
+fn contested_input_strategy() -> impl Strategy<Value = Input> {
+    prop_oneof![
+        (0u32..10, vec(0u64..16, 1..8)).prop_map(|(from, ids)| Input::Propose { from, ids }),
+        (0u32..10, vec(0u64..16, 1..8)).prop_map(|(from, ids)| Input::Propose { from, ids }),
+        (0u32..10, vec(0u64..16, 1..4)).prop_map(|(from, ids)| Input::CorruptServe { from, ids }),
+        (0u32..10, vec(0u64..16, 1..3)).prop_map(|(from, ids)| Input::Serve { from, ids }),
+        Just(Input::Round),
+    ]
+}
+
 /// One operation on a map from ids to counters.
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -566,4 +578,178 @@ proptest! {
             prop_assert!(decode_message::<TestEvent>(&bytes[..cut]).is_none());
         }
     }
+}
+
+/// FNV-1a over everything a node hands its host.
+struct Fnv(u64);
+
+impl Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn fold(&mut self, value: &impl std::fmt::Debug) {
+        self.write(format!("{value:?};").as_bytes());
+    }
+}
+
+/// A cancelling host that folds what its node does into a digest: every
+/// output, every deadline handed back and, after each step, the request
+/// bookkeeping of every id the step named.
+struct DigestHost {
+    node: GossipNode<TestEvent>,
+    queue: EventQueue<TimerToken>,
+    now: Time,
+    digest: Fnv,
+}
+
+impl DigestHost {
+    fn new(config: GossipConfig) -> Self {
+        DigestHost {
+            node: GossipNode::new(NodeId::new(0), config, members(10), 1),
+            queue: EventQueue::new(),
+            now: Time::ZERO,
+            digest: Fnv(0xcbf2_9ce4_8422_2325),
+        }
+    }
+
+    /// Folds the step's outputs and cancellations, then `named`'s state.
+    fn settle(&mut self, named: &[u64]) {
+        while let Some(out) = self.node.poll_output() {
+            if let Output::ScheduleTimer { token, at } = out {
+                let handle = self.queue.push(at, token);
+                self.node.attach_timer_handle(token, handle);
+            }
+            self.digest.fold(&out);
+        }
+        while let Some(handle) = self.node.poll_cancelled() {
+            assert!(self.queue.cancel(handle), "a cancelled deadline was not pending");
+            self.digest.fold(&handle);
+        }
+        for id in named {
+            self.digest.fold(&self.node.request_info(id));
+        }
+    }
+
+    /// Advances the clock by `step`, firing every timer that comes due.
+    fn advance(&mut self, step: Duration) {
+        self.now += step;
+        while let Some((_, token)) = self.queue.pop_before(self.now) {
+            self.node.on_timer(self.now, token);
+            self.settle(&[]);
+        }
+    }
+
+    fn apply(&mut self, input: Input) {
+        let named = match &input {
+            Input::Propose { ids, .. }
+            | Input::Request { ids, .. }
+            | Input::Serve { ids, .. }
+            | Input::CorruptServe { ids, .. } => ids.clone(),
+            _ => Vec::new(),
+        };
+        let crash = matches!(input, Input::Crash);
+        for handle in input.apply(&mut self.node, self.now) {
+            assert!(self.queue.cancel(handle), "a handed-back deadline was not pending");
+            self.digest.fold(&handle);
+        }
+        if crash {
+            self.queue = EventQueue::new();
+        }
+        self.settle(&named);
+    }
+}
+
+/// The protocol as its hosts see it, pinned: seeded input sequences drive
+/// one node each and everything the node hands back is folded into one
+/// digest. A change to how the node keeps its bookkeeping must leave this
+/// value alone; the scenario digests run too few of these paths to tell.
+///
+/// The sequences cover K ∈ {1, 2, 4}; ids repeated within one proposal
+/// and corrupt serves from a third peer (both drawn by `input_strategy`);
+/// a record floor that moves (short retention, ids in a sliding head
+/// window); and an in-process proposal of more than 65 535 ids, whose
+/// late ids get alternates, corrupt serves and a retry.
+#[test]
+fn a_node_output_digest_is_pinned() {
+    const PINNED: u64 = 0x3e49_5551_421e_802a;
+    let mut rng = proptest::test_runner::TestRng::deterministic("a_node_output_digest_is_pinned");
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let strategies: [Box<dyn Strategy<Value = Input>>; 2] =
+        [Box::new(input_strategy()), Box::new(contested_input_strategy())];
+    for k in [1, 2, 4] {
+        for (strategy, sliding) in strategies.iter().flat_map(|s| [(s, false), (s, true)]) {
+            for _ in 0..6 {
+                let config = GossipConfig::new(3)
+                    .with_max_requests(k)
+                    .with_misbehaviour_threshold(6)
+                    .with_retention(Duration::from_millis(if sliding { 1_500 } else { 60_000 }))
+                    .with_retransmit_timeout(Duration::from_millis(600))
+                    .with_rto_bounds(Duration::from_millis(300), Duration::from_secs(2));
+                let mut host = DigestHost::new(config);
+                let mut next_round = Time::ZERO;
+                for input in vec(strategy, 100..200).generate(&mut rng) {
+                    host.advance(Duration::from_millis(50));
+                    if next_round <= host.now {
+                        host.apply(Input::Round);
+                        next_round = host.now + Duration::from_millis(100);
+                    }
+                    // Raw ids 0..50 become offsets 0..10 of the head window
+                    // and the four before it, as the floor proptest does.
+                    let head = host.now.as_millis() / 250;
+                    let input = match (input, sliding) {
+                        // One crash per sequence, at its end, is enough.
+                        (Input::Crash, _) => Input::Round,
+                        (input, true) => {
+                            input.map_ids(|raw| (head.saturating_sub(raw / 10) << 8) | (raw % 10))
+                        }
+                        (input, false) => input,
+                    };
+                    host.apply(input);
+                }
+                host.advance(Duration::from_secs(5));
+                digest.fold(&(host.digest.0, host.node.stats()));
+                host.apply(Input::Crash);
+                digest.fold(&host.digest.0);
+            }
+        }
+    }
+
+    // One proposal of 70 000 ids (id = position), so positions run past
+    // 0xFFFF. Every timer fires 40 ms after it is armed.
+    let config = GossipConfig::new(3)
+        .with_max_requests(4)
+        .with_retransmit_timeout(Duration::from_millis(40))
+        .with_rto_bounds(Duration::from_millis(40), Duration::from_millis(40));
+    let mut host = DigestHost::new(config);
+    let late = [5, 65_533, 65_534, 65_535, 65_536, 65_537, 65_541, 69_998, 69_999];
+    let step = |host: &mut DigestHost, input: Input| {
+        host.advance(Duration::from_millis(5));
+        host.apply(input);
+    };
+    step(&mut host, Input::Propose { from: 1, ids: (0..70_000).collect() });
+    // Peer 2 is every late id's alternate; a third peer's corruption of
+    // some sends them there, peer 2's own of two sends them nowhere.
+    step(&mut host, Input::Propose { from: 2, ids: late.to_vec() });
+    step(&mut host, Input::CorruptServe { from: 3, ids: late[..5].to_vec() });
+    step(&mut host, Input::CorruptServe { from: 2, ids: vec![65_536, 65_537] });
+    // All but the multiples of 7 and the last ten arrive.
+    step(&mut host, Input::Serve { from: 1, ids: (0..69_990).filter(|id| id % 7 != 0).collect() });
+    // The proposal's timer fires once: the missing ids are re-requested
+    // and re-armed at new positions, their alternates with them.
+    host.advance(Duration::from_millis(45));
+    step(&mut host, Input::Propose { from: 4, ids: vec![7, 65_534, 65_548, 69_993, 69_999] });
+    step(
+        &mut host,
+        Input::CorruptServe { from: 5, ids: vec![7, 65_534, 65_541, 65_548, 69_998, 69_999] },
+    );
+    host.advance(Duration::from_secs(5));
+    let sample: Vec<u64> = (0..70_000).step_by(997).chain(late).collect();
+    host.settle(&sample);
+    digest.fold(&(host.digest.0, host.node.stats()));
+
+    assert_eq!(digest.0, PINNED, "the node's outputs moved: {:#018x}", digest.0);
 }
