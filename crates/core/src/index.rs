@@ -20,9 +20,8 @@
 //! A slot is an `Option<V>` and nothing else: the key is the slot's
 //! position, so it is not stored, and a `V` with a niche (the node's record
 //! leads with a `NonZeroU64`) makes the `Option` free. What a node pays per
-//! id is `size_of::<V>()`. What only a few ids need at a time — the links
-//! an undelivered id carries — goes in a hash map beside it instead of
-//! widening every slot.
+//! id is `size_of::<V>()`; what only the ids in flight need lives with
+//! their retransmission timers, not in a slot of every id.
 //!
 //! [`EventIndex`] is the small trait an id type implements to opt in:
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`
@@ -34,8 +33,6 @@
 //! not the span from the oldest armed one to the newest.
 
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
 /// Maps an event id onto dense `(window, offset)` coordinates.
@@ -270,61 +267,6 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     }
 }
 
-/// A hasher for small `Copy` ids: each word written is folded in with one
-/// rotate, xor and multiply (the Fx construction), and `finish` rotates the
-/// well-mixed high bits down to where the table takes its bucket index.
-///
-/// Unkeyed, so a few instructions per id and the same on every run — but
-/// not proof against ids crafted to collide. The one map it keys holds only
-/// ids the node has itself requested and not yet received, each for at
-/// most its request budget's timers, so a peer that proposes such ids
-/// slows the lookups of the nodes that request them from it, and no more.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
-
-impl IdHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A `HashMap` hashed by [`IdHasher`]: the side table for what only the
-/// ids in flight need, next to a [`DenseMap`] that gives every id a slot.
-pub(crate) type SparseMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
 /// One slab slot: the value it holds, if any, and how many times it has
 /// been freed.
 struct TokenSlot<T> {
@@ -404,6 +346,13 @@ impl<T> TokenSlab<T> {
         }
     }
 
+    /// Returns a reference to the value stored under `token`, if it is
+    /// still there.
+    pub fn get(&self, token: u64) -> Option<&T> {
+        let s = self.slots.get(token as u32 as usize)?;
+        (s.generation == (token >> 32) as u32).then_some(s.value.as_ref()?)
+    }
+
     /// Returns a mutable reference to the value stored under `token`, if
     /// it is still there.
     pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
@@ -435,6 +384,11 @@ impl<T> TokenSlab<T> {
         s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
         Some(value)
+    }
+
+    /// Visits every stored value, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|s| s.value.as_ref())
     }
 
     /// Consumes the slab, yielding every stored value.

@@ -27,7 +27,6 @@
 //!   have been requested fewer than `K` times are re-requested from the same
 //!   proposer.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ use gossip_types::{NodeId, Time};
 
 use crate::config::GossipConfig;
 use crate::event::Event;
-use crate::index::{DenseMap, EventIndex, SparseMap, TokenSlab};
+use crate::index::{DenseMap, EventIndex, TokenSlab};
 use crate::message::Message;
 use crate::rto::RttEstimator;
 use crate::stats::ProtocolStats;
@@ -91,25 +90,27 @@ pub enum Output<E: Event> {
 /// is inside the retention horizon (ids are never re-requested), as half
 /// of that id's 16-byte [`IdRecord`] (the other half is the payload
 /// handle), so at large n it is multiplied by every retained id of the
-/// stream at every node. Request counter, delivered flag and one timestamp
-/// share a `NonZeroU64`, whose niche also makes the record's `DenseMap`
-/// slot (an `Option`) free; the two links an undelivered id may carry live
-/// in the node's sparse side table ([`Links`]), not here:
+/// stream at every node. Request counter, delivered flag and a time — or,
+/// while the id is in flight, the link to its retransmission timer — share
+/// a `NonZeroU64`, whose niche also makes the record's `DenseMap` slot (an
+/// `Option`) free:
 ///
 /// ```text
-/// bit  63      — marker, always set (the non-zero niche)
+/// bit  63      — marker: set while the low bits hold a time
 /// bit  62      — delivered
 /// bits 48..=61 — times_requested (14 bits, saturating)
-/// bits 0..=47  — a time in µs (saturating; 2⁴⁸ µs ≈ 9 years): when the id
-///                was first requested until it is delivered, when it was
-///                delivered from then on
+/// bits 0..=47  — marker set: a time in µs (saturating; 2⁴⁸ µs ≈ 9 years),
+///                the first request's until delivery, the delivery's after;
+///                marker clear: the link to the [`RetransmitEntry`] counting
+///                this undelivered id — slab slot (bits 0..=31), position in
+///                its `ids` (bits 32..=47, saturating at 0xFFFF)
 /// ```
 ///
-/// The two times never coexist: the first-request time is read once, for
-/// the RTT sample taken at delivery, and otherwise both are only what
-/// retention pruning compares. Saturation is harmless:
-/// `max_requests_per_event` is single-digit in every configuration, and no
-/// run approaches the timestamp horizon.
+/// A linked id's first-request time is its entry's, which unlinking writes
+/// back; it is read once, for the RTT sample taken at delivery, and
+/// otherwise both times are only what retention pruning compares.
+/// Saturation is harmless: `max_requests_per_event` is single-digit in
+/// every configuration, and no run approaches the timestamp horizon.
 #[derive(Debug, Clone, Copy)]
 struct RequestState(std::num::NonZeroU64);
 
@@ -119,6 +120,9 @@ impl RequestState {
     const TIMES_SHIFT: u32 = 48;
     const TIMES_MAX: u64 = (1 << 14) - 1;
     const TIME_MASK: u64 = (1 << 48) - 1;
+    const POSITION_SHIFT: u32 = 32;
+    /// The largest position a link holds: past it, a scan finds the id.
+    const POSITION_MAX: usize = 0xFFFF;
 
     /// `at` is the first-request time, or the delivery time if `delivered`.
     fn new(times_requested: u32, delivered: bool, at: Time) -> Self {
@@ -141,40 +145,47 @@ impl RequestState {
 
     /// When the id was delivered, if it was; else when it was first requested.
     fn at(self) -> Time {
+        debug_assert!(self.link().is_none(), "a linked word holds no time");
         Time::from_micros(self.0.get() & Self::TIME_MASK)
+    }
+
+    /// [`RequestState::at`], read from the entry a linked word links to.
+    fn time<Id>(self, timers: &TokenSlab<RetransmitEntry<Id>>) -> Time {
+        let Some((slot, _)) = self.link() else { return self.at() };
+        timers.get(timers.widen(slot)).map_or(Time::ZERO, |entry| entry.first_requested)
+    }
+
+    /// The slab slot and the (saturated) position of the link the word
+    /// holds, if it holds one.
+    fn link(self) -> Option<(u32, usize)> {
+        let bits = self.0.get();
+        let position = (bits >> Self::POSITION_SHIFT) as usize & Self::POSITION_MAX;
+        (bits & Self::MARKER == 0).then_some((bits as u32, position))
+    }
+
+    /// The same counter, linked to `slot` at `position`: a requested id's
+    /// counter keeps the word non-zero (a zero one would stay unlinked).
+    fn linked(self, slot: u32, position: usize) -> Self {
+        let position = position.min(Self::POSITION_MAX) as u64;
+        let times = self.0.get() & (Self::TIMES_MAX << Self::TIMES_SHIFT);
+        let bits = times | position << Self::POSITION_SHIFT | u64::from(slot);
+        std::num::NonZeroU64::new(bits).map_or(self, RequestState)
+    }
+
+    /// The same counter, holding `first_requested` instead of a link.
+    fn unlinked(self, first_requested: Time) -> Self {
+        RequestState::new(self.times_requested(), false, first_requested)
     }
 
     fn mark_delivered(&mut self, now: Time) {
         *self = RequestState::new(self.times_requested(), true, now);
     }
 
+    /// Counts one more request, keeping the time or link.
     fn bump_requested(&mut self) {
-        *self = RequestState::new(
-            self.times_requested().saturating_add(1),
-            self.delivered(),
-            self.at(),
-        );
-    }
-}
-
-/// An `Option<u32>` in four bytes, for the two optional words an
-/// undelivered id carries ([`Links`]): the value is kept plus one in a
-/// `NonZeroU32`.
-/// `u32::MAX` cannot be held and reads back as `None`, which both users
-/// can afford: no deployment has a node of that index, and one timer in
-/// 2³² going unlinked only means it is never cancelled.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Packed32(Option<std::num::NonZeroU32>);
-
-impl Packed32 {
-    const NONE: Packed32 = Packed32(None);
-
-    fn some(value: u32) -> Self {
-        Packed32(std::num::NonZeroU32::new(value.wrapping_add(1)))
-    }
-
-    fn get(self) -> Option<u32> {
-        self.0.map(|stored| stored.get() - 1)
+        if u64::from(self.times_requested()) < Self::TIMES_MAX {
+            self.0 = self.0.saturating_add(1 << Self::TIMES_SHIFT);
+        }
     }
 }
 
@@ -200,27 +211,11 @@ impl<E> IdRecord<E> {
     }
 }
 
-/// What an undelivered id may carry besides its record, in the node's
-/// sparse side table: an entry exists only while one of the two is set, so
-/// the table holds about the requests in flight, not a word per retained
-/// id. Delivery, the id's last timer firing with its budget spent, the
-/// record floor passing its window and a crash each take the entry out.
-#[derive(Debug, Default, Clone, Copy)]
-struct Links {
-    /// Most recent proposer after the first, while the id is undelivered
-    /// and its request budget lasts: where a corrupted serve is
-    /// re-requested from (validate-before-relay).
-    alternate: Packed32,
-    /// Slab slot (the token's low 32 bits) of the armed
-    /// [`RetransmitEntry`] that counts this id among its undelivered ones,
-    /// while there is one: what the id's delivery settles. Never dangling —
-    /// whatever removes an entry first unlinks the ids it leaves
-    /// undelivered.
-    timer: Packed32,
-}
-
 /// A pending retransmission timer: re-request the still-missing ids of a
-/// proposal from the peer that proposed them.
+/// proposal from the peer that proposed them (lines 14–15), and what those
+/// ids need while in flight. Each undelivered id no other entry counts
+/// links here from its request word; whatever removes an entry first
+/// unlinks the ids it leaves undelivered, so a link never dangles.
 ///
 /// The id buffer is shared with the `[REQUEST]` message that was sent when
 /// the timer was armed — arming a timer allocates nothing.
@@ -234,8 +229,44 @@ struct RetransmitEntry<Id> {
     /// whose record links here is ever counted down, so reaching zero
     /// means every one of them arrived: the timer has nothing left to do.
     undelivered: u32,
+    /// When `ids` were first requested: a retry re-arms some of them.
+    first_requested: Time,
+    /// Each linked id's latest proposer after the first, by position, while
+    /// its budget lasts: where a corrupted serve is re-requested from
+    /// (validate-before-relay). Empty until the first; [`NO_ALTERNATE`] if none.
+    alternates: Box<[u32]>,
     /// The deadline the host scheduled for this entry, if it said.
     handle: Option<EventHandle>,
+}
+
+/// An alternate no proposer has: no node has this index.
+const NO_ALTERNATE: u32 = u32::MAX;
+
+impl<Id: PartialEq> RetransmitEntry<Id> {
+    /// Where `id` sits in `ids`, given the position its link holds: that
+    /// one below the saturation point, else the first match from it on.
+    fn position(&self, id: &Id, linked: usize) -> Option<usize> {
+        let saturated = linked == RequestState::POSITION_MAX;
+        (linked..self.ids.len()).find(|&position| !saturated || self.ids[position] == *id)
+    }
+
+    /// The alternate proposer of linked `id`.
+    fn alternate(&self, id: &Id, linked: usize) -> Option<u32> {
+        let alternate = *self.alternates.get(self.position(id, linked)?)?;
+        (alternate != NO_ALTERNATE).then_some(alternate)
+    }
+
+    /// Sets the alternate proposer of linked `id`, allocating the array at
+    /// the first one.
+    fn set_alternate(&mut self, id: &Id, linked: usize, alternate: u32) {
+        let Some(position) = self.position(id, linked) else { return };
+        if self.alternates.is_empty() {
+            self.alternates = vec![NO_ALTERNATE; self.ids.len()].into();
+        }
+        if let Some(slot) = self.alternates.get_mut(position) {
+            *slot = alternate;
+        }
+    }
 }
 
 /// The gossip protocol state machine for one node.
@@ -262,8 +293,6 @@ pub struct GossipNode<E: Event> {
     /// and retained payload. Dense per-window slab: lookups are array
     /// indexings, not hashes.
     ids: DenseMap<E::Id, IdRecord<E>>,
-    /// The links of the undelivered ids that have one, keyed by id.
-    links: SparseMap<E::Id, Links>,
     /// How many records hold a payload.
     payloads: usize,
     /// No record in a window before this one holds a payload: where
@@ -331,7 +360,6 @@ impl<E: Event> GossipNode<E> {
             free_rider: false,
             propose_queue: Vec::new(),
             ids: DenseMap::new(),
-            links: SparseMap::default(),
             payloads: 0,
             payload_floor: u64::MAX,
             record_floor: 0,
@@ -501,8 +529,8 @@ impl<E: Event> GossipNode<E> {
             // Publishing an id again replaces its payload, it does not add
             // one; publishing one that was on request delivers it.
             self.payloads -= usize::from(previous.event.is_some());
-            if let Some(links) = self.links.remove(&id) {
-                self.settle_timer(links.timer);
+            if let Some((slot, _)) = previous.state.link() {
+                self.settle_timer(slot);
             }
         }
         self.finish_delivery(id, event);
@@ -580,23 +608,36 @@ impl<E: Event> GossipNode<E> {
         let Some(entry) = self.retransmits.remove(token.0) else {
             return; // stale timer: its proposal was fully served
         };
-        let fired = Packed32::some(token.0 as u32);
+        let fired = token.0 as u32;
         let cap = self.max_requests_cap();
         let mut missing = std::mem::take(&mut self.scratch_ids);
         missing.clear();
-        for &id in entry.ids.iter() {
+        // The alternates the re-armed entry takes over.
+        let mut carried = Vec::new();
+        let mut can_retry_more = false;
+        for (position, &id) in entry.ids.iter().enumerate() {
             let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { continue };
             if state.delivered() {
                 continue;
             }
-            if state.times_requested() < cap {
-                state.bump_requested();
-                missing.push(id);
-            }
             // The entry is gone: the ids it counted are nobody's until (and
             // unless) the re-armed entry below takes them.
+            let linked_here = state.link().is_some_and(|(slot, _)| slot == fired);
+            if linked_here {
+                *state = state.unlinked(entry.first_requested);
+            }
+            if state.times_requested() >= cap {
+                continue;
+            }
+            state.bump_requested();
+            missing.push(id);
+            // A spent id's alternate stays behind: nothing could use it.
             let spent = state.times_requested() >= cap;
-            self.unlink(id, fired, spent);
+            can_retry_more |= !spent;
+            let alternate = entry.alternates.get(position).copied().unwrap_or(NO_ALTERNATE);
+            if linked_here && !spent && alternate != NO_ALTERNATE {
+                carried.push((id, NodeId::new(alternate)));
+            }
         }
         if missing.is_empty() {
             self.scratch_ids = missing;
@@ -612,11 +653,11 @@ impl<E: Event> GossipNode<E> {
         });
         // Re-arm with exponential backoff while the budget lasts (checked
         // again on expiry).
-        let can_retry_more = missing
-            .iter()
-            .any(|id| self.ids.get(id).is_some_and(|r| r.state.times_requested() < cap));
         if can_retry_more {
-            self.arm_retransmit(now, entry.peer, shared, entry.attempt + 1);
+            self.arm_timer(now, entry.peer, shared, entry.attempt + 1, entry.first_requested);
+            for (id, alternate) in carried {
+                self.set_alternate(id, alternate);
+            }
         }
         self.scratch_ids = missing;
     }
@@ -641,8 +682,11 @@ impl<E: Event> GossipNode<E> {
             return;
         }
         let cap = self.max_requests_cap();
+        let requested = RequestState::new(1, false, now);
         let mut wanted = std::mem::take(&mut self.scratch_ids);
         wanted.clear();
+        // Ids named twice here: in flight, but linked only once armed.
+        let mut repeated = Vec::new();
         for id in ids {
             // Record floor: an expired id was requested long ago or missed
             // for good — old news from an honest proposer, not a new id.
@@ -658,18 +702,23 @@ impl<E: Event> GossipNode<E> {
             let mut fresh = false;
             let record = self.ids.get_or_insert_with(id, || {
                 fresh = true;
-                IdRecord::new(RequestState::new(1, false, now))
+                IdRecord::new(requested)
             });
+            let state = record.state;
             if fresh {
                 wanted.push(id);
-            } else {
-                self.stats.duplicate_ids_proposed += 1;
-                // Remember the redundant proposer: if the first peer's serve
-                // turns out corrupted, this is where the re-request goes —
-                // as long as the budget allows one.
-                if !record.state.delivered() && record.state.times_requested() < cap {
-                    self.links.entry(id).or_default().alternate = Packed32::some(from.as_u32());
-                }
+                continue;
+            }
+            self.stats.duplicate_ids_proposed += 1;
+            // Remember the redundant proposer: if the first peer's serve
+            // turns out corrupted, this is where the re-request goes — as
+            // long as the budget allows one (and so a link, or a repeat).
+            if state.delivered() || state.times_requested() >= cap {
+                continue;
+            }
+            match state.link() {
+                Some(_) => self.set_alternate(id, from),
+                None => repeated.push(id),
             }
         }
         if wanted.is_empty() {
@@ -684,7 +733,10 @@ impl<E: Event> GossipNode<E> {
         // Line 14: arm the retransmission timer if the budget allows a
         // second request.
         if self.config.max_requests_per_event > 1 {
-            self.arm_retransmit(now, from, shared, 1);
+            self.arm_timer(now, from, shared, 1, requested.at());
+            for id in repeated {
+                self.set_alternate(id, from);
+            }
         }
         self.scratch_ids = wanted;
     }
@@ -757,17 +809,16 @@ impl<E: Event> GossipNode<E> {
             }
             // Karn's rule: only first-request serves give unambiguous
             // request->serve delay samples.
+            let link = record.state.link();
             if record.state.times_requested() == 1 {
-                let first_requested_at = record.state.at();
-                self.rtt.sample(now.saturating_since(first_requested_at));
+                self.rtt.sample(now.saturating_since(record.state.time(&self.retransmits)));
             }
             record.state.mark_delivered(now);
             record.event = Some(event.clone());
-            let links = self.links.remove(&id);
             self.finish_delivery(id, event);
             // Line 24 (cancel RetTimer).
-            if let Some(links) = links {
-                self.settle_timer(links.timer);
+            if let Some((slot, _)) = link {
+                self.settle_timer(slot);
             }
         }
     }
@@ -863,62 +914,72 @@ impl<E: Event> GossipNode<E> {
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
         let cap = self.max_requests_cap();
         let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { return };
-        let alt = match self.links.get(&id).and_then(|links| links.alternate.get()) {
+        // Only an id in flight has an alternate, in the entry it links to.
+        let Some((slot, linked)) = state.link() else { return };
+        let Some(entry) = self.retransmits.get_mut(self.retransmits.widen(slot)) else { return };
+        let alt = match entry.alternate(&id, linked) {
             Some(a) if a != offender.as_u32() => NodeId::new(a),
             _ => return,
         };
-        if state.delivered() || state.times_requested() >= cap {
+        if state.times_requested() >= cap {
             return;
         }
         state.bump_requested();
         let attempt = state.times_requested();
         let budget_left = attempt < cap;
         if !budget_left {
-            self.unlink(id, Packed32::NONE, true);
+            entry.set_alternate(&id, linked, NO_ALTERNATE);
         }
+        let first_requested = entry.first_requested;
         self.stats.corrupt_rerequests += 1;
         self.stats.requests_sent += 1;
         let shared: Arc<[E::Id]> = std::iter::once(id).collect();
         self.outputs
             .push_back(Output::Send { to: alt, msg: Message::Request { ids: shared.clone() } });
         if budget_left {
-            self.arm_retransmit(now, alt, shared, attempt);
+            self.arm_timer(now, alt, shared, attempt, first_requested);
         }
     }
 
     /// Arms a retransmission timer for the `attempt`-th request (1-based)
-    /// of a proposal, using the adaptive RTO with exponential backoff.
+    /// of a proposal first requested at `first`, using the adaptive RTO
+    /// with exponential backoff.
     ///
     /// Every id must be undelivered. Each one that no armed entry counts
     /// yet is linked to this one; an id another entry still counts (the
     /// single id `rerequest_corrupted` re-requests on the side) stays with
     /// that entry, which keeps this one's count above zero for good — it
     /// fires and is ignored, as every timer used to.
-    fn arm_retransmit(&mut self, now: Time, peer: NodeId, ids: Arc<[E::Id]>, attempt: u32) {
-        let undelivered = ids.len() as u32;
-        let entry =
-            RetransmitEntry { peer, ids: Arc::clone(&ids), attempt, undelivered, handle: None };
+    fn arm_timer(&mut self, now: Time, to: NodeId, ids: Arc<[E::Id]>, attempt: u32, first: Time) {
+        let entry = RetransmitEntry {
+            peer: to,
+            ids: Arc::clone(&ids),
+            attempt,
+            undelivered: ids.len() as u32,
+            first_requested: first,
+            alternates: Box::default(),
+            handle: None,
+        };
         let token = TimerToken(self.retransmits.insert(entry));
-        let link = Packed32::some(token.0 as u32);
-        for &id in ids.iter() {
+        for (position, id) in ids.iter().enumerate() {
+            let state = self.ids.get_mut(id).map(|record| &mut record.state);
             debug_assert!(
-                self.ids.get(&id).is_some_and(|r| !r.state.delivered()),
-                "armed a timer for a delivered or unrecorded id"
+                state.as_ref().is_some_and(|s| !s.delivered()),
+                "delivered or unrecorded"
             );
-            let links = self.links.entry(id).or_default();
-            if links.timer == Packed32::NONE {
-                links.timer = link;
+            if let Some(state) = state.filter(|state| state.link().is_none()) {
+                debug_assert_eq!(state.at(), first, "an entry's ids share one request");
+                *state = state.linked(token.0 as u32, position);
             }
         }
         let at = now + self.rtt.rto_backoff(attempt);
         self.outputs.push_back(Output::ScheduleTimer { token, at });
     }
 
-    /// One id of the entry `timer` links to has just been delivered: count
-    /// it, and when it was the last one drop the entry and report the
-    /// host's deadline for it, if the host attached one, as cancelled.
-    fn settle_timer(&mut self, timer: Packed32) {
-        let Some(slot) = timer.get() else { return };
+    /// One id of the entry in `slot` has just been delivered: count it,
+    /// and when it was the last one drop the entry and report the host's
+    /// deadline for it, if the host attached one, as cancelled.
+    fn settle_timer(&mut self, slot: u32) {
         let token = self.retransmits.widen(slot);
         let Some(entry) = self.retransmits.get_mut(token) else {
             debug_assert!(false, "an undelivered id linked to a timer that is gone");
@@ -926,27 +987,15 @@ impl<E: Event> GossipNode<E> {
         };
         entry.undelivered -= 1;
         if entry.undelivered == 0 {
-            let entry = self.retransmits.remove(token).expect("present a moment ago");
-            self.cancelled.extend(entry.handle);
+            self.cancelled.extend(self.retransmits.remove(token).and_then(|entry| entry.handle));
         }
     }
 
-    /// Undelivered `id` loses its back-link to the timer `fired` (if that
-    /// is the one it names) and, once its request budget is `spent`, its
-    /// alternate proposer, which `rerequest_corrupted` could no longer use.
-    /// A spent id's entry goes once no timer links it; an unspent one's is
-    /// left for the re-armed timer to link again at once.
-    fn unlink(&mut self, id: E::Id, fired: Packed32, spent: bool) {
-        let Entry::Occupied(mut entry) = self.links.entry(id) else { return };
-        let links = entry.get_mut();
-        if links.timer == fired {
-            links.timer = Packed32::NONE;
-        }
-        if spent {
-            links.alternate = Packed32::NONE;
-            if links.timer == Packed32::NONE {
-                entry.remove();
-            }
+    /// Makes `from` the alternate proposer of `id`, if `id` is linked.
+    fn set_alternate(&mut self, id: E::Id, from: NodeId) {
+        let Some((slot, linked)) = self.ids.get(&id).and_then(|r| r.state.link()) else { return };
+        if let Some(entry) = self.retransmits.get_mut(self.retransmits.widen(slot)) {
+            entry.set_alternate(&id, linked, from.as_u32());
         }
     }
 
@@ -975,13 +1024,12 @@ impl<E: Event> GossipNode<E> {
         self.payload_floor = floor;
         // A record's time is its delivery, or its first request while
         // undelivered; either way, one older than the horizon holds no
-        // payload any more.
-        if let Some(floor) = self.ids.drop_expired_rows(|record| record.state.at() < cutoff) {
+        // payload any more. A timer that still counts one of the dropped
+        // ids fires and finds no record.
+        let timers = &self.retransmits;
+        if let Some(floor) = self.ids.drop_expired_rows(|record| record.state.time(timers) < cutoff)
+        {
             self.record_floor = self.record_floor.max(floor);
-            // The dropped records' links go with them. A timer that still
-            // counts one of those ids fires and finds no record, as before.
-            let floor = self.record_floor;
-            self.links.retain(|id, _| id.dense_key().0 >= floor);
         }
     }
 
@@ -1000,7 +1048,6 @@ impl<E: Event> GossipNode<E> {
         let timers = std::mem::take(&mut self.retransmits);
         cancelled.extend(timers.into_values().filter_map(|entry| entry.handle));
         self.ids = DenseMap::new();
-        self.links = SparseMap::default();
         self.payloads = 0;
         self.payload_floor = u64::MAX;
         self.propose_queue = Vec::new();
@@ -1024,11 +1071,10 @@ impl<E: Event> GossipNode<E> {
         (self.ids.len(), self.ids.windows())
     }
 
-    /// Returns how many ids have an entry in the side table of links (an
-    /// alternate proposer or a timer back-link): about the requests in
-    /// flight, never more than the undelivered records.
+    /// Returns how many ids the armed retransmission timers still wait
+    /// for (the sum of their undelivered counts): the requests in flight.
     pub fn linked_ids(&self) -> usize {
-        self.links.len()
+        self.retransmits.values().map(|entry| entry.undelivered as usize).sum()
     }
 
     /// Returns whether `id` is below the record floor: its window aged out
@@ -1598,8 +1644,15 @@ mod tests {
         // The marker bit is the whole point: the DenseMap slot needs no
         // discriminant beyond the NonZeroU64 niche.
         assert_eq!(std::mem::size_of::<Option<IdRecord<Handle>>>(), 16);
-        // The two links an undelivered id may carry are a side-table entry.
-        assert_eq!(std::mem::size_of::<Links>(), 8);
+    }
+
+    #[test]
+    fn a_retransmit_entry_is_64_bytes() {
+        // Peer, attempt and undelivered (3 × 4 B) and the handle (two u32s
+        // and a tag, 12 B) fill 24 B, the first-request time 8 B, and the
+        // id buffer and the alternates are fat pointers (2 × 16 B). Ids sit
+        // behind the `Arc`, so every id type — `PacketId` too — gives 64 B.
+        assert_eq!(std::mem::size_of::<RetransmitEntry<u64>>(), 64);
     }
 
     /// The one retransmission timer among `out`.
@@ -1610,75 +1663,178 @@ mod tests {
         })
     }
 
+    /// The alternate proposer of `id`, read through its link.
+    fn alternate_of(node: &GossipNode<TestEvent>, id: u64) -> Option<u32> {
+        let (slot, linked) = node.ids.get(&id)?.state.link()?;
+        node.retransmits.get(node.retransmits.widen(slot))?.alternate(&id, linked)
+    }
+
     #[test]
-    fn serving_every_requested_id_empties_the_link_table() {
+    fn serving_every_requested_id_leaves_no_armed_entry_and_so_no_alternate() {
         let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
         let (first, second) = (NodeId::new(2), NodeId::new(3));
         node.on_message(Time::ZERO, first, Message::Propose { ids: vec![1, 2, 3].into() });
         node.on_message(Time::ZERO, second, Message::Propose { ids: vec![2, 3, 4].into() });
         drain(&mut node);
-        // Each id links its timer; 2 and 3 also remember `second`.
+        // Each id links its timer; 2 and 3 also remember `second`, in the
+        // first proposal's entry: the second's holds no alternate at all.
         assert_eq!(node.linked_ids(), 4);
-        assert_eq!(node.links[&2].alternate.get(), Some(second.as_u32()));
-        assert_eq!(node.links[&1].alternate, Packed32::NONE);
+        assert_eq!(alternate_of(&node, 2), Some(second.as_u32()));
+        assert_eq!(alternate_of(&node, 1), None);
+        let holding: Vec<usize> = node.retransmits.values().map(|e| e.alternates.len()).collect();
+        assert_eq!(holding, [3, 0]);
         for (id, from) in [(1, first), (2, first), (4, second)] {
             serve(&mut node, 10, from, TestEvent::new(id, 10));
         }
         assert_eq!(node.linked_ids(), 1, "only 3 is still in flight");
+        assert_eq!(alternate_of(&node, 3), Some(second.as_u32()));
         serve(&mut node, 20, first, TestEvent::new(3, 10));
         drain(&mut node);
-        assert!(node.links.is_empty() && node.retransmits.is_empty());
+        assert!(node.retransmits.is_empty(), "no armed entry, so no alternate");
         // A proposal of what is delivered links nothing.
         node.on_message(Time::ZERO, NodeId::new(4), Message::Propose { ids: vec![1, 3].into() });
-        assert_eq!(node.linked_ids(), 0);
+        assert_eq!((node.linked_ids(), node.retransmits.len()), (0, 0));
     }
 
     #[test]
-    fn a_silent_peers_id_holds_a_link_only_while_its_timer_or_budget_lasts() {
+    fn a_silent_peers_id_keeps_its_alternate_only_while_its_budget_lasts() {
         let config = GossipConfig::new(3).with_retention(Duration::from_secs(60));
         let mut node = GossipNode::new(NodeId::new(1), config, members(10), 1);
         let (silent, other) = (NodeId::new(2), NodeId::new(3));
         node.on_message(Time::ZERO, silent, Message::Propose { ids: vec![1].into() });
         let mut timer = timer_of(&drain(&mut node));
         node.on_message(Time::ZERO, other, Message::Propose { ids: vec![1].into() });
-        assert_eq!(node.linked_ids(), 1);
-        // K = 3: the first and second expiries re-request and re-arm, the
-        // last request leaves no budget and nothing to link.
+        assert_eq!((node.linked_ids(), alternate_of(&node, 1)), (1, Some(other.as_u32())));
+        // K = 3: the first expiry re-requests and re-arms, the alternate
+        // moving to the new entry; the last request leaves no budget, no
+        // timer and nothing to link.
         for requests in [2, 3] {
             let (token, at) = timer.expect("budget left: a timer is armed");
             node.on_timer(at, token);
             let out = drain(&mut node);
             assert_eq!(node.request_info(&1), Some((requests, false)));
             timer = timer_of(&out);
-            assert_eq!(node.linked_ids(), usize::from(timer.is_some()), "request {requests}");
+            let budget_left = requests < 3;
+            assert_eq!(timer.is_some(), budget_left);
+            assert_eq!(node.linked_ids(), usize::from(budget_left), "request {requests}");
+            assert_eq!(alternate_of(&node, 1), budget_left.then_some(other.as_u32()));
         }
-        assert!(timer.is_none() && node.retransmits.is_empty());
+        assert!(node.retransmits.is_empty());
         // A spent id takes no alternate any more: nothing could use it.
         node.on_message(Time::ZERO, other, Message::Propose { ids: vec![1].into() });
-        assert_eq!(node.linked_ids(), 0);
+        assert_eq!((node.linked_ids(), alternate_of(&node, 1)), (0, None));
 
         // An id whose window passes the record floor undelivered loses its
-        // entry with its record; its timer, still armed, then fires into
+        // link with its record; its timer, still armed, then fires into
         // nothing.
         node.on_message(Time::ZERO, silent, Message::Propose { ids: vec![300].into() });
         let (token, at) = timer_of(&drain(&mut node)).expect("armed");
-        assert_eq!(node.linked_ids(), 1);
+        node.on_message(Time::ZERO, other, Message::Propose { ids: vec![300].into() });
+        assert_eq!(alternate_of(&node, 300), Some(other.as_u32()));
         node.on_round(Time::from_secs(61));
-        assert!(node.is_expired(&300) && node.linked_ids() == 0);
+        assert!(node.is_expired(&300) && node.request_info(&300).is_none());
         assert_eq!(node.retransmits.len(), 1);
         node.on_timer(at, token);
-        assert!(drain(&mut node).is_empty() && node.links.is_empty());
+        assert!(drain(&mut node).is_empty() && node.retransmits.is_empty());
+        assert_eq!(node.linked_ids(), 0);
     }
 
     #[test]
-    fn a_crash_leaves_the_link_table_without_capacity() {
+    fn a_crash_leaves_the_timer_slab_without_capacity() {
         let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
         let ids: Vec<u64> = (0..100).collect();
-        node.on_message(Time::ZERO, NodeId::new(2), Message::Propose { ids: ids.into() });
+        node.on_message(Time::ZERO, NodeId::new(2), Message::Propose { ids: ids.clone().into() });
+        node.on_message(Time::ZERO, NodeId::new(3), Message::Propose { ids: ids.into() });
         drain(&mut node);
-        assert_eq!(node.linked_ids(), 100);
+        assert_eq!((node.linked_ids(), alternate_of(&node, 99)), (100, Some(3)));
         node.crash();
-        assert_eq!((node.linked_ids(), node.links.capacity()), (0, 0));
+        assert_eq!((node.linked_ids(), node.retransmits.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn an_id_repeated_within_one_proposal_gets_its_proposer_as_alternate_and_only_it() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let (first, third) = (NodeId::new(2), NodeId::new(4));
+        node.on_message(Time::ZERO, first, Message::Propose { ids: vec![5, 6, 5, 7].into() });
+        let out = drain(&mut node);
+        assert_eq!(sends(&out), [(first, &Message::Request { ids: vec![5, 6, 7].into() })]);
+        assert_eq!(node.stats().duplicate_ids_proposed, 1);
+        assert_eq!([5, 6, 7].map(|id| alternate_of(&node, id)), [Some(first.as_u32()), None, None]);
+        // A third peer corrupts both 5 and 6: only 5 goes back to `first`.
+        let corrupt = [5, 6].map(|id| TestEvent::new(id, 10).corrupted()).to_vec();
+        node.on_message(Time::from_millis(50), third, Message::Serve { events: corrupt });
+        let out = drain(&mut node);
+        assert_eq!(sends(&out), [(first, &Message::Request { ids: vec![5].into() })]);
+        assert_eq!(node.stats().corrupt_rerequests, 1);
+
+        // Without a second request there is no timer, and no alternate.
+        let config = GossipConfig::new(3).with_max_requests(1);
+        let mut node = GossipNode::new(NodeId::new(1), config, members(10), 1);
+        node.on_message(Time::ZERO, first, Message::Propose { ids: vec![5, 5].into() });
+        drain(&mut node);
+        assert!(node.retransmits.is_empty() && alternate_of(&node, 5).is_none());
+    }
+
+    #[test]
+    fn an_id_at_a_saturated_position_is_found_by_a_scan() {
+        let mut node = GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(10), 1);
+        let (first, second, third) = (NodeId::new(2), NodeId::new(3), NodeId::new(4));
+        let ids: Vec<u64> = (0..70_000).collect();
+        node.on_message(Time::ZERO, first, Message::Propose { ids: ids.into() });
+        drain(&mut node);
+        // An id's position is its value here; from 0xFFFF on, links hold
+        // 0xFFFF.
+        for id in [0, 65_534, 65_535, 65_536, 69_999] {
+            let (_, linked) = node.ids.get(&id).and_then(|r| r.state.link()).expect("linked");
+            assert_eq!(linked, (id as usize).min(0xFFFF), "id {id}");
+        }
+        node.on_message(Time::ZERO, second, Message::Propose { ids: vec![65_535, 69_999].into() });
+        assert_eq!(alternate_of(&node, 65_535), Some(second.as_u32()));
+        assert_eq!(alternate_of(&node, 69_999), Some(second.as_u32()));
+        assert_eq!(alternate_of(&node, 65_536), None, "a neighbour in the saturated range");
+        let entry = node.retransmits.values().next().expect("armed");
+        let set: Vec<usize> =
+            (0..entry.alternates.len()).filter(|&p| entry.alternates[p] != NO_ALTERNATE).collect();
+        assert_eq!(set, [65_535, 69_999], "each at its real position");
+        // A corrupt serve from a third peer goes to the alternate.
+        let corrupt = vec![TestEvent::new(69_999, 10).corrupted()];
+        node.on_message(Time::from_millis(50), third, Message::Serve { events: corrupt });
+        let out = drain(&mut node);
+        assert_eq!(sends(&out), [(second, &Message::Request { ids: vec![69_999].into() })]);
+    }
+
+    #[test]
+    fn a_linked_word_roundtrips_its_link_and_unlinks_to_the_first_request_time() {
+        let t = Time::from_micros(123_456_789);
+        let word = RequestState::new(2, false, t);
+        assert_eq!(word.link(), None);
+        for (slot, position, held) in [
+            (0, 0, 0),
+            (u32::MAX, 0xFFFF, 0xFFFF),
+            (u32::MAX, 0xFFFE, 0xFFFE),
+            (7, 1 << 20, 0xFFFF),
+        ] {
+            let mut linked = word.linked(slot, position);
+            assert_eq!(linked.link(), Some((slot, held)));
+            assert_eq!((linked.times_requested(), linked.delivered()), (2, false));
+            assert_eq!(linked.0.get() & RequestState::MARKER, 0, "the marker is clear");
+            linked.bump_requested();
+            assert_eq!((linked.link(), linked.times_requested()), (Some((slot, held)), 3));
+            let unlinked = linked.unlinked(t);
+            assert_eq!((unlinked.link(), unlinked.times_requested()), (None, 3));
+            assert_eq!(unlinked.at(), t, "unlinking restores the first-request time");
+        }
+        // The least linked word is one request at slot 0, position 0: the
+        // counter alone keeps it non-zero.
+        assert_eq!(RequestState::new(1, false, Time::ZERO).linked(0, 0).0.get(), 1 << 48);
+        // A saturated counter stays saturated and leaves the link alone.
+        let mut full = RequestState::new(u32::MAX, false, t).linked(u32::MAX, 0xFFFF);
+        full.bump_requested();
+        assert_eq!(full.link(), Some((u32::MAX, 0xFFFF)));
+        assert_eq!((full.times_requested(), full.delivered()), ((1 << 14) - 1, false));
+        // Delivery takes the link's bits for the delivery time.
+        full.mark_delivered(t);
+        assert_eq!((full.link(), full.delivered(), full.at()), (None, true, t));
     }
 
     #[test]

@@ -669,10 +669,11 @@ impl DigestHost {
 /// value alone; the scenario digests run too few of these paths to tell.
 ///
 /// The sequences cover K ∈ {1, 2, 4}; ids repeated within one proposal
-/// and corrupt serves from a third peer (both drawn by `input_strategy`);
-/// a record floor that moves (short retention, ids in a sliding head
-/// window); and an in-process proposal of more than 65 535 ids, whose
-/// late ids get alternates, corrupt serves and a retry.
+/// and corrupt serves from a third peer (both strategies draw them, the
+/// contested one often); a record floor that moves (short retention, ids
+/// in a sliding head window); a crash at the end of each sequence; and an
+/// in-process proposal of more than 65 535 ids, whose late ids get
+/// alternates, corrupt serves and a retry.
 #[test]
 fn a_node_output_digest_is_pinned() {
     const PINNED: u64 = 0x3e49_5551_421e_802a;
@@ -697,8 +698,8 @@ fn a_node_output_digest_is_pinned() {
                         host.apply(Input::Round);
                         next_round = host.now + Duration::from_millis(100);
                     }
-                    // Raw ids 0..50 become offsets 0..10 of the head window
-                    // and the four before it, as the floor proptest does.
+                    // Raw id r becomes offset r % 10 of the window r / 10
+                    // behind the head, as the floor proptest does.
                     let head = host.now.as_millis() / 250;
                     let input = match (input, sliding) {
                         // One crash per sequence, at its end, is enough.

@@ -97,8 +97,8 @@
 //! packets published, not with the nodes hosted. A [`StreamPacket`] is a
 //! one-pointer handle on a reference-counted `{id, timestamp, checksum,
 //! payload}`, so what a hosted node adds per packet is its own 16-byte
-//! record (request word and the handle; an id in flight also has a small
-//! entry in the node's side table of links) and nothing of the packet. The table is **filled** in one place — a delivery in
+//! record (request word and the handle; an id in flight also links to its
+//! retransmission timer) and nothing of the packet. The table is **filled** in one place — a delivery in
 //! [`Shard::drain_outputs`] that passed `verify`, checked by the
 //! validating node or, for an undefended node, by the shard — so a
 //! corrupted payload can never enter it. It is **consulted** at decode

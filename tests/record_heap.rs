@@ -23,8 +23,8 @@ const RECORD: f64 = 16.0;
 /// window (at most 128 B, doubling `Vec` included, over 110 ids) and one
 /// packet — its shared header and 50-byte payload, under 256 B with the
 /// allocator's rounding — over the 95 receivers that record it. The two
-/// come to 3.9 B; the ids in flight, whose links are all a node keeps
-/// beside the record, do not grow with the stream.
+/// come to 3.9 B; the ids in flight, whose retransmission timers are all a
+/// node keeps beside the records, do not grow with the stream.
 const MARGIN: f64 = 128.0 / 110.0 + 256.0 / (N - 1) as f64;
 
 /// Runs `secs` of stream (the paper's 100 + 10 windows, one a second) and

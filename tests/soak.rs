@@ -2,7 +2,8 @@
 //! horizon, with a thin stream and six nodes, probed every ten simulated
 //! seconds. What a node holds is bounded by the horizon, not by the stream:
 //! each live node's id records stop growing once the first horizon has
-//! passed, its links stay at the ids in flight, the bytes the run holds
+//! passed, the ids its retransmission timers wait for stay at the ids in
+//! flight, the bytes the run holds
 //! grow by no more than its measurement history (a player's record of each
 //! window, the per-second timeline), and a crashed node holds nothing at
 //! all.
@@ -104,12 +105,12 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
         }
     }
 
-    // Links: only the ids in flight have one. Measured, no node holds
-    // more than 20 at any probe (a request's round trip at 55 packets a
-    // second, plus the odd lost serve waiting for its timer). The bound is
-    // one window, 55: a table that kept each requested id's entry until its
-    // window aged out would hold one horizon's ids, over a hundred times
-    // that.
+    // Links: the armed timers count only the ids in flight. Measured, no
+    // node's timers wait for more than 20 at any probe (a request's round
+    // trip at 55 packets a second, plus the odd lost serve waiting for its
+    // timer). The bound is one window, 55: state kept for each requested id
+    // until its window aged out would be one horizon's ids, over a hundred
+    // times that.
     for s in &samples {
         for i in 0..N {
             assert!(s.links[i] <= WINDOW_PACKETS, "node {i}: {} links at {:?}", s.links[i], s.at);
@@ -129,9 +130,9 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
 
     // Bytes: what the run holds grows by its measurement history, nothing
     // more. Unbounded records alone would add 16 B (a request word and a
-    // payload handle; an id's links live in a side table only while it is
-    // in flight) for each of the `WINDOW_PACKETS` ids of every window at
-    // every live node.
+    // payload handle; what an id in flight needs besides lives with its
+    // retransmission timer) for each of the `WINDOW_PACKETS` ids of every
+    // window at every live node.
     let (from, to) = (first[0], samples.last().expect("samples"));
     let secs = (to.at.as_micros() - from.at.as_micros()) / 1_000_000;
     let history = secs as usize * (N * HISTORY_PER_WINDOW + HISTORY_PER_SECOND);
