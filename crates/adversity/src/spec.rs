@@ -141,9 +141,9 @@ pub struct AdversitySpec {
     pub free_rider_fraction: Option<f64>,
     /// Upload-capacity classes (empty = the scenario's uniform cap).
     pub bandwidth_classes: Vec<BandwidthClass>,
-    /// Explicitly scheduled crashes `(at, victims)` — the compatibility
-    /// form of the old `ChurnPlan`, and an escape hatch for scripted
-    /// scenarios with hand-picked victims. Unlike the random fault
+    /// Explicitly scheduled crashes `(at, victims)` — the paper's
+    /// catastrophic failure with its victims drawn by the experiment, and
+    /// an escape hatch for scripted scenarios with hand-picked victims. Unlike the random fault
     /// processes (which always protect the source), hand-picked victims
     /// are honoured verbatim — naming node 0 here deliberately kills the
     /// source.
@@ -703,8 +703,7 @@ mod tests {
     #[test]
     fn explicit_crash_of_the_source_is_honoured() {
         // Random processes protect node 0; hand-picked victims do not —
-        // deliberately killing the source is a legitimate experiment (and
-        // what the legacy ChurnPlan allowed).
+        // deliberately killing the source is a legitimate experiment.
         let spec = AdversitySpec::none()
             .with_explicit_crash(Duration::from_secs(3), vec![NodeId::new(0), NodeId::new(2)]);
         let c = spec.compile(10, 1);

@@ -159,8 +159,9 @@ pub enum FrameKind {
 /// copying path materialises a `Vec` (and, for id messages, a second
 /// `Arc<[Id]>` allocation) before the node ever sees the message, a
 /// `Frame` hands the consumer an iterator over the original bytes. The
-/// hot-path consumer is `GossipNode::on_frame`; the `demux_borrowed`
-/// criterion group races the two paths head-to-head.
+/// hot-path consumer is `GossipNode::on_frame`; the benchmark's
+/// `core.wire_decode_frame_ns` and `core.wire_decode_message_ns` rows time
+/// the two paths.
 ///
 /// Validation happens entirely in [`decode_frame`] — cheap length walks,
 /// no allocation — so a `Frame` that exists is guaranteed well-formed and

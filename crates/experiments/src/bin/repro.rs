@@ -21,7 +21,7 @@ use gossip_experiments::Scale;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro <fig1|...|fig8|all|adv|adv-catastrophic|adv-poisson|adv-flash-crowd|adv-free-riders|adv-byzantine|adv-partition|adv-throttle|ext|ext-membership|ext-heterogeneous|ext-scaling|ext-period|ext-churn-timeline> [--scale full|quick|tiny] [--seed N] [--trials N]\n\
+        "usage: repro <fig1|...|fig8|all|adv|adv-catastrophic|adv-poisson|adv-flash-crowd|adv-free-riders|adv-byzantine|adv-partition|adv-throttle|ext|ext-membership|ext-heterogeneous|ext-scaling|ext-period|ext-churn-timeline|ext-ablations> [--scale full|quick|tiny] [--seed N] [--trials N]\n\
          regenerates the figures of 'Stretching Gossip with Live Streaming' (DSN 2009) plus extensions"
     );
     ExitCode::FAILURE
@@ -101,6 +101,7 @@ fn main() -> ExitCode {
         "ext-scaling" => print(extensions::run_scaling(seed)),
         "ext-period" => print(extensions::run_period(scale, seed)),
         "ext-churn-timeline" => print(extensions::run_churn_timeline(scale, seed)),
+        "ext-ablations" => print(extensions::run_ablations(scale, seed)),
         "ext" => {
             print(extensions::run_membership(scale, seed));
             print(extensions::run_heterogeneous(scale, seed));

@@ -50,8 +50,9 @@ pub fn catastrophic_spec(scale: Scale, pct: u32) -> AdversitySpec {
     AdversitySpec::none().with_catastrophic(scale.stream_duration() / 2, f64::from(pct) / 100.0)
 }
 
-/// Catastrophic crash sweep (crash % × `X ∈ {1, ∞}`): Figure 7/8 driven by
-/// the spec compiler instead of the legacy `ChurnPlan`.
+/// Catastrophic crash sweep (crash % × `X ∈ {1, ∞}`): Figure 7/8 with the
+/// victims drawn by the spec compiler instead of
+/// [`catastrophic_crash`](crate::churn::catastrophic_crash).
 pub fn run_catastrophic(scale: Scale, seed: u64) -> FigureOutput {
     let x_values: Vec<Option<u32>> = vec![Some(1), None];
     let mut params: Vec<(Option<u32>, u32)> = Vec::new();

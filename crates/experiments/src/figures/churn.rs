@@ -12,10 +12,10 @@
 
 use gossip_core::GossipConfig;
 use gossip_metrics::Table;
-use gossip_net::ChurnPlan;
 use gossip_sim::DetRng;
-use gossip_types::{NodeId, Time};
+use gossip_types::NodeId;
 
+use crate::churn::catastrophic_crash;
 use crate::figures::fig5_refresh::experiment_fanout;
 use crate::figures::{churn_percentages, knob_label, FigureOutput, LAG_20S, MAX_JITTER, OFFLINE};
 use crate::scenario::{Scale, Scenario};
@@ -52,23 +52,18 @@ pub fn sweep(scale: Scale, seed: u64) -> Vec<Cell> {
     crate::harness::SweepRunner::new().run(params, |&(x, pct)| {
         let fanout = experiment_fanout(scale);
         let mut churn_rng = DetRng::seed_from(seed).split(0xC0FFEE + pct as u64);
-        let crash_at = Time::ZERO + scale.stream_duration() / 2;
-        let churn = if pct == 0 {
-            ChurnPlan::none()
-        } else {
-            ChurnPlan::catastrophic(
-                crash_at,
-                scale.nodes(),
-                pct as f64 / 100.0,
-                &[NodeId::new(0)],
-                &mut churn_rng,
-            )
-        };
+        let crash = catastrophic_crash(
+            scale.stream_duration() / 2,
+            scale.nodes(),
+            pct as f64 / 100.0,
+            &[NodeId::new(0)],
+            &mut churn_rng,
+        );
         let gossip = GossipConfig::new(fanout).with_refresh_rounds(x);
         let result = Scenario::at_scale(scale, fanout)
             .with_seed(seed)
             .with_gossip(gossip)
-            .with_churn(churn)
+            .with_adversity(crash)
             .run();
         Cell {
             churn_pct: pct,

@@ -577,15 +577,19 @@ mod tests {
 
     #[test]
     fn crashed_nodes_stop_participating() {
-        use gossip_net::ChurnPlan;
         use gossip_sim::DetRng;
 
         let mut rng = DetRng::seed_from(5);
-        let churn =
-            ChurnPlan::catastrophic(Time::from_secs(5), 20, 0.3, &[NodeId::new(0)], &mut rng);
-        let victims = churn.all_victims().len();
+        let crash = crate::churn::catastrophic_crash(
+            Duration::from_secs(5),
+            20,
+            0.3,
+            &[NodeId::new(0)],
+            &mut rng,
+        );
+        let victims = crash.explicit_crashes[0].1.len();
         assert!(victims > 0);
-        let cfg = crate::Scenario::tiny(6).with_seed(5).with_churn(churn);
+        let cfg = crate::Scenario::tiny(6).with_seed(5).with_adversity(crash);
         let result = Driver::new(&cfg).run();
         // Victims are excluded from the survivor reports.
         assert_eq!(result.quality.nodes().len(), cfg.n - victims - 1);

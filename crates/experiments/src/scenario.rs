@@ -22,7 +22,7 @@
 use gossip_adversity::AdversitySpec;
 use gossip_core::GossipConfig;
 use gossip_membership::CyclonConfig;
-use gossip_net::{ChurnPlan, LatencyModel, LossModel};
+use gossip_net::{LatencyModel, LossModel};
 use gossip_stream::StreamConfig;
 use gossip_types::{Duration, Time};
 
@@ -35,8 +35,8 @@ pub use crate::harness::result::{DepthStats, RunResult, RunTimeline};
 /// Preset experiment sizes.
 ///
 /// `Full` is the paper's deployment (230 nodes, ~100 measured windows);
-/// `Quick` trades nodes and stream length for wall-clock speed (used by the
-/// Criterion benches); `Tiny` is for unit/integration tests.
+/// `Quick` trades nodes and stream length for wall-clock speed
+/// (`repro --scale quick`); `Tiny` is for unit/integration tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// 230 nodes, 135 s stream (100 windows), 45 s drain.
@@ -237,18 +237,6 @@ impl Scenario {
         self
     }
 
-    /// Folds a legacy [`ChurnPlan`] into the adversity spec as explicit
-    /// crash events (builder-style) — the plan's hand-picked victims are
-    /// preserved exactly.
-    pub fn with_churn(mut self, churn: ChurnPlan) -> Self {
-        for event in churn.events() {
-            self.adversity = self
-                .adversity
-                .with_explicit_crash(event.at.saturating_since(Time::ZERO), event.victims.clone());
-        }
-        self
-    }
-
     /// Sets the in-network loss model (builder-style).
     pub fn with_loss(mut self, loss: LossModel) -> Self {
         self.loss = loss;
@@ -321,7 +309,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use gossip_sim::DetRng;
-    use gossip_types::{NodeId, Time};
+    use gossip_types::NodeId;
 
     #[test]
     fn tiny_run_disseminates_the_stream() {
@@ -364,10 +352,15 @@ mod tests {
     #[test]
     fn churn_kills_upload_accounting_for_victims() {
         let mut rng = DetRng::seed_from(9);
-        let churn =
-            ChurnPlan::catastrophic(Time::from_secs(8), 20, 0.4, &[NodeId::new(0)], &mut rng);
-        let victims = churn.all_victims().len();
-        let result = Scenario::tiny(6).with_seed(9).with_churn(churn).run();
+        let crash = crate::churn::catastrophic_crash(
+            Duration::from_secs(8),
+            20,
+            0.4,
+            &[NodeId::new(0)],
+            &mut rng,
+        );
+        let victims = crash.explicit_crashes[0].1.len();
+        let result = Scenario::tiny(6).with_seed(9).with_adversity(crash).run();
         assert_eq!(result.upload_kbps.len(), 20 - victims - 1, "source reported separately");
         assert_eq!(result.quality.nodes().len(), 20 - victims - 1, "source excluded");
         assert!(result.source_upload_kbps > 0.0);

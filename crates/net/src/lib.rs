@@ -12,9 +12,7 @@
 //!   queue into drops — exactly the limiter the paper describes, and the
 //!   one every host (the simulator and the live shards alike) paces
 //!   through;
-//! * [`stats`] — per-node byte/message accounting used for Figure 4;
-//! * [`churn`] — catastrophic-failure plans (simultaneous crash of a random
-//!   fraction of nodes) for Figures 7 and 8.
+//! * [`stats`] — per-node byte/message accounting used for Figure 4.
 //!
 //! The crate knows nothing about gossip or streams; the hosts
 //! (`gossip-experiments`, `gossip-reactor`) wire it to the protocol core.
@@ -23,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod bandwidth;
-pub mod churn;
 pub mod latency;
 pub mod loss;
 pub mod stats;
 
 pub use bandwidth::{Enqueued, UploadLink};
-pub use churn::ChurnPlan;
 pub use latency::{LatencyModel, LatencySampler};
 pub use loss::{LossModel, LossProcess};
 pub use stats::NetStats;

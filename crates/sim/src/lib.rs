@@ -5,9 +5,10 @@
 //! * [`EventQueue`] — a timestamped event queue with a stable total order
 //!   (ties broken by insertion sequence) and tombstone-free cancellation via
 //!   slot+generation handles. The default implementation is a bucketed
-//!   [`CalendarQueue`] (O(1) push/pop on time-clustered workloads); the
-//!   indexed 4-ary [`HeapQueue`] it replaced remains available as the
-//!   reference implementation, and both speak the [`EventSchedule`] trait;
+//!   [`CalendarQueue`] (O(1) push/pop on time-clustered workloads), and
+//!   generic code drives it through the [`EventSchedule`] trait (the
+//!   indexed 4-ary heap it replaced is kept in test scope as the reference
+//!   it is model-checked against);
 //! * [`Engine`] — a virtual clock plus queue with a `run`-style driver;
 //! * [`DetRng`] — a fast, splittable, fully deterministic random number
 //!   generator (xoshiro256++ seeded via SplitMix64) with the distribution
@@ -50,5 +51,5 @@ mod queue;
 mod rng;
 
 pub use engine::Engine;
-pub use queue::{CalendarQueue, EventHandle, EventQueue, EventSchedule, HeapQueue};
+pub use queue::{CalendarQueue, EventHandle, EventQueue, EventSchedule};
 pub use rng::DetRng;

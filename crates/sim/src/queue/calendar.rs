@@ -12,8 +12,9 @@
 //!
 //! * **Exact total order.** Within a day the minimum is selected by
 //!   `(time, insertion seq)`, and a day's events all hash to the same
-//!   bucket, so the pop order is identical to the reference heap's — the
-//!   simulation schedule does not change by swapping implementations.
+//!   bucket, so the pop order is identical to the test-only reference
+//!   heap's (`HeapQueue`) — the simulation schedule does not change by
+//!   swapping implementations.
 //! * **Self-tuning size.** When the population outgrows (or undershoots)
 //!   the bucket array, the calendar is rebuilt with twice (or half) the
 //!   buckets and a day width re-estimated from the gaps between the

@@ -1,4 +1,5 @@
-//! The reference implementation: a slab-backed, indexed 4-ary min-heap.
+//! The reference implementation (test scope): a slab-backed, indexed 4-ary
+//! min-heap.
 
 use gossip_types::Time;
 
@@ -16,21 +17,7 @@ const ARITY: usize = 4;
 /// model-checked against: O(log n) push/pop with no workload assumptions.
 /// The heap orders `u32` slot indices, so sift operations move 4-byte
 /// integers instead of whole events; event payloads stay put in their
-/// slots.
-///
-/// # Examples
-///
-/// ```
-/// use gossip_sim::HeapQueue;
-/// use gossip_types::Time;
-///
-/// let mut q = HeapQueue::new();
-/// let h = q.push(Time::from_secs(1), "late");
-/// q.push(Time::from_millis(1), "early");
-/// q.cancel(h);
-/// assert_eq!(q.pop(), Some((Time::from_millis(1), "early")));
-/// assert_eq!(q.pop(), None); // "late" was cancelled
-/// ```
+/// slots. Test scope only.
 ///
 /// [`CalendarQueue`]: super::CalendarQueue
 pub struct HeapQueue<E> {

@@ -1,14 +1,11 @@
 //! Timestamped event queues.
 //!
-//! Two interchangeable implementations of the same contract live here:
-//!
-//! * [`CalendarQueue`] — a bucketed ("calendar") queue with O(1) push and
-//!   pop on clustered workloads. This is the default: [`EventQueue`] is an
-//!   alias for it, and it is what the simulation engine runs on.
-//! * [`HeapQueue`] — the slab-backed, indexed 4-ary min-heap it replaced,
-//!   kept as the O(log n) reference implementation. The property tests
-//!   model-check the calendar queue against it on arbitrary operation
-//!   interleavings.
+//! [`CalendarQueue`] is a bucketed ("calendar") queue with O(1) push and
+//! pop on clustered workloads. [`EventQueue`] is an alias for it, and it is
+//! what the simulation engine runs on. The slab-backed, indexed 4-ary
+//! min-heap it replaced (`HeapQueue`) is kept in test scope as the O(log n)
+//! reference: the unit and property tests model-check the calendar queue
+//! against it on arbitrary operation interleavings.
 //!
 //! Both provide the two things a deterministic simulator needs beyond a
 //! plain priority queue:
@@ -28,21 +25,20 @@
 //!    timeout — at n = 4000 that is 82 k resident events instead of 321 k.
 //!
 //! The shared contract is the [`EventSchedule`] trait, which generic code
-//! (micro-benchmarks, property tests) can use to drive either
+//! (the shard loop's timer queue, property tests) can use to drive either
 //! implementation.
 
 use gossip_types::Time;
 
 mod calendar;
+#[cfg(test)]
 mod heap;
 
 pub use calendar::CalendarQueue;
-pub use heap::HeapQueue;
+#[cfg(test)]
+use heap::HeapQueue;
 
-/// The default event queue of the simulation engine.
-///
-/// Currently the [`CalendarQueue`]; the [`HeapQueue`] remains available as
-/// the reference implementation with the identical API.
+/// The default event queue of the simulation engine: the [`CalendarQueue`].
 pub type EventQueue<E> = CalendarQueue<E>;
 
 /// A handle to a scheduled event, usable to cancel it.
@@ -90,7 +86,8 @@ struct Slot<E> {
     /// they were issued under.
     generation: u32,
     /// Position of this slot's entry in the owning structure (heap index
-    /// for [`HeapQueue`], index within the bucket for [`CalendarQueue`]);
+    /// for the test-only `HeapQueue`, index within the bucket for
+    /// [`CalendarQueue`]);
     /// only meaningful while the slot is occupied.
     pos: u32,
     at: Time,
@@ -179,6 +176,8 @@ impl<E> Slab<E> {
 mod tests {
     use super::*;
     use gossip_types::Duration;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Instantiates the shared behavioural suite for one implementation.
     macro_rules! queue_contract_tests {
@@ -367,4 +366,111 @@ mod tests {
 
     queue_contract_tests!(calendar_contract, CalendarQueue);
     queue_contract_tests!(heap_contract, HeapQueue);
+
+    proptest! {
+        /// Model check: the calendar queue agrees with the reference 4-ary
+        /// heap on an arbitrary interleaving of push / pop / pop_before /
+        /// cancel — including stale-handle cancels (cancel-after-pop), the
+        /// stable tie-break at equal timestamps (the tight 0..8 time range
+        /// forces heavy collisions), and the bucket-resize boundaries (the op
+        /// count range makes the population repeatedly cross the grow and
+        /// shrink thresholds at 32/64/128 live events).
+        #[test]
+        fn calendar_matches_heap_reference(
+            ops in vec((0u8..6, 0u64..50, 0u8..8), 1..400),
+        ) {
+            let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            // Payload → handle pairs of both queues, kept in lockstep.
+            let mut live: Vec<(u64, EventHandle, EventHandle)> = Vec::new();
+            let mut dead: Vec<(EventHandle, EventHandle)> = Vec::new();
+            let mut next_payload = 0u64;
+
+            for &(op, arg, t) in &ops {
+                match op {
+                    // Push (weighted 3/6 so the queues actually grow and cross
+                    // the calendar's resize boundaries).
+                    0..=2 => {
+                        let at = Time::from_micros(u64::from(t));
+                        let payload = next_payload;
+                        next_payload += 1;
+                        let hc = cal.push(at, payload);
+                        let hh = heap.push(at, payload);
+                        live.push((payload, hc, hh));
+                    }
+                    // Pop from both; results must agree exactly.
+                    3 => {
+                        let got_cal = cal.pop();
+                        let got_heap = heap.pop();
+                        prop_assert_eq!(got_cal, got_heap, "pop diverged");
+                        if let Some((_, payload)) = got_cal {
+                            let i = live.iter().position(|&(p, _, _)| p == payload)
+                                .expect("popped payload must be live");
+                            let (_, hc, hh) = live.remove(i);
+                            // The popped payload's handles are now stale.
+                            dead.push((hc, hh));
+                        }
+                    }
+                    // Horizon-bounded pop.
+                    4 => {
+                        let horizon = Time::from_micros(u64::from(t));
+                        let got_cal = cal.pop_before(horizon);
+                        let got_heap = heap.pop_before(horizon);
+                        prop_assert_eq!(got_cal, got_heap, "pop_before diverged");
+                        if let Some((_, payload)) = got_cal {
+                            let i = live.iter().position(|&(p, _, _)| p == payload)
+                                .expect("popped payload must be live");
+                            let (_, hc, hh) = live.remove(i);
+                            dead.push((hc, hh));
+                        }
+                    }
+                    // Cancel: alternately a live handle and a stale one.
+                    _ => {
+                        if arg % 2 == 0 && !live.is_empty() {
+                            let (_, hc, hh) = live.remove(arg as usize % live.len());
+                            let rc = cal.cancel(hc);
+                            let rh = heap.cancel(hh);
+                            prop_assert_eq!(rc, rh, "live cancel diverged");
+                            prop_assert!(rc, "live handles must cancel");
+                            dead.push((hc, hh));
+                        } else if !dead.is_empty() {
+                            let (hc, hh) = dead[arg as usize % dead.len()];
+                            // Cancel-after-pop / double-cancel: both queues must
+                            // reject the stale handle.
+                            prop_assert!(!cal.cancel(hc), "stale cancel accepted by calendar");
+                            prop_assert!(!heap.cancel(hh), "stale cancel accepted by heap");
+                        }
+                    }
+                }
+                prop_assert_eq!(cal.len(), heap.len(), "len diverged");
+                prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek_time diverged");
+            }
+
+            // Drain both completely: the tails must agree too.
+            loop {
+                let got_cal = cal.pop();
+                let got_heap = heap.pop();
+                prop_assert_eq!(got_cal, got_heap, "drain diverged");
+                if got_cal.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Both queue implementations satisfy the trait contract identically
+        /// when driven generically.
+        #[test]
+        fn trait_driven_queues_agree(times in vec(0u64..1_000, 1..150)) {
+            fn drain<Q: EventSchedule<usize> + Default>(times: &[u64]) -> Vec<(Time, usize)> {
+                let mut q = Q::default();
+                for (i, &t) in times.iter().enumerate() {
+                    q.push(Time::from_micros(t), i);
+                }
+                std::iter::from_fn(|| q.pop()).collect()
+            }
+            let cal = drain::<CalendarQueue<usize>>(&times);
+            let heap = drain::<HeapQueue<usize>>(&times);
+            prop_assert_eq!(cal, heap);
+        }
+    }
 }

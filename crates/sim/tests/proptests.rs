@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use gossip_sim::{CalendarQueue, DetRng, Engine, EventQueue, EventSchedule, HeapQueue};
+use gossip_sim::{DetRng, Engine, EventQueue};
 use gossip_types::Time;
 
 proptest! {
@@ -137,111 +137,6 @@ proptest! {
                 break;
             }
         }
-    }
-
-    /// Model check: the calendar queue agrees with the reference 4-ary
-    /// heap on an arbitrary interleaving of push / pop / pop_before /
-    /// cancel — including stale-handle cancels (cancel-after-pop), the
-    /// stable tie-break at equal timestamps (the tight 0..8 time range
-    /// forces heavy collisions), and the bucket-resize boundaries (the op
-    /// count range makes the population repeatedly cross the grow and
-    /// shrink thresholds at 32/64/128 live events).
-    #[test]
-    fn calendar_matches_heap_reference(
-        ops in vec((0u8..6, 0u64..50, 0u8..8), 1..400),
-    ) {
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        // Payload → handle pairs of both queues, kept in lockstep.
-        let mut live: Vec<(u64, gossip_sim::EventHandle, gossip_sim::EventHandle)> = Vec::new();
-        let mut dead: Vec<(gossip_sim::EventHandle, gossip_sim::EventHandle)> = Vec::new();
-        let mut next_payload = 0u64;
-
-        for &(op, arg, t) in &ops {
-            match op {
-                // Push (weighted 3/6 so the queues actually grow and cross
-                // the calendar's resize boundaries).
-                0..=2 => {
-                    let at = Time::from_micros(u64::from(t));
-                    let payload = next_payload;
-                    next_payload += 1;
-                    let hc = cal.push(at, payload);
-                    let hh = heap.push(at, payload);
-                    live.push((payload, hc, hh));
-                }
-                // Pop from both; results must agree exactly.
-                3 => {
-                    let got_cal = cal.pop();
-                    let got_heap = heap.pop();
-                    prop_assert_eq!(got_cal, got_heap, "pop diverged");
-                    if let Some((_, payload)) = got_cal {
-                        let i = live.iter().position(|&(p, _, _)| p == payload)
-                            .expect("popped payload must be live");
-                        let (_, hc, hh) = live.remove(i);
-                        // The popped payload's handles are now stale.
-                        dead.push((hc, hh));
-                    }
-                }
-                // Horizon-bounded pop.
-                4 => {
-                    let horizon = Time::from_micros(u64::from(t));
-                    let got_cal = cal.pop_before(horizon);
-                    let got_heap = heap.pop_before(horizon);
-                    prop_assert_eq!(got_cal, got_heap, "pop_before diverged");
-                    if let Some((_, payload)) = got_cal {
-                        let i = live.iter().position(|&(p, _, _)| p == payload)
-                            .expect("popped payload must be live");
-                        let (_, hc, hh) = live.remove(i);
-                        dead.push((hc, hh));
-                    }
-                }
-                // Cancel: alternately a live handle and a stale one.
-                _ => {
-                    if arg % 2 == 0 && !live.is_empty() {
-                        let (_, hc, hh) = live.remove(arg as usize % live.len());
-                        let rc = cal.cancel(hc);
-                        let rh = heap.cancel(hh);
-                        prop_assert_eq!(rc, rh, "live cancel diverged");
-                        prop_assert!(rc, "live handles must cancel");
-                        dead.push((hc, hh));
-                    } else if !dead.is_empty() {
-                        let (hc, hh) = dead[arg as usize % dead.len()];
-                        // Cancel-after-pop / double-cancel: both queues must
-                        // reject the stale handle.
-                        prop_assert!(!cal.cancel(hc), "stale cancel accepted by calendar");
-                        prop_assert!(!heap.cancel(hh), "stale cancel accepted by heap");
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), heap.len(), "len diverged");
-            prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek_time diverged");
-        }
-
-        // Drain both completely: the tails must agree too.
-        loop {
-            let got_cal = cal.pop();
-            let got_heap = heap.pop();
-            prop_assert_eq!(got_cal, got_heap, "drain diverged");
-            if got_cal.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Both queue implementations satisfy the trait contract identically
-    /// when driven generically (the micro-benchmarks rely on this).
-    #[test]
-    fn trait_driven_queues_agree(times in vec(0u64..1_000, 1..150)) {
-        fn drain<Q: EventSchedule<usize> + Default>(times: &[u64]) -> Vec<(Time, usize)> {
-            let mut q = Q::default();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(Time::from_micros(t), i);
-            }
-            std::iter::from_fn(|| q.pop()).collect()
-        }
-        let cal = drain::<CalendarQueue<usize>>(&times);
-        let heap = drain::<HeapQueue<usize>>(&times);
-        prop_assert_eq!(cal, heap);
     }
 
     /// The engine clock never runs backwards, no matter the schedule.

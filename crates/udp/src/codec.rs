@@ -30,6 +30,11 @@ const PROTOCOL_FIELDS: u32 = 20;
 /// Number of `u64` counters in [`ShardStats`]: the rows of its table, in
 /// table order.
 const SHARD_FIELDS: u32 = ShardStats::COUNTERS.len() as u32;
+/// The fewest bytes a [`NodeReport`] encodes to (one with no windows): id,
+/// protocol counters, two player counters, window count, five I/O counters.
+const NODE_REPORT_MIN_BYTES: usize = 4 + 4 + 8 * PROTOCOL_FIELDS as usize + 8 + 8 + 4 + 5 * 8;
+/// The bytes a [`ShardStats`] encodes to.
+const SHARD_STATS_BYTES: usize = 4 + 8 * SHARD_FIELDS as usize;
 
 /// A decode failure: the buffer was truncated, malformed, or produced by an
 /// incompatible encoder.
@@ -320,13 +325,14 @@ pub fn decode_process_reports(
     config: &StreamConfig,
 ) -> Result<(Vec<NodeReport>, Vec<ShardStats>), CodecError> {
     let mut cur = Cursor::new(bytes);
+    // A count is the sender's claim: reserve only what the bytes left can hold.
     let node_count = cur.u32()? as usize;
-    let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
+    let mut nodes = Vec::with_capacity(node_count.min(cur.remaining() / NODE_REPORT_MIN_BYTES));
     for _ in 0..node_count {
         nodes.push(decode_node_report(&mut cur, config)?);
     }
     let shard_count = cur.u32()? as usize;
-    let mut shards = Vec::with_capacity(shard_count.min(4096));
+    let mut shards = Vec::with_capacity(shard_count.min(cur.remaining() / SHARD_STATS_BYTES));
     for _ in 0..shard_count {
         shards.push(decode_shard_stats(&mut cur)?);
     }
@@ -365,6 +371,17 @@ mod tests {
             recv_msgs: 60,
             decode_errors: 0,
         }
+    }
+
+    #[test]
+    fn a_report_without_windows_encodes_to_the_floor() {
+        let mut report = sample_report(1);
+        report.player = StreamPlayer::new(StreamConfig::test_small());
+        let mut bytes = Vec::new();
+        encode_node_report(&mut bytes, &report);
+        assert_eq!(bytes.len(), NODE_REPORT_MIN_BYTES);
+        encode_shard_stats(&mut bytes, &ShardStats::default());
+        assert_eq!(bytes.len(), NODE_REPORT_MIN_BYTES + SHARD_STATS_BYTES);
     }
 
     #[test]

@@ -6,25 +6,29 @@
 //! cargo run --release --example timeline [churn_percent]
 //! ```
 
+use gossip_experiments::churn::catastrophic_crash;
 use gossip_experiments::Scenario;
-use gossip_net::ChurnPlan;
 use gossip_sim::DetRng;
 use gossip_types::{NodeId, Time};
 
 fn main() {
     let pct: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30);
     let scenario = Scenario::tiny(6).with_seed(11);
-    let crash_at = Time::ZERO + scenario.stream_duration / 2;
+    let crash_at = scenario.stream_duration / 2;
     let mut rng = DetRng::seed_from(11);
-    let churn = ChurnPlan::catastrophic(
+    let crash = catastrophic_crash(
         crash_at,
         scenario.n,
         f64::from(pct) / 100.0,
         &[NodeId::new(0)],
         &mut rng,
     );
-    println!("{} nodes, {pct}% crash at {crash_at}; one sparkline bucket ≈ 1 s\n", scenario.n);
-    let result = scenario.with_churn(churn).run();
+    println!(
+        "{} nodes, {pct}% crash at {}; one sparkline bucket ≈ 1 s\n",
+        scenario.n,
+        Time::ZERO + crash_at
+    );
+    let result = scenario.with_adversity(crash).run();
     let t = &result.timeline;
 
     // Delivery rate (packets/s across all surviving receivers).

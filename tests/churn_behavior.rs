@@ -2,22 +2,26 @@
 //! Figures 7 and 8).
 
 use gossip_core::GossipConfig;
-use gossip_experiments::Scenario;
-use gossip_net::ChurnPlan;
+use gossip_experiments::churn::catastrophic_crash;
+use gossip_experiments::figures::churn_percentages;
+use gossip_experiments::{Scale, Scenario};
 use gossip_sim::DetRng;
-use gossip_types::{Duration, NodeId, Time};
+use gossip_types::{Duration, NodeId};
 
 fn churned(fanout: usize, x: Option<u32>, pct: f64, seed: u64) -> gossip_experiments::RunResult {
     let scenario = Scenario::tiny(fanout).with_seed(seed);
     let mut rng = DetRng::seed_from(seed).split(0xC0FFEE);
-    let churn = ChurnPlan::catastrophic(
-        Time::ZERO + scenario.stream_duration / 2,
+    let crash = catastrophic_crash(
+        scenario.stream_duration / 2,
         scenario.n,
         pct,
         &[NodeId::new(0)],
         &mut rng,
     );
-    scenario.with_gossip(GossipConfig::new(fanout).with_refresh_rounds(x)).with_churn(churn).run()
+    scenario
+        .with_gossip(GossipConfig::new(fanout).with_refresh_rounds(x))
+        .with_adversity(crash)
+        .run()
 }
 
 /// A fully dynamic view keeps delivering most of the stream through heavy
@@ -61,10 +65,10 @@ fn victims_disappear_from_reports() {
     let scenario = Scenario::tiny(6).with_seed(13);
     let n = scenario.n;
     let mut rng = DetRng::seed_from(13);
-    let churn = ChurnPlan::catastrophic(Time::from_secs(5), n, 0.3, &[NodeId::new(0)], &mut rng);
-    let victims = churn.all_victims().len();
+    let crash = catastrophic_crash(Duration::from_secs(5), n, 0.3, &[NodeId::new(0)], &mut rng);
+    let victims = crash.explicit_crashes[0].1.len();
     assert!(victims > 0);
-    let result = scenario.with_churn(churn).run();
+    let result = scenario.with_adversity(crash).run();
     assert_eq!(result.quality.nodes().len(), n - 1 - victims);
     assert_eq!(result.upload_kbps.len(), n - 1 - victims);
 }
@@ -75,14 +79,14 @@ fn victims_disappear_from_reports() {
 fn early_churn_is_survivable() {
     let scenario = Scenario::tiny(6).with_seed(17);
     let mut rng = DetRng::seed_from(17);
-    let churn = ChurnPlan::catastrophic(
-        Time::from_millis(100),
+    let crash = catastrophic_crash(
+        Duration::from_millis(100),
         scenario.n,
         0.25,
         &[NodeId::new(0)],
         &mut rng,
     );
-    let result = scenario.with_churn(churn).run();
+    let result = scenario.with_adversity(crash).run();
     let avg = result.quality.average_quality_percent(Duration::MAX);
     assert!(avg > 80.0, "early churn should not doom the survivors: {avg}%");
 }
@@ -99,4 +103,43 @@ fn extreme_churn_degrades_gracefully() {
         baseline.quality.average_quality_percent(Duration::from_secs(20)) >= avg,
         "churn cannot improve quality"
     );
+}
+
+/// The victims Figures 7/8 and `ext-churn-timeline` crash, pinned for
+/// seeds 1–3 × every churn percentage × tiny and full scale: a change to
+/// how victims are drawn moves no figure's input unnoticed.
+#[test]
+fn churn_victims_are_pinned() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut crashes = 0;
+    for scale in [Scale::Tiny, Scale::Full] {
+        let at = scale.stream_duration() / 2;
+        for seed in 1..=3u64 {
+            // Figures 7 and 8 draw on one stream per percentage,
+            // `ext-churn-timeline` crashes 20 % on the stream's parent.
+            let draws = churn_percentages()
+                .into_iter()
+                .map(|pct| (0xC0FFEE + u64::from(pct), f64::from(pct) / 100.0))
+                .chain([(0xC0FFEE, 0.2)]);
+            for (stream, fraction) in draws {
+                let mut rng = DetRng::seed_from(seed).split(stream);
+                let spec =
+                    catastrophic_crash(at, scale.nodes(), fraction, &[NodeId::new(0)], &mut rng);
+                mix(spec.explicit_crashes.len() as u64);
+                for (at, victims) in &spec.explicit_crashes {
+                    crashes += 1;
+                    mix(at.as_micros());
+                    mix(victims.len() as u64);
+                    victims.iter().for_each(|v| mix(u64::from(v.as_u32())));
+                }
+            }
+        }
+    }
+    assert_eq!(crashes, 2 * 3 * (6 + 1), "six non-zero percentages and the timeline's crash");
+    assert_eq!(digest, 0xCCF5_A5EE_727E_F1F6, "victim digest moved");
 }

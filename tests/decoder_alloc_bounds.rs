@@ -13,7 +13,8 @@ use counting_alloc::largest_allocation_in;
 use gossip::core::wire::decode_message;
 use gossip::core::TestEvent;
 use gossip::deploy::proto::{read_message, ProtoError};
-use gossip::stream::StreamPacket;
+use gossip::stream::{StreamConfig, StreamPacket};
+use gossip::udp::codec::decode_process_reports;
 
 #[test]
 fn a_seven_byte_datagram_cannot_reserve_a_full_u16_of_elements() {
@@ -26,6 +27,18 @@ fn a_seven_byte_datagram_cannot_reserve_a_full_u16_of_elements() {
         assert_eq!(decoded, (None, None), "tag {tag}: a truncated body is rejected");
         assert!(largest <= 64, "tag {tag}: reserved {largest} bytes for an empty body");
     }
+}
+
+#[test]
+fn a_four_byte_report_cannot_reserve_a_million_node_reports() {
+    // [node count = 1 048 575] and not one report: a worker's `Report`
+    // frame reaches the coordinator's decoder as it arrived.
+    let payload = [0xFF, 0xFF, 0x0F, 0x00];
+    let (rejected, largest) = largest_allocation_in(|| {
+        decode_process_reports(&payload, &StreamConfig::paper_default()).is_err()
+    });
+    assert!(rejected, "a truncated report is rejected");
+    assert!(largest <= 4096, "reserved {largest} bytes for an empty report");
 }
 
 #[test]
