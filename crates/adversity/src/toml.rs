@@ -2,10 +2,18 @@
 //!
 //! The build is fully offline (no registry crates), so this module parses
 //! exactly the subset an [`AdversitySpec`] needs — `[section]` and
-//! `[[array-of-tables]]` headers with `key = number` pairs, comments and
+//! `[[array-of-tables]]` headers with `key = value` pairs, comments and
 //! blank lines — instead of pulling in a TOML crate. The grammar is small
 //! enough that the whole parser fits in a screen and rejects anything it
-//! does not understand loudly.
+//! does not understand loudly: an unknown section, a key its section
+//! does not read (a typo such as `mean_downtim_secs`), a key given twice.
+//!
+//! The loader is shared: [`parse_sections`] splits any file of the subset
+//! into [`Section`]s, and a reader takes the sections it knows and hands
+//! the rest to [`AdversitySpec::from_sections`] — the deployment file of
+//! `gossip-deploy` is read this way, so one grammar and one unknown-key
+//! rule cover both file types. Values are numbers or double-quoted
+//! strings; no adversity key takes a string.
 //!
 //! # Spec format
 //!
@@ -68,6 +76,8 @@
 //! enosys_at_secs = 4.0          # batched backend downgrades mid-run
 //! ```
 
+use std::cell::Cell;
+
 use gossip_types::Duration;
 
 use crate::spec::{AdversitySpec, BandwidthClass};
@@ -84,26 +94,103 @@ impl std::fmt::Display for SpecParseError {
 
 impl std::error::Error for SpecParseError {}
 
+/// A key's value: a number, or a double-quoted string.
+#[derive(Debug)]
+enum Value {
+    Number(f64),
+    Text(String),
+}
+
 /// One parsed `[section]` (or `[[section]]` instance) and its keys.
-struct Section {
+///
+/// Reading a key marks it read; [`Section::reject_unread`] then turns
+/// every key the reader never asked for into an error, so a misspelt key
+/// fails loudly instead of leaving its setting at the default.
+#[derive(Debug)]
+pub struct Section {
     name: String,
-    keys: Vec<(String, f64)>,
+    keys: Vec<(String, Value, Cell<bool>)>,
 }
 
 impl Section {
-    fn get(&self, key: &str) -> Option<f64> {
-        self.keys.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    /// The section's name, without brackets.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
-    fn require(&self, key: &str) -> Result<f64, SpecParseError> {
-        self.get(key).ok_or_else(|| SpecParseError(format!("[{}] is missing `{key}`", self.name)))
+    fn value(&self, key: &str) -> Option<&Value> {
+        let (_, value, read) = self.keys.iter().find(|(k, ..)| k == key)?;
+        read.set(true);
+        Some(value)
+    }
+
+    /// The number under `key`, if the section has one.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the value is a quoted string.
+    pub fn get(&self, key: &str) -> Result<Option<f64>, SpecParseError> {
+        match self.value(key) {
+            None => Ok(None),
+            Some(&Value::Number(v)) => Ok(Some(v)),
+            Some(Value::Text(_)) => {
+                Err(SpecParseError(format!("[{}] `{key}` must be a number", self.name)))
+            }
+        }
+    }
+
+    /// The number under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the key is missing or its value is a quoted string.
+    pub fn require(&self, key: &str) -> Result<f64, SpecParseError> {
+        self.get(key)?.ok_or_else(|| SpecParseError(format!("[{}] is missing `{key}`", self.name)))
+    }
+
+    /// The quoted string under `key`, if the section has one.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the value is a number.
+    pub fn text(&self, key: &str) -> Result<Option<&str>, SpecParseError> {
+        match self.value(key) {
+            None => Ok(None),
+            Some(Value::Text(text)) => Ok(Some(text)),
+            Some(Value::Number(_)) => {
+                Err(SpecParseError(format!("[{}] `{key}` must be a quoted string", self.name)))
+            }
+        }
+    }
+
+    /// Fails on the first key no getter has read: the reader of this
+    /// section does not know it.
+    ///
+    /// # Errors
+    ///
+    /// Names the key and the section.
+    pub fn reject_unread(&self) -> Result<(), SpecParseError> {
+        match self.keys.iter().find(|(.., read)| !read.get()) {
+            Some((key, ..)) => {
+                Err(SpecParseError(format!("unknown key `{key}` in [{}]", self.name)))
+            }
+            None => Ok(()),
+        }
     }
 }
 
-fn parse_sections(input: &str) -> Result<Vec<Section>, SpecParseError> {
+/// Splits a file of the TOML subset into its sections, in file order.
+///
+/// # Errors
+///
+/// Names the line of anything outside the subset: a key outside any
+/// section, a value that is neither a number nor a quoted string, a key
+/// given twice in one section, or a `[section]` given twice.
+pub fn parse_sections(input: &str) -> Result<Vec<Section>, SpecParseError> {
     let mut sections: Vec<Section> = Vec::new();
     for (lineno, raw) in input.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
+        let err = |msg: String| SpecParseError(format!("line {}: {msg}", lineno + 1));
         if line.is_empty() {
             continue;
         }
@@ -116,15 +203,21 @@ fn parse_sections(input: &str) -> Result<Vec<Section>, SpecParseError> {
             }
             sections.push(Section { name, keys: Vec::new() });
         } else if let Some((key, value)) = line.split_once('=') {
-            let section = sections.last_mut().ok_or_else(|| {
-                SpecParseError(format!("line {}: key outside any [section]", lineno + 1))
-            })?;
-            let value: f64 = value.trim().parse().map_err(|_| {
-                SpecParseError(format!("line {}: `{}` is not a number", lineno + 1, value.trim()))
-            })?;
-            section.keys.push((key.trim().to_string(), value));
+            let section =
+                sections.last_mut().ok_or_else(|| err("key outside any [section]".to_string()))?;
+            let (key, value) = (key.trim(), value.trim());
+            if section.keys.iter().any(|(k, ..)| k == key) {
+                return Err(err(format!("duplicate key `{key}` in [{}]", section.name)));
+            }
+            let value = match value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+                Some(text) => Value::Text(text.to_string()),
+                None => Value::Number(
+                    value.parse().map_err(|_| err(format!("`{value}` is not a number")))?,
+                ),
+            };
+            section.keys.push((key.to_string(), value, Cell::new(false)));
         } else {
-            return Err(SpecParseError(format!("line {}: cannot parse `{line}`", lineno + 1)));
+            return Err(err(format!("cannot parse `{line}`")));
         }
     }
     Ok(sections)
@@ -144,11 +237,22 @@ impl AdversitySpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecParseError`] naming the offending line or missing
-    /// key for any input outside the subset.
+    /// Returns a [`SpecParseError`] naming the offending line, missing or
+    /// unknown key for any input outside the subset.
     pub fn from_toml_str(input: &str) -> Result<Self, SpecParseError> {
+        Self::from_sections(parse_sections(input)?)
+    }
+
+    /// Builds a spec from already-split sections (a file that carries
+    /// other sections too hands over the ones it does not read itself).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecParseError`] for an unknown section, a missing,
+    /// unknown or out-of-range key.
+    pub fn from_sections(sections: Vec<Section>) -> Result<Self, SpecParseError> {
         let mut spec = AdversitySpec::none();
-        for section in parse_sections(input)? {
+        for section in sections {
             match section.name.as_str() {
                 "catastrophic" => {
                     spec.catastrophic = Some(crate::spec::Catastrophic {
@@ -181,7 +285,7 @@ impl AdversitySpec {
                         end,
                         leaves_per_sec: rate,
                         mean_downtime: section
-                            .get("mean_downtime_secs")
+                            .get("mean_downtime_secs")?
                             .map(|v| secs(v, "mean_downtime_secs"))
                             .transpose()?,
                     });
@@ -197,7 +301,7 @@ impl AdversitySpec {
                         at: secs(section.require("at_secs")?, "at_secs")?,
                         count: count as usize,
                         spread: section
-                            .get("spread_secs")
+                            .get("spread_secs")?
                             .map_or(Ok(Duration::ZERO), |v| secs(v, "spread_secs"))?,
                     });
                 }
@@ -228,7 +332,7 @@ impl AdversitySpec {
                         )));
                     }
                     let weight = |key: &str, default: f64| -> Result<f64, SpecParseError> {
-                        let w = section.get(key).unwrap_or(default);
+                        let w = section.get(key)?.unwrap_or(default);
                         if w >= 0.0 && w.is_finite() {
                             Ok(w)
                         } else {
@@ -291,7 +395,7 @@ impl AdversitySpec {
                 }
                 "chaos" => {
                     let prob = |key: &str| -> Result<f64, SpecParseError> {
-                        let p = section.get(key).unwrap_or(0.0);
+                        let p = section.get(key)?.unwrap_or(0.0);
                         if (0.0..=1.0).contains(&p) {
                             Ok(p)
                         } else {
@@ -311,15 +415,15 @@ impl AdversitySpec {
                         short_send: prob("short_send")?,
                         ..Default::default()
                     };
-                    if let Some(at) = section.get("enobufs_at_secs") {
+                    let enobufs_for = section.get("enobufs_secs")?.unwrap_or(1.0);
+                    if let Some(at) = section.get("enobufs_at_secs")? {
                         chaos.enobufs_at = Some(secs(at, "enobufs_at_secs")?);
-                        chaos.enobufs_for =
-                            secs(section.get("enobufs_secs").unwrap_or(1.0), "enobufs_secs")?;
+                        chaos.enobufs_for = secs(enobufs_for, "enobufs_secs")?;
                     }
-                    if let Some(at) = section.get("kill_socket_at_secs") {
+                    if let Some(at) = section.get("kill_socket_at_secs")? {
                         chaos.kill_socket_at = Some(secs(at, "kill_socket_at_secs")?);
                     }
-                    if let Some(at) = section.get("enosys_at_secs") {
+                    if let Some(at) = section.get("enosys_at_secs")? {
                         chaos.enosys_at = Some(secs(at, "enosys_at_secs")?);
                     }
                     spec.chaos = chaos;
@@ -328,6 +432,7 @@ impl AdversitySpec {
                     return Err(SpecParseError(format!("unknown section [{other}]")));
                 }
             }
+            section.reject_unread()?;
         }
         Ok(spec)
     }
@@ -480,6 +585,25 @@ enosys_at_secs = 4
             .unwrap_err()
             .0
             .contains("within [0, 1]"));
+        // A misspelt key is an error, not a silently defaulted setting.
+        assert!(AdversitySpec::from_toml_str(
+            "[churn]\nstart_secs = 1\nend_secs = 9\nleaves_per_sec = 1\nmean_downtim_secs = 20\n"
+        )
+        .unwrap_err()
+        .0
+        .contains("unknown key `mean_downtim_secs` in [churn]"));
+        assert!(AdversitySpec::from_toml_str("[chaos]\ndorp = 0.5\n")
+            .unwrap_err()
+            .0
+            .contains("unknown key `dorp` in [chaos]"));
+        assert!(AdversitySpec::from_toml_str("[chaos]\ndrop = 0.1\ndrop = 0.2\n")
+            .unwrap_err()
+            .0
+            .contains("line 3: duplicate key `drop`"));
+        assert!(AdversitySpec::from_toml_str("[chaos]\ndrop = \"lots\"\n")
+            .unwrap_err()
+            .0
+            .contains("must be a number"));
     }
 
     #[test]

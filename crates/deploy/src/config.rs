@@ -1,13 +1,15 @@
 //! The deployment config file: one TOML describing cluster, processes and
 //! adversity.
 //!
-//! The build is fully offline, so this module extends the hand-rolled
-//! TOML-subset approach of [`gossip_adversity::toml`]: the `[cluster]` and
-//! `[deploy]` sections are parsed here (numbers plus one quoted `bind`
-//! string), and every *other* line is handed verbatim to
-//! [`AdversitySpec::from_toml_str`] — so the full adversity grammar
-//! (churn, flash crowds, partitions, chaos, …) works unchanged inside a
-//! deployment file, and one file drives the whole cluster.
+//! The build is fully offline, so this file speaks the TOML subset of
+//! [`gossip_adversity::toml`] and is read by that module's one loader
+//! ([`parse_sections`]): this module takes the `[cluster]`, `[deploy]` and
+//! `[telemetry]` sections (numbers, plus one quoted `bind` string) and
+//! hands every *other* section to [`AdversitySpec::from_sections`] — so
+//! the full adversity grammar (churn, flash crowds, partitions, chaos, …)
+//! works unchanged inside a deployment file, and one file drives the whole
+//! cluster. One rule covers both: a key its section does not read is an
+//! error naming the key and the section.
 //!
 //! # File format
 //!
@@ -47,7 +49,8 @@
 
 use std::net::Ipv4Addr;
 
-use gossip_adversity::AdversitySpec;
+use gossip_adversity::toml::parse_sections;
+use gossip_adversity::{AdversitySpec, SpecParseError};
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
 use gossip_stream::StreamConfig;
@@ -65,6 +68,12 @@ impl std::fmt::Display for DeployParseError {
 }
 
 impl std::error::Error for DeployParseError {}
+
+impl From<SpecParseError> for DeployParseError {
+    fn from(e: SpecParseError) -> Self {
+        DeployParseError(e.0)
+    }
+}
 
 /// Everything one TOML file says about a deployment: the cluster workload
 /// (shared by every process) plus the process topology.
@@ -126,148 +135,15 @@ impl DeployConfig {
     /// Returns a [`DeployParseError`] naming the offending line, missing
     /// key, or invalid combination.
     pub fn from_toml_str(input: &str) -> Result<Self, DeployParseError> {
-        #[derive(PartialEq)]
-        enum At {
-            Cluster,
-            Deploy,
-            Telemetry,
-            Elsewhere,
-        }
-        let mut at = At::Elsewhere;
-        let mut seen_cluster = false;
-        let mut seen_deploy = false;
-        let mut seen_telemetry = false;
-        let mut numbers: Vec<(At2, String, f64)> = Vec::new();
-        let mut bind: Option<Ipv4Addr> = None;
-        let mut rest = String::new();
+        let mut sections = parse_sections(input)?;
+        let mut take =
+            |name: &str| sections.iter().position(|s| s.name() == name).map(|i| sections.remove(i));
+        let cluster_keys = take("cluster")
+            .ok_or_else(|| DeployParseError("missing [cluster] section".to_string()))?;
+        let deploy_keys = take("deploy")
+            .ok_or_else(|| DeployParseError("missing [deploy] section".to_string()))?;
+        let telemetry_keys = take("telemetry");
 
-        #[derive(Clone, Copy, PartialEq)]
-        enum At2 {
-            Cluster,
-            Deploy,
-            Telemetry,
-        }
-
-        for (lineno, raw) in input.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: String| DeployParseError(format!("line {}: {msg}", lineno + 1));
-            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                match header.trim() {
-                    "cluster" => {
-                        if seen_cluster {
-                            return Err(err("duplicate [cluster] section".to_string()));
-                        }
-                        seen_cluster = true;
-                        at = At::Cluster;
-                    }
-                    "deploy" => {
-                        if seen_deploy {
-                            return Err(err("duplicate [deploy] section".to_string()));
-                        }
-                        seen_deploy = true;
-                        at = At::Deploy;
-                    }
-                    "telemetry" => {
-                        if seen_telemetry {
-                            return Err(err("duplicate [telemetry] section".to_string()));
-                        }
-                        seen_telemetry = true;
-                        at = At::Telemetry;
-                    }
-                    _ => {
-                        at = At::Elsewhere;
-                        rest.push_str(line);
-                        rest.push('\n');
-                    }
-                }
-                continue;
-            }
-            match at {
-                At::Elsewhere => {
-                    rest.push_str(line);
-                    rest.push('\n');
-                }
-                At::Cluster | At::Deploy | At::Telemetry => {
-                    let Some((key, value)) = line.split_once('=') else {
-                        return Err(err(format!("cannot parse `{line}`")));
-                    };
-                    let (key, value) = (key.trim(), value.trim());
-                    if key == "bind" {
-                        if at != At::Deploy {
-                            return Err(err("`bind` belongs in [deploy]".to_string()));
-                        }
-                        let quoted = value
-                            .strip_prefix('"')
-                            .and_then(|v| v.strip_suffix('"'))
-                            .ok_or_else(|| err("`bind` must be a quoted string".to_string()))?;
-                        bind = Some(
-                            quoted
-                                .parse()
-                                .map_err(|_| err(format!("`{quoted}` is not an IPv4 address")))?,
-                        );
-                        continue;
-                    }
-                    let value: f64 =
-                        value.parse().map_err(|_| err(format!("`{value}` is not a number")))?;
-                    let section = match at {
-                        At::Cluster => At2::Cluster,
-                        At::Deploy => At2::Deploy,
-                        At::Telemetry => At2::Telemetry,
-                        At::Elsewhere => unreachable!("handled above"),
-                    };
-                    numbers.push((section, key.to_string(), value));
-                }
-            }
-        }
-        if !seen_cluster {
-            return Err(DeployParseError("missing [cluster] section".to_string()));
-        }
-        if !seen_deploy {
-            return Err(DeployParseError("missing [deploy] section".to_string()));
-        }
-
-        let get = |section: At2, key: &str| -> Option<f64> {
-            numbers.iter().find(|(s, k, _)| *s == section && k == key).map(|&(_, _, v)| v)
-        };
-        for (section, key, _) in &numbers {
-            let known: &[&str] = match section {
-                At2::Cluster => &[
-                    "n",
-                    "fanout",
-                    "period_ms",
-                    "rate_kbps",
-                    "payload_bytes",
-                    "data_packets",
-                    "parity_packets",
-                    "upload_cap_kbps",
-                    "stream_secs",
-                    "drain_secs",
-                    "seed",
-                    "inject_loss",
-                    "cyclon_degree",
-                ],
-                At2::Deploy => &[
-                    "processes",
-                    "shards_per_process",
-                    "sockets_per_shard",
-                    "start_delay_ms",
-                    "kill_process",
-                    "kill_at_secs",
-                ],
-                At2::Telemetry => &["port_base", "sample_ms"],
-            };
-            if !known.contains(&key.as_str()) {
-                let name = match section {
-                    At2::Cluster => "cluster",
-                    At2::Deploy => "deploy",
-                    At2::Telemetry => "telemetry",
-                };
-                return Err(DeployParseError(format!("unknown key `{key}` in [{name}]")));
-            }
-        }
         let integer = |v: f64, what: &str| -> Result<usize, DeployParseError> {
             if v >= 0.0 && v.fract() == 0.0 && v.is_finite() {
                 Ok(v as usize)
@@ -283,41 +159,38 @@ impl DeployConfig {
             }
         };
 
-        let n = integer(
-            get(At2::Cluster, "n")
-                .ok_or_else(|| DeployParseError("[cluster] is missing `n`".to_string()))?,
-            "n",
-        )?;
+        let n = integer(cluster_keys.require("n")?, "n")?;
         if n < 2 {
             return Err(DeployParseError("a cluster needs at least 2 nodes".to_string()));
         }
-        let fanout = integer(get(At2::Cluster, "fanout").unwrap_or(6.0), "fanout")?.max(1);
-        let period_ms = integer(get(At2::Cluster, "period_ms").unwrap_or(100.0), "period_ms")?;
-        let rate_kbps = integer(get(At2::Cluster, "rate_kbps").unwrap_or(200.0), "rate_kbps")?;
+        let fanout = integer(cluster_keys.get("fanout")?.unwrap_or(6.0), "fanout")?.max(1);
+        let period_ms = integer(cluster_keys.get("period_ms")?.unwrap_or(100.0), "period_ms")?;
+        let rate_kbps = integer(cluster_keys.get("rate_kbps")?.unwrap_or(200.0), "rate_kbps")?;
         let payload =
-            integer(get(At2::Cluster, "payload_bytes").unwrap_or(500.0), "payload_bytes")?;
-        let data = integer(get(At2::Cluster, "data_packets").unwrap_or(10.0), "data_packets")?;
-        let parity = integer(get(At2::Cluster, "parity_packets").unwrap_or(3.0), "parity_packets")?;
+            integer(cluster_keys.get("payload_bytes")?.unwrap_or(500.0), "payload_bytes")?;
+        let data = integer(cluster_keys.get("data_packets")?.unwrap_or(10.0), "data_packets")?;
+        let parity = integer(cluster_keys.get("parity_packets")?.unwrap_or(3.0), "parity_packets")?;
         if data == 0 || payload == 0 || rate_kbps == 0 || period_ms == 0 {
             return Err(DeployParseError(
                 "rate_kbps, payload_bytes, data_packets and period_ms must be positive".to_string(),
             ));
         }
         let cap_kbps =
-            integer(get(At2::Cluster, "upload_cap_kbps").unwrap_or(2000.0), "upload_cap_kbps")?;
-        let stream_secs = get(At2::Cluster, "stream_secs").unwrap_or(5.0);
-        let drain_secs = get(At2::Cluster, "drain_secs").unwrap_or(3.0);
-        let seed = integer(get(At2::Cluster, "seed").unwrap_or(1.0), "seed")? as u64;
-        let inject_loss = get(At2::Cluster, "inject_loss").unwrap_or(0.0);
+            integer(cluster_keys.get("upload_cap_kbps")?.unwrap_or(2000.0), "upload_cap_kbps")?;
+        let stream_secs = cluster_keys.get("stream_secs")?.unwrap_or(5.0);
+        let drain_secs = cluster_keys.get("drain_secs")?.unwrap_or(3.0);
+        let seed = integer(cluster_keys.get("seed")?.unwrap_or(1.0), "seed")? as u64;
+        let inject_loss = cluster_keys.get("inject_loss")?.unwrap_or(0.0);
         if !(0.0..=1.0).contains(&inject_loss) {
             return Err(DeployParseError(format!(
                 "inject_loss must be within [0, 1], got {inject_loss}"
             )));
         }
-        let cyclon = integer(get(At2::Cluster, "cyclon_degree").unwrap_or(0.0), "cyclon_degree")?;
+        let cyclon = integer(cluster_keys.get("cyclon_degree")?.unwrap_or(0.0), "cyclon_degree")?;
+        cluster_keys.reject_unread()?;
 
-        let adversity = AdversitySpec::from_toml_str(&rest)
-            .map_err(|e| DeployParseError(format!("adversity sections: {}", e.0)))?;
+        // Every section this file does not read itself is adversity.
+        let adversity = AdversitySpec::from_sections(sections)?;
 
         let cluster = ClusterConfig {
             n,
@@ -347,11 +220,7 @@ impl DeployConfig {
             telemetry: None,
         };
 
-        let processes = integer(
-            get(At2::Deploy, "processes")
-                .ok_or_else(|| DeployParseError("[deploy] is missing `processes`".to_string()))?,
-            "processes",
-        )?;
+        let processes = integer(deploy_keys.require("processes")?, "processes")?;
         let total_n = cluster.compiled_adversity().total_n;
         if processes == 0 || processes > total_n {
             return Err(DeployParseError(format!(
@@ -359,13 +228,13 @@ impl DeployConfig {
             )));
         }
         let shards =
-            integer(get(At2::Deploy, "shards_per_process").unwrap_or(0.0), "shards_per_process")?;
+            integer(deploy_keys.get("shards_per_process")?.unwrap_or(0.0), "shards_per_process")?;
         let sockets =
-            integer(get(At2::Deploy, "sockets_per_shard").unwrap_or(2.0), "sockets_per_shard")?
+            integer(deploy_keys.get("sockets_per_shard")?.unwrap_or(2.0), "sockets_per_shard")?
                 .max(1);
         let start_delay_ms =
-            integer(get(At2::Deploy, "start_delay_ms").unwrap_or(500.0), "start_delay_ms")?;
-        let kill_process = match get(At2::Deploy, "kill_process") {
+            integer(deploy_keys.get("start_delay_ms")?.unwrap_or(500.0), "start_delay_ms")?;
+        let kill_process = match deploy_keys.get("kill_process")? {
             Some(v) => {
                 let k = integer(v, "kill_process")?;
                 if k >= processes {
@@ -377,15 +246,23 @@ impl DeployConfig {
             }
             None => None,
         };
-        let kill_at = secs(get(At2::Deploy, "kill_at_secs").unwrap_or(0.0), "kill_at_secs")?;
+        let kill_at = secs(deploy_keys.get("kill_at_secs")?.unwrap_or(0.0), "kill_at_secs")?;
+        let bind = match deploy_keys.text("bind")? {
+            Some(text) => text
+                .parse()
+                .map_err(|_| DeployParseError(format!("`{text}` is not an IPv4 address")))?,
+            None => Ipv4Addr::LOCALHOST,
+        };
+        deploy_keys.reject_unread()?;
 
-        let telemetry = if seen_telemetry {
-            let port_base = integer(get(At2::Telemetry, "port_base").unwrap_or(0.0), "port_base")?;
+        let telemetry = if let Some(telemetry) = &telemetry_keys {
+            let port_base = integer(telemetry.get("port_base")?.unwrap_or(0.0), "port_base")?;
             if port_base > u16::MAX as usize {
                 return Err(DeployParseError(format!("port_base {port_base} exceeds 65535")));
             }
             let sample_ms =
-                integer(get(At2::Telemetry, "sample_ms").unwrap_or(250.0), "sample_ms")?.max(10);
+                integer(telemetry.get("sample_ms")?.unwrap_or(250.0), "sample_ms")?.max(10);
+            telemetry.reject_unread()?;
             Some(TelemetrySection { port_base: port_base as u16, sample_ms: sample_ms as u64 })
         } else {
             None
@@ -397,7 +274,7 @@ impl DeployConfig {
             shards_per_process: (shards > 0).then_some(shards),
             sockets_per_shard: sockets,
             start_delay: std::time::Duration::from_millis(start_delay_ms as u64),
-            bind: bind.unwrap_or(Ipv4Addr::LOCALHOST),
+            bind,
             kill_process,
             kill_at: std::time::Duration::from_secs_f64(kill_at.as_secs_f64()),
             telemetry,
@@ -511,5 +388,12 @@ fraction = 0.1
         assert!(e("[cluster]\nn = 8\n[deploy]\nprocesses = 2\nbind = 127\n").contains("quoted"));
         assert!(e("[cluster]\nn = 8\n[deploy]\nprocesses = 2\n[nonsense]\nx = 1\n")
             .contains("unknown section"));
+        // One unknown-key rule for the file's own sections and adversity's.
+        assert!(e("[cluster]\nn = 8\n[deploy]\nprocesses = 2\n[telemetry]\nport = 1\n")
+            .contains("unknown key `port` in [telemetry]"));
+        assert!(e("[cluster]\nn = 8\n[deploy]\nprocesses = 2\n[chaos]\ndorp = 0.5\n")
+            .contains("unknown key `dorp` in [chaos]"));
+        assert!(e("[cluster]\nn = 8\n[deploy]\nprocesses = 2\n[cluster]\nn = 9\n")
+            .contains("duplicate section [cluster]"));
     }
 }

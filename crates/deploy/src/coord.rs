@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use gossip_telemetry::{Registry, TelemetrySeries, TelemetrySnapshot};
+use gossip_telemetry::{in_family, Registry, TelemetrySeries, TelemetrySnapshot};
 
 use gossip_adversity::WallClockAnchor;
 use gossip_core::ProtocolStats;
@@ -166,22 +166,13 @@ impl AggregateReport {
 /// Sums the final value of every sample whose family (name without
 /// labels) matches — totalling a per-shard metric across one scrape.
 fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    let prefix = format!("{family}{{");
-    samples
-        .iter()
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
-        .map(|(_, v)| v)
-        .sum()
+    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
 }
 
 /// Mean of every sample of one family, if any are present.
 fn family_mean(samples: &[(String, f64)], family: &str) -> Option<f64> {
-    let prefix = format!("{family}{{");
-    let values: Vec<f64> = samples
-        .iter()
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
-        .map(|(_, v)| *v)
-        .collect();
+    let values: Vec<f64> =
+        samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| *v).collect();
     if values.is_empty() {
         None
     } else {

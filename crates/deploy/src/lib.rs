@@ -10,8 +10,8 @@
 //! * [`config`] — one TOML file describing the whole deployment: a
 //!   `[cluster]` section (population, stream, protocol), a `[deploy]`
 //!   section (process count, per-process reactor shape, optional
-//!   mid-stream process kill), and any `gossip-adversity` sections,
-//!   delegated verbatim to [`gossip_adversity::AdversitySpec::from_toml_str`];
+//!   mid-stream process kill), and any `gossip-adversity` sections, all
+//!   read by the one loader of [`gossip_adversity::toml`];
 //! * [`proto`] — the length-prefixed control protocol between `gossipd`
 //!   and the coordinator (hello → welcome → address exchange → start
 //!   barrier → report);

@@ -2,40 +2,42 @@
 
 use gossip_types::Duration;
 
-/// Byte and message counters for one node's network activity.
-///
-/// The transmit-side counters are maintained by
-/// [`crate::bandwidth::UploadLink`] on every host — a message counts as sent
-/// when the link hands it back, at completion in the simulator and at its
-/// start on a live shard; the receive-side ones by the experiment harness.
-/// Figure 4 of the paper is the distribution of [`NetStats::upload_kbps`]
-/// across nodes.
-///
-/// # Examples
-///
-/// ```
-/// use gossip_net::NetStats;
-/// use gossip_types::Duration;
-///
-/// let stats = NetStats { bytes_sent: 8_750_000, ..NetStats::default() };
-/// assert_eq!(stats.upload_kbps(Duration::from_secs(100)), 700.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Bytes sent (wire bytes, including header overhead).
-    pub bytes_sent: u64,
-    /// Messages sent.
-    pub msgs_sent: u64,
-    /// Bytes dropped by the sender's own throttling queue.
-    pub bytes_dropped: u64,
-    /// Messages dropped by the sender's own throttling queue.
-    pub msgs_dropped: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-    /// Messages received.
-    pub msgs_received: u64,
-    /// Messages lost in the network (after transmission, before receipt).
-    pub msgs_lost_in_network: u64,
+gossip_types::counters! {
+    /// Byte and message counters for one node's network activity.
+    ///
+    /// The transmit-side counters are maintained by
+    /// [`crate::bandwidth::UploadLink`] on every host — a message counts as sent
+    /// when the link hands it back, at completion in the simulator and at its
+    /// start on a live shard; the receive-side ones by the experiment harness.
+    /// Figure 4 of the paper is the distribution of [`NetStats::upload_kbps`]
+    /// across nodes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gossip_net::NetStats;
+    /// use gossip_types::Duration;
+    ///
+    /// let stats = NetStats { bytes_sent: 8_750_000, ..NetStats::default() };
+    /// assert_eq!(stats.upload_kbps(Duration::from_secs(100)), 700.0);
+    /// ```
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Bytes sent (wire bytes, including header overhead).
+        bytes_sent,
+        /// Messages sent.
+        msgs_sent,
+        /// Bytes dropped by the sender's own throttling queue.
+        bytes_dropped,
+        /// Messages dropped by the sender's own throttling queue.
+        msgs_dropped,
+        /// Bytes received.
+        bytes_received,
+        /// Messages received.
+        msgs_received,
+        /// Messages lost in the network (after transmission, before receipt).
+        msgs_lost_in_network,
+    }
 }
 
 impl NetStats {
@@ -53,18 +55,6 @@ impl NetStats {
             return 0.0;
         }
         (self.bytes_received as f64 * 8.0 / 1000.0) / elapsed.as_secs_f64()
-    }
-
-    /// Merges another stats record into this one (used when aggregating
-    /// across runs).
-    pub fn merge(&mut self, other: &NetStats) {
-        self.bytes_sent += other.bytes_sent;
-        self.msgs_sent += other.msgs_sent;
-        self.bytes_dropped += other.bytes_dropped;
-        self.msgs_dropped += other.msgs_dropped;
-        self.bytes_received += other.bytes_received;
-        self.msgs_received += other.msgs_received;
-        self.msgs_lost_in_network += other.msgs_lost_in_network;
     }
 }
 

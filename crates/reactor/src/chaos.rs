@@ -501,7 +501,7 @@ mod tests {
         assert_eq!(report.nodes.len(), 64, "every virtual node must report ({backend})");
         assert_eq!(report.aborted_shards, 0, "no shard may abort under chaos ({backend})");
 
-        let rec = report.recovery();
+        let rec = report.io_stats().unwrap_or_default();
         assert!(rec.faults_injected > 0, "the chaos plan must engage ({backend})");
         assert!(
             rec.send_backoffs > 0,

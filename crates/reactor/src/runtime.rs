@@ -823,7 +823,7 @@ mod tests {
         // Serve they send, so with traffic flowing the checksum must trip.
         assert!(sim.protocol.corrupted_events_detected > 0, "the sim must detect poisoned serves");
         assert!(sim.protocol.corrupt_rerequests > 0, "detected corruption is re-requested");
-        let res = report.resilience();
+        let res = report.protocol();
         assert!(res.corrupted_events_detected > 0, "the reactor must detect poisoned serves");
 
         // Honest receivers keep streaming in both runtimes, and the two tell
@@ -855,7 +855,7 @@ mod tests {
             AdversitySpec::none().with_byzantine(0.2, ByzantineMix::serve_corruptors());
         let report = run_virtual(config);
 
-        assert_eq!(report.resilience().corrupted_events_detected, 0, "the nodes do not look");
+        assert_eq!(report.protocol().corrupted_events_detected, 0, "the nodes do not look");
         // Every delivery reaches the player unless the shard's gate stopped
         // it, so the shortfall is exactly the poison.
         let mut kept_out = 0;

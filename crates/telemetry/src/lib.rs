@@ -34,7 +34,7 @@ pub use hub::Hub;
 pub use registry::{Cell, Histogram, MetricKind, Registry};
 pub use sample::{series_to_json, Sampler, TelemetrySeries, TelemetrySnapshot};
 pub use server::{serve, TelemetryServer};
-pub use text::{parse_text, render, scrape, scrape_text};
+pub use text::{in_family, parse_text, render, scrape, scrape_text};
 
 /// A finished run's telemetry: the snapshot series plus the final
 /// registry, for callers that read individual cells after the run.

@@ -57,7 +57,7 @@ impl TelemetrySeries {
         self.names
             .iter()
             .zip(&last.values)
-            .filter(|(n, _)| n.as_str() == family || n.starts_with(&format!("{family}{{")))
+            .filter(|(n, _)| crate::in_family(n, family))
             .map(|(_, &v)| v)
             .sum()
     }

@@ -122,6 +122,14 @@ pub fn scrape(addr: SocketAddr) -> std::io::Result<Vec<(String, f64)>> {
     Ok(parse_text(&scrape_text(addr)?))
 }
 
+/// Whether the sample `name` (as [`parse_text`] or a [`crate::TelemetrySeries`]
+/// names it) belongs to metric `family`: the bare family name, or the
+/// family with a label set (`family{shard="0"}`), never a longer name that
+/// merely starts the same way.
+pub fn in_family(name: &str, family: &str) -> bool {
+    name.strip_prefix(family).is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

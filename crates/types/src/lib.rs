@@ -2,7 +2,8 @@
 //!
 //! This crate hosts the handful of vocabulary types that every other crate in
 //! the workspace speaks: virtual [`Time`] / [`Duration`] newtypes (microsecond
-//! resolution) and the [`NodeId`] identity of a participant. Keeping them in a
+//! resolution), the [`NodeId`] identity of a participant, and the
+//! [`counters!`] table that declares every stats struct's counters once. Keeping them in a
 //! leaf crate lets the protocol core stay sans-io (it never has to import the
 //! simulator just to name a point in time) while the simulator, the network
 //! model and the real-socket runtime all agree on representations.
@@ -24,8 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 mod node;
 mod time;
 
+pub use counters::Counter;
 pub use node::NodeId;
 pub use time::{Duration, Time};

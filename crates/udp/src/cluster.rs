@@ -172,7 +172,10 @@ impl ClusterReport {
     }
 
     /// Cluster-wide I/O totals: every shard's [`ShardStats`] merged into
-    /// one (`None` when no shard reported any).
+    /// one (`None` when no shard reported any). Its recovery counters
+    /// (faults injected, backoffs, re-binds, downgrades, …) and
+    /// [`ClusterReport::aborted_shards`] are the run's self-healing
+    /// record, all zero for a chaos-free run on a healthy host.
     pub fn io_stats(&self) -> Option<ShardStats> {
         if self.shard_stats.is_empty() {
             return None;
@@ -184,41 +187,20 @@ impl ClusterReport {
         Some(total)
     }
 
-    /// Fault-injection and self-healing totals of a finished run: the
-    /// recovery counters of every shard's [`ShardStats`] summed, plus the
-    /// count of shards that aborted outright. All-zero for a chaos-free
-    /// run on a healthy host.
-    pub fn recovery(&self) -> RecoveryReport {
-        let io = self.io_stats().unwrap_or_default();
-        RecoveryReport {
-            faults_injected: io.faults_injected,
-            transients_recovered: io.transients_recovered,
-            send_backoffs: io.send_backoffs,
-            datagrams_shed: io.datagrams_shed,
-            socket_rebinds: io.socket_rebinds,
-            backend_downgrades: io.backend_downgrades,
-            encode_errors: io.encode_errors,
-            aborted_shards: self.aborted_shards,
-        }
-    }
-
     /// Receivers for which every measured window became decodable.
     pub fn nodes_all_windows_ok(&self) -> usize {
         self.quality.nodes().iter().filter(|q| q.complete_fraction() >= 1.0 - 1e-9).count()
     }
 
-    /// Cluster-wide resilience totals: the defense-layer counters of every
-    /// node's [`gossip_core::ProtocolStats`], summed.
-    pub fn resilience(&self) -> ResilienceTotals {
-        let mut t = ResilienceTotals::default();
+    /// Cluster-wide protocol totals: every node's
+    /// [`gossip_core::ProtocolStats`] merged into one (the live
+    /// counterpart of the simulator's aggregate counters).
+    pub fn protocol(&self) -> gossip_core::ProtocolStats {
+        let mut total = gossip_core::ProtocolStats::default();
         for n in &self.nodes {
-            t.corrupted_events_detected += n.protocol.corrupted_events_detected;
-            t.corrupt_rerequests += n.protocol.corrupt_rerequests;
-            t.peers_demoted += n.protocol.peers_demoted;
-            t.garbage_ids_rejected += n.protocol.garbage_ids_rejected;
-            t.proposes_from_demoted_ignored += n.protocol.proposes_from_demoted_ignored;
+            total.merge(&n.protocol);
         }
-        t
+        total
     }
 
     /// Partition re-convergence: the first window at index ≥ `from_window`
@@ -230,44 +212,6 @@ impl ClusterReport {
         (from_window..last)
             .find(|&w| self.nodes.iter().skip(1).all(|n| n.player.window_decodable_at(w).is_some()))
     }
-}
-
-/// Summed fault-injection and self-healing counters of a finished run
-/// (see [`ClusterReport::recovery`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Chaos faults injected at the syscall boundary.
-    pub faults_injected: u64,
-    /// Transient send errors absorbed without losing the queue.
-    pub transients_recovered: u64,
-    /// Backoff intervals entered after transient send failures.
-    pub send_backoffs: u64,
-    /// Datagrams shed by the outbox load-shedding budgets.
-    pub datagrams_shed: u64,
-    /// Fatal socket errors recovered by re-binding in place.
-    pub socket_rebinds: u64,
-    /// Mid-run I/O backend downgrades (`ENOSYS` → portable fallback).
-    pub backend_downgrades: u64,
-    /// Protocol datagrams too large for the u16 frame length.
-    pub encode_errors: u64,
-    /// Shards that aborted mid-run (report covers the survivors).
-    pub aborted_shards: usize,
-}
-
-/// Summed defense-layer counters of a finished run (see
-/// [`ClusterReport::resilience`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceTotals {
-    /// Served events whose payload failed verification.
-    pub corrupted_events_detected: u64,
-    /// Re-requests of a corrupted id from an alternate proposer.
-    pub corrupt_rerequests: u64,
-    /// Peers demoted for repeat misbehaviour (summed over all nodes).
-    pub peers_demoted: u64,
-    /// Proposed ids rejected by the dense-offset horizon.
-    pub garbage_ids_rejected: u64,
-    /// Proposals ignored because their sender was already demoted.
-    pub proposes_from_demoted_ignored: u64,
 }
 
 /// Errors from running a cluster.

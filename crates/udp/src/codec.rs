@@ -6,9 +6,13 @@
 //! control socket, and the coordinator feeds the union through
 //! [`crate::cluster::assemble_report`] exactly as if one process had hosted
 //! everything. This module is the wire form of those reports: hand-rolled
-//! little-endian framing (the workspace builds offline, so no serde), with
-//! counter blocks count-prefixed so a decoder can skip fields added by a
-//! newer encoder.
+//! little-endian framing (the workspace builds offline, so no serde).
+//!
+//! The protocol and shard counters travel as counter blocks: a row count,
+//! then one `u64` per row of the struct's `COUNTERS` table (see
+//! [`gossip_types::counters!`]), in table order. The codec names no counter
+//! itself — a new field is on the wire as soon as it is declared — and the
+//! count prefix lets a decoder skip rows a newer encoder appended.
 //!
 //! The [`gossip_stream::StreamConfig`] is deliberately *not* part of the
 //! encoding: every process of one deployment derives it from the same spec,
@@ -16,8 +20,9 @@
 //! [`gossip_stream::StreamPlayer`] (whose bitmask geometry the snapshot
 //! restore validates).
 
+use gossip_core::ProtocolStats;
 use gossip_stream::{PlayerSnapshot, StreamConfig, StreamPlayer, WindowSnapshot};
-use gossip_types::{NodeId, Time};
+use gossip_types::{Counter, NodeId, Time};
 
 use crate::report::{NodeReport, ShardStats};
 
@@ -25,16 +30,17 @@ use crate::report::{NodeReport, ShardStats};
 /// an "infinitely far" deadline, never a reception timestamp).
 const TIME_NONE: u64 = u64::MAX;
 
-/// Number of `u64` counters in [`gossip_core::ProtocolStats`].
-const PROTOCOL_FIELDS: u32 = 20;
-/// Number of `u64` counters in [`ShardStats`]: the rows of its table, in
-/// table order.
-const SHARD_FIELDS: u32 = ShardStats::COUNTERS.len() as u32;
 /// The fewest bytes a [`NodeReport`] encodes to (one with no windows): id,
-/// protocol counters, two player counters, window count, five I/O counters.
-const NODE_REPORT_MIN_BYTES: usize = 4 + 4 + 8 * PROTOCOL_FIELDS as usize + 8 + 8 + 4 + 5 * 8;
+/// protocol counter block, two player counters, window count, five I/O
+/// counters.
+const NODE_REPORT_MIN_BYTES: usize = 4 + block_bytes(ProtocolStats::COUNTERS) + 8 + 8 + 4 + 5 * 8;
 /// The bytes a [`ShardStats`] encodes to.
-const SHARD_STATS_BYTES: usize = 4 + 8 * SHARD_FIELDS as usize;
+const SHARD_STATS_BYTES: usize = block_bytes(ShardStats::COUNTERS);
+
+/// The bytes of a counter block: its count prefix, then one `u64` per row.
+const fn block_bytes<S>(table: &[Counter<S>]) -> usize {
+    4 + 8 * table.len()
+}
 
 /// A decode failure: the buffer was truncated, malformed, or produced by an
 /// incompatible encoder.
@@ -114,107 +120,32 @@ fn read_opt_time(cur: &mut Cursor) -> Result<Option<Time>, CodecError> {
     Ok((raw != TIME_NONE).then(|| Time::from_micros(raw)))
 }
 
-fn protocol_counters(p: &gossip_core::ProtocolStats) -> [u64; PROTOCOL_FIELDS as usize] {
-    [
-        p.rounds,
-        p.proposes_sent,
-        p.proposes_received,
-        p.duplicate_ids_proposed,
-        p.requests_sent,
-        p.requests_received,
-        p.unservable_ids,
-        p.serves_sent,
-        p.serves_received,
-        p.events_delivered,
-        p.duplicate_events_received,
-        p.retransmit_requests,
-        p.feedmes_sent,
-        p.feedmes_received,
-        p.feedmes_adopted,
-        p.corrupted_events_detected,
-        p.corrupt_rerequests,
-        p.peers_demoted,
-        p.proposes_from_demoted_ignored,
-        p.garbage_ids_rejected,
-    ]
+/// Appends a counter block: the row count, then every row of `table`
+/// read from `stats`, in table order.
+fn put_counters<S>(out: &mut Vec<u8>, table: &[Counter<S>], stats: &S) {
+    put_u32(out, table.len() as u32);
+    for counter in table {
+        put_u64(out, (counter.get)(stats));
+    }
 }
 
-/// Reads a count-prefixed counter block: exactly `known` fields into the
-/// output, skipping any trailing fields a newer encoder appended.
-fn read_counters(cur: &mut Cursor, known: u32, what: &str) -> Result<Vec<u64>, CodecError> {
-    let count = cur.u32()?;
-    if count < known {
-        return Err(CodecError(format!("{what}: encoder sent {count} counters, need {known}")));
+/// Reads a counter block written by [`put_counters`] against `table`,
+/// skipping any trailing counters a newer encoder appended.
+fn read_counters<S: Default>(cur: &mut Cursor, table: &[Counter<S>]) -> Result<S, CodecError> {
+    let count = cur.u32()? as usize;
+    if count < table.len() {
+        return Err(CodecError(format!(
+            "{}: encoder sent {count} counters, need {}",
+            std::any::type_name::<S>(),
+            table.len()
+        )));
     }
-    let mut fields = Vec::with_capacity(known as usize);
-    for _ in 0..known {
-        fields.push(cur.u64()?);
+    let mut stats = S::default();
+    for counter in table {
+        *(counter.slot)(&mut stats) = cur.u64()?;
     }
-    for _ in known..count {
+    for _ in table.len()..count {
         cur.u64()?;
-    }
-    Ok(fields)
-}
-
-/// Appends the wire form of one [`gossip_core::ProtocolStats`].
-pub fn encode_protocol_stats(out: &mut Vec<u8>, p: &gossip_core::ProtocolStats) {
-    put_u32(out, PROTOCOL_FIELDS);
-    for c in protocol_counters(p) {
-        put_u64(out, c);
-    }
-}
-
-/// Reads one [`gossip_core::ProtocolStats`].
-///
-/// # Errors
-///
-/// Fails if the buffer is truncated or carries fewer counters than this
-/// decoder knows.
-pub fn decode_protocol_stats(cur: &mut Cursor) -> Result<gossip_core::ProtocolStats, CodecError> {
-    let f = read_counters(cur, PROTOCOL_FIELDS, "protocol stats")?;
-    Ok(gossip_core::ProtocolStats {
-        rounds: f[0],
-        proposes_sent: f[1],
-        proposes_received: f[2],
-        duplicate_ids_proposed: f[3],
-        requests_sent: f[4],
-        requests_received: f[5],
-        unservable_ids: f[6],
-        serves_sent: f[7],
-        serves_received: f[8],
-        events_delivered: f[9],
-        duplicate_events_received: f[10],
-        retransmit_requests: f[11],
-        feedmes_sent: f[12],
-        feedmes_received: f[13],
-        feedmes_adopted: f[14],
-        corrupted_events_detected: f[15],
-        corrupt_rerequests: f[16],
-        peers_demoted: f[17],
-        proposes_from_demoted_ignored: f[18],
-        garbage_ids_rejected: f[19],
-    })
-}
-
-/// Appends the wire form of one [`ShardStats`].
-pub fn encode_shard_stats(out: &mut Vec<u8>, s: &ShardStats) {
-    put_u32(out, SHARD_FIELDS);
-    for counter in ShardStats::COUNTERS {
-        put_u64(out, (counter.get)(s));
-    }
-}
-
-/// Reads one [`ShardStats`].
-///
-/// # Errors
-///
-/// Fails if the buffer is truncated or carries fewer counters than this
-/// decoder knows.
-pub fn decode_shard_stats(cur: &mut Cursor) -> Result<ShardStats, CodecError> {
-    let fields = read_counters(cur, SHARD_FIELDS, "shard stats")?;
-    let mut stats = ShardStats::default();
-    for (counter, value) in ShardStats::COUNTERS.iter().zip(fields) {
-        *(counter.slot)(&mut stats) = value;
     }
     Ok(stats)
 }
@@ -223,7 +154,7 @@ pub fn decode_shard_stats(cur: &mut Cursor) -> Result<ShardStats, CodecError> {
 /// counters, the full player snapshot, I/O counters).
 pub fn encode_node_report(out: &mut Vec<u8>, r: &NodeReport) {
     put_u32(out, r.id.as_u32());
-    encode_protocol_stats(out, &r.protocol);
+    put_counters(out, ProtocolStats::COUNTERS, &r.protocol);
     let snap = r.player.snapshot();
     put_u64(out, snap.packets_received);
     put_u64(out, snap.duplicate_packets);
@@ -255,7 +186,7 @@ pub fn decode_node_report(
     config: &StreamConfig,
 ) -> Result<NodeReport, CodecError> {
     let id = NodeId::new(cur.u32()?);
-    let protocol = decode_protocol_stats(cur)?;
+    let protocol = read_counters(cur, ProtocolStats::COUNTERS)?;
     let packets_received = cur.u64()?;
     let duplicate_packets = cur.u64()?;
     let window_count = cur.u32()? as usize;
@@ -309,7 +240,7 @@ pub fn encode_process_reports(nodes: &[NodeReport], shards: &[ShardStats]) -> Ve
     }
     put_u32(&mut out, shards.len() as u32);
     for s in shards {
-        encode_shard_stats(&mut out, s);
+        put_counters(&mut out, ShardStats::COUNTERS, s);
     }
     out
 }
@@ -334,7 +265,7 @@ pub fn decode_process_reports(
     let shard_count = cur.u32()? as usize;
     let mut shards = Vec::with_capacity(shard_count.min(cur.remaining() / SHARD_STATS_BYTES));
     for _ in 0..shard_count {
-        shards.push(decode_shard_stats(&mut cur)?);
+        shards.push(read_counters(&mut cur, ShardStats::COUNTERS)?);
     }
     if cur.remaining() != 0 {
         return Err(CodecError(format!("{} trailing bytes after reports", cur.remaining())));
@@ -380,7 +311,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_node_report(&mut bytes, &report);
         assert_eq!(bytes.len(), NODE_REPORT_MIN_BYTES);
-        encode_shard_stats(&mut bytes, &ShardStats::default());
+        put_counters(&mut bytes, ShardStats::COUNTERS, &ShardStats::default());
         assert_eq!(bytes.len(), NODE_REPORT_MIN_BYTES + SHARD_STATS_BYTES);
     }
 
@@ -411,37 +342,134 @@ mod tests {
         assert_eq!(out_shards[1].backend_downgrades, 1);
     }
 
-    /// The shard block is the counter table, row for row: as many `u64`s as
-    /// the struct has fields (all of them are `u64` counters, so its size
-    /// counts them), in table order. A counter added to the struct without
-    /// a row — or a row without a field — fails here instead of silently
-    /// missing from merged reports and live metrics.
-    #[test]
-    fn shard_block_is_the_counter_table_row_for_row() {
-        let fields = std::mem::size_of::<ShardStats>() / std::mem::size_of::<u64>();
-        assert_eq!(ShardStats::COUNTERS.len(), fields);
+    /// A counter table is its struct, row for row: one row per field (every
+    /// field is a `u64` counter, so the size counts them), row `i` reading
+    /// and writing field `i` in declaration order (the order the derived
+    /// `Debug` prints), a counter block of the rows in table order, and a
+    /// `merge` that adds every row. A field without a row, a row on the
+    /// wrong field or a skipped merge fails here instead of going missing
+    /// from merged reports, the codec and live metrics.
+    fn assert_table_is_the_struct<S: Default + std::fmt::Debug>(
+        table: &[Counter<S>],
+        merge: fn(&mut S, &S),
+    ) {
+        let fields = std::mem::size_of::<S>() / std::mem::size_of::<u64>();
+        assert_eq!(table.len(), fields, "{}", std::any::type_name::<S>());
 
-        let mut stats = ShardStats::default();
-        for (i, counter) in ShardStats::COUNTERS.iter().enumerate() {
+        let mut stats = S::default();
+        for (i, counter) in table.iter().enumerate() {
             *(counter.slot)(&mut stats) = i as u64 + 1;
         }
-        let mut bytes = Vec::new();
-        encode_shard_stats(&mut bytes, &stats);
-        assert_eq!(bytes.len(), 4 + 8 * fields);
+        // `Name { field: value, … }`, fields in declaration order.
+        let debug = format!("{stats:?}");
+        let inner = debug.split_once(" { ").and_then(|(_, rest)| rest.strip_suffix(" }"));
+        let printed: Vec<(&str, &str)> = inner
+            .expect("a braced struct")
+            .split(", ")
+            .map(|pair| pair.split_once(": ").expect("field: value"))
+            .collect();
+        assert_eq!(printed.len(), fields, "{debug}");
+        for (i, (counter, (field, value))) in table.iter().zip(printed).enumerate() {
+            assert_eq!(value, (i + 1).to_string(), "row {i} ({}) writes `{field}`", counter.name);
+            assert_eq!((counter.get)(&stats), i as u64 + 1, "row {i} reads another field");
+            if counter.help.is_empty() {
+                assert_eq!(counter.name, field, "an unpublished row is named after its field");
+            }
+        }
 
+        let mut bytes = Vec::new();
+        put_counters(&mut bytes, table, &stats);
+        assert_eq!(bytes.len(), block_bytes(table));
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.u32().expect("count prefix") as usize, fields);
         for i in 0..fields {
-            assert_eq!(cur.u64().expect("counter"), i as u64 + 1, "row {i} reads another field");
+            assert_eq!(cur.u64().expect("counter"), i as u64 + 1, "block slot {i}");
         }
-        // The layout deployed workers already speak: first and last field.
-        assert_eq!((stats.datagrams_sent, stats.backend_downgrades), (1, fields as u64));
 
-        let mut doubled = decode_shard_stats(&mut Cursor::new(&bytes)).expect("decodes");
-        doubled.merge(&stats);
-        for counter in ShardStats::COUNTERS {
+        let mut doubled: S = read_counters(&mut Cursor::new(&bytes), table).expect("decodes");
+        merge(&mut doubled, &stats);
+        for counter in table {
             assert_eq!((counter.get)(&doubled), 2 * (counter.get)(&stats), "{}", counter.name);
         }
+    }
+
+    #[test]
+    fn every_counter_table_is_its_struct_row_for_row() {
+        assert_table_is_the_struct(ProtocolStats::COUNTERS, ProtocolStats::merge);
+        assert_table_is_the_struct(gossip_net::NetStats::COUNTERS, gossip_net::NetStats::merge);
+        assert_table_is_the_struct(ShardStats::COUNTERS, ShardStats::merge);
+    }
+
+    /// The bytes of a process report, pinned: every counter of the
+    /// protocol block, the shard block and the node's I/O block holds a
+    /// distinct value (field `i` = `i + 1` in declaration order), and the
+    /// player carries windows, so moving, dropping or reordering any field
+    /// of the wire form moves the digest.
+    #[test]
+    fn process_report_bytes_are_pinned() {
+        let protocol = gossip_core::ProtocolStats {
+            rounds: 1,
+            proposes_sent: 2,
+            proposes_received: 3,
+            duplicate_ids_proposed: 4,
+            requests_sent: 5,
+            requests_received: 6,
+            unservable_ids: 7,
+            serves_sent: 8,
+            serves_received: 9,
+            events_delivered: 10,
+            duplicate_events_received: 11,
+            retransmit_requests: 12,
+            feedmes_sent: 13,
+            feedmes_received: 14,
+            feedmes_adopted: 15,
+            corrupted_events_detected: 16,
+            corrupt_rerequests: 17,
+            peers_demoted: 18,
+            proposes_from_demoted_ignored: 19,
+            garbage_ids_rejected: 20,
+        };
+        let shard = ShardStats {
+            datagrams_sent: 1,
+            send_syscalls: 2,
+            kernel_sent: 3,
+            send_drops: 4,
+            datagrams_received: 5,
+            recv_syscalls: 6,
+            kernel_received: 7,
+            recv_capacity: 8,
+            frame_errors: 9,
+            encode_errors: 10,
+            iterations: 11,
+            faults_injected: 12,
+            transients_recovered: 13,
+            send_backoffs: 14,
+            datagrams_shed: 15,
+            socket_rebinds: 16,
+            backend_downgrades: 17,
+        };
+        // Window 2 becomes decodable; 0, 1 and 4 stay partial; one duplicate.
+        let mut player = StreamPlayer::new(StreamConfig::test_small());
+        let packets = [(0, 0), (0, 5), (1, 3), (4, 1), (4, 1)].into_iter();
+        for (window, index) in packets.chain((0..20).map(|i| (2, i))) {
+            player
+                .on_packet(Time::from_millis(40 * u64::from(index)), PacketId::new(window, index));
+        }
+        let node = NodeReport {
+            id: NodeId::new(3),
+            protocol,
+            player,
+            sent_bytes: 1,
+            sent_msgs: 2,
+            shaper_drops: 3,
+            recv_msgs: 4,
+            decode_errors: 5,
+        };
+        let bytes = encode_process_reports(&[node], &[shard]);
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!((bytes.len(), digest), (472, 0x2f6a_f95c_4830_12ca), "digest {digest:#018x}");
     }
 
     #[test]
@@ -476,19 +504,18 @@ mod tests {
 
     #[test]
     fn unknown_future_counters_are_skipped() {
-        // A newer encoder appended a 21st protocol counter: bump the count
+        // A newer encoder appended one protocol counter: bump the count
         // prefix and splice in one extra u64.
+        let p = ProtocolStats { rounds: 3, garbage_ids_rejected: 5, ..Default::default() };
         let mut out = Vec::new();
-        put_u32(&mut out, PROTOCOL_FIELDS + 1);
-        let p = gossip_core::ProtocolStats { rounds: 3, ..Default::default() };
-        for c in protocol_counters(&p) {
-            put_u64(&mut out, c);
-        }
+        put_counters(&mut out, ProtocolStats::COUNTERS, &p);
+        out[..4].copy_from_slice(&(ProtocolStats::COUNTERS.len() as u32 + 1).to_le_bytes());
         put_u64(&mut out, 999); // the future field
         put_u64(&mut out, 42); // sentinel following the block
         let mut cur = Cursor::new(&out);
-        let decoded = decode_protocol_stats(&mut cur).expect("skips unknown");
-        assert_eq!(decoded.rounds, 3);
+        let decoded: ProtocolStats =
+            read_counters(&mut cur, ProtocolStats::COUNTERS).expect("skips unknown");
+        assert_eq!(decoded, p);
         assert_eq!(cur.u64().expect("sentinel intact"), 42);
     }
 }

@@ -30,6 +30,7 @@ use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
 use gossip_reactor::ReactorCluster;
 use gossip_stream::StreamConfig;
+use gossip_telemetry::in_family;
 use gossip_types::Duration;
 use gossip_udp::cluster::ClusterConfig;
 
@@ -39,22 +40,13 @@ const WATCH_PORT: u16 = 9898;
 
 /// Sums a metric family (one labelled cell per shard) over a scrape.
 fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    let prefix = format!("{family}{{");
-    samples
-        .iter()
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
-        .map(|(_, v)| v)
-        .sum()
+    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
 }
 
 /// Mean of a gauge family's labelled cells (0 when the family is absent).
 fn family_mean(samples: &[(String, f64)], family: &str) -> f64 {
-    let prefix = format!("{family}{{");
-    let cells: Vec<f64> = samples
-        .iter()
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
-        .map(|(_, v)| *v)
-        .collect();
+    let cells: Vec<f64> =
+        samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| *v).collect();
     if cells.is_empty() {
         0.0
     } else {
@@ -206,7 +198,7 @@ fn main() {
     let recv: u64 = report.nodes.iter().map(|r| r.recv_msgs).sum();
     let errs: u64 = report.nodes.iter().map(|r| r.decode_errors).sum();
     println!("  datagrams sent {sent}, received {recv}, malformed {errs}");
-    let res = report.resilience();
+    let res = report.protocol();
     println!(
         "  resilience: {} corrupted serves detected, {} re-requested from alternates, \
          {} garbage ids rejected",
@@ -240,19 +232,18 @@ fn main() {
         if let Some(spi) = total.syscalls_per_iteration() {
             println!("  syscalls per loop iteration: {spi:.2}");
         }
-        let rec = report.recovery();
         println!(
             "  recovery: {} faults injected, {} transients recovered, {} send backoffs",
-            rec.faults_injected, rec.transients_recovered, rec.send_backoffs
+            total.faults_injected, total.transients_recovered, total.send_backoffs
         );
         println!(
             "  recovery: {} datagrams shed, {} socket re-binds, {} backend downgrades, \
              {} encode errors, {} aborted shards",
-            rec.datagrams_shed,
-            rec.socket_rebinds,
-            rec.backend_downgrades,
-            rec.encode_errors,
-            rec.aborted_shards
+            total.datagrams_shed,
+            total.socket_rebinds,
+            total.backend_downgrades,
+            total.encode_errors,
+            report.aborted_shards
         );
     }
 }

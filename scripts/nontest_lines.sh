@@ -3,15 +3,19 @@
 # `crates/<crate>/src`, up to the file's first line containing
 # `#[cfg(test)]` (the whole file when it has none), comments and blank
 # lines included. Prints one `<crate> <lines>` row per crate and a total.
+# With no arguments it counts every crate under `crates/` except `compat`
+# (the offline stand-ins for registry crates).
 #
-# Usage: scripts/nontest_lines.sh core stream net udp reactor experiments deploy
+# Usage: scripts/nontest_lines.sh [<crate>...]
 set -euo pipefail
 
-if [ "$#" -eq 0 ]; then
-    echo "usage: $0 <crate>..." >&2
-    exit 1
-fi
 cd "$(dirname "$0")/.."
+if [ "$#" -eq 0 ]; then
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        [ "$crate" = compat ] || set -- "$@" "$crate"
+    done
+fi
 total=0
 for crate in "$@"; do
     dir="crates/$crate/src"

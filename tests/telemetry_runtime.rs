@@ -16,29 +16,23 @@ use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
 use gossip_reactor::{NodeHost, ReactorCluster, ReactorOptions};
 use gossip_stream::StreamConfig;
-use gossip_telemetry::{Registry, TelemetryConfig, TelemetrySeries};
+use gossip_telemetry::{in_family, Registry, TelemetryConfig, TelemetrySeries};
 use gossip_types::Duration;
 use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::ClusterConfig;
 
 /// Sums one labelled family over a scrape's samples.
 fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    let prefix = format!("{family}{{");
-    samples
-        .iter()
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
-        .map(|(_, v)| v)
-        .sum()
+    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
 }
 
 /// Sums one labelled family inside snapshot `index` of a series.
 fn snapshot_family_sum(series: &TelemetrySeries, index: usize, family: &str) -> f64 {
-    let prefix = format!("{family}{{");
     series
         .names
         .iter()
         .zip(&series.snapshots[index].values)
-        .filter(|(n, _)| n.as_str() == family || n.starts_with(&prefix))
+        .filter(|(n, _)| in_family(n, family))
         .map(|(_, &v)| v)
         .sum()
 }
@@ -165,7 +159,10 @@ fn backoff_storm_is_visible_in_the_series_before_run_end() {
     };
     let options = ReactorOptions { shards: Some(2), ..ReactorOptions::default() };
     let report = ReactorCluster::run_with(config, options).expect("cluster runs");
-    assert!(report.recovery().send_backoffs > 0, "the burst must drive backoffs");
+    assert!(
+        report.io_stats().is_some_and(|io| io.send_backoffs > 0),
+        "the burst must drive backoffs"
+    );
 
     let series = report.telemetry.expect("the report carries the series");
     let family = "gossip_shard_send_backoffs_total";
