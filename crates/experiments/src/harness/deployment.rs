@@ -19,38 +19,13 @@
 use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
-use gossip_core::Message;
-use gossip_membership::ShuffleMessage;
 use gossip_net::{Enqueued, LatencySampler, LossProcess, NetStats, UploadLink};
 use gossip_sim::{DetRng, Engine};
-use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
-use gossip_udp::hosted::{bootstrap_view, HostedNode, Setup};
+use gossip_udp::hosted::{bootstrap_view, Envelope, HostedNode, Setup};
 
 use crate::harness::driver::Ev;
 use crate::scenario::{MembershipMode, Scenario};
-
-/// What travels through the simulated network: protocol messages plus, in
-/// Cyclon mode, membership shuffles.
-pub enum Envelope {
-    /// A gossip protocol message.
-    Gossip(Message<StreamPacket>),
-    /// A Cyclon shuffle request/reply.
-    Shuffle(ShuffleMessage),
-}
-
-impl Envelope {
-    /// Application bytes charged against the sender's upload budget.
-    pub(crate) fn wire_size(&self) -> usize {
-        match self {
-            Envelope::Gossip(msg) => msg.wire_size(),
-            // tag + sender + count + 8 bytes per (node, age) entry
-            Envelope::Shuffle(
-                ShuffleMessage::Request(entries) | ShuffleMessage::Reply(entries),
-            ) => 7 + entries.len() * 8,
-        }
-    }
-}
 
 /// A simulated node's end of the network beside its upload link: its
 /// receive counters.
@@ -60,7 +35,7 @@ pub struct Port {
 }
 
 /// A node as the simulator hosts it.
-pub type SimNode = HostedNode<Envelope, Port>;
+pub type SimNode = HostedNode<Port>;
 
 /// Offers an envelope to an upload link. Returns when it finishes
 /// transmitting if the link was idle and started it at once.
@@ -199,6 +174,7 @@ impl<'a> Deployment<'a> {
 mod tests {
     use super::*;
     use gossip_adversity::{AdversitySpec, FaultAction};
+    use gossip_core::Message;
     use gossip_membership::CyclonConfig;
     use gossip_udp::hosted::apply;
 

@@ -9,9 +9,9 @@ use gossip_net::UploadLink;
 use gossip_sim::{Engine, EventHandle};
 use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
-use gossip_udp::hosted::{self, FaultHost, Host};
+use gossip_udp::hosted::{self, Envelope, FaultHost, Host};
 
-use crate::harness::deployment::{offer, Deployment, Envelope, Port, SimNode};
+use crate::harness::deployment::{offer, Deployment, Port, SimNode};
 use crate::harness::result::{self, DepthTracker, RunResult, RunTimeline};
 use crate::scenario::{MembershipMode, Scenario};
 
@@ -318,7 +318,7 @@ struct Outputs<'d> {
     depth: &'d mut DepthTracker,
 }
 
-impl Host<Envelope> for Outputs<'_> {
+impl Host for Outputs<'_> {
     fn send(
         &mut self,
         now: Time,
@@ -352,7 +352,6 @@ impl Host<Envelope> for Outputs<'_> {
 
 /// The simulator hosts every node: the fault timeline reaches each of them.
 impl FaultHost for Driver<'_> {
-    type Item = Envelope;
     type Port = Port;
 
     fn compiled(&self) -> &CompiledAdversity {

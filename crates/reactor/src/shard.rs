@@ -109,6 +109,15 @@
 //! and the node checks each exactly as before. It is **pruned** at the
 //! protocol's `retention` horizon, like the nodes' payloads. One table per
 //! shard, touched only by the shard's thread: no locks.
+//!
+//! The upload links keep no bytes either. A node's link queues messages
+//! ([`Envelope`]s): a queued serve holds handles on the table's packets,
+//! not an encoded copy of their payloads. The link charges each message its
+//! encoded size when it is offered, and [`Shard::flush_link`] encodes it
+//! only as the link releases it, just before its chaos fate is drawn — so
+//! the released bytes, their order and the fate stream do not depend on
+//! when a message is encoded, and a message the link drops or a crash
+//! discards is never encoded at all.
 
 use std::io;
 use std::net::SocketAddr;
@@ -117,7 +126,7 @@ use std::sync::Arc;
 
 use gossip_adversity::{ChaosPlan, CompiledAdversity, PartitionState};
 use gossip_core::index::DenseMap;
-use gossip_core::wire::{decode_frame, encode_message, EventPool};
+use gossip_core::wire::{decode_frame, EventPool};
 use gossip_core::{GossipConfig, Message, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, ShuffleMessage};
 use gossip_net::UploadLink;
@@ -125,7 +134,7 @@ use gossip_sim::{DetRng, EventHandle, EventQueue};
 use gossip_stream::{PacketId, StreamPacket};
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
-use gossip_udp::hosted::{self, FaultHost, Host, HostedNode, Setup};
+use gossip_udp::hosted::{self, Envelope, FaultHost, Host, HostedNode, Setup};
 use gossip_udp::report::{NodeReport, ShardStats};
 
 use crate::chaos::{ChaosSender, DatagramFate, SenderChaos, SocketChaos};
@@ -326,9 +335,9 @@ pub(crate) struct Shard<E> {
     next_gauge_publish: Time,
 }
 
-/// A node as a shard hosts it: its link carries `(destination, unframed
-/// wire bytes)`, released to the kernel as each one starts.
-pub(crate) type ShardNode = HostedNode<Vec<u8>, Port>;
+/// A node as a shard hosts it: its link carries `(destination, envelope)`,
+/// encoded and handed to the kernel as each one starts.
+pub(crate) type ShardNode = HostedNode<Port>;
 
 /// A hosted node's end of the shard beside its link: its release deadline
 /// and its share of the receive path.
@@ -871,7 +880,7 @@ impl<E: ShardEnv> Shard<E> {
         let vn = &mut self.nodes[local];
         let Some(view) = vn.view.as_mut() else { return };
         if let Some((target, request)) = view.on_shuffle_round(&mut self.membership_rng) {
-            offer(vn, now, target, &request);
+            offer(&mut vn.link, now, target, Envelope::Shuffle(request));
         }
         vn.follow_view();
         self.flush_link(local, now);
@@ -890,7 +899,7 @@ impl<E: ShardEnv> Shard<E> {
         let id = vn.id();
         if let Some(view) = vn.view.as_mut() {
             if let Some(reply) = view.on_message(from, msg, &mut self.membership_rng) {
-                offer(vn, now, from, &reply);
+                offer(&mut vn.link, now, from, Envelope::Shuffle(reply));
                 self.flush_link(local, now);
             }
             return;
@@ -913,7 +922,7 @@ impl<E: ShardEnv> Shard<E> {
         // to offer.
         let reply = ShuffleMessage::Reply(picked.into_iter().map(|k| (candidates[k], 0)).collect());
         vn.node.set_membership(membership);
-        offer(vn, now, from, &reply);
+        offer(&mut vn.link, now, from, Envelope::Shuffle(reply));
         self.flush_link(local, now);
     }
 
@@ -987,13 +996,15 @@ impl<E: ShardEnv> Shard<E> {
         self.flush_link(local, now);
     }
 
-    /// Moves everything the node's link has released — each datagram as it
+    /// Moves everything the node's link has released — each message as it
     /// starts, the loopback wire being the kernel's — into the shard
-    /// outbox, each first drawing its fate from the node's chaos stream
+    /// outbox: encodes it, draws its fate from the node's chaos stream
     /// when a plan is active, and arms one wheel deadline for the earliest
-    /// datagram still held back.
+    /// message still held back.
     fn flush_link(&mut self, local: usize, now: Time) {
-        while let Some((to, bytes)) = self.nodes[local].link.pop_due(now) {
+        let id = self.nodes[local].id();
+        while let Some((to, envelope)) = self.nodes[local].link.pop_due(now) {
+            let bytes = envelope.encode(id);
             let fate = match self.chaos.as_mut() {
                 Some(c) => c.senders[local].fate(&c.plan, bytes.len()),
                 None => DatagramFate::Deliver,
@@ -1248,13 +1259,13 @@ impl<E: ShardEnv> Shard<E> {
     }
 }
 
-/// Offers one membership shuffle from `vn` to its link.
-fn offer(vn: &mut ShardNode, now: Time, to: NodeId, msg: &ShuffleMessage) {
-    let bytes = shuffle_wire::encode_shuffle(vn.id(), msg);
-    vn.link.offer(now, bytes.len(), (to, bytes));
+/// Offers `envelope`, bound for `to`, to an upload link, charged at its
+/// encoded size: pacing does not depend on how the outbox packs frames.
+fn offer(link: &mut UploadLink<(NodeId, Envelope)>, now: Time, to: NodeId, envelope: Envelope) {
+    link.offer(now, envelope.wire_size(), (to, envelope));
 }
 
-/// The shard's side of a node's outputs: sends are encoded onto its link,
+/// The shard's side of a node's outputs: sends are queued on its link,
 /// intact deliveries fill the packet table, timers go on the wheel.
 struct Outputs<'s> {
     wheel: &'s mut EventQueue<Fire>,
@@ -1262,20 +1273,17 @@ struct Outputs<'s> {
     local: u32,
 }
 
-impl Host<Vec<u8>> for Outputs<'_> {
+impl Host for Outputs<'_> {
     fn send(
         &mut self,
         now: Time,
-        from: NodeId,
+        _: NodeId,
         _: u32,
-        link: &mut UploadLink<(NodeId, Vec<u8>)>,
+        link: &mut UploadLink<(NodeId, Envelope)>,
         to: NodeId,
         msg: Message<StreamPacket>,
     ) {
-        let bytes = encode_message(from, &msg);
-        // The link charges the unframed wire size: pacing does not depend
-        // on how the outbox packs frames.
-        link.offer(now, bytes.len(), (to, bytes));
+        offer(link, now, to, Envelope::Gossip(msg));
     }
 
     fn delivered(&mut self, now: Time, _: NodeId, packet: StreamPacket) {
@@ -1295,7 +1303,6 @@ impl Host<Vec<u8>> for Outputs<'_> {
 /// Every shard walks the whole fault timeline: a join grows every shard's
 /// census, and the other faults act on the nodes this shard hosts.
 impl<E: ShardEnv> FaultHost for Shard<E> {
-    type Item = Vec<u8>;
     type Port = Port;
 
     fn compiled(&self) -> &CompiledAdversity {
@@ -1497,6 +1504,7 @@ mod tests {
     use std::thread;
     use std::time::Instant;
 
+    use gossip_core::wire::encode_message;
     use gossip_core::Event;
     use gossip_udp::clock::ClusterClock;
     use gossip_udp::cluster::assemble_report;
@@ -1920,15 +1928,22 @@ mod tests {
         });
         let shard = &mut cluster.shards[0];
         let now = shard.env.now();
-        // The source (node 0) is uncapped: its link releases at once.
-        for (to, tag) in [(1, b'a'), (2, b'a'), (1, b'b')] {
-            shard.nodes[0].link.offer(now, 4, (NodeId::new(to), vec![tag; 4]));
+        // The source (node 0) is uncapped: its link releases at once. A
+        // message is told apart by its tag byte: `a` proposes, `b` requests.
+        let ids: Arc<[PacketId]> = vec![PacketId::new(0, 0)].into();
+        let a = Message::Propose { ids: Arc::clone(&ids) };
+        let b = Message::Request { ids };
+        let (a_tag, b_tag) =
+            (encode_message(NodeId::new(0), &a)[0], encode_message(NodeId::new(0), &b)[0]);
+        for (to, msg) in [(1, a.clone()), (2, a), (1, b)] {
+            let envelope = Envelope::Gossip(msg);
+            shard.nodes[0].link.offer(now, envelope.wire_size(), (NodeId::new(to), envelope));
         }
         shard.flush_link(0, now);
         assert_eq!(shard.stats.faults_injected, 3);
         let queued: Vec<(u32, u8)> =
             shard.outbox.iter().map(|(to, b)| (to.as_u32(), b[0])).collect();
-        assert_eq!(queued, [(1, b'b'), (2, b'a'), (1, b'a')], "node 1 gets b before a");
+        assert_eq!(queued, [(1, b_tag), (2, a_tag), (1, a_tag)], "node 1 gets b before a");
     }
 
     /// A node's report counts what its link released to the kernel, not
@@ -1947,8 +1962,13 @@ mod tests {
         let net = Rc::clone(&cluster.net);
         let shard = &mut cluster.shards[0];
         let start = shard.env.now();
-        for tag in 0..5 {
-            assert!(shard.nodes[1].link.offer(start, 1000, (NodeId::new(2), vec![tag; 1000])));
+        for tag in 0..5u16 {
+            // A one-packet serve of 1000 bytes: the 7-byte message header,
+            // the packet's 20-byte header and 973 payload bytes.
+            let packet = StreamPacket::new(PacketId::new(0, tag), start, vec![0; 973].into());
+            let envelope = Envelope::Gossip(Message::Serve { events: vec![packet] });
+            assert_eq!(envelope.wire_size(), 1000);
+            assert!(shard.nodes[1].link.offer(start, 1000, (NodeId::new(2), envelope)));
         }
         shard.flush_link(1, start);
         let later = start + Duration::from_millis(150);

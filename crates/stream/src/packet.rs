@@ -423,17 +423,25 @@ mod tests {
 
     #[test]
     fn encoded_size_matches_declared_wire_size() {
-        // The simulator charges Message::wire_size(); the UDP runtime sends
-        // encode_message() bytes. They must agree.
-        let packet =
-            StreamPacket::new(PacketId::new(1, 2), Time::from_secs(3), Bytes::from(vec![7u8; 321]));
-        let msg = Message::Serve { events: vec![packet] };
-        let encoded = encode_message(NodeId::new(0), &msg);
-        assert_eq!(encoded.len(), msg.wire_size());
-
-        let propose: Message<StreamPacket> =
-            Message::Propose { ids: vec![PacketId::new(0, 1); 15].into() };
-        assert_eq!(encode_message(NodeId::new(0), &propose).len(), propose.wire_size());
+        // Every host's upload link charges Message::wire_size(); the UDP
+        // runtime encodes only as the link releases the message and sends
+        // encode_message() bytes. They must agree, for every kind.
+        let packet = |index: u16, len: usize| {
+            StreamPacket::new(PacketId::new(1, index), Time::from_secs(3), vec![7u8; len].into())
+        };
+        let ids: Arc<[PacketId]> = vec![PacketId::new(0, 1); 15].into();
+        let messages: [Message<StreamPacket>; 6] = [
+            Message::Serve { events: vec![packet(2, 321)] },
+            Message::Serve { events: vec![packet(0, 0), packet(1, 1), packet(2, 1400)] },
+            Message::Propose { ids: Arc::clone(&ids) },
+            Message::Request { ids },
+            Message::Request { ids: vec![PacketId::new(9, 3)].into() },
+            Message::FeedMe,
+        ];
+        for msg in messages {
+            let encoded = encode_message(NodeId::new(0), &msg);
+            assert_eq!(encoded.len(), msg.wire_size(), "{msg:?}");
+        }
     }
 
     #[test]

@@ -7,31 +7,23 @@ use gossip_types::Time;
 use crate::config::StreamConfig;
 use crate::packet::PacketId;
 
-/// Reception state of one window.
-#[derive(Debug, Clone)]
+/// Reception state of one window: 16 bytes, its received bits kept apart
+/// in the player's bit plane.
+#[derive(Debug, Clone, Copy)]
 struct WindowRecord {
-    /// Bitmask of received packet indices.
-    received: Vec<u64>,
+    /// The window number.
+    window: u32,
     /// Distinct packets received.
     count: u16,
-    /// When the window first became decodable (count reached `k`).
-    decodable_at: Option<Time>,
+    /// When the window first became decodable (count reached `k`);
+    /// [`Time::MAX`] while it has not.
+    decodable_at: Time,
 }
 
 impl WindowRecord {
-    fn new(total: usize) -> Self {
-        WindowRecord { received: vec![0u64; total.div_ceil(64)], count: 0, decodable_at: None }
-    }
-
-    /// Marks an index received; returns `false` for duplicates.
-    fn mark(&mut self, index: usize) -> bool {
-        let (word, bit) = (index / 64, index % 64);
-        if self.received[word] & (1 << bit) != 0 {
-            return false;
-        }
-        self.received[word] |= 1 << bit;
-        self.count += 1;
-        true
+    /// When the window became decodable, if it has.
+    fn decodable_at(&self) -> Option<Time> {
+        (self.decodable_at != Time::MAX).then_some(self.decodable_at)
     }
 }
 
@@ -43,6 +35,11 @@ impl WindowRecord {
 /// implementation in `gossip-fec`'s tests). The UDP runtime performs actual
 /// reconstruction; the simulation tracks only arrival times, which is what
 /// every figure of the paper is computed from.
+///
+/// A window it has heard of costs two array slots and no allocation of its
+/// own: a 16-byte record in one sorted `Vec`, and `total_packets / 64`
+/// (rounded up) words of received bits at the same position in one bit
+/// plane.
 ///
 /// # Examples
 ///
@@ -60,11 +57,15 @@ impl WindowRecord {
 #[derive(Debug)]
 pub struct StreamPlayer {
     config: StreamConfig,
-    /// `(window, record)` pairs sorted by window number. Packet arrivals
-    /// cluster by window, so a one-entry cursor cache makes the per-packet
-    /// lookup two array indexings (binary-search fallback for jumps) —
-    /// this runs once per delivered packet, millions of times per run.
-    windows: Vec<(u32, WindowRecord)>,
+    /// Records sorted by window number. Packet arrivals cluster by window,
+    /// so a one-entry cursor cache makes the per-packet lookup two array
+    /// indexings (binary-search fallback for jumps) — this runs once per
+    /// delivered packet, millions of times per run.
+    windows: Vec<WindowRecord>,
+    /// Received-packet bits: `words` words per record, in record order.
+    received: Vec<u64>,
+    /// Words of `received` per window: `total_packets` bits, rounded up.
+    words: usize,
     /// Index into `windows` of the most recently accessed window.
     cursor: Cell<usize>,
     packets_received: u64,
@@ -77,6 +78,8 @@ impl StreamPlayer {
         StreamPlayer {
             config,
             windows: Vec::new(),
+            received: Vec::new(),
+            words: config.window.total_packets().div_ceil(64),
             cursor: Cell::new(0),
             packets_received: 0,
             duplicate_packets: 0,
@@ -87,16 +90,21 @@ impl StreamPlayer {
     /// point)` otherwise.
     #[inline]
     fn locate(&self, window: u32) -> Result<usize, usize> {
-        if let Some(&(w, _)) = self.windows.get(self.cursor.get()) {
-            if w == window {
+        if let Some(record) = self.windows.get(self.cursor.get()) {
+            if record.window == window {
                 return Ok(self.cursor.get());
             }
         }
-        let found = self.windows.binary_search_by_key(&window, |&(w, _)| w);
+        let found = self.windows.binary_search_by_key(&window, |r| r.window);
         if let Ok(i) = found {
             self.cursor.set(i);
         }
         found
+    }
+
+    /// The record of `window`, if any packet of it arrived.
+    fn record(&self, window: u32) -> Option<&WindowRecord> {
+        self.locate(window).ok().map(|i| &self.windows[i])
     }
 
     /// Returns the stream configuration.
@@ -111,36 +119,47 @@ impl StreamPlayer {
     ///
     /// Panics if the packet index is outside the configured window geometry.
     pub fn on_packet(&mut self, now: Time, id: PacketId) -> bool {
-        let total = self.config.window.total_packets();
-        assert!((id.index as usize) < total, "packet index {id} outside window geometry");
+        let index = id.index as usize;
+        assert!(
+            index < self.config.window.total_packets(),
+            "packet index {id} outside window geometry"
+        );
         let i = match self.locate(id.window) {
             Ok(i) => i,
             Err(i) => {
-                self.windows.insert(i, (id.window, WindowRecord::new(total)));
+                let record = WindowRecord { window: id.window, count: 0, decodable_at: Time::MAX };
+                self.windows.insert(i, record);
+                let at = i * self.words;
+                self.received.splice(at..at, std::iter::repeat_n(0, self.words));
                 self.cursor.set(i);
                 i
             }
         };
-        let record = &mut self.windows[i].1;
-        if !record.mark(id.index as usize) {
+        let (word, bit) = (&mut self.received[i * self.words + index / 64], 1 << (index % 64));
+        if *word & bit != 0 {
             self.duplicate_packets += 1;
             return false;
         }
+        *word |= bit;
         self.packets_received += 1;
-        if record.decodable_at.is_none() && self.config.window.is_decodable(record.count as usize) {
-            record.decodable_at = Some(now);
+        let record = &mut self.windows[i];
+        record.count += 1;
+        if record.decodable_at == Time::MAX
+            && self.config.window.is_decodable(record.count as usize)
+        {
+            record.decodable_at = now;
         }
         true
     }
 
     /// Returns when `window` became decodable, or `None` if it has not.
     pub fn window_decodable_at(&self, window: u32) -> Option<Time> {
-        self.locate(window).ok().and_then(|i| self.windows[i].1.decodable_at)
+        self.record(window).and_then(WindowRecord::decodable_at)
     }
 
     /// Returns how many distinct packets of `window` arrived.
     pub fn packets_in_window(&self, window: u32) -> usize {
-        self.locate(window).map_or(0, |i| self.windows[i].1.count as usize)
+        self.record(window).map_or(0, |r| r.count as usize)
     }
 
     /// Returns the total number of distinct packets received.
@@ -155,7 +174,7 @@ impl StreamPlayer {
 
     /// Returns the highest window number with any reception.
     pub fn highest_window(&self) -> Option<u32> {
-        self.windows.last().map(|&(w, _)| w)
+        self.windows.last().map(|r| r.window)
     }
 
     /// Returns `(decodable, observed)` window counts — the live
@@ -163,7 +182,7 @@ impl StreamPlayer {
     /// the window records (no per-window lookup), cheap enough to call at
     /// a sampling cadence.
     pub fn windows_decodable(&self) -> (usize, usize) {
-        let decodable = self.windows.iter().filter(|(_, r)| r.decodable_at.is_some()).count();
+        let decodable = self.windows.iter().filter(|r| r.decodable_at != Time::MAX).count();
         (decodable, self.windows.len())
     }
 
@@ -177,11 +196,12 @@ impl StreamPlayer {
             windows: self
                 .windows
                 .iter()
-                .map(|(w, r)| WindowSnapshot {
-                    window: *w,
-                    received: r.received.clone(),
+                .zip(self.received.chunks_exact(self.words))
+                .map(|(r, bits)| WindowSnapshot {
+                    window: r.window,
+                    received: bits.to_vec(),
                     count: r.count,
-                    decodable_at: r.decodable_at,
+                    decodable_at: r.decodable_at(),
                 })
                 .collect(),
         }
@@ -197,29 +217,24 @@ impl StreamPlayer {
     /// bitmask does not match the configured window geometry: a snapshot
     /// that violates either was corrupted in transit.
     pub fn restore(config: StreamConfig, snapshot: PlayerSnapshot) -> Self {
-        let words = config.window.total_packets().div_ceil(64);
-        let mut windows = Vec::with_capacity(snapshot.windows.len());
+        let mut player = StreamPlayer::new(config);
+        player.windows.reserve_exact(snapshot.windows.len());
+        player.received.reserve_exact(snapshot.windows.len() * player.words);
         for ws in snapshot.windows {
-            assert_eq!(ws.received.len(), words, "bitmask does not match window geometry");
-            if let Some(&(last, _)) = windows.last() {
+            assert_eq!(ws.received.len(), player.words, "bitmask does not match window geometry");
+            if let Some(last) = player.highest_window() {
                 assert!(ws.window > last, "snapshot windows must be strictly sorted");
             }
-            windows.push((
-                ws.window,
-                WindowRecord {
-                    received: ws.received,
-                    count: ws.count,
-                    decodable_at: ws.decodable_at,
-                },
-            ));
+            player.windows.push(WindowRecord {
+                window: ws.window,
+                count: ws.count,
+                decodable_at: ws.decodable_at.unwrap_or(Time::MAX),
+            });
+            player.received.extend_from_slice(&ws.received);
         }
-        StreamPlayer {
-            config,
-            windows,
-            cursor: Cell::new(0),
-            packets_received: snapshot.packets_received,
-            duplicate_packets: snapshot.duplicate_packets,
-        }
+        player.packets_received = snapshot.packets_received;
+        player.duplicate_packets = snapshot.duplicate_packets;
+        player
     }
 }
 
@@ -253,6 +268,11 @@ mod tests {
 
     fn small_player() -> StreamPlayer {
         StreamPlayer::new(StreamConfig::test_small()) // 20 data + 4 parity
+    }
+
+    #[test]
+    fn a_window_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<WindowRecord>(), 16);
     }
 
     #[test]

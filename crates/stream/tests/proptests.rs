@@ -1,5 +1,7 @@
 //! Property-based tests of the streaming layer.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -26,29 +28,81 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Delivering any permutation of a window's packets yields the same
-    /// decodability and the same per-window count.
+    /// Delivering the packets of several windows in any order — shuffled
+    /// across windows, so a window's first packet often lands between two
+    /// known ones, with repeats, and a geometry of one and of two bit-plane
+    /// words — matches a per-window model in every accessor: a window is
+    /// decodable exactly from its `k`th distinct packet, never before, and
+    /// the time does not move after. A snapshot restores to the same player.
     #[test]
-    fn player_is_order_invariant(order in Just(()).prop_perturb(|(), mut rng| {
-        let mut idx: Vec<u16> = (0..24).collect();
-        for i in (1..idx.len()).rev() {
-            let j = (rng.next_u32() as usize) % (i + 1);
-            idx.swap(i, j);
-        }
-        idx
-    })) {
-        let config = StreamConfig::test_small(); // 20 + 4
-        let mut player = StreamPlayer::new(config);
-        let mut decodable_at_count = None;
-        for (step, &idx) in order.iter().enumerate() {
-            player.on_packet(Time::from_millis(step as u64), PacketId::new(0, idx));
-            if player.window_decodable_at(0).is_some() && decodable_at_count.is_none() {
-                decodable_at_count = Some(step + 1);
+    fn player_is_order_invariant(
+        (wide, arrivals) in (any::<bool>(), vec(0u32..40, 1..6)).prop_perturb(
+            |(wide, windows), mut rng| {
+                let total = if wide { 110 } else { 24 };
+                let mut arrivals: Vec<PacketId> = windows
+                    .iter()
+                    .flat_map(|&w| (0..total).map(move |i| PacketId::new(w, i)))
+                    .collect();
+                for _ in 0..rng.below(16) {
+                    let k = rng.below(arrivals.len() as u64) as usize;
+                    arrivals.push(arrivals[k]);
+                }
+                for i in (1..arrivals.len()).rev() {
+                    let j = rng.below(i as u64 + 1) as usize;
+                    arrivals.swap(i, j);
+                }
+                // Some windows stay short of decodable.
+                let keep = arrivals.len() - rng.below(arrivals.len() as u64 / 2) as usize;
+                arrivals.truncate(keep);
+                (wide, arrivals)
             }
+        )
+    ) {
+        // 101 + 9 (two words of bits) or 20 + 4 (one).
+        let config =
+            if wide { StreamConfig::paper_default() } else { StreamConfig::test_small() };
+        let k = config.window.data_packets;
+        let mut player = StreamPlayer::new(config);
+        let mut model: BTreeMap<u32, (BTreeSet<u16>, Option<Time>)> = BTreeMap::new();
+        let mut duplicates = 0;
+        for (step, &id) in arrivals.iter().enumerate() {
+            let now = Time::from_millis(step as u64);
+            let (seen, decodable_at) = model.entry(id.window).or_default();
+            let new = seen.insert(id.index);
+            duplicates += u64::from(!new);
+            if new && seen.len() == k {
+                *decodable_at = Some(now);
+            }
+            prop_assert_eq!(player.on_packet(now, id), new);
+            prop_assert_eq!(player.window_decodable_at(id.window), *decodable_at);
         }
-        // Exactly at the 20th distinct packet, never before or after.
-        prop_assert_eq!(decodable_at_count, Some(20));
-        prop_assert_eq!(player.packets_in_window(0), 24);
+        let check = |player: &StreamPlayer| {
+            for w in 0..41 {
+                let (count, decodable_at) =
+                    model.get(&w).map_or((0, None), |(seen, at)| (seen.len(), *at));
+                assert_eq!(player.packets_in_window(w), count, "window {w}");
+                assert_eq!(player.window_decodable_at(w), decodable_at, "window {w}");
+            }
+            let distinct: usize = model.values().map(|(seen, _)| seen.len()).sum();
+            assert_eq!(player.packets_received(), distinct as u64);
+            assert_eq!(player.duplicate_packets(), duplicates);
+            assert_eq!(player.highest_window(), model.keys().last().copied());
+            let decodable = model.values().filter(|(_, at)| at.is_some()).count();
+            assert_eq!(player.windows_decodable(), (decodable, model.len()));
+            let snapshot = player.snapshot();
+            let windows: Vec<u32> = snapshot.windows.iter().map(|ws| ws.window).collect();
+            assert_eq!(windows, model.keys().copied().collect::<Vec<_>>());
+            for ws in &snapshot.windows {
+                let bits = (0..ws.received.len() * 64)
+                    .filter(|&i| ws.received[i / 64] >> (i % 64) & 1 == 1)
+                    .map(|i| i as u16);
+                assert!(bits.eq(model[&ws.window].0.iter().copied()), "window {}", ws.window);
+            }
+            snapshot
+        };
+        let snapshot = check(&player);
+        let restored = StreamPlayer::restore(config, snapshot.clone());
+        prop_assert_eq!(check(&restored), snapshot);
     }
 
     /// Quality is monotone in lag for arbitrary window-lag vectors, and

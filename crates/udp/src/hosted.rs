@@ -11,25 +11,59 @@
 //! node, so no rule can mean different things on the two — the throttle
 //! included: a node uploads through one [`UploadLink`] on every host, the
 //! simulator delivering what it completes, a shard handing the kernel what
-//! it starts.
+//! it starts. Both links queue the same item, an [`Envelope`] — a protocol
+//! message or a membership shuffle — charged at its encoded size: the
+//! simulator delivers it as it is, a shard encodes it as it is released.
 
 use std::sync::Arc;
 
 use gossip_adversity::{
     ByzantineBehaviour, CompiledAdversity, FaultAction, NodeProfile, PartitionState,
 };
-use gossip_core::wire::{Frame, FrameKind};
+use gossip_core::wire::{encode_message, Frame, FrameKind};
 use gossip_core::{GossipConfig, GossipNode, Message, Output, TimerToken};
-use gossip_membership::{CyclonConfig, CyclonView};
+use gossip_membership::{wire as shuffle_wire, CyclonConfig, CyclonView, ShuffleMessage};
 use gossip_net::UploadLink;
 use gossip_sim::{DetRng, EventHandle};
 use gossip_stream::{byzantine, StreamConfig, StreamPacket, StreamPlayer, StreamSource};
 use gossip_types::{Duration, NodeId, Time};
 
+/// What a hosted node's upload link queues, on every host: a protocol
+/// message or, under Cyclon, a membership shuffle.
+#[derive(Debug)]
+pub enum Envelope {
+    /// A gossip protocol message.
+    Gossip(Message<StreamPacket>),
+    /// A Cyclon shuffle request or reply.
+    Shuffle(ShuffleMessage),
+}
+
+impl Envelope {
+    /// Application bytes charged against the sender's upload budget:
+    /// exactly the length of [`Envelope::encode`], so a host paces by it
+    /// without encoding first.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            Envelope::Gossip(msg) => msg.wire_size(),
+            // tag + sender + count + 8 bytes per (node, age) entry
+            Envelope::Shuffle(
+                ShuffleMessage::Request(entries) | ShuffleMessage::Reply(entries),
+            ) => 7 + entries.len() * 8,
+        }
+    }
+
+    /// The envelope's datagram bytes, sent by `sender`.
+    pub fn encode(&self, sender: NodeId) -> Vec<u8> {
+        match self {
+            Envelope::Gossip(msg) => encode_message(sender, msg),
+            Envelope::Shuffle(msg) => shuffle_wire::encode_shuffle(sender, msg),
+        }
+    }
+}
+
 /// What a host does with a hosted node's outputs, called by
-/// [`HostedNode::route`] in the order the node emitted them. A host's
-/// messages travel its nodes' links as `(destination, T)`.
-pub trait Host<T> {
+/// [`HostedNode::route`] in the order the node emitted them.
+pub trait Host {
     /// Puts `msg` from `from` (in incarnation `epoch`) on its upload link,
     /// bound for `to`.
     fn send(
@@ -37,7 +71,7 @@ pub trait Host<T> {
         now: Time,
         from: NodeId,
         epoch: u32,
-        link: &mut UploadLink<(NodeId, T)>,
+        link: &mut UploadLink<(NodeId, Envelope)>,
         to: NodeId,
         msg: Message<StreamPacket>,
     );
@@ -67,15 +101,15 @@ pub struct Setup<'a> {
 
 /// One node as a host runs it (see the module docs). Every input is
 /// followed by one [`HostedNode::route`]. Its messages travel its link as
-/// `(destination, T)`; `P` is what the host keeps beside them.
+/// `(destination, envelope)`; `P` is what the host keeps beside them.
 #[derive(Debug)]
-pub struct HostedNode<T, P> {
+pub struct HostedNode<P> {
     /// The protocol state machine; a revive replaces it.
     pub node: GossipNode<StreamPacket>,
     /// What the viewer watched: survives crashes.
     pub player: StreamPlayer,
     /// The node's upload limiter.
-    pub link: UploadLink<(NodeId, T)>,
+    pub link: UploadLink<(NodeId, Envelope)>,
     /// The host's own per-node state.
     pub port: P,
     /// The Cyclon partial view of a node whose partners come from one.
@@ -93,7 +127,7 @@ pub struct HostedNode<T, P> {
     seed: u64,
 }
 
-impl<T, P> HostedNode<T, P> {
+impl<P> HostedNode<P> {
     /// Builds node `id`: the source if it is node 0; a free-rider if its
     /// profile says so; down until its join if it is a flash-crowd joiner.
     /// Its link is capped at none for a provisioned source, else the
@@ -209,7 +243,7 @@ impl<T, P> HostedNode<T, P> {
     /// window, and one past the window's last index is no packet of the
     /// stream at all, however valid its checksum (which is unkeyed: anyone
     /// can forge one).
-    pub fn route(&mut self, now: Time, host: &mut impl Host<T>) {
+    pub fn route(&mut self, now: Time, host: &mut impl Host) {
         let id = self.node.id();
         let total = self.player.config().window.total_packets();
         while let Some(out) = self.node.poll_output() {
@@ -317,8 +351,6 @@ pub fn bootstrap_view(
 
 /// What a host supplies to [`apply`].
 pub trait FaultHost {
-    /// What the hosted nodes' messages carry besides their destination.
-    type Item;
     /// What the host keeps per node beside the link.
     type Port;
     /// The compiled plan being applied.
@@ -326,7 +358,7 @@ pub trait FaultHost {
     /// Which partitions split the network.
     fn partition(&mut self) -> &mut PartitionState;
     /// Node `v`, if this host hosts it.
-    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Item, Self::Port>>;
+    fn hosted(&mut self, v: NodeId) -> Option<&mut HostedNode<Self::Port>>;
     /// Takes a crashed node's deadline out of the queue.
     fn cancel(&mut self, handle: EventHandle);
     /// The census: every node the host knows of, base nodes first, then
@@ -406,7 +438,7 @@ mod tests {
     use super::*;
 
     /// A host that records every output it is handed, and puts each send on
-    /// the sender's link as a one-byte message.
+    /// the sender's link as a one-byte feed-me.
     #[derive(Default)]
     struct Recorder {
         sent: Vec<(NodeId, Message<StreamPacket>)>,
@@ -416,17 +448,17 @@ mod tests {
         cancelled: Vec<EventHandle>,
     }
 
-    impl Host<()> for Recorder {
+    impl Host for Recorder {
         fn send(
             &mut self,
             now: Time,
             _: NodeId,
             _: u32,
-            link: &mut UploadLink<(NodeId, ())>,
+            link: &mut UploadLink<(NodeId, Envelope)>,
             to: NodeId,
             msg: Message<StreamPacket>,
         ) {
-            link.enqueue(now, 1, (to, ()));
+            link.enqueue(now, 1, (to, Envelope::Gossip(Message::FeedMe)));
             self.sent.push((to, msg));
         }
 
@@ -450,7 +482,7 @@ mod tests {
 
     /// Node `id` of a four-node run, with `profile` and, when `verify` is
     /// off, no payload validation of its own.
-    fn hosted(id: u32, profile: NodeProfile, verify: bool) -> HostedNode<(), ()> {
+    fn hosted(id: u32, profile: NodeProfile, verify: bool) -> HostedNode<()> {
         let gossip = GossipConfig::new(3).with_verify_payloads(verify);
         let setup = Setup {
             gossip: &gossip,
@@ -477,7 +509,7 @@ mod tests {
     }
 
     /// `from` proposes `packet`, the node requests it, `from` serves it.
-    fn fetch(node: &mut HostedNode<(), ()>, host: &mut Recorder, packet: StreamPacket) {
+    fn fetch(node: &mut HostedNode<()>, host: &mut Recorder, packet: StreamPacket) {
         let ids: Arc<[PacketId]> = vec![packet.packet_id()].into();
         node.on_message(Time::ZERO, PEER, Message::Propose { ids });
         node.route(Time::ZERO, host);
@@ -486,7 +518,7 @@ mod tests {
     }
 
     /// What the node sends for one propose, one round and one request.
-    fn traffic(profile: NodeProfile) -> (HostedNode<(), ()>, Recorder) {
+    fn traffic(profile: NodeProfile) -> (HostedNode<()>, Recorder) {
         let (mut node, mut host) = (hosted(1, profile, true), Recorder::default());
         fetch(&mut node, &mut host, packet(0));
         node.node.on_round(Time::from_millis(100));
@@ -495,6 +527,22 @@ mod tests {
         node.on_message(Time::from_millis(100), NodeId::new(3), Message::Request { ids });
         node.route(Time::from_millis(100), &mut host);
         (node, host)
+    }
+
+    /// A link charges `wire_size` and a shard encodes only at release: the
+    /// two must agree for every shuffle kind and length.
+    #[test]
+    fn a_shuffle_envelope_charges_its_encoded_length() {
+        let sender = NodeId::new(9);
+        for entries in [0, 1, 8] {
+            let entries: Vec<(NodeId, u32)> = (0..entries).map(|k| (NodeId::new(k), k)).collect();
+            for msg in [ShuffleMessage::Request(entries.clone()), ShuffleMessage::Reply(entries)] {
+                let encoded = shuffle_wire::encode_shuffle(sender, &msg);
+                let envelope = Envelope::Shuffle(msg);
+                assert_eq!(envelope.wire_size(), encoded.len(), "{envelope:?}");
+                assert_eq!(envelope.encode(sender), encoded);
+            }
+        }
     }
 
     #[test]
@@ -635,7 +683,7 @@ mod tests {
     fn throttle_end_restores_the_base_cap_not_the_uniform_one() {
         let profile = NodeProfile { cap_bps: Some(Some(100_000)), ..NodeProfile::default() };
         let mut node = hosted(1, profile, true);
-        let rate = |node: &HostedNode<(), ()>| node.link.rate_bps();
+        let rate = |node: &HostedNode<()>| node.link.rate_bps();
         assert_eq!(rate(&node), Some(100_000), "the class override wins over the uniform cap");
         node.throttle(Some(10_000));
         assert_eq!(rate(&node), Some(10_000));

@@ -12,7 +12,8 @@
 //! is the simulator's answer too: every host paces its nodes through
 //! `gossip_net::UploadLink`.
 //!
-//! * [`hosted`] — [`hosted::HostedNode`], one node's life on a host, and
+//! * [`hosted`] — [`hosted::HostedNode`], one node's life on a host;
+//!   [`hosted::Envelope`], what its upload link queues on every host; and
 //!   [`hosted::apply`], the one interpreter of the compiled fault timeline;
 //! * [`cluster`] — [`cluster::ClusterConfig`], the description of a run;
 //!   [`cluster::ClusterReport`], its outcome; and

@@ -4,7 +4,8 @@
 //! — plus its share of what grows with the stream but not per node: the
 //! packets themselves and the players' measurement history. Dividing the
 //! peaks' difference between two stream lengths by the records' difference
-//! cancels everything the run holds whatever its length.
+//! cancels everything the run holds whatever its length. What a player
+//! keeps per window is measured on its own.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -12,8 +13,8 @@ mod counting_alloc;
 use gossip::core::GossipConfig;
 use gossip::experiments::Scenario;
 use gossip::fec::WindowParams;
-use gossip::stream::StreamConfig;
-use gossip::types::Duration;
+use gossip::stream::{PacketId, StreamConfig, StreamPlayer};
+use gossip::types::{Duration, Time};
 
 /// Enough receivers that one packet's shared cost is small per receiver.
 const N: usize = 96;
@@ -60,4 +61,33 @@ fn a_recorded_id_costs_a_node_sixteen_bytes_of_peak_heap() {
         "{per_id:.2} B of peak heap per recorded id; a record is {RECORD} B and the \
          stream's own growth at most {MARGIN:.2} B more"
     );
+}
+
+/// A player's window is a 16-byte record and its `total_packets` bits,
+/// rounded up to whole words, in two growing arrays and nothing allocated
+/// per window: the peak heap per window stays within twice that, the
+/// arrays' doubling slack included, at one word and at two.
+#[test]
+fn a_player_window_costs_its_record_and_its_bits() {
+    const WINDOWS: u32 = 1500;
+    for config in [StreamConfig::test_small(), StreamConfig::paper_default()] {
+        let total = config.window.total_packets();
+        let words = total.div_ceil(64);
+        let (player, peak) = counting_alloc::peak_bytes_in(|| {
+            let mut player = StreamPlayer::new(config);
+            for w in 0..WINDOWS {
+                for i in 0..total as u16 {
+                    player.on_packet(Time::from_millis(u64::from(w)), PacketId::new(w, i));
+                }
+            }
+            player
+        });
+        assert_eq!(player.windows_decodable(), (WINDOWS as usize, WINDOWS as usize));
+        let per_window = peak as f64 / f64::from(WINDOWS);
+        let bound = 2.0 * (16 + 8 * words) as f64;
+        assert!(
+            per_window <= bound,
+            "{total}-packet windows: {per_window:.1} B of peak heap per window, over {bound} B"
+        );
+    }
 }
