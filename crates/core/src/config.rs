@@ -55,13 +55,16 @@ pub struct GossipConfig {
     /// infect-forever-style ablation.
     pub propose_lifetime_rounds: u32,
     /// How long a node remembers an event. A payload delivered longer ago
-    /// is pruned from the serve store (it can no longer be served), and a
-    /// window whose every id was delivered or first requested longer ago
-    /// leaves the id table whole: its ids are *expired* from then on —
-    /// never requested, never recorded again. Bounds a node's memory by
-    /// this horizon instead of the stream's length; irrelevant to the
-    /// metrics as long as it comfortably exceeds the largest lag measured
-    /// and the retransmission span (`K` requests, each at most `rto_max`).
+    /// is no longer retained (it can no longer be served), and a window
+    /// whose every id was delivered or first requested longer ago leaves
+    /// the id table whole: its ids are *expired* from then on — never
+    /// requested, never recorded again. Bounds a node's memory by this
+    /// horizon instead of the stream's length; irrelevant to the metrics as
+    /// long as it comfortably exceeds the largest lag measured and the
+    /// retransmission span (`K` requests, each at most `rto_max`). A
+    /// retained payload lives in the node's own copies or in its host's
+    /// [`PacketPool`](crate::pool::PacketPool), which keeps each packet
+    /// this long plus one `gossip_period` after its latest delivery.
     pub retention: Duration,
     /// Maximum events per `[SERVE]` datagram.
     ///

@@ -15,7 +15,11 @@ use crate::index::EventIndex;
 ///
 /// Ids additionally implement [`EventIndex`], which lets the node keep its
 /// per-event bookkeeping in dense per-window slabs instead of hash maps.
-pub trait Event: Clone + fmt::Debug {
+/// Equality is byte equality of what a serve would carry: a node that
+/// finds its host's pooled copy equal to what it delivered serves the
+/// pooled one instead of keeping its own
+/// ([`PacketPool`](crate::pool::PacketPool)).
+pub trait Event: Clone + fmt::Debug + PartialEq {
     /// The event identifier type.
     type Id: Copy + Eq + Ord + Hash + fmt::Debug + EventIndex;
 

@@ -1,8 +1,11 @@
 //! Dense, window-major storage for per-event protocol state.
 //!
-//! A node keeps one record for every event id it hears of (request state
-//! and the payload while it is retained), keyed by that id,
-//! until the id's whole window falls behind the retention horizon. Real
+//! A node keeps one 8-byte request word for every event id it hears of,
+//! keyed by that id, until the id's whole window falls behind the
+//! retention horizon; the payload is not in it (a host's
+//! [`PacketPool`](crate::pool::PacketPool) keeps one copy per host, the
+//! node only what the pool did not hold). A host's pool is a `DenseMap`
+//! too, of packets. Real
 //! stream ids are *dense*: a `PacketId`-style id is a
 //! `(window, index)` pair with consecutive windows and indices
 //! `0..total_packets` — morally `window * total_packets + index`. Hashing
@@ -18,10 +21,10 @@
 //! touched*, never to the numeric span of the keys.
 //!
 //! A slot is an `Option<V>` and nothing else: the key is the slot's
-//! position, so it is not stored, and a `V` with a niche (the node's record
-//! leads with a `NonZeroU64`) makes the `Option` free. What a node pays per
-//! id is `size_of::<V>()`; what only the ids in flight need lives with
-//! their retransmission timers, not in a slot of every id.
+//! position, so it is not stored, and a `V` with a niche (the node's
+//! request word is a `NonZeroU64`) makes the `Option` free. What a node
+//! pays per id is `size_of::<V>()`, 8 bytes; what only the ids in flight
+//! need lives with their retransmission timers, not in a slot of every id.
 //!
 //! [`EventIndex`] is the small trait an id type implements to opt in:
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`

@@ -35,6 +35,9 @@
 //! A host whose timer queue can cancel tells the node which deadline each
 //! timer became ([`GossipNode::attach_timer_handle`]) and collects from
 //! [`GossipNode::poll_cancelled`] the ones a delivery made pointless.
+//! A host that runs many nodes keeps one [`PacketPool`] of the packets
+//! they delivered and lends it with their inputs, so a node keeps an
+//! 8-byte request word per id and no payload the pool already holds.
 //! The deterministic simulator (`gossip-net` + `gossip-experiments`) and the
 //! real-socket runtime (`gossip-udp`) drive the *same* protocol code.
 //!
@@ -77,6 +80,7 @@ pub mod event;
 pub mod index;
 pub mod message;
 pub mod node;
+pub mod pool;
 pub mod rto;
 pub mod stats;
 pub mod view;
@@ -87,5 +91,6 @@ pub use event::{Event, TestEvent};
 pub use index::EventIndex;
 pub use message::Message;
 pub use node::{GossipNode, Output, TimerToken};
+pub use pool::PacketPool;
 pub use stats::ProtocolStats;
 pub use view::PartnerView;

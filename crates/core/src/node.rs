@@ -40,6 +40,7 @@ use crate::message::Message;
 use crate::rto::RttEstimator;
 use crate::stats::ProtocolStats;
 use crate::view::PartnerView;
+use crate::wire::EventPool;
 
 /// An opaque token naming a timer the driver must schedule.
 ///
@@ -86,14 +87,25 @@ pub enum Output<E: Event> {
 /// the request counter that bounds retransmissions), packed into one
 /// 8-byte word.
 ///
-/// A node holds one of these per event id for as long as the id's window
-/// is inside the retention horizon (ids are never re-requested), as half
-/// of that id's 16-byte [`IdRecord`] (the other half is the payload
-/// handle), so at large n it is multiplied by every retained id of the
-/// stream at every node. Request counter, delivered flag and a time — or,
-/// while the id is in flight, the link to its retransmission timer — share
-/// a `NonZeroU64`, whose niche also makes the record's `DenseMap` slot (an
-/// `Option`) free:
+/// This word is everything a node keeps about one event id, in one
+/// [`DenseMap`] slot, for as long as the id's window is inside the
+/// retention horizon (ids are never re-requested), so at large n it is
+/// multiplied by every retained id of the stream at every node. The slot
+/// exists from the moment the id is first requested (or delivered
+/// unrequested, or published here): its existence is membership in the
+/// paper's `requestedEvents`, which is what keeps an id from being
+/// requested again. It goes with its whole window once every slot of that
+/// window is older than the horizon, and from then on the node's record
+/// floor answers for it — an id below the floor is *expired*, never new.
+///
+/// The payload is not in the slot. A delivered id's payload is *retained*
+/// while its delivery time is at or after the cutoff of the node's last
+/// prune ([`RequestState::retained`]), and served from the node's own copy
+/// if it kept one, else from the pool its host lends
+/// ([`crate::pool::PacketPool`]). Request counter, delivered flag and a
+/// time — or, while the id is in flight, the link to its retransmission
+/// timer — share a `NonZeroU64`, whose niche also makes the `DenseMap`
+/// slot (an `Option`) free:
 ///
 /// ```text
 /// bit  63      — marker: set while the low bits hold a time
@@ -108,7 +120,10 @@ pub enum Output<E: Event> {
 ///
 /// A linked id's first-request time is its entry's, which unlinking writes
 /// back; it is read once, for the RTT sample taken at delivery, and
-/// otherwise both times are only what retention pruning compares.
+/// otherwise both times are only what retention pruning compares. A
+/// delivery time is never earlier than the cutoff of the prune before it
+/// (hosts feed time forward), so a cutoff that only grows ages each
+/// payload out exactly once.
 /// Saturation is harmless: `max_requests_per_event` is single-digit in
 /// every configuration, and no run approaches the timestamp horizon.
 #[derive(Debug, Clone, Copy)]
@@ -181,33 +196,17 @@ impl RequestState {
         *self = RequestState::new(self.times_requested(), true, now);
     }
 
+    /// Whether the id's payload is retained under a prune at `cutoff`:
+    /// delivered, and not before it.
+    fn retained(self, cutoff: Time) -> bool {
+        self.delivered() && self.at() >= cutoff
+    }
+
     /// Counts one more request, keeping the time or link.
     fn bump_requested(&mut self) {
         if u64::from(self.times_requested()) < Self::TIMES_MAX {
             self.0 = self.0.saturating_add(1 << Self::TIMES_SHIFT);
         }
-    }
-}
-
-/// Everything a node keeps about one event id, in one [`DenseMap`] slot.
-///
-/// A record exists from the moment the id is first requested (or delivered
-/// unrequested, or published here): its existence is membership in the
-/// paper's `requestedEvents`, which is what keeps an id from being
-/// requested again. The payload goes at the retention horizon; the record
-/// goes with its whole window once every record of that window is older
-/// than the horizon, and from then on the node's record floor answers for
-/// it — an id below the floor is *expired*, never new.
-struct IdRecord<E> {
-    state: RequestState,
-    /// The payload, for serving, from delivery until retention pruning
-    /// drops it.
-    event: Option<E>,
-}
-
-impl<E> IdRecord<E> {
-    fn new(state: RequestState) -> Self {
-        IdRecord { state, event: None }
     }
 }
 
@@ -289,16 +288,25 @@ pub struct GossipNode<E: Event> {
     /// have left (1 under infect-and-die).
     propose_queue: Vec<(E::Id, u32)>,
     /// The one per-id table: request/delivery bookkeeping (an id is
-    /// requested from exactly one peer, ever, apart from retransmissions)
-    /// and retained payload. Dense per-window slab: lookups are array
+    /// requested from exactly one peer, ever, apart from retransmissions),
+    /// one 8-byte word per id. Dense per-window slab: lookups are array
     /// indexings, not hashes.
-    ids: DenseMap<E::Id, IdRecord<E>>,
-    /// How many records hold a payload.
+    ids: DenseMap<E::Id, RequestState>,
+    /// The payloads this node keeps itself, sorted by id: each retained
+    /// one its host's pool did not hold equal when it was delivered. Every
+    /// one under a host that lends no pool; under one that does, what the
+    /// node delivered first in its host, published, or accepted corrupted
+    /// or forged.
+    own: Vec<(E::Id, E)>,
+    /// How many ids have their payload retained.
     payloads: usize,
-    /// No record in a window before this one holds a payload: where
+    /// No id in a window before this one has its payload retained: where
     /// `prune_store` starts, so it walks what is retained, not every id
     /// the node ever heard of.
     payload_floor: u64,
+    /// The cutoff of the last prune: a delivered id's payload is retained
+    /// while it was delivered at or after it.
+    retained_since: Time,
     /// Ids of windows before this one are expired: their records aged out
     /// with their whole window, and they are never recorded again (the
     /// backward twin of [`GossipConfig::propose_offset_horizon`]).
@@ -360,8 +368,10 @@ impl<E: Event> GossipNode<E> {
             free_rider: false,
             propose_queue: Vec::new(),
             ids: DenseMap::new(),
+            own: Vec::new(),
             payloads: 0,
             payload_floor: u64::MAX,
+            retained_since: Time::ZERO,
             record_floor: 0,
             misbehaviour: Vec::new(),
             demoted: Vec::new(),
@@ -522,17 +532,18 @@ impl<E: Event> GossipNode<E> {
         let id = event.id();
         // The publisher has, by definition, "requested and received" its own
         // event: mark it so proposals from other nodes are ignored.
-        let state = RequestState::new(self.config.max_requests_per_event, true, now);
-        let previous =
-            self.ids.insert(id, IdRecord { event: Some(event.clone()), ..IdRecord::new(state) });
-        if let Some(previous) = previous {
+        let at = now.max(self.retained_since);
+        let state = RequestState::new(self.config.max_requests_per_event, true, at);
+        if let Some(previous) = self.ids.insert(id, state) {
             // Publishing an id again replaces its payload, it does not add
             // one; publishing one that was on request delivers it.
-            self.payloads -= usize::from(previous.event.is_some());
-            if let Some((slot, _)) = previous.state.link() {
+            self.payloads -= usize::from(previous.retained(self.retained_since));
+            if let Some((slot, _)) = previous.link() {
                 self.settle_timer(slot);
             }
         }
+        // No host pools a packet before its source has published it.
+        self.keep_own(id, event.clone());
         self.finish_delivery(id, event);
     }
 
@@ -589,12 +600,28 @@ impl<E: Event> GossipNode<E> {
         self.prune_store(now);
     }
 
-    /// Handles an incoming message (phases 2 and 3, plus feed-me).
+    /// Handles an incoming message (phases 2 and 3, plus feed-me), from a
+    /// host that lends no pool: the node keeps a copy of every payload it
+    /// retains. [`GossipNode::on_message_pooled`] with no pool.
     pub fn on_message(&mut self, now: Time, from: NodeId, msg: Message<E>) {
+        self.on_message_pooled(now, from, msg, None);
+    }
+
+    /// Handles an incoming message, lent the host's `pool` (see
+    /// [`crate::pool`]): a delivered event the pool holds equal is served
+    /// from the pool, not kept. A host lends its pool with every input or
+    /// with none; the node's outputs are the same either way.
+    pub fn on_message_pooled(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: Message<E>,
+        pool: Option<&dyn EventPool<E>>,
+    ) {
         match msg {
             Message::Propose { ids } => self.handle_propose(now, from, ids.iter().copied()),
-            Message::Request { ids } => self.handle_request(from, ids.iter().copied()),
-            Message::Serve { events } => self.handle_serve(now, from, events.into_iter()),
+            Message::Request { ids } => self.handle_request(from, ids.iter().copied(), pool),
+            Message::Serve { events } => self.handle_serve(now, from, events.into_iter(), pool),
             Message::FeedMe => self.handle_feedme(from),
         }
     }
@@ -616,7 +643,7 @@ impl<E: Event> GossipNode<E> {
         let mut carried = Vec::new();
         let mut can_retry_more = false;
         for (position, &id) in entry.ids.iter().enumerate() {
-            let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { continue };
+            let Some(state) = self.ids.get_mut(&id) else { continue };
             if state.delivered() {
                 continue;
             }
@@ -700,11 +727,10 @@ impl<E: Event> GossipNode<E> {
             // Already requested (from whoever proposed first) or already
             // delivered: line 10 filters it out.
             let mut fresh = false;
-            let record = self.ids.get_or_insert_with(id, || {
+            let state = *self.ids.get_or_insert_with(id, || {
                 fresh = true;
-                IdRecord::new(requested)
+                requested
             });
-            let state = record.state;
             if fresh {
                 wanted.push(id);
                 continue;
@@ -742,8 +768,14 @@ impl<E: Event> GossipNode<E> {
     }
 
     /// Phase 3, serving side (lines 16–19): push the requested events we
-    /// still hold, split into MTU-sized serve datagrams.
-    fn handle_request(&mut self, from: NodeId, ids: impl Iterator<Item = E::Id>) {
+    /// still retain, from our own copies or `pool`, split into MTU-sized
+    /// serve datagrams.
+    fn handle_request(
+        &mut self,
+        from: NodeId,
+        ids: impl Iterator<Item = E::Id>,
+        pool: Option<&dyn EventPool<E>>,
+    ) {
         self.stats.requests_received += 1;
         if self.free_rider {
             return; // free-riders take and never give
@@ -751,9 +783,15 @@ impl<E: Event> GossipNode<E> {
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();
         for id in ids {
-            match self.stored(&id) {
+            match self.stored_in(&id, pool) {
                 Some(event) => events.push(event.clone()),
-                None => self.stats.unservable_ids += 1,
+                None => {
+                    // The pool outlives every node's retention by a round
+                    // (see `crate::pool`): a host that lends one never
+                    // leaves a retained id without its payload.
+                    debug_assert!(!self.retains(&id), "a retained id is unservable");
+                    self.stats.unservable_ids += 1;
+                }
             }
         }
         for chunk in events.chunks(self.config.max_serve_events_per_message) {
@@ -782,9 +820,17 @@ impl<E: Event> GossipNode<E> {
     /// re-requested from that alternate within the usual `K` budget. An
     /// expired id (below the record floor) is a duplicate before anything
     /// else: it is neither checked nor recorded. An id past the offset
-    /// horizon is garbage here exactly as in a proposal.
-    fn handle_serve(&mut self, now: Time, from: NodeId, events: impl Iterator<Item = E>) {
+    /// horizon is garbage here exactly as in a proposal. A delivered event
+    /// that `pool` holds equal is left to the pool; any other is kept.
+    fn handle_serve(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        events: impl Iterator<Item = E>,
+        pool: Option<&dyn EventPool<E>>,
+    ) {
         self.stats.serves_received += 1;
+        let at = now.max(self.retained_since);
         for event in events {
             let id = event.id();
             if self.is_expired(&id) {
@@ -801,20 +847,21 @@ impl<E: Event> GossipNode<E> {
                 self.rerequest_corrupted(now, from, id);
                 continue;
             }
-            let record =
-                self.ids.get_or_insert_with(id, || IdRecord::new(RequestState::new(0, false, now)));
-            if record.state.delivered() {
+            let state = self.ids.get_or_insert_with(id, || RequestState::new(0, false, now));
+            if state.delivered() {
                 self.stats.duplicate_events_received += 1;
                 continue;
             }
             // Karn's rule: only first-request serves give unambiguous
             // request->serve delay samples.
-            let link = record.state.link();
-            if record.state.times_requested() == 1 {
-                self.rtt.sample(now.saturating_since(record.state.time(&self.retransmits)));
+            let link = state.link();
+            if state.times_requested() == 1 {
+                self.rtt.sample(now.saturating_since(state.time(&self.retransmits)));
             }
-            record.state.mark_delivered(now);
-            record.event = Some(event.clone());
+            state.mark_delivered(at);
+            if pool.and_then(|pool| pool.lookup(&id)) != Some(&event) {
+                self.keep_own(id, event.clone());
+            }
             self.finish_delivery(id, event);
             // Line 24 (cancel RetTimer).
             if let Some((slot, _)) = link {
@@ -848,9 +895,9 @@ impl<E: Event> GossipNode<E> {
         self.config.max_requests_per_event.min(RequestState::TIMES_MAX as u32)
     }
 
-    /// The tail every delivery shares, once `id`'s record is marked
-    /// delivered and holds a clone of `event`: count the payload, queue the
-    /// id for the next proposal and hand the event to the application.
+    /// The tail every delivery shares, once `id` is marked delivered and
+    /// its payload kept or pooled: count the payload, queue the id for the
+    /// next proposal and hand the event to the application.
     fn finish_delivery(&mut self, id: E::Id, event: E) {
         self.payloads += 1;
         self.payload_floor = self.payload_floor.min(id.dense_key().0);
@@ -913,7 +960,7 @@ impl<E: Event> GossipNode<E> {
     /// undelivered — the armed retransmission timer retries as usual.
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
         let cap = self.max_requests_cap();
-        let Some(IdRecord { state, .. }) = self.ids.get_mut(&id) else { return };
+        let Some(state) = self.ids.get_mut(&id) else { return };
         // Only an id in flight has an alternate, in the entry it links to.
         let Some((slot, linked)) = state.link() else { return };
         let Some(entry) = self.retransmits.get_mut(self.retransmits.widen(slot)) else { return };
@@ -962,7 +1009,7 @@ impl<E: Event> GossipNode<E> {
         };
         let token = TimerToken(self.retransmits.insert(entry));
         for (position, id) in ids.iter().enumerate() {
-            let state = self.ids.get_mut(id).map(|record| &mut record.state);
+            let state = self.ids.get_mut(id);
             debug_assert!(
                 state.as_ref().is_some_and(|s| !s.delivered()),
                 "delivered or unrecorded"
@@ -993,7 +1040,7 @@ impl<E: Event> GossipNode<E> {
 
     /// Makes `from` the alternate proposer of `id`, if `id` is linked.
     fn set_alternate(&mut self, id: E::Id, from: NodeId) {
-        let Some((slot, linked)) = self.ids.get(&id).and_then(|r| r.state.link()) else { return };
+        let Some((slot, linked)) = self.ids.get(&id).and_then(|s| s.link()) else { return };
         if let Some(entry) = self.retransmits.get_mut(self.retransmits.widen(slot)) {
             entry.set_alternate(&id, linked, from.as_u32());
         }
@@ -1004,38 +1051,57 @@ impl<E: Event> GossipNode<E> {
         self.rtt.rto()
     }
 
-    /// Ages the table by the retention horizon: drops the payloads
-    /// delivered before it, then every whole window whose records all
-    /// predate it, raising the record floor past them.
+    /// Ages the table by the retention horizon: the payloads delivered
+    /// before it are no longer retained (the node's own copies of them
+    /// go), then every whole window whose ids all predate it leaves the
+    /// table, raising the record floor past them.
     fn prune_store(&mut self, now: Time) {
         let Some(cutoff) = self.config.retention_cutoff(now) else { return };
-        let mut floor = u64::MAX;
-        for (window, record) in self.ids.values_mut_from(self.payload_floor) {
-            if record.event.is_none() {
+        let (before, after) = (self.retained_since, cutoff.max(self.retained_since));
+        let (mut floor, mut aged) = (u64::MAX, 0);
+        for (window, state) in self.ids.values_mut_from(self.payload_floor) {
+            if !state.retained(before) {
                 continue;
             }
-            if record.state.at() < cutoff {
-                record.event = None;
-                self.payloads -= 1;
+            if state.at() < after {
+                aged += 1;
             } else {
                 floor = floor.min(window);
             }
         }
+        self.payloads -= aged;
         self.payload_floor = floor;
-        // A record's time is its delivery, or its first request while
-        // undelivered; either way, one older than the horizon holds no
-        // payload any more. A timer that still counts one of the dropped
-        // ids fires and finds no record.
+        self.retained_since = after;
+        if aged > 0 && !self.own.is_empty() {
+            let ids = &self.ids;
+            self.own.retain(|(id, _)| ids.get(id).is_some_and(|s| s.retained(after)));
+        }
+        // An id's time is its delivery, or its first request while
+        // undelivered; either way, one older than the horizon has no
+        // payload retained any more. A timer that still counts one of the
+        // dropped ids fires and finds no record.
         let timers = &self.retransmits;
-        if let Some(floor) = self.ids.drop_expired_rows(|record| record.state.time(timers) < cutoff)
-        {
+        if let Some(floor) = self.ids.drop_expired_rows(|state| state.time(timers) < cutoff) {
             self.record_floor = self.record_floor.max(floor);
         }
     }
 
-    /// Ends this incarnation: drops the whole id table (payloads included),
-    /// every armed retransmission timer, the pending proposals and outputs
-    /// and the scratch buffers, keeping only the counters
+    /// Keeps `event` as the node's own copy of `id`'s payload.
+    fn keep_own(&mut self, id: E::Id, event: E) {
+        match self.own.binary_search_by(|(kept, _)| kept.cmp(&id)) {
+            Ok(i) => self.own[i].1 = event,
+            Err(i) => self.own.insert(i, (id, event)),
+        }
+    }
+
+    /// Whether `id`'s payload is retained here.
+    fn retains(&self, id: &E::Id) -> bool {
+        self.ids.get(id).is_some_and(|s| s.retained(self.retained_since))
+    }
+
+    /// Ends this incarnation: drops the whole id table and its own payload
+    /// copies, every armed retransmission timer, the pending proposals and
+    /// outputs and the scratch buffers, keeping only the counters
     /// ([`GossipNode::stats`]). Returns the deadlines the host attached to
     /// the dropped timers, for it to cancel.
     ///
@@ -1048,6 +1114,7 @@ impl<E: Event> GossipNode<E> {
         let timers = std::mem::take(&mut self.retransmits);
         cancelled.extend(timers.into_values().filter_map(|entry| entry.handle));
         self.ids = DenseMap::new();
+        self.own = Vec::new();
         self.payloads = 0;
         self.payload_floor = u64::MAX;
         self.propose_queue = Vec::new();
@@ -1060,7 +1127,8 @@ impl<E: Event> GossipNode<E> {
         cancelled
     }
 
-    /// Returns the number of events currently stored (servable).
+    /// Returns the number of events currently stored (servable): the ids
+    /// whose payload is retained, kept here or in the host's pool.
     pub fn stored_events(&self) -> usize {
         self.payloads
     }
@@ -1083,20 +1151,43 @@ impl<E: Event> GossipNode<E> {
         id.dense_key().0 < self.record_floor
     }
 
-    /// Returns the stored (servable) copy of an event, if still retained.
+    /// Returns the node's own copy of a retained event: under a host that
+    /// lends no pool, every stored event; under one that does, only what
+    /// the pool did not hold equal at delivery ([`GossipNode::stored_in`]
+    /// finds the rest).
     pub fn stored(&self, id: &E::Id) -> Option<&E> {
-        self.ids.get(id)?.event.as_ref()
+        self.stored_in(id, None)
+    }
+
+    /// Returns the copy of a retained event this node serves: its own, or
+    /// else `pool`'s — the pool its host lends with its inputs.
+    pub fn stored_in<'a>(
+        &'a self,
+        id: &E::Id,
+        pool: Option<&'a dyn EventPool<E>>,
+    ) -> Option<&'a E> {
+        if !self.retains(id) {
+            return None;
+        }
+        let own = self.own.binary_search_by(|(kept, _)| kept.cmp(id)).ok();
+        own.map(|i| &self.own[i].1).or_else(|| pool?.lookup(id))
+    }
+
+    /// Returns how many stored events the node keeps a copy of itself
+    /// (the rest are its host's pool's).
+    pub fn own_copies(&self) -> usize {
+        self.own.len()
     }
 
     /// Returns whether the given event id has been delivered here.
     pub fn has_delivered(&self, id: &E::Id) -> bool {
-        self.ids.get(id).is_some_and(|r| r.state.delivered())
+        self.ids.get(id).is_some_and(|s| s.delivered())
     }
 
     /// Returns `(times_requested, delivered)` for an id, if it was ever
     /// requested or delivered (diagnostics).
     pub fn request_info(&self, id: &E::Id) -> Option<(u32, bool)> {
-        self.ids.get(id).map(|r| (r.state.times_requested(), r.state.delivered()))
+        self.ids.get(id).map(|s| (s.times_requested(), s.delivered()))
     }
 
     /// Returns the peers this node has demoted for repeat misbehaviour.
@@ -1112,7 +1203,8 @@ impl<E: Event> GossipNode<E> {
 
 impl<E: crate::wire::WireEvent> GossipNode<E> {
     /// Drives the node from a *borrowed* wire frame — the allocation-free
-    /// twin of [`GossipNode::on_message`].
+    /// twin of [`GossipNode::on_message_pooled`], lent the frame's pool
+    /// ([`Frame::with_pool`](crate::wire::Frame::with_pool)), if it has one.
     ///
     /// Ids and events decode lazily straight out of the receive buffer as
     /// the handlers consume them; no intermediate `Vec`/`Arc` is built. The
@@ -1120,10 +1212,11 @@ impl<E: crate::wire::WireEvent> GossipNode<E> {
     /// [`crate::wire::decode_message`] and calling `on_message`.
     pub fn on_frame(&mut self, now: Time, frame: &crate::wire::Frame<'_, E>) {
         use crate::wire::FrameKind;
+        let pool = frame.pool();
         match frame.kind() {
             FrameKind::Propose => self.handle_propose(now, frame.sender(), frame.ids()),
-            FrameKind::Request => self.handle_request(frame.sender(), frame.ids()),
-            FrameKind::Serve => self.handle_serve(now, frame.sender(), frame.events()),
+            FrameKind::Request => self.handle_request(frame.sender(), frame.ids(), pool),
+            FrameKind::Serve => self.handle_serve(now, frame.sender(), frame.events(), pool),
             FrameKind::FeedMe => self.handle_feedme(frame.sender()),
         }
     }
@@ -1637,13 +1730,33 @@ mod tests {
     }
 
     #[test]
-    fn a_one_pointer_event_costs_a_node_16_bytes_per_id() {
+    fn a_one_pointer_event_costs_a_node_8_bytes_per_id() {
         // What `StreamPacket` is (pinned beside it): 8 bytes with a niche.
-        type Handle = Arc<[u8; 1000]>;
-        assert_eq!(std::mem::size_of::<IdRecord<Handle>>(), 16);
-        // The marker bit is the whole point: the DenseMap slot needs no
-        // discriminant beyond the NonZeroU64 niche.
-        assert_eq!(std::mem::size_of::<Option<IdRecord<Handle>>>(), 16);
+        #[derive(Debug, Clone, PartialEq)]
+        struct Handle(Arc<TestEvent>);
+        impl Event for Handle {
+            type Id = u64;
+            fn id(&self) -> u64 {
+                self.0.id()
+            }
+            fn wire_size(&self) -> usize {
+                self.0.wire_size()
+            }
+            fn id_wire_size() -> usize {
+                TestEvent::id_wire_size()
+            }
+        }
+        assert_eq!(std::mem::size_of::<Handle>(), 8);
+        // The id table holds none of it — a retained payload is the host
+        // pool's, or in the node's sparse table of its own copies — so a
+        // slot is the request word, and the marker bit is the whole point:
+        // it needs no discriminant beyond the NonZeroU64 niche.
+        fn slot<K, V>(_: &DenseMap<K, V>) -> usize {
+            std::mem::size_of::<Option<V>>()
+        }
+        let node: GossipNode<Handle> =
+            GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(2), 1);
+        assert_eq!(slot(&node.ids), 8);
     }
 
     #[test]
@@ -1665,7 +1778,7 @@ mod tests {
 
     /// The alternate proposer of `id`, read through its link.
     fn alternate_of(node: &GossipNode<TestEvent>, id: u64) -> Option<u32> {
-        let (slot, linked) = node.ids.get(&id)?.state.link()?;
+        let (slot, linked) = node.ids.get(&id)?.link()?;
         node.retransmits.get(node.retransmits.widen(slot))?.alternate(&id, linked)
     }
 
@@ -1785,7 +1898,7 @@ mod tests {
         // An id's position is its value here; from 0xFFFF on, links hold
         // 0xFFFF.
         for id in [0, 65_534, 65_535, 65_536, 69_999] {
-            let (_, linked) = node.ids.get(&id).and_then(|r| r.state.link()).expect("linked");
+            let (_, linked) = node.ids.get(&id).and_then(|s| s.link()).expect("linked");
             assert_eq!(linked, (id as usize).min(0xFFFF), "id {id}");
         }
         node.on_message(Time::ZERO, second, Message::Propose { ids: vec![65_535, 69_999].into() });

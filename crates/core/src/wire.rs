@@ -62,8 +62,10 @@ pub trait WireEvent: Event + Sized {
 }
 
 /// A host's table of events it has already seen pass [`Event::verify`],
-/// by id — the one copy of each payload that the nodes it hosts can share
-/// (see [`WireEvent::decode_event_pooled`] and [`Frame::with_pool`]).
+/// by id — the one copy of each payload that the nodes it hosts share: a
+/// decode reuses its buffers ([`WireEvent::decode_event_pooled`],
+/// [`Frame::with_pool`]) and a node serves from it what it kept no copy of
+/// ([`crate::pool::PacketPool`], the one implementation hosts use).
 pub trait EventPool<E: Event>: std::fmt::Debug {
     /// The pooled event with this id, if any.
     fn lookup(&self, id: &E::Id) -> Option<&E>;
@@ -228,6 +230,12 @@ impl<'a, E: WireEvent> Frame<'a, E> {
     pub fn with_pool(mut self, pool: &'a dyn EventPool<E>) -> Self {
         self.pool = Some(pool);
         self
+    }
+
+    /// The pool the frame was lent, if any: where its receiver also finds
+    /// the payloads it serves without a copy of its own.
+    pub fn pool(&self) -> Option<&'a dyn EventPool<E>> {
+        self.pool
     }
 
     /// The node that sent this datagram.

@@ -6,8 +6,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gossip_core::index::{DenseMap, EventIndex};
-use gossip_core::wire::{decode_frame, decode_message, encode_message};
-use gossip_core::{Event, GossipConfig, GossipNode, Message, Output, TestEvent, TimerToken};
+use gossip_core::wire::{decode_frame, decode_message, encode_message, EventPool};
+use gossip_core::{
+    Event, GossipConfig, GossipNode, Message, Output, PacketPool, TestEvent, TimerToken,
+};
 use gossip_sim::{EventHandle, EventQueue};
 use gossip_types::{Duration, NodeId, Time};
 
@@ -34,6 +36,16 @@ impl Input {
     /// fresh node in its place, returning the deadlines the old one handed
     /// back.
     fn apply(self, node: &mut GossipNode<TestEvent>, now: Time) -> Vec<EventHandle> {
+        self.apply_pooled(node, now, None)
+    }
+
+    /// [`Input::apply`] from a host that lends `pool` with each message.
+    fn apply_pooled(
+        self,
+        node: &mut GossipNode<TestEvent>,
+        now: Time,
+        pool: Option<&dyn EventPool<TestEvent>>,
+    ) -> Vec<EventHandle> {
         let serve = |ids: Vec<u64>, corrupt: bool| Message::Serve {
             events: ids
                 .into_iter()
@@ -41,20 +53,14 @@ impl Input {
                 .map(|e| if corrupt { e.corrupted() } else { e })
                 .collect(),
         };
+        let mut message =
+            |from: u32, msg| node.on_message_pooled(now, NodeId::new(from), msg, pool);
         match self {
-            Input::Propose { from, ids } => {
-                node.on_message(now, NodeId::new(from), Message::Propose { ids: ids.into() });
-            }
-            Input::Request { from, ids } => {
-                node.on_message(now, NodeId::new(from), Message::Request { ids: ids.into() });
-            }
-            Input::Serve { from, ids } => {
-                node.on_message(now, NodeId::new(from), serve(ids, false))
-            }
-            Input::CorruptServe { from, ids } => {
-                node.on_message(now, NodeId::new(from), serve(ids, true));
-            }
-            Input::FeedMe { from } => node.on_message(now, NodeId::new(from), Message::FeedMe),
+            Input::Propose { from, ids } => message(from, Message::Propose { ids: ids.into() }),
+            Input::Request { from, ids } => message(from, Message::Request { ids: ids.into() }),
+            Input::Serve { from, ids } => message(from, serve(ids, false)),
+            Input::CorruptServe { from, ids } => message(from, serve(ids, true)),
+            Input::FeedMe { from } => message(from, Message::FeedMe),
             Input::Round => node.on_round(now),
             Input::Crash => {
                 let handed_back = node.crash();
@@ -599,29 +605,50 @@ impl Fnv {
 /// A cancelling host that folds what its node does into a digest: every
 /// output, every deadline handed back and, after each step, the request
 /// bookkeeping of every id the step named.
+///
+/// A pooling host also keeps a [`PacketPool`] and lends it with every
+/// message. It pools its node's intact deliveries, and — standing in for
+/// the other nodes a real host runs — the clean events of every serve from
+/// an even-numbered peer just before its node sees them, so the node
+/// leaves those to the pool; the rest it keeps as the host's first
+/// deliverer. It offers the pool a prune at every step; the pool prunes
+/// once a gossip period.
 struct DigestHost {
     node: GossipNode<TestEvent>,
     queue: EventQueue<TimerToken>,
     now: Time,
     digest: Fnv,
+    pool: Option<PacketPool<TestEvent>>,
+    /// The most stored payloads the node has left to the pool at once.
+    left_to_pool: usize,
 }
 
 impl DigestHost {
-    fn new(config: GossipConfig) -> Self {
+    fn new(config: GossipConfig, pooled: bool) -> Self {
         DigestHost {
             node: GossipNode::new(NodeId::new(0), config, members(10), 1),
             queue: EventQueue::new(),
             now: Time::ZERO,
             digest: Fnv(0xcbf2_9ce4_8422_2325),
+            pool: pooled.then(PacketPool::new),
+            left_to_pool: 0,
         }
     }
 
     /// Folds the step's outputs and cancellations, then `named`'s state.
     fn settle(&mut self, named: &[u64]) {
         while let Some(out) = self.node.poll_output() {
-            if let Output::ScheduleTimer { token, at } = out {
-                let handle = self.queue.push(at, token);
-                self.node.attach_timer_handle(token, handle);
+            match &out {
+                Output::ScheduleTimer { token, at } => {
+                    let handle = self.queue.push(*at, *token);
+                    self.node.attach_timer_handle(*token, handle);
+                }
+                Output::Deliver { event } if event.verify() => {
+                    if let Some(pool) = &mut self.pool {
+                        pool.insert(*event, self.now);
+                    }
+                }
+                _ => {}
             }
             self.digest.fold(&out);
         }
@@ -632,11 +659,17 @@ impl DigestHost {
         for id in named {
             self.digest.fold(&self.node.request_info(id));
         }
+        let left = self.node.stored_events() - self.node.own_copies();
+        self.left_to_pool = self.left_to_pool.max(left);
     }
 
-    /// Advances the clock by `step`, firing every timer that comes due.
+    /// Advances the clock by `step`, letting the pool prune and firing
+    /// every timer that comes due.
     fn advance(&mut self, step: Duration) {
         self.now += step;
+        if let Some(pool) = &mut self.pool {
+            pool.prune(self.node.config(), self.now);
+        }
         while let Some((_, token)) = self.queue.pop_before(self.now) {
             self.node.on_timer(self.now, token);
             self.settle(&[]);
@@ -652,7 +685,15 @@ impl DigestHost {
             _ => Vec::new(),
         };
         let crash = matches!(input, Input::Crash);
-        for handle in input.apply(&mut self.node, self.now) {
+        if let (Input::Serve { from, ids }, Some(pool)) = (&input, &mut self.pool) {
+            if from % 2 == 0 {
+                for &id in ids {
+                    pool.insert(TestEvent::new(id, 16), self.now);
+                }
+            }
+        }
+        let pool = self.pool.as_ref().map(|pool| pool as &dyn EventPool<TestEvent>);
+        for handle in input.apply_pooled(&mut self.node, self.now, pool) {
             assert!(self.queue.cancel(handle), "a handed-back deadline was not pending");
             self.digest.fold(&handle);
         }
@@ -676,7 +717,66 @@ impl DigestHost {
 /// alternates, corrupt serves and a retry.
 #[test]
 fn a_node_output_digest_is_pinned() {
-    const PINNED: u64 = 0x3e49_5551_421e_802a;
+    let (digest, left_to_pool) = node_output_digest(false);
+    assert_eq!(digest, PINNED, "the node's outputs moved: {digest:#018x}");
+    assert_eq!(left_to_pool, 0, "no pool, so every stored payload is the node's own");
+}
+
+/// The same sequences from a host that lends a pool: a node that leaves
+/// payloads to the pool serves exactly what it would have served from its
+/// own copies, and never finds a retained id missing from the pool.
+#[test]
+fn a_pooled_node_output_digest_is_pinned() {
+    let (digest, left_to_pool) = node_output_digest(true);
+    assert_eq!(digest, PINNED, "a pooled node's outputs moved: {digest:#018x}");
+    // Measured: 32 of the at most 50 ids a sequence names, at once.
+    assert!(left_to_pool >= 20, "the node left only {left_to_pool} payloads to the pool");
+}
+
+/// The pinned sequences never ask for an id near its retention horizon;
+/// this one asks for nothing else. Every 50 ms a peer serves one fresh id
+/// (a window of its own) that another node of the host delivered first,
+/// and another asks for every id served in the last 1.5 s, under a 1 s
+/// retention. Rounds and pool prunes come every 100 ms, the configured
+/// gossip period, the rounds halfway between the prunes as a staggered
+/// node's fall: the pool's one round of slack is all that covers a node
+/// whose last prune is a round old. A pooled and a pool-less host must
+/// agree step for step — and a node must find every retained id in the
+/// pool.
+#[test]
+fn a_pooled_node_serves_up_to_the_retention_horizon_as_an_unpooled_one_does() {
+    let config = GossipConfig::new(3)
+        .with_gossip_period(Duration::from_millis(100))
+        .with_retention(Duration::from_secs(1));
+    let mut hosts = [false, true].map(|pooled| DigestHost::new(config.clone(), pooled));
+    for step in 0..100u64 {
+        let asked: Vec<u64> = (step.saturating_sub(30)..step).map(|s| s << 8).collect();
+        for host in &mut hosts {
+            host.advance(Duration::from_millis(50));
+            if step % 2 == 1 {
+                host.apply(Input::Round);
+            }
+            host.apply(Input::Serve { from: 2, ids: vec![step << 8] });
+            host.apply(Input::Request { from: 3, ids: asked.clone() });
+        }
+        let [unpooled, pooled] = &hosts;
+        assert_eq!(pooled.digest.0, unpooled.digest.0, "step {step}");
+    }
+    let [unpooled, pooled] = &hosts;
+    assert_eq!(pooled.node.stats(), unpooled.node.stats());
+    assert!(pooled.left_to_pool >= 20, "only {} payloads left to the pool", pooled.left_to_pool);
+    let stats = pooled.node.stats();
+    assert!(stats.unservable_ids > 0, "no request reached past the horizon");
+    assert!(stats.serves_sent > 1000, "{} serves", stats.serves_sent);
+}
+
+/// The digest of [`a_node_output_digest_is_pinned`], pool-less or pooled.
+const PINNED: u64 = 0x3e49_5551_421e_802a;
+
+/// Runs the pinned sequences; returns their digest and the most stored
+/// payloads a node left to its host's pool at once.
+fn node_output_digest(pooled: bool) -> (u64, usize) {
+    let mut left_to_pool = 0;
     let mut rng = proptest::test_runner::TestRng::deterministic("a_node_output_digest_is_pinned");
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     let strategies: [Box<dyn Strategy<Value = Input>>; 2] =
@@ -690,7 +790,7 @@ fn a_node_output_digest_is_pinned() {
                     .with_retention(Duration::from_millis(if sliding { 1_500 } else { 60_000 }))
                     .with_retransmit_timeout(Duration::from_millis(600))
                     .with_rto_bounds(Duration::from_millis(300), Duration::from_secs(2));
-                let mut host = DigestHost::new(config);
+                let mut host = DigestHost::new(config, pooled);
                 let mut next_round = Time::ZERO;
                 for input in vec(strategy, 100..200).generate(&mut rng) {
                     host.advance(Duration::from_millis(50));
@@ -713,6 +813,7 @@ fn a_node_output_digest_is_pinned() {
                 }
                 host.advance(Duration::from_secs(5));
                 digest.fold(&(host.digest.0, host.node.stats()));
+                left_to_pool = left_to_pool.max(host.left_to_pool);
                 host.apply(Input::Crash);
                 digest.fold(&host.digest.0);
             }
@@ -725,7 +826,7 @@ fn a_node_output_digest_is_pinned() {
         .with_max_requests(4)
         .with_retransmit_timeout(Duration::from_millis(40))
         .with_rto_bounds(Duration::from_millis(40), Duration::from_millis(40));
-    let mut host = DigestHost::new(config);
+    let mut host = DigestHost::new(config, pooled);
     let late = [5, 65_533, 65_534, 65_535, 65_536, 65_537, 65_541, 69_998, 69_999];
     let step = |host: &mut DigestHost, input: Input| {
         host.advance(Duration::from_millis(5));
@@ -751,6 +852,5 @@ fn a_node_output_digest_is_pinned() {
     let sample: Vec<u64> = (0..70_000).step_by(997).chain(late).collect();
     host.settle(&sample);
     digest.fold(&(host.digest.0, host.node.stats()));
-
-    assert_eq!(digest.0, PINNED, "the node's outputs moved: {:#018x}", digest.0);
+    (digest.0, left_to_pool.max(host.left_to_pool))
 }

@@ -15,12 +15,21 @@
 //! retransmission timers) carry the epoch they were armed in and are
 //! filtered by it, so no event armed before a crash can touch the state of
 //! a later incarnation.
+//!
+//! Payloads live once in the deployment: one [`PacketPool`] of the packets
+//! the nodes delivered intact, lent with every message a node takes and
+//! pruned once a gossip period (see `gossip_core::pool`). Every receiver
+//! delivers a clone of the source's packet, which the pool holds, so only
+//! the source keeps its own copies — and a node that accepted a corrupted
+//! or forged packet keeps that one.
 
 use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
+use gossip_core::PacketPool;
 use gossip_net::{Enqueued, LatencySampler, LossProcess, NetStats, UploadLink};
 use gossip_sim::{DetRng, Engine};
+use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::hosted::{bootstrap_view, Envelope, HostedNode, Setup};
 
@@ -61,6 +70,8 @@ pub(crate) struct Deployment<'a> {
     pub(crate) partition: PartitionState,
     /// Every node of the total population, indexed by id.
     pub(crate) hosted: Vec<SimNode>,
+    /// The deployment's one copy of every packet a node delivered intact.
+    pub(crate) pool: PacketPool<StreamPacket>,
     /// When each node joined (`None` = present from the start).
     pub(crate) joined_at: Vec<Option<Time>>,
     /// The currently known membership: base nodes plus joiners so far.
@@ -157,6 +168,7 @@ impl<'a> Deployment<'a> {
         let deployment = Deployment {
             cfg,
             hosted,
+            pool: PacketPool::new(),
             joined_at: vec![None; total],
             members: membership,
             membership_rng: DetRng::seed_from(cfg.seed).split(0x5AFF1E),

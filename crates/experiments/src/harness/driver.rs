@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
-use gossip_core::{Message, TimerToken};
+use gossip_core::{Message, PacketPool, TimerToken};
 use gossip_net::UploadLink;
 use gossip_sim::{Engine, EventHandle};
 use gossip_stream::StreamPacket;
@@ -54,7 +54,7 @@ pub(crate) fn execute(cfg: &Scenario) -> RunResult {
 pub(crate) fn execute_probed(
     cfg: &Scenario,
     every: Duration,
-    mut probe: impl FnMut(Time, &[SimNode]),
+    mut probe: impl FnMut(Time, &[SimNode], &PacketPool<StreamPacket>),
 ) -> RunResult {
     assert!(!every.is_zero(), "a probe needs a positive period");
     let mut driver = Driver::new(cfg);
@@ -63,7 +63,7 @@ pub(crate) fn execute_probed(
     while at < end {
         at = (at + every).min(end);
         driver.run_until(at);
-        probe(at, &driver.dep.hosted);
+        probe(at, &driver.dep.hosted, &driver.dep.pool);
     }
     result::collect(driver)
 }
@@ -180,6 +180,7 @@ impl<'a> Driver<'a> {
     }
 
     fn dispatch(&mut self, now: Time, ev: Ev) {
+        self.dep.pool.prune(&self.dep.cfg.gossip, now);
         match ev {
             Ev::Round(id, ep) => {
                 let node = &mut self.dep.hosted[id.index()];
@@ -242,7 +243,7 @@ impl<'a> Driver<'a> {
                 match envelope {
                     Envelope::Gossip(msg) => {
                         self.depth.enter_serve(from);
-                        node.on_message(now, from, msg);
+                        node.on_message(now, from, msg, &self.dep.pool);
                         self.drain_outputs(now, to);
                         self.depth.exit_serve();
                     }
@@ -306,16 +307,19 @@ impl<'a> Driver<'a> {
 
     /// Routes a node's pending protocol outputs into the network/engine.
     fn drain_outputs(&mut self, now: Time, id: NodeId) {
-        let mut outputs = Outputs { engine: &mut self.engine, depth: &mut self.depth };
+        let mut outputs =
+            Outputs { engine: &mut self.engine, depth: &mut self.depth, pool: &mut self.dep.pool };
         self.dep.hosted[id.index()].route(now, &mut outputs);
     }
 }
 
 /// The simulator's side of a node's outputs: sends leave through its upload
-/// link, deliveries feed the depth tracker, timers go on the engine.
+/// link, deliveries feed the depth tracker and the pool, timers go on the
+/// engine.
 struct Outputs<'d> {
     engine: &'d mut Engine<Ev>,
     depth: &'d mut DepthTracker,
+    pool: &'d mut PacketPool<StreamPacket>,
 }
 
 impl Host for Outputs<'_> {
@@ -337,8 +341,9 @@ impl Host for Outputs<'_> {
         }
     }
 
-    fn delivered(&mut self, _: Time, at: NodeId, packet: StreamPacket) {
+    fn delivered(&mut self, now: Time, at: NodeId, packet: StreamPacket) {
         self.depth.record(at, packet.packet_id());
+        self.pool.insert(packet, now);
     }
 
     fn arm(&mut self, at: Time, node: NodeId, epoch: u32, token: TimerToken) -> EventHandle {
@@ -476,7 +481,8 @@ mod tests {
         let propose = |driver: &mut Driver<'_>, window: u32| {
             for index in 0..2 {
                 let ids = vec![PacketId::new(window, index)].into();
-                driver.dep.hosted[v.index()].on_message(Time::ZERO, peer, Message::Propose { ids });
+                let (dep, propose) = (&mut driver.dep, Message::Propose { ids });
+                dep.hosted[v.index()].on_message(Time::ZERO, peer, propose, &dep.pool);
             }
         };
 
@@ -551,7 +557,7 @@ mod tests {
         let crash = AdversitySpec::none().with_explicit_crash(Duration::from_secs(5), vec![victim]);
         let cfg = crate::Scenario::tiny(7).with_seed(2).with_adversity(crash);
         let (mut queueing, mut drained, mut victim_down) = (0, 0, false);
-        let result = cfg.run_probed(Duration::from_secs(1), |at, hosted| {
+        let result = cfg.run_probed(Duration::from_secs(1), |at, hosted, _| {
             for node in hosted {
                 let link = &node.link;
                 if link.queue_len() > 0 {

@@ -20,10 +20,10 @@
 //! ```
 
 use gossip_adversity::AdversitySpec;
-use gossip_core::GossipConfig;
+use gossip_core::{GossipConfig, PacketPool};
 use gossip_membership::CyclonConfig;
 use gossip_net::{LatencyModel, LossModel};
-use gossip_stream::StreamConfig;
+use gossip_stream::{StreamConfig, StreamPacket};
 use gossip_types::{Duration, Time};
 
 use crate::harness::deployment::SimNode;
@@ -280,16 +280,20 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run`], handing `probe` every node of the deployment
-    /// (crashed ones and dark joiners included) at each multiple of `every`
-    /// of simulated time, and at the horizon: a read-only window onto the
-    /// run's state for soak tests and diagnostics. The run is bit-identical
-    /// to an unprobed one.
+    /// (crashed ones and dark joiners included) and the deployment's packet
+    /// pool at each multiple of `every` of simulated time, and at the
+    /// horizon: a read-only window onto the run's state for soak tests and
+    /// diagnostics. The run is bit-identical to an unprobed one.
     ///
     /// # Panics
     ///
     /// Panics if the scenario is degenerate (fewer than 2 nodes) or `every`
     /// is zero.
-    pub fn run_probed(&self, every: Duration, probe: impl FnMut(Time, &[SimNode])) -> RunResult {
+    pub fn run_probed(
+        &self,
+        every: Duration,
+        probe: impl FnMut(Time, &[SimNode], &PacketPool<StreamPacket>),
+    ) -> RunResult {
         assert!(self.n >= 2, "a deployment needs a source and at least one receiver");
         crate::harness::driver::execute_probed(self, every, probe)
     }

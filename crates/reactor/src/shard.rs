@@ -92,23 +92,31 @@
 //! # Payload storage: one copy of the stream per shard
 //!
 //! The nodes of a shard all receive the same stream, so the shard keeps
-//! one table of packets ([`PacketPool`]) and its nodes hold handles on the
-//! table's packets instead of private copies: memory grows with the
-//! packets published, not with the nodes hosted. A [`StreamPacket`] is a
-//! one-pointer handle on a reference-counted `{id, timestamp, checksum,
-//! payload}`, so what a hosted node adds per packet is its own 16-byte
-//! record (request word and the handle; an id in flight also links to its
-//! retransmission timer) and nothing of the packet. The table is **filled** in one place — a delivery in
+//! one table of packets ([`PacketPool`], the same type the simulator
+//! keeps) and its nodes serve from it instead of keeping copies: memory
+//! grows with the packets published, not with the nodes hosted. What a
+//! hosted node adds per packet is its 8-byte request word (an id in
+//! flight also links to its retransmission timer) and nothing of the
+//! packet; it keeps its own copy — a one-pointer [`StreamPacket`] handle
+//! in a sparse side table — only of what the table did not hold equal
+//! when it delivered it: a packet it was the first of the shard to
+//! deliver, one the source published, and a corrupted or forged one it
+//! accepted. The table is **filled** in one place — a delivery in
 //! [`Shard::drain_outputs`] that passed `verify`, checked by the
 //! validating node or, for an undefended node, by the shard — so a
-//! corrupted payload can never enter it. It is **consulted** at decode
-//! ([`Shard::route_frame`] lends it to the frame): a served packet that
-//! equals the pooled one in header and payload bytes *is* the pooled
-//! packet (a refcount), one whose payload alone is equal shares the
-//! payload buffer under its own header, anything else gets its own copy,
-//! and the node checks each exactly as before. It is **pruned** at the
-//! protocol's `retention` horizon, like the nodes' payloads. One table per
-//! shard, touched only by the shard's thread: no locks.
+//! corrupted payload can never enter it; the first copy of an id stays.
+//! It is **consulted** twice, lent with every frame
+//! ([`Shard::route_frame`]). At decode, a served packet that equals the
+//! pooled one in header and payload bytes *is* the pooled packet (a
+//! refcount), one whose payload alone is equal shares the payload buffer
+//! under its own header, anything else gets its own copy, and the node
+//! checks each exactly as before. At a request, a node serves a retained
+//! payload it kept no copy of from the table. It is **pruned** once a
+//! round, a whole window at a time: a window goes when every packet in it
+//! was last delivered more than `retention` plus one `gossip_period` ago,
+//! so no node still retains one of them (`gossip_core::pool` derives the
+//! bound). One table per shard, touched only by the shard's thread: no
+//! locks.
 //!
 //! The upload links keep no bytes either. A node's link queues messages
 //! ([`Envelope`]s): a queued serve holds handles on the table's packets,
@@ -125,13 +133,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gossip_adversity::{ChaosPlan, CompiledAdversity, PartitionState};
-use gossip_core::index::DenseMap;
-use gossip_core::wire::{decode_frame, EventPool};
-use gossip_core::{GossipConfig, Message, TimerToken};
+use gossip_core::wire::decode_frame;
+use gossip_core::{Message, PacketPool, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, ShuffleMessage};
 use gossip_net::UploadLink;
 use gossip_sim::{DetRng, EventHandle, EventQueue};
-use gossip_stream::{PacketId, StreamPacket};
+use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::cluster::{ClusterConfig, JoinerBootstrap};
 use gossip_udp::hosted::{self, Envelope, FaultHost, Host, HostedNode, Setup};
@@ -294,9 +301,7 @@ pub(crate) struct Shard<E> {
     membership_rng: DetRng,
     /// The shard's one copy of every packet a hosted node verified (not
     /// to be confused with the socket pool).
-    packets: PacketPool,
-    /// Next time `packets` sheds what fell out of the retention horizon.
-    next_packet_prune: Time,
+    packets: PacketPool<StreamPacket>,
     /// Released-but-unsent datagrams of this loop iteration, in release
     /// order: `(destination, unframed wire bytes)`.
     outbox: Vec<(NodeId, Vec<u8>)>,
@@ -390,34 +395,6 @@ struct ChaosState {
     /// Datagrams held back by a Delay fate, re-injected after the next
     /// flush.
     delayed: Vec<(NodeId, Vec<u8>)>,
-}
-
-/// The packets the shard's nodes share: every packet a hosted node
-/// delivered intact, with when it first was (see the module docs).
-#[derive(Debug, Default)]
-struct PacketPool {
-    by_id: DenseMap<PacketId, (StreamPacket, Time)>,
-}
-
-impl PacketPool {
-    /// Keeps `packet`, which the caller has seen pass `verify`, unless its
-    /// id is already held.
-    fn insert_verified(&mut self, packet: StreamPacket, now: Time) {
-        self.by_id.insert_if_vacant(packet.packet_id(), (packet, now));
-    }
-
-    /// Drops the packets older than `config`'s retention horizon.
-    fn prune(&mut self, config: &GossipConfig, now: Time) {
-        if let Some(cutoff) = config.retention_cutoff(now) {
-            self.by_id.retain(|(_, pooled_at)| *pooled_at >= cutoff);
-        }
-    }
-}
-
-impl EventPool<StreamPacket> for PacketPool {
-    fn lookup(&self, id: &PacketId) -> Option<&StreamPacket> {
-        self.by_id.get(id).map(|(packet, _)| packet)
-    }
 }
 
 /// The address book folded into destination groups: nodes that receive on
@@ -554,7 +531,6 @@ impl<E: ShardEnv> Shard<E> {
             partition: PartitionState::new(),
             membership_rng,
             packets: PacketPool::default(),
-            next_packet_prune: Time::ZERO,
             outbox: Vec::new(),
             flush_order: Vec::new(),
             stats: ShardStats::default(),
@@ -622,11 +598,7 @@ impl<E: ShardEnv> Shard<E> {
         while let Some((at, fire)) = self.wheel.pop_before(now) {
             self.dispatch(fire, at, now);
         }
-        if now >= self.next_packet_prune {
-            // The nodes prune their stores once a round; so does the shard.
-            self.next_packet_prune = now + self.cluster.gossip.gossip_period;
-            self.packets.prune(&self.cluster.gossip, now);
-        }
+        self.packets.prune(&self.cluster.gossip, now);
         let t1 = t0.map(|_| self.env.now());
 
         // 2. Budgeted batched receive from the sockets the wait flagged.
@@ -1269,7 +1241,7 @@ fn offer(link: &mut UploadLink<(NodeId, Envelope)>, now: Time, to: NodeId, envel
 /// intact deliveries fill the packet table, timers go on the wheel.
 struct Outputs<'s> {
     wheel: &'s mut EventQueue<Fire>,
-    packets: &'s mut PacketPool,
+    packets: &'s mut PacketPool<StreamPacket>,
     local: u32,
 }
 
@@ -1288,7 +1260,7 @@ impl Host for Outputs<'_> {
 
     fn delivered(&mut self, now: Time, _: NodeId, packet: StreamPacket) {
         // The only way into the table: verified, just now.
-        self.packets.insert_verified(packet, now);
+        self.packets.insert(packet, now);
     }
 
     fn arm(&mut self, at: Time, _: NodeId, epoch: u32, token: TimerToken) -> EventHandle {
@@ -1504,8 +1476,9 @@ mod tests {
     use std::thread;
     use std::time::Instant;
 
-    use gossip_core::wire::encode_message;
-    use gossip_core::Event;
+    use gossip_core::wire::{encode_message, EventPool};
+    use gossip_core::{Event, GossipConfig};
+    use gossip_stream::PacketId;
     use gossip_udp::clock::ClusterClock;
     use gossip_udp::cluster::assemble_report;
 
@@ -2117,10 +2090,17 @@ mod tests {
         (0..windows).flat_map(move |w| (0..per_window).map(move |i| PacketId::new(w, i)))
     }
 
+    /// What each hosted node serves for `id` (its own copy, else the
+    /// table's), if it stores it.
+    fn stored<'s>(shard: &'s Shard<VirtualEnv>, id: &PacketId) -> Vec<&'s StreamPacket> {
+        let pool: &dyn EventPool<StreamPacket> = &shard.packets;
+        shard.nodes.iter().filter_map(|vn| vn.node.stored_in(id, Some(pool))).collect()
+    }
+
     /// Where the payload bytes of every held copy of `id` live: the
-    /// shard's table first, then each hosted node's store.
+    /// shard's table first, then what each hosted node serves.
     fn payload_addresses(shard: &Shard<VirtualEnv>, id: &PacketId) -> Vec<*const u8> {
-        let nodes = shard.nodes.iter().filter_map(|vn| vn.node.stored(id));
+        let nodes = stored(shard, id).into_iter();
         shard.packets.lookup(id).into_iter().chain(nodes).map(|p| p.payload().as_ptr()).collect()
     }
 
@@ -2145,7 +2125,9 @@ mod tests {
         assert!(copies > 3 * packets, "the nodes hold their own entries: {copies} for {packets}");
         assert_eq!(buffers, packets, "one buffer per packet, not one per node");
         let stored: usize = shard.nodes.iter().map(|vn| vn.node.stored_events()).sum();
-        assert_eq!(stored + shard.packets.by_id.len(), copies, "no packet beyond the ten windows");
+        assert_eq!(stored + shard.packets.len(), copies, "no packet beyond the ten windows");
+        let own: usize = shard.nodes.iter().map(|vn| vn.node.own_copies()).sum();
+        assert!(own < stored / 2, "{own} of {stored} stored payloads are the nodes' own copies");
     }
 
     /// Only verified packets enter the table, and a payload is shared only
@@ -2175,7 +2157,7 @@ mod tests {
                 let Some(entry) = shard.packets.lookup(&id) else { continue };
                 pooled += 1;
                 assert!(entry.verify(), "defended={defended}: {id} pooled corrupt");
-                for stored in shard.nodes.iter().filter_map(|vn| vn.node.stored(&id)) {
+                for stored in stored(shard, &id) {
                     let shares = stored.payload().as_ptr() == entry.payload().as_ptr();
                     assert_eq!(shares, stored.verify(), "defended={defended}: {id}");
                     swallowed += usize::from(!shares);
@@ -2221,7 +2203,7 @@ mod tests {
         shard.route_frame(NodeId::new(3), &serve(packet.clone()), now);
         let pooled = shard.packets.lookup(&id).expect("an intact delivery is pooled");
         assert!(pooled.verify());
-        let shared = shard.nodes[3].node.stored(&id).expect("stored");
+        let shared = stored(shard, &id).pop().expect("stored");
         assert_eq!(shared.payload().as_ptr(), pooled.payload().as_ptr());
         let swallowed = shard.nodes[2].node.stored(&id).expect("still there");
         assert_ne!(swallowed.payload().as_ptr(), pooled.payload().as_ptr());
@@ -2239,7 +2221,7 @@ mod tests {
         let held = |cluster: &VirtualCluster| -> Vec<usize> {
             let shard = &cluster.shards[0];
             let nodes = shard.nodes.iter().map(|vn| vn.node.stored_events());
-            std::iter::once(shard.packets.by_id.len()).chain(nodes).collect()
+            std::iter::once(shard.packets.len()).chain(nodes).collect()
         };
         turn_for(&mut cluster, Duration::from_millis(2500));
         let mid = held(&cluster);
@@ -2275,7 +2257,7 @@ mod tests {
             for index in 0..2 {
                 let ids = vec![PacketId::new(window, index)].into();
                 let propose = gossip_core::Message::Propose { ids };
-                shard.nodes[2].on_message(now, NodeId::new(1), propose);
+                shard.nodes[2].on_message(now, NodeId::new(1), propose, &shard.packets);
             }
         };
 
@@ -2403,7 +2385,7 @@ mod tests {
                 shard.nodes.iter().map(|vn| vn.node.recorded_ids()).collect();
             let down: Vec<bool> = shard.nodes.iter().map(HostedNode::is_down).collect();
             let link = shard.nodes[victim].link.queue_capacity();
-            samples.push((at, records, down, link, shard.packets.by_id.len()));
+            samples.push((at, records, down, link, shard.packets.len()));
         }
         let report = cluster.finish();
         for (r, quality) in report.quality.nodes().iter().enumerate() {
@@ -2447,7 +2429,10 @@ mod tests {
             }
         }
 
-        // The table: one horizon of packets, plus the round between prunes.
+        // The table: one horizon of packets — each kept for `retention` and
+        // one round of slack past its window's latest delivery, and pruned
+        // once a round — within the horizon's windows and one more.
+        // Measured: 6066 at most.
         let horizon_packets = WINDOW_PACKETS * (horizon.as_micros() / 1_000_000 + 1) as usize;
         for (at, .., pooled) in &samples {
             assert!(*pooled <= horizon_packets, "{pooled} packets pooled at {at}");

@@ -129,9 +129,10 @@ fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
 /// cannot restamp" captures.
 ///
 /// A `StreamPacket` is a one-pointer handle on an immutable, reference-
-/// counted packet, so a clone shares header and payload alike: a node's
-/// store, its serves and its deliveries are one allocation, every holder
-/// pays 8 bytes for it, and in the simulator every node holds the source's.
+/// counted packet, so a clone shares header and payload alike: a host's
+/// packet pool, its nodes' serves and their deliveries are one allocation,
+/// every holder pays 8 bytes for it, and in the simulator every node
+/// serves the source's.
 /// A decoded packet is a fresh one unless its host keeps a pool of verified
 /// packets ([`WireEvent::decode_event_pooled`]): then it is the pooled
 /// packet when — and only when — id, timestamp, checksum and payload bytes

@@ -308,7 +308,8 @@ fn a_pooled_frame_is_verified_once_per_serve_and_corruption_is_still_caught() {
         .filter(|out| matches!(out, Output::Deliver { .. }))
         .collect();
     assert_eq!(delivered.len(), 1);
-    let stored_at = node.stored(&id).expect("stored").0.payload().as_ptr();
+    assert_eq!(node.own_copies(), 0, "the pool holds it: the node keeps no copy");
+    let stored_at = node.stored_in(&id, Some(&pool)).expect("stored").0.payload().as_ptr();
     assert_eq!(stored_at, source.payload().as_ptr(), "the store shares the pooled buffer");
 
     let bad =
@@ -320,7 +321,7 @@ fn a_pooled_frame_is_verified_once_per_serve_and_corruption_is_still_caught() {
     assert_eq!(node.misbehaviour_score(offender), 1);
     assert_eq!(node.misbehaviour_score(honest), 0);
     assert_eq!(node.stats().events_delivered, 1);
-    let stored = node.stored(&id).expect("still stored");
+    let stored = node.stored_in(&id, Some(&pool)).expect("still stored");
     assert!(stored.0.verify(), "the stored event is the intact one");
     assert_eq!(stored.0.payload().as_ptr(), stored_at);
 }

@@ -14,13 +14,22 @@
 //! it starts. Both links queue the same item, an [`Envelope`] — a protocol
 //! message or a membership shuffle — charged at its encoded size: the
 //! simulator delivers it as it is, a shard encodes it as it is released.
+//!
+//! Payloads live once per host. Every host keeps one
+//! [`PacketPool`](gossip_core::PacketPool), fills it from
+//! [`Host::delivered`] — the intact, in-geometry deliveries [`HostedNode::route`]
+//! reports — prunes it once a gossip period, and lends it with every
+//! message it hands a node: the simulator through [`HostedNode::on_message`],
+//! a shard on the frame ([`Frame::with_pool`]). A node keeps an 8-byte
+//! word per id and serves what the pool held equal at delivery from the
+//! pool; it keeps its own copy only of the rest (see `gossip_core::pool`).
 
 use std::sync::Arc;
 
 use gossip_adversity::{
     ByzantineBehaviour, CompiledAdversity, FaultAction, NodeProfile, PartitionState,
 };
-use gossip_core::wire::{encode_message, Frame, FrameKind};
+use gossip_core::wire::{encode_message, EventPool, Frame, FrameKind};
 use gossip_core::{GossipConfig, GossipNode, Message, Output, TimerToken};
 use gossip_membership::{wire as shuffle_wire, CyclonConfig, CyclonView, ShuffleMessage};
 use gossip_net::UploadLink;
@@ -75,7 +84,8 @@ pub trait Host {
         to: NodeId,
         msg: Message<StreamPacket>,
     );
-    /// Observes an intact delivery at `at`, which its player just counted.
+    /// Observes an intact delivery at `at`, which its player just counted:
+    /// what a host's packet pool is filled from.
     fn delivered(&mut self, now: Time, at: NodeId, packet: StreamPacket);
     /// Queues `node`'s retransmission timer `token`, armed in incarnation
     /// `epoch`, for `at`; returns its handle.
@@ -198,14 +208,22 @@ impl<P> HostedNode<P> {
         !self.down && self.epoch == epoch
     }
 
-    /// Feeds one received message through the inbound gate.
-    pub fn on_message(&mut self, now: Time, from: NodeId, msg: Message<StreamPacket>) {
+    /// Feeds one received message through the inbound gate, lent the
+    /// host's packet pool.
+    pub fn on_message(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: Message<StreamPacket>,
+        pool: &dyn EventPool<StreamPacket>,
+    ) {
         if self.admits(matches!(msg, Message::Request { .. })) {
-            self.node.on_message(now, from, msg);
+            self.node.on_message_pooled(now, from, msg, Some(pool));
         }
     }
 
-    /// Feeds one received wire frame through the inbound gate.
+    /// Feeds one received wire frame through the inbound gate; the frame
+    /// carries the host's pool ([`Frame::with_pool`]).
     pub fn on_frame(&mut self, now: Time, frame: &Frame<'_, StreamPacket>) {
         if self.admits(frame.kind() == FrameKind::Request) {
             self.node.on_frame(now, frame);
@@ -430,7 +448,7 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
 
 #[cfg(test)]
 mod tests {
-    use gossip_core::Event;
+    use gossip_core::{Event, PacketPool};
     use gossip_fec::WindowParams;
     use gossip_sim::EventQueue;
     use gossip_stream::PacketId;
@@ -438,11 +456,13 @@ mod tests {
     use super::*;
 
     /// A host that records every output it is handed, and puts each send on
-    /// the sender's link as a one-byte feed-me.
+    /// the sender's link as a one-byte feed-me. It pools what its nodes
+    /// deliver intact, as every host does.
     #[derive(Default)]
     struct Recorder {
         sent: Vec<(NodeId, Message<StreamPacket>)>,
         delivered: Vec<PacketId>,
+        pool: PacketPool<StreamPacket>,
         queue: EventQueue<TimerToken>,
         armed: Vec<EventHandle>,
         cancelled: Vec<EventHandle>,
@@ -462,8 +482,9 @@ mod tests {
             self.sent.push((to, msg));
         }
 
-        fn delivered(&mut self, _: Time, _: NodeId, packet: StreamPacket) {
+        fn delivered(&mut self, now: Time, _: NodeId, packet: StreamPacket) {
             self.delivered.push(packet.packet_id());
+            self.pool.insert(packet, now);
         }
 
         fn arm(&mut self, at: Time, _: NodeId, _: u32, token: TimerToken) -> EventHandle {
@@ -511,10 +532,26 @@ mod tests {
     /// `from` proposes `packet`, the node requests it, `from` serves it.
     fn fetch(node: &mut HostedNode<()>, host: &mut Recorder, packet: StreamPacket) {
         let ids: Arc<[PacketId]> = vec![packet.packet_id()].into();
-        node.on_message(Time::ZERO, PEER, Message::Propose { ids });
+        node.on_message(Time::ZERO, PEER, Message::Propose { ids }, &host.pool);
         node.route(Time::ZERO, host);
-        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![packet] });
+        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![packet] }, &host.pool);
         node.route(Time::ZERO, host);
+    }
+
+    /// Node 3 requests `id`, lending `pool`; returns what the node serves.
+    fn served(
+        node: &mut HostedNode<()>,
+        host: &mut Recorder,
+        id: PacketId,
+        pool: &dyn EventPool<StreamPacket>,
+    ) -> Vec<StreamPacket> {
+        let ids: Arc<[PacketId]> = vec![id].into();
+        node.on_message(Time::from_millis(100), NodeId::new(3), Message::Request { ids }, pool);
+        node.route(Time::from_millis(100), host);
+        match host.sent.pop() {
+            Some((_, Message::Serve { events })) => events,
+            other => panic!("expected a serve, got {other:?}"),
+        }
     }
 
     /// What the node sends for one propose, one round and one request.
@@ -524,7 +561,8 @@ mod tests {
         node.node.on_round(Time::from_millis(100));
         node.route(Time::from_millis(100), &mut host);
         let ids: Arc<[PacketId]> = vec![PacketId::new(0, 0)].into();
-        node.on_message(Time::from_millis(100), NodeId::new(3), Message::Request { ids });
+        let request = Message::Request { ids };
+        node.on_message(Time::from_millis(100), NodeId::new(3), request, &host.pool);
         node.route(Time::from_millis(100), &mut host);
         (node, host)
     }
@@ -622,7 +660,7 @@ mod tests {
         let total = node.player.config().window.total_packets();
         let forged = packet(total as u16 + 1);
         assert!(forged.verify());
-        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![forged] });
+        node.on_message(Time::ZERO, PEER, Message::Serve { events: vec![forged] }, &host.pool);
         node.route(Time::ZERO, &mut host);
         assert_eq!(node.node.stats().events_delivered, 1, "the node itself does not look");
         assert_eq!(node.player.packets_received(), 0);
@@ -631,13 +669,71 @@ mod tests {
         assert_eq!(host.delivered, [PacketId::new(0, 0)], "a packet of the stream still gets in");
     }
 
+    /// An undefended node that swallowed a corrupted serve keeps it as its
+    /// own copy and serves those bytes, though its host pooled the intact
+    /// packet another node delivered.
+    #[test]
+    fn an_undefended_nodes_corrupted_delivery_is_served_from_its_own_copy() {
+        let (mut node, mut host) = (hosted(1, NodeProfile::default(), false), Recorder::default());
+        let (intact, id) = (packet(0), PacketId::new(0, 0));
+        host.pool.insert(intact.clone(), Time::ZERO);
+        fetch(&mut node, &mut host, intact.tampered());
+        assert!(host.delivered.is_empty(), "the corrupted delivery is not pooled");
+        assert_eq!((node.node.stored_events(), node.node.own_copies()), (1, 1));
+        let pool = std::mem::take(&mut host.pool);
+        let serve = served(&mut node, &mut host, id, &pool);
+        assert_eq!(serve, [intact.tampered()], "its own bytes");
+        assert_eq!(pool.lookup(&id), Some(&intact), "while the pool holds the intact packet");
+    }
+
+    /// A validating node that accepted a forged packet — a valid checksum
+    /// over other bytes — serves the forgery it holds, not the pool's
+    /// packet under the same id.
+    #[test]
+    fn a_validating_node_serves_its_own_copy_of_a_forged_packet() {
+        let (mut node, mut host) = (hosted(1, NodeProfile::default(), true), Recorder::default());
+        let (pooled, id) = (packet(0), PacketId::new(0, 0));
+        host.pool.insert(pooled.clone(), Time::ZERO);
+        let forged = StreamPacket::new(id, Time::ZERO, vec![9; 100].into());
+        assert!(forged.verify() && forged != pooled);
+        fetch(&mut node, &mut host, forged.clone());
+        assert_eq!(host.delivered, [id], "the forgery passed every check");
+        assert_eq!(node.node.own_copies(), 1);
+        let pool = std::mem::take(&mut host.pool);
+        assert_eq!(pool.lookup(&id), Some(&pooled), "the pool keeps its first copy");
+        assert_eq!(served(&mut node, &mut host, id, &pool), [forged]);
+    }
+
+    /// The first node of a host to deliver a packet keeps it — the pool
+    /// did not hold it yet — and serves its own copy whatever the pool
+    /// holds later; a node that delivers it after leaves it to the pool.
+    #[test]
+    fn the_first_deliverer_in_a_host_serves_its_own_copy() {
+        let mut host = Recorder::default();
+        let honest = NodeProfile::default();
+        let (mut first, mut second) = (hosted(1, honest, true), hosted(3, honest, true));
+        let (packet, id) = (packet(0), PacketId::new(0, 0));
+        fetch(&mut first, &mut host, packet.clone());
+        fetch(&mut second, &mut host, packet.clone());
+        assert_eq!(host.pool.lookup(&id), Some(&packet), "the first delivery was pooled");
+        assert_eq!([first.node.own_copies(), second.node.own_copies()], [1, 0]);
+        assert_eq!(second.node.stored_events(), 1, "the second still stores it, in the pool");
+        let pool = std::mem::take(&mut host.pool);
+        assert_eq!(served(&mut second, &mut host, id, &pool), std::slice::from_ref(&packet));
+
+        let mut other = PacketPool::new();
+        let forged = StreamPacket::new(id, Time::ZERO, vec![9; 100].into());
+        other.insert(forged, Time::ZERO);
+        assert_eq!(served(&mut first, &mut host, id, &other), [packet], "its own bytes");
+    }
+
     #[test]
     fn a_crash_bumps_the_epoch_and_drops_payloads_timers_and_backlog() {
         let (mut node, mut host) = (hosted(1, NodeProfile::default(), true), Recorder::default());
         fetch(&mut node, &mut host, packet(0));
         for index in [1, 2] {
             let ids: Arc<[PacketId]> = vec![PacketId::new(0, index)].into();
-            node.on_message(Time::ZERO, PEER, Message::Propose { ids });
+            node.on_message(Time::ZERO, PEER, Message::Propose { ids }, &host.pool);
             node.route(Time::ZERO, &mut host);
         }
         assert_eq!(host.armed.len(), 3, "a timer per request");
