@@ -220,19 +220,6 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         previous
     }
 
-    /// Inserts `value` under `key` only if the slot is vacant. Returns
-    /// `true` if the insert happened (the hot-path equivalent of a vacant
-    /// `HashMap` entry).
-    pub fn insert_if_vacant(&mut self, key: K, value: V) -> bool {
-        let (len, slot) = self.slot_mut(&key);
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(value);
-        *len += 1;
-        true
-    }
-
     /// Returns a mutable reference to the value of `key`, inserting
     /// `default()` first if absent.
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
@@ -241,21 +228,6 @@ impl<K: EventIndex, V> DenseMap<K, V> {
             *len += 1;
         }
         slot.get_or_insert_with(default)
-    }
-
-    /// Keeps only the entries for which `keep` returns `true`, dropping
-    /// rows that become empty (so long-running maps shed pruned windows).
-    pub fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
-        for (_, row) in &mut self.rows {
-            for slot in row.iter_mut() {
-                if slot.as_mut().is_some_and(|v| !keep(v)) {
-                    *slot = None;
-                    self.len -= 1;
-                }
-            }
-        }
-        self.rows.retain(|(_, row)| row.iter().any(Option::is_some));
-        self.cursor.set(0);
     }
 
     /// Visits, in window order, the value of every entry whose window is
@@ -427,38 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_if_vacant_only_inserts_once() {
-        let mut m: DenseMap<u64, u32> = DenseMap::new();
-        assert!(m.insert_if_vacant(42, 1));
-        assert!(!m.insert_if_vacant(42, 2));
-        assert_eq!(m.get(&42), Some(&1));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn get_or_insert_with_matches_entry_semantics() {
         let mut m: DenseMap<u64, u32> = DenseMap::new();
         *m.get_or_insert_with(5, || 10) += 1;
         *m.get_or_insert_with(5, || 99) += 1;
         assert_eq!(m.get(&5), Some(&12));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn retain_prunes_entries_and_empty_rows() {
-        let mut m: DenseMap<u64, u64> = DenseMap::new();
-        for id in 0..600u64 {
-            m.insert(id, id);
-        }
-        assert_eq!(m.len(), 600);
-        m.retain(|v| *v >= 512); // windows 0 and most of 1 emptied
-        assert_eq!(m.len(), 88);
-        assert_eq!(m.get(&511), None);
-        assert_eq!(m.get(&512), Some(&512));
-        assert_eq!(m.get(&599), Some(&599));
-        // Re-inserting into a pruned window works.
-        assert_eq!(m.insert(3, 3), None);
-        assert_eq!(m.get(&3), Some(&3));
     }
 
     #[test]

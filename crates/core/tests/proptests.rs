@@ -113,11 +113,8 @@ fn contested_input_strategy() -> impl Strategy<Value = Input> {
 #[derive(Debug, Clone)]
 enum MapOp {
     Insert(u64, u32),
-    InsertIfVacant(u64, u32),
     /// `get_or_insert_with`, then add one to the value.
     Bump(u64, u32),
-    /// `retain` the values that are not multiples of this.
-    DropMultiplesOf(u32),
     /// Add one to every value in this window or a later one.
     BumpFrom(u64),
     /// `drop_expired_rows` with values below this expired.
@@ -129,9 +126,7 @@ fn map_op_strategy() -> impl Strategy<Value = MapOp> {
     let key = || prop_oneof![0u64..700, 0u64..700, any::<u64>()];
     prop_oneof![
         (key(), 0u32..100).prop_map(|(k, v)| MapOp::Insert(k, v)),
-        (key(), 0u32..100).prop_map(|(k, v)| MapOp::InsertIfVacant(k, v)),
         (key(), 0u32..100).prop_map(|(k, v)| MapOp::Bump(k, v)),
-        (2u32..5).prop_map(MapOp::DropMultiplesOf),
         (0u64..4).prop_map(MapOp::BumpFrom),
         (0u32..100).prop_map(MapOp::DropRowsBelow),
     ]
@@ -153,22 +148,12 @@ proptest! {
                     prop_assert_eq!(dense.insert(k, v), model.insert(k, v));
                     touched.push(k);
                 }
-                MapOp::InsertIfVacant(k, v) => {
-                    let vacant = !model.contains_key(&k);
-                    model.entry(k).or_insert(v);
-                    prop_assert_eq!(dense.insert_if_vacant(k, v), vacant);
-                    touched.push(k);
-                }
                 MapOp::Bump(k, v) => {
                     let (d, m) = (dense.get_or_insert_with(k, || v), model.entry(k).or_insert(v));
                     prop_assert_eq!(*d, *m);
                     *d += 1;
                     *m += 1;
                     touched.push(k);
-                }
-                MapOp::DropMultiplesOf(n) => {
-                    dense.retain(|v| *v % n != 0);
-                    model.retain(|_, v| *v % n != 0);
                 }
                 MapOp::BumpFrom(window) => {
                     let mut visited = 0;

@@ -17,19 +17,25 @@
 //! * **partition** — the network splits into cells mid-stream and heals,
 //!   measuring quality through the split and re-convergence after.
 //!
-//! Every `(knob, value)` cell is an independent simulation, fanned across
-//! threads by [`crate::harness::SweepRunner`]. The same specs run
-//! unchanged on the live runtimes (see `tests/reactor_runtime.rs` for the
-//! sim-vs-reactor parity check).
+//! Each sweep is a [`Grid`] whose every `(knob, value)` cell is an
+//! independent simulation. The same specs run unchanged on the live
+//! runtimes (see the parity tests in `gossip-reactor`'s `runtime` module).
 
 use gossip_adversity::{AdversitySpec, ByzantineMix};
 use gossip_core::GossipConfig;
-use gossip_metrics::Table;
 use gossip_types::Duration;
 
 use crate::figures::fig5_refresh::experiment_fanout;
-use crate::figures::{churn_percentages, knob_label, FigureOutput, LAG_20S, MAX_JITTER, OFFLINE};
+use crate::figures::{
+    churn_percentages, knob_label, quality, row, Column, Figure, Grid, GridFn, COMPLETE_20S,
+    LAG_20S, OFFLINE, VIEW_20S,
+};
+use crate::harness::RunResult;
 use crate::scenario::{Scale, Scenario};
+
+/// The whole matrix, in `repro adv` order.
+pub const GRIDS: &[GridFn] =
+    &[catastrophic, poisson, flash_crowd, free_riders, byzantine, partition, throttle];
 
 /// Builds the scenario every adversity cell starts from: the experiment
 /// fanout for the scale, `X = x` partner refresh, and the given spec.
@@ -53,54 +59,41 @@ pub fn catastrophic_spec(scale: Scale, pct: u32) -> AdversitySpec {
 /// Catastrophic crash sweep (crash % × `X ∈ {1, ∞}`): Figure 7/8 with the
 /// victims drawn by the spec compiler instead of
 /// [`catastrophic_crash`](crate::churn::catastrophic_crash).
-pub fn run_catastrophic(scale: Scale, seed: u64) -> FigureOutput {
-    let x_values: Vec<Option<u32>> = vec![Some(1), None];
-    let mut params: Vec<(Option<u32>, u32)> = Vec::new();
-    for &x in &x_values {
-        for pct in churn_percentages() {
-            params.push((x, pct));
-        }
-    }
-    let cells = crate::harness::SweepRunner::new().run(params.clone(), |&(x, pct)| {
-        let result = base_scenario(scale, seed, x, catastrophic_spec(scale, pct)).run();
-        (
-            result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-            result.quality.average_quality_percent(LAG_20S),
-        )
-    });
-
-    let mut header = vec!["fail_pct".to_string()];
-    for &x in &x_values {
-        header.push(format!("view_X{}", knob_label(x)));
-        header.push(format!("complete_X{}", knob_label(x)));
-    }
-    let mut table = Table::new(header);
-    for pct in churn_percentages() {
-        let mut values = Vec::new();
-        for &x in &x_values {
-            let i = params.iter().position(|&p| p == (x, pct)).expect("swept");
-            values.push(cells[i].0);
-            values.push(cells[i].1);
-        }
-        table.row_f64(pct.to_string(), &values);
-    }
-    FigureOutput {
-        id: "adv-catastrophic",
-        title: "survivor viewing % and complete windows vs crash fraction (AdversitySpec)"
-            .to_string(),
-        table,
-        notes: vec![
-            "one spec, compiled per seed; same spec runs on the live runtimes".to_string(),
-            "expected: matches fig7/fig8 (X=1 degrades gracefully to 80% churn)".to_string(),
-        ],
-    }
+pub fn catastrophic(scale: Scale, seed: u64) -> Grid {
+    let xs = [Some(1), None];
+    let cell = |x, pct| base_scenario(scale, seed, x, catastrophic_spec(scale, pct));
+    Grid::new(
+        &["fail_pct"],
+        churn_percentages()
+            .into_iter()
+            .map(|pct| row(pct, xs.iter().map(|&x| cell(x, pct)).collect()))
+            .collect(),
+        quality,
+        Figure {
+            id: "adv-catastrophic",
+            title: "survivor viewing % and complete windows vs crash fraction (AdversitySpec)"
+                .to_string(),
+            columns: xs
+                .iter()
+                .enumerate()
+                .flat_map(|(g, &x)| {
+                    [
+                        Column::new(format!("view_X{}", knob_label(x)), g, VIEW_20S),
+                        Column::new(format!("complete_X{}", knob_label(x)), g, COMPLETE_20S),
+                    ]
+                })
+                .collect(),
+            notes: vec![
+                "one spec, compiled per seed; same spec runs on the live runtimes".to_string(),
+                "expected: matches fig7/fig8 (X=1 degrades gracefully to 80% churn)".to_string(),
+            ],
+        },
+    )
 }
 
 /// Departure rates swept by the Poisson-churn experiment, in mean
 /// departures per second over the whole population.
-pub fn poisson_rates() -> Vec<f64> {
-    vec![0.0, 0.2, 0.5, 1.0, 2.0]
-}
+pub const POISSON_RATES: [f64; 5] = [0.0, 0.2, 0.5, 1.0, 2.0];
 
 /// The continuous-churn spec: departures at `leaves_per_sec` over the
 /// whole stream, each node returning (with fresh state) after ~10 s away.
@@ -118,33 +111,34 @@ pub fn poisson_spec(scale: Scale, leaves_per_sec: f64) -> AdversitySpec {
 
 /// Poisson leave/rejoin churn sweep: quality of the nodes that are up at
 /// the end, as the departure rate grows.
-pub fn run_poisson(scale: Scale, seed: u64) -> FigureOutput {
-    let cells = crate::harness::SweepRunner::new().run(poisson_rates(), |&rate| {
-        let result = base_scenario(scale, seed, Some(1), poisson_spec(scale, rate)).run();
-        (
-            result.quality.average_quality_percent(OFFLINE),
-            result.quality.average_quality_percent(LAG_20S),
-            result.quality.nodes().len(),
-        )
-    });
-    let mut table = Table::new(vec!["leaves_per_sec", "complete_off", "complete_20s", "nodes_up"]);
-    for (rate, (off, lag, up)) in poisson_rates().into_iter().zip(cells) {
-        table.row_f64(format!("{rate:.1}"), &[off, lag, up as f64]);
-    }
-    FigureOutput {
-        id: "adv-poisson",
-        title: "quality under continuous leave/rejoin churn (X=1, 10 s mean downtime)".to_string(),
-        table,
-        notes: vec!["rejoining nodes restart with fresh protocol state; player history survives"
-            .to_string()],
-    }
+pub fn poisson(scale: Scale, seed: u64) -> Grid {
+    let cell = |rate| base_scenario(scale, seed, Some(1), poisson_spec(scale, rate));
+    Grid::new(
+        &["leaves_per_sec"],
+        POISSON_RATES.into_iter().map(|rate| row(format!("{rate:.1}"), vec![cell(rate)])).collect(),
+        |_, result| {
+            vec![
+                result.quality.average_quality_percent(OFFLINE),
+                result.quality.average_quality_percent(LAG_20S),
+                result.quality.nodes().len() as f64,
+            ]
+        },
+        Figure {
+            id: "adv-poisson",
+            title: "quality under continuous leave/rejoin churn (X=1, 10 s mean downtime)"
+                .to_string(),
+            columns: Column::each(&["complete_off", "complete_20s", "nodes_up"]),
+            notes: vec![
+                "rejoining nodes restart with fresh protocol state; player history survives"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 /// Join-wave sizes swept by the flash-crowd experiment, as a percentage of
 /// the base population.
-pub fn crowd_percentages() -> Vec<u32> {
-    vec![10, 25, 50]
-}
+pub const CROWD_PERCENTAGES: [u32; 3] = [10, 25, 50];
 
 /// The flash-crowd spec: a wave of `pct`% × n brand-new nodes joining at
 /// the stream midpoint, spread over two seconds.
@@ -159,88 +153,89 @@ pub fn flash_crowd_spec(scale: Scale, pct: u32) -> AdversitySpec {
 
 /// Flash-crowd sweep: do mid-stream joiners catch up, and does the base
 /// population even notice them?
-pub fn run_flash_crowd(scale: Scale, seed: u64) -> FigureOutput {
-    let cells = crate::harness::SweepRunner::new().run(crowd_percentages(), |&pct| {
-        let result = base_scenario(scale, seed, Some(1), flash_crowd_spec(scale, pct)).run();
-        let joiners = result.joiner_quality.as_ref().expect("the wave joined in time");
-        (
-            result.quality.average_quality_percent(OFFLINE),
-            joiners.average_quality_percent(OFFLINE),
-            joiners.average_quality_percent(LAG_20S),
-            joiners.nodes().len(),
-        )
-    });
-    let mut table =
-        Table::new(vec!["crowd_pct", "base_complete", "joiner_complete", "joiner_20s", "joiners"]);
-    for (pct, (base, j_off, j_lag, count)) in crowd_percentages().into_iter().zip(cells) {
-        table.row_f64(pct.to_string(), &[base, j_off, j_lag, count as f64]);
-    }
-    FigureOutput {
-        id: "adv-flash-crowd",
-        title: "mid-stream join wave: base quality and joiner catch-up (X=1)".to_string(),
-        table,
-        notes: vec!["joiners measured only over windows published after their arrival".to_string()],
-    }
+pub fn flash_crowd(scale: Scale, seed: u64) -> Grid {
+    let cell = |pct| base_scenario(scale, seed, Some(1), flash_crowd_spec(scale, pct));
+    Grid::new(
+        &["crowd_pct"],
+        CROWD_PERCENTAGES.into_iter().map(|pct| row(pct, vec![cell(pct)])).collect(),
+        |_, result| {
+            let joiners = result.joiner_quality.as_ref().expect("the wave joined in time");
+            vec![
+                result.quality.average_quality_percent(OFFLINE),
+                joiners.average_quality_percent(OFFLINE),
+                joiners.average_quality_percent(LAG_20S),
+                joiners.nodes().len() as f64,
+            ]
+        },
+        Figure {
+            id: "adv-flash-crowd",
+            title: "mid-stream join wave: base quality and joiner catch-up (X=1)".to_string(),
+            columns: Column::each(&["base_complete", "joiner_complete", "joiner_20s", "joiners"]),
+            notes: vec![
+                "joiners measured only over windows published after their arrival".to_string()
+            ],
+        },
+    )
 }
 
 /// Free-rider fractions swept, in percent of the population.
-pub fn free_rider_percentages() -> Vec<u32> {
-    vec![0, 10, 25, 40]
+pub const FREE_RIDER_PERCENTAGES: [u32; 4] = [0, 10, 25, 40];
+
+/// Contributor and rider completeness (%) and the average upload (kbps) of
+/// a free-rider run.
+pub fn measure_free_riders(cfg: &Scenario, result: &RunResult) -> Vec<f64> {
+    // No crashes in this sweep, so quality index i is node i + 1;
+    // recompiling the spec (deterministic) recovers who free-rides.
+    let compiled = cfg.adversity.compile(cfg.n, cfg.seed);
+    let (mut rider, mut rider_n, mut contrib, mut contrib_n) = (0.0, 0u32, 0.0, 0u32);
+    for (i, q) in result.quality.nodes().iter().enumerate() {
+        let pct_complete = 100.0 * q.complete_fraction();
+        if compiled.profiles[i + 1].free_rider {
+            rider += pct_complete;
+            rider_n += 1;
+        } else {
+            contrib += pct_complete;
+            contrib_n += 1;
+        }
+    }
+    let avg_upload = result.upload_kbps.iter().sum::<f64>() / result.upload_kbps.len() as f64;
+    vec![
+        if contrib_n > 0 { contrib / f64::from(contrib_n) } else { 0.0 },
+        if rider_n > 0 { rider / f64::from(rider_n) } else { f64::NAN },
+        avg_upload,
+    ]
 }
 
 /// Free-rider sweep: contributors keep proposing and serving while a
 /// growing fraction only takes. Reports both subpopulations' quality and
 /// the contributors' upload bill.
-pub fn run_free_riders(scale: Scale, seed: u64) -> FigureOutput {
-    let cells = crate::harness::SweepRunner::new().run(free_rider_percentages(), |&pct| {
+pub fn free_riders(scale: Scale, seed: u64) -> Grid {
+    let cell = |pct| {
         let spec = if pct == 0 {
             AdversitySpec::none()
         } else {
             AdversitySpec::none().with_free_riders(f64::from(pct) / 100.0)
         };
-        let cfg = base_scenario(scale, seed, Some(1), spec.clone());
-        let result = cfg.run();
-        // No crashes in this sweep, so quality index i is node i + 1;
-        // recompiling the spec (deterministic) recovers who free-rides.
-        let compiled = spec.compile(cfg.n, cfg.seed);
-        let (mut rider, mut rider_n, mut contrib, mut contrib_n) = (0.0, 0u32, 0.0, 0u32);
-        for (i, q) in result.quality.nodes().iter().enumerate() {
-            let pct_complete = 100.0 * q.complete_fraction();
-            if compiled.profiles[i + 1].free_rider {
-                rider += pct_complete;
-                rider_n += 1;
-            } else {
-                contrib += pct_complete;
-                contrib_n += 1;
-            }
-        }
-        let avg_upload = result.upload_kbps.iter().sum::<f64>() / result.upload_kbps.len() as f64;
-        (
-            if contrib_n > 0 { contrib / f64::from(contrib_n) } else { 0.0 },
-            if rider_n > 0 { rider / f64::from(rider_n) } else { f64::NAN },
-            avg_upload,
-        )
-    });
-    let mut table =
-        Table::new(vec!["rider_pct", "contributor_complete", "rider_complete", "avg_upload_kbps"]);
-    for (pct, (contrib, rider, upload)) in free_rider_percentages().into_iter().zip(cells) {
-        table.row_f64(pct.to_string(), &[contrib, rider, upload]);
-    }
-    FigureOutput {
-        id: "adv-free-riders",
-        title: "stream quality vs free-rider fraction (X=1)".to_string(),
-        table,
-        notes: vec![
-            "free-riders request and receive but never propose or serve".to_string(),
-            "rider_complete is NaN at 0% (no riders to measure)".to_string(),
-        ],
-    }
+        base_scenario(scale, seed, Some(1), spec)
+    };
+    Grid::new(
+        &["rider_pct"],
+        FREE_RIDER_PERCENTAGES.into_iter().map(|pct| row(pct, vec![cell(pct)])).collect(),
+        measure_free_riders,
+        Figure {
+            id: "adv-free-riders",
+            title: "stream quality vs free-rider fraction (X=1)".to_string(),
+            columns: Column::each(&["contributor_complete", "rider_complete", "avg_upload_kbps"]),
+            notes: vec![
+                "free-riders request and receive but never propose or serve".to_string(),
+                "rider_complete is NaN at 0% (no riders to measure)".to_string(),
+            ],
+        },
+    )
 }
 
 /// Byzantine fractions swept, in percent of the population.
-pub fn byzantine_percentages() -> Vec<u32> {
-    vec![0, 10, 20, 30]
-}
+pub const BYZANTINE_PERCENTAGES: [u32; 4] = [0, 10, 20, 30];
 
 /// The serve-corruptor spec: `pct`% of the receivers flip payload bytes in
 /// every Serve they send while keeping the stale checksum.
@@ -265,30 +260,21 @@ pub fn byzantine_gossip(scale: Scale, defended: bool) -> GossipConfig {
     }
 }
 
-/// One Byzantine cell: honest-receiver quality plus the defense counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ByzantineCell {
-    /// Average % of windows honest receivers ever complete (offline).
-    pub honest_complete: f64,
-    /// Average % of windows honest receivers complete within 20 s.
-    pub honest_20s: f64,
-    /// Corrupted Serve events caught by the payload checksum.
-    pub detected: u64,
-    /// Packets re-requested from an alternate proposer after a corruption.
-    pub rerequests: u64,
-    /// Peers demoted out of partner selection for repeat misbehaviour.
-    pub demoted: u64,
+/// The Byzantine cell: `pct`% serve-corruptors, defenses on or off.
+pub fn byzantine_scenario(scale: Scale, seed: u64, pct: u32, defended: bool) -> Scenario {
+    base_scenario(scale, seed, Some(1), byzantine_spec(pct))
+        .with_gossip(byzantine_gossip(scale, defended))
 }
 
-/// Runs one Byzantine cell: `pct`% serve-corruptors, defenses on or off.
-pub fn byzantine_cell(scale: Scale, seed: u64, pct: u32, defended: bool) -> ByzantineCell {
-    let spec = byzantine_spec(pct);
-    let cfg = base_scenario(scale, seed, Some(1), spec.clone())
-        .with_gossip(byzantine_gossip(scale, defended));
-    let result = cfg.run();
+/// Honest-receiver quality, then the defense counters: the average % of
+/// windows honest receivers ever complete (offline) and complete within
+/// 20 s; corrupted Serve events caught by the payload checksum; packets
+/// re-requested from an alternate proposer after a corruption; peers
+/// demoted out of partner selection for repeat misbehaviour.
+pub fn measure_byzantine(cfg: &Scenario, result: &RunResult) -> Vec<f64> {
     // No crashes in this sweep, so quality index i is node i + 1;
     // recompiling the spec (deterministic) recovers who is Byzantine.
-    let compiled = spec.compile(cfg.n, cfg.seed);
+    let compiled = cfg.adversity.compile(cfg.n, cfg.seed);
     let (mut complete, mut within_20s, mut honest_n) = (0.0, 0.0, 0u32);
     for (i, q) in result.quality.nodes().iter().enumerate() {
         if compiled.profiles[i + 1].byzantine.is_none() {
@@ -297,72 +283,56 @@ pub fn byzantine_cell(scale: Scale, seed: u64, pct: u32, defended: bool) -> Byza
             honest_n += 1;
         }
     }
-    ByzantineCell {
-        honest_complete: complete / f64::from(honest_n.max(1)),
-        honest_20s: within_20s / f64::from(honest_n.max(1)),
-        detected: result.protocol.corrupted_events_detected,
-        rerequests: result.protocol.corrupt_rerequests,
-        demoted: result.protocol.peers_demoted,
-    }
+    vec![
+        complete / f64::from(honest_n.max(1)),
+        within_20s / f64::from(honest_n.max(1)),
+        result.protocol.corrupted_events_detected as f64,
+        result.protocol.corrupt_rerequests as f64,
+        result.protocol.peers_demoted as f64,
+    ]
 }
 
 /// Byzantine sweep: serve-corruptor fraction × validate-before-relay on or
 /// off. The defended column should track the fault-free baseline; the
 /// undefended column shows what poisoned payloads do to honest receivers
 /// when nothing checks them.
-pub fn run_byzantine(scale: Scale, seed: u64) -> FigureOutput {
-    let mut params: Vec<(u32, bool)> = Vec::new();
-    for pct in byzantine_percentages() {
-        for defended in [true, false] {
-            params.push((pct, defended));
-        }
-    }
-    let cells = crate::harness::SweepRunner::new()
-        .run(params.clone(), |&(pct, defended)| byzantine_cell(scale, seed, pct, defended));
-    let mut table = Table::new(vec![
-        "byz_pct",
-        "honest_def_on",
-        "honest_def_off",
-        "honest20s_on",
-        "honest20s_off",
-        "detected",
-        "rerequests",
-        "demoted",
-    ]);
-    for pct in byzantine_percentages() {
-        let on = params.iter().position(|&p| p == (pct, true)).expect("swept");
-        let off = params.iter().position(|&p| p == (pct, false)).expect("swept");
-        table.row_f64(
-            pct.to_string(),
-            &[
-                cells[on].honest_complete,
-                cells[off].honest_complete,
-                cells[on].honest_20s,
-                cells[off].honest_20s,
-                cells[on].detected as f64,
-                cells[on].rerequests as f64,
-                cells[on].demoted as f64,
-            ],
-        );
-    }
-    FigureOutput {
-        id: "adv-byzantine",
-        title: "honest-receiver quality vs serve-corruptor fraction, defenses on/off (X=1)"
-            .to_string(),
-        table,
-        notes: vec![
-            "corruptors flip payload bytes on every Serve but keep the stale checksum".to_string(),
-            "defended: verify-payloads + re-request + demotion; undefended: checksum ignored"
+pub fn byzantine(scale: Scale, seed: u64) -> Grid {
+    let (on, off) = (0, 1);
+    Grid::new(
+        &["byz_pct"],
+        BYZANTINE_PERCENTAGES
+            .into_iter()
+            .map(|pct| {
+                row(pct, [true, false].map(|d| byzantine_scenario(scale, seed, pct, d)).to_vec())
+            })
+            .collect(),
+        measure_byzantine,
+        Figure {
+            id: "adv-byzantine",
+            title: "honest-receiver quality vs serve-corruptor fraction, defenses on/off (X=1)"
                 .to_string(),
-            "counters (detected/rerequests/demoted) are from the defended run".to_string(),
-        ],
-    }
+            columns: vec![
+                Column::new("honest_def_on", on, 0),
+                Column::new("honest_def_off", off, 0),
+                Column::new("honest20s_on", on, 1),
+                Column::new("honest20s_off", off, 1),
+                Column::new("detected", on, 2),
+                Column::new("rerequests", on, 3),
+                Column::new("demoted", on, 4),
+            ],
+            notes: vec![
+                "corruptors flip payload bytes on every Serve but keep the stale checksum"
+                    .to_string(),
+                "defended: verify-payloads + re-request + demotion; undefended: checksum ignored"
+                    .to_string(),
+                "counters (detected/rerequests/demoted) are from the defended run".to_string(),
+            ],
+        },
+    )
 }
 
 /// Cell counts swept by the partition experiment.
-pub fn partition_cells() -> Vec<usize> {
-    vec![2, 3]
-}
+pub const PARTITION_CELLS: [usize; 2] = [2, 3];
 
 /// When the partition splits: one third into the stream.
 pub fn partition_split_at(scale: Scale) -> Duration {
@@ -456,52 +426,52 @@ pub fn partition_phases(
     }
 }
 
+/// The [`partition_phases`] of a run whose fault window is the middle
+/// third of its stream (the partition's and the throttle's), at
+/// [`LAG_20S`]: before, during, after, complete and the re-convergence
+/// delay (NaN if never).
+pub fn measure_phases(cfg: &Scenario, result: &RunResult) -> Vec<f64> {
+    let p = partition_phases(
+        result.quality.nodes(),
+        &cfg.stream,
+        cfg.measure_from_window,
+        cfg.stream_duration / 3,
+        cfg.stream_duration * 2 / 3,
+        LAG_20S,
+    );
+    vec![p.before_20s, p.during_20s, p.after_20s, p.complete, p.reconverge_s.unwrap_or(f64::NAN)]
+}
+
 /// Partition sweep: split the network into 2 or 3 cells for the middle
 /// third of the stream. Quality craters during the split (only cell 0 has
 /// the source) and must recover after the heal.
-pub fn run_partition(scale: Scale, seed: u64) -> FigureOutput {
-    let cells = crate::harness::SweepRunner::new().run(partition_cells(), |&cells| {
-        let cfg = base_scenario(scale, seed, Some(1), partition_spec(scale, cells));
-        let result = cfg.run();
-        partition_phases(
-            result.quality.nodes(),
-            &cfg.stream,
-            cfg.measure_from_window,
-            partition_split_at(scale),
-            partition_heal_at(scale),
-            LAG_20S,
-        )
-    });
-    let mut table =
-        Table::new(vec!["cells", "before_20s", "during_20s", "after_20s", "complete", "reconv_s"]);
-    for (n_cells, p) in partition_cells().into_iter().zip(cells) {
-        table.row_f64(
-            n_cells.to_string(),
-            &[
-                p.before_20s,
-                p.during_20s,
-                p.after_20s,
-                p.complete,
-                p.reconverge_s.unwrap_or(f64::NAN),
+pub fn partition(scale: Scale, seed: u64) -> Grid {
+    let cell = |cells| base_scenario(scale, seed, Some(1), partition_spec(scale, cells));
+    Grid::new(
+        &["cells"],
+        PARTITION_CELLS.into_iter().map(|cells| row(cells, vec![cell(cells)])).collect(),
+        measure_phases,
+        Figure {
+            id: "adv-partition",
+            title: "viewing % by phase around a mid-stream partition (X=1)".to_string(),
+            columns: Column::each(&[
+                "before_20s",
+                "during_20s",
+                "after_20s",
+                "complete",
+                "reconv_s",
+            ]),
+            notes: vec![
+                "split at t/3, heal at 2t/3; the source lands in cell 0".to_string(),
+                "reconv_s: first post-heal window ≥90% of nodes view within 20 s".to_string(),
+                "offline completeness recovers via re-requests once the split heals".to_string(),
             ],
-        );
-    }
-    FigureOutput {
-        id: "adv-partition",
-        title: "viewing % by phase around a mid-stream partition (X=1)".to_string(),
-        table,
-        notes: vec![
-            "split at t/3, heal at 2t/3; the source lands in cell 0".to_string(),
-            "reconv_s: first post-heal window ≥90% of nodes view within 20 s".to_string(),
-            "offline completeness recovers via re-requests once the split heals".to_string(),
-        ],
-    }
+        },
+    )
 }
 
 /// Throttled fractions swept, in percent of the receivers.
-pub fn throttle_percentages() -> Vec<u32> {
-    vec![0, 25, 50]
-}
+pub const THROTTLE_PERCENTAGES: [u32; 3] = [0, 25, 50];
 
 /// The throttle spec: `pct`% of the receivers capped to one third of the
 /// scenario's upload cap for the middle third of the stream.
@@ -520,38 +490,29 @@ pub fn throttle_spec(scale: Scale, pct: u32, base_cap_bps: u64) -> AdversitySpec
 /// Time-varying bandwidth sweep: a growing share of the receivers drops to
 /// a third of its upload cap for the middle third of the stream, then
 /// recovers.
-pub fn run_throttle(scale: Scale, seed: u64) -> FigureOutput {
-    let cells = crate::harness::SweepRunner::new().run(throttle_percentages(), |&pct| {
+pub fn throttle(scale: Scale, seed: u64) -> Grid {
+    let cell = |pct| {
         let cfg = base_scenario(scale, seed, Some(1), AdversitySpec::none());
         let base_cap = cfg.upload_cap_bps.expect("paper scenarios cap uploads");
-        let cfg = cfg.with_adversity(throttle_spec(scale, pct, base_cap));
-        let result = cfg.run();
-        partition_phases(
-            result.quality.nodes(),
-            &cfg.stream,
-            cfg.measure_from_window,
-            partition_split_at(scale),
-            partition_heal_at(scale),
-            LAG_20S,
-        )
-    });
-    let mut table =
-        Table::new(vec!["throttled_pct", "before_20s", "during_20s", "after_20s", "complete"]);
-    for (pct, p) in throttle_percentages().into_iter().zip(cells) {
-        table.row_f64(pct.to_string(), &[p.before_20s, p.during_20s, p.after_20s, p.complete]);
-    }
-    FigureOutput {
-        id: "adv-throttle",
-        title: "viewing % while a receiver share is throttled to cap/3 mid-stream (X=1)"
-            .to_string(),
-        table,
-        notes: vec![
-            "throttle window = the partition experiment's middle third, for comparability"
+        cfg.with_adversity(throttle_spec(scale, pct, base_cap))
+    };
+    Grid::new(
+        &["throttled_pct"],
+        THROTTLE_PERCENTAGES.into_iter().map(|pct| row(pct, vec![cell(pct)])).collect(),
+        measure_phases,
+        Figure {
+            id: "adv-throttle",
+            title: "viewing % while a receiver share is throttled to cap/3 mid-stream (X=1)"
                 .to_string(),
-            "shaped queues keep their release times; the cap changes from the next offer"
-                .to_string(),
-        ],
-    }
+            columns: Column::each(&["before_20s", "during_20s", "after_20s", "complete"]),
+            notes: vec![
+                "throttle window = the partition experiment's middle third, for comparability"
+                    .to_string(),
+                "shaped queues keep their release times; the cap changes from the next offer"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 /// The composed stress scenario of the acceptance criteria: continuous
@@ -579,32 +540,21 @@ pub fn run_composed(scale: Scale, seed: u64) -> (f64, f64, usize) {
     )
 }
 
-/// Runs the whole matrix (all seven sweeps).
-pub fn run_all(scale: Scale, seed: u64) -> Vec<FigureOutput> {
-    vec![
-        run_catastrophic(scale, seed),
-        run_poisson(scale, seed),
-        run_flash_crowd(scale, seed),
-        run_free_riders(scale, seed),
-        run_byzantine(scale, seed),
-        run_partition(scale, seed),
-        run_throttle(scale, seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::figures::tests::execute_once;
+
     #[test]
     fn catastrophic_spec_matches_figure_7_8_shape() {
-        let out = run_catastrophic(Scale::Tiny, 3);
+        let out = &execute_once(catastrophic, Scale::Tiny, 3).render()[0];
         assert_eq!(out.table.len(), churn_percentages().len());
     }
 
     #[test]
     fn poisson_churn_degrades_gracefully() {
-        let cells = crate::harness::SweepRunner::new().run(vec![0.0f64, 1.0], |&rate| {
+        let cells = [0.0f64, 1.0].map(|rate| {
             let result =
                 base_scenario(Scale::Tiny, 3, Some(1), poisson_spec(Scale::Tiny, rate)).run();
             result.quality.average_quality_percent(OFFLINE)
@@ -642,31 +592,41 @@ mod tests {
         assert!(avg > 60.0, "25% riders must not collapse a tiny swarm: {avg:.1}%");
     }
 
+    /// Indices into [`measure_byzantine`]'s values.
+    const HONEST_COMPLETE: usize = 0;
+    const DETECTED: usize = 2;
+    const REREQUESTS: usize = 3;
+
+    fn byzantine_cell(scale: Scale, seed: u64, pct: u32, defended: bool) -> Vec<f64> {
+        let cfg = byzantine_scenario(scale, seed, pct, defended);
+        measure_byzantine(&cfg, &cfg.run())
+    }
+
     #[test]
     fn byzantine_defenses_hold_quality_and_count_corruptions() {
         let baseline = byzantine_cell(Scale::Tiny, 3, 0, true);
         let defended = byzantine_cell(Scale::Tiny, 3, 20, true);
         assert!(
-            defended.honest_complete >= baseline.honest_complete - 15.0,
+            defended[HONEST_COMPLETE] >= baseline[HONEST_COMPLETE] - 15.0,
             "defended honest quality {:.1}% fell more than 15 points below baseline {:.1}%",
-            defended.honest_complete,
-            baseline.honest_complete
+            defended[HONEST_COMPLETE],
+            baseline[HONEST_COMPLETE]
         );
-        assert!(defended.detected > 0, "20% corruptors must trip the checksum");
-        assert!(defended.rerequests > 0, "detected corruptions must be re-requested");
+        assert!(defended[DETECTED] > 0.0, "20% corruptors must trip the checksum");
+        assert!(defended[REREQUESTS] > 0.0, "detected corruptions must be re-requested");
     }
 
     #[test]
     fn disabling_verification_lets_corruption_through() {
         let defended = byzantine_cell(Scale::Tiny, 3, 20, true);
         let undefended = byzantine_cell(Scale::Tiny, 3, 20, false);
-        assert_eq!(undefended.detected, 0, "verification off ⇒ nothing detected");
+        assert_eq!(undefended[DETECTED], 0.0, "verification off ⇒ nothing detected");
         assert!(
-            undefended.honest_complete < defended.honest_complete - 5.0,
+            undefended[HONEST_COMPLETE] < defended[HONEST_COMPLETE] - 5.0,
             "without verification honest quality ({:.1}%) must measurably trail the \
              defended run ({:.1}%)",
-            undefended.honest_complete,
-            defended.honest_complete
+            undefended[HONEST_COMPLETE],
+            defended[HONEST_COMPLETE]
         );
     }
 

@@ -1,277 +1,309 @@
 //! Extension experiments beyond the paper's evaluation.
 //!
 //! The paper's concluding remarks and assumptions suggest several follow-up
-//! questions; each function here answers one with the same simulated
+//! questions; each grid here answers one with the same simulated
 //! deployment and metrics:
 //!
-//! * [`run_membership`] — does the headline result survive replacing the
+//! * [`membership`] — does the headline result survive replacing the
 //!   full-membership assumption (Algorithm 1, line 26) with a realistic
 //!   Cyclon peer sampling service?
-//! * [`run_heterogeneous`] — the paper studies *uniform* caps; what happens
+//! * [`heterogeneous`] — the paper studies *uniform* caps; what happens
 //!   with a mixed population (half 500 kbps, half 900 kbps — same mean as
 //!   700 kbps)?
-//! * [`run_scaling`] — does the `ln n + c` fanout rule track the system
+//! * [`scaling`] — does the `ln n + c` fanout rule track the system
 //!   size (the theory the paper tests at a single n = 230)?
-//! * [`run_period`] — sensitivity to the 200 ms gossip period the paper
+//! * [`period`] — sensitivity to the 200 ms gossip period the paper
 //!   fixes.
-//! * [`run_churn_timeline`] — the paper states (but does not plot) that
+//! * [`churn_timeline`] — the paper states (but does not plot) that
 //!   missing windows concentrate "in a time frame of 5 s to 10 s around the
 //!   churn event"; this experiment produces that timeline.
-//! * [`run_ablations`] — what each design choice buys: one knob at a time
+//! * [`ablations`] — what each design choice buys: one knob at a time
 //!   (propose lifetime, retransmission budget `K`, FEC parity, throttling
 //!   queue depth, serve batch) moved off its default.
+//! * [`large_n`] — does the narrow optimal-fanout window survive beyond
+//!   the paper's scale? Figure 1's sweep at n ∈ {500, 1000}.
 
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
 use gossip_membership::CyclonConfig;
-use gossip_metrics::Table;
 use gossip_sim::DetRng;
 use gossip_types::{Duration, NodeId};
 
 use crate::churn::catastrophic_crash;
 use crate::figures::fig5_refresh::experiment_fanout;
-use crate::figures::{FigureOutput, LAG_10S, LAG_20S, MAX_JITTER, OFFLINE};
-use crate::harness::SweepRunner;
+use crate::figures::{
+    quality, row, viewing_columns, Column, Figure, Grid, GridFn, COMPLETE_20S, LAG_20S, VIEW_20S,
+};
+use crate::harness::RunResult;
 use crate::scenario::{MembershipMode, Scale, Scenario};
 
+/// The extensions `repro ext` runs, in order (the slow or off-axis
+/// [`scaling`], [`ablations`] and [`large_n`] are separate targets).
+pub const GRIDS: &[GridFn] = &[membership, heterogeneous, period, churn_timeline];
+
 /// Full membership vs Cyclon partial views of several sizes.
-pub fn run_membership(scale: Scale, seed: u64) -> FigureOutput {
+pub fn membership(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
-    let mut params: Vec<(String, MembershipMode)> =
-        vec![("full".to_string(), MembershipMode::Full)];
+    let cell = |mode| Scenario::at_scale(scale, fanout).with_seed(seed).with_membership(mode);
+    let mut rows = vec![row("full", vec![cell(MembershipMode::Full)])];
     for view_size in [8usize, 16, 32] {
         let config = CyclonConfig { view_size, shuffle_size: (view_size / 2).max(1) };
-        params.push((
-            format!("cyclon_{view_size}"),
-            MembershipMode::Cyclon {
-                config,
-                shuffle_period: Duration::from_secs(1),
-                bootstrap_degree: (view_size / 2).max(2),
-            },
-        ));
+        let mode = MembershipMode::Cyclon {
+            config,
+            shuffle_period: Duration::from_secs(1),
+            bootstrap_degree: (view_size / 2).max(2),
+        };
+        rows.push(row(format!("cyclon_{view_size}"), vec![cell(mode)]));
     }
-    let rows = SweepRunner::new().run(params, |(label, mode)| {
-        let result =
-            Scenario::at_scale(scale, fanout).with_seed(seed).with_membership(mode.clone()).run();
-        (
-            label.clone(),
-            [
-                result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-                result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-                result.quality.percent_viewing(MAX_JITTER, LAG_10S),
+    Grid::new(
+        &["membership"],
+        rows,
+        quality,
+        Figure {
+            id: "ext_membership",
+            title: "full membership vs Cyclon peer sampling".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                format!("fanout = {fanout}; shuffle every 1 s"),
+                "expected: views >= 2*fanout reproduce the full-membership result".to_string(),
             ],
-        )
-    });
-    let mut table = Table::new(vec!["membership", "offline", "20s_lag", "10s_lag"]);
-    for (label, values) in rows {
-        table.row_f64(label, &values);
-    }
-    FigureOutput {
-        id: "ext_membership",
-        title: "full membership vs Cyclon peer sampling".to_string(),
-        table,
-        notes: vec![
-            format!("fanout = {fanout}; shuffle every 1 s"),
-            "expected: views >= 2*fanout reproduce the full-membership result".to_string(),
-        ],
-    }
+        },
+    )
 }
 
 /// Heterogeneous capacity classes with the same mean as the uniform cap.
-pub fn run_heterogeneous(scale: Scale, seed: u64) -> FigureOutput {
+pub fn heterogeneous(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
     // Means chosen to match the scale's uniform cap (700 kbps at full/quick
     // scale, 600 kbps at tiny).
     let base = if scale == Scale::Tiny { 600u64 } else { 700 };
-    let spreads: Vec<(String, Vec<(f64, u64)>)> = vec![
-        ("uniform".to_string(), vec![(1.0, base * 1000)]),
-        ("mild_split".to_string(), vec![(0.5, (base - 100) * 1000), (0.5, (base + 100) * 1000)]),
-        ("strong_split".to_string(), vec![(0.5, (base - 200) * 1000), (0.5, (base + 200) * 1000)]),
-        (
-            "one_third_weak".to_string(),
-            vec![(0.34, (base / 2) * 1000), (0.66, (base + base / 4) * 1000)],
-        ),
+    let spreads: Vec<(&str, Vec<(f64, u64)>)> = vec![
+        ("uniform", vec![(1.0, base * 1000)]),
+        ("mild_split", vec![(0.5, (base - 100) * 1000), (0.5, (base + 100) * 1000)]),
+        ("strong_split", vec![(0.5, (base - 200) * 1000), (0.5, (base + 200) * 1000)]),
+        ("one_third_weak", vec![(0.34, (base / 2) * 1000), (0.66, (base + base / 4) * 1000)]),
     ];
-    let rows = SweepRunner::new().run(spreads, |(label, classes)| {
-        let result = Scenario::at_scale(scale, fanout)
-            .with_seed(seed)
-            .with_cap_classes(classes.clone())
-            .run();
-        (
-            label.clone(),
-            [
-                result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-                result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-                result.quality.percent_viewing(MAX_JITTER, LAG_10S),
+    let cell =
+        |classes| Scenario::at_scale(scale, fanout).with_seed(seed).with_cap_classes(classes);
+    Grid::new(
+        &["caps"],
+        spreads.into_iter().map(|(label, classes)| row(label, vec![cell(classes)])).collect(),
+        quality,
+        Figure {
+            id: "ext_heterogeneous",
+            title: "heterogeneous upload caps at constant mean capacity".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                "expected: mild splits tolerated (fast nodes absorb load), strong splits degrade"
+                    .to_string(),
             ],
-        )
-    });
-    let mut table = Table::new(vec!["caps", "offline", "20s_lag", "10s_lag"]);
-    for (label, values) in rows {
-        table.row_f64(label, &values);
-    }
-    FigureOutput {
-        id: "ext_heterogeneous",
-        title: "heterogeneous upload caps at constant mean capacity".to_string(),
-        table,
-        notes: vec![
-            "expected: mild splits tolerated (fast nodes absorb load), strong splits degrade"
-                .to_string(),
-        ],
-    }
+        },
+    )
 }
 
-/// Fanout `ln n + c` across system sizes.
-pub fn run_scaling(seed: u64) -> FigureOutput {
-    let rows = SweepRunner::new().run(vec![30usize, 60, 120, 230], |&n| {
+/// A paper deployment (700 kbps caps, 600 kbps stream) of `n` nodes at
+/// `fanout`, on a shortened stream.
+fn sized(n: usize, fanout: usize, seed: u64, stream_secs: u64, drain_secs: u64) -> Scenario {
+    let mut scenario = Scenario::at_scale(Scale::Quick, fanout).with_seed(seed);
+    scenario.n = n;
+    scenario.stream_duration = Duration::from_secs(stream_secs);
+    scenario.drain_duration = Duration::from_secs(drain_secs);
+    scenario
+}
+
+/// Fanout `ln n + c` across system sizes (at every `--scale`).
+pub fn scaling(_: Scale, seed: u64) -> Grid {
+    let cell = |n| {
         let fanout = GossipConfig::theoretical_fanout(n, 2.0);
-        let mut scenario = Scenario::at_scale(Scale::Quick, fanout).with_seed(seed);
-        scenario.n = n;
         // Keep runtime bounded: a shorter stream than the full experiment.
-        scenario.stream_duration = Duration::from_secs(45);
-        scenario.drain_duration = Duration::from_secs(25);
-        let result = scenario.run();
-        vec![
-            n.to_string(),
-            fanout.to_string(),
-            format!("{:.1}", result.quality.percent_viewing(MAX_JITTER, OFFLINE)),
-            format!("{:.1}", result.quality.percent_viewing(MAX_JITTER, LAG_20S)),
-        ]
-    });
-    let mut table = Table::new(vec!["n", "fanout", "offline", "20s_lag"]);
-    for cells in rows {
-        table.row(cells);
-    }
-    FigureOutput {
-        id: "ext_scaling",
-        title: "ln(n)+2 fanout across system sizes (600 kbps stream, 700 kbps caps)".to_string(),
-        table,
-        notes: vec![
-            "expected: the theoretical fanout stays in the good region at every n".to_string()
-        ],
-    }
+        (vec![n.to_string(), fanout.to_string()], vec![sized(n, fanout, seed, 45, 25)])
+    };
+    Grid::new(
+        &["n", "fanout"],
+        [30usize, 60, 120, 230].map(cell).to_vec(),
+        quality,
+        Figure {
+            id: "ext_scaling",
+            title: "ln(n)+2 fanout across system sizes (600 kbps stream, 700 kbps caps)"
+                .to_string(),
+            columns: Column::each(&["offline", "20s_lag"]),
+            notes: vec![
+                "expected: the theoretical fanout stays in the good region at every n".to_string()
+            ],
+        },
+    )
 }
 
 /// Gossip period sensitivity at the optimal fanout.
-pub fn run_period(scale: Scale, seed: u64) -> FigureOutput {
+pub fn period(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
-    let rows = SweepRunner::new().run(vec![100u64, 200, 400, 800], |&ms| {
+    let cell = |ms| {
         let gossip = GossipConfig::new(fanout).with_gossip_period(Duration::from_millis(ms));
-        let result = Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip).run();
-        (
-            ms,
-            [
-                result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-                result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-                result.quality.percent_viewing(MAX_JITTER, LAG_10S),
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip)
+    };
+    Grid::new(
+        &["period_ms"],
+        [100u64, 200, 400, 800].into_iter().map(|ms| row(ms, vec![cell(ms)])).collect(),
+        quality,
+        Figure {
+            id: "ext_period",
+            title: "gossip period sensitivity (paper fixes 200 ms)".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                "shorter periods cut dissemination latency but raise header overhead".to_string()
             ],
-        )
-    });
-    let mut table = Table::new(vec!["period_ms", "offline", "20s_lag", "10s_lag"]);
-    for (ms, values) in rows {
-        table.row_f64(ms.to_string(), &values);
-    }
-    FigureOutput {
-        id: "ext_period",
-        title: "gossip period sensitivity (paper fixes 200 ms)".to_string(),
-        table,
-        notes: vec![
-            "shorter periods cut dissemination latency but raise header overhead".to_string()
-        ],
-    }
+        },
+    )
 }
 
-/// Per-window completeness timeline around a catastrophic failure.
-pub fn run_churn_timeline(scale: Scale, seed: u64) -> FigureOutput {
-    let fanout = experiment_fanout(scale);
-    let scenario = Scenario::at_scale(scale, fanout).with_seed(seed);
-    let crash_at = scenario.stream_duration / 2;
-    let mut rng = DetRng::seed_from(seed).split(0xC0FFEE);
-    let crash = catastrophic_crash(crash_at, scenario.n, 0.2, &[NodeId::new(0)], &mut rng);
-    let result = scenario.with_adversity(crash).run();
-
-    // Average completeness per window index across survivors, at 20 s lag.
+/// Per window, the % of survivors that complete it within 20 s.
+pub fn window_completeness(_: &Scenario, result: &RunResult) -> Vec<f64> {
     let nodes = result.quality.nodes();
     let windows = nodes.first().map_or(0, |n| n.window_count());
-    let wd = Scenario::at_scale(scale, fanout).stream.window_duration();
-    let crash_window = (crash_at.as_micros() / wd.as_micros()) as usize;
-    let mut table = Table::new(vec!["window", "t_rel_crash_s", "avg_complete_pct"]);
-    for w in 0..windows {
-        let complete =
-            nodes.iter().filter(|n| n.window_lags()[w].is_some_and(|l| l <= LAG_20S)).count();
-        let pct = 100.0 * complete as f64 / nodes.len() as f64;
-        let first_window = 2i64; // measure_from_window default
-        let t_rel = (w as i64 + first_window - crash_window as i64) as f64 * wd.as_secs_f64();
-        table.row(vec![w.to_string(), format!("{t_rel:.1}"), format!("{pct:.1}")]);
-    }
-    FigureOutput {
-        id: "ext_churn_timeline",
-        title: "per-window completeness around a 20% catastrophic failure".to_string(),
-        table,
-        notes: vec![
-            "paper (section 4.3): losses concentrate within 5-10 s around the crash".to_string()
-        ],
+    (0..windows)
+        .map(|w| {
+            let complete =
+                nodes.iter().filter(|n| n.window_lags()[w].is_some_and(|l| l <= LAG_20S)).count();
+            100.0 * complete as f64 / nodes.len() as f64
+        })
+        .collect()
+}
+
+/// A timeline row's labels: the window's index and its publication time
+/// relative to the crash at the stream midpoint, both read from the run's
+/// own scenario.
+fn window_labels(scenario: &Scenario, w: usize) -> Vec<String> {
+    let wd = scenario.stream.window_duration();
+    let crash_window = ((scenario.stream_duration / 2).as_micros() / wd.as_micros()) as i64;
+    let first_window = i64::from(scenario.measure_from_window);
+    let t_rel = (w as i64 + first_window - crash_window) as f64 * wd.as_secs_f64();
+    vec![w.to_string(), format!("{t_rel:.1}")]
+}
+
+/// Per-window completeness timeline around a catastrophic failure: a
+/// series grid of one run.
+pub fn churn_timeline(scale: Scale, seed: u64) -> Grid {
+    let scenario = Scenario::at_scale(scale, experiment_fanout(scale)).with_seed(seed);
+    let mut rng = DetRng::seed_from(seed).split(0xC0FFEE);
+    let crash = catastrophic_crash(
+        scenario.stream_duration / 2,
+        scenario.n,
+        0.2,
+        &[NodeId::new(0)],
+        &mut rng,
+    );
+    Grid {
+        labels: vec!["window", "t_rel_crash_s"],
+        rows: vec![(Vec::new(), vec![scenario.with_adversity(crash)])],
+        measure: window_completeness,
+        series: Some(window_labels),
+        figures: vec![Figure {
+            id: "ext_churn_timeline",
+            title: "per-window completeness around a 20% catastrophic failure".to_string(),
+            columns: vec![Column::new("avg_complete_pct", 0, 0)],
+            notes: vec!["paper (section 4.3): losses concentrate within 5-10 s around the crash"
+                .to_string()],
+        }],
     }
 }
 
 /// The design-choice ablations: each row moves one knob off its default and
 /// reports the run's average quality and % viewing at a 20 s lag.
-pub fn run_ablations(scale: Scale, seed: u64) -> FigureOutput {
+pub fn ablations(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
     let base = Scenario::at_scale(scale, fanout).with_seed(seed);
     let gossip = |config: GossipConfig| base.clone().with_gossip(config);
-    let mut params: Vec<(&str, String, Scenario)> = Vec::new();
+    let mut rows: Vec<(Vec<String>, Vec<Scenario>)> = Vec::new();
+    let mut knob = |knob: &str, value: String, scenario| {
+        rows.push((vec![knob.to_string(), value], vec![scenario]));
+    };
     // Infect-and-die (propose once) vs re-proposing for several rounds.
     for lifetime in [1u32, 2, 4] {
         let config = GossipConfig::new(fanout).with_propose_lifetime(lifetime);
-        params.push(("propose_lifetime", lifetime.to_string(), gossip(config)));
+        knob("propose_lifetime", lifetime.to_string(), gossip(config));
     }
     // Retransmission budget K (1 disables retransmission entirely).
     for k in [1u32, 2, 3] {
-        params.push(("K", k.to_string(), gossip(GossipConfig::new(fanout).with_max_requests(k))));
+        knob("K", k.to_string(), gossip(GossipConfig::new(fanout).with_max_requests(k)));
     }
     // FEC parity count r at the scale's window data size.
     for r in [0usize, 2, 4, 8] {
         let mut scenario = base.clone();
         scenario.stream.window = WindowParams::new(scenario.stream.window.data_packets, r);
-        params.push(("fec_parity", r.to_string(), scenario));
+        knob("fec_parity", r.to_string(), scenario);
     }
     // Throttling-queue depth: shallow queues drop bursts, deep queues delay
     // them.
     for secs in [1u64, 5, 25] {
         let scenario = base.clone().with_max_queue_delay(Duration::from_secs(secs));
-        params.push(("queue_depth", format!("{secs}s"), scenario));
+        knob("queue_depth", format!("{secs}s"), scenario);
     }
     // Serve batching: MTU-realistic single-event serves vs large batches
     // (one lost datagram costs a whole batch).
     for batch in [1usize, 4, 16] {
         let config = GossipConfig::new(fanout).with_serve_batch(batch);
-        params.push(("serve_batch", batch.to_string(), gossip(config)));
+        knob("serve_batch", batch.to_string(), gossip(config));
     }
-    let rows = SweepRunner::new().run(params, |(knob, value, scenario)| {
-        let result = scenario.run();
-        vec![
-            knob.to_string(),
-            value.clone(),
-            format!("{:.1}", result.quality.average_quality_percent(LAG_20S)),
-            format!("{:.1}", result.quality.percent_viewing(MAX_JITTER, LAG_20S)),
-        ]
-    });
-    let mut table = Table::new(vec!["knob", "value", "avg_quality_20s", "pct_viewing_20s"]);
-    for cells in rows {
-        table.row(cells);
+    Grid::new(
+        &["knob", "value"],
+        rows,
+        quality,
+        Figure {
+            id: "ext_ablations",
+            title: "design-choice ablations, one knob at a time".to_string(),
+            columns: vec![
+                Column::new("avg_quality_20s", 0, COMPLETE_20S),
+                Column::new("pct_viewing_20s", 0, VIEW_20S),
+            ],
+            notes: vec![format!("fanout = {fanout}; every other knob at its default")],
+        },
+    )
+}
+
+/// The system sizes of [`large_n`].
+pub const LARGE_NS: [usize; 2] = [500, 1000];
+
+/// Figure 1's sweep beyond the paper's n = 230 (at every `--scale`): for
+/// n ∈ [`LARGE_NS`], fanouts 2 … ⌈ln n⌉ + 4 — deep sub-threshold through
+/// the plateau — on a 30 s stream (≈ 20 windows) plus a 15 s drain.
+///
+/// The epidemic threshold argument says the optimum should track `ln n`:
+/// below it dissemination stalls, a couple above it the stream is
+/// complete, far above it the 700 kbps upload caps saturate under
+/// PROPOSE/REQUEST overhead and quality collapses again.
+pub fn large_n(_: Scale, seed: u64) -> Grid {
+    let mut rows = Vec::new();
+    for n in LARGE_NS {
+        let ln_n = (n as f64).ln().ceil() as usize;
+        for fanout in 2..=ln_n + 4 {
+            rows.push((
+                vec![n.to_string(), fanout.to_string()],
+                vec![sized(n, fanout, seed, 30, 15)],
+            ));
+        }
     }
-    FigureOutput {
-        id: "ext_ablations",
-        title: "design-choice ablations, one knob at a time".to_string(),
-        table,
-        notes: vec![format!("fanout = {fanout}; every other knob at its default")],
-    }
+    Grid::new(
+        &["n", "fanout"],
+        rows,
+        quality,
+        Figure {
+            id: "ext_large_n",
+            title: "% nodes viewing with <1% jitter vs fanout at n = 500, 1000 (700 kbps caps)"
+                .to_string(),
+            columns: Column::each(&["offline", "20s_lag"]),
+            notes: vec![
+                "30 s stream + 15 s drain; fanouts 2 … ceil(ln n) + 4".to_string(),
+                "expected: the smallest fanout reaching 99% sits within 2 of ceil(ln n)"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn cyclon_membership_supports_the_stream() {
@@ -304,7 +336,55 @@ mod tests {
 
     #[test]
     fn churn_timeline_has_a_dip_near_the_crash() {
-        let fig = run_churn_timeline(Scale::Tiny, 3);
+        let fig = &execute_once(churn_timeline, Scale::Tiny, 3).render()[0];
         assert!(fig.table.len() > 5, "timeline should cover the stream");
+    }
+
+    /// The optimal-fanout trend at n = 500 and 1000 (the `ext-large-n`
+    /// target at seed 42):
+    ///
+    /// 1. deep sub-threshold (fanout 2) must stall — most nodes never see a
+    ///    complete stream;
+    /// 2. fanout `⌈ln n⌉ + 2` must deliver a near-perfect stream (≥ 99 %);
+    /// 3. the *threshold fanout* — the smallest reaching ≥ 99 % — must sit
+    ///    within ±2 of `⌈ln n⌉`, i.e. the optimum keeps tracking `ln n` as
+    ///    n grows past the paper's scale.
+    #[test]
+    #[ignore = "20 runs of 500–1000 nodes; run with --release -- --ignored"]
+    fn optimal_fanout_tracks_ln_n_beyond_the_papers_scale() {
+        let fig = execute_once(large_n, Scale::Full, 42);
+        let offline = fig.column("offline");
+        let all_rows = fig.rows();
+        for n in LARGE_NS {
+            let ln_n = (n as f64).ln().ceil() as usize;
+            let rows: Vec<(usize, f64)> = all_rows
+                .iter()
+                .zip(&offline)
+                .filter(|((labels, _), _)| labels[0] == n.to_string())
+                .map(|((labels, _), &offline)| (labels[1].parse().expect("a fanout"), offline))
+                .collect();
+            let at = |f: usize| rows.iter().find(|r| r.0 == f).map(|r| r.1);
+            let stalled = at(2).unwrap_or(0.0);
+            let above = at(ln_n + 2).unwrap_or(0.0);
+            let threshold = rows
+                .iter()
+                .find(|r| r.1 >= 99.0)
+                .map(|r| r.0)
+                .expect("some fanout in the sweep must reach 99%");
+            assert!(
+                stalled < 50.0,
+                "n={n}: fanout 2 reached {stalled:.1}% — sub-threshold gossip should stall"
+            );
+            assert!(
+                above >= 99.0,
+                "n={n}: fanout ln n + 2 only reached {above:.1}% — \
+                 dissemination is failing at this scale"
+            );
+            assert!(
+                threshold.abs_diff(ln_n) <= 2,
+                "n={n}: threshold fanout {threshold} strayed from ln n = {ln_n} — \
+                 the optimal-fanout trend broke at this scale"
+            );
+        }
     }
 }

@@ -6,73 +6,48 @@
 //! dissemination) and collapse above (bandwidth contention). Three series:
 //! offline viewing, 20 s lag, 10 s lag.
 
-use gossip_metrics::Table;
-
-use crate::figures::{
-    fanout_sweep, series_table, FigureOutput, LAG_10S, LAG_20S, MAX_JITTER, OFFLINE,
-};
-use crate::harness::SweepRunner;
+use crate::figures::{fanout_sweep, quality, row, viewing_columns, Figure, Grid};
 use crate::scenario::{Scale, Scenario};
 
-/// One row of the figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row {
-    /// The fanout swept.
-    pub fanout: usize,
-    /// % nodes with < 1 % jitter, offline viewing.
-    pub offline: f64,
-    /// % nodes with < 1 % jitter at 20 s lag.
-    pub lag20: f64,
-    /// % nodes with < 1 % jitter at 10 s lag.
-    pub lag10: f64,
-}
-
-/// Runs the sweep (fanned across threads) and returns the raw rows.
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Row> {
-    SweepRunner::new().run(fanout_sweep(scale), |&fanout| {
-        let result = Scenario::at_scale(scale, fanout).with_seed(seed).run();
-        Row {
-            fanout,
-            offline: result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-            lag20: result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-            lag10: result.quality.percent_viewing(MAX_JITTER, LAG_10S),
-        }
-    })
-}
-
-/// Runs the figure and renders it.
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let rows = sweep(scale, seed);
-    let mut table: Table = series_table("fanout");
-    for row in &rows {
-        table.row_f64(row.fanout.to_string(), &[row.offline, row.lag20, row.lag10]);
-    }
-    FigureOutput {
-        id: "fig1",
-        title: "% nodes viewing with <1% jitter vs fanout (700 kbps cap)".to_string(),
-        table,
-        notes: vec![
-            format!("n = {}, X = 1, Y = inf, 600 kbps stream", scale.nodes()),
-            "expected shape: bell around ln(n)+c, collapse at high fanout".to_string(),
-        ],
-    }
+/// One row per fanout of [`fanout_sweep`].
+pub fn grid(scale: Scale, seed: u64) -> Grid {
+    Grid::new(
+        &["fanout"],
+        fanout_sweep(scale)
+            .into_iter()
+            .map(|fanout| row(fanout, vec![Scenario::at_scale(scale, fanout).with_seed(seed)]))
+            .collect(),
+        quality,
+        Figure {
+            id: "fig1",
+            title: "% nodes viewing with <1% jitter vs fanout (700 kbps cap)".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                format!("n = {}, X = 1, Y = inf, 600 kbps stream", scale.nodes()),
+                "expected shape: bell around ln(n)+c, collapse at high fanout".to_string(),
+            ],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn tiny_sweep_shows_the_bell_shape() {
-        let rows = sweep(Scale::Tiny, 7);
+        let fig = execute_once(grid, Scale::Tiny, 7);
+        let (offline, lag20, lag10) =
+            (fig.column("offline"), fig.column("20s_lag"), fig.column("10s_lag"));
         // The smallest fanout must be clearly worse than the best fanout.
-        let best = rows.iter().map(|r| r.offline).fold(0.0f64, f64::max);
-        let first = rows.first().unwrap().offline;
+        let best = offline.iter().copied().fold(0.0f64, f64::max);
+        let first = *offline.first().unwrap();
         assert!(best > first, "optimum ({best}) should beat fanout=2 ({first})");
         // Quality at infinite lag dominates quality at 10 s.
-        for r in &rows {
-            assert!(r.offline + 1e-9 >= r.lag20, "offline >= 20s at fanout {}", r.fanout);
-            assert!(r.lag20 + 1e-9 >= r.lag10, "20s >= 10s at fanout {}", r.fanout);
+        for (i, fanout) in fanout_sweep(Scale::Tiny).into_iter().enumerate() {
+            assert!(offline[i] + 1e-9 >= lag20[i], "offline >= 20s at fanout {}", fanout);
+            assert!(lag20[i] + 1e-9 >= lag10[i], "20s >= 10s at fanout {}", fanout);
         }
     }
 }

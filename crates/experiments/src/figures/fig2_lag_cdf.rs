@@ -7,11 +7,9 @@
 //! optimal range show a sharp critical lag; oversized fanouts never
 //! converge.
 
-use gossip_metrics::Table;
 use gossip_types::Duration;
 
-use crate::figures::FigureOutput;
-use crate::harness::SweepRunner;
+use crate::figures::{Column, Figure, Grid};
 use crate::scenario::{Scale, Scenario};
 
 /// Fanouts plotted by the paper at full scale, adapted per scale.
@@ -28,74 +26,63 @@ pub fn probe_lags() -> Vec<Duration> {
     (0..=30).map(|i| Duration::from_secs(i * 5)).collect()
 }
 
-/// One CDF series: the percentage of nodes (per probe) whose stream lag is
-/// at most the probe.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// The fanout of this series.
-    pub fanout: usize,
-    /// `(probe lag, % of nodes)` points.
-    pub points: Vec<(Duration, f64)>,
-}
-
-/// Runs all series (fanned across threads).
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Series> {
-    let probes = probe_lags();
-    SweepRunner::new().run(fanouts(scale), |&fanout| {
-        let result = Scenario::at_scale(scale, fanout).with_seed(seed).run();
-        let points = result.quality.lag_cdf(0.99, &probes).into_iter().collect();
-        Series { fanout, points }
-    })
-}
-
-/// Runs the figure and renders it (rows = probe lags, columns = fanouts).
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let series = sweep(scale, seed);
-    let mut header = vec!["lag_s".to_string()];
-    header.extend(series.iter().map(|s| format!("f{}", s.fanout)));
-    let mut table = Table::new(header);
-    for (i, &(probe, _)) in series[0].points.iter().enumerate() {
-        let values: Vec<f64> = series.iter().map(|s| s.points[i].1).collect();
-        table.row_f64(probe.as_secs_f64().round().to_string(), &values);
-    }
-    FigureOutput {
-        id: "fig2",
-        title: "CDF of stream lag for various fanouts (700 kbps cap)".to_string(),
-        table,
-        notes: vec![
-            "cell = % of nodes viewing >=99% of the stream within the row's lag".to_string(),
-            "expected: sharp critical lag near the optimal fanout; no convergence far above it"
-                .to_string(),
-        ],
+/// A series grid: one CDF per fanout; rows are probe lags, columns
+/// fanouts. Each run measures, per probe lag, the percentage of nodes
+/// whose stream lag is at most the probe.
+pub fn grid(scale: Scale, seed: u64) -> Grid {
+    let fanouts = fanouts(scale);
+    Grid {
+        labels: vec!["lag_s"],
+        rows: vec![(
+            Vec::new(),
+            fanouts.iter().map(|&f| Scenario::at_scale(scale, f).with_seed(seed)).collect(),
+        )],
+        measure: |_, result| {
+            result.quality.lag_cdf(0.99, &probe_lags()).into_iter().map(|(_, pct)| pct).collect()
+        },
+        series: Some(|_, p| vec![probe_lags()[p].as_secs_f64().round().to_string()]),
+        figures: vec![Figure {
+            id: "fig2",
+            title: "CDF of stream lag for various fanouts (700 kbps cap)".to_string(),
+            columns: fanouts
+                .iter()
+                .enumerate()
+                .map(|(g, f)| Column::new(format!("f{f}"), g, 0))
+                .collect(),
+            notes: vec![
+                "cell = % of nodes viewing >=99% of the stream within the row's lag".to_string(),
+                "expected: sharp critical lag near the optimal fanout; no convergence far above it"
+                    .to_string(),
+            ],
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn cdfs_are_monotone_in_lag() {
-        let series = sweep(Scale::Tiny, 3);
-        for s in &series {
-            let vals: Vec<f64> = s.points.iter().map(|&(_, v)| v).collect();
+        let fig = execute_once(grid, Scale::Tiny, 3);
+        for fanout in fanouts(Scale::Tiny) {
+            let vals = fig.column(&format!("f{fanout}"));
             assert!(
                 vals.windows(2).all(|w| w[0] <= w[1] + 1e-9),
                 "fanout {} CDF must be monotone: {vals:?}",
-                s.fanout
+                fanout
             );
         }
     }
 
     #[test]
     fn good_fanout_converges_faster_than_too_small() {
-        let series = sweep(Scale::Tiny, 3);
-        let at = |fanout: usize, idx: usize| {
-            series.iter().find(|s| s.fanout == fanout).unwrap().points[idx].1
-        };
+        let fig = execute_once(grid, Scale::Tiny, 3);
+        let at = |fanout: usize, idx: usize| fig.column(&format!("f{fanout}"))[idx];
         // At the last probe (150 s > total runtime = offline), fanout 6
         // should reach at least as many nodes as fanout 2.
-        let last = series[0].points.len() - 1;
+        let last = probe_lags().len() - 1;
         assert!(at(6, last) >= at(2, last));
     }
 }

@@ -5,10 +5,7 @@
 //! widens and shifts right; at 2000 kbps even very large fanouts barely
 //! hurt.
 
-use gossip_metrics::Table;
-
-use crate::figures::{FigureOutput, LAG_10S, MAX_JITTER, OFFLINE};
-use crate::harness::SweepRunner;
+use crate::figures::{quality, row, Column, Figure, Grid, VIEW_10S, VIEW_OFF};
 use crate::scenario::{Scale, Scenario};
 
 /// The fanout sweep (the paper plots 10–150 at n = 230).
@@ -20,81 +17,55 @@ pub fn fanouts(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// One row of the figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row {
-    /// The fanout swept.
-    pub fanout: usize,
-    /// Offline series at 1000 kbps.
-    pub offline_1000: f64,
-    /// 10 s lag series at 1000 kbps.
-    pub lag10_1000: f64,
-    /// Offline series at 2000 kbps.
-    pub offline_2000: f64,
-    /// 10 s lag series at 2000 kbps.
-    pub lag10_2000: f64,
-}
+/// The two caps compared, in kbps: one column group each.
+pub const CAPS_KBPS: [u64; 2] = [1000, 2000];
 
-/// Runs the sweep for both caps. Every `(fanout, cap)` pair is its own
-/// parallel run; rows are reassembled per fanout afterwards.
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Row> {
-    let fanouts = fanouts(scale);
-    let mut params: Vec<(usize, u64)> = Vec::new();
-    for &fanout in &fanouts {
-        params.push((fanout, 1000));
-        params.push((fanout, 2000));
-    }
-    let measured = SweepRunner::new().run(params, |&(fanout, kbps)| {
-        let result = Scenario::at_scale(scale, fanout)
-            .with_seed(seed)
-            .with_upload_cap_kbps(Some(kbps))
-            .run();
-        (
-            result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-            result.quality.percent_viewing(MAX_JITTER, LAG_10S),
-        )
-    });
-    fanouts
-        .into_iter()
-        .zip(measured.chunks_exact(2))
-        .map(|(fanout, pair)| {
-            let ((offline_1000, lag10_1000), (offline_2000, lag10_2000)) = (pair[0], pair[1]);
-            Row { fanout, offline_1000, lag10_1000, offline_2000, lag10_2000 }
-        })
-        .collect()
-}
-
-/// Runs the figure and renders it.
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let rows = sweep(scale, seed);
-    let mut table = Table::new(vec!["fanout", "off_1000k", "10s_1000k", "off_2000k", "10s_2000k"]);
-    for r in &rows {
-        table.row_f64(
-            r.fanout.to_string(),
-            &[r.offline_1000, r.lag10_1000, r.offline_2000, r.lag10_2000],
-        );
-    }
-    FigureOutput {
-        id: "fig3",
-        title: "% nodes viewing with <1% jitter, 1000/2000 kbps caps".to_string(),
-        table,
-        notes: vec![
-            "expected: the good-fanout region widens and moves right as headroom grows".to_string()
-        ],
-    }
+/// One row per fanout, one column group per cap.
+pub fn grid(scale: Scale, seed: u64) -> Grid {
+    let cell = |fanout, kbps| {
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_upload_cap_kbps(Some(kbps))
+    };
+    Grid::new(
+        &["fanout"],
+        fanouts(scale)
+            .into_iter()
+            .map(|fanout| row(fanout, CAPS_KBPS.iter().map(|&kbps| cell(fanout, kbps)).collect()))
+            .collect(),
+        quality,
+        Figure {
+            id: "fig3",
+            title: "% nodes viewing with <1% jitter, 1000/2000 kbps caps".to_string(),
+            columns: CAPS_KBPS
+                .iter()
+                .enumerate()
+                .flat_map(|(g, kbps)| {
+                    [
+                        Column::new(format!("off_{kbps}k"), g, VIEW_OFF),
+                        Column::new(format!("10s_{kbps}k"), g, VIEW_10S),
+                    ]
+                })
+                .collect(),
+            notes: vec![
+                "expected: the good-fanout region widens and moves right as headroom grows"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn more_headroom_never_hurts_much() {
-        let rows = sweep(Scale::Tiny, 5);
+        let fig = execute_once(grid, Scale::Tiny, 5);
+        let (lag10_1000, lag10_2000) = (fig.column("10s_1000k"), fig.column("10s_2000k"));
         // Averaged across the sweep, the 2000 kbps series should dominate
         // the 1000 kbps series.
-        let avg_1000: f64 = rows.iter().map(|r| r.lag10_1000).sum::<f64>() / rows.len() as f64;
-        let avg_2000: f64 = rows.iter().map(|r| r.lag10_2000).sum::<f64>() / rows.len() as f64;
+        let avg_1000: f64 = lag10_1000.iter().sum::<f64>() / lag10_1000.len() as f64;
+        let avg_2000: f64 = lag10_2000.iter().sum::<f64>() / lag10_2000.len() as f64;
         assert!(avg_2000 + 5.0 >= avg_1000, "2000 kbps ({avg_2000}) vs 1000 kbps ({avg_1000})");
     }
 }

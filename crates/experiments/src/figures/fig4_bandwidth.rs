@@ -6,11 +6,9 @@
 //! because under tight caps the good (low-latency) nodes saturate, their
 //! proposals slow down, and the load spreads out.
 
-use gossip_metrics::Table;
-
+use crate::figures::{Column, Figure, Grid};
+use crate::harness::RunResult;
 use crate::scenario::{Scale, Scenario};
-
-use crate::figures::FigureOutput;
 
 /// The five scenarios plotted by the paper: `(fanout, cap kbps)`.
 pub fn combos(scale: Scale) -> Vec<(usize, u64)> {
@@ -21,93 +19,87 @@ pub fn combos(scale: Scale) -> Vec<(usize, u64)> {
     }
 }
 
-/// One series: per-node upload kbit/s sorted descending.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Fanout of the scenario.
-    pub fanout: usize,
-    /// Upload cap in kbps.
-    pub cap_kbps: u64,
-    /// Sorted (descending) per-node upload rates in kbps.
-    pub sorted_kbps: Vec<f64>,
+/// The node-rank percentiles plotted: 0 (busiest), 5, …, 100.
+const RANK_STEP_PCT: usize = 5;
+
+/// Per-node upload kbit/s sorted descending, read at every plotted rank
+/// percentile.
+pub fn ranked_upload(_: &Scenario, result: &RunResult) -> Vec<f64> {
+    let sorted = result.sorted_upload_kbps();
+    let n = sorted.len();
+    (0..=100)
+        .step_by(RANK_STEP_PCT)
+        .map(|pct| sorted[((pct as f64 / 100.0) * (n - 1) as f64).round() as usize])
+        .collect()
 }
 
-impl Series {
-    /// The ratio between the 10th-percentile-busiest and the
-    /// 90th-percentile-busiest node — a scalar measure of heterogeneity.
-    pub fn heterogeneity(&self) -> f64 {
-        if self.sorted_kbps.is_empty() {
-            return 1.0;
-        }
-        let n = self.sorted_kbps.len();
-        let hi = self.sorted_kbps[n / 10];
-        let lo = self.sorted_kbps[n - 1 - n / 10].max(1e-6);
-        hi / lo
-    }
-}
-
-/// Runs all combinations (fanned across threads).
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Series> {
-    crate::harness::SweepRunner::new().run(combos(scale), |&(fanout, cap_kbps)| {
-        let result = Scenario::at_scale(scale, fanout)
-            .with_seed(seed)
-            .with_upload_cap_kbps(Some(cap_kbps))
-            .run();
-        Series { fanout, cap_kbps, sorted_kbps: result.sorted_upload_kbps() }
-    })
-}
-
-/// Runs the figure and renders it: rows are node-rank percentiles, columns
-/// the five scenarios.
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let series = sweep(scale, seed);
-    let mut header = vec!["rank_pct".to_string()];
-    header.extend(series.iter().map(|s| format!("f{}_{}k", s.fanout, s.cap_kbps)));
-    let mut table = Table::new(header);
-    for pct in (0..=100).step_by(5) {
-        let values: Vec<f64> = series
-            .iter()
-            .map(|s| {
-                let n = s.sorted_kbps.len();
-                let idx = ((pct as f64 / 100.0) * (n - 1) as f64).round() as usize;
-                s.sorted_kbps[idx]
-            })
-            .collect();
-        table.row_f64(pct.to_string(), &values);
-    }
-    FigureOutput {
-        id: "fig4",
-        title: "per-node upload usage (kbps), nodes sorted by contribution".to_string(),
-        table,
-        notes: vec![
-            "row = node rank percentile (0 = busiest node)".to_string(),
-            "expected: near-flat at 700 kbps, increasingly skewed at 1000/2000 kbps".to_string(),
-        ],
+/// A series grid: one ranking per combination; rows are node-rank
+/// percentiles, columns the combinations.
+pub fn grid(scale: Scale, seed: u64) -> Grid {
+    let combos = combos(scale);
+    let cell = |&(fanout, kbps): &(usize, u64)| {
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_upload_cap_kbps(Some(kbps))
+    };
+    Grid {
+        labels: vec!["rank_pct"],
+        rows: vec![(Vec::new(), combos.iter().map(cell).collect())],
+        measure: ranked_upload,
+        series: Some(|_, p| vec![(p * RANK_STEP_PCT).to_string()]),
+        figures: vec![Figure {
+            id: "fig4",
+            title: "per-node upload usage (kbps), nodes sorted by contribution".to_string(),
+            columns: combos
+                .iter()
+                .enumerate()
+                .map(|(g, (fanout, kbps))| Column::new(format!("f{fanout}_{kbps}k"), g, 0))
+                .collect(),
+            notes: vec![
+                "row = node rank percentile (0 = busiest node)".to_string(),
+                "expected: near-flat at 700 kbps, increasingly skewed at 1000/2000 kbps"
+                    .to_string(),
+            ],
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
+
+    /// The ratio between the 10th-percentile-busiest and the
+    /// 90th-percentile-busiest node of a descending series — a scalar measure
+    /// of heterogeneity.
+    fn heterogeneity(sorted_kbps: &[f64]) -> f64 {
+        if sorted_kbps.is_empty() {
+            return 1.0;
+        }
+        let n = sorted_kbps.len();
+        let hi = sorted_kbps[n / 10];
+        let lo = sorted_kbps[n - 1 - n / 10].max(1e-6);
+        hi / lo
+    }
 
     #[test]
     fn series_are_sorted_and_capped() {
-        let series = sweep(Scale::Tiny, 3);
-        for s in &series {
-            assert!(s.sorted_kbps.windows(2).all(|w| w[0] >= w[1]), "sorted descending");
+        let fig = execute_once(grid, Scale::Tiny, 3);
+        for (fanout, cap_kbps) in combos(Scale::Tiny) {
+            let sorted_kbps = fig.column(&format!("f{fanout}_{cap_kbps}k"));
+            assert!(sorted_kbps.windows(2).all(|w| w[0] >= w[1]), "sorted descending");
             // Long-run average can never exceed the cap (plus a little
             // start-of-run slack from the final in-flight message).
-            let max = s.sorted_kbps.first().copied().unwrap_or(0.0);
-            assert!(max <= s.cap_kbps as f64 * 1.05, "{max} kbps exceeds the {}k cap", s.cap_kbps);
+            let max = sorted_kbps.first().copied().unwrap_or(0.0);
+            assert!(max <= cap_kbps as f64 * 1.05, "{max} kbps exceeds the {}k cap", cap_kbps);
         }
     }
 
     #[test]
     fn heterogeneity_is_finite() {
-        let series = sweep(Scale::Tiny, 3);
-        for s in &series {
-            assert!(s.heterogeneity().is_finite());
-            assert!(s.heterogeneity() >= 1.0);
+        let fig = execute_once(grid, Scale::Tiny, 3);
+        for (fanout, cap_kbps) in combos(Scale::Tiny) {
+            let s = fig.column(&format!("f{fanout}_{cap_kbps}k"));
+            assert!(heterogeneity(&s).is_finite());
+            assert!(heterogeneity(&s) >= 1.0);
         }
     }
 }

@@ -6,26 +6,11 @@
 //! for offline viewing when `X = ∞`.
 
 use gossip_core::GossipConfig;
-use gossip_metrics::Table;
 
 use crate::figures::{
-    knob_label, proactiveness_sweep, series_table, FigureOutput, LAG_10S, LAG_20S, MAX_JITTER,
-    OFFLINE,
+    knob_label, proactiveness_sweep, quality, row, viewing_columns, Figure, Grid,
 };
 use crate::scenario::{Scale, Scenario};
-
-/// One row of the figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row {
-    /// The refresh rate (`None` = ∞).
-    pub x: Option<u32>,
-    /// % nodes with < 1 % jitter, offline viewing.
-    pub offline: f64,
-    /// % nodes with < 1 % jitter at 20 s lag.
-    pub lag20: f64,
-    /// % nodes with < 1 % jitter at 10 s lag.
-    pub lag10: f64,
-}
 
 /// The fanout used for the proactiveness experiments (the paper keeps the
 /// optimal fanout: 7 at n = 230).
@@ -37,43 +22,34 @@ pub fn experiment_fanout(scale: Scale) -> usize {
     }
 }
 
-/// Runs the sweep over `X` (fanned across threads).
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Row> {
+/// One row per refresh rate `X` of [`proactiveness_sweep`].
+pub fn grid(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
-    crate::harness::SweepRunner::new().run(proactiveness_sweep(), |&x| {
+    let cell = |x| {
         let gossip = GossipConfig::new(fanout).with_refresh_rounds(x);
-        let result = Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip).run();
-        Row {
-            x,
-            offline: result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-            lag20: result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-            lag10: result.quality.percent_viewing(MAX_JITTER, LAG_10S),
-        }
-    })
-}
-
-/// Runs the figure and renders it.
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let rows = sweep(scale, seed);
-    let mut table: Table = series_table("X");
-    for r in &rows {
-        table.row_f64(knob_label(r.x), &[r.offline, r.lag20, r.lag10]);
-    }
-    FigureOutput {
-        id: "fig5",
-        title: "% nodes viewing with <=1% jitter vs view refresh rate X".to_string(),
-        table,
-        notes: vec![
-            format!("fanout = {}, Y = inf, 700 kbps cap", experiment_fanout(scale)),
-            "expected: monotone degradation with X; static mesh (X=inf) bad even offline"
-                .to_string(),
-        ],
-    }
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip)
+    };
+    Grid::new(
+        &["X"],
+        proactiveness_sweep().into_iter().map(|x| row(knob_label(x), vec![cell(x)])).collect(),
+        quality,
+        Figure {
+            id: "fig5",
+            title: "% nodes viewing with <=1% jitter vs view refresh rate X".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                format!("fanout = {fanout}, Y = inf, 700 kbps cap"),
+                "expected: monotone degradation with X; static mesh (X=inf) bad even offline"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn x1_beats_static_mesh() {
@@ -81,14 +57,9 @@ mod tests {
         // reaches 100 % too, so the ordering only holds on seeds where X=1
         // also saturates. Re-seeded when the serve checksum (+4 B/packet)
         // shifted the schedule; the full-scale sweep shows the real gap.
-        let rows = sweep(Scale::Tiny, 8);
-        let x1 = rows.iter().find(|r| r.x == Some(1)).unwrap();
-        let xinf = rows.iter().find(|r| r.x.is_none()).unwrap();
-        assert!(
-            x1.lag20 >= xinf.lag20,
-            "X=1 ({}) must not lose to X=inf ({}) at 20 s lag",
-            x1.lag20,
-            xinf.lag20
-        );
+        let fig = execute_once(grid, Scale::Tiny, 8);
+        let x1 = fig.value("1", "20s_lag");
+        let xinf = fig.value("inf", "20s_lag");
+        assert!(x1 >= xinf, "X=1 ({}) must not lose to X=inf ({}) at 20 s lag", x1, xinf);
     }
 }

@@ -7,88 +7,65 @@
 //! to congestion and loss.
 
 use gossip_core::GossipConfig;
-use gossip_metrics::Table;
 
 use crate::figures::fig5_refresh::experiment_fanout;
 use crate::figures::{
-    knob_label, proactiveness_sweep, series_table, FigureOutput, LAG_10S, LAG_20S, MAX_JITTER,
-    OFFLINE,
+    knob_label, proactiveness_sweep, quality, row, viewing_columns, Figure, Grid,
 };
 use crate::scenario::{Scale, Scenario};
 
-/// One row of the figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row {
-    /// The feed-me rate (`None` = ∞, i.e. disabled).
-    pub y: Option<u32>,
-    /// % nodes with < 1 % jitter, offline viewing.
-    pub offline: f64,
-    /// % nodes with < 1 % jitter at 20 s lag.
-    pub lag20: f64,
-    /// % nodes with < 1 % jitter at 10 s lag.
-    pub lag10: f64,
-}
-
-/// Runs the sweep over `Y` (with `X = ∞`, so feed-me is the only source of
-/// view dynamism — the paper's setup for this experiment), fanned across
-/// threads.
-pub fn sweep(scale: Scale, seed: u64) -> Vec<Row> {
+/// One row per feed-me rate `Y` of [`proactiveness_sweep`], with `X = ∞`
+/// so feed-me is the only source of view dynamism — the paper's setup for
+/// this experiment.
+pub fn grid(scale: Scale, seed: u64) -> Grid {
     let fanout = experiment_fanout(scale);
-    crate::harness::SweepRunner::new().run(proactiveness_sweep(), |&y| {
+    let cell = |y| {
         let gossip = GossipConfig::new(fanout).with_refresh_rounds(None).with_feedme_rounds(y);
-        let result = Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip).run();
-        Row {
-            y,
-            offline: result.quality.percent_viewing(MAX_JITTER, OFFLINE),
-            lag20: result.quality.percent_viewing(MAX_JITTER, LAG_20S),
-            lag10: result.quality.percent_viewing(MAX_JITTER, LAG_10S),
-        }
-    })
-}
-
-/// Runs the figure and renders it.
-pub fn run(scale: Scale, seed: u64) -> FigureOutput {
-    let rows = sweep(scale, seed);
-    let mut table: Table = series_table("Y");
-    for r in &rows {
-        table.row_f64(knob_label(r.y), &[r.offline, r.lag20, r.lag10]);
-    }
-    FigureOutput {
-        id: "fig6",
-        title: "% nodes viewing with <=1% jitter vs feed-me request rate Y".to_string(),
-        table,
-        notes: vec![
-            format!("fanout = {}, X = inf, 700 kbps cap", experiment_fanout(scale)),
-            "expected: inferior to X=1 at every Y (compare against fig5's first row)".to_string(),
-        ],
-    }
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip)
+    };
+    Grid::new(
+        &["Y"],
+        proactiveness_sweep().into_iter().map(|y| row(knob_label(y), vec![cell(y)])).collect(),
+        quality,
+        Figure {
+            id: "fig6",
+            title: "% nodes viewing with <=1% jitter vs feed-me request rate Y".to_string(),
+            columns: viewing_columns(),
+            notes: vec![
+                format!("fanout = {fanout}, X = inf, 700 kbps cap"),
+                "expected: inferior to X=1 at every Y (compare against fig5's first row)"
+                    .to_string(),
+            ],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::figures::fig5_refresh;
+    use crate::figures::tests::execute_once;
 
     #[test]
     fn feedme_never_beats_x1_refresh() {
         let seed = 3;
-        let x_rows = fig5_refresh::sweep(Scale::Tiny, seed);
-        let x1 = x_rows.iter().find(|r| r.x == Some(1)).unwrap();
-        let y_rows = sweep(Scale::Tiny, seed);
-        let best_y = y_rows.iter().map(|r| r.lag20).fold(0.0f64, f64::max);
+        let x_fig = execute_once(fig5_refresh::grid, Scale::Tiny, seed);
+        let x1 = x_fig.value("1", "20s_lag");
+        let y_fig = execute_once(grid, Scale::Tiny, seed);
+        let best_y = y_fig.column("20s_lag").into_iter().fold(0.0f64, f64::max);
         assert!(
-            x1.lag20 + 1e-9 >= best_y - 15.0,
+            x1 + 1e-9 >= best_y - 15.0,
             "feed-me ({best_y}) should not decisively beat X=1 ({})",
-            x1.lag20
+            x1
         );
     }
 
     #[test]
     fn frequent_feedme_beats_fully_static() {
-        let rows = sweep(Scale::Tiny, 3);
-        let y1 = rows.iter().find(|r| r.y == Some(1)).unwrap();
-        let yinf = rows.iter().find(|r| r.y.is_none()).unwrap();
+        let fig = execute_once(grid, Scale::Tiny, 3);
+        let y1 = fig.value("1", "offline");
+        let yinf = fig.value("inf", "offline");
         // Y=1 churns views constantly; Y=inf with X=inf is a frozen mesh.
-        assert!(y1.offline + 25.0 >= yinf.offline, "y1={:?} yinf={:?}", y1, yinf);
+        assert!(y1 + 25.0 >= yinf, "y1={:?} yinf={:?}", y1, yinf);
     }
 }

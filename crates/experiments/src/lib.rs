@@ -7,12 +7,13 @@
 //!   into an adversity spec;
 //! * [`harness`] — the layered execution machinery behind
 //!   [`Scenario::run`]: deployment construction, the event-loop driver,
-//!   result assembly, and the multi-threaded [`SweepRunner`] the figures
-//!   fan their parameter sweeps through;
-//! * [`figures`] — one module per figure of the paper (workload, parameter
-//!   sweep and series extraction);
-//! * the `repro` binary — `repro fig1 … fig8 | all [--scale full|quick|tiny]
-//!   [--seed N]` prints each figure's data as a text table.
+//!   result assembly, and the multi-threaded [`SweepRunner`];
+//! * [`figures`] — every figure declared as a grid of scenarios (sweep
+//!   values, the scenario of each cell, what a run measures, the notes),
+//!   the one runner that fans a grid's cells through [`SweepRunner`] and
+//!   renders its tables, and the table of `repro` targets;
+//! * the `repro` binary — `repro <target> [--scale full|quick|tiny]
+//!   [--seed N] [--trials N]` prints each figure's data as a text table.
 //!
 //! The paper's evaluation has no numbered tables; Figures 1–8 are the
 //! complete set of reported results. The README's "Reproducing the

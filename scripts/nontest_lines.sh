@@ -2,11 +2,13 @@
 # Counts the non-test lines of the named crates: every `.rs` file under
 # `crates/<crate>/src`, up to the file's first line containing
 # `#[cfg(test)]` (the whole file when it has none), comments and blank
-# lines included. Prints one `<crate> <lines>` row per crate and a total.
-# With no arguments it counts every crate under `crates/` except `compat`
-# (the offline stand-ins for registry crates).
+# lines included. The name `examples` counts the workspace's
+# `examples/*.rs` the same way. Prints one `<name> <lines>` row per name
+# and a total. With no arguments it counts every crate under `crates/`
+# except `compat` (the offline stand-ins for registry crates), then
+# `examples`.
 #
-# Usage: scripts/nontest_lines.sh [<crate>...]
+# Usage: scripts/nontest_lines.sh [<crate>|examples...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,10 +17,12 @@ if [ "$#" -eq 0 ]; then
         crate=$(basename "$dir")
         [ "$crate" = compat ] || set -- "$@" "$crate"
     done
+    set -- "$@" examples
 fi
 total=0
 for crate in "$@"; do
     dir="crates/$crate/src"
+    [ "$crate" = examples ] && dir=examples
     if [ ! -d "$dir" ]; then
         echo "no such crate directory: $dir" >&2
         exit 1

@@ -2,7 +2,7 @@
 //! `(parameter, seed)` runs across OS threads must produce byte-identical
 //! results to running them serially on one thread.
 
-use gossip_experiments::figures::{fanout_sweep, fig1_fanout};
+use gossip_experiments::figures::{execute, fig1_fanout};
 use gossip_experiments::{Scale, Scenario, SweepRunner};
 
 /// `figures::fig1_fanout` through the (parallel) `SweepRunner` produces
@@ -10,25 +10,19 @@ use gossip_experiments::{Scale, Scenario, SweepRunner};
 #[test]
 fn fig1_parallel_matches_forced_serial() {
     let seed = 42;
-    let parallel = fig1_fanout::sweep(Scale::Tiny, seed);
+    let parallel = execute(fig1_fanout::grid, Scale::Tiny, seed, 1, &SweepRunner::new()).rows();
 
     // The same sweep, forced through one thread.
-    let serial = SweepRunner::serial().run(fanout_sweep(Scale::Tiny), |&fanout| {
-        let result = Scenario::at_scale(Scale::Tiny, fanout).with_seed(seed).run();
-        (
-            fanout,
-            result.quality.percent_viewing(0.01, gossip_types::Duration::MAX),
-            result.quality.percent_viewing(0.01, gossip_types::Duration::from_secs(20)),
-            result.quality.percent_viewing(0.01, gossip_types::Duration::from_secs(10)),
-        )
-    });
+    let serial = execute(fig1_fanout::grid, Scale::Tiny, seed, 1, &SweepRunner::serial()).rows();
 
     assert_eq!(parallel.len(), serial.len());
-    for (p, (fanout, offline, lag20, lag10)) in parallel.iter().zip(serial) {
-        assert_eq!(p.fanout, fanout);
-        assert_eq!(p.offline, offline, "offline series differs at fanout {fanout}");
-        assert_eq!(p.lag20, lag20, "20 s series differs at fanout {fanout}");
-        assert_eq!(p.lag10, lag10, "10 s series differs at fanout {fanout}");
+    for ((p_labels, p), (labels, cells)) in parallel.iter().zip(serial) {
+        let fanout = &labels[0];
+        let (offline, lag20, lag10) = (cells[0][0], cells[0][1], cells[0][2]);
+        assert_eq!(&p_labels[0], fanout);
+        assert_eq!(p[0][0], offline, "offline series differs at fanout {fanout}");
+        assert_eq!(p[0][1], lag20, "20 s series differs at fanout {fanout}");
+        assert_eq!(p[0][2], lag10, "10 s series differs at fanout {fanout}");
     }
 }
 
