@@ -1,8 +1,8 @@
 //! Dense, window-major storage for per-event protocol state.
 //!
-//! A node keeps one 8-byte request word for every event id it hears of,
-//! keyed by that id, until the id's whole window falls behind the
-//! retention horizon; the payload is not in it (a host's
+//! A node keeps one request word for every event id it hears of, keyed by
+//! that id, until the id's whole window falls behind the retention
+//! horizon; the payload is not in it (a host's
 //! [`PacketPool`](crate::pool::PacketPool) keeps one copy per host, the
 //! node only what the pool did not hold). A host's pool is a `DenseMap`
 //! too, of packets. Real
@@ -13,18 +13,23 @@
 //! requested and served id, millions of times per simulated run.
 //!
 //! [`DenseMap`] exploits the structure instead: ids map to a *window row*
-//! (a `Vec` indexed by the minor coordinate), so the hot lookups are two
-//! array indexings. Rows are found through a one-entry cursor cache (nearly
-//! all consecutive accesses hit the same window) with a binary search
+//! (indexed by the minor coordinate), so the hot lookups are two array
+//! indexings. Rows are found through a one-entry cursor cache (nearly all
+//! consecutive accesses hit the same window) with a binary search
 //! fallback, so arbitrary — even adversarially sparse — key spaces stay
 //! safe: memory is proportional to the number of *distinct windows
-//! touched*, never to the numeric span of the keys.
+//! touched*, never to the numeric span of the keys. One locator serves
+//! every kind of [`Row`]: the pool's rows are plain `Vec<Option<V>>`s, a
+//! node's are [`NarrowRow`]s.
 //!
 //! A slot is an `Option<V>` and nothing else: the key is the slot's
 //! position, so it is not stored, and a `V` with a niche (the node's
 //! request word is a `NonZeroU64`) makes the `Option` free. What a node
-//! pays per id is `size_of::<V>()`, 8 bytes; what only the ids in flight
-//! need lives with their retransmission timers, not in a slot of every id.
+//! pays per id is 8 bytes while the id's window has an id in flight and 4
+//! once it has none: a settled row switches to one 4-byte [`Narrow`] word
+//! per id relative to one base time for the whole row, and back whenever a
+//! write needs the 8 bytes. What only the ids in flight need lives with
+//! their retransmission timers, not in a slot of every id.
 //!
 //! [`EventIndex`] is the small trait an id type implements to opt in:
 //! `PacketId` splits into `(window, index)` in `gossip-stream`; plain `u64`
@@ -37,6 +42,8 @@
 
 use std::cell::Cell;
 use std::marker::PhantomData;
+
+use gossip_types::Time;
 
 /// Maps an event id onto dense `(window, offset)` coordinates.
 ///
@@ -59,17 +66,41 @@ impl EventIndex for u64 {
     }
 }
 
-/// One window row: the entries of every id sharing a window, each at its
-/// id's offset.
-type Row<V> = Vec<Option<V>>;
+/// One window row of a [`DenseMap`]: the entries of every id sharing a
+/// window, each at its id's offset, however the row stores them.
+pub trait Row {
+    /// An empty row with room for `capacity` entries.
+    fn with_capacity(capacity: usize) -> Self;
+    /// How many of its slots hold an entry.
+    fn filled(&self) -> usize;
+    /// How many slots it has allocated, filled or not.
+    fn allocated(&self) -> usize;
+}
+
+/// The plain row: one `Option<V>` per offset.
+impl<V> Row for Vec<Option<V>> {
+    fn with_capacity(capacity: usize) -> Self {
+        Vec::with_capacity(capacity)
+    }
+
+    fn filled(&self) -> usize {
+        self.iter().flatten().count()
+    }
+
+    fn allocated(&self) -> usize {
+        self.capacity()
+    }
+}
 
 /// A map from event ids to values, stored window-major.
 ///
 /// See the [module documentation](self) for the design rationale. The API
-/// mirrors the subset of `HashMap` the protocol needs.
-pub struct DenseMap<K, V> {
+/// mirrors the subset of `HashMap` the protocol needs. Rows are plain
+/// `Vec<Option<V>>`s unless `R` says otherwise: [`NarrowRow`] is the one
+/// other row, whose values are read and written by value.
+pub struct DenseMap<K, V, R = Vec<Option<V>>> {
     /// `(window, row)` pairs sorted by window number.
-    rows: Vec<(u64, Row<V>)>,
+    rows: Vec<(u64, R)>,
     /// Index into `rows` of the most recently accessed window (a cache;
     /// interior mutability keeps the read API `&self`).
     cursor: Cell<usize>,
@@ -79,11 +110,14 @@ pub struct DenseMap<K, V> {
     /// first window has grown organically every later row allocates exactly
     /// once instead of reallocating its way up.
     max_row: usize,
+    /// Where [`DenseMap::narrow_rows`] starts: no row before this one can
+    /// narrow until a write lowers it. A plain map never reads it.
+    narrow_from: usize,
     /// Keys are coordinates, not contents.
-    key: PhantomData<fn(K)>,
+    key: PhantomData<fn(K) -> V>,
 }
 
-impl<K, V> std::fmt::Debug for DenseMap<K, V> {
+impl<K, V, R> std::fmt::Debug for DenseMap<K, V, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DenseMap")
             .field("len", &self.len)
@@ -92,16 +126,23 @@ impl<K, V> std::fmt::Debug for DenseMap<K, V> {
     }
 }
 
-impl<K: EventIndex, V> Default for DenseMap<K, V> {
+impl<K: EventIndex, V, R: Row> Default for DenseMap<K, V, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: EventIndex, V> DenseMap<K, V> {
+impl<K: EventIndex, V, R: Row> DenseMap<K, V, R> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        DenseMap { rows: Vec::new(), cursor: Cell::new(0), len: 0, max_row: 0, key: PhantomData }
+        DenseMap {
+            rows: Vec::new(),
+            cursor: Cell::new(0),
+            len: 0,
+            max_row: 0,
+            narrow_from: 0,
+            key: PhantomData,
+        }
     }
 
     /// Returns the number of entries.
@@ -130,10 +171,12 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         found
     }
 
-    /// Finds the position of `window`'s row, if present.
+    /// Finds the row of `key`'s window, if present, and `key`'s offset in it.
     #[inline]
-    fn find_row(&self, window: u64) -> Option<usize> {
-        self.locate_row(window).ok()
+    fn find_row(&self, key: &K) -> Option<(&R, usize)> {
+        let (window, offset) = key.dense_key();
+        let i = self.locate_row(window).ok()?;
+        Some((&self.rows[i].1, offset as usize))
     }
 
     /// Finds or creates the position of `window`'s row.
@@ -141,53 +184,16 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         match self.locate_row(window) {
             Ok(i) => i,
             Err(i) => {
-                self.rows.insert(i, (window, Vec::with_capacity(self.max_row)));
+                self.rows.insert(i, (window, R::with_capacity(self.max_row)));
                 self.cursor.set(i);
                 i
             }
         }
     }
 
-    /// Returns a reference to the value of `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let (window, offset) = key.dense_key();
-        let i = self.find_row(window)?;
-        self.rows[i].1.get(offset as usize)?.as_ref()
-    }
-
-    /// Returns a mutable reference to the value of `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (window, offset) = key.dense_key();
-        let i = self.find_row(window)?;
-        self.rows[i].1.get_mut(offset as usize)?.as_mut()
-    }
-
-    /// Finds — creating the row and growing it as needed — the slot of
-    /// `key`, and keeps the `max_row` pre-allocation hint current. All
-    /// inserting entry points go through here. Returns the entry counter
-    /// alongside the slot (disjoint borrows) so callers filling a vacancy
-    /// can bump it while still holding the slot.
-    fn slot_mut(&mut self, key: &K) -> (&mut usize, &mut Option<V>) {
-        let (window, offset) = key.dense_key();
-        let i = self.find_or_create_row(window);
-        let offset = offset as usize;
-        if offset >= self.max_row {
-            self.max_row = offset + 1;
-        }
-        let row = &mut self.rows[i].1;
-        if offset >= row.len() {
-            // A row that outgrows its allocation takes exactly the longest
-            // row seen, not `Vec`'s next doubling: only a map's first rows
-            // ever grow, and every map of a deployment has them.
-            row.reserve_exact(self.max_row - row.len());
-            row.resize_with(offset + 1, || None);
-        }
-        (&mut self.len, &mut row[offset])
-    }
-
     /// Returns how many slots the rows have allocated, filled or not.
     pub fn capacity(&self) -> usize {
-        self.rows.iter().map(|(_, row)| row.capacity()).sum()
+        self.rows.iter().map(|(_, row)| row.allocated()).sum()
     }
 
     /// Returns how many windows have a row.
@@ -196,18 +202,77 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     }
 
     /// Drops the oldest rows, in window order, as long as `expired` holds
+    /// for the row; the first row it fails stops the walk. Returns the
+    /// window after the last row dropped, if one was: no row is left below
+    /// it.
+    fn drop_rows(&mut self, mut expired: impl FnMut(&R) -> bool) -> Option<u64> {
+        let dropped = self.rows.iter().take_while(|(_, row)| expired(row)).count();
+        let last = self.rows[..dropped].last()?.0;
+        for (_, row) in self.rows.drain(..dropped) {
+            self.len -= row.filled();
+        }
+        self.cursor.set(0);
+        self.narrow_from = self.narrow_from.saturating_sub(dropped);
+        Some(last.saturating_add(1))
+    }
+
+    /// The position of the first row of window `first_window` or later.
+    fn first_row(&self, first_window: u64) -> usize {
+        self.rows.partition_point(|&(window, _)| window < first_window)
+    }
+}
+
+/// The slot at `offset` of a plain `row`, grown to hold it; `max_row` is
+/// kept the longest row seen. Every insert into a plain row, a
+/// [`NarrowRow`]'s wide one included, goes through here.
+fn grow_to<'a, V>(
+    row: &'a mut Vec<Option<V>>,
+    offset: usize,
+    max_row: &mut usize,
+) -> &'a mut Option<V> {
+    if offset >= *max_row {
+        *max_row = offset + 1;
+    }
+    if offset >= row.len() {
+        // A row that outgrows its allocation takes exactly the longest
+        // row seen, not `Vec`'s next doubling: only a map's first rows
+        // ever grow, and every map of a deployment has them.
+        row.reserve_exact(*max_row - row.len());
+        row.resize_with(offset + 1, || None);
+    }
+    &mut row[offset]
+}
+
+impl<K: EventIndex, V> DenseMap<K, V> {
+    /// Returns a reference to the value of `key`, if present.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let (row, offset) = self.find_row(key)?;
+        row.get(offset)?.as_ref()
+    }
+
+    /// Returns a mutable reference to the value of `key`, if present.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let (window, offset) = key.dense_key();
+        let i = self.locate_row(window).ok()?;
+        self.rows[i].1.get_mut(offset as usize)?.as_mut()
+    }
+
+    /// Finds — creating the row and growing it as needed — the slot of
+    /// `key`. All inserting entry points go through here. Returns the entry
+    /// counter alongside the slot (disjoint borrows) so callers filling a
+    /// vacancy can bump it while still holding the slot.
+    fn slot_mut(&mut self, key: &K) -> (&mut usize, &mut Option<V>) {
+        let (window, offset) = key.dense_key();
+        let i = self.find_or_create_row(window);
+        (&mut self.len, grow_to(&mut self.rows[i].1, offset as usize, &mut self.max_row))
+    }
+
+    /// Drops the oldest rows, in window order, as long as `expired` holds
     /// for every value of a row; the first row with a live value stops the
     /// walk. Returns the window after the last row dropped, if one was: no
     /// row is left below it.
     pub fn drop_expired_rows(&mut self, mut expired: impl FnMut(&V) -> bool) -> Option<u64> {
-        let dropped =
-            self.rows.iter().take_while(|(_, row)| row.iter().flatten().all(&mut expired)).count();
-        let last = self.rows[..dropped].last()?.0;
-        for (_, row) in self.rows.drain(..dropped) {
-            self.len -= row.iter().flatten().count();
-        }
-        self.cursor.set(0);
-        Some(last.saturating_add(1))
+        self.drop_rows(|row| row.iter().flatten().all(&mut expired))
     }
 
     /// Inserts `value` under `key`, returning the previous value if any.
@@ -234,11 +299,201 @@ impl<K: EventIndex, V> DenseMap<K, V> {
     /// `first_window` or later, paired with its window: a walk over the
     /// recent end of a long-lived map costs what that end holds.
     pub fn values_mut_from(&mut self, first_window: u64) -> impl Iterator<Item = (u64, &mut V)> {
-        let start = self.rows.partition_point(|&(window, _)| window < first_window);
+        let start = self.first_row(first_window);
         self.rows[start..].iter_mut().flat_map(|(window, row)| {
             let window = *window;
             row.iter_mut().flatten().map(move |v| (window, v))
         })
+    }
+}
+
+/// A value that a row can keep in a narrower word, relative to one time
+/// the row keeps once: its *base*, the earliest of its values' times.
+///
+/// The rule is a round trip: [`Narrow::narrow`] gives a word only if
+/// [`Narrow::widen`] of it under the same base gives back exactly the
+/// value, so a [`NarrowRow`] reads the same whether it is narrow or not.
+pub trait Narrow: Copy {
+    /// The narrow form of a value.
+    type Word: Copy;
+    /// The time this value's word would be relative to, or `None` if it
+    /// has no narrow form at all.
+    fn base(self) -> Option<Time>;
+    /// This value's word relative to `base`, if that word widens back to
+    /// exactly this value.
+    fn narrow(self, base: Time) -> Option<Self::Word>;
+    /// The value `word` stands for, relative to `base`.
+    fn widen(word: Self::Word, base: Time) -> Self;
+}
+
+/// A window row that keeps narrow words once every value it holds has
+/// one: [`DenseMap::narrow_rows`] narrows it, and a write that would not
+/// round-trip under its base widens it back first. Either way it reads the
+/// same values.
+pub struct NarrowRow<V: Narrow>(Repr<V>);
+
+/// How a [`NarrowRow`] holds its values.
+enum Repr<V: Narrow> {
+    /// One `Option<V>` per offset.
+    Wide {
+        /// The values, each at its offset.
+        slots: Vec<Option<V>>,
+        /// How many of them have no narrow form: while one has, the row
+        /// stays wide without being looked at.
+        pinned: u32,
+    },
+    /// One narrow word per offset, each relative to `base`.
+    Narrow {
+        /// The earliest [`Narrow::base`] of the row's values.
+        base: Time,
+        /// Exactly as many words as the wide row had slots.
+        words: Box<[Option<V::Word>]>,
+    },
+}
+
+impl<V: Narrow> Row for NarrowRow<V> {
+    fn with_capacity(capacity: usize) -> Self {
+        NarrowRow(Repr::Wide { slots: Vec::with_capacity(capacity), pinned: 0 })
+    }
+
+    fn filled(&self) -> usize {
+        self.values().count()
+    }
+
+    fn allocated(&self) -> usize {
+        match &self.0 {
+            Repr::Wide { slots, .. } => slots.capacity(),
+            Repr::Narrow { words, .. } => words.len(),
+        }
+    }
+}
+
+impl<V: Narrow> NarrowRow<V> {
+    fn get(&self, offset: usize) -> Option<V> {
+        match &self.0 {
+            Repr::Wide { slots, .. } => *slots.get(offset)?,
+            Repr::Narrow { base, words } => Some(V::widen((*words.get(offset)?)?, *base)),
+        }
+    }
+
+    /// Every value of the row, in offset order.
+    fn values(&self) -> impl Iterator<Item = V> + '_ {
+        let (wide, narrow, base) = match &self.0 {
+            Repr::Wide { slots, .. } => (&slots[..], &[][..], Time::ZERO),
+            Repr::Narrow { base, words } => (&[][..], &words[..], *base),
+        };
+        let widened = narrow.iter().flatten().map(move |&word| V::widen(word, base));
+        wide.iter().flatten().copied().chain(widened)
+    }
+
+    /// Switches a wide row to narrow words, if every value it holds
+    /// round-trips under the earliest base among them.
+    fn narrow(&mut self) {
+        let Repr::Wide { slots, pinned: 0 } = &self.0 else { return };
+        let Some(base) = slots.iter().flatten().map(|v| v.base()).min().flatten() else { return };
+        let words = slots.iter().map(|slot| slot.map_or(Some(None), |v| v.narrow(base).map(Some)));
+        if let Some(words) = words.collect::<Option<Box<[_]>>>() {
+            self.0 = Repr::Narrow { base, words };
+        }
+    }
+
+    /// Switches a narrow row back to wide slots holding the same values,
+    /// with room for `capacity`.
+    fn widen(&mut self, capacity: usize) {
+        if let Repr::Narrow { base, words } = &self.0 {
+            let base = *base;
+            let mut slots = Vec::with_capacity(capacity.max(words.len()));
+            slots.extend(words.iter().map(|word| word.map(|word| V::widen(word, base))));
+            self.0 = Repr::Wide { slots, pinned: 0 };
+        }
+    }
+}
+
+/// A map whose settled rows narrow: values are read and written by value,
+/// since a narrow row holds none to lend.
+impl<K: EventIndex, V: Narrow> DenseMap<K, V, NarrowRow<V>> {
+    /// Returns the value of `key`, if present.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let (row, offset) = self.find_row(key)?;
+        row.get(offset)
+    }
+
+    /// Inserts `value` under `key`, returning the previous value if any. A
+    /// narrow row takes it as a word if it round-trips under the row's
+    /// base; otherwise the row widens first.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let (window, offset) = key.dense_key();
+        let i = self.find_or_create_row(window);
+        let offset = offset as usize;
+        let row = &mut self.rows[i].1;
+        // At most twice round: a write that does not fit widens the row.
+        let previous = loop {
+            match &mut row.0 {
+                Repr::Wide { slots, pinned } => {
+                    let previous = grow_to(slots, offset, &mut self.max_row).replace(value);
+                    *pinned += u32::from(value.base().is_none());
+                    *pinned -= u32::from(previous.is_some_and(|v| v.base().is_none()));
+                    break previous;
+                }
+                Repr::Narrow { base, words } => {
+                    let fits = words.get_mut(offset).zip(value.narrow(*base));
+                    if let Some((slot, word)) = fits {
+                        break slot.replace(word).map(|word| V::widen(word, *base));
+                    }
+                    row.widen(self.max_row);
+                }
+            }
+        };
+        if let Repr::Wide { pinned: 0, .. } = row.0 {
+            self.narrow_from = self.narrow_from.min(i);
+        }
+        if previous.is_none() {
+            self.len += 1;
+        }
+        previous
+    }
+
+    /// Returns the value of `key`, inserting `default()` first if absent.
+    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> V {
+        self.get(&key).unwrap_or_else(|| {
+            let value = default();
+            self.insert(key, value);
+            value
+        })
+    }
+
+    /// Drops the oldest rows, in window order, as long as `expired` holds
+    /// for every value of a row (see [`DenseMap::drop_expired_rows`]).
+    pub fn drop_expired_rows(&mut self, mut expired: impl FnMut(V) -> bool) -> Option<u64> {
+        self.drop_rows(|row| row.values().all(&mut expired))
+    }
+
+    /// Visits, in window order, the value of every entry whose window is
+    /// `first_window` or later, paired with its window.
+    pub fn values_from(&self, first_window: u64) -> impl Iterator<Item = (u64, V)> + '_ {
+        let rows = self.rows[self.first_row(first_window)..].iter();
+        rows.flat_map(|(window, row)| row.values().map(move |v| (*window, v)))
+    }
+
+    /// Narrows every wide row but the newest whose values all round-trip
+    /// (see [`Narrow`]). The pass starts at the oldest row a write has
+    /// left wide with every value narrowable since the last pass, so it
+    /// costs the rows that changed, not the map; a row holding a value with
+    /// no narrow form is passed over without reading its values.
+    pub fn narrow_rows(&mut self) {
+        let newest = self.rows.len().saturating_sub(1);
+        for (_, row) in self.rows.get_mut(self.narrow_from..newest).into_iter().flatten() {
+            row.narrow();
+        }
+        self.narrow_from = newest;
+    }
+
+    /// The windows whose rows are narrow, in window order.
+    pub fn narrow_windows(&self) -> impl Iterator<Item = u64> + '_ {
+        let narrow = |(window, row): &(u64, NarrowRow<V>)| {
+            matches!(row.0, Repr::Narrow { .. }).then_some(*window)
+        };
+        self.rows.iter().filter_map(narrow)
     }
 }
 

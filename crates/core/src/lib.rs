@@ -36,8 +36,9 @@
 //! timer became ([`GossipNode::attach_timer_handle`]) and collects from
 //! [`GossipNode::poll_cancelled`] the ones a delivery made pointless.
 //! A host that runs many nodes keeps one [`PacketPool`] of the packets
-//! they delivered and lends it with their inputs, so a node keeps an
-//! 8-byte request word per id and no payload the pool already holds.
+//! they delivered and lends it with their inputs, so a node keeps a
+//! request word per id — 8 bytes while its window has an id in flight, 4
+//! once it has none — and no payload the pool already holds.
 //! The deterministic simulator (`gossip-net` + `gossip-experiments`) and the
 //! real-socket runtime (`gossip-udp`) drive the *same* protocol code.
 //!

@@ -28,6 +28,7 @@
 //!   proposer.
 
 use std::collections::VecDeque;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::sync::Arc;
 
 use gossip_sim::{DetRng, EventHandle};
@@ -35,7 +36,7 @@ use gossip_types::{NodeId, Time};
 
 use crate::config::GossipConfig;
 use crate::event::Event;
-use crate::index::{DenseMap, EventIndex, TokenSlab};
+use crate::index::{DenseMap, EventIndex, Narrow, NarrowRow, TokenSlab};
 use crate::message::Message;
 use crate::rto::RttEstimator;
 use crate::stats::ProtocolStats;
@@ -126,11 +127,30 @@ pub enum Output<E: Event> {
 /// payload out exactly once.
 /// Saturation is harmless: `max_requests_per_event` is single-digit in
 /// every configuration, and no run approaches the timestamp horizon.
+///
+/// A window whose row links no word is kept *narrow* (see [`Narrow`]):
+/// one base time per row, the earliest of its words', and per id 4 bytes
+/// relative to it, a `NonZeroU32` whose niche again makes the slot free:
+///
+/// ```text
+/// bit  31      — delivered
+/// bits 28..=30 — times_requested (0..=7)
+/// bits 0..=27  — the time in µs after the row's base (< 2²⁸ µs ≈ 268 s)
+/// ```
+///
+/// A word narrows only if it round-trips to the same 8 bytes: unlinked,
+/// requested at most 7 times, its time within 2²⁸ µs of the base, and not
+/// the all-zero word. A row narrows only if all of its words do, and a
+/// write that would not leaves the row wide first, so no read can tell a
+/// narrow row from a wide one.
 #[derive(Debug, Clone, Copy)]
-struct RequestState(std::num::NonZeroU64);
+struct RequestState(NonZeroU64);
 
 impl RequestState {
     const MARKER: u64 = 1 << 63;
+    /// The marker alone, non-zero by its type: a time word is it `|` the
+    /// low bits, with nothing that can fail.
+    const MARKED: NonZeroU64 = NonZeroU64::MIN.saturating_add(Self::MARKER - 1);
     const DELIVERED: u64 = 1 << 62;
     const TIMES_SHIFT: u32 = 48;
     const TIMES_MAX: u64 = (1 << 14) - 1;
@@ -138,16 +158,18 @@ impl RequestState {
     const POSITION_SHIFT: u32 = 32;
     /// The largest position a link holds: past it, a scan finds the id.
     const POSITION_MAX: usize = 0xFFFF;
+    /// The narrow word's fields.
+    const NARROW_DELIVERED: u32 = 1 << 31;
+    const NARROW_TIMES_SHIFT: u32 = 28;
+    const NARROW_TIMES_MAX: u32 = 0b111;
+    const NARROW_OFFSET_MAX: u32 = (1 << Self::NARROW_TIMES_SHIFT) - 1;
 
     /// `at` is the first-request time, or the delivery time if `delivered`.
     fn new(times_requested: u32, delivered: bool, at: Time) -> Self {
         let times = (u64::from(times_requested)).min(Self::TIMES_MAX) << Self::TIMES_SHIFT;
         let at = at.as_micros().min(Self::TIME_MASK);
         let delivered = if delivered { Self::DELIVERED } else { 0 };
-        RequestState(
-            std::num::NonZeroU64::new(Self::MARKER | delivered | times | at)
-                .expect("marker bit keeps the word non-zero"),
-        )
+        RequestState(Self::MARKED | delivered | times | at)
     }
 
     fn times_requested(self) -> u32 {
@@ -184,7 +206,7 @@ impl RequestState {
         let position = position.min(Self::POSITION_MAX) as u64;
         let times = self.0.get() & (Self::TIMES_MAX << Self::TIMES_SHIFT);
         let bits = times | position << Self::POSITION_SHIFT | u64::from(slot);
-        std::num::NonZeroU64::new(bits).map_or(self, RequestState)
+        NonZeroU64::new(bits).map_or(self, RequestState)
     }
 
     /// The same counter, holding `first_requested` instead of a link.
@@ -207,6 +229,35 @@ impl RequestState {
         if u64::from(self.times_requested()) < Self::TIMES_MAX {
             self.0 = self.0.saturating_add(1 << Self::TIMES_SHIFT);
         }
+    }
+}
+
+/// The narrow word of [`RequestState`]'s doc: an unlinked word, relative
+/// to its row's base.
+impl Narrow for RequestState {
+    type Word = NonZeroU32;
+
+    fn base(self) -> Option<Time> {
+        self.link().is_none().then(|| self.at())
+    }
+
+    fn narrow(self, base: Time) -> Option<NonZeroU32> {
+        let offset = self.base()?.as_micros().checked_sub(base.as_micros())?;
+        let times = self.times_requested();
+        if offset > u64::from(Self::NARROW_OFFSET_MAX) || times > Self::NARROW_TIMES_MAX {
+            return None;
+        }
+        let delivered = if self.delivered() { Self::NARROW_DELIVERED } else { 0 };
+        let word = NonZeroU32::new(delivered | times << Self::NARROW_TIMES_SHIFT | offset as u32)?;
+        debug_assert_eq!(Self::widen(word, base).0, self.0, "a narrow word must round-trip");
+        Some(word)
+    }
+
+    fn widen(word: NonZeroU32, base: Time) -> Self {
+        let word = word.get();
+        let at = base.as_micros() + u64::from(word & Self::NARROW_OFFSET_MAX);
+        let times = (word >> Self::NARROW_TIMES_SHIFT) & Self::NARROW_TIMES_MAX;
+        RequestState::new(times, word & Self::NARROW_DELIVERED != 0, Time::from_micros(at))
     }
 }
 
@@ -289,9 +340,10 @@ pub struct GossipNode<E: Event> {
     propose_queue: Vec<(E::Id, u32)>,
     /// The one per-id table: request/delivery bookkeeping (an id is
     /// requested from exactly one peer, ever, apart from retransmissions),
-    /// one 8-byte word per id. Dense per-window slab: lookups are array
+    /// one 8-byte word per id while its window has one in flight, 4 bytes
+    /// once its row narrows. Dense per-window slab: lookups are array
     /// indexings, not hashes.
-    ids: DenseMap<E::Id, RequestState>,
+    ids: DenseMap<E::Id, RequestState, NarrowRow<RequestState>>,
     /// The payloads this node keeps itself, sorted by id: each retained
     /// one its host's pool did not hold equal when it was delivered. Every
     /// one under a host that lends no pool; under one that does, what the
@@ -598,6 +650,7 @@ impl<E: Event> GossipNode<E> {
         self.scratch_partners = partners;
 
         self.prune_store(now);
+        self.ids.narrow_rows();
     }
 
     /// Handles an incoming message (phases 2 and 3, plus feed-me), from a
@@ -643,7 +696,7 @@ impl<E: Event> GossipNode<E> {
         let mut carried = Vec::new();
         let mut can_retry_more = false;
         for (position, &id) in entry.ids.iter().enumerate() {
-            let Some(state) = self.ids.get_mut(&id) else { continue };
+            let Some(mut state) = self.ids.get(&id) else { continue };
             if state.delivered() {
                 continue;
             }
@@ -651,12 +704,18 @@ impl<E: Event> GossipNode<E> {
             // unless) the re-armed entry below takes them.
             let linked_here = state.link().is_some_and(|(slot, _)| slot == fired);
             if linked_here {
-                *state = state.unlinked(entry.first_requested);
+                state = state.unlinked(entry.first_requested);
             }
-            if state.times_requested() >= cap {
+            let retry = state.times_requested() < cap;
+            if retry {
+                state.bump_requested();
+            }
+            if linked_here || retry {
+                self.ids.insert(id, state);
+            }
+            if !retry {
                 continue;
             }
-            state.bump_requested();
             missing.push(id);
             // A spent id's alternate stays behind: nothing could use it.
             let spent = state.times_requested() >= cap;
@@ -727,7 +786,7 @@ impl<E: Event> GossipNode<E> {
             // Already requested (from whoever proposed first) or already
             // delivered: line 10 filters it out.
             let mut fresh = false;
-            let state = *self.ids.get_or_insert_with(id, || {
+            let state = self.ids.get_or_insert_with(id, || {
                 fresh = true;
                 requested
             });
@@ -847,7 +906,7 @@ impl<E: Event> GossipNode<E> {
                 self.rerequest_corrupted(now, from, id);
                 continue;
             }
-            let state = self.ids.get_or_insert_with(id, || RequestState::new(0, false, now));
+            let mut state = self.ids.get(&id).unwrap_or(RequestState::new(0, false, now));
             if state.delivered() {
                 self.stats.duplicate_events_received += 1;
                 continue;
@@ -859,6 +918,7 @@ impl<E: Event> GossipNode<E> {
                 self.rtt.sample(now.saturating_since(state.time(&self.retransmits)));
             }
             state.mark_delivered(at);
+            self.ids.insert(id, state);
             if pool.and_then(|pool| pool.lookup(&id)) != Some(&event) {
                 self.keep_own(id, event.clone());
             }
@@ -960,7 +1020,7 @@ impl<E: Event> GossipNode<E> {
     /// undelivered — the armed retransmission timer retries as usual.
     fn rerequest_corrupted(&mut self, now: Time, offender: NodeId, id: E::Id) {
         let cap = self.max_requests_cap();
-        let Some(state) = self.ids.get_mut(&id) else { return };
+        let Some(mut state) = self.ids.get(&id) else { return };
         // Only an id in flight has an alternate, in the entry it links to.
         let Some((slot, linked)) = state.link() else { return };
         let Some(entry) = self.retransmits.get_mut(self.retransmits.widen(slot)) else { return };
@@ -972,6 +1032,7 @@ impl<E: Event> GossipNode<E> {
             return;
         }
         state.bump_requested();
+        self.ids.insert(id, state);
         let attempt = state.times_requested();
         let budget_left = attempt < cap;
         if !budget_left {
@@ -1009,14 +1070,11 @@ impl<E: Event> GossipNode<E> {
         };
         let token = TimerToken(self.retransmits.insert(entry));
         for (position, id) in ids.iter().enumerate() {
-            let state = self.ids.get_mut(id);
-            debug_assert!(
-                state.as_ref().is_some_and(|s| !s.delivered()),
-                "delivered or unrecorded"
-            );
+            let state = self.ids.get(id);
+            debug_assert!(state.is_some_and(|s| !s.delivered()), "delivered or unrecorded");
             if let Some(state) = state.filter(|state| state.link().is_none()) {
                 debug_assert_eq!(state.at(), first, "an entry's ids share one request");
-                *state = state.linked(token.0 as u32, position);
+                self.ids.insert(*id, state.linked(token.0 as u32, position));
             }
         }
         let at = now + self.rtt.rto_backoff(attempt);
@@ -1059,7 +1117,7 @@ impl<E: Event> GossipNode<E> {
         let Some(cutoff) = self.config.retention_cutoff(now) else { return };
         let (before, after) = (self.retained_since, cutoff.max(self.retained_since));
         let (mut floor, mut aged) = (u64::MAX, 0);
-        for (window, state) in self.ids.values_mut_from(self.payload_floor) {
+        for (window, state) in self.ids.values_from(self.payload_floor) {
             if !state.retained(before) {
                 continue;
             }
@@ -1682,6 +1740,252 @@ mod tests {
         assert_eq!(node.request_info(&FIRST), Some((1, false)));
     }
 
+    /// A reference model of one node's id table at full precision: per id
+    /// (times requested, delivered, time), where the time is the first
+    /// request's until delivery and the delivery's after; the node's
+    /// retention cutoff and record floor; and which armed timer each
+    /// undelivered id is waiting on.
+    #[derive(Default)]
+    struct TableModel {
+        ids: std::collections::HashMap<u64, (u32, bool, Time)>,
+        retained_since: Time,
+        floor: u64,
+        /// Each armed timer's ids and how many of them it still counts.
+        entries: std::collections::HashMap<TimerToken, (Vec<u64>, usize)>,
+        links: std::collections::HashMap<u64, TimerToken>,
+    }
+
+    impl TableModel {
+        fn retained(&self, id: u64) -> bool {
+            let state = self.ids.get(&id);
+            state.is_some_and(|&(_, delivered, at)| delivered && at >= self.retained_since)
+        }
+
+        fn expired(&self, id: u64) -> bool {
+            id.dense_key().0 < self.floor
+        }
+
+        fn propose(&mut self, now: Time, ids: &[u64]) {
+            for &id in ids {
+                if !self.expired(id) {
+                    self.ids.entry(id).or_insert((1, false, now));
+                }
+            }
+        }
+
+        fn serve(&mut self, now: Time, id: u64) {
+            if self.expired(id) {
+                return;
+            }
+            let at = now.max(self.retained_since);
+            let state = self.ids.entry(id).or_insert((0, false, now));
+            if state.1 {
+                return;
+            }
+            *state = (state.0, true, at);
+            if let Some(token) = self.links.remove(&id) {
+                let (_, counted) = self.entries.get_mut(&token).expect("a link names its entry");
+                *counted -= 1;
+                if *counted == 0 {
+                    self.entries.remove(&token);
+                }
+            }
+        }
+
+        /// A timer armed for `ids`: it counts them all and takes those no
+        /// other timer waits on.
+        fn arm(&mut self, token: TimerToken, ids: &[u64]) {
+            for &id in ids {
+                self.links.entry(id).or_insert(token);
+            }
+            self.entries.insert(token, (ids.to_vec(), ids.len()));
+        }
+
+        fn fire(&mut self, token: TimerToken, cap: u32) {
+            let Some((ids, _)) = self.entries.remove(&token) else { return };
+            for id in ids {
+                if self.links.get(&id) == Some(&token) {
+                    self.links.remove(&id);
+                }
+                match self.ids.get_mut(&id) {
+                    Some((times, false, _)) if *times < cap => *times += 1,
+                    _ => {}
+                }
+            }
+        }
+
+        fn round(&mut self, now: Time, retention: Duration) {
+            let Some(cutoff) = now.as_micros().checked_sub(retention.as_micros()) else { return };
+            let cutoff = Time::from_micros(cutoff);
+            self.retained_since = self.retained_since.max(cutoff);
+            let windows: std::collections::BTreeSet<u64> =
+                self.ids.keys().map(|id| id.dense_key().0).collect();
+            for window in windows {
+                let in_window = |id: &u64| id.dense_key().0 == window;
+                if self.ids.iter().any(|(id, &(_, _, at))| in_window(id) && at >= cutoff) {
+                    break;
+                }
+                self.ids.retain(|id, _| !in_window(id));
+                self.floor = window + 1;
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_rows_read_exactly_as_wide_ones_under_jittered_rounds() {
+        // Rounds every 130 ms, each one's `now` jittered by up to ±20 ms as
+        // a shard's wall clock is, under a 1 s retention: every cutoff falls
+        // inside a round, and deliveries land at arbitrary µs on both sides
+        // of it. Folding a delivery to its round would misplace some; a
+        // narrow row must not misplace any.
+        const K: u32 = 3;
+        let retention = Duration::from_secs(1);
+        let config = GossipConfig::new(2)
+            .with_retention(retention)
+            .with_retransmit_timeout(Duration::from_millis(60))
+            .with_rto_bounds(Duration::from_millis(40), Duration::from_millis(100))
+            .with_max_requests(K);
+        let mut node = GossipNode::new(NodeId::new(1), config, members(8), 1);
+        let mut rng = DetRng::seed_from(38);
+        let mut model = TableModel::default();
+        let mut timers: Vec<(Time, TimerToken)> = Vec::new();
+        // Every id the run names; ids skipped on first proposal, proposed
+        // later into what may be a narrow row by then; ids requested.
+        let mut universe = std::collections::BTreeSet::new();
+        let (mut late, mut requested) = (Vec::new(), Vec::new());
+        let (mut head, mut now) = (256u64, Time::ZERO);
+        let mut narrow = std::collections::BTreeSet::new();
+        let (mut narrowed, mut widened) = (0, 0);
+
+        // Hands the node's outputs to the model: a timer guards the ids of
+        // the request just before it.
+        let settle = |node: &mut GossipNode<TestEvent>,
+                      model: &mut TableModel,
+                      timers: &mut Vec<(Time, TimerToken)>| {
+            let mut last_request = Vec::new();
+            for output in drain(node) {
+                match output {
+                    Output::Send { msg: Message::Request { ids }, .. } => {
+                        last_request = ids.to_vec();
+                    }
+                    Output::ScheduleTimer { token, at } => {
+                        model.arm(token, &last_request);
+                        timers.push((at, token));
+                    }
+                    _ => {}
+                }
+            }
+        };
+        let check = |node: &GossipNode<TestEvent>,
+                     model: &TableModel,
+                     universe: &std::collections::BTreeSet<u64>,
+                     step: &str| {
+            let retained = universe.iter().filter(|&&id| model.retained(id)).count();
+            assert_eq!(node.stored_events(), retained, "{step}");
+            for &id in universe {
+                let stored = node.stored(&id).map(|event| event.id());
+                assert_eq!(stored, model.retained(id).then_some(id), "{step}: id {id}");
+                let info = model.ids.get(&id).map(|&(times, delivered, _)| (times, delivered));
+                assert_eq!(node.request_info(&id), info, "{step}: id {id}");
+                assert_eq!(node.is_expired(&id), model.expired(id), "{step}: id {id}");
+            }
+        };
+
+        for round in 1..=70u64 {
+            let jitter = rng.range_u64(0, 40_001) as i64 - 20_000;
+            let round_at = Time::from_micros((130_000 * round).saturating_add_signed(jitter));
+            let mut inputs: Vec<u64> =
+                (0..6).map(|_| rng.range_u64(now.as_micros() + 1, round_at.as_micros())).collect();
+            inputs.sort_unstable();
+            for at in inputs.into_iter().map(Time::from_micros).chain([round_at]) {
+                // Due timers first, in deadline order.
+                timers.sort_unstable();
+                while let Some(&(due, token)) = timers.first().filter(|&&(due, _)| due <= at) {
+                    timers.remove(0);
+                    now = now.max(due);
+                    node.on_timer(now, token);
+                    model.fire(token, K);
+                    settle(&mut node, &mut model, &mut timers);
+                    check(&node, &model, &universe, &format!("timer at {now:?}"));
+                }
+                now = at;
+                let peer = NodeId::new(2 + rng.index(6) as u32);
+                let step = if at == round_at { 4 } else { rng.index(4) };
+                match step {
+                    0 => {
+                        // The stream's next ids, a tenth of them held back.
+                        let count = rng.range_u64(20, 50);
+                        let mut ids = Vec::new();
+                        for id in head..head + count {
+                            if rng.chance(0.1) {
+                                late.push(id)
+                            } else {
+                                ids.push(id)
+                            }
+                        }
+                        head += count;
+                        node.on_message(now, peer, Message::Propose { ids: ids.clone().into() });
+                        model.propose(now, &ids);
+                        universe.extend(&ids);
+                        requested.extend(ids);
+                    }
+                    1 => {
+                        // Held-back ids, once the stream is a window on.
+                        let (ids, young) = late.iter().partition(|&&id| id + 256 < head);
+                        let ids: Vec<u64> = ids;
+                        late = young;
+                        node.on_message(now, peer, Message::Propose { ids: ids.clone().into() });
+                        model.propose(now, &ids);
+                        universe.extend(&ids);
+                        requested.extend(ids);
+                    }
+                    2 => {
+                        // Serves of requested ids, each one with odds 3 in
+                        // 5; one id in 17 is never served.
+                        let mut events = Vec::new();
+                        requested.retain(|&id| {
+                            let wait = id % 17 == 0 || rng.chance(0.4);
+                            if !wait {
+                                events.push(TestEvent::new(id, 10));
+                            }
+                            wait
+                        });
+                        for event in &events {
+                            model.serve(now, event.id());
+                        }
+                        node.on_message(now, peer, Message::Serve { events });
+                    }
+                    3 => {
+                        // An unrequested delivery of the stream's next id.
+                        universe.insert(head);
+                        node.on_message(
+                            now,
+                            peer,
+                            Message::Serve { events: vec![TestEvent::new(head, 10)] },
+                        );
+                        model.serve(now, head);
+                        head += 1;
+                    }
+                    _ => {
+                        node.on_round(now);
+                        model.round(now, retention);
+                    }
+                }
+                settle(&mut node, &mut model, &mut timers);
+                check(&node, &model, &universe, &format!("step {step} at {now:?}"));
+                let current: std::collections::BTreeSet<u64> = node.ids.narrow_windows().collect();
+                narrowed += current.difference(&narrow).count();
+                let present =
+                    |window: &&u64| model.ids.keys().any(|id| id.dense_key().0 == **window);
+                widened += narrow.difference(&current).filter(present).count();
+                narrow = current;
+            }
+        }
+        assert!(node.stats().retransmit_requests > 0, "no timer fired");
+        assert!(model.ids.values().any(|&(times, delivered, _)| times == K && !delivered));
+        assert!(narrowed > 0 && widened > 0, "{narrowed} rows narrowed, {widened} widened again");
+    }
+
     #[test]
     fn a_shared_membership_list_is_adopted_not_copied() {
         let shared: Arc<[NodeId]> = members(12).into();
@@ -1750,13 +2054,51 @@ mod tests {
         // The id table holds none of it — a retained payload is the host
         // pool's, or in the node's sparse table of its own copies — so a
         // slot is the request word, and the marker bit is the whole point:
-        // it needs no discriminant beyond the NonZeroU64 niche.
-        fn slot<K, V>(_: &DenseMap<K, V>) -> usize {
-            std::mem::size_of::<Option<V>>()
+        // it needs no discriminant beyond the NonZeroU64 niche. That is 8
+        // bytes at most: once its row narrows, 4.
+        fn slots<K, V: Narrow>(_: &DenseMap<K, V, NarrowRow<V>>) -> (usize, usize) {
+            (std::mem::size_of::<Option<V>>(), std::mem::size_of::<Option<V::Word>>())
         }
         let node: GossipNode<Handle> =
             GossipNode::new(NodeId::new(1), GossipConfig::new(3), members(2), 1);
-        assert_eq!(slot(&node.ids), 8);
+        assert_eq!(slots(&node.ids), (8, 4));
+    }
+
+    #[test]
+    fn a_narrow_request_word_packs_into_four_bytes_with_a_niche() {
+        type Word = <RequestState as Narrow>::Word;
+        assert_eq!(std::mem::size_of::<Word>(), 4);
+        assert_eq!(std::mem::size_of::<Option<Word>>(), 4);
+    }
+
+    #[test]
+    fn a_narrow_word_roundtrips_or_is_refused() {
+        let base = Time::from_micros(123_456_789);
+        let roundtrip = |state: RequestState| {
+            state.narrow(base).map(|word| RequestState::widen(word, base).0.get())
+        };
+        let limit = Duration::from_micros((1 << 28) - 1);
+        for (times, delivered, at) in [
+            (0, true, base),
+            (1, false, base),
+            (7, true, base + limit),
+            (3, false, base + Duration::from_micros(1)),
+        ] {
+            let state = RequestState::new(times, delivered, at);
+            assert_eq!(roundtrip(state), Some(state.0.get()), "{times} {delivered} {at:?}");
+        }
+        // What does not fit stays wide: eight requests, a time past 2²⁸ µs
+        // after the base or before it, the all-zero word and a link.
+        for state in [
+            RequestState::new(8, true, base),
+            RequestState::new(1, true, base + limit + Duration::from_micros(1)),
+            RequestState::new(1, true, Time::from_micros(base.as_micros() - 1)),
+            RequestState::new(0, false, base),
+            RequestState::new(1, false, base).linked(3, 4),
+        ] {
+            assert_eq!(state.narrow(base), None, "{state:?}");
+        }
+        assert_eq!(RequestState::new(1, false, base).linked(3, 4).base(), None);
     }
 
     #[test]

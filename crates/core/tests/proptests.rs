@@ -5,7 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use gossip_core::index::{DenseMap, EventIndex};
+use gossip_core::index::{DenseMap, EventIndex, Narrow, NarrowRow};
 use gossip_core::wire::{decode_frame, decode_message, encode_message, EventPool};
 use gossip_core::{
     Event, GossipConfig, GossipNode, Message, Output, PacketPool, TestEvent, TimerToken,
@@ -132,6 +132,56 @@ fn map_op_strategy() -> impl Strategy<Value = MapOp> {
     ]
 }
 
+/// A counter that a narrow row keeps as one byte past its row's base. A
+/// multiple of 5 has no narrow form (it stands for an id in flight), and
+/// one more than 255 past the base does not fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Stamp(u32);
+
+impl Narrow for Stamp {
+    type Word = u8;
+
+    fn base(self) -> Option<Time> {
+        (!self.0.is_multiple_of(5)).then_some(Time::from_micros(u64::from(self.0)))
+    }
+
+    fn narrow(self, base: Time) -> Option<u8> {
+        let offset = self.base()?.as_micros().checked_sub(base.as_micros())?;
+        u8::try_from(offset).ok()
+    }
+
+    fn widen(word: u8, base: Time) -> Self {
+        Stamp(base.as_micros() as u32 + u32::from(word))
+    }
+}
+
+/// One operation on a map whose rows narrow.
+#[derive(Debug, Clone)]
+enum NarrowOp {
+    Insert(u64, u32),
+    /// `get_or_insert_with`, then write back one more.
+    Bump(u64, u32),
+    /// Read every value in this window or a later one.
+    ValuesFrom(u64),
+    /// `drop_expired_rows` with values below this expired.
+    DropRowsBelow(u32),
+    /// `narrow_rows`.
+    Narrow,
+}
+
+fn narrow_op_strategy() -> impl Strategy<Value = NarrowOp> {
+    // Values close enough that most rows fit a byte past their base.
+    let key = || prop_oneof![0u64..700, 0u64..700, any::<u64>()];
+    prop_oneof![
+        (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Insert(k, v)),
+        (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Bump(k, v)),
+        (0u64..4).prop_map(NarrowOp::ValuesFrom),
+        (0u32..300).prop_map(NarrowOp::DropRowsBelow),
+        Just(NarrowOp::Narrow),
+        Just(NarrowOp::Narrow),
+    ]
+}
+
 proptest! {
     /// `DenseMap` stores no key, so nothing but position says which id a
     /// value belongs to: after any operation sequence it must hold exactly
@@ -200,6 +250,91 @@ proptest! {
             // The neighbouring slot is only filled if the model says so.
             prop_assert_eq!(dense.get(&(k ^ 1)), model.get(&(k ^ 1)), "neighbour of {}", k);
         }
+    }
+
+    /// The twin of `dense_map_is_a_hash_map` for a map whose rows narrow:
+    /// narrowing and the widening a write can force change how a row is
+    /// stored, never what it reads. After every operation the map holds
+    /// what a `HashMap` holds, and exactly the rows `Stamp` lets narrow are
+    /// narrow: after `narrow_rows`, every such row but the newest; at any
+    /// time, none that does not.
+    #[test]
+    fn narrow_map_is_a_hash_map(ops in vec(narrow_op_strategy(), 1..120)) {
+        use std::collections::{BTreeMap, BTreeSet, HashMap};
+        let mut dense: DenseMap<u64, Stamp, NarrowRow<Stamp>> = DenseMap::new();
+        let mut model: HashMap<u64, Stamp> = HashMap::new();
+        let mut touched = Vec::new();
+        for op in ops {
+            match op {
+                NarrowOp::Insert(k, v) => {
+                    prop_assert_eq!(dense.insert(k, Stamp(v)), model.insert(k, Stamp(v)));
+                    touched.push(k);
+                }
+                NarrowOp::Bump(k, v) => {
+                    let (d, m) = (dense.get_or_insert_with(k, || Stamp(v)), model.entry(k).or_insert(Stamp(v)));
+                    prop_assert_eq!(d, *m);
+                    m.0 += 1;
+                    dense.insert(k, *m);
+                    touched.push(k);
+                }
+                NarrowOp::ValuesFrom(window) => {
+                    let mut seen: Vec<(u64, Stamp)> = dense.values_from(window).collect();
+                    prop_assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "windows out of order");
+                    seen.sort_unstable();
+                    let mut expected: Vec<(u64, Stamp)> = model
+                        .iter()
+                        .map(|(k, &v)| (k.dense_key().0, v))
+                        .filter(|&(w, _)| w >= window)
+                        .collect();
+                    expected.sort_unstable();
+                    prop_assert_eq!(seen, expected);
+                }
+                NarrowOp::DropRowsBelow(t) => {
+                    let windows: BTreeSet<u64> = model.keys().map(|k| k.dense_key().0).collect();
+                    let expired = |w: u64| {
+                        model.iter().filter(|(k, _)| k.dense_key().0 == w).all(|(_, v)| v.0 < t)
+                    };
+                    let last = windows.into_iter().take_while(|&w| expired(w)).last();
+                    prop_assert_eq!(dense.drop_expired_rows(|v| v.0 < t), last.map(|w| w + 1));
+                    if let Some(last) = last {
+                        model.retain(|k, _| k.dense_key().0 > last);
+                    }
+                }
+                NarrowOp::Narrow => dense.narrow_rows(),
+            }
+            prop_assert_eq!(dense.len(), model.len());
+            prop_assert_eq!(dense.is_empty(), model.is_empty());
+            let mut rows: BTreeMap<u64, Vec<Stamp>> = BTreeMap::new();
+            for (k, &v) in &model {
+                rows.entry(k.dense_key().0).or_default().push(v);
+            }
+            prop_assert_eq!(dense.windows(), rows.len());
+            // A row fits if every value has a narrow form within a byte of
+            // the least one.
+            let fits = |values: &Vec<Stamp>| {
+                let (min, max) = (values.iter().min().unwrap().0, values.iter().max().unwrap().0);
+                values.iter().all(|v| v.base().is_some()) && max - min <= 255
+            };
+            let narrow: BTreeSet<u64> = dense.narrow_windows().collect();
+            let newest = rows.keys().next_back().copied();
+            for (&w, values) in &rows {
+                if narrow.contains(&w) {
+                    prop_assert!(fits(values), "window {} is narrow but holds {:?}", w, values);
+                } else if matches!(op, NarrowOp::Narrow) && Some(w) != newest {
+                    prop_assert!(!fits(values), "window {} fits but stayed wide", w);
+                }
+            }
+            prop_assert!(newest.is_none_or(|w| !narrow.contains(&w)), "the newest row narrowed");
+            for &k in &touched {
+                prop_assert_eq!(dense.get(&k), model.get(&k).copied(), "key {}", k);
+                prop_assert_eq!(dense.get(&(k ^ 1)), model.get(&(k ^ 1)).copied(), "neighbour of {}", k);
+            }
+        }
+        // Rows are allocated to the longest row seen, narrow or wide.
+        let windows: std::collections::HashSet<u64> =
+            touched.iter().map(|k| k.dense_key().0).collect();
+        let longest = touched.iter().map(|k| k.dense_key().1 as usize + 1).max().unwrap_or(0);
+        prop_assert!(dense.capacity() <= windows.len() * longest);
     }
 
     /// Under any interleaving of inputs: no panics, every event delivered

@@ -95,8 +95,9 @@
 //! one table of packets ([`PacketPool`], the same type the simulator
 //! keeps) and its nodes serve from it instead of keeping copies: memory
 //! grows with the packets published, not with the nodes hosted. What a
-//! hosted node adds per packet is its 8-byte request word (an id in
-//! flight also links to its retransmission timer) and nothing of the
+//! hosted node adds per packet is its request word (8 bytes, 4 once the
+//! packet's window has nothing in flight; an id in flight also links to
+//! its retransmission timer) and nothing of the
 //! packet; it keeps its own copy — a one-pointer [`StreamPacket`] handle
 //! in a sparse side table — only of what the table did not hold equal
 //! when it delivered it: a packet it was the first of the shard to

@@ -1,7 +1,8 @@
 //! What one recorded id costs a node, in peak heap. Inside one retention
 //! horizon nothing is pruned, so a longer stream adds to the peak exactly
-//! what it adds to the nodes' id tables — one 8-byte request word per
-//! (node, id) — plus its share of what grows with the stream but not per
+//! what it adds to the nodes' id tables — one settled window's 4-byte
+//! narrow request word per (node, id), and its row's base time — plus its
+//! share of what grows with the stream but not per
 //! node: the packets themselves, the deployment's pool of them, the
 //! source's own copies and the players' measurement history. Dividing the
 //! peaks' difference between two stream lengths by the records' difference
@@ -19,17 +20,18 @@ use gossip::types::{Duration, Time};
 
 /// Enough receivers that one packet's shared cost is small per receiver.
 const N: usize = 96;
-/// The record a node keeps per id: its request word. The payload is the
-/// deployment pool's.
-const RECORD: f64 = 8.0;
+/// The record a node keeps per settled id: its narrow request word, and
+/// its share of its row's 8-byte base time over the window's 110 ids. The
+/// payload is the deployment pool's.
+const RECORD: f64 = 4.0 + 8.0 / 110.0;
 /// What else a longer stream adds per (node, id): a player's record of each
 /// window (at most 128 B, doubling `Vec` included, over 110 ids); one
 /// packet — its shared header and 50-byte payload, under 256 B with the
 /// allocator's rounding — and its 16-byte pool entry, and the source's
 /// own copy of it (a 16-byte entry of a `Vec` that doubles, so up to 32 B),
 /// all over the 95 receivers that record it. They come to 4.4 B; the ids
-/// in flight, whose retransmission timers are all a node keeps beside the
-/// records, do not grow with the stream.
+/// in flight — their retransmission timers and the wide rows that link to
+/// them, the newest row included — do not grow with the stream.
 const MARGIN: f64 = 128.0 / 110.0 + (256.0 + 16.0 + 32.0) / (N - 1) as f64;
 
 /// Runs `secs` of stream (the paper's 100 + 10 windows, one a second) and
@@ -56,7 +58,7 @@ fn run(secs: u64) -> (isize, usize) {
 }
 
 #[test]
-fn a_recorded_id_costs_a_node_eight_bytes_of_peak_heap() {
+fn a_settled_id_costs_a_node_four_bytes_of_peak_heap() {
     let ((short_peak, short_records), (long_peak, long_records)) = (run(20), run(60));
     assert!(long_records > 2 * short_records, "{short_records} → {long_records} records");
     let per_id = (long_peak - short_peak) as f64 / (long_records - short_records) as f64;
