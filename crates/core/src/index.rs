@@ -250,23 +250,6 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         row.get(offset)?.as_ref()
     }
 
-    /// Returns a mutable reference to the value of `key`, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (window, offset) = key.dense_key();
-        let i = self.locate_row(window).ok()?;
-        self.rows[i].1.get_mut(offset as usize)?.as_mut()
-    }
-
-    /// Finds — creating the row and growing it as needed — the slot of
-    /// `key`. All inserting entry points go through here. Returns the entry
-    /// counter alongside the slot (disjoint borrows) so callers filling a
-    /// vacancy can bump it while still holding the slot.
-    fn slot_mut(&mut self, key: &K) -> (&mut usize, &mut Option<V>) {
-        let (window, offset) = key.dense_key();
-        let i = self.find_or_create_row(window);
-        (&mut self.len, grow_to(&mut self.rows[i].1, offset as usize, &mut self.max_row))
-    }
-
     /// Drops the oldest rows, in window order, as long as `expired` holds
     /// for every value of a row; the first row with a live value stops the
     /// walk. Returns the window after the last row dropped, if one was: no
@@ -275,35 +258,17 @@ impl<K: EventIndex, V> DenseMap<K, V> {
         self.drop_rows(|row| row.iter().flatten().all(&mut expired))
     }
 
-    /// Inserts `value` under `key`, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (len, slot) = self.slot_mut(&key);
-        let previous = slot.replace(value);
-        if previous.is_none() {
-            *len += 1;
-        }
-        previous
-    }
-
     /// Returns a mutable reference to the value of `key`, inserting
-    /// `default()` first if absent.
+    /// `default()` first if absent (creating the row and growing it as
+    /// needed). The plain map's one inserting entry point.
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let (len, slot) = self.slot_mut(&key);
+        let (window, offset) = key.dense_key();
+        let i = self.find_or_create_row(window);
+        let slot = grow_to(&mut self.rows[i].1, offset as usize, &mut self.max_row);
         if slot.is_none() {
-            *len += 1;
+            self.len += 1;
         }
         slot.get_or_insert_with(default)
-    }
-
-    /// Visits, in window order, the value of every entry whose window is
-    /// `first_window` or later, paired with its window: a walk over the
-    /// recent end of a long-lived map costs what that end holds.
-    pub fn values_mut_from(&mut self, first_window: u64) -> impl Iterator<Item = (u64, &mut V)> {
-        let start = self.first_row(first_window);
-        self.rows[start..].iter_mut().flat_map(|(window, row)| {
-            let window = *window;
-            row.iter_mut().flatten().map(move |v| (window, v))
-        })
     }
 }
 
@@ -643,13 +608,14 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut m: DenseMap<u64, &str> = DenseMap::new();
         assert!(m.is_empty());
-        assert_eq!(m.insert(7, "seven"), None);
-        assert_eq!(m.insert(300, "three hundred"), None); // different window
+        assert_eq!(*m.get_or_insert_with(7, || "seven"), "seven");
+        assert_eq!(*m.get_or_insert_with(300, || "three hundred"), "three hundred"); // different window
         assert_eq!(m.get(&7), Some(&"seven"));
         assert_eq!(m.get(&300), Some(&"three hundred"));
         assert_eq!(m.get(&8), None);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.insert(7, "SEVEN"), Some("seven"));
+        *m.get_or_insert_with(7, || "unused") = "SEVEN";
+        assert_eq!(m.get(&7), Some(&"SEVEN"));
         assert_eq!(m.len(), 2);
     }
 
@@ -668,7 +634,7 @@ mod tests {
         // Keys spanning the whole u64 range: storage must stay proportional
         // to the number of windows touched, not the numeric span.
         for &id in &[0u64, u64::MAX, 1 << 40, (1 << 40) + 1, 1 << 63] {
-            m.insert(id, 1);
+            m.get_or_insert_with(id, || 1);
         }
         assert_eq!(m.len(), 5);
         assert_eq!(m.rows.len(), 4, "two keys share the 1<<40 window");
@@ -683,9 +649,9 @@ mod tests {
         // Windows 0, 1, 2 and 4; the value is the window, except one
         // straggler in window 1 that is still live.
         for id in [0u64, 5, 256, 300, 512, 1024] {
-            m.insert(id, id >> 8);
+            m.get_or_insert_with(id, || id >> 8);
         }
-        m.insert(257, 9);
+        m.get_or_insert_with(257, || 9);
         assert_eq!(m.drop_expired_rows(|&v| v > 5), None, "the first row is live: nothing goes");
         assert_eq!(m.drop_expired_rows(|&v| v < 4), Some(1), "window 1's straggler stops the walk");
         assert_eq!((m.len(), m.windows()), (5, 3));

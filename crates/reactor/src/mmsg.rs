@@ -23,9 +23,10 @@
 //!   error drops exactly the refused datagram, retains the rest, and asks
 //!   the caller to re-bind the socket — the [`SendVerdict`] tells the shard
 //!   which recovery to run.
-//! * **Recv** — a [`RecvQueue`] owns a pool of fixed buffers; one
-//!   `recvmmsg` fills up to a batch of them, and the shard demuxes each as
-//!   a borrowed slice.
+//! * **Recv** — a [`RecvQueue`] owns a pool of max-datagram buffers that
+//!   grows with the largest burst the shard has seen; one `recvmmsg` fills
+//!   up to the pool's worth of them, and the shard demuxes each as a
+//!   borrowed slice.
 //! * **Wait** — `UdpEnv`'s wait is where a live shard sleeps: the dwell,
 //!   then one `ppoll(2)` over its whole socket pool, returning which sockets
 //!   have something to read. The portable path cannot watch a pool: it
@@ -330,33 +331,59 @@ fn retain_tail(queue: &SendQueue, first: usize, pending: &mut SendQueue) {
     }
 }
 
-/// The reusable receive pool: a fixed set of max-datagram buffers one
-/// `recvmmsg` fills in a single syscall (the fallback fills them one
-/// `recv_from` each). Received datagrams are then walked as borrowed
-/// slices — the pool is the *only* copy of inbound bytes on the hot path.
+/// Slots a receive pool starts with. A pool socket mostly holds a few
+/// datagrams per wake, so a pool of `recv_batch` worst-case buffers would
+/// be resident and unused; it grows instead (see [`RecvQueue::grow`]).
+const START_SLOTS: usize = 4;
+
+/// The reusable receive pool: max-datagram buffers one `recvmmsg` fills in
+/// a single syscall (the fallback fills them one `recv_from` each).
+/// Received datagrams are then walked as borrowed slices — the pool is the
+/// *only* copy of inbound bytes on the hot path.
+///
+/// It starts with [`START_SLOTS`] buffers and doubles, up to its cap,
+/// whenever a receive call fills every one of them: it holds the largest
+/// burst the shard has seen, never more than the cap, and never shrinks.
 #[derive(Debug, Default)]
 pub(crate) struct RecvQueue {
     bufs: Vec<Vec<u8>>,
     lens: Vec<usize>,
     count: usize,
+    /// Most buffers the pool grows to.
+    cap: usize,
+    /// Size of every buffer.
+    buf_size: usize,
 }
 
 impl RecvQueue {
-    /// Builds a pool of `batch` buffers of `buf_size` bytes each
-    /// (`batch` is clamped to `1..=`[`MAX_VLEN`]).
-    pub fn new(batch: usize, buf_size: usize) -> Self {
-        let batch = batch.clamp(1, MAX_VLEN);
-        RecvQueue {
-            bufs: (0..batch).map(|_| vec![0u8; buf_size]).collect(),
-            lens: vec![0; batch],
-            count: 0,
-        }
+    /// Builds a pool of `buf_size`-byte buffers that grows up to `cap` of
+    /// them (`cap` is clamped to `1..=`[`MAX_VLEN`]).
+    pub fn new(cap: usize, buf_size: usize) -> Self {
+        let cap = cap.clamp(1, MAX_VLEN);
+        let mut queue = RecvQueue { cap, buf_size, ..RecvQueue::default() };
+        queue.resize(START_SLOTS.min(cap));
+        queue
     }
 
-    /// Datagrams one receive call can return: a shorter batch means the
-    /// socket's kernel queue is empty.
+    /// Datagrams one receive call can return now.
     pub fn capacity(&self) -> usize {
         self.bufs.len()
+    }
+
+    /// Most datagrams one receive call will ever be able to return.
+    pub fn cap(&self) -> usize {
+        self.cap
+    }
+
+    /// Doubles the pool, up to its cap: the drain's answer to a receive
+    /// call that filled every buffer.
+    pub fn grow(&mut self) {
+        self.resize((2 * self.bufs.len()).min(self.cap));
+    }
+
+    fn resize(&mut self, slots: usize) {
+        self.bufs.resize_with(slots, || vec![0; self.buf_size]);
+        self.lens.resize(slots, 0);
     }
 
     /// The datagrams the last receive call produced, borrowed straight
@@ -453,6 +480,7 @@ impl ShardEnv for UdpEnv {
     fn recv(
         &mut self,
         si: usize,
+        want: usize,
         queue: &mut RecvQueue,
         stats: &mut ShardStats,
     ) -> io::Result<usize> {
@@ -460,19 +488,20 @@ impl ShardEnv for UdpEnv {
         queue.count = 0;
         match self.backend {
             Backend::Mmsg => {
-                queue.count = match sys::recv_batch(socket, &mut queue.bufs, &mut queue.lens) {
-                    Ok(got) => got,
-                    Err(e) if classify(&e) == ErrorClass::Transient => 0,
-                    Err(e) => return Err(e),
-                };
+                queue.count =
+                    match sys::recv_batch(socket, &mut queue.bufs[..want], &mut queue.lens) {
+                        Ok(got) => got,
+                        Err(e) if classify(&e) == ErrorClass::Transient => 0,
+                        Err(e) => return Err(e),
+                    };
                 if queue.count > 0 {
                     stats.recv_syscalls += 1;
                     stats.kernel_received += queue.count as u64;
-                    stats.recv_capacity += queue.capacity() as u64;
+                    stats.recv_capacity += want as u64;
                 }
             }
             Backend::Fallback => {
-                while queue.count < queue.capacity() {
+                while queue.count < want {
                     match socket.recv_from(&mut queue.bufs[queue.count]) {
                         Ok((len, _)) => {
                             queue.lens[queue.count] = len;
@@ -961,6 +990,7 @@ pub(crate) mod testnet {
         fn recv(
             &mut self,
             si: usize,
+            want: usize,
             queue: &mut RecvQueue,
             stats: &mut ShardStats,
         ) -> io::Result<usize> {
@@ -968,9 +998,7 @@ pub(crate) mod testnet {
             let now = net.now;
             let socket = &mut net.sockets[self.first + si];
             queue.count = 0;
-            while queue.count < queue.capacity()
-                && socket.queue.front().is_some_and(|a| a.at <= now)
-            {
+            while queue.count < want && socket.queue.front().is_some_and(|a| a.at <= now) {
                 let Some(arrival) = socket.queue.pop_front() else { break };
                 socket.bytes -= arrival.bytes.len();
                 let buf = &mut queue.bufs[queue.count];
@@ -986,7 +1014,7 @@ pub(crate) mod testnet {
                 stats.recv_capacity += got;
             } else if got > 0 {
                 stats.recv_syscalls += 1;
-                stats.recv_capacity += queue.capacity() as u64;
+                stats.recv_capacity += want as u64;
             }
             Ok(queue.count)
         }
@@ -1187,8 +1215,10 @@ mod tests {
         drain_queue(|q, first| env.send_from(0, q, first), queue, &mut pending, &mut stats);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut recv = RecvQueue::new(16, 2048);
+        recv.grow();
+        recv.grow(); // 4 → 16 slots: the whole backlog fits one call
         let mut rstats = ShardStats::default();
-        env.recv(1, &mut recv, &mut rstats).expect("recv");
+        env.recv(1, recv.capacity(), &mut recv, &mut rstats).expect("recv");
         (stats, rstats, recv.datagrams().map(<[u8]>::to_vec).collect())
     }
 
@@ -1308,7 +1338,7 @@ mod tests {
         let mut stats = ShardStats::default();
         for batched in [false, true] {
             let mut env = env_of(pool(1).0, batched);
-            assert_eq!(env.recv(0, &mut recv, &mut stats).expect("recv"), 0);
+            assert_eq!(env.recv(0, 4, &mut recv, &mut stats).expect("recv"), 0);
         }
         assert_eq!(stats.recv_syscalls, 0, "empty reads are not data-bearing");
     }

@@ -75,19 +75,27 @@
 //! is only where it receives. The packed queues then drain through the
 //! environment — batches of kernel datagrams per `sendmmsg` where the
 //! platform has it, per-datagram `send_to` otherwise. Ingress
-//! is symmetric: `recvmmsg` fills a pooled batch of buffers, and each
+//! is symmetric: `recvmmsg` fills a pool of max-datagram buffers, and each
 //! received datagram is demuxed as a *borrowed* slice whose frames feed
 //! the protocol through the zero-copy `decode_frame`/`on_frame` path —
 //! the pooled buffer is the only copy of inbound bytes the hot path ever
-//! makes. The per-shard [`ShardStats`] report the resulting
-//! syscalls-per-datagram and batch-occupancy ratios.
+//! makes. The pool holds the largest burst the shard has seen, not a
+//! worst case: it starts with a few buffers and doubles whenever a
+//! receive call fills them all, up to `recv_batch` (at most
+//! [`MAX_VLEN`](crate::mmsg::MAX_VLEN)), and never shrinks. The per-shard
+//! [`ShardStats`] report the resulting syscalls-per-datagram and
+//! batch-occupancy ratios.
 //!
 //! Receive work is budgeted: at most `recv_batch` datagrams per socket
 //! per iteration, and a wheel deadline coming due ends the drain early —
 //! an ingress flood cannot stall the timers that keep rounds, sources
-//! and upload links on schedule. A socket stays flagged until a read comes
-//! back short of a full batch, which proves its kernel queue empty
-//! without paying for an `EAGAIN`.
+//! and upload links on schedule. The drain reads in batches of what one
+//! call on a pool at its cap would take; below the cap a batch takes as
+//! many calls as the growing pool needs, each asking for no more than
+//! the budget left, and the deadline check follows the whole batch. A
+//! socket stays flagged until a call comes back short of what it asked
+//! for, which proves its kernel queue empty without paying for an
+//! `EAGAIN`.
 //!
 //! # Payload storage: one copy of the stream per shard
 //!
@@ -172,12 +180,14 @@ pub(crate) trait ShardEnv {
         ready: &mut Vec<PollFd>,
     ) -> io::Result<()>;
 
-    /// Receives up to one batch on pool socket `si` into `queue` without
-    /// blocking, counting the calls that moved data into `stats`. Returns
-    /// how many datagrams `queue` now holds (0: none pending).
+    /// Receives up to `want` datagrams (at most `queue`'s capacity) on pool
+    /// socket `si` into `queue` without blocking, counting the calls that
+    /// moved data into `stats`. Returns how many datagrams `queue` now
+    /// holds (0: none pending).
     fn recv(
         &mut self,
         si: usize,
+        want: usize,
         queue: &mut RecvQueue,
         stats: &mut ShardStats,
     ) -> io::Result<usize>;
@@ -200,8 +210,8 @@ pub(crate) trait ShardEnv {
 /// window of serves with it.
 const MAX_COALESCED: usize = 16 * 1024;
 
-/// Size of one receive buffer (max UDP datagram, like the thread
-/// runtime's): nothing a peer shard can send is ever truncated.
+/// Size of one receive buffer, the largest UDP datagram: nothing a peer
+/// can send is ever truncated, however few of them the pool holds.
 const RECV_BUF_SIZE: usize = 65_536;
 
 /// First backoff interval after a transient send failure. Doubles per
@@ -410,14 +420,19 @@ struct Routes {
 }
 
 impl Routes {
+    /// Ranks the book's distinct addresses in one pass over its ids sorted
+    /// by address: each id joins the group of the last distinct address.
     fn new(addresses: &[SocketAddr]) -> Self {
-        let mut addrs = addresses.to_vec();
-        addrs.sort_unstable();
-        addrs.dedup();
-        let group_of = addresses
-            .iter()
-            .map(|a| addrs.binary_search(a).expect("every address is in its own book") as u32)
-            .collect();
+        let mut by_addr: Vec<u32> = (0..addresses.len() as u32).collect();
+        by_addr.sort_unstable_by_key(|&g| addresses[g as usize]);
+        let (mut addrs, mut group_of) = (Vec::new(), vec![0; addresses.len()]);
+        for g in by_addr {
+            let addr = addresses[g as usize];
+            if addrs.last() != Some(&addr) {
+                addrs.push(addr);
+            }
+            group_of[g as usize] = (addrs.len() - 1) as u32;
+        }
         Routes { addrs, group_of }
     }
 
@@ -741,40 +756,13 @@ impl<E: ShardEnv> Shard<E> {
             let si = (first + k) % pool;
             let mut received = 0;
             while self.ready[si].flagged() && received < self.recv_batch {
-                let n = match self.env.recv(si, queue, &mut self.stats) {
-                    Ok(n) => n,
-                    Err(e) => match classify(&e) {
-                        // The batched syscall vanished mid-run: fall back
-                        // to plain recv_from; the socket stays flagged, so
-                        // the retry is the next iteration, undwelt.
-                        ErrorClass::Downgrade => {
-                            self.downgrade();
-                            break;
-                        }
-                        ErrorClass::Transient => 0,
-                        // The socket is dead (e.g. EBADF): re-bind it and
-                        // move on — its kernel backlog is lost, which is
-                        // UDP semantics anyway.
-                        ErrorClass::Fatal => {
-                            self.rebind(si)?;
-                            0
-                        }
-                    },
-                };
-                if n < queue.capacity() {
-                    self.ready[si].clear(); // a short batch: nothing left queued
-                }
-                if n == 0 {
+                // One batch: what a single call on a pool at its cap takes.
+                let want = (self.recv_batch - received).min(queue.cap());
+                let got = self.read_batch(si, want, queue)?;
+                if got == 0 {
                     break;
                 }
-                received += n;
-                let now = self.env.now();
-                for datagram in queue.datagrams() {
-                    // Borrowed all the way down: demux slices this pooled
-                    // buffer and `decode_frame` lends the protocol a view
-                    // of the same bytes.
-                    self.on_datagram(datagram, now);
-                }
+                received += got;
                 if self.wheel.peek_time().is_some_and(|at| at <= self.env.now()) {
                     // A deadline is due: timers beat ingress. Resume at
                     // this (possibly still backlogged) socket next time.
@@ -787,6 +775,57 @@ impl<E: ShardEnv> Shard<E> {
             self.drain_cursor = (si + 1) % pool;
         }
         Ok(())
+    }
+
+    /// Receives one batch of up to `want` datagrams on pool socket `si` and
+    /// routes each, in as many receive calls as a pool below its cap needs:
+    /// a call that fills every buffer doubles the pool, and the batch goes
+    /// on until it has `want` datagrams or a call comes back short of what
+    /// it asked for — which proves the socket empty and unflags it. Returns
+    /// how many datagrams the batch had.
+    fn read_batch(&mut self, si: usize, want: usize, queue: &mut RecvQueue) -> io::Result<usize> {
+        let mut got = 0;
+        while got < want {
+            let ask = (want - got).min(queue.capacity());
+            let n = match self.env.recv(si, ask, queue, &mut self.stats) {
+                Ok(n) => n,
+                Err(e) => match classify(&e) {
+                    // The batched syscall vanished mid-run: fall back to
+                    // plain recv_from; the socket stays flagged, so the
+                    // retry is on the portable path.
+                    ErrorClass::Downgrade => {
+                        self.downgrade();
+                        break;
+                    }
+                    ErrorClass::Transient => 0,
+                    // The socket is dead (e.g. EBADF): re-bind it and move
+                    // on — its kernel backlog is lost, which is UDP
+                    // semantics anyway.
+                    ErrorClass::Fatal => {
+                        self.rebind(si)?;
+                        0
+                    }
+                },
+            };
+            if n > 0 {
+                got += n;
+                let now = self.env.now();
+                for datagram in queue.datagrams() {
+                    // Borrowed all the way down: demux slices this pooled
+                    // buffer and `decode_frame` lends the protocol a view
+                    // of the same bytes.
+                    self.on_datagram(datagram, now);
+                }
+                if n == queue.capacity() {
+                    queue.grow();
+                }
+            }
+            if n < ask {
+                self.ready[si].clear(); // a short call: nothing left queued
+                break;
+            }
+        }
+        Ok(got)
     }
 
     /// Unpacks one received kernel datagram into its protocol frames and
@@ -1485,7 +1524,7 @@ mod tests {
 
     use super::stepped::VirtualCluster;
     use super::*;
-    use crate::mmsg::testnet::{Net, VirtualEnv, WIRE_DELAY};
+    use crate::mmsg::testnet::{Net, SharedNet, VirtualEnv, WIRE_DELAY};
     use crate::mmsg::UdpEnv;
     use crate::ReactorOptions;
 
@@ -1519,6 +1558,57 @@ mod tests {
         })
     }
 
+    /// The config of a one-shard cluster of `n` smoke-test nodes that
+    /// `tweak` has adjusted, receive budget `recv_batch`, over a pool of
+    /// `pool` sockets answering at `addr(k)` (node `g` homes on socket
+    /// `g % pool`).
+    fn one_shard_config(
+        pool: usize,
+        n: usize,
+        recv_batch: usize,
+        tweak: impl FnOnce(&mut ClusterConfig),
+        addr: impl Fn(usize) -> SocketAddr,
+    ) -> ShardConfig {
+        let mut cluster = ClusterConfig::smoke_test();
+        cluster.n = n;
+        tweak(&mut cluster);
+        let compiled = Arc::new(cluster.compiled_adversity());
+        let addresses =
+            Arc::new((0..compiled.total_n).map(|g| addr(demux::home_socket(g, pool))).collect());
+        ShardConfig {
+            index: 0,
+            placement: demux::Placement::whole(n, 1),
+            recv_batch,
+            cluster,
+            compiled,
+            addresses,
+            stop: Arc::new(AtomicBool::new(false)),
+            telemetry: None,
+        }
+    }
+
+    /// [`one_shard_config`] on real loopback sockets, on the probed path or
+    /// pinned to the portable one: the config, its environment and the
+    /// pool's addresses.
+    fn live_parts(
+        batched: bool,
+        pool: usize,
+        n: usize,
+        recv_batch: usize,
+        tweak: impl FnOnce(&mut ClusterConfig),
+    ) -> (ShardConfig, UdpEnv, Vec<SocketAddr>) {
+        let sockets: Vec<UdpSocket> =
+            (0..pool).map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind")).collect();
+        let addrs: Vec<SocketAddr> =
+            sockets.iter().map(|s| s.local_addr().expect("addr")).collect();
+        let config = one_shard_config(pool, n, recv_batch, tweak, |k| addrs[k]);
+        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
+        if !batched {
+            env.downgrade();
+        }
+        (config, env, addrs)
+    }
+
     /// [`one_shard_of`]'s cluster on real loopback sockets, on the probed
     /// path or pinned to the portable one. Returns the shard and the pool's
     /// addresses.
@@ -1528,31 +1618,236 @@ mod tests {
         n: usize,
         tweak: impl FnOnce(&mut ClusterConfig),
     ) -> (Shard<UdpEnv>, Vec<SocketAddr>) {
-        let mut cluster = ClusterConfig::smoke_test();
-        cluster.n = n;
-        tweak(&mut cluster);
-        let compiled = Arc::new(cluster.compiled_adversity());
-        let sockets: Vec<UdpSocket> =
-            (0..pool).map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind")).collect();
-        let addrs: Vec<SocketAddr> =
-            sockets.iter().map(|s| s.local_addr().expect("addr")).collect();
-        let addresses =
-            Arc::new((0..compiled.total_n).map(|g| addrs[demux::home_socket(g, pool)]).collect());
-        let config = ShardConfig {
-            index: 0,
-            placement: demux::Placement::whole(n, 1),
-            recv_batch: 8,
-            cluster,
-            compiled,
-            addresses,
-            stop: Arc::new(AtomicBool::new(false)),
-            telemetry: None,
-        };
-        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
-        if !batched {
-            env.downgrade();
-        }
+        let (config, env, addrs) = live_parts(batched, pool, n, 8, tweak);
         (Shard::new(config, env), addrs)
+    }
+
+    /// An environment that keeps a copy of every datagram its receive
+    /// calls hand the shard, in the order they hand them over.
+    struct Tap<E> {
+        env: E,
+        seen: Vec<Vec<u8>>,
+    }
+
+    impl<E: ShardEnv> ShardEnv for Tap<E> {
+        fn now(&self) -> Time {
+            self.env.now()
+        }
+
+        fn pool(&self) -> usize {
+            self.env.pool()
+        }
+
+        fn batched(&self) -> bool {
+            self.env.batched()
+        }
+
+        fn wait(
+            &mut self,
+            dwell: Duration,
+            timeout: Duration,
+            ready: &mut Vec<PollFd>,
+        ) -> io::Result<()> {
+            self.env.wait(dwell, timeout, ready)
+        }
+
+        fn recv(
+            &mut self,
+            si: usize,
+            want: usize,
+            queue: &mut RecvQueue,
+            stats: &mut ShardStats,
+        ) -> io::Result<usize> {
+            let n = self.env.recv(si, want, queue, stats)?;
+            self.seen.extend(queue.datagrams().map(<[u8]>::to_vec));
+            Ok(n)
+        }
+
+        fn send_from(&mut self, si: usize, queue: &SendQueue, first: usize) -> io::Result<usize> {
+            self.env.send_from(si, queue, first)
+        }
+
+        fn rebind(&mut self, si: usize) -> io::Result<()> {
+            self.env.rebind(si)
+        }
+
+        fn downgrade(&mut self) {
+            self.env.downgrade();
+        }
+    }
+
+    /// A shard of 4 idle nodes with receive budget `recv_batch` on one
+    /// in-memory socket, its receive calls tapped and its wheel emptied:
+    /// a drain does nothing but ingress. Returns it and its net.
+    fn tapped_shard(batched: bool, recv_batch: usize) -> (Shard<Tap<VirtualEnv>>, SharedNet) {
+        let net = Net::shared(1, 1 << 20);
+        let idle = |cluster: &mut ClusterConfig| cluster.stream_duration = Duration::ZERO;
+        let config = one_shard_config(1, 4, recv_batch, idle, Net::addr);
+        let env = Tap { env: VirtualEnv::new(Rc::clone(&net), 0, 1, batched), seen: Vec::new() };
+        let mut shard = Shard::new(config, env);
+        while shard.wheel.pop_before(Time::MAX).is_some() {}
+        (shard, net)
+    }
+
+    /// `count` distinct kernel datagrams — one frame each, for a node no
+    /// shard hosts — of sizes from 8 to 1 KiB.
+    fn distinct_datagrams(count: usize) -> Vec<Vec<u8>> {
+        (0..count as u32)
+            .map(|k| {
+                let mut datagram = Vec::new();
+                let wire = k.to_le_bytes().repeat(2 + (k as usize * 37) % 255);
+                assert!(demux::append_frame(&mut datagram, NodeId::new(1000), &wire));
+                datagram
+            })
+            .collect()
+    }
+
+    /// Queues `count` distinct datagrams on the tapped shard's socket, all
+    /// readable at one instant, and flags it. Returns them in arrival order.
+    fn burst(shard: &mut Shard<Tap<VirtualEnv>>, net: &SharedNet, count: usize) -> Vec<Vec<u8>> {
+        let datagrams = distinct_datagrams(count);
+        let mut net = net.borrow_mut();
+        for datagram in &datagrams {
+            net.send(stranger(), Net::addr(0), datagram);
+        }
+        let readable = net.now() + WIRE_DELAY;
+        net.set_now(readable);
+        shard.ready[0] = PollFd::BLIND;
+        datagrams
+    }
+
+    /// A burst larger than the pool, queued at one instant, is drained in
+    /// one turn and handed over in arrival order, on both I/O paths: the
+    /// pool grows under it (4 → 8 → 16 → 32 slots), every call but the
+    /// last fills it, and the last comes back short and unflags the socket.
+    #[test]
+    fn a_burst_larger_than_the_pool_drains_in_arrival_order_in_one_turn() {
+        for batched in [true, false] {
+            let (mut shard, net) = tapped_shard(batched, 64);
+            assert_eq!(shard.recv_queue.capacity(), 4, "batched={batched}");
+            let sent = burst(&mut shard, &net, 40);
+            shard.turn().expect("turn");
+            assert_eq!(shard.stats.iterations, 1);
+            assert!(shard.env.seen == sent, "batched={batched}: not the burst, in order");
+            assert!(!shard.ready[0].flagged(), "batched={batched}: the short call unflags");
+            assert_eq!(shard.recv_queue.capacity(), 32, "batched={batched}");
+            let stats = shard.stats;
+            let calls = if batched { (4, 4 + 8 + 16 + 32) } else { (40, 40) };
+            assert_eq!((stats.kernel_received, stats.datagrams_received), (40, 40));
+            assert_eq!((stats.recv_syscalls, stats.recv_capacity), calls, "batched={batched}");
+        }
+    }
+
+    /// The per-socket budget stays exactly `recv_batch` while the pool
+    /// grows under it — for a budget its doublings miss (24) and for one
+    /// past what one call may take (100; a call takes at most
+    /// `MAX_VLEN`) — and a burst of three budgets leaves the socket flagged
+    /// after each of three drains: only a call that comes back short of
+    /// what it asked for proves the socket empty, which the fourth does.
+    #[test]
+    fn the_receive_budget_stays_exact_while_the_pool_grows() {
+        for batched in [true, false] {
+            for recv_batch in [24, 100] {
+                let (mut shard, net) = tapped_shard(batched, recv_batch);
+                let sent = burst(&mut shard, &net, 3 * recv_batch);
+                for drain in 1..=3 {
+                    shard.drain_sockets().expect("drain");
+                    let seen = shard.env.seen.len();
+                    let at = format!("batched={batched}, recv_batch={recv_batch}, drain {drain}");
+                    assert_eq!(seen, drain * recv_batch, "{at}: the budget");
+                    assert!(shard.ready[0].flagged(), "{at}: a full budget proves nothing");
+                }
+                shard.drain_sockets().expect("drain");
+                assert!(!shard.ready[0].flagged(), "batched={batched}: the socket is empty");
+                assert!(shard.env.seen == sent, "batched={batched}: not the burst, in order");
+            }
+        }
+    }
+
+    /// The pool doubles only after a call that filled every slot, and
+    /// stops at its cap, `min(recv_batch, MAX_VLEN)` — one `recv_batch`
+    /// that no doubling of the starting 4 reaches (24), one past the
+    /// vector limit (100) — however large the bursts that follow.
+    #[test]
+    fn the_pool_doubles_only_after_a_full_call_and_stops_at_its_cap() {
+        use crate::mmsg::MAX_VLEN;
+
+        for batched in [true, false] {
+            for (recv_batch, cap) in [(24, 24), (100, MAX_VLEN)] {
+                let (mut shard, net) = tapped_shard(batched, recv_batch);
+                let mut slots_after = |count: usize| {
+                    burst(&mut shard, &net, count);
+                    while shard.ready[0].flagged() {
+                        shard.drain_sockets().expect("drain");
+                    }
+                    shard.recv_queue.capacity()
+                };
+                let at = format!("batched={batched}, recv_batch={recv_batch}");
+                assert_eq!(slots_after(3), 4, "{at}: three fit the starting pool");
+                assert_eq!(slots_after(4), 8, "{at}: a call that fills the pool doubles it");
+                assert_eq!(slots_after(7), 8, "{at}: seven do not fill eight");
+                assert_eq!(slots_after(8), 16, "{at}");
+                for _ in 0..3 {
+                    assert_eq!(slots_after(3 * recv_batch), cap, "{at}: past the cap");
+                }
+            }
+        }
+    }
+
+    /// A shard whose sockets never hold more datagrams at once than its
+    /// pool starts with keeps the starting pool: every call offered 4
+    /// slots, and none filled them.
+    #[test]
+    fn a_shard_that_never_sees_a_burst_keeps_its_starting_pool() {
+        for batched in [true, false] {
+            let mut cluster = one_shard(batched, 2, false);
+            let trickle = distinct_datagrams(1);
+            for step in 1..=100 {
+                cluster.net.borrow_mut().send(stranger(), Net::addr(step % 2), &trickle[0]);
+                cluster.run_until(at_ms(3 * step as u64));
+            }
+            let stats = cluster.shards[0].stats;
+            assert!(stats.kernel_received >= 100, "batched={batched}");
+            if batched {
+                assert_eq!(stats.recv_capacity, 4 * stats.recv_syscalls);
+            }
+            assert_eq!(cluster.shards[0].recv_queue.capacity(), 4, "batched={batched}");
+        }
+    }
+
+    /// The batched path and the portable fallback are one receive path to
+    /// the shard: the same loopback burst, drained through either, hands
+    /// the shard the same datagrams in the same order and leaves its pool
+    /// the same size. Real sockets: this is the kernel's part.
+    #[test]
+    fn both_io_backends_hand_the_shard_one_burst_alike() {
+        let sent = distinct_datagrams(40);
+        let legs = [true, false].map(|batched| {
+            let idle = |cluster: &mut ClusterConfig| cluster.stream_duration = Duration::ZERO;
+            let (config, env, addrs) = live_parts(batched, 1, 4, 64, idle);
+            let mut shard = Shard::new(config, Tap { env, seen: Vec::new() });
+            shard.drain_sockets().expect("drain"); // settle: one blind pass
+            let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+            for datagram in &sent {
+                tx.send_to(datagram, addrs[0]).expect("send");
+            }
+            // Loopback delivers the whole burst well within the pause; a
+            // straggler is read all the same, it only grows the pool less.
+            thread::sleep(std::time::Duration::from_millis(20));
+            for _ in 0..1000 {
+                shard.ready[0] = PollFd::BLIND;
+                shard.drain_sockets().expect("drain");
+                if shard.env.seen.len() >= sent.len() {
+                    break;
+                }
+                thread::sleep(std::time::Duration::from_millis(1));
+            }
+            (shard.env.seen, shard.recv_queue.capacity())
+        });
+        let [(mmsg, mmsg_slots), (portable, portable_slots)] = legs;
+        assert!(mmsg == sent, "the batched path reordered, lost or altered the burst");
+        assert!(portable == sent, "the portable path reordered, lost or altered the burst");
+        assert_eq!(mmsg_slots, portable_slots, "the pools grew apart");
     }
 
     /// Runs a live `shard` on its own thread for `window`, then stops it.
@@ -1793,6 +2088,15 @@ mod tests {
         assert_eq!(to_one.iter().map(|(_, _, f)| f.len()).collect::<Vec<_>>(), [16, 16, 8]);
         let payloads = to_one.iter().flat_map(|(_, _, frames)| frames).map(|(_, wire)| wire[0]);
         assert!(payloads.eq(0..40u8), "every frame arrived, in release order");
+    }
+
+    /// A destination group is its address's rank among the book's distinct
+    /// addresses, whatever order the book lists them in.
+    #[test]
+    fn a_group_is_its_address_rank_in_the_book() {
+        let routes = Routes::new(&[3, 1, 3, 2, 1, 9].map(Net::addr));
+        assert_eq!(routes.addrs, [1, 2, 3, 9].map(Net::addr));
+        assert_eq!(routes.group_of, [2, 0, 2, 1, 0, 3]);
     }
 
     /// Each destination address leaves from one fixed pool socket, its rank

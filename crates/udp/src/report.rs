@@ -78,8 +78,10 @@ gossip_types::counters! {
         /// Kernel datagrams received.
         kernel_received: "gossip_shard_kernel_datagrams_received_total",
             "Kernel datagrams received across the socket pool.",
-        /// Total batch capacity offered across data-bearing receive calls
-        /// (denominator of [`ShardStats::recv_batch_occupancy`]).
+        /// Receive slots offered across data-bearing receive calls: what
+        /// each call asked for — the receive pool's size at the call,
+        /// unless the socket's budget had less left (denominator of
+        /// [`ShardStats::recv_batch_occupancy`]).
         recv_capacity: "gossip_shard_recv_capacity_total",
             "Receive batch slots offered to the kernel (occupancy denominator).",
         /// Kernel datagrams whose demux framing was malformed (truncated
@@ -146,8 +148,10 @@ impl ShardStats {
         (self.recv_syscalls > 0).then(|| self.datagrams_received as f64 / self.recv_syscalls as f64)
     }
 
-    /// Average fill fraction of the receive batch across data-bearing
-    /// receive calls (1.0 = every `recvmmsg` came back full).
+    /// Average fill fraction of the slots data-bearing receive calls
+    /// offered (1.0 = every `recvmmsg` came back full). The receive pool
+    /// grows with the bursts a shard sees, so this reads how well the pool
+    /// fits the traffic, not how full a worst-case batch ran.
     pub fn recv_batch_occupancy(&self) -> Option<f64> {
         (self.recv_capacity > 0).then(|| self.kernel_received as f64 / self.recv_capacity as f64)
     }
