@@ -1255,6 +1255,50 @@ mod tests {
         assert_eq!(rstats.recv_capacity, 16);
     }
 
+    /// The batched path and the portable fallback are one send path to the
+    /// wire: the same queue of distinct datagrams, drained through
+    /// `sendmmsg` or through one `send_to` each, reaches a plain socket as
+    /// the same bytes in the same order, with as many handed to the kernel.
+    /// Real sockets: this is the kernel's part.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn both_io_backends_put_one_burst_on_the_wire_alike() {
+        if !sys::supported() {
+            return; // ancient kernel: one path only
+        }
+        // 48 datagrams, each size from 8 B to 1 KiB once, each one's bytes
+        // its own.
+        let sent: Vec<Vec<u8>> = (0..48usize)
+            .map(|k| (0..8 + (k * 29 % 48) * 1016 / 47).map(|i| (k * 7 + i) as u8).collect())
+            .collect();
+        let refs: Vec<&[u8]> = sent.iter().map(Vec::as_slice).collect();
+        let legs = [true, false].map(|batched| {
+            let rx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+            rx.set_read_timeout(Some(std::time::Duration::from_secs(2))).expect("timeout");
+            let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+            let mut env = env_of(vec![tx], batched);
+            assert_eq!(env.batched(), batched);
+            let mut queue = queue_of(&refs, rx.local_addr().expect("addr"));
+            let (mut pending, mut stats) = (SendQueue::default(), ShardStats::default());
+            let send = |queue: &SendQueue, first| env.send_from(0, queue, first);
+            let verdict = drain_queue(send, &mut queue, &mut pending, &mut stats);
+            assert_eq!(verdict, SendVerdict::Drained);
+            let mut buf = [0u8; 2048];
+            let received: Vec<Vec<u8>> = (0..sent.len())
+                .map(|_| {
+                    let (len, _) = rx.recv_from(&mut buf).expect("recv");
+                    buf[..len].to_vec()
+                })
+                .collect();
+            (received, stats.kernel_sent)
+        });
+        let [(mmsg, mmsg_sent), (portable, portable_sent)] = legs;
+        assert!(mmsg == sent, "the batched path reordered, lost or altered the burst");
+        assert!(portable == sent, "the portable path reordered, lost or altered the burst");
+        assert_eq!(mmsg_sent, portable_sent, "the paths counted the kernel's datagrams apart");
+        assert_eq!(mmsg_sent, sent.len() as u64);
+    }
+
     fn pool(n: usize) -> (Vec<UdpSocket>, Vec<SocketAddr>) {
         let sockets: Vec<UdpSocket> =
             (0..n).map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind")).collect();

@@ -5,8 +5,14 @@
 //! whole spans one "year". Pop walks the calendar day by day from the
 //! current position, so on workloads whose events cluster near the clock —
 //! gossip traffic clusters tightly around the 200 ms round cadence — both
-//! push and pop are O(1): push is one division and one append, pop scans the
-//! handful of entries in the current day's bucket.
+//! push and pop are O(1): push is one shift and one link, pop scans the
+//! handful of events chained in the current day's bucket.
+//!
+//! A bucket is a singly-linked chain threaded through the event slab: the
+//! calendar keeps one `u32` head per bucket, and each pending event's slot
+//! holds the next slot of its bucket. The queue therefore holds its pending
+//! events and one word per bucket, nothing sized by the busiest day it ever
+//! had.
 //!
 //! Two adaptations keep the structure exact and general:
 //!
@@ -18,12 +24,14 @@
 //! * **Self-tuning size.** When the population outgrows (or undershoots)
 //!   the bucket array, the calendar is rebuilt with twice (or half) the
 //!   buckets and a day width re-estimated from the gaps between the
-//!   earliest pending events, keeping ~O(1) entries per day. Sparse or
+//!   earliest pending events, keeping ~O(1) events per day. Sparse or
 //!   far-future tails (retransmission timers seconds ahead, `Time::MAX`
 //!   sentinels) are handled by a direct-search fallback after one fruitless
 //!   lap around the calendar.
 //!
 //! [R. Brown, CACM 1988]: https://doi.org/10.1145/63039.63045
+
+use std::collections::BinaryHeap;
 
 use gossip_types::Time;
 
@@ -36,19 +44,8 @@ const DEFAULT_WIDTH_LOG2: u32 = 10;
 /// How many of the earliest pending events the resize samples to estimate
 /// the inter-event gap (and hence the new day width).
 const WIDTH_SAMPLE: usize = 32;
-
-/// One calendar entry. The time is stored inline so that scanning a bucket
-/// for its minimum walks contiguous memory; the insertion-sequence
-/// tie-break lives in the slab and is only consulted when two entries
-/// actually tie on time, keeping the entry at 16 bytes (four per cache
-/// line).
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Event time in microseconds.
-    at: u64,
-    /// Payload slot in the slab.
-    slot: u32,
-}
+/// The end of a chain, and the head of an empty bucket.
+const NIL: u32 = u32::MAX;
 
 /// A priority queue of timestamped events with stable ordering and indexed
 /// cancellation, organised as a self-resizing calendar (bucket array).
@@ -72,10 +69,13 @@ struct Entry {
 ///
 /// [`EventQueue`]: super::EventQueue
 pub struct CalendarQueue<E> {
+    /// The pending events; an occupied slot's `pos` is the next slot of its
+    /// bucket's chain ([`NIL`] at the chain's end).
     slab: Slab<E>,
-    /// The bucket array; `buckets.len()` is a power of two.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`, for masking day numbers into bucket indices.
+    /// The first slot of each bucket's chain ([`NIL`] when empty);
+    /// `heads.len()` is a power of two.
+    heads: Vec<u32>,
+    /// `heads.len() - 1`, for masking day numbers into bucket indices.
     mask: u64,
     /// Day width in microseconds; always a power of two so that the
     /// time→day mapping on the push/cancel path is a shift, not a division.
@@ -98,7 +98,7 @@ impl<E> std::fmt::Debug for CalendarQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CalendarQueue")
             .field("len", &self.len)
-            .field("buckets", &self.buckets.len())
+            .field("buckets", &self.heads.len())
             .field("width_us", &(1u64 << self.width_log2))
             .field("next_seq", &self.next_seq)
             .finish()
@@ -116,7 +116,7 @@ impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
         CalendarQueue {
             slab: Slab::new(),
-            buckets: vec![Vec::new(); MIN_BUCKETS],
+            heads: vec![NIL; MIN_BUCKETS],
             mask: (MIN_BUCKETS - 1) as u64,
             width: 1 << DEFAULT_WIDTH_LOG2,
             width_log2: DEFAULT_WIDTH_LOG2,
@@ -131,8 +131,7 @@ impl<E> CalendarQueue<E> {
     pub fn push(&mut self, at: Time, event: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let micros = at.as_micros();
-        let day = micros >> self.width_log2;
+        let day = at.as_micros() >> self.width_log2;
         // An event earlier than the scan position moves the position back
         // (the engine never schedules into the past, but the queue contract
         // allows it).
@@ -140,17 +139,16 @@ impl<E> CalendarQueue<E> {
             self.cur_day = day;
         }
         let bucket = (day & self.mask) as usize;
-        let pos = self.buckets[bucket].len() as u32;
-        let handle = self.slab.alloc_with_pos(at, seq, event, pos);
-        self.buckets[bucket].push(Entry { at: micros, slot: handle.slot });
+        let handle = self.slab.alloc_with_pos(at, seq, event, self.heads[bucket]);
+        self.heads[bucket] = handle.slot;
         self.len += 1;
-        if self.len > self.buckets.len() * 2 {
-            self.rebuild(self.buckets.len() * 2);
+        if self.len > self.heads.len() * 2 {
+            self.rebuild(self.heads.len() * 2);
         }
         handle
     }
 
-    /// Cancels a previously scheduled event, removing it from its bucket
+    /// Cancels a previously scheduled event, unlinking it from its bucket
     /// immediately.
     ///
     /// Returns whether a pending event was actually removed. Handles whose
@@ -161,15 +159,19 @@ impl<E> CalendarQueue<E> {
         let Some(slot) = self.slab.lookup(handle) else {
             return false;
         };
-        let day = self.slab.at(slot).as_micros() >> self.width_log2;
-        let bucket = (day & self.mask) as usize;
-        let pos = self.slab.pos(slot) as usize;
-        debug_assert_eq!(self.buckets[bucket][pos].slot, slot);
-        self.remove_entry(bucket, pos);
+        // The chain is singly linked, so the walk from its head finds the
+        // predecessor; a day's chain is what pop scans in full anyway.
+        let bucket = self.bucket(self.slab.at(slot));
+        let (mut prev, mut cur) = (NIL, self.heads[bucket]);
+        while cur != slot {
+            debug_assert_ne!(cur, NIL, "a pending slot is chained in its bucket");
+            (prev, cur) = (cur, self.slab.pos(cur));
+        }
+        self.unlink(bucket, prev, slot);
         self.slab.release(slot);
         self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.rebuild(self.buckets.len() / 2);
+        if self.heads.len() > MIN_BUCKETS && self.len < self.heads.len() / 2 {
+            self.rebuild(self.heads.len() / 2);
         }
         true
     }
@@ -195,17 +197,15 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let lap = self.buckets.len() as u64;
+        let lap = self.heads.len() as u64;
         for day in self.cur_day..self.cur_day.saturating_add(lap) {
             let day_end = day.saturating_mul(self.width).checked_add(self.width);
-            let bucket = (day & self.mask) as usize;
-            if let Some(i) = self.min_in_day(bucket, day_end) {
-                return Some(Time::from_micros(self.buckets[bucket][i].at));
+            if let Some((_, slot)) = self.min_in_day((day & self.mask) as usize, day_end) {
+                return Some(self.slab.at(slot));
             }
         }
         // Sparse tail: fall back to a direct search.
-        let (bucket, i) = self.global_min().expect("non-empty queue has a minimum");
-        Some(Time::from_micros(self.buckets[bucket][i].at))
+        self.global_min().map(|(_, _, slot)| self.slab.at(slot))
     }
 
     /// Returns the exact number of pending events.
@@ -222,24 +222,29 @@ impl<E> CalendarQueue<E> {
     // Internals
     // ------------------------------------------------------------------
 
+    /// The bucket an event at `at` is chained in.
+    #[inline]
+    fn bucket(&self, at: Time) -> usize {
+        ((at.as_micros() >> self.width_log2) & self.mask) as usize
+    }
+
     /// Pops the overall minimum if its time is ≤ `horizon` (in µs).
     fn pop_min(&mut self, horizon: u64) -> Option<(Time, E)> {
         if self.len == 0 {
             return None;
         }
         // Walk the calendar one day at a time, at most one full lap.
-        for _ in 0..self.buckets.len() {
+        for _ in 0..self.heads.len() {
             let day_start = self.cur_day.saturating_mul(self.width);
             if day_start > horizon {
                 return None;
             }
-            let day_end = day_start.checked_add(self.width);
             let bucket = (self.cur_day & self.mask) as usize;
-            if let Some(i) = self.min_in_day(bucket, day_end) {
-                if self.buckets[bucket][i].at > horizon {
+            if let Some((prev, slot)) = self.min_in_day(bucket, day_start.checked_add(self.width)) {
+                if self.slab.at(slot).as_micros() > horizon {
                     return None;
                 }
-                return Some(self.take(bucket, i));
+                return self.take(bucket, prev, slot);
             }
             // Saturating: once the scan stands on the last representable
             // day (Time::MAX sentinels with a 1 µs width), there is no
@@ -249,154 +254,136 @@ impl<E> CalendarQueue<E> {
         }
         // A fruitless lap: every pending event is at least a year ahead of
         // the scan position (sparse queue or far-future sentinels). Find the
-        // minimum directly and jump the calendar to it.
-        let (bucket, i) = self.global_min().expect("non-empty queue has a minimum");
-        let at = self.buckets[bucket][i].at;
+        // minimum directly and jump the calendar to it. The search covers
+        // every chain, so it comes back empty only if nothing is pending.
+        let (bucket, prev, slot) = self.global_min()?;
+        let at = self.slab.at(slot).as_micros();
         self.cur_day = at >> self.width_log2;
         if at > horizon {
             return None;
         }
-        Some(self.take(bucket, i))
+        self.take(bucket, prev, slot)
     }
 
-    /// Removes the entry at `bucket[i]`, releases its slot and returns the
-    /// event.
-    fn take(&mut self, bucket: usize, i: usize) -> (Time, E) {
-        let entry = self.remove_entry(bucket, i);
-        let (at, event) = self.slab.release(entry.slot);
+    /// Unlinks `slot` (whose predecessor in `bucket`'s chain is `prev`),
+    /// releases it and returns its event. A chained slot is occupied, so the
+    /// release finds its event; the `Option` is the pop's own result rather
+    /// than a second check.
+    fn take(&mut self, bucket: usize, prev: u32, slot: u32) -> Option<(Time, E)> {
+        self.unlink(bucket, prev, slot);
+        let popped = self.slab.release(slot);
         self.len -= 1;
         self.pops_since_rebuild += 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.rebuild(self.buckets.len() / 2);
-        } else if self.pops_since_rebuild > 8 * self.buckets.len() as u64 {
+        if self.heads.len() > MIN_BUCKETS && self.len < self.heads.len() / 2 {
+            self.rebuild(self.heads.len() / 2);
+        } else if self.pops_since_rebuild > 8 * self.heads.len() as u64 {
             // Periodic re-tune at the same size: refreshes the width
             // estimate once the resize thresholds stop firing. Amortised
-            // cost: one entry move per ~8 pops.
-            self.rebuild(self.buckets.len());
+            // cost: two slab passes per 8 × buckets pops.
+            self.rebuild(self.heads.len());
         }
-        (at, event.expect("occupied slot holds an event"))
+        popped
     }
 
-    /// Index of the minimum `(at, seq)` entry in bucket `bucket` belonging
-    /// to the current day (i.e. strictly before `day_end`), if any. Entries
-    /// of later "years" share the bucket and are skipped. `day_end` is
-    /// `None` for the last calendar day of the time axis, whose true end
-    /// (2⁶⁴ µs) is unrepresentable: every entry in the bucket belongs to it
-    /// — `Time::MAX` sentinels included. The insertion sequence is only
-    /// fetched from the slab on an actual time tie.
+    /// The minimum `(at, seq)` slot chained in `bucket` that belongs to the
+    /// current day (i.e. lies strictly before `day_end`), with its
+    /// predecessor in the chain ([`NIL`] for the head). Events of later
+    /// "years" share the chain and are skipped. `day_end` is `None` for the
+    /// last calendar day of the time axis, whose true end (2⁶⁴ µs) is
+    /// unrepresentable: every event in the chain belongs to it — `Time::MAX`
+    /// sentinels included.
     #[inline]
-    fn min_in_day(&self, bucket: usize, day_end: Option<u64>) -> Option<usize> {
-        let entries = &self.buckets[bucket];
-        let mut best: Option<(u64, usize)> = None;
-        for (i, e) in entries.iter().enumerate() {
-            if day_end.is_some_and(|end| e.at >= end) {
-                continue;
+    fn min_in_day(&self, bucket: usize, day_end: Option<u64>) -> Option<(u32, u32)> {
+        let mut best: Option<((Time, u64), u32, u32)> = None;
+        let (mut prev, mut cur) = (NIL, self.heads[bucket]);
+        while cur != NIL {
+            let key = self.slab.key(cur);
+            if day_end.is_none_or(|end| key.0.as_micros() < end)
+                && best.is_none_or(|(best, _, _)| key < best)
+            {
+                best = Some((key, prev, cur));
             }
-            best = match best {
-                None => Some((e.at, i)),
-                Some((at, b))
-                    if e.at < at
-                        || (e.at == at
-                            && self.slab.seq(e.slot) < self.slab.seq(entries[b].slot)) =>
-                {
-                    Some((e.at, i))
-                }
-                keep => keep,
-            };
+            (prev, cur) = (cur, self.slab.pos(cur));
         }
-        best.map(|(_, i)| i)
+        best.map(|(_, prev, slot)| (prev, slot))
     }
 
-    /// Direct search for the minimum `(at, seq)` entry across all buckets.
-    fn global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(u64, (usize, usize))> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                best = match best {
-                    None => Some((e.at, (b, i))),
-                    Some((at, (bb, bi)))
-                        if e.at < at
-                            || (e.at == at
-                                && self.slab.seq(e.slot)
-                                    < self.slab.seq(self.buckets[bb][bi].slot)) =>
-                    {
-                        Some((e.at, (b, i)))
-                    }
-                    keep => keep,
-                };
-            }
-        }
-        best.map(|(_, loc)| loc)
+    /// Direct search for the minimum `(at, seq)` slot across all buckets:
+    /// its bucket, its predecessor and itself.
+    fn global_min(&self) -> Option<(usize, u32, u32)> {
+        (0..self.heads.len())
+            .filter_map(|b| self.min_in_day(b, None).map(|(prev, slot)| (b, prev, slot)))
+            .min_by_key(|&(_, _, slot)| self.slab.key(slot))
     }
 
-    /// Appends `entry` to its bucket, keeping the slab back-pointer in sync.
+    /// Takes `slot` out of `bucket`'s chain, given its predecessor `prev`
+    /// ([`NIL`] when `slot` is the head).
     #[inline]
-    fn place(&mut self, entry: Entry) {
-        let bucket = ((entry.at >> self.width_log2) & self.mask) as usize;
-        self.slab.set_pos(entry.slot, self.buckets[bucket].len() as u32);
-        self.buckets[bucket].push(entry);
-    }
-
-    /// Swap-removes `bucket[i]`, fixing the back-pointer of the entry that
-    /// takes its place.
-    fn remove_entry(&mut self, bucket: usize, i: usize) -> Entry {
-        let b = &mut self.buckets[bucket];
-        let entry = b.swap_remove(i);
-        if i < b.len() {
-            let moved = b[i].slot;
-            self.slab.set_pos(moved, i as u32);
+    fn unlink(&mut self, bucket: usize, prev: u32, slot: u32) {
+        let next = self.slab.pos(slot);
+        if prev == NIL {
+            self.heads[bucket] = next;
+        } else {
+            self.slab.set_pos(prev, next);
         }
-        entry
     }
 
     /// Rebuilds the calendar with `new_buckets` buckets and a day width
-    /// re-estimated from the current population. Inner bucket allocations
-    /// are recycled, so steady-state resizing does not thrash the
-    /// allocator.
+    /// re-estimated from the current population, re-threading every
+    /// pending slot. Both passes walk the slab in index order — sequential
+    /// memory, not the chains' scattered links — so a rebuild costs the
+    /// slab's high-water mark and allocates nothing sized by it.
     fn rebuild(&mut self, new_buckets: usize) {
         debug_assert!(new_buckets.is_power_of_two());
-        let mut entries: Vec<Entry> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            // `append` leaves the bucket empty but keeps its capacity.
-            entries.append(bucket);
-        }
-        self.width_log2 = Self::estimate_width_log2(&mut entries);
+        self.width_log2 = self.estimate_width_log2();
         self.width = 1 << self.width_log2;
-        if new_buckets <= self.buckets.len() {
-            self.buckets.truncate(new_buckets);
-        } else {
-            self.buckets.resize_with(new_buckets, Vec::new);
-        }
         self.mask = (new_buckets - 1) as u64;
-        self.cur_day = entries.iter().map(|e| e.at).min().unwrap_or(0) >> self.width_log2;
-        for entry in entries {
-            self.place(entry);
+        self.heads.clear();
+        self.heads.resize(new_buckets, NIL);
+        // With nothing pending the scan position is moot: the next push
+        // sets it.
+        let mut earliest = u64::MAX;
+        for slot in 0..self.slab.high_water() {
+            if let Some(at) = self.slab.pending_at(slot) {
+                earliest = earliest.min(at.as_micros());
+                let bucket = self.bucket(at);
+                self.slab.set_pos(slot, self.heads[bucket]);
+                self.heads[bucket] = slot;
+            }
         }
+        self.cur_day = earliest >> self.width_log2;
         self.pops_since_rebuild = 0;
     }
 
     /// Estimates a day width (as its log₂) from the gaps between the
     /// earliest pending events: twice the mean gap over a sample of the
-    /// [`WIDTH_SAMPLE`] soonest entries, rounded up to a power of two —
+    /// [`WIDTH_SAMPLE`] soonest events, rounded up to a power of two —
     /// aiming at a couple of near-term events per day.
     ///
     /// The estimate is a pure function of the pending set, so rebuilds are
     /// as deterministic as everything else.
-    fn estimate_width_log2(entries: &mut [Entry]) -> u32 {
-        let m = WIDTH_SAMPLE.min(entries.len());
+    fn estimate_width_log2(&self) -> u32 {
+        let m = WIDTH_SAMPLE.min(self.len);
         if m < 2 {
             return DEFAULT_WIDTH_LOG2;
         }
-        // Partition the m soonest entries to the front, then measure their
-        // span. Keys are unique (slots break ties), so the selection is
-        // deterministic — and only the times matter for the estimate.
-        entries.select_nth_unstable_by_key(m - 1, |e| (e.at, e.slot));
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for e in &entries[..m] {
-            min = min.min(e.at);
-            max = max.max(e.at);
+        // The m soonest `(at, slot)` keys, the latest of them on top. Keys
+        // are unique (slots break ties), so the selection is deterministic —
+        // and only the times matter for the estimate.
+        let mut soonest = BinaryHeap::with_capacity(m);
+        for slot in 0..self.slab.high_water() {
+            let Some(at) = self.slab.pending_at(slot) else {
+                continue;
+            };
+            let key = (at.as_micros(), slot);
+            if soonest.len() < m {
+                soonest.push(key);
+            } else if let Some(mut latest) = soonest.peek_mut().filter(|latest| key < **latest) {
+                *latest = key;
+            }
         }
+        let max = soonest.peek().map_or(0, |&(at, _)| at);
+        let min = soonest.iter().map(|&(at, _)| at).min().unwrap_or(max);
         let span = max - min;
         // Heavily tied sample: 1 µs days (a day never splits a tie anyway —
         // equal times always share a bucket).
@@ -436,7 +423,11 @@ impl<E> EventSchedule<E> for CalendarQueue<E> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use super::super::HeapQueue;
     use super::*;
+    use crate::DetRng;
 
     /// Crossing the grow threshold (2× buckets) and draining back through
     /// the shrink threshold (½× buckets) must preserve the exact order and
@@ -451,7 +442,7 @@ mod tests {
             let at = Time::from_micros((i % 7) * 100 + i * 13);
             handles.push(q.push(at, i));
         }
-        assert!(q.buckets.len() > MIN_BUCKETS, "queue must have grown");
+        assert!(q.heads.len() > MIN_BUCKETS, "queue must have grown");
         // Cancel a third mid-resize; the remaining handles must survive the
         // rebuilds.
         for h in handles.iter().step_by(3) {
@@ -467,7 +458,7 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, handles.len() - handles.len().div_ceil(3));
-        assert_eq!(q.buckets.len(), MIN_BUCKETS, "drained queue shrinks back");
+        assert_eq!(q.heads.len(), MIN_BUCKETS, "drained queue shrinks back");
     }
 
     /// The width estimator adapts to the event density: clustered events
@@ -536,5 +527,157 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::from_secs(3600)));
         assert_eq!(q.pop(), Some((Time::from_secs(3600), 'z')));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Where in its chain a targeted cancel takes its slot from.
+    #[derive(Debug, Clone, Copy)]
+    enum ChainPart {
+        Head,
+        Middle,
+        Tail,
+    }
+
+    /// The slots of `bucket`'s chain, head first.
+    fn chain<E>(q: &CalendarQueue<E>, bucket: usize) -> Vec<u32> {
+        let mut slots = Vec::new();
+        let mut cur = q.heads[bucket];
+        while cur != NIL {
+            slots.push(cur);
+            cur = q.slab.pos(cur);
+        }
+        slots
+    }
+
+    /// A slot at `part` of some chain long enough to have one, searching
+    /// the buckets from `start`.
+    fn slot_at<E>(q: &CalendarQueue<E>, start: usize, part: ChainPart) -> Option<u32> {
+        (0..q.heads.len()).find_map(|i| {
+            let slots = chain(q, (start + i) % q.heads.len());
+            match part {
+                ChainPart::Head => slots.first().copied(),
+                ChainPart::Middle if slots.len() >= 3 => Some(slots[slots.len() / 2]),
+                ChainPart::Tail if slots.len() >= 2 => slots.last().copied(),
+                _ => None,
+            }
+        })
+    }
+
+    /// The two queues under one model check, with the payload → handles
+    /// and calendar slot → payload maps a targeted cancel needs.
+    #[derive(Default)]
+    struct Twin {
+        cal: CalendarQueue<u64>,
+        heap: HeapQueue<u64>,
+        live: HashMap<u64, (EventHandle, EventHandle)>,
+        by_slot: HashMap<u32, u64>,
+        stale: Vec<(EventHandle, EventHandle)>,
+        next_payload: u64,
+    }
+
+    impl Twin {
+        fn push(&mut self, at: Time) {
+            let payload = self.next_payload;
+            self.next_payload += 1;
+            let (hc, hh) = (self.cal.push(at, payload), self.heap.push(at, payload));
+            self.live.insert(payload, (hc, hh));
+            self.by_slot.insert(hc.slot, payload);
+        }
+
+        /// Moves `payload`'s handles from the live map to the stale list.
+        fn retire(&mut self, payload: u64) -> (EventHandle, EventHandle) {
+            let (hc, hh) = self.live.remove(&payload).expect("a live payload");
+            self.by_slot.remove(&hc.slot);
+            self.stale.push((hc, hh));
+            (hc, hh)
+        }
+    }
+
+    /// Model check at scale, against the reference heap: thousands of
+    /// pending events, their population swept up and down across the grow
+    /// and shrink thresholds (and held long enough for width re-tunes),
+    /// times from µs-tight clusters and exact ties to an hour ahead — many
+    /// calendar years — plus `Time::MAX` sentinels and a few events in the
+    /// past. Cancels are aimed at chain heads, middles and tails, and stale
+    /// handles are cancelled too. Pops, peeks and lengths agree after every
+    /// operation, and the drain empties both queues alike.
+    #[test]
+    fn chains_match_the_heap_reference_at_scale() {
+        let mut rng = DetRng::seed_from(40);
+        let mut q = Twin::default();
+        let mut now = 0u64;
+        let mut cancels = [0usize; 3];
+        let (mut max_len, mut max_buckets, mut max_years, mut retunes) = (0, 0, 0, 0);
+        // Population targets: grow, shrink, regrow, hold (re-tunes), drain.
+        let phases = [(3000, 8000), (60, 8000), (6000, 16000), (6000, 100_000), (0, 20000)];
+        for (step, target) in
+            phases.iter().flat_map(|&(target, steps)| (0..steps).map(move |i| (i, target)))
+        {
+            let before = (q.cal.heads.len(), q.cal.pops_since_rebuild);
+            let r = rng.next_below(10);
+            let push = if q.cal.len() < target { r < 6 } else { r < 2 };
+            if push {
+                let at = match rng.next_below(100) {
+                    0..=39 => now + rng.next_below(2_000),
+                    40..=54 => now / 50_000 * 50_000 + 50_000, // a shared tick
+                    55..=84 => now + rng.next_below(10_000_000),
+                    85..=96 => now + rng.next_below(3_600_000_000),
+                    97 => now.saturating_sub(rng.next_below(1_000)),
+                    _ => u64::MAX,
+                };
+                q.push(Time::from_micros(at));
+            } else if r <= 6 {
+                let horizon = Time::from_micros(now + rng.next_below(5_000));
+                let (got_cal, got_heap) = if rng.chance(0.5) {
+                    (q.cal.pop(), q.heap.pop())
+                } else {
+                    (q.cal.pop_before(horizon), q.heap.pop_before(horizon))
+                };
+                assert_eq!(got_cal, got_heap, "pop diverged");
+                if let Some((at, payload)) = got_cal {
+                    if at != Time::MAX {
+                        now = now.max(at.as_micros());
+                    }
+                    q.retire(payload);
+                }
+            } else if r <= 8 {
+                let part = [ChainPart::Head, ChainPart::Middle, ChainPart::Tail][rng.index(3)];
+                if let Some(slot) = slot_at(&q.cal, rng.index(q.cal.heads.len()), part) {
+                    let (hc, hh) = q.retire(q.by_slot[&slot]);
+                    assert!(q.cal.cancel(hc), "a live {part:?} slot must cancel");
+                    assert!(q.heap.cancel(hh));
+                    cancels[part as usize] += 1;
+                }
+            } else if !q.stale.is_empty() {
+                let (hc, hh) = q.stale[rng.index(q.stale.len())];
+                assert!(!q.cal.cancel(hc) && !q.heap.cancel(hh), "stale cancel accepted");
+            }
+            assert_eq!(q.cal.len(), q.heap.len(), "len diverged");
+            assert_eq!(q.cal.peek_time(), q.heap.peek_time(), "peek_time diverged");
+            if (q.cal.heads.len(), q.cal.pops_since_rebuild) == (before.0, 0) && before.1 > 0 {
+                retunes += 1;
+            }
+            max_len = max_len.max(q.cal.len());
+            max_buckets = max_buckets.max(q.cal.heads.len());
+            if step % 1024 == 0 {
+                // How many calendar years the finite pending times span.
+                let year = (q.cal.heads.len() as u128) << q.cal.width_log2;
+                let latest = (0..q.cal.slab.high_water())
+                    .filter_map(|slot| q.cal.slab.pending_at(slot))
+                    .filter(|&at| at != Time::MAX)
+                    .max()
+                    .map_or(0, Time::as_micros);
+                max_years = max_years.max(u128::from(latest.saturating_sub(now)) / year);
+            }
+        }
+        while let Some(popped) = q.cal.pop() {
+            assert_eq!(Some(popped), q.heap.pop(), "drain diverged");
+        }
+        assert_eq!(q.heap.pop(), None);
+        assert!(max_len >= 6000, "peak population {max_len}");
+        assert!(max_buckets >= 2048, "the calendar grew to {max_buckets} buckets only");
+        assert!(retunes >= 2, "{retunes} width re-tunes");
+        assert_eq!(q.cal.heads.len(), MIN_BUCKETS, "the drained calendar shrinks back");
+        assert!(max_years >= 100, "pending times spanned {max_years} calendar years only");
+        assert!(cancels.iter().all(|&n| n >= 500), "head/middle/tail cancels: {cancels:?}");
     }
 }

@@ -80,8 +80,7 @@ impl<E> HeapQueue<E> {
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let slot = *self.heap.first()?;
         self.remove_heap_entry(0);
-        let (at, event) = self.slab.release(slot);
-        Some((at, event.expect("occupied slot holds an event")))
+        self.slab.release(slot)
     }
 
     /// Removes and returns the earliest pending event if it is due at or
@@ -95,8 +94,7 @@ impl<E> HeapQueue<E> {
             return None;
         }
         self.remove_heap_entry(0);
-        let (at, event) = self.slab.release(slot);
-        Some((at, event.expect("occupied slot holds an event")))
+        self.slab.release(slot)
     }
 
     /// Returns the timestamp of the earliest pending event without removing
@@ -122,8 +120,7 @@ impl<E> HeapQueue<E> {
     /// `(at, seq)` sort key of the slot behind heap position `i`.
     #[inline]
     fn key(&self, i: usize) -> (Time, u64) {
-        let slot = self.heap[i];
-        (self.slab.at(slot), self.slab.seq(slot))
+        self.slab.key(self.heap[i])
     }
 
     /// Writes `slot` into heap position `i`, keeping the back-pointer in
@@ -157,7 +154,7 @@ impl<E> HeapQueue<E> {
 
     fn sift_up(&mut self, mut i: usize) {
         let slot = self.heap[i];
-        let key = (self.slab.at(slot), self.slab.seq(slot));
+        let key = self.slab.key(slot);
         while i > 0 {
             let parent = (i - 1) / ARITY;
             if key < self.key(parent) {
@@ -173,7 +170,7 @@ impl<E> HeapQueue<E> {
 
     fn sift_down(&mut self, mut i: usize) {
         let slot = self.heap[i];
-        let key = (self.slab.at(slot), self.slab.seq(slot));
+        let key = self.slab.key(slot);
         let len = self.heap.len();
         loop {
             let first_child = i * ARITY + 1;

@@ -1,7 +1,9 @@
 //! Timestamped event queues.
 //!
 //! [`CalendarQueue`] is a bucketed ("calendar") queue with O(1) push and
-//! pop on clustered workloads. [`EventQueue`] is an alias for it, and it is
+//! pop on clustered workloads; its buckets are chains threaded through the
+//! event slab, so it holds its pending events and one word per bucket.
+//! [`EventQueue`] is an alias for it, and it is
 //! what the simulation engine runs on. The slab-backed, indexed 4-ary
 //! min-heap it replaced (`HeapQueue`) is kept in test scope as the O(log n)
 //! reference: the unit and property tests model-check the calendar queue
@@ -85,10 +87,10 @@ struct Slot<E> {
     /// Bumped every time the slot is freed; handles carry the generation
     /// they were issued under.
     generation: u32,
-    /// Position of this slot's entry in the owning structure (heap index
-    /// for the test-only `HeapQueue`, index within the bucket for
-    /// [`CalendarQueue`]);
-    /// only meaningful while the slot is occupied.
+    /// Where the owning structure keeps this slot: the next slot of its
+    /// bucket's chain for [`CalendarQueue`] (`u32::MAX` at the chain's
+    /// end), its heap index for the test-only `HeapQueue`. Only meaningful
+    /// while the slot is occupied.
     pos: u32,
     at: Time,
     /// Insertion sequence number: the tie-break making the order total.
@@ -123,7 +125,12 @@ impl<E> Slab<E> {
                 EventHandle { slot, generation: s.generation }
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
+                // `u32::MAX` ends the calendar's chains, so it is never a
+                // slot: the cap is 2³² − 1 pending events (256 GiB of slots).
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot < u32::MAX)
+                    .expect("fewer than 2^32 - 1 pending events");
                 self.slots.push(Slot { generation: 0, pos, at, seq, event: Some(event) });
                 EventHandle { slot, generation: 0 }
             }
@@ -131,14 +138,14 @@ impl<E> Slab<E> {
     }
 
     /// Frees a slot (bumping its generation so outstanding handles die) and
-    /// returns its timestamp and event.
-    fn release(&mut self, slot: u32) -> (Time, Option<E>) {
+    /// returns its timestamp and event — `None` only for a slot that held
+    /// none, which no caller releases.
+    fn release(&mut self, slot: u32) -> Option<(Time, E)> {
         let s = &mut self.slots[slot as usize];
         s.generation = s.generation.wrapping_add(1);
         let event = s.event.take();
-        let at = s.at;
         self.free.push(slot);
-        (at, event)
+        event.map(|event| (s.at, event))
     }
 
     /// Validates a handle against the generation check; returns the slot
@@ -156,9 +163,22 @@ impl<E> Slab<E> {
         self.slots[slot as usize].at
     }
 
+    /// The `(time, insertion seq)` key the queues order slots by.
     #[inline]
-    fn seq(&self, slot: u32) -> u64 {
-        self.slots[slot as usize].seq
+    fn key(&self, slot: u32) -> (Time, u64) {
+        let s = &self.slots[slot as usize];
+        (s.at, s.seq)
+    }
+
+    /// Slots ever allocated: the high-water mark of pending events.
+    fn high_water(&self) -> u32 {
+        self.slots.len() as u32
+    }
+
+    /// The time of the event pending in `slot`, if it holds one.
+    fn pending_at(&self, slot: u32) -> Option<Time> {
+        let s = &self.slots[slot as usize];
+        s.event.as_ref().map(|_| s.at)
     }
 
     #[inline]

@@ -7,7 +7,8 @@
 //! source's own copies and the players' measurement history. Dividing the
 //! peaks' difference between two stream lengths by the records' difference
 //! cancels everything the run holds whatever its length. What a player
-//! keeps per window is measured on its own.
+//! keeps per window, and what the simulator's event queue keeps per pending
+//! event, are measured on their own.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -15,6 +16,7 @@ mod counting_alloc;
 use gossip::core::GossipConfig;
 use gossip::experiments::Scenario;
 use gossip::fec::WindowParams;
+use gossip::sim::{DetRng, EventQueue};
 use gossip::stream::{PacketId, StreamConfig, StreamPlayer};
 use gossip::types::{Duration, Time};
 
@@ -96,4 +98,65 @@ fn a_player_window_costs_its_record_and_its_bits() {
             "{total}-packet windows: {per_window:.1} B of peak heap per window, over {bound} B"
         );
     }
+}
+
+/// The event queue holds its pending events and little else. A pending
+/// `u64` event is one 40-byte slab slot (generation and chain link, 4 B
+/// each; time and insertion sequence, 8 B each; the `Option<u64>`, 16 B).
+/// The slab holds one slot per event at the pending high-water mark — a
+/// slot is only added when none is free — in a `Vec` that doubles, so at
+/// most 80 B per peak pending event; the free list holds at most as many
+/// `u32`s, doubling too: 8 B. The calendar adds one `u32` chain head per
+/// bucket, and it has fewer buckets than events (it doubles them once the
+/// events outnumber them twice), so under 4 B. A rebuild samples 32 keys
+/// into a 512 B heap, a constant. Hence 92 B of peak heap per peak pending
+/// event, plus the constants.
+///
+/// The run holds 60 k events, most within 100 ms and the rest up to a minute
+/// ahead — hundreds of calendar years at the µs-scale days the near ones
+/// tune — piles 1 200 onto one instant,
+/// churns 600 k pops (more than 8 × buckets, so the width re-tunes), cancels
+/// a third of its first handles, drains, regrows and drains again.
+#[test]
+fn the_event_queue_holds_what_is_pending() {
+    const BOUND: f64 = 80.0 + 8.0 + 4.0;
+    let mut rng = DetRng::seed_from(40);
+    let mut handles = Vec::with_capacity(60_000);
+    let (peak_pending, peak) = counting_alloc::peak_bytes_in(|| {
+        let mut q = EventQueue::new();
+        let (mut now, mut peak_pending) = (0u64, 0usize);
+        // Like a host's timers: most due within 100 ms, the rest up to a
+        // minute ahead.
+        let ahead = |now: u64, rng: &mut DetRng| {
+            let horizon = if rng.chance(0.7) { 100_000 } else { 60_000_000 };
+            Time::from_micros(now + rng.next_below(horizon))
+        };
+        for i in 0..60_000u64 {
+            handles.push(q.push(ahead(now, &mut rng), i));
+        }
+        for i in 0..1_200 {
+            q.push(Time::from_micros(500_000), i);
+        }
+        peak_pending = peak_pending.max(q.len());
+        for i in 0..600_000 {
+            let (at, _) = q.pop().expect("a pending event");
+            now = at.as_micros();
+            q.push(ahead(now, &mut rng), i);
+        }
+        for &handle in handles.iter().step_by(3) {
+            q.cancel(handle);
+        }
+        while q.pop().is_some() {}
+        for i in 0..50_000 {
+            q.push(ahead(now, &mut rng), i);
+        }
+        peak_pending = peak_pending.max(q.len());
+        while q.pop().is_some() {}
+        peak_pending
+    });
+    let per_event = (peak - 512) as f64 / peak_pending as f64;
+    assert!(
+        per_event <= BOUND,
+        "{per_event:.1} B of peak heap per pending event at {peak_pending} pending, over {BOUND} B"
+    );
 }
