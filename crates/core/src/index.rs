@@ -433,11 +433,20 @@ impl<K: EventIndex, V: Narrow> DenseMap<K, V, NarrowRow<V>> {
         self.drop_rows(|row| row.values().all(&mut expired))
     }
 
-    /// Visits, in window order, the value of every entry whose window is
-    /// `first_window` or later, paired with its window.
-    pub fn values_from(&self, first_window: u64) -> impl Iterator<Item = (u64, V)> + '_ {
+    /// Visits, in window order, every row of window `first_window` or
+    /// later as its window and its values — except that a narrow row whose
+    /// base is `since` or later yields `None`, unread: every value it holds
+    /// has its [`Narrow::base`] at `since` or later.
+    pub fn rows_from(
+        &self,
+        first_window: u64,
+        since: Time,
+    ) -> impl Iterator<Item = (u64, Option<impl Iterator<Item = V> + '_>)> + '_ {
         let rows = self.rows[self.first_row(first_window)..].iter();
-        rows.flat_map(|(window, row)| row.values().map(move |v| (*window, v)))
+        rows.map(move |(window, row)| {
+            let settled = matches!(row.0, Repr::Narrow { base, .. } if base >= since);
+            (*window, (!settled).then(|| row.values()))
+        })
     }
 
     /// Narrows every wide row but the newest whose values all round-trip

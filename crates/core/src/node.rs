@@ -1113,18 +1113,27 @@ impl<E: Event> GossipNode<E> {
     /// before it are no longer retained (the node's own copies of them
     /// go), then every whole window whose ids all predate it leaves the
     /// table, raising the record floor past them.
+    ///
+    /// Only rows that can age are read. A narrow row's base is the
+    /// earliest time among its ids, so one whose base is past the cutoff
+    /// holds nothing that ages; it is passed over unread, and the payload
+    /// floor drops to its window whether or not it retains anything (a
+    /// floor that is too low only makes a later prune read more).
     fn prune_store(&mut self, now: Time) {
         let Some(cutoff) = self.config.retention_cutoff(now) else { return };
         let (before, after) = (self.retained_since, cutoff.max(self.retained_since));
         let (mut floor, mut aged) = (u64::MAX, 0);
-        for (window, state) in self.ids.values_from(self.payload_floor) {
-            if !state.retained(before) {
-                continue;
-            }
-            if state.at() < after {
-                aged += 1;
-            } else {
+        for (window, states) in self.ids.rows_from(self.payload_floor, after) {
+            let Some(states) = states else {
                 floor = floor.min(window);
+                continue;
+            };
+            for state in states.filter(|state| state.retained(before)) {
+                if state.at() < after {
+                    aged += 1;
+                } else {
+                    floor = floor.min(window);
+                }
             }
         }
         self.payloads -= aged;

@@ -156,8 +156,9 @@ enum NarrowOp {
     Insert(u64, u32),
     /// `get_or_insert_with`, then write back one more.
     Bump(u64, u32),
-    /// Read every value in this window or a later one.
-    ValuesFrom(u64),
+    /// Read every row in this window or a later one, passing over the
+    /// narrow rows whose values all date from this time or later.
+    RowsFrom(u64, u32),
     /// `drop_expired_rows` with values below this expired.
     DropRowsBelow(u32),
     /// `narrow_rows`.
@@ -170,7 +171,7 @@ fn narrow_op_strategy() -> impl Strategy<Value = NarrowOp> {
     prop_oneof![
         (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Insert(k, v)),
         (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Bump(k, v)),
-        (0u64..4).prop_map(NarrowOp::ValuesFrom),
+        (0u64..4, 0u32..300).prop_map(|(w, t)| NarrowOp::RowsFrom(w, t)),
         (0u32..300).prop_map(NarrowOp::DropRowsBelow),
         Just(NarrowOp::Narrow),
         Just(NarrowOp::Narrow),
@@ -255,17 +256,34 @@ proptest! {
                     dense.insert(k, *m);
                     touched.push(k);
                 }
-                NarrowOp::ValuesFrom(window) => {
-                    let mut seen: Vec<(u64, Stamp)> = dense.values_from(window).collect();
+                NarrowOp::RowsFrom(window, since) => {
+                    let since = Time::from_micros(u64::from(since));
+                    let (mut seen, mut passed) = (Vec::new(), BTreeSet::new());
+                    for (w, values) in dense.rows_from(window, since) {
+                        match values {
+                            Some(values) => seen.extend(values.map(|v| (w, v))),
+                            None => prop_assert!(passed.insert(w), "window {} visited twice", w),
+                        }
+                    }
                     prop_assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "windows out of order");
                     seen.sort_unstable();
                     let mut expected: Vec<(u64, Stamp)> = model
                         .iter()
                         .map(|(k, &v)| (k.dense_key().0, v))
-                        .filter(|&(w, _)| w >= window)
+                        .filter(|&(w, _)| w >= window && !passed.contains(&w))
                         .collect();
                     expected.sort_unstable();
                     prop_assert_eq!(seen, expected);
+                    // Passed over: exactly the narrow rows with no value
+                    // before `since`.
+                    let settled = |w: &u64| {
+                        model
+                            .iter()
+                            .filter(|(k, _)| k.dense_key().0 == *w)
+                            .all(|(_, v)| v.base().is_some_and(|base| base >= since))
+                    };
+                    let narrow: BTreeSet<u64> = dense.narrow_windows().filter(|&w| w >= window).collect();
+                    prop_assert_eq!(passed, narrow.into_iter().filter(settled).collect::<BTreeSet<_>>());
                 }
                 NarrowOp::DropRowsBelow(t) => {
                     let windows: BTreeSet<u64> = model.keys().map(|k| k.dense_key().0).collect();

@@ -10,18 +10,22 @@
 //! ```
 //!
 //! A sending shard appends every frame a wake produced for the same
-//! destination *address* (the same shard socket, which may host many
-//! nodes) into one buffer and hands the kernel one datagram for the lot;
-//! the receiving shard walks the frames and routes each on its prefix. The framing is runtime overhead,
-//! not protocol bytes: the upload link charges only the inner (unframed)
-//! wire size, so pacing does not depend on how frames were packed.
+//! destination *address* (one per shard, shared by all of its nodes) into
+//! one buffer and hands the kernel one datagram for the lot; the receiving
+//! shard walks the frames and routes each on its prefix. The framing is
+//! runtime overhead, not protocol bytes: the upload link charges only the
+//! inner (unframed) wire size, so pacing does not depend on how frames
+//! were packed.
 //!
-//! The placement scheme is striped: node `g` lives on shard `g % shards`
-//! at local index `g / shards`, and within a shard's socket pool its home
-//! socket — where it *receives*; sends leave from a socket chosen per
-//! destination — is `local % pool`. Striping spreads both the source's neighbours
-//! and the aggregate load uniformly, and lets a shard map an incoming
-//! destination id to its local slot with two integer divisions — no table.
+//! The placement scheme is striped across shards: node `g` lives on shard
+//! `g % shards` at local index `g / shards`, which spreads both the
+//! source's neighbours and the aggregate load uniformly, and lets a shard
+//! map an incoming destination id to its local slot with two integer
+//! divisions — no table. Within a shard every node has one address, its
+//! shard's first pool socket: a peer's wake packs everything it has for
+//! the shard's nodes into one run of datagrams. The address only says
+//! where a frame is *sent*; the shard polls and drains its whole pool and
+//! routes every frame on its prefix, whichever socket it landed on.
 
 use gossip_types::NodeId;
 
@@ -186,12 +190,6 @@ pub fn local_of(g: u32, shards: usize) -> usize {
 /// Returns the global id of a shard's `local`-th node.
 pub fn global_of(shard: usize, local: usize, shards: usize) -> u32 {
     (local * shards + shard) as u32
-}
-
-/// Returns the index of a local node's home socket — the one it receives
-/// on — within its shard's pool.
-pub fn home_socket(local: usize, pool: usize) -> usize {
-    local % pool
 }
 
 #[cfg(test)]

@@ -30,9 +30,12 @@
 //! upload link charges only the inner (unframed) wire size, so a node's
 //! pacing does not depend on how its datagrams are packed.
 //!
-//! Nodes are striped across shards (`shard = id % shards`) and across each
-//! shard's socket pool, so consecutive node ids — and with them the
-//! cluster's traffic — spread evenly.
+//! Nodes are striped across shards (`shard = id % shards`), so consecutive
+//! node ids — and with them the cluster's traffic — spread evenly. Every
+//! node of a shard receives at one address, its shard's first pool socket:
+//! a sending shard packs all of a wake's frames for one destination shard
+//! into as few kernel datagrams as their bytes need, and the receiving
+//! shard drains its whole pool and routes each frame on its prefix.
 //!
 //! # One configuration, one report
 //!

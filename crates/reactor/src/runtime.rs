@@ -41,7 +41,13 @@ pub struct ReactorOptions {
     /// Number of worker shards (`None` = one per available core, capped so
     /// every shard hosts at least a handful of nodes).
     pub shards: Option<usize>,
-    /// Non-blocking sockets per shard; nodes stripe across the pool.
+    /// Non-blocking sockets per shard: the sockets a shard polls and sends
+    /// from. Every node of a shard receives on its first socket, so a peer
+    /// packs all it has for the shard into one run of datagrams; the other
+    /// sockets carry the shard's sends, spread by destination, and are
+    /// drained like the first. The trade-off: the first socket's kernel
+    /// receive buffer ([`ReactorOptions::socket_buffer_bytes`]) is the
+    /// shard's whole receive buffer, however large the pool.
     pub sockets_per_shard: usize,
     /// Maximum datagrams drained per socket per loop iteration. The
     /// budget is what keeps timers on time under ingress floods. It also
@@ -54,7 +60,9 @@ pub struct ReactorOptions {
     /// sysctl-clamped plain options otherwise). Each shared socket carries
     /// the traffic of hundreds of nodes; distribution-default ~200 KiB
     /// buffers overflow under burst and every overflow is a datagram lost
-    /// on loopback.
+    /// on loopback. Since a shard's nodes all receive on its first socket,
+    /// this is also the shard's whole kernel receive buffer: more sockets
+    /// per shard add send buffers, not receive room.
     pub socket_buffer_bytes: usize,
     /// Address the pool sockets bind to (port 0: the kernel picks).
     /// Loopback by default; a deployed `gossipd` binds a routable
@@ -118,7 +126,7 @@ pub struct HostOutcome {
 /// every peer's addresses, then [`NodeHost::run`] with the full table and
 /// a shared wall-clock epoch. The demux id-prefix makes placement
 /// location-transparent — a frame for node `g` routes the same way whether
-/// `g`'s home socket is in this process or another host's.
+/// `g`'s shard is in this process or another host's.
 #[derive(Debug)]
 pub struct NodeHost {
     config: ClusterConfig,
@@ -174,29 +182,24 @@ impl NodeHost {
         // Bind every shard's pool up front so this process's part of the
         // address book exists before anything starts.
         let mut pools: Vec<Vec<UdpSocket>> = Vec::with_capacity(shards);
-        let mut pool_addrs: Vec<Vec<SocketAddr>> = Vec::with_capacity(shards);
         for _ in 0..shards {
             let mut pool = Vec::with_capacity(options.sockets_per_shard);
-            let mut addrs = Vec::with_capacity(options.sockets_per_shard);
             for _ in 0..options.sockets_per_shard {
                 let socket = UdpSocket::bind((options.bind_addr, 0)).map_err(ClusterError::Io)?;
                 crate::mmsg::set_socket_buffers(&socket, options.socket_buffer_bytes);
-                addrs.push(socket.local_addr().map_err(ClusterError::Io)?);
                 pool.push(socket);
             }
             pools.push(pool);
-            pool_addrs.push(addrs);
         }
 
-        // Hosted node id → its home socket's address, in id order.
-        let local_addresses = (lo..hi)
-            .map(|g| {
-                let shard = placement.shard_of(g);
-                let local = placement.local_of(g);
-                let home = crate::demux::home_socket(local, options.sockets_per_shard);
-                (NodeId::new(g), pool_addrs[shard][home])
-            })
-            .collect();
+        // Hosted node id → its shard's first socket, in id order.
+        let shard_addrs: Vec<SocketAddr> = pools
+            .iter()
+            .map(|pool| pool[0].local_addr())
+            .collect::<Result<_, _>>()
+            .map_err(ClusterError::Io)?;
+        let local_addresses =
+            (lo..hi).map(|g| (NodeId::new(g), shard_addrs[placement.shard_of(g)])).collect();
 
         let telemetry = match &config.telemetry {
             Some(tc) => Some(gossip_telemetry::Hub::start(tc).map_err(ClusterError::Io)?),
@@ -222,8 +225,9 @@ impl NodeHost {
         self.telemetry.as_ref().map(gossip_telemetry::Hub::scrape_addr)
     }
 
-    /// The hosted nodes and their home socket addresses, in id order —
-    /// what a deployed process publishes to the tracker.
+    /// The hosted nodes and their addresses, in id order — each its
+    /// shard's first socket; what a deployed process publishes to the
+    /// tracker.
     pub fn local_addresses(&self) -> &[(NodeId, SocketAddr)] {
         &self.local_addresses
     }
@@ -243,7 +247,7 @@ impl NodeHost {
     /// or `stop` is raised externally, whichever comes first, then stops
     /// the shards and collects their reports.
     ///
-    /// `addresses[g]` must be node `g`'s home socket address for *every*
+    /// `addresses[g]` must be node `g`'s address for *every*
     /// node of the cluster — this process's from
     /// [`NodeHost::local_addresses`], every other process's learned via
     /// the tracker. The `clock` fixes where `Time::ZERO` falls; a
@@ -1013,10 +1017,14 @@ mod tests {
         digest(&run_virtual(config))
     }
 
-    /// Moved only through `recv_capacity` when the receive pool began to
-    /// grow from 4 slots instead of starting at 64: every node report and
-    /// every other shard counter hashed exactly as before.
-    const VIRTUAL_CLUSTER_DIGEST: u64 = 0x9ef2_93c4_1552_d359;
+    /// Moved when every node of a shard came to receive on its shard's
+    /// first socket instead of one striped over the pool: the datagram
+    /// packing and the counters it drives (kernel datagrams sent 8 883 →
+    /// 6 544, receive calls 8 196 → 4 904, two shards together), and with
+    /// them the node reports — a wake's frames for a shard now arrive on
+    /// one socket in send order, not spread over four drained in turn, so
+    /// the nodes read them in another order.
+    const VIRTUAL_CLUSTER_DIGEST: u64 = 0xf792_9aac_3100_438c;
 
     #[test]
     fn a_virtual_cluster_digest_is_pinned() {

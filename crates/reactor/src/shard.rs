@@ -60,26 +60,29 @@
 //!
 //! Outbound datagrams are not written as they are released: a wake's
 //! releases accumulate in the shard's **outbox** and leave together at its
-//! end, **grouped by destination address**. Every frame of the wake bound
-//! for one address — whichever local node sent it, whichever node behind
-//! that address receives it — is packed into one kernel datagram of
-//! length-delimited frames (see [`crate::demux`]), split only at
-//! [`MAX_COALESCED`] bytes (between frames, never inside one): a wake
-//! costs about ⌈bytes / `MAX_COALESCED`⌉ kernel datagrams per destination,
-//! one for all but bulk serves. The grouping is stable, so the frames
-//! of one (sender → receiver) pair keep their release order. Each
-//! destination address is always sent from the same pool socket — its rank
-//! among the distinct addresses of the address book, modulo the pool — so
-//! the groups spread over the whole pool and one destination's datagrams
-//! never overtake each other on different sockets; a node's *home* socket
-//! is only where it receives. The packed queues then drain through the
-//! environment — batches of kernel datagrams per `sendmmsg` where the
-//! platform has it, per-datagram `send_to` otherwise. Ingress
-//! is symmetric: `recvmmsg` fills a pool of max-datagram buffers, and each
-//! received datagram is demuxed as a *borrowed* slice whose frames feed
-//! the protocol through the zero-copy `decode_frame`/`on_frame` path —
-//! the pooled buffer is the only copy of inbound bytes the hot path ever
-//! makes. The pool holds the largest burst the shard has seen, not a
+//! end, **grouped by destination address**. Every node of a shard receives
+//! at one address, its shard's first pool socket, so an address is a
+//! shard: every frame of the wake bound for one shard — whichever local
+//! node sent it, whichever of that shard's nodes receives it — is packed
+//! into one kernel datagram of length-delimited frames (see
+//! [`crate::demux`]), split only at [`MAX_COALESCED`] bytes (between
+//! frames, never inside one): a wake costs about ⌈bytes /
+//! `MAX_COALESCED`⌉ kernel datagrams per destination shard, one for all
+//! but bulk serves. The grouping is stable, so the frames of one (sender →
+//! receiver) pair keep their release order. Each destination address is
+//! always sent from the same pool socket — its rank among the distinct
+//! addresses of the address book, modulo the pool — so the groups spread
+//! over the pool and one destination's datagrams never overtake each other
+//! on different sockets. Every pool socket is polled and drained alike:
+//! a frame routes on its id prefix, whichever socket it lands on, so a
+//! peer that addresses another socket of the pool still reaches the node.
+//! The packed queues then drain through the environment — batches of
+//! kernel datagrams per `sendmmsg` where the platform has it, per-datagram
+//! `send_to` otherwise. Ingress is symmetric: `recvmmsg` fills a pool of
+//! max-datagram buffers, and each received datagram is demuxed as a
+//! *borrowed* slice whose frames feed the protocol through the zero-copy
+//! `decode_frame`/`on_frame` path — the pooled buffer is the only copy of
+//! inbound bytes the hot path ever makes. The pool holds the largest burst the shard has seen, not a
 //! worst case: it starts with a few buffers and doubles whenever a
 //! receive call fills them all, up to `recv_batch` (at most
 //! [`MAX_VLEN`](crate::mmsg::MAX_VLEN)), and never shrinks. The per-shard
@@ -271,7 +274,8 @@ pub(crate) struct ShardConfig {
     /// The compiled fault plan (shared; every shard walks the same
     /// timeline and applies the slice that concerns its nodes).
     pub compiled: Arc<CompiledAdversity>,
-    /// Global node id → home socket address (local or remote alike).
+    /// Global node id → the address it receives at, its shard's first pool
+    /// socket (local or remote alike).
     pub addresses: Arc<Vec<SocketAddr>>,
     pub stop: Arc<AtomicBool>,
     /// Live telemetry cells, pre-registered by the runtime (`None` when
@@ -1392,7 +1396,7 @@ pub(crate) mod stepped {
     use gossip_udp::cluster::{assemble_report, ClusterConfig, ClusterReport};
 
     use super::{Shard, ShardConfig, ShardEnv};
-    use crate::demux::{self, Placement};
+    use crate::demux::Placement;
     use crate::mmsg::testnet::{Net, SharedNet, VirtualEnv};
     use crate::ReactorOptions;
 
@@ -1417,10 +1421,7 @@ pub(crate) mod stepped {
             let (shards, pool) = (options.resolve_shards(total), options.sockets_per_shard);
             let placement = Placement::whole(total, shards);
             let net = Net::shared(shards * pool, options.socket_buffer_bytes);
-            let addresses = (0..total as u32).map(|g| {
-                let home = demux::home_socket(placement.local_of(g), pool);
-                Net::addr(placement.shard_of(g) * pool + home)
-            });
+            let addresses = (0..total as u32).map(|g| Net::addr(placement.shard_of(g) * pool));
             let addresses = Arc::new(addresses.collect());
             let shards: Vec<_> = (0..shards)
                 .map(|index| {
@@ -1529,11 +1530,24 @@ mod tests {
     use crate::ReactorOptions;
 
     /// A one-shard cluster of `n` smoke-test nodes that `tweak` has
-    /// adjusted, over a pool of `pool` in-memory sockets (node `g` homes on
-    /// socket `g % pool`), receive budget 8, on the batched path or the
+    /// adjusted, over a pool of `pool` in-memory sockets (every node
+    /// receives on socket 0), receive budget 8, on the batched path or the
     /// portable one.
     fn one_shard_of(
         batched: bool,
+        pool: usize,
+        n: usize,
+        tweak: impl FnOnce(&mut ClusterConfig),
+    ) -> VirtualCluster {
+        shards_of(batched, 1, pool, n, tweak)
+    }
+
+    /// [`one_shard_of`] on `shards` shards: node `g` on shard
+    /// `g % shards`, receiving at that shard's first socket, socket
+    /// `shard × pool` of the net.
+    fn shards_of(
+        batched: bool,
+        shards: usize,
         pool: usize,
         n: usize,
         tweak: impl FnOnce(&mut ClusterConfig),
@@ -1542,12 +1556,17 @@ mod tests {
         cluster.n = n;
         tweak(&mut cluster);
         let options = ReactorOptions {
-            shards: Some(1),
+            shards: Some(shards),
             sockets_per_shard: pool,
             recv_batch: 8,
             ..ReactorOptions::default()
         };
         VirtualCluster::new(cluster, &options, batched)
+    }
+
+    /// [`shards_of`] for `n` nodes and no stream.
+    fn idle_shards(batched: bool, shards: usize, pool: usize, n: usize) -> VirtualCluster {
+        shards_of(batched, shards, pool, n, |cluster| cluster.stream_duration = Duration::ZERO)
     }
 
     /// [`one_shard_of`] for 4 nodes, with or without a live stream.
@@ -1559,22 +1578,19 @@ mod tests {
     }
 
     /// The config of a one-shard cluster of `n` smoke-test nodes that
-    /// `tweak` has adjusted, receive budget `recv_batch`, over a pool of
-    /// `pool` sockets answering at `addr(k)` (node `g` homes on socket
-    /// `g % pool`).
+    /// `tweak` has adjusted, receive budget `recv_batch`, whose nodes all
+    /// receive at `addr`, its pool's first socket.
     fn one_shard_config(
-        pool: usize,
         n: usize,
         recv_batch: usize,
         tweak: impl FnOnce(&mut ClusterConfig),
-        addr: impl Fn(usize) -> SocketAddr,
+        addr: SocketAddr,
     ) -> ShardConfig {
         let mut cluster = ClusterConfig::smoke_test();
         cluster.n = n;
         tweak(&mut cluster);
         let compiled = Arc::new(cluster.compiled_adversity());
-        let addresses =
-            Arc::new((0..compiled.total_n).map(|g| addr(demux::home_socket(g, pool))).collect());
+        let addresses = Arc::new(vec![addr; compiled.total_n]);
         ShardConfig {
             index: 0,
             placement: demux::Placement::whole(n, 1),
@@ -1601,7 +1617,7 @@ mod tests {
             (0..pool).map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind")).collect();
         let addrs: Vec<SocketAddr> =
             sockets.iter().map(|s| s.local_addr().expect("addr")).collect();
-        let config = one_shard_config(pool, n, recv_batch, tweak, |k| addrs[k]);
+        let config = one_shard_config(n, recv_batch, tweak, addrs[0]);
         let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
         if !batched {
             env.downgrade();
@@ -1682,7 +1698,7 @@ mod tests {
     fn tapped_shard(batched: bool, recv_batch: usize) -> (Shard<Tap<VirtualEnv>>, SharedNet) {
         let net = Net::shared(1, 1 << 20);
         let idle = |cluster: &mut ClusterConfig| cluster.stream_duration = Duration::ZERO;
-        let config = one_shard_config(1, 4, recv_batch, idle, Net::addr);
+        let config = one_shard_config(4, recv_batch, idle, Net::addr(0));
         let env = Tap { env: VirtualEnv::new(Rc::clone(&net), 0, 1, batched), seen: Vec::new() };
         let mut shard = Shard::new(config, env);
         while shard.wheel.pop_before(Time::MAX).is_some() {}
@@ -1976,9 +1992,10 @@ mod tests {
     }
 
     /// Regression test for the socket-0-only park: the wait watches the
-    /// whole pool, so a frame for a node homed on the *last* socket wakes
-    /// the shard with exactly that socket flagged, and the drain that
-    /// follows hands it to the node. Real sockets: this is `ppoll`'s part.
+    /// whole pool, so a frame that lands on the *last* socket — a peer may
+    /// address any of them — wakes the shard with exactly that socket
+    /// flagged, and the drain that follows routes it to its node on the
+    /// prefix. Real sockets: this is `ppoll`'s part.
     #[test]
     fn a_frame_on_any_pool_socket_ends_the_wait() {
         let (mut shard, addrs) = live_shard_of(true, 4, 4, |c| c.stream_duration = Duration::ZERO);
@@ -2008,23 +2025,20 @@ mod tests {
             assert_eq!(flagged, [true; 4], "the portable wait reads blind");
         }
         shard.drain_sockets().expect("drain");
-        assert_eq!(
-            shard.nodes[3].port.recv_msgs, 1,
-            "the frame reached the node homed on socket 3"
-        );
+        assert_eq!(shard.nodes[3].port.recv_msgs, 1, "the frame on socket 3 reached its node");
         assert_eq!(shard.nodes[3].port.decode_errors, 0);
         assert!(!shard.ready.iter().any(PollFd::flagged), "a drained pool is unflagged");
     }
 
-    /// Everything on the wire to the pool's sockets, read the way a peer
-    /// shard would: per kernel datagram, the pool socket it went to, the
+    /// Everything on the wire to every socket of the net, read the way a
+    /// peer would: per kernel datagram, the net socket it went to, the
     /// address it was sent from, and its frames.
     type Arrival = (usize, SocketAddr, Vec<(NodeId, Vec<u8>)>);
 
-    fn read_pool(cluster: &VirtualCluster) -> Vec<Arrival> {
+    fn read_net(cluster: &VirtualCluster) -> Vec<Arrival> {
         let mut net = cluster.net.borrow_mut();
         let mut arrivals = Vec::new();
-        for si in cluster.shards[0].env.sockets() {
+        for si in cluster.shards.iter().flat_map(|shard| shard.env.sockets()) {
             for arrival in net.take(si) {
                 let frames = demux::frames(&arrival.bytes).map(|(d, w)| (d, w.to_vec())).collect();
                 arrivals.push((si, arrival.from, frames));
@@ -2040,11 +2054,13 @@ mod tests {
     #[test]
     fn interleaved_destinations_leave_as_one_kernel_datagram_each() {
         for batched in [true, false] {
-            // Pool of 2: nodes 0 and 2 receive on address A, 1 and 3 on B.
-            let mut cluster = one_shard(batched, 2, false);
+            // Three shards, pools of 2: nodes 1 and 4 receive on shard 1's
+            // address A (net socket 2), 2 and 5 on shard 2's B (socket 4).
+            let mut cluster = idle_shards(batched, 3, 2, 6);
             let shard = &mut cluster.shards[0];
-            let offers: Vec<(NodeId, Vec<u8>)> =
-                (0..12u8).map(|k| (NodeId::new(u32::from(k) % 4), vec![k; 20])).collect();
+            let offers: Vec<(NodeId, Vec<u8>)> = (0..12u8)
+                .map(|k| (NodeId::new([1, 2, 4, 5][usize::from(k) % 4]), vec![k; 20]))
+                .collect();
             for (to, bytes) in &offers {
                 shard.enqueue(*to, bytes.clone()); // A, B, A, B, …
             }
@@ -2053,11 +2069,11 @@ mod tests {
             assert_eq!(shard.stats.kernel_sent, 2, "batched={batched}: one datagram per address");
             assert!(shard.outbox.is_empty() && shard.outbox_bytes == 0);
 
-            let arrivals = read_pool(&cluster);
+            let arrivals = read_net(&cluster);
             assert_eq!(arrivals.len(), 2);
             for (si, _, frames) in arrivals {
                 let want: Vec<(NodeId, Vec<u8>)> =
-                    offers.iter().filter(|(to, _)| to.index() % 2 == si).cloned().collect();
+                    offers.iter().filter(|(to, _)| 2 * (to.index() % 3) == si).cloned().collect();
                 assert_eq!(frames, want, "batched={batched}: socket {si}");
             }
         }
@@ -2067,7 +2083,9 @@ mod tests {
     /// datagrams as hold it, dropping nothing and keeping the order.
     #[test]
     fn an_oversized_group_splits_and_drops_nothing() {
-        let mut cluster = one_shard(true, 4, false);
+        // Three shards, pools of 4: node 1 receives on net socket 4, node 2
+        // on socket 8.
+        let mut cluster = idle_shards(true, 3, 4, 6);
         let shard = &mut cluster.shards[0];
         // 40 frames of 1006 framed bytes: 16 fit one 16 KiB datagram.
         for k in 0..40u8 {
@@ -2083,8 +2101,8 @@ mod tests {
         );
         assert_eq!(shard.stats.send_drops + shard.stats.datagrams_shed, 0);
 
-        let arrivals = read_pool(&cluster);
-        let to_one: Vec<&Arrival> = arrivals.iter().filter(|(si, ..)| *si == 1).collect();
+        let arrivals = read_net(&cluster);
+        let to_one: Vec<&Arrival> = arrivals.iter().filter(|(si, ..)| *si == 4).collect();
         assert_eq!(to_one.iter().map(|(_, _, f)| f.len()).collect::<Vec<_>>(), [16, 16, 8]);
         let payloads = to_one.iter().flat_map(|(_, _, frames)| frames).map(|(_, wire)| wire[0]);
         assert!(payloads.eq(0..40u8), "every frame arrived, in release order");
@@ -2100,20 +2118,22 @@ mod tests {
     }
 
     /// Each destination address leaves from one fixed pool socket, its rank
-    /// modulo the pool — so with a pool's worth of destinations every pool
-    /// socket sends, and the chaos plan's socket-0 kill (which fires on the
-    /// send path) always finds traffic to interrupt.
+    /// modulo the pool — so with a pool's worth of destination shards every
+    /// pool socket sends, and the chaos plan's socket-0 kill (which fires on
+    /// the send path) always finds traffic to interrupt.
     #[test]
     fn every_pool_socket_carries_sends() {
-        let mut cluster = one_shard(true, 4, false);
+        // Five shards, pools of 4: nodes 1–4, one on each other shard,
+        // receive on net sockets 4, 8, 12 and 16.
+        let mut cluster = idle_shards(true, 5, 4, 5);
         for round in 0..3u8 {
             let shard = &mut cluster.shards[0];
-            for g in 0..4 {
+            for g in 1..5 {
                 shard.enqueue(NodeId::new(g), vec![round; 16]);
             }
             shard.flush_outbox().expect("flush");
         }
-        let arrivals = read_pool(&cluster);
+        let arrivals = read_net(&cluster);
         assert_eq!(arrivals.len(), 12);
         let mut senders: Vec<SocketAddr> = arrivals.iter().map(|&(_, from, _)| from).collect();
         senders.sort_unstable();
@@ -2121,10 +2141,67 @@ mod tests {
         let addrs: Vec<SocketAddr> = (0..4).map(Net::addr).collect();
         assert_eq!(senders, addrs, "all four pool sockets sent");
         // …and a destination never changes its socket.
-        for (si, addr) in addrs.iter().enumerate() {
+        for si in [4, 8, 12, 16] {
             let mut from = arrivals.iter().filter(|a| a.0 == si).map(|a| a.1);
             let first = from.next().expect("socket received");
+            let addr = Net::addr(si);
             assert!(from.all(|f| f == first), "address {addr} was sent to from two sockets");
+        }
+    }
+
+    /// Every node of a shard receives at its shard's first socket, so what
+    /// one wake releases for every node of another shard, from every node
+    /// of this one and interleaved, leaves as one kernel datagram to that
+    /// socket — each (sender → receiver) pair's frames in release order.
+    #[test]
+    fn one_wake_reaches_every_node_of_a_shard_in_one_kernel_datagram() {
+        for batched in [true, false] {
+            // Two shards, pools of 4: the even nodes on shard 0, the odd
+            // ones on shard 1 at net socket 4. Uncapped links release every
+            // offer at once.
+            let mut cluster = shards_of(batched, 2, 4, 8, |cluster| {
+                cluster.stream_duration = Duration::ZERO;
+                cluster.upload_cap_bps = None;
+            });
+            let shard = &mut cluster.shards[0];
+            while shard.wheel.pop_before(Time::MAX).is_some() {}
+            let now = shard.env.now();
+            // Each offer's encoded frame, under its (sender, receiver) pair.
+            let mut released: Vec<((NodeId, NodeId), Vec<u8>)> = Vec::new();
+            for k in 0..3 {
+                for vn in &mut shard.nodes {
+                    for to in (1..8).step_by(2).map(NodeId::new) {
+                        let index = (vn.id().as_u32() * 8 + to.as_u32()) as u16;
+                        let ids: Arc<[PacketId]> = vec![PacketId::new(k, index)].into();
+                        let envelope = Envelope::Gossip(Message::Propose { ids });
+                        released.push(((vn.id(), to), envelope.encode(vn.id())));
+                        offer(&mut vn.link, now, to, envelope);
+                    }
+                }
+            }
+            for (local, vn) in shard.nodes.iter().enumerate() {
+                shard.wheel.push(now, Fire::Release(local as u32, vn.epoch()));
+            }
+            shard.turn().expect("turn");
+            assert_eq!(shard.stats.iterations, 1);
+            assert_eq!(shard.stats.datagrams_sent, 48, "batched={batched}");
+            assert_eq!(shard.stats.kernel_sent, 1, "batched={batched}: one for the other shard");
+
+            let arrivals = read_net(&cluster);
+            let [(4, _, frames)] = &arrivals[..] else {
+                panic!("batched={batched}: not one datagram on socket 4: {arrivals:?}");
+            };
+            assert_eq!(frames.len(), released.len(), "batched={batched}");
+            for ((from, to), _) in &released {
+                let pair = |p: &&((NodeId, NodeId), Vec<u8>)| p.0 == (*from, *to);
+                let want: Vec<&[u8]> = released.iter().filter(pair).map(|p| &p.1[..]).collect();
+                let got: Vec<&[u8]> = frames
+                    .iter()
+                    .filter(|(dest, wire)| dest == to && want.contains(&&wire[..]))
+                    .map(|(_, wire)| &wire[..])
+                    .collect();
+                assert_eq!(got, want, "batched={batched}: {from} → {to}");
+            }
         }
     }
 
