@@ -7,8 +7,7 @@
 //! kernel I/O boundary of the reactor runtime. A [`ChaosSpec`] describes
 //! per-datagram mutations (drop / duplicate / reorder / delay / truncate)
 //! and errno faults (EAGAIN storms, EINTR, short `sendmmsg` counts, a
-//! timed ENOBUFS burst, a one-shot socket kill, a mid-run ENOSYS that
-//! forces the batched backend to downgrade). Compiling the spec yields a
+//! timed ENOBUFS burst, a one-shot socket kill). Compiling the spec yields a
 //! [`ChaosPlan`]: the same knobs plus a derived RNG seed, so the injected
 //! fault sequence is a pure function of `(spec, seed)` and — deliberately —
 //! independent of how many shards the reactor happens to run.
@@ -65,9 +64,6 @@ pub struct ChaosSpec {
     /// `Some(t)`: one socket per shard dies fatally (`EBADF`) at `t`,
     /// forcing a re-bind.
     pub kill_socket_at: Option<Duration>,
-    /// `Some(t)`: the first batched send at or after `t` fails with
-    /// `ENOSYS`, forcing a downgrade to the fallback backend.
-    pub enosys_at: Option<Duration>,
 }
 
 impl ChaosSpec {
@@ -122,7 +118,6 @@ impl ChaosSpec {
                 .enobufs_at
                 .map(|at| (Time::ZERO + at, Time::ZERO + at + self.enobufs_for)),
             kill_socket_at: self.kill_socket_at.map(|at| Time::ZERO + at),
-            enosys_at: self.enosys_at.map(|at| Time::ZERO + at),
             seed: DetRng::seed_from(seed).split(CHAOS_STREAM).next_u64(),
         }
     }
@@ -156,8 +151,6 @@ pub struct ChaosPlan {
     pub enobufs: Option<(Time, Time)>,
     /// When one socket per shard dies fatally, if ever.
     pub kill_socket_at: Option<Time>,
-    /// When the batched backend is forced to downgrade, if ever.
-    pub enosys_at: Option<Time>,
     /// Seed of the injection RNG (derived from the run seed on the
     /// dedicated chaos stream).
     pub seed: u64,
@@ -199,13 +192,11 @@ mod tests {
             enobufs_at: Some(Duration::from_secs(2)),
             enobufs_for: Duration::from_secs(1),
             kill_socket_at: Some(Duration::from_secs(3)),
-            enosys_at: Some(Duration::from_millis(500)),
             ..ChaosSpec::default()
         };
         let plan = spec.compile(1);
         assert_eq!(plan.enobufs, Some((Time::from_secs(2), Time::from_secs(3))));
         assert_eq!(plan.kill_socket_at, Some(Time::from_secs(3)));
-        assert_eq!(plan.enosys_at, Some(Time::from_millis(500)));
         assert!(!plan.is_none());
     }
 

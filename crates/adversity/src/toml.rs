@@ -73,7 +73,6 @@
 //! enobufs_at_secs = 2.0         # timed ENOBUFS burst...
 //! enobufs_secs = 1.0            # ...lasting this long (default 1 s)
 //! kill_socket_at_secs = 3.0     # one socket per shard dies (re-bind)
-//! enosys_at_secs = 4.0          # batched backend downgrades mid-run
 //! ```
 
 use std::cell::Cell;
@@ -423,9 +422,6 @@ impl AdversitySpec {
                     if let Some(at) = section.get("kill_socket_at_secs")? {
                         chaos.kill_socket_at = Some(secs(at, "kill_socket_at_secs")?);
                     }
-                    if let Some(at) = section.get("enosys_at_secs")? {
-                        chaos.enosys_at = Some(secs(at, "enosys_at_secs")?);
-                    }
                     spec.chaos = chaos;
                 }
                 other => {
@@ -492,7 +488,6 @@ reorder = 0.05
 short_send = 0.1
 enobufs_at_secs = 2
 kill_socket_at_secs = 3
-enosys_at_secs = 4
 ";
 
     #[test]
@@ -524,7 +519,6 @@ enosys_at_secs = 4
         assert_eq!(spec.chaos.enobufs_at, Some(Duration::from_secs(2)));
         assert_eq!(spec.chaos.enobufs_for, Duration::from_secs(1), "burst length defaults to 1 s");
         assert_eq!(spec.chaos.kill_socket_at, Some(Duration::from_secs(3)));
-        assert_eq!(spec.chaos.enosys_at, Some(Duration::from_secs(4)));
     }
 
     #[test]
@@ -596,6 +590,12 @@ enosys_at_secs = 4
             .unwrap_err()
             .0
             .contains("unknown key `dorp` in [chaos]"));
+        // The I/O path is fixed when a shard starts, not a fault to inject:
+        // the retired key fails like any other unknown one.
+        assert!(AdversitySpec::from_toml_str("[chaos]\nenosys_at_secs = 4\n")
+            .unwrap_err()
+            .0
+            .contains("unknown key `enosys_at_secs` in [chaos]"));
         assert!(AdversitySpec::from_toml_str("[chaos]\ndrop = 0.1\ndrop = 0.2\n")
             .unwrap_err()
             .0

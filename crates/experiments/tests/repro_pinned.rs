@@ -2,8 +2,10 @@
 //! --seed 1` (and one multi-trial churn sweep), each reduced to an FNV-1a
 //! digest of its stdout. A refactor of the figure code must leave every
 //! digest as it is; a change that is meant to move a figure must say so.
+//! The invocations run side by side, a few at a time.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `(arguments, FNV-1a 64 of stdout)`.
 const PINNED: &[(&[&str], u64)] = &[
@@ -40,21 +42,50 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// Runs `repro` with `args` at tiny scale and seed 1: the FNV-1a digest of
+/// its stdout, or why it failed.
+fn digest_of(args: &[&str]) -> Result<u64, String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .args(["--scale", "tiny", "--seed", "1"])
+        .output()
+        .map_err(|e| format!("repro {args:?} did not start: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("repro {args:?} failed: {}", String::from_utf8_lossy(&out.stderr)));
+    }
+    Ok(fnv1a(&out.stdout))
+}
+
+/// Every pinned invocation, on at most `available_parallelism()` worker
+/// threads that each take the next one not yet started; the outcomes come
+/// back in `PINNED` order.
+fn digests() -> Vec<Result<u64, String>> {
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let next = AtomicUsize::new(0);
+    let mut outcomes: Vec<(usize, Result<u64, String>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers.min(PINNED.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(args, _)) = PINNED.get(i) else { return done };
+                        done.push((i, digest_of(args)));
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("a worker thread")).collect()
+    });
+    outcomes.sort_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
 #[test]
 fn repro_output_is_pinned() {
     let mut mismatches = Vec::new();
-    for &(args, pinned) in PINNED {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .args(["--scale", "tiny", "--seed", "1"])
-            .output()
-            .expect("repro runs");
-        assert!(
-            out.status.success(),
-            "repro {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let digest = fnv1a(&out.stdout);
+    for (&(args, pinned), outcome) in PINNED.iter().zip(digests()) {
+        let digest = outcome.unwrap_or_else(|why| panic!("{why}"));
         if digest != pinned {
             mismatches.push(format!("repro {args:?}: {digest:#018x}, pinned {pinned:#018x}"));
         }

@@ -14,15 +14,15 @@
 //!   without changing a single draw (property-tested below).
 //! * **Errno faults** — each send syscall may be intercepted by the
 //!   socket's [`SocketChaos`] stream and turned into an injected errno:
-//!   `EAGAIN`/`EINTR` storms, a timed `ENOBUFS` burst, a one-shot `EBADF`
-//!   socket kill, and `ENOSYS` on the first batched send at or after the
-//!   plan's instant. [`ChaosSender`] is the one interposer between a
+//!   `EAGAIN`/`EINTR` storms, a timed `ENOBUFS` burst and a one-shot
+//!   `EBADF` socket kill. [`ChaosSender`] is the one interposer between a
 //!   shard's flush and *any* environment — live sockets or the in-memory
 //!   pool of the tests — so injected errors flow through exactly the same
 //!   [`crate::mmsg::classify`] taxonomy and recovery machinery as real
-//!   kernel returns: an injected `ENOSYS` downgrades the environment the
-//!   way a vanished syscall does. The chaos layer proves the *production*
-//!   error handling, not a parallel copy of it.
+//!   kernel returns: an injected `EBADF` re-binds the socket the way a
+//!   dead one does. The chaos layer proves the *production* error
+//!   handling, not a parallel copy of it. The I/O path is not a fault it
+//!   injects: the platform fixes it when the environment is built.
 //!
 //! Injection never panics: in the release profile (`panic = "abort"`) a
 //! panicking fault injector would take the whole process down, which is
@@ -130,22 +130,16 @@ impl SocketChaos {
     }
 
     /// Decides whether the next send syscall fails with an injected
-    /// errno. Priority: the one-shot kill, then `ENOSYS` while the
-    /// environment still runs `batched` (the downgrade it forces ends it),
-    /// then the ENOBUFS burst window, then the probabilistic EAGAIN/EINTR
-    /// storms.
-    fn errno(&mut self, plan: &ChaosPlan, now: Time, batched: bool) -> Option<io::Error> {
+    /// errno. Priority: the one-shot kill, then the ENOBUFS burst window,
+    /// then the probabilistic EAGAIN/EINTR storms.
+    fn errno(&mut self, plan: &ChaosPlan, now: Time) -> Option<io::Error> {
         const EINTR: i32 = 4;
         const EBADF: i32 = 9;
         const EAGAIN: i32 = 11;
-        const ENOSYS: i32 = 38;
         const ENOBUFS: i32 = 105;
         if self.kill_eligible && !self.kill_fired && plan.kill_socket_at.is_some_and(|t| now >= t) {
             self.kill_fired = true;
             return Some(io::Error::from_raw_os_error(EBADF));
-        }
-        if batched && plan.enosys_at.is_some_and(|t| now >= t) {
-            return Some(io::Error::from_raw_os_error(ENOSYS));
         }
         if plan.enobufs.is_some_and(|(from, to)| now >= from && now < to) {
             return Some(io::Error::from_raw_os_error(ENOBUFS));
@@ -208,7 +202,7 @@ impl<'a, E: ShardEnv> ChaosSender<'a, E> {
 
     fn send_from(&mut self, si: usize, queue: &SendQueue, first: usize) -> io::Result<usize> {
         if let Some((plan, chaos)) = &mut self.chaos {
-            if let Some(e) = chaos.errno(plan, self.now, self.env.batched()) {
+            if let Some(e) = chaos.errno(plan, self.now) {
                 self.injected += 1;
                 return Err(e);
             }
@@ -330,25 +324,11 @@ mod tests {
         });
         let at = Time::ZERO + Duration::from_secs(2);
         let mut eligible = SocketChaos::new(&p, 0, 0, true);
-        let first = eligible.errno(&p, at, true).expect("the kill fires");
+        let first = eligible.errno(&p, at).expect("the kill fires");
         assert_eq!(first.raw_os_error(), Some(9), "EBADF");
-        assert!(eligible.errno(&p, at, true).is_none(), "one-shot");
+        assert!(eligible.errno(&p, at).is_none(), "one-shot");
         let mut bystander = SocketChaos::new(&p, 0, 1, false);
-        assert!(bystander.errno(&p, at, true).is_none(), "only the eligible socket dies");
-    }
-
-    /// `ENOSYS` is what a batched call answers once its syscall is gone:
-    /// injected from the plan's instant on, to a batched environment only,
-    /// so the downgrade it forces is what ends it.
-    #[test]
-    fn enosys_answers_batched_sends_from_its_instant_on() {
-        let p = plan(ChaosSpec { enosys_at: Some(Duration::from_secs(1)), ..ChaosSpec::default() });
-        let mut chaos = SocketChaos::new(&p, 0, 0, false);
-        let (before, at) = (Time::ZERO, Time::ZERO + Duration::from_secs(1));
-        assert!(chaos.errno(&p, before, true).is_none());
-        let e = chaos.errno(&p, at, true).expect("ENOSYS");
-        assert_eq!(crate::mmsg::classify(&e), crate::mmsg::ErrorClass::Downgrade);
-        assert!(chaos.errno(&p, at, false).is_none(), "the portable path has no batched call");
+        assert!(bystander.errno(&p, at).is_none(), "only the eligible socket dies");
     }
 
     #[test]
@@ -420,10 +400,8 @@ mod tests {
 
     /// The pinned chaos workload: every datagram risks drop, duplication and
     /// reordering; every send between 1.0 s and 1.4 s fails with ENOBUFS
-    /// (driving the backoff/retain/retry path); at 1.6 s one socket per shard
-    /// dies with EBADF (driving the re-bind path); and from 2.2 s the batched
-    /// syscalls answer ENOSYS (driving the downgrade to the portable
-    /// send/receive/wait — inert on a shard already running it).
+    /// (driving the backoff/retain/retry path); and at 1.6 s one socket per
+    /// shard dies with EBADF (driving the re-bind path).
     fn chaos_config() -> gossip_udp::cluster::ClusterConfig {
         gossip_udp::cluster::ClusterConfig {
             n: 64,
@@ -449,7 +427,6 @@ mod tests {
                 enobufs_at: Some(Duration::from_millis(1000)),
                 enobufs_for: Duration::from_millis(400),
                 kill_socket_at: Some(Duration::from_millis(1600)),
-                enosys_at: Some(Duration::from_millis(2200)),
                 ..ChaosSpec::default()
             }),
             joiner_bootstrap: gossip_udp::cluster::JoinerBootstrap::Tracker,
@@ -460,13 +437,11 @@ mod tests {
     /// Runs the pinned chaos workload on one I/O path of a live n = 64,
     /// two-shard cluster and asserts the recovery story: faults were
     /// injected, transient failures backed off and were retried, the killed
-    /// sockets were re-bound, a batched shard downgraded when its syscalls
-    /// vanished, no shard aborted, and the cluster still streamed. On
-    /// virtual time the schedule is exact: every backoff entry falls inside
-    /// the ENOBUFS burst (its last retry at most [`BACKOFF_CAP`] past it),
-    /// each shard re-binds socket 0 exactly once, at the first send it
-    /// tries at or after the kill, and each batched shard downgrades
-    /// exactly once.
+    /// sockets were re-bound, no shard aborted, and the cluster still
+    /// streamed. On virtual time the schedule is exact: every backoff entry
+    /// falls inside the ENOBUFS burst (its last retry at most
+    /// [`BACKOFF_CAP`] past it), and each shard re-binds socket 0 exactly
+    /// once, at the first send it tries at or after the kill.
     ///
     /// [`BACKOFF_CAP`]: crate::shard::BACKOFF_CAP
     fn assert_recovers(batched: bool, backend: &str) {
@@ -493,8 +468,6 @@ mod tests {
                 rebind.at >= kill && rebind.last_send.is_some_and(|t| t < kill),
                 "shard {k}: the kill takes the first send at or after it ({backend}): {rebind:?}"
             );
-            let downgrades = shard.stats.backend_downgrades;
-            assert_eq!(downgrades, u64::from(batched), "shard {k} downgrades ({backend})");
         }
         let report = cluster.finish();
 
@@ -515,13 +488,6 @@ mod tests {
             rec.socket_rebinds >= 2,
             "the socket kill must force a re-bind on each of the 2 shards ({backend}): {rec:?}"
         );
-        if batched {
-            assert!(
-                rec.backend_downgrades >= 1,
-                "the ENOSYS must downgrade the batched shards ({backend}): {rec:?}"
-            );
-        }
-
         let total_recv: u64 = report.nodes.iter().map(|n| n.recv_msgs).sum();
         assert!(total_recv > 0, "traffic must keep flowing through recovery ({backend})");
         let avg = report.quality.average_quality_percent(Duration::MAX);

@@ -19,10 +19,9 @@
 //!   resuming after partial sends (the kernel may accept fewer than asked).
 //!   Send errors go through an explicit taxonomy ([`classify`]):
 //!   *transient* pressure retains the unsent tail for a backed-off retry,
-//!   `ENOSYS` asks the caller to downgrade the path, and a *fatal* socket
-//!   error drops exactly the refused datagram, retains the rest, and asks
-//!   the caller to re-bind the socket — the [`SendVerdict`] tells the shard
-//!   which recovery to run.
+//!   and a *fatal* socket error drops exactly the refused datagram, retains
+//!   the rest, and asks the caller to re-bind the socket — the
+//!   [`SendVerdict`] tells the shard which recovery to run.
 //! * **Recv** — a [`RecvQueue`] owns a pool of max-datagram buffers that
 //!   grows with the largest burst the shard has seen; one `recvmmsg` fills
 //!   up to the pool's worth of them, and the shard demuxes each as a
@@ -32,10 +31,12 @@
 //!   have something to read. The portable path cannot watch a pool: it
 //!   returns after the dwell with every socket flagged.
 //!
-//! The platform alone picks the path: the portable one serves non-Linux
-//! builds and kernels without the syscalls (a runtime `ENOSYS` probe), and
-//! takes over mid-run when a batched call answers `ENOSYS`
-//! (`ShardEnv::downgrade`). Tests pin it by downgrading an environment.
+//! The platform alone picks the path, once, when `UdpEnv::new` builds the
+//! environment: the portable one serves non-Linux builds, and processes
+//! whose kernel or seccomp filter refuses the syscalls (a start-up `ENOSYS`
+//! probe of `sendmmsg` and `recvmmsg`). The choice holds for the whole run:
+//! a running kernel does not lose a syscall, and a filter is in place before
+//! the probe. Tests pin the portable path when they build an environment.
 //!
 //! The FFI layer is hand-rolled (`#[repr(C)]` structs against the system
 //! libc) and gated to `linux`/`gnu` targets whose `msghdr` layout it
@@ -212,9 +213,6 @@ pub(crate) enum ErrorClass {
     /// `ENOMEM`, the shutdown-window `ECONNREFUSED` echo): the socket is
     /// fine, retry soon.
     Transient,
-    /// The batched syscall is not available (`ENOSYS`): switch to the
-    /// portable fallback and carry on.
-    Downgrade,
     /// The socket itself is broken (`EBADF` and everything else): replace
     /// it.
     Fatal,
@@ -228,7 +226,6 @@ pub(crate) fn classify(e: &io::Error) -> ErrorClass {
     const EAGAIN: i32 = 11;
     const EINTR: i32 = 4;
     const ENOMEM: i32 = 12;
-    const ENOSYS: i32 = 38;
     const ENOBUFS: i32 = 105;
     match e.kind() {
         io::ErrorKind::WouldBlock
@@ -237,7 +234,6 @@ pub(crate) fn classify(e: &io::Error) -> ErrorClass {
         | io::ErrorKind::ConnectionRefused => ErrorClass::Transient,
         _ => match e.raw_os_error() {
             Some(EAGAIN | EINTR | ENOMEM | ENOBUFS) => ErrorClass::Transient,
-            Some(ENOSYS) => ErrorClass::Downgrade,
             _ => ErrorClass::Fatal,
         },
     }
@@ -251,9 +247,6 @@ pub(crate) enum SendVerdict {
     /// A transient error stopped the drain: the unsent tail (including
     /// the refused segment) moved to `pending` — back off, then retry.
     Backoff,
-    /// `ENOSYS` mid-run: the unsent tail moved to `pending` — downgrade
-    /// the path, then retry.
-    Downgrade,
     /// A fatal socket error: the refused head was dropped (counted), the
     /// rest moved to `pending` — re-bind the socket, then retry.
     Rebind,
@@ -306,10 +299,6 @@ pub(crate) fn drain_queue(
                     stats.transients_recovered += 1;
                     retain_tail(queue, first, pending);
                     break SendVerdict::Backoff;
-                }
-                ErrorClass::Downgrade => {
-                    retain_tail(queue, first, pending);
-                    break SendVerdict::Downgrade;
                 }
                 ErrorClass::Fatal => {
                     stats.send_drops += 1;
@@ -405,8 +394,8 @@ pub(crate) fn set_socket_buffers(socket: &UdpSocket, bytes: usize) {
 }
 
 /// A live shard's environment: the cluster clock, the shard's socket pool
-/// and the I/O path the platform probe picked — batched where the
-/// syscalls exist, portable otherwise or once they vanish mid-run.
+/// and the I/O path the platform probe picked at construction — batched
+/// where the syscalls exist, portable otherwise, for the whole run.
 #[derive(Debug)]
 pub(crate) struct UdpEnv {
     clock: ClusterClock,
@@ -420,7 +409,8 @@ pub(crate) struct UdpEnv {
 }
 
 impl UdpEnv {
-    /// Takes over a bound pool, made non-blocking here, on `clock`.
+    /// Takes over a bound pool, made non-blocking here, on `clock`, and
+    /// picks the I/O path the start-up probe allows.
     pub fn new(
         clock: ClusterClock,
         sockets: Vec<UdpSocket>,
@@ -442,10 +432,6 @@ impl ShardEnv for UdpEnv {
 
     fn pool(&self) -> usize {
         self.sockets.len()
-    }
-
-    fn batched(&self) -> bool {
-        self.backend == Backend::Mmsg
     }
 
     /// The dwell is a plain sleep. The batched path then makes one `ppoll`
@@ -543,10 +529,6 @@ impl ShardEnv for UdpEnv {
         set_socket_buffers(&fresh, self.buffer_bytes);
         self.sockets[si] = fresh;
         Ok(())
-    }
-
-    fn downgrade(&mut self) {
-        self.backend = Backend::Fallback;
     }
 }
 
@@ -665,19 +647,31 @@ mod sys {
         }
     }
 
-    /// One-shot runtime probe: `sendmmsg` with an empty vector is a no-op
-    /// on every kernel that has the syscall and `ENOSYS` on one that does
-    /// not (glibc's fallback shim included).
+    /// One-shot start-up probe, the only place the batched path is chosen:
+    /// `sendmmsg` and `recvmmsg` with an empty vector are no-ops on every
+    /// kernel that has the syscalls and `ENOSYS` on one that does not, or
+    /// behind a seccomp filter that refuses them that way (glibc's fallback
+    /// shim included). Both must pass.
     pub fn supported() -> bool {
         static PROBE: OnceLock<bool> = OnceLock::new();
         *PROBE.get_or_init(|| {
             let Ok(socket) = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)) else {
                 return false;
             };
+            let fd = socket.as_raw_fd();
+            let answered =
+                |rc: i32| rc >= 0 || io::Error::last_os_error().raw_os_error() != Some(ENOSYS);
             // SAFETY: with `vlen` 0 the kernel never dereferences the
             // (null) vector; the fd is a live socket for the whole call.
-            let rc = unsafe { sendmmsg(socket.as_raw_fd(), std::ptr::null_mut(), 0, 0) };
-            rc >= 0 || io::Error::last_os_error().raw_os_error() != Some(ENOSYS)
+            let sent = answered(unsafe { sendmmsg(fd, std::ptr::null_mut(), 0, 0) });
+            // SAFETY: with `vlen` 0 the kernel reads no entry of the (null)
+            // vector and writes none back, the null timeout is never read,
+            // `MSG_DONTWAIT` keeps an empty socket from blocking, and the fd
+            // is a live socket for the whole call.
+            let received = answered(unsafe {
+                recvmmsg(fd, std::ptr::null_mut(), 0, MSG_DONTWAIT, std::ptr::null_mut())
+            });
+            sent && received
         })
     }
 
@@ -809,6 +803,24 @@ mod sys {
     }
 
     pub fn set_socket_buffers(_: &UdpSocket, _: usize) {}
+}
+
+#[cfg(test)]
+impl UdpEnv {
+    /// [`UdpEnv::new`] pinned to the portable path, whatever the probe says.
+    pub fn portable(
+        clock: ClusterClock,
+        sockets: Vec<UdpSocket>,
+        buffer_bytes: usize,
+    ) -> io::Result<Self> {
+        let env = Self::new(clock, sockets, buffer_bytes)?;
+        Ok(UdpEnv { backend: Backend::Fallback, ..env })
+    }
+
+    /// Whether this environment runs the batched path.
+    pub fn batched(&self) -> bool {
+        self.backend == Backend::Mmsg
+    }
 }
 
 #[cfg(test)]
@@ -956,6 +968,11 @@ pub(crate) mod testnet {
         pub fn sockets(&self) -> Range<usize> {
             self.first..self.first + self.pool
         }
+
+        /// Whether this environment models the batched path.
+        pub fn batched(&self) -> bool {
+            self.batched
+        }
     }
 
     impl ShardEnv for VirtualEnv {
@@ -965,10 +982,6 @@ pub(crate) mod testnet {
 
         fn pool(&self) -> usize {
             self.pool
-        }
-
-        fn batched(&self) -> bool {
-            self.batched
         }
 
         /// The driver has already stepped the clock to the instant this
@@ -1038,10 +1051,6 @@ pub(crate) mod testnet {
             self.rebinds.push(Rebind { at: net.now, socket: si, last_send: self.last_send[si] });
             Ok(())
         }
-
-        fn downgrade(&mut self) {
-            self.batched = false;
-        }
     }
 }
 
@@ -1061,11 +1070,8 @@ mod tests {
     /// A live environment over `sockets`, on the batched path or pinned to
     /// the portable one.
     fn env_of(sockets: Vec<UdpSocket>, batched: bool) -> UdpEnv {
-        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
-        if !batched {
-            env.downgrade();
-        }
-        env
+        let build = if batched { UdpEnv::new } else { UdpEnv::portable };
+        build(ClusterClock::start(), sockets, 1 << 20).expect("env")
     }
 
     fn queue_of(payloads: &[&[u8]], addr: SocketAddr) -> SendQueue {
@@ -1195,7 +1201,7 @@ mod tests {
             (11, ErrorClass::Transient),  // EAGAIN
             (12, ErrorClass::Transient),  // ENOMEM
             (105, ErrorClass::Transient), // ENOBUFS
-            (38, ErrorClass::Downgrade),  // ENOSYS
+            (38, ErrorClass::Fatal),      // ENOSYS
             (9, ErrorClass::Fatal),       // EBADF
         ];
         for &(errno, class) in CASES {

@@ -565,7 +565,7 @@ mod tests {
             assert_eq!(decode_errors, 0, "no malformed datagrams ({label})");
             let quantum = crate::mmsg::WAKE_QUANTUM.as_secs_f64();
             let wakes = (1.5 * report.shard_stats.len() as f64 * wall_secs / quantum) as u64;
-            let bound = wakes + io.recv_syscalls + io.backend_downgrades;
+            let bound = wakes + io.recv_syscalls;
             assert!(
                 io.iterations <= bound,
                 "a shard loop is spinning ({label}): {} iterations on {} shards in {wall_secs:.1} s \
@@ -691,8 +691,14 @@ mod tests {
 
     /// `config`'s workload on the simulator, over a loopback-like network
     /// (tiny constant latency, no in-network loss) and measured over the
-    /// cluster report's window range.
+    /// cluster report's window range. Refuses what a scenario has no field
+    /// for: a Cyclon bootstrap and the `crashes` and `inject_loss`
+    /// shorthands.
     fn simulated(config: &ClusterConfig) -> gossip_experiments::RunResult {
+        let tracker = gossip_udp::cluster::JoinerBootstrap::Tracker;
+        assert_eq!(config.joiner_bootstrap, tracker, "no simulator twin for a Cyclon bootstrap");
+        assert!(config.crashes.is_empty(), "no simulator twin for the crash shorthand");
+        assert_eq!(config.inject_loss, 0.0, "no simulator twin for the loss shorthand");
         let mut scenario = Scenario::tiny(6)
             .with_seed(config.seed)
             .with_gossip(config.gossip.clone())
@@ -700,6 +706,8 @@ mod tests {
         scenario.n = config.n;
         scenario.stream = config.stream;
         scenario.upload_cap_bps = config.upload_cap_bps;
+        scenario.source_uncapped = config.source_uncapped;
+        scenario.max_queue_delay = config.max_backlog;
         scenario.stream_duration = config.stream_duration;
         scenario.drain_duration = config.drain_duration;
         scenario.latency = LatencyModel::Constant(Duration::from_micros(200));
@@ -1024,7 +1032,12 @@ mod tests {
     /// them the node reports — a wake's frames for a shard now arrive on
     /// one socket in send order, not spread over four drained in turn, so
     /// the nodes read them in another order.
-    const VIRTUAL_CLUSTER_DIGEST: u64 = 0xf792_9aac_3100_438c;
+    ///
+    /// Moved again, from 0xf792_9aac_3100_438c, when `ShardStats` lost its
+    /// `backend_downgrades` row (always 0 here): only the printed shard
+    /// counters changed. The node half of the digest and every remaining
+    /// shard counter are what they were.
+    const VIRTUAL_CLUSTER_DIGEST: u64 = 0xa913_63a5_92e3_cd10;
 
     #[test]
     fn a_virtual_cluster_digest_is_pinned() {

@@ -21,9 +21,10 @@
 //! only thing the loop reads time from or moves datagrams through. It
 //! answers `now` — every deadline, the dwell and the telemetry phase spans
 //! are read there —, waits (the dwell, then the pool's readiness),
-//! receives a batch on one pool socket, sends from one, re-binds a dead
-//! socket in place and downgrades to the portable I/O path. Time and
-//! sockets are one seam, not two: only the loop and its wait read either.
+//! receives a batch on one pool socket, sends from one, and re-binds a dead
+//! socket in place. Time and sockets are one seam, not two: only the loop
+//! and its wait read either. Which I/O path the environment runs is fixed
+//! when it is built, not part of the seam.
 //! A live shard runs on [`crate::mmsg::UdpEnv`] — the cluster clock, real
 //! sockets, `ppoll` and `sendmmsg`/`recvmmsg` or their portable fallback;
 //! the tests run the *same* loop on an in-memory pool and a stepped clock,
@@ -170,9 +171,6 @@ pub(crate) trait ShardEnv {
     /// Number of sockets in the pool.
     fn pool(&self) -> usize;
 
-    /// Whether the batched path (`sendmmsg`/`recvmmsg`, `ppoll`) is live.
-    fn batched(&self) -> bool;
-
     /// Dwells for `dwell`, then waits until a pool socket is readable or
     /// `timeout` more has passed, and rebuilds `ready` — one slot per
     /// socket, in pool order — with the outcome.
@@ -202,10 +200,6 @@ pub(crate) trait ShardEnv {
 
     /// Replaces dead pool socket `si` in place, on its local address.
     fn rebind(&mut self, si: usize) -> io::Result<()>;
-
-    /// Takes the portable path for the rest of the run (the batched
-    /// syscalls answered `ENOSYS`).
-    fn downgrade(&mut self);
 }
 
 /// Size cap of one coalesced kernel datagram. Well under the 64 KiB UDP
@@ -722,11 +716,7 @@ impl<E: ShardEnv> Shard<E> {
     /// untouched, while the last drain left backlog.
     fn park(&mut self) {
         let Some((dwell, timeout)) = self.wait_plan() else { return };
-        if let Err(e) = self.env.wait(dwell, timeout, &mut self.ready) {
-            // `ppoll` vanished mid-run: the dwell becomes the only sleep.
-            if classify(&e) == ErrorClass::Downgrade {
-                self.downgrade();
-            }
+        if self.env.wait(dwell, timeout, &mut self.ready).is_err() {
             // A failed wait (EINTR included) says nothing about the pool:
             // read it blind this once. The dwell still bounds the loop.
             self.ready = vec![PollFd::BLIND; self.env.pool()];
@@ -794,13 +784,6 @@ impl<E: ShardEnv> Shard<E> {
             let n = match self.env.recv(si, ask, queue, &mut self.stats) {
                 Ok(n) => n,
                 Err(e) => match classify(&e) {
-                    // The batched syscall vanished mid-run: fall back to
-                    // plain recv_from; the socket stays flagged, so the
-                    // retry is on the portable path.
-                    ErrorClass::Downgrade => {
-                        self.downgrade();
-                        break;
-                    }
                     ErrorClass::Transient => 0,
                     // The socket is dead (e.g. EBADF): re-bind it and move
                     // on — its kernel backlog is lost, which is UDP
@@ -1156,8 +1139,7 @@ impl<E: ShardEnv> Shard<E> {
     /// Drains one socket's packed queue through the environment (behind
     /// the chaos interposer), honouring its backoff clock and handling the
     /// drain verdict: exponential backoff with deterministic jitter on
-    /// transient failures, a downgrade to the portable path on ENOSYS, an
-    /// in-place re-bind on fatal errors. Retained datagrams go out ahead of
+    /// transient failures, an in-place re-bind on fatal errors. Retained datagrams go out ahead of
     /// this flush's batch, oldest first.
     fn flush_socket(&mut self, si: usize, queue: &mut SendQueue, now: Time) -> io::Result<()> {
         {
@@ -1220,16 +1202,12 @@ impl<E: ShardEnv> Shard<E> {
                 self.stats.send_backoffs += 1;
                 Self::shed_pending(rec, &mut self.scratch_queue, &mut self.stats);
             }
-            SendVerdict::Downgrade | SendVerdict::Rebind => {
+            SendVerdict::Rebind => {
                 if !rec.pending.is_empty() {
                     rec.pending_since.get_or_insert(now);
                 }
+                self.rebind(si)?;
             }
-        }
-        match verdict {
-            SendVerdict::Downgrade => self.downgrade(),
-            SendVerdict::Rebind => self.rebind(si)?,
-            SendVerdict::Drained | SendVerdict::Backoff => {}
         }
         Ok(())
     }
@@ -1258,13 +1236,6 @@ impl<E: ShardEnv> Shard<E> {
         std::mem::swap(&mut rec.pending, scratch);
         scratch.clear();
         stats.datagrams_shed += dropped as u64;
-    }
-
-    /// The batched syscalls are gone: the environment takes the portable
-    /// path from here on.
-    fn downgrade(&mut self) {
-        self.env.downgrade();
-        self.stats.backend_downgrades += 1;
     }
 
     /// Pool socket `si` is dead: the environment re-binds it in place.
@@ -1395,7 +1366,7 @@ pub(crate) mod stepped {
     use gossip_types::Time;
     use gossip_udp::cluster::{assemble_report, ClusterConfig, ClusterReport};
 
-    use super::{Shard, ShardConfig, ShardEnv};
+    use super::{Shard, ShardConfig};
     use crate::demux::Placement;
     use crate::mmsg::testnet::{Net, SharedNet, VirtualEnv};
     use crate::ReactorOptions;
@@ -1618,10 +1589,8 @@ mod tests {
         let addrs: Vec<SocketAddr> =
             sockets.iter().map(|s| s.local_addr().expect("addr")).collect();
         let config = one_shard_config(n, recv_batch, tweak, addrs[0]);
-        let mut env = UdpEnv::new(ClusterClock::start(), sockets, 1 << 20).expect("env");
-        if !batched {
-            env.downgrade();
-        }
+        let build = if batched { UdpEnv::new } else { UdpEnv::portable };
+        let env = build(ClusterClock::start(), sockets, 1 << 20).expect("env");
         (config, env, addrs)
     }
 
@@ -1654,10 +1623,6 @@ mod tests {
             self.env.pool()
         }
 
-        fn batched(&self) -> bool {
-            self.env.batched()
-        }
-
         fn wait(
             &mut self,
             dwell: Duration,
@@ -1685,10 +1650,6 @@ mod tests {
 
         fn rebind(&mut self, si: usize) -> io::Result<()> {
             self.env.rebind(si)
-        }
-
-        fn downgrade(&mut self) {
-            self.env.downgrade();
         }
     }
 
@@ -2443,7 +2404,7 @@ mod tests {
             assert!(stats.datagrams_sent > 0 && stats.datagrams_received > 0);
             let decode_errors: u64 = report.nodes.iter().map(|n| n.decode_errors).sum();
             assert_eq!(decode_errors, 0, "batched={batched}: malformed datagrams on loopback");
-            let bound = iteration_bound(wall.as_secs_f64(), &stats) + stats.backend_downgrades;
+            let bound = iteration_bound(wall.as_secs_f64(), &stats);
             assert!(
                 stats.iterations <= bound,
                 "batched={batched}: the loop is spinning: {} iterations in {wall:?} (bound {bound})",

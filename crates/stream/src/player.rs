@@ -162,6 +162,13 @@ impl StreamPlayer {
         self.record(window).map_or(0, |r| r.count as usize)
     }
 
+    /// Returns which packets of `window` arrived — packet index `i` is bit
+    /// `i % 64` of word `i / 64` — or `None` if none did.
+    pub fn window_bits(&self, window: u32) -> Option<&[u64]> {
+        let i = self.locate(window).ok()?;
+        Some(&self.received[i * self.words..(i + 1) * self.words])
+    }
+
     /// Returns the total number of distinct packets received.
     pub fn packets_received(&self) -> u64 {
         self.packets_received

@@ -173,7 +173,7 @@ impl ClusterReport {
 
     /// Cluster-wide I/O totals: every shard's [`ShardStats`] merged into
     /// one (`None` when no shard reported any). Its recovery counters
-    /// (faults injected, backoffs, re-binds, downgrades, …) and
+    /// (faults injected, backoffs, re-binds, …) and
     /// [`ClusterReport::aborted_shards`] are the run's self-healing
     /// record, all zero for a chaos-free run on a healthy host.
     pub fn io_stats(&self) -> Option<ShardStats> {
@@ -324,8 +324,9 @@ pub fn assemble_report(config: &ClusterConfig, mut nodes: Vec<NodeReport>) -> Cl
 
 /// End-to-end integrity check: for every receiver and measured window that
 /// is decodable by count, re-derive the window from the packets the *source*
-/// generated, erase what the node did not receive, run the real
-/// Reed–Solomon reconstruction and compare with the generator output.
+/// generated, erase exactly the packets the node's player did not record,
+/// run the real Reed–Solomon reconstruction from the shards left and
+/// compare with the generator output.
 ///
 /// (The drivers do not retain payload bytes — the wire codec round-trip is
 /// separately tested — so this validates the *decodability claim* of every
@@ -351,20 +352,12 @@ fn verify_windows(config: &ClusterConfig, nodes: &[NodeReport], first: u32, last
             if report.player.window_decodable_at(w).is_none() {
                 continue;
             }
-            // Feed exactly the shards this node received... we know the
-            // count; reconstruct which indices arrived via the player's
-            // per-window bitmask is not exposed, so feed the first
-            // `received` indices — equivalent for an MDS code's
-            // decodability, and the byte comparison still exercises real
-            // algebra.
-            let received = report.player.packets_in_window(w).min(all.len());
-            if !params.is_decodable(received) {
-                continue;
-            }
+            let Some(bits) = report.player.window_bits(w) else { continue };
+            let held = |idx: usize| bits[idx / 64] >> (idx % 64) & 1 == 1;
             let mut shards: Vec<Option<Vec<u8>>> = all
                 .iter()
                 .enumerate()
-                .map(|(idx, shard)| (idx < received).then(|| shard.clone()))
+                .map(|(idx, shard)| held(idx).then(|| shard.clone()))
                 .collect();
             if rs.reconstruct(&mut shards).is_ok()
                 && shards.iter().zip(&data).all(|(a, b)| a.as_ref() == Some(b))
@@ -404,5 +397,36 @@ mod tests {
         assert_eq!(report.receivers(), 1);
         // Vacuous quality: no windows measured means nothing failed.
         assert!(report.quality.average_quality_percent(Duration::MAX) >= 100.0 - 1e-9);
+    }
+
+    /// A receiver missing one data packet of a window and holding a parity
+    /// packet in its place verifies: the check rebuilds the missing data
+    /// shard from the parity the node holds.
+    #[test]
+    fn a_window_missing_a_data_packet_verifies_from_parity() {
+        let config = ClusterConfig::smoke_test();
+        let params = config.stream.window;
+        let node = |id: u32, packets: &[usize]| {
+            let mut player = StreamPlayer::new(config.stream);
+            for &i in packets {
+                player.on_packet(Time::from_millis(i as u64), PacketId::new(3, i as u16));
+            }
+            NodeReport {
+                id: NodeId::new(id),
+                protocol: gossip_core::ProtocolStats::default(),
+                player,
+                sent_bytes: 0,
+                sent_msgs: 0,
+                shaper_drops: 0,
+                recv_msgs: 0,
+                decode_errors: 0,
+            }
+        };
+        // Data packets 1..k and the first parity packet: k packets, data 0
+        // absent.
+        let held: Vec<usize> = (1..=params.data_packets).collect();
+        let nodes = [node(0, &[]), node(1, &held)];
+        assert!(nodes[1].player.window_decodable_at(3).is_some());
+        assert_eq!(verify_windows(&config, &nodes, 3, 3), 1);
     }
 }

@@ -117,9 +117,6 @@ gossip_types::counters! {
         /// Fatal socket errors recovered by re-binding the socket in place.
         socket_rebinds: "gossip_shard_socket_rebinds_total",
             "Fatal socket errors recovered by re-binding in place.",
-        /// Mid-run I/O backend downgrades (`ENOSYS` → portable fallback).
-        backend_downgrades: "gossip_shard_backend_downgrades_total",
-            "Mid-run I/O backend downgrades (batched syscalls gone).",
     }
 }
 

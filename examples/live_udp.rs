@@ -237,13 +237,9 @@ fn main() {
             total.faults_injected, total.transients_recovered, total.send_backoffs
         );
         println!(
-            "  recovery: {} datagrams shed, {} socket re-binds, {} backend downgrades, \
-             {} encode errors, {} aborted shards",
-            total.datagrams_shed,
-            total.socket_rebinds,
-            total.backend_downgrades,
-            total.encode_errors,
-            report.aborted_shards
+            "  recovery: {} datagrams shed, {} socket re-binds, {} encode errors, \
+             {} aborted shards",
+            total.datagrams_shed, total.socket_rebinds, total.encode_errors, report.aborted_shards
         );
     }
 }
