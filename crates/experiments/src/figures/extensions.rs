@@ -103,24 +103,34 @@ pub fn heterogeneous(scale: Scale, seed: u64) -> Grid {
 
 /// A paper deployment (700 kbps caps, 600 kbps stream) of `n` nodes at
 /// `fanout`, on a shortened stream.
-fn sized(n: usize, fanout: usize, seed: u64, stream_secs: u64, drain_secs: u64) -> Scenario {
+fn sized(n: usize, fanout: usize, seed: u64, stream: Duration, drain: Duration) -> Scenario {
     let mut scenario = Scenario::at_scale(Scale::Quick, fanout).with_seed(seed);
     scenario.n = n;
-    scenario.stream_duration = Duration::from_secs(stream_secs);
-    scenario.drain_duration = Duration::from_secs(drain_secs);
+    scenario.stream_duration = stream;
+    scenario.drain_duration = drain;
     scenario
 }
 
-/// Fanout `ln n + c` across system sizes (at every `--scale`).
-pub fn scaling(_: Scale, seed: u64) -> Grid {
+/// Fanout `ln n + c` across system sizes: n = 30, 60, 120, 230 at full
+/// scale, scaled with the scale's population (rounded, at least 10 nodes,
+/// repeats dropped), on the scale's stream cut to quick scale's 45 + 25 s.
+pub fn scaling(scale: Scale, seed: u64) -> Grid {
+    let full = Scale::Full.nodes();
+    let mut sizes: Vec<usize> = [30, 60, 120, 230]
+        .iter()
+        .map(|n| ((n * scale.nodes() + full / 2) / full).max(10))
+        .collect();
+    sizes.dedup();
+    // Keep runtime bounded: a shorter stream than the full experiment.
+    let stream = scale.stream_duration().min(Scale::Quick.stream_duration());
+    let drain = scale.drain_duration().min(Scale::Quick.drain_duration());
     let cell = |n| {
         let fanout = GossipConfig::theoretical_fanout(n, 2.0);
-        // Keep runtime bounded: a shorter stream than the full experiment.
-        (vec![n.to_string(), fanout.to_string()], vec![sized(n, fanout, seed, 45, 25)])
+        (vec![n.to_string(), fanout.to_string()], vec![sized(n, fanout, seed, stream, drain)])
     };
     Grid::new(
         &["n", "fanout"],
-        [30usize, 60, 120, 230].map(cell).to_vec(),
+        sizes.into_iter().map(cell).collect(),
         quality,
         Figure {
             id: "ext_scaling",
@@ -278,7 +288,7 @@ pub fn large_n(_: Scale, seed: u64) -> Grid {
         for fanout in 2..=ln_n + 4 {
             rows.push((
                 vec![n.to_string(), fanout.to_string()],
-                vec![sized(n, fanout, seed, 30, 15)],
+                vec![sized(n, fanout, seed, Duration::from_secs(30), Duration::from_secs(15))],
             ));
         }
     }

@@ -26,7 +26,11 @@ const PINNED: &[(&[&str], u64)] = &[
     (&["adv-throttle"], 0x64b8_2a11_2ed6_39d8),
     (&["ext-membership"], 0x6d58_b629_5d10_41f0),
     (&["ext-heterogeneous"], 0x1f84_95b1_d39e_4016),
-    (&["ext-scaling"], 0x7da2_1c08_cc66_9ba3),
+    // Moved from 0x7da2_1c08_cc66_9ba3 when `ext-scaling` began to honour
+    // `--scale`: at tiny scale it sweeps n = 10 and 20 on a 15 + 10 s
+    // stream, not n = 30…230 on 45 + 25 s. `--scale full` prints what it
+    // printed before, byte for byte.
+    (&["ext-scaling"], 0x3b53_e479_cf6f_aa6c),
     (&["ext-period"], 0x91ed_f63d_5998_1e03),
     (&["ext-churn-timeline"], 0x089f_8dcc_4cea_0d8e),
     (&["ext-ablations"], 0xc9a6_0ea0_bcb4_35c6),

@@ -433,7 +433,15 @@ mod tests {
 
     #[test]
     fn smoke_reactor_disseminates() {
-        let report = ReactorCluster::run(ClusterConfig::smoke_test()).expect("cluster runs");
+        // The smoke cluster on a 2 + 1 s run: ten 0.2 s windows, enough
+        // for what real sockets must show. The protocol itself is covered
+        // on virtual time.
+        let config = ClusterConfig {
+            stream_duration: gossip_types::Duration::from_secs(2),
+            drain_duration: gossip_types::Duration::from_secs(1),
+            ..ClusterConfig::smoke_test()
+        };
+        let report = ReactorCluster::run(config).expect("cluster runs");
         assert_eq!(report.receivers(), 7);
         assert!(report.windows_measured >= 3);
         let avg = report.quality.average_quality_percent(gossip_types::Duration::MAX);

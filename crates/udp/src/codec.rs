@@ -55,7 +55,8 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A read position inside an encoded buffer.
+/// A read position inside an encoded buffer (the deploy control protocol
+/// reads its frame bodies with it too).
 #[derive(Debug)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
@@ -73,28 +74,42 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Consumes the next `N` bytes.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let Some(&bytes) = self.buf[self.pos..].first_chunk::<N>() else {
+    /// Consumes the next `len` bytes.
+    pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let Some(bytes) = self.buf[self.pos..].get(..len) else {
             return Err(CodecError(format!(
-                "truncated: wanted {N} bytes at offset {}, {} left",
+                "truncated: wanted {len} bytes at offset {}, {} left",
                 self.pos,
                 self.remaining()
             )));
         };
-        self.pos += N;
+        self.pos += len;
         Ok(bytes)
+    }
+
+    /// Consumes the next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// Consumes one byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        self.take().map(u8::from_le_bytes)
     }
 
     fn u16(&mut self) -> Result<u16, CodecError> {
         self.take().map(u16::from_le_bytes)
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    /// Consumes a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         self.take().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    /// Consumes a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
         self.take().map(u64::from_le_bytes)
     }
 }

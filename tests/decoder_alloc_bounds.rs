@@ -12,7 +12,7 @@ use std::net::{TcpListener, TcpStream};
 use counting_alloc::largest_allocation_in;
 use gossip::core::wire::decode_message;
 use gossip::core::TestEvent;
-use gossip::deploy::proto::{read_message, ProtoError};
+use gossip::deploy::proto::read_message;
 use gossip::stream::{StreamConfig, StreamPacket};
 use gossip::udp::codec::decode_process_reports;
 
@@ -48,8 +48,9 @@ fn a_frame_header_promising_64_mib_allocates_for_the_bytes_that_arrive() {
     let addr = listener.local_addr().expect("addr");
     let client = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connects");
-        // [tag][len = 64 MiB, the cap], a sliver of body, then hang up.
-        let mut frame = vec![1u8];
+        // A `Report` header: [tag][len = 64 MiB, the kind's cap], a sliver
+        // of body, then hang up.
+        let mut frame = vec![5u8];
         frame.extend_from_slice(&(64u32 << 20).to_le_bytes());
         frame.extend_from_slice(&[0u8; SENT]);
         stream.write_all(&frame).expect("writes");
@@ -58,8 +59,24 @@ fn a_frame_header_promising_64_mib_allocates_for_the_bytes_that_arrive() {
     let (got, largest) = largest_allocation_in(|| read_message(&mut stream));
     client.join().expect("client");
     match got {
-        Err(ProtoError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         other => panic!("a short body must be an I/O error, got {other:?}"),
     }
     assert!(largest <= 64 * SENT, "{largest} bytes allocated for a {SENT}-byte body");
+}
+
+#[test]
+fn a_hello_header_promising_64_mib_is_refused_before_its_body() {
+    // [tag 1][len = 64 MiB], over the 4-byte cap of a `Hello`, and a body.
+    let mut frame = vec![1u8];
+    frame.extend_from_slice(&(64u32 << 20).to_le_bytes());
+    frame.extend_from_slice(&[0u8; 1000]);
+    let mut stream = &frame[..];
+    let (got, largest) = largest_allocation_in(|| read_message(&mut stream));
+    match got {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+        other => panic!("an over-cap Hello must be refused, got {other:?}"),
+    }
+    assert_eq!(stream.len(), 1000, "not one body byte was read");
+    assert!(largest <= 128, "{largest} bytes allocated: more than the error");
 }
