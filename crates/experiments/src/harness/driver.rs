@@ -423,11 +423,19 @@ mod tests {
     #[test]
     fn driver_runs_to_the_horizon() {
         let cfg = crate::Scenario::tiny(6).with_seed(8);
-        let result = Driver::new(&cfg).run();
+        let horizon = Time::ZERO + cfg.total_duration();
+        let mut slices = Vec::new();
+        let result = execute_probed(&cfg, Duration::from_secs(1), |at, _, _| slices.push(at));
         assert!(result.events_processed > 1_000, "a run dispatches many events");
-        // The probe fires once per simulated second until the horizon.
+        // Sliced once per simulated second, the last slice at the horizon.
         let total_secs = cfg.total_duration().as_secs_f64() as usize;
-        assert!(result.timeline.delivered.len() >= total_secs - 1);
+        assert_eq!(slices.len(), total_secs);
+        assert_eq!(slices.last(), Some(&horizon));
+        // Unsliced, the driver stops with nothing due before the horizon.
+        let mut driver = Driver::new(&cfg);
+        driver.run_to_horizon();
+        assert!(driver.engine.now() <= horizon);
+        assert!(driver.engine.peek_time().is_none_or(|next| next > horizon));
     }
 
     #[test]

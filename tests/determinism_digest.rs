@@ -4,8 +4,8 @@
 //!
 //! The *schedule digest* folds every field of two `RunResult`s (two fanouts
 //! of the fig1 sweep at a fixed seed) that the simulated schedule
-//! determines — traffic, quality, protocol and network counters, the
-//! per-second timeline — through FNV-1a. If it moves after a refactor, the
+//! determines — traffic, quality, protocol and network counters, and three
+//! per-second series read off the deployment — through FNV-1a. If it moves after a refactor, the
 //! refactor changed simulation *behavior*, not just performance — find out
 //! why before updating the constant.
 //!
@@ -16,7 +16,7 @@
 //! the digest proves the schedule stood still.
 
 use gossip_experiments::{RunResult, Scenario};
-use gossip_types::Duration;
+use gossip_types::{Duration, Time};
 
 /// FNV-1a over a byte stream.
 struct Fnv(u64);
@@ -38,10 +38,22 @@ impl Fnv {
     }
 }
 
-/// Folds every schedule-determined field of a run into the digest. Floats
-/// are hashed by their exact bit patterns, so any drift — however small —
-/// is caught.
-fn fold_result(h: &mut Fnv, r: &RunResult) {
+/// Runs `scenario`, slicing it at every whole second of simulated time to
+/// read three series off the deployment — cumulative packets delivered to
+/// the receivers, bytes queued on the upload links, cumulative upload-queue
+/// drops — and folds them and every schedule-determined field of the
+/// result into the digest. Floats are hashed by their exact bit patterns,
+/// so any drift — however small — is caught.
+fn run_folded(h: &mut Fnv, scenario: &Scenario) -> RunResult {
+    let mut series: [Vec<(Time, f64)>; 3] = Default::default();
+    let r = scenario.run_probed(Duration::from_secs(1), |at, hosted, _| {
+        let delivered: u64 = hosted[1..].iter().map(|h| h.player.packets_received()).sum();
+        let queued: usize = hosted.iter().map(|h| h.link.queued_bytes()).sum();
+        let dropped: u64 = hosted.iter().map(|h| h.link.stats().msgs_dropped).sum();
+        series[0].push((at, delivered as f64));
+        series[1].push((at, queued as f64));
+        series[2].push((at, dropped as f64));
+    });
     h.write(&u64::from(r.windows_measured).to_le_bytes());
     h.write(&r.source_upload_kbps.to_bits().to_le_bytes());
     for &kbps in &r.upload_kbps {
@@ -55,12 +67,13 @@ fn fold_result(h: &mut Fnv, r: &RunResult) {
     h.write(&offline.to_bits().to_le_bytes());
     h.write_str(&format!("{:?}", r.protocol));
     h.write_str(&format!("{:?}", r.net));
-    for series in [&r.timeline.delivered, &r.timeline.queued_bytes, &r.timeline.dropped] {
-        for &(at, v) in series.samples() {
+    for samples in &series {
+        for &(at, v) in samples {
             h.write_str(&format!("{at:?}"));
             h.write(&v.to_bits().to_le_bytes());
         }
     }
+    r
 }
 
 /// Runs the two pinned scenarios (after `configure`) and returns their
@@ -68,9 +81,7 @@ fn fold_result(h: &mut Fnv, r: &RunResult) {
 fn digest_of(configure: impl Fn(Scenario) -> Scenario) -> (u64, [u64; 2]) {
     let mut h = Fnv::new();
     let events = [5usize, 7].map(|fanout| {
-        let result = configure(Scenario::tiny(fanout).with_seed(42)).run();
-        fold_result(&mut h, &result);
-        result.events_processed
+        run_folded(&mut h, &configure(Scenario::tiny(fanout).with_seed(42))).events_processed
     });
     (h.0, events)
 }
@@ -193,10 +204,8 @@ fn adversity_digest_is_pinned() {
     ] {
         assert!(compiled.profiles.iter().any(|p| p.byzantine == Some(behaviour)), "{behaviour:?}");
     }
-    let result = scenario.run();
-
     let mut h = Fnv::new();
-    fold_result(&mut h, &result);
+    let result = run_folded(&mut h, &scenario);
     let joiners = result.joiner_quality.as_ref().expect("the flash crowd left survivors");
     for node in joiners.nodes() {
         h.write_str(&format!("{:?}", node.window_lags()));

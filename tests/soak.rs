@@ -5,7 +5,7 @@
 //! passed, the ids its retransmission timers wait for stay at the ids in
 //! flight, the bytes the run holds
 //! grow by no more than its measurement history (a player's record of each
-//! window, the per-second timeline), the deployment's packet pool holds one
+//! window), the deployment's packet pool holds one
 //! horizon of packets, and a crashed node holds nothing at all.
 
 #[path = "support/counting_alloc.rs"]
@@ -26,8 +26,6 @@ const WINDOW_PACKETS: usize = 55;
 /// player's record of the window — a 56 B element of a `Vec` that doubles,
 /// so up to 112 B, and its one-word bitmask — with room to spare.
 const HISTORY_PER_WINDOW: usize = 128;
-/// And per simulated second: three timeline samples of 16 B, doubling.
-const HISTORY_PER_SECOND: usize = 96;
 
 /// One probe: when, each node's id records, and the bytes the run held.
 #[derive(Clone, Copy)]
@@ -147,7 +145,7 @@ fn half_an_hour_past_the_retention_horizon_holds_one_horizon_of_state() {
     // of every window at every live node.
     let (from, to) = (first[0], samples.last().expect("samples"));
     let secs = (to.at.as_micros() - from.at.as_micros()) / 1_000_000;
-    let history = secs as usize * (N * HISTORY_PER_WINDOW + HISTORY_PER_SECOND);
+    let history = secs as usize * N * HISTORY_PER_WINDOW;
     let grown = to.live_bytes - from.live_bytes;
     assert!(
         grown <= (history + (64 << 10)) as isize,
