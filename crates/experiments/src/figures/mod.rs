@@ -18,9 +18,10 @@ pub mod fig3_caps;
 pub mod fig4_bandwidth;
 pub mod fig5_refresh;
 pub mod fig6_feedme;
+mod table;
 
-use gossip_metrics::Table;
 use gossip_types::Duration;
+pub use table::Table;
 
 use crate::harness::{RunResult, SweepRunner};
 use crate::scenario::{Scale, Scenario};

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for experiment output.
+//! Plain-text table rendering for the figures' output.
 
 use std::fmt;
 
@@ -10,7 +10,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use gossip_metrics::Table;
+/// use gossip_experiments::figures::Table;
 ///
 /// let mut t = Table::new(vec!["fanout", "offline", "10s"]);
 /// t.row(vec!["7".into(), "100.0".into(), "97.4".into()]);
@@ -45,15 +45,6 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row width must match header");
         self.rows.push(cells);
         self
-    }
-
-    /// Convenience: append a row of `f64` values after a label column,
-    /// formatted to one decimal.
-    pub fn row_f64<S: Into<String>>(&mut self, label: S, values: &[f64]) -> &mut Self {
-        let mut cells = Vec::with_capacity(values.len() + 1);
-        cells.push(label.into());
-        cells.extend(values.iter().map(|v| format!("{v:.1}")));
-        self.row(cells)
     }
 
     /// Number of data rows.
@@ -111,15 +102,6 @@ mod tests {
         assert!(lines[1].starts_with('-'));
         // All rows have the same width.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn row_f64_formats_one_decimal() {
-        let mut t = Table::new(vec!["k", "a", "b"]);
-        t.row_f64("7", &[99.949, 0.0]);
-        assert!(t.to_string().contains("99.9"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

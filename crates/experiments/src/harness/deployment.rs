@@ -163,7 +163,6 @@ impl<'a> Deployment<'a> {
         for (k, event) in compiled.timeline.events().iter().enumerate() {
             engine.schedule(event.at, Ev::Fault(k));
         }
-        engine.schedule(Time::from_secs(1), Ev::Probe);
 
         let deployment = Deployment {
             cfg,

@@ -12,7 +12,7 @@ use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::hosted::{self, Envelope, FaultHost, Host};
 
 use crate::harness::deployment::{offer, Deployment, Port, SimNode};
-use crate::harness::result::{self, DepthTracker, RunResult, RunTimeline};
+use crate::harness::result::{self, DepthTracker, RunResult};
 use crate::scenario::{MembershipMode, Scenario};
 
 /// Events flowing through the simulation engine.
@@ -37,8 +37,6 @@ pub(crate) enum Ev {
     Receive { to: NodeId, from: NodeId, envelope: Envelope },
     /// A node's membership shuffle timer fired (Cyclon mode).
     ShuffleRound(NodeId, u32),
-    /// The per-second timeline probe.
-    Probe,
     /// The k-th event of the compiled fault timeline triggers.
     Fault(usize),
 }
@@ -49,12 +47,36 @@ pub(crate) fn execute(cfg: &Scenario) -> RunResult {
 }
 
 /// Like [`execute`], handing `probe` every node at each multiple of `every`
-/// (and at the horizon). The engine runs to each instant and stops: slicing
-/// its run changes nothing it dispatches.
+/// (and at the horizon).
 pub(crate) fn execute_probed(
     cfg: &Scenario,
     every: Duration,
     mut probe: impl FnMut(Time, &[SimNode], &PacketPool<StreamPacket>),
+) -> RunResult {
+    execute_sliced(cfg, every, |at, driver| probe(at, &driver.dep.hosted, &driver.dep.pool))
+}
+
+/// Like [`execute`], publishing live aggregates into `registry` at every
+/// simulated second (and at the horizon). Publication only reads the
+/// stopped run, so a telemetered run is bit-identical to a silent one.
+pub(crate) fn execute_with_telemetry(
+    cfg: &Scenario,
+    registry: &gossip_telemetry::Registry,
+) -> RunResult {
+    let cells = SimCells::register(registry);
+    execute_sliced(cfg, Duration::from_secs(1), |at, driver| {
+        cells.publish(at, &driver.dep, driver.engine.processed());
+    })
+}
+
+/// Runs `cfg` to each multiple of `every` and to the horizon, handing
+/// `look` the stopped driver at each instant: the simulator's one way to
+/// watch a run. The engine runs to the instant and stops, so slicing its
+/// run changes nothing it dispatches.
+fn execute_sliced(
+    cfg: &Scenario,
+    every: Duration,
+    mut look: impl FnMut(Time, &Driver<'_>),
 ) -> RunResult {
     assert!(!every.is_zero(), "a probe needs a positive period");
     let mut driver = Driver::new(cfg);
@@ -63,26 +85,14 @@ pub(crate) fn execute_probed(
     while at < end {
         at = (at + every).min(end);
         driver.run_until(at);
-        probe(at, &driver.dep.hosted, &driver.dep.pool);
+        look(at, &driver);
     }
     result::collect(driver)
 }
 
-/// Like [`execute`], publishing live aggregates into `registry` on every
-/// per-second probe (metric publication never feeds back into the
-/// simulation, so a telemetered run is bit-identical to a silent one).
-pub(crate) fn execute_with_telemetry(
-    cfg: &Scenario,
-    registry: &gossip_telemetry::Registry,
-) -> RunResult {
-    let mut driver = Driver::new(cfg);
-    driver.telemetry = Some(SimCells::register(registry));
-    driver.run()
-}
-
-/// The simulation's live metric cells, published once per simulated
-/// second (on [`Ev::Probe`], alongside the timeline sample).
-pub(crate) struct SimCells {
+/// The simulation's live metric cells, published at every simulated
+/// second of a telemetered run.
+struct SimCells {
     sim_seconds: gossip_telemetry::Cell,
     events_processed: gossip_telemetry::Cell,
     packets_delivered: gossip_telemetry::Cell,
@@ -145,21 +155,19 @@ impl SimCells {
     }
 }
 
-/// The running simulation: deployment state plus the engine and the per-run
-/// observers.
+/// The running simulation: deployment state plus the engine and the
+/// dissemination-depth tracker.
 pub(crate) struct Driver<'a> {
     pub(crate) dep: Deployment<'a>,
     pub(crate) engine: Engine<Ev>,
-    pub(crate) timeline: RunTimeline,
     pub(crate) depth: DepthTracker,
-    pub(crate) telemetry: Option<SimCells>,
 }
 
 impl<'a> Driver<'a> {
     pub(crate) fn new(cfg: &'a Scenario) -> Self {
         let (dep, engine) = Deployment::new(cfg);
         let depth = DepthTracker::new(cfg);
-        Driver { dep, engine, timeline: RunTimeline::new(), depth, telemetry: None }
+        Driver { dep, engine, depth }
     }
 
     /// Runs the event loop until the horizon, then collects the result.
@@ -256,13 +264,6 @@ impl<'a> Driver<'a> {
                         }
                     }
                 }
-            }
-            Ev::Probe => {
-                self.timeline.sample(now, &self.dep);
-                if let Some(cells) = &self.telemetry {
-                    cells.publish(now, &self.dep, self.engine.processed());
-                }
-                self.engine.schedule(now + Duration::from_secs(1), Ev::Probe);
             }
             Ev::Fault(k) => {
                 let action = self.dep.compiled.timeline.events()[k].action;

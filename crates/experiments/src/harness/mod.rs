@@ -9,8 +9,8 @@
 //! * [`driver`] — *execution*: the event loop that pops engine events and
 //!   dispatches them to nodes, links, players and membership views until the
 //!   simulated clock passes the scenario's horizon;
-//! * [`result`] — *measurement*: the per-run observers (timeline probe,
-//!   dissemination-depth tracker) and the final [`RunResult`] assembly.
+//! * [`result`] — *measurement*: the dissemination-depth tracker and the
+//!   final [`RunResult`] assembly.
 //!
 //! On top of single runs, [`sweep`] provides [`SweepRunner`]: independent
 //! `(parameter, seed)` runs fanned out across OS threads. Runs share nothing
@@ -22,5 +22,5 @@ pub mod driver;
 pub mod result;
 pub mod sweep;
 
-pub use result::{DepthStats, RunResult, RunTimeline};
+pub use result::{DepthStats, RunResult};
 pub use sweep::SweepRunner;

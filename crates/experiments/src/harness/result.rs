@@ -1,5 +1,5 @@
-//! Measurement and result assembly: the per-run observers and the final
-//! [`RunResult`].
+//! Measurement and result assembly: the dissemination-depth tracker and
+//! the final [`RunResult`].
 
 use gossip_net::NetStats;
 use gossip_stream::{NodeQuality, PacketId, QualityReport};
@@ -31,9 +31,6 @@ pub struct RunResult {
     /// High-water mark of the engine's pending-event queue (for performance
     /// reporting: the repo benchmark's `sim.peak_queue` row).
     pub peak_queue: usize,
-    /// Per-second timeline of the run: cumulative packets delivered across
-    /// all receivers, total queued upload bytes, and cumulative drops.
-    pub timeline: RunTimeline,
     /// Dissemination-depth statistics (hops from the source per delivered
     /// packet), when [`Scenario::track_depth`] was enabled.
     pub depth: Option<DepthStats>,
@@ -69,37 +66,6 @@ pub struct DepthStats {
     pub max: u16,
     /// Number of deliveries measured.
     pub deliveries: u64,
-}
-
-/// Per-second system-state samples of one run.
-#[derive(Debug, Clone, Default)]
-pub struct RunTimeline {
-    /// Cumulative packets delivered to all surviving receivers.
-    pub delivered: gossip_metrics::TimeSeries,
-    /// Total bytes queued in all upload links at the sample instant.
-    pub queued_bytes: gossip_metrics::TimeSeries,
-    /// Cumulative messages dropped by all upload queues.
-    pub dropped: gossip_metrics::TimeSeries,
-}
-
-impl RunTimeline {
-    pub(crate) fn new() -> Self {
-        RunTimeline {
-            delivered: gossip_metrics::TimeSeries::new("delivered_packets"),
-            queued_bytes: gossip_metrics::TimeSeries::new("queued_bytes"),
-            dropped: gossip_metrics::TimeSeries::new("dropped_msgs"),
-        }
-    }
-
-    /// Records one per-second sample of the deployment's state.
-    pub(crate) fn sample(&mut self, now: Time, dep: &Deployment<'_>) {
-        let delivered: u64 = dep.hosted[1..].iter().map(|h| h.player.packets_received()).sum();
-        let queued: usize = dep.hosted.iter().map(|h| h.link.queued_bytes()).sum();
-        let dropped: u64 = dep.hosted.iter().map(|h| h.link.stats().msgs_dropped).sum();
-        self.delivered.push(now, delivered as f64);
-        self.queued_bytes.push(now, queued as f64);
-        self.dropped.push(now, dropped as f64);
-    }
 }
 
 /// Tracks per-packet dissemination depth (hops from the source), when
@@ -192,7 +158,7 @@ impl DepthTracker {
 
 /// Assembles the [`RunResult`] from a finished driver.
 pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
-    let Driver { dep, engine, timeline, depth, telemetry: _ } = driver;
+    let Driver { dep, engine, depth } = driver;
     let cfg = dep.cfg;
     let first = cfg.measure_from_window;
     let last = cfg.last_measured_window();
@@ -262,7 +228,6 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
         windows_measured: last - first + 1,
         events_processed: engine.processed(),
         peak_queue: engine.peak_pending(),
-        timeline,
         depth: depth.stats(),
         joiner_quality: (!joiner_qualities.is_empty())
             .then(|| QualityReport::new(joiner_qualities)),

@@ -27,5 +27,5 @@ pub mod figures;
 pub mod harness;
 pub mod scenario;
 
-pub use harness::{DepthStats, RunResult, RunTimeline, SweepRunner};
+pub use harness::{DepthStats, RunResult, SweepRunner};
 pub use scenario::{MembershipMode, Scale, Scenario};

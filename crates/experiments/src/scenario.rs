@@ -30,7 +30,7 @@ use crate::harness::deployment::SimNode;
 
 // Re-exported here so pre-refactor paths (`scenario::RunResult` et al.)
 // keep working; the types now live with the harness's result layer.
-pub use crate::harness::result::{DepthStats, RunResult, RunTimeline};
+pub use crate::harness::result::{DepthStats, RunResult};
 
 /// Preset experiment sizes.
 ///
@@ -267,9 +267,11 @@ impl Scenario {
 
     /// Like [`Scenario::run`], publishing live aggregates (simulated time,
     /// delivered packets, message/byte totals, live node count) into
-    /// `registry` once per simulated second. Publication only reads the
-    /// deployment, so a telemetered run stays bit-identical to a silent
-    /// one with the same seed.
+    /// `registry` at every simulated second, the way
+    /// [`Scenario::run_probed`] looks: the run goes to each second, stops,
+    /// publishes and goes on. Publication only reads the deployment, so a
+    /// telemetered run stays bit-identical to a silent one with the same
+    /// seed.
     ///
     /// # Panics
     ///
@@ -282,8 +284,10 @@ impl Scenario {
     /// Like [`Scenario::run`], handing `probe` every node of the deployment
     /// (crashed ones and dark joiners included) and the deployment's packet
     /// pool at each multiple of `every` of simulated time, and at the
-    /// horizon: a read-only window onto the run's state for soak tests and
-    /// diagnostics. The run is bit-identical to an unprobed one.
+    /// horizon: a read-only window onto the run's state for soak tests,
+    /// diagnostics and per-second series. This slicing is the simulator's
+    /// only way to watch a run; the run is bit-identical to an unprobed
+    /// one.
     ///
     /// # Panics
     ///

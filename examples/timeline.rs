@@ -1,6 +1,7 @@
 //! Watch a run unfold over time: per-second delivery rate, queue backlog
 //! and drops, rendered as sparklines — including the dip-and-recovery
-//! around a catastrophic churn event.
+//! around a catastrophic churn event. The run is read at every simulated
+//! second through `Scenario::run_probed`.
 //!
 //! ```text
 //! cargo run --release --example timeline [churn_percent]
@@ -9,7 +10,7 @@
 use gossip_experiments::churn::catastrophic_crash;
 use gossip_experiments::Scenario;
 use gossip_sim::DetRng;
-use gossip_types::{NodeId, Time};
+use gossip_types::{Duration, NodeId, Time};
 
 fn main() {
     let pct: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30);
@@ -24,27 +25,38 @@ fn main() {
         &mut rng,
     );
     println!(
-        "{} nodes, {pct}% crash at {}; one sparkline bucket ≈ 1 s\n",
+        "{} nodes, {pct}% crash at {}; one sparkline bar = 1 s\n",
         scenario.n,
         Time::ZERO + crash_at
     );
-    let result = scenario.with_adversity(crash).run();
-    let t = &result.timeline;
 
-    // Delivery rate (packets/s across all surviving receivers).
-    let mut rate = gossip_metrics::TimeSeries::new("delivery_rate");
-    for (at, v) in t.delivered.rates() {
-        rate.push(at, v);
-    }
-    let width = 60;
-    println!("delivery rate  {}", rate.sparkline(width));
-    println!("queued bytes   {}", t.queued_bytes.sparkline(width));
-    println!("drops (cum.)   {}", t.dropped.sparkline(width));
+    // Cumulative packets delivered to the receivers (from 0 at the start),
+    // bytes queued on the upload links, cumulative upload-queue drops.
+    let (mut delivered, mut queued, mut dropped) = (vec![0u64], Vec::new(), Vec::new());
+    let result =
+        scenario.with_adversity(crash).run_probed(Duration::from_secs(1), |_, hosted, _| {
+            delivered.push(hosted[1..].iter().map(|h| h.player.packets_received()).sum());
+            queued.push(hosted.iter().map(|h| h.link.queued_bytes() as u64).sum());
+            dropped.push(hosted.iter().map(|h| h.link.stats().msgs_dropped).sum());
+        });
 
-    let last = t.delivered.last().map_or(0.0, |(_, v)| v);
-    println!("\ntotal packets delivered to receivers: {last}");
+    // Delivery rate: packets per second across all surviving receivers.
+    let rate: Vec<u64> = delivered.windows(2).map(|w| w[1] - w[0]).collect();
+    println!("delivery rate  {}", sparkline(&rate));
+    println!("queued bytes   {}", sparkline(&queued));
+    println!("drops (cum.)   {}", sparkline(&dropped));
+
+    println!("\ntotal packets delivered to receivers: {}", delivered.last().unwrap_or(&0));
     println!(
         "average complete windows (offline): {:.1}%",
-        result.quality.average_quality_percent(gossip_types::Duration::MAX)
+        result.quality.average_quality_percent(Duration::MAX)
     );
+}
+
+/// One bar per value, scaled between the series' minimum and maximum.
+fn sparkline(values: &[u64]) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let lo = values.iter().copied().min().unwrap_or(0);
+    let range = (values.iter().copied().max().unwrap_or(0) - lo).max(1) as f64;
+    values.iter().map(|&v| BARS[((v - lo) as f64 / range * 7.0).round() as usize]).collect()
 }

@@ -28,7 +28,6 @@ pub use gossip_deploy as deploy;
 pub use gossip_experiments as experiments;
 pub use gossip_fec as fec;
 pub use gossip_membership as membership;
-pub use gossip_metrics as metrics;
 pub use gossip_net as net;
 pub use gossip_reactor as reactor;
 pub use gossip_sim as sim;

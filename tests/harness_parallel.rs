@@ -46,9 +46,6 @@ fn run_results_identical_across_thread_counts() {
         assert_eq!(a.windows_measured, b.windows_measured);
         assert_eq!(a.protocol, b.protocol);
         assert_eq!(a.net, b.net);
-        assert_eq!(a.timeline.delivered.samples(), b.timeline.delivered.samples());
-        assert_eq!(a.timeline.queued_bytes.samples(), b.timeline.queued_bytes.samples());
-        assert_eq!(a.timeline.dropped.samples(), b.timeline.dropped.samples());
         let lags = |r: &gossip_experiments::RunResult| -> Vec<f64> {
             (0..6)
                 .map(|s| r.quality.percent_viewing(0.01, gossip_types::Duration::from_secs(s * 5)))
