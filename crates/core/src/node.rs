@@ -520,11 +520,6 @@ impl<E: Event> GossipNode<E> {
         self.outputs.pop_front()
     }
 
-    /// Returns `true` if effects are pending.
-    pub fn has_output(&self) -> bool {
-        !self.outputs.is_empty()
-    }
-
     /// Tells the node which deadline in the host's queue `token` (from an
     /// [`Output::ScheduleTimer`]) became, so the node can hand it back
     /// through [`GossipNode::poll_cancelled`] instead of letting it fire

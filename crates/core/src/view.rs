@@ -208,11 +208,6 @@ impl PartnerView {
     pub fn current(&self) -> &[NodeId] {
         &self.partners
     }
-
-    /// Returns `true` once a first selection has been made.
-    pub fn is_initialised(&self) -> bool {
-        self.initialised
-    }
 }
 
 #[cfg(test)]

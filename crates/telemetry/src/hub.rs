@@ -3,7 +3,7 @@
 
 use std::net::SocketAddr;
 
-use crate::{serve, Registry, Sampler, TelemetryConfig, TelemetryFrozen, TelemetrySeries};
+use crate::{serve, Registry, Sampler, TelemetryConfig, TelemetrySeries};
 
 /// Everything one running cluster needs for live observability, bundled:
 /// the [`Registry`] its workers register cells in, the scrape endpoint
@@ -51,15 +51,6 @@ impl Hub {
     pub fn finish(mut self) -> TelemetrySeries {
         self.server.shutdown();
         self.sampler.stop()
-    }
-
-    /// Like [`Hub::finish`] but also hands back the final registry state,
-    /// for callers that want to read individual cells after the run (the
-    /// profiling export does).
-    pub fn finish_with_registry(mut self) -> TelemetryFrozen {
-        self.server.shutdown();
-        let series = self.sampler.stop();
-        TelemetryFrozen { series, registry: self.registry }
     }
 }
 

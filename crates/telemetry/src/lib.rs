@@ -36,16 +36,6 @@ pub use sample::{series_to_json, Sampler, TelemetrySeries, TelemetrySnapshot};
 pub use server::{serve, TelemetryServer};
 pub use text::{in_family, parse_text, render, scrape, scrape_text};
 
-/// A finished run's telemetry: the snapshot series plus the final
-/// registry, for callers that read individual cells after the run.
-#[derive(Debug)]
-pub struct TelemetryFrozen {
-    /// The accumulated snapshot series.
-    pub series: TelemetrySeries,
-    /// The registry in its final state.
-    pub registry: Registry,
-}
-
 /// Switches on and shapes the telemetry layer of one runtime.
 ///
 /// Attached to a cluster configuration as an `Option`: `None` means no

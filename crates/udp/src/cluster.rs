@@ -202,16 +202,6 @@ impl ClusterReport {
         }
         total
     }
-
-    /// Partition re-convergence: the first window at index ≥ `from_window`
-    /// that *every* receiver eventually decoded (`None` if no such window).
-    /// With `from_window` set to the first window published after a heal
-    /// event, the gap to the heal measures how fast the mesh re-converges.
-    pub fn reconvergence_window(&self, from_window: u32) -> Option<u32> {
-        let last = from_window.checked_add(self.windows_measured)?;
-        (from_window..last)
-            .find(|&w| self.nodes.iter().skip(1).all(|n| n.player.window_decodable_at(w).is_some()))
-    }
 }
 
 /// Errors from running a cluster.

@@ -161,10 +161,4 @@ impl ShardStats {
         (self.iterations > 0)
             .then(|| (self.send_syscalls + self.recv_syscalls) as f64 / self.iterations as f64)
     }
-
-    /// I/O syscalls per protocol datagram moved in either direction.
-    pub fn total_syscalls_per_datagram(&self) -> Option<f64> {
-        let datagrams = self.datagrams_sent + self.datagrams_received;
-        (datagrams > 0).then(|| (self.send_syscalls + self.recv_syscalls) as f64 / datagrams as f64)
-    }
 }
