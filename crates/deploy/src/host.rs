@@ -58,7 +58,6 @@ pub fn run_worker(
         shards: config.shards_per_process,
         sockets_per_shard: config.sockets_per_shard,
         bind_addr: config.bind,
-        ..ReactorOptions::default()
     };
     // Telemetry: the `[telemetry]` section gives worker k its own scrape
     // port; `--telemetry-json` adds the periodic file dump (and stands

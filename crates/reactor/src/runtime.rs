@@ -30,12 +30,29 @@ use crate::shard::{Shard, ShardConfig};
 /// promptly, long enough to cost nothing.
 const STOP_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
-/// Tuning knobs of the reactor runtime (the workload itself comes from
+/// Maximum datagrams a shard drains per socket per loop iteration. The
+/// budget is what keeps timers on time under ingress floods. It also caps
+/// a shard's receive pool, capped in turn at the backend's vector limit:
+/// the pool starts with a few buffers and doubles whenever a receive call
+/// fills them all.
+pub(crate) const RECV_BATCH: usize = 64;
+
+/// Requested kernel send/receive buffer size per pool socket, applied
+/// best-effort at bind time (`SO_*BUFFORCE` where privileged, the
+/// sysctl-clamped plain options otherwise). Each shared socket carries the
+/// traffic of hundreds of nodes; distribution-default ~200 KiB buffers
+/// overflow under burst and every overflow is a datagram lost on loopback.
+/// Since a shard's nodes all receive on its first socket, this is also the
+/// shard's whole kernel receive buffer: more sockets per shard add send
+/// buffers, not receive room.
+pub(crate) const SOCKET_BUFFER_BYTES: usize = 8 << 20;
+
+/// Placement knobs of the reactor runtime (the workload itself comes from
 /// [`ClusterConfig`]).
 ///
 /// The defaults host a 1000-node cluster comfortably on a typical
-/// multi-core box; all three knobs only trade CPU against latency, never
-/// correctness.
+/// multi-core box; the shard and socket counts only trade CPU against
+/// latency, never correctness.
 #[derive(Debug, Clone)]
 pub struct ReactorOptions {
     /// Number of worker shards (`None` = one per available core, capped so
@@ -45,25 +62,10 @@ pub struct ReactorOptions {
     /// from. Every node of a shard receives on its first socket, so a peer
     /// packs all it has for the shard into one run of datagrams; the other
     /// sockets carry the shard's sends, spread by destination, and are
-    /// drained like the first. The trade-off: the first socket's kernel
-    /// receive buffer ([`ReactorOptions::socket_buffer_bytes`]) is the
-    /// shard's whole receive buffer, however large the pool.
+    /// drained like the first. The trade-off: the first socket's 8 MiB
+    /// kernel receive buffer is the shard's whole receive buffer, however
+    /// large the pool.
     pub sockets_per_shard: usize,
-    /// Maximum datagrams drained per socket per loop iteration. The
-    /// budget is what keeps timers on time under ingress floods. It also
-    /// caps a shard's receive pool, capped in turn at the backend's vector
-    /// limit: the pool starts with a few buffers and doubles whenever a
-    /// receive call fills them all.
-    pub recv_batch: usize,
-    /// Requested kernel send/receive buffer size per pool socket, applied
-    /// best-effort at bind time (`SO_*BUFFORCE` where privileged, the
-    /// sysctl-clamped plain options otherwise). Each shared socket carries
-    /// the traffic of hundreds of nodes; distribution-default ~200 KiB
-    /// buffers overflow under burst and every overflow is a datagram lost
-    /// on loopback. Since a shard's nodes all receive on its first socket,
-    /// this is also the shard's whole kernel receive buffer: more sockets
-    /// per shard add send buffers, not receive room.
-    pub socket_buffer_bytes: usize,
     /// Address the pool sockets bind to (port 0: the kernel picks).
     /// Loopback by default; a deployed `gossipd` binds a routable
     /// interface so peer processes on other hosts can reach it.
@@ -72,13 +74,7 @@ pub struct ReactorOptions {
 
 impl Default for ReactorOptions {
     fn default() -> Self {
-        ReactorOptions {
-            shards: None,
-            sockets_per_shard: 4,
-            recv_batch: 64,
-            socket_buffer_bytes: 8 << 20,
-            bind_addr: Ipv4Addr::LOCALHOST,
-        }
+        ReactorOptions { shards: None, sockets_per_shard: 4, bind_addr: Ipv4Addr::LOCALHOST }
     }
 }
 
@@ -132,8 +128,6 @@ pub struct NodeHost {
     config: ClusterConfig,
     compiled: Arc<CompiledAdversity>,
     placement: Placement,
-    recv_batch: usize,
-    socket_buffer_bytes: usize,
     pools: Vec<Vec<UdpSocket>>,
     local_addresses: Vec<(NodeId, SocketAddr)>,
     /// The telemetry hub, started at bind time (when the config asks for
@@ -154,8 +148,8 @@ impl NodeHost {
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical options (zero sockets per shard or a zero
-    /// receive batch) — configuration bugs, not runtime conditions.
+    /// Panics on zero sockets per shard — a configuration bug, not a
+    /// runtime condition.
     pub fn bind(
         config: ClusterConfig,
         options: &ReactorOptions,
@@ -163,7 +157,6 @@ impl NodeHost {
     ) -> Result<NodeHost, ClusterError> {
         assert!(config.n >= 2, "a cluster needs a source and at least one receiver");
         assert!(options.sockets_per_shard >= 1, "each shard needs at least one socket");
-        assert!(options.recv_batch >= 1, "the receive batch must be positive");
         // The reactor hosts the full compiled plan: crashed nodes revive
         // with fresh state, flash-crowd joiners boot mid-run, so slices
         // and the address book are sized for the total population (base
@@ -186,7 +179,7 @@ impl NodeHost {
             let mut pool = Vec::with_capacity(options.sockets_per_shard);
             for _ in 0..options.sockets_per_shard {
                 let socket = UdpSocket::bind((options.bind_addr, 0)).map_err(ClusterError::Io)?;
-                crate::mmsg::set_socket_buffers(&socket, options.socket_buffer_bytes);
+                crate::mmsg::set_socket_buffers(&socket, SOCKET_BUFFER_BYTES);
                 pool.push(socket);
             }
             pools.push(pool);
@@ -206,16 +199,7 @@ impl NodeHost {
             None => None,
         };
 
-        Ok(NodeHost {
-            config,
-            compiled,
-            placement,
-            recv_batch: options.recv_batch,
-            socket_buffer_bytes: options.socket_buffer_bytes,
-            pools,
-            local_addresses,
-            telemetry,
-        })
+        Ok(NodeHost { config, compiled, placement, pools, local_addresses, telemetry })
     }
 
     /// The address of the live scrape endpoint, when the cluster config
@@ -281,7 +265,7 @@ impl NodeHost {
             let shard_config = ShardConfig {
                 index,
                 placement: self.placement,
-                recv_batch: self.recv_batch,
+                recv_batch: RECV_BATCH,
                 cluster: self.config.clone(),
                 compiled: Arc::clone(&self.compiled),
                 addresses: Arc::clone(&addresses),
@@ -296,8 +280,7 @@ impl NodeHost {
             // missing, and the survivors' report is still assembled. (In
             // the release profile panics abort; this isolation exists for
             // the dev/test profile and for bugs in the fault injectors.)
-            let buffer_bytes = self.socket_buffer_bytes;
-            let run = move || match UdpEnv::new(clock, sockets, buffer_bytes) {
+            let run = move || match UdpEnv::new(clock, sockets, SOCKET_BUFFER_BYTES) {
                 Ok(env) => Shard::new(shard_config, env).run(),
                 Err(e) => (Vec::new(), ShardStats::default(), Some(e)),
             };
@@ -701,12 +684,14 @@ mod tests {
     /// (tiny constant latency, no in-network loss) and measured over the
     /// cluster report's window range. Refuses what a scenario has no field
     /// for: a Cyclon bootstrap and the `crashes` and `inject_loss`
-    /// shorthands.
+    /// shorthands; and a `[chaos]` plan, which acts at the syscall boundary
+    /// the simulator does not have.
     fn simulated(config: &ClusterConfig) -> gossip_experiments::RunResult {
         let tracker = gossip_udp::cluster::JoinerBootstrap::Tracker;
         assert_eq!(config.joiner_bootstrap, tracker, "no simulator twin for a Cyclon bootstrap");
         assert!(config.crashes.is_empty(), "no simulator twin for the crash shorthand");
         assert_eq!(config.inject_loss, 0.0, "no simulator twin for the loss shorthand");
+        assert!(config.adversity.chaos.is_none(), "no simulator twin for a [chaos] plan");
         let mut scenario = Scenario::tiny(6)
             .with_seed(config.seed)
             .with_gossip(config.gossip.clone())
@@ -722,6 +707,17 @@ mod tests {
         scenario.loss = LossModel::None;
         scenario.measure_from_window = 1;
         scenario.run()
+    }
+
+    /// A spec with a `[chaos]` drop has no lossless twin to be compared
+    /// against: the simulator refuses it before running anything.
+    #[test]
+    #[should_panic(expected = "no simulator twin for a [chaos] plan")]
+    fn the_twin_refuses_a_chaos_plan() {
+        let mut config = reactor_cluster(8, 4);
+        let chaos = gossip_adversity::ChaosSpec { drop: 0.05, ..Default::default() };
+        config.adversity = config.adversity.with_chaos(chaos);
+        simulated(&config);
     }
 
     /// The paper's Figure 7/8 catastrophe — 80 % of the nodes crash

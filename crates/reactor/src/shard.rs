@@ -1369,6 +1369,7 @@ pub(crate) mod stepped {
     use super::{Shard, ShardConfig};
     use crate::demux::Placement;
     use crate::mmsg::testnet::{Net, SharedNet, VirtualEnv};
+    use crate::runtime::{RECV_BATCH, SOCKET_BUFFER_BYTES};
     use crate::ReactorOptions;
 
     /// A cluster whose shards run on virtual time.
@@ -1385,13 +1386,25 @@ pub(crate) mod stepped {
 
     impl VirtualCluster {
         /// The whole id space of `config` on the shards and pools `options`
-        /// ask for, every shard on the batched path or the portable one.
+        /// ask for, every shard on the batched path or the portable one,
+        /// with the live runtime's receive budget.
         pub fn new(config: ClusterConfig, options: &ReactorOptions, batched: bool) -> Self {
+            Self::with_recv_batch(config, options, batched, RECV_BATCH)
+        }
+
+        /// [`VirtualCluster::new`] with a receive budget of `recv_batch`
+        /// datagrams per socket per iteration.
+        pub fn with_recv_batch(
+            config: ClusterConfig,
+            options: &ReactorOptions,
+            batched: bool,
+            recv_batch: usize,
+        ) -> Self {
             let compiled = Arc::new(config.compiled_adversity());
             let total = compiled.total_n;
             let (shards, pool) = (options.resolve_shards(total), options.sockets_per_shard);
             let placement = Placement::whole(total, shards);
-            let net = Net::shared(shards * pool, options.socket_buffer_bytes);
+            let net = Net::shared(shards * pool, SOCKET_BUFFER_BYTES);
             let addresses = (0..total as u32).map(|g| Net::addr(placement.shard_of(g) * pool));
             let addresses = Arc::new(addresses.collect());
             let shards: Vec<_> = (0..shards)
@@ -1399,7 +1412,7 @@ pub(crate) mod stepped {
                     let shard_config = ShardConfig {
                         index,
                         placement,
-                        recv_batch: options.recv_batch,
+                        recv_batch,
                         cluster: config.clone(),
                         compiled: Arc::clone(&compiled),
                         addresses: Arc::clone(&addresses),
@@ -1529,10 +1542,9 @@ mod tests {
         let options = ReactorOptions {
             shards: Some(shards),
             sockets_per_shard: pool,
-            recv_batch: 8,
             ..ReactorOptions::default()
         };
-        VirtualCluster::new(cluster, &options, batched)
+        VirtualCluster::with_recv_batch(cluster, &options, batched, 8)
     }
 
     /// [`shards_of`] for `n` nodes and no stream.
