@@ -4,9 +4,10 @@
 //!   run is bit-identical to a silent run, and two same-seeded telemetered
 //!   runs publish identical counter totals;
 //! * the reactor's scrape endpoint must answer **mid-run** with parseable
-//!   Prometheus text whose counters advance between scrapes;
-//! * a fault storm must be visible in the snapshot series *before* the
-//!   run ends — the whole point of live telemetry over post-hoc reports.
+//!   Prometheus text whose counters advance between scrapes, and a fault
+//!   storm in the same run must be visible in the snapshot series *before*
+//!   the run ends — the whole point of live telemetry over post-hoc
+//!   reports.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use gossip_adversity::{AdversitySpec, ChaosSpec};
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
-use gossip_reactor::{NodeHost, ReactorCluster, ReactorOptions};
+use gossip_reactor::{NodeHost, ReactorOptions};
 use gossip_stream::StreamConfig;
 use gossip_telemetry::{in_family, Registry, TelemetryConfig, TelemetrySeries};
 use gossip_types::Duration;
@@ -69,6 +70,10 @@ fn telemetered_sim_runs_are_deterministic() {
     assert!(events > 0.0, "the probe must have published at least once");
 }
 
+/// One real-socket run carries both live checks: the scrape endpoint
+/// answers mid-run with counters that advance, and an ENOBUFS burst across
+/// 1.0–1.4 s (the chaos plan of the recovery acceptance test) shows in the
+/// 100 ms snapshot series before the run ends.
 #[test]
 fn reactor_endpoint_answers_mid_run_and_counters_advance() {
     let config = ClusterConfig {
@@ -87,7 +92,11 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
         seed: 42,
         inject_loss: 0.0,
         crashes: Vec::new(),
-        adversity: AdversitySpec::none(),
+        adversity: AdversitySpec::none().with_chaos(ChaosSpec {
+            enobufs_at: Some(Duration::from_millis(1000)),
+            enobufs_for: Duration::from_millis(400),
+            ..ChaosSpec::default()
+        }),
         joiner_bootstrap: gossip_udp::cluster::JoinerBootstrap::Tracker,
         telemetry: Some(TelemetryConfig {
             sample_period: std::time::Duration::from_millis(100),
@@ -110,6 +119,8 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
 
     let outcome = runner.join().expect("runner thread").expect("run completes");
     assert_eq!(outcome.aborted_shards, 0);
+    let backoffs: u64 = outcome.shard_stats.iter().map(|s| s.send_backoffs).sum();
+    assert!(backoffs > 0, "the burst must drive backoffs");
 
     assert!(!first.is_empty(), "the exposition must parse into samples");
     let recv_family = "gossip_shard_datagrams_received_total";
@@ -124,47 +135,6 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
     let series = outcome.telemetry.expect("the outcome carries the series");
     assert!(series.snapshots.len() >= 5, "the sampler must have kept ring snapshots");
     assert!(series.final_total(recv_family) >= second_recv, "the series ends past the scrapes");
-}
-
-#[test]
-fn backoff_storm_is_visible_in_the_series_before_run_end() {
-    // The chaos plan from the recovery acceptance test — an ENOBUFS burst
-    // across 1.0–1.4 s — with the sampler running at 100 ms.
-    let config = ClusterConfig {
-        n: 64,
-        gossip: GossipConfig::new(5).with_gossip_period(Duration::from_millis(100)),
-        stream: StreamConfig {
-            rate_bps: 300_000,
-            packet_payload_bytes: 1000,
-            window: WindowParams::new(20, 4),
-        },
-        upload_cap_bps: Some(2_000_000),
-        source_uncapped: true,
-        max_backlog: Duration::from_secs(5),
-        stream_duration: Duration::from_secs(3),
-        drain_duration: Duration::from_secs(2),
-        seed: 42,
-        inject_loss: 0.0,
-        crashes: Vec::new(),
-        adversity: AdversitySpec::none().with_chaos(ChaosSpec {
-            enobufs_at: Some(Duration::from_millis(1000)),
-            enobufs_for: Duration::from_millis(400),
-            ..ChaosSpec::default()
-        }),
-        joiner_bootstrap: gossip_udp::cluster::JoinerBootstrap::Tracker,
-        telemetry: Some(TelemetryConfig {
-            sample_period: std::time::Duration::from_millis(100),
-            ..TelemetryConfig::default()
-        }),
-    };
-    let options = ReactorOptions { shards: Some(2), ..ReactorOptions::default() };
-    let report = ReactorCluster::run_with(config, options).expect("cluster runs");
-    assert!(
-        report.io_stats().is_some_and(|io| io.send_backoffs > 0),
-        "the burst must drive backoffs"
-    );
-
-    let series = report.telemetry.expect("the report carries the series");
     let family = "gossip_shard_send_backoffs_total";
     let first_visible = (0..series.snapshots.len())
         .find(|&i| snapshot_family_sum(&series, i, family) > 0.0)
