@@ -88,8 +88,8 @@ pub(crate) struct Deployment<'a> {
 
 impl<'a> Deployment<'a> {
     /// Builds the deployment and seeds the engine's initial schedule
-    /// (staggered gossip rounds, shuffle rounds, source emission, the
-    /// compiled fault timeline and the timeline probe).
+    /// (staggered gossip rounds, shuffle rounds, source emission and the
+    /// compiled fault timeline).
     pub(crate) fn new(cfg: &'a Scenario) -> (Self, Engine<Ev>) {
         let compiled = cfg.adversity.compile(cfg.n, cfg.seed);
         let total = compiled.total_n;
