@@ -1,18 +1,19 @@
 //! `gossipd` — one worker process of a deployed gossip cluster.
 //!
-//! Usage: `gossipd --coord HOST:PORT --index K [--telemetry-json PATH]`
+//! Usage: `gossipd --coord HOST:PORT --index K`
 //!
 //! Connects to the coordinator, learns its id slice and the deployment
 //! config, hosts the slice on the reactor runtime and ships its report
 //! back. SIGINT/SIGTERM cut the run short and flush a partial report
-//! marked degraded. `--telemetry-json PATH` makes the worker rewrite
-//! `PATH` with its live metric snapshot series as JSON throughout the run
-//! (and enables telemetry even without a `[telemetry]` config section).
+//! marked degraded. With a `[telemetry]` section in the deployment file,
+//! worker `k` serves its metrics on `port_base + k` while it runs; the
+//! coordinator scrapes that endpoint, and its merged report carries the
+//! fleet series.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gossipd --coord HOST:PORT --index K [--telemetry-json PATH]";
+const USAGE: &str = "usage: gossipd --coord HOST:PORT --index K";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -22,7 +23,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut coord: Option<SocketAddr> = None;
     let mut index: Option<u32> = None;
-    let mut telemetry_json: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -46,10 +46,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--telemetry-json" => {
-                let Some(value) = args.next() else { return usage() };
-                telemetry_json = Some(value);
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -62,7 +58,7 @@ fn main() -> ExitCode {
     }
     let (Some(coord), Some(index)) = (coord, index) else { return usage() };
 
-    match gossip_deploy::run_worker(coord, index, telemetry_json) {
+    match gossip_deploy::run_worker(coord, index) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("gossipd[{index}]: {e}");

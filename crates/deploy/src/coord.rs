@@ -15,13 +15,13 @@
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use gossip_core::ProtocolStats;
-use gossip_reactor::HostOutcome;
+use gossip_reactor::{monitor_fleet, HostOutcome};
 use gossip_stream::StreamPlayer;
-use gossip_telemetry::{in_family, Registry, TelemetrySeries, TelemetrySnapshot};
+use gossip_telemetry::TelemetrySeries;
 use gossip_types::NodeId;
 use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::{assemble_report, ClusterReport};
@@ -118,102 +118,6 @@ impl AggregateReport {
             sum / nodes as f64
         }
     }
-}
-
-/// Sums the final value of every sample whose family (name without
-/// labels) matches — totalling a per-shard metric across one scrape.
-fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
-}
-
-/// Mean of every sample of one family, if any are present.
-fn family_mean(samples: &[(String, f64)], family: &str) -> Option<f64> {
-    let values: Vec<f64> =
-        samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| *v).collect();
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// The coordinator's fleet monitor: scrapes every worker's telemetry
-/// endpoint once per second until `stop` hangs up, folds the per-shard families into `fleet_*`
-/// cells, prints a live status line, and accumulates the snapshots that
-/// become the merged report's [`TelemetrySeries`].
-fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> TelemetrySeries {
-    let registry = Registry::new();
-    let workers_live = registry.gauge(
-        "fleet_workers_live",
-        "Workers whose scrape endpoint answered the last fleet poll.",
-        &[],
-    );
-    let sent = registry.counter(
-        "fleet_datagrams_sent_total",
-        "Protocol datagrams sent, summed across every worker's shards.",
-        &[],
-    );
-    let received = registry.counter(
-        "fleet_datagrams_received_total",
-        "Protocol datagrams received, summed across every worker's shards.",
-        &[],
-    );
-    let shed = registry.counter(
-        "fleet_datagrams_shed_total",
-        "Datagrams shed by outbox/retry budgets, summed across the fleet.",
-        &[],
-    );
-    let backoffs = registry.counter(
-        "fleet_send_backoffs_total",
-        "Backoff intervals entered after transient send failures, fleet-wide.",
-        &[],
-    );
-    let completeness = registry.gauge_f64(
-        "fleet_completeness_percent",
-        "Mean per-shard stream completeness across the fleet.",
-        &[],
-    );
-    let workers = endpoints.len();
-    let mut snapshots = Vec::new();
-    loop {
-        let mut live = 0usize;
-        let mut fold: Vec<(String, f64)> = Vec::new();
-        for &addr in endpoints {
-            if let Ok(mut samples) = gossip_telemetry::scrape(addr) {
-                live += 1;
-                fold.append(&mut samples);
-            }
-        }
-        workers_live.store(live as u64);
-        let sent_now = family_sum(&fold, "gossip_shard_datagrams_sent_total");
-        let recv_now = family_sum(&fold, "gossip_shard_datagrams_received_total");
-        let shed_now = family_sum(&fold, "gossip_shard_datagrams_shed_total");
-        let backoffs_now = family_sum(&fold, "gossip_shard_send_backoffs_total");
-        let pct = family_mean(&fold, "gossip_shard_completeness_percent");
-        sent.store(sent_now as u64);
-        received.store(recv_now as u64);
-        shed.store(shed_now as u64);
-        backoffs.store(backoffs_now as u64);
-        completeness.store_f64(pct.unwrap_or(0.0));
-        let at_unix_millis =
-            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64);
-        snapshots.push(TelemetrySnapshot { at_unix_millis, values: registry.snapshot_values() });
-        if live > 0 {
-            println!(
-                "fleet: {live}/{workers} workers | sent {} | recv {} | shed {} | backoffs {} | completeness {}",
-                sent_now as u64,
-                recv_now as u64,
-                shed_now as u64,
-                backoffs_now as u64,
-                pct.map_or_else(|| "n/a".to_string(), |p| format!("{p:.1}%")),
-            );
-        }
-        // Once a second, until the last report is in (the sender drops).
-        if stop.recv_timeout(Duration::from_secs(1)) != Err(RecvTimeoutError::Timeout) {
-            break;
-        }
-    }
-    TelemetrySeries { names: registry.snapshot_names(), snapshots }
 }
 
 fn gossipd_path(opts: &CoordOptions) -> Result<PathBuf, DeployError> {

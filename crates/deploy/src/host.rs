@@ -34,21 +34,12 @@ const STOP_POLL: Duration = Duration::from_millis(50);
 /// Runs one `gossipd` worker to completion: handshake, host the slice,
 /// report. Returns once the report (full or degraded) is on the wire.
 ///
-/// `telemetry_json`, when set, makes the worker's sampler rewrite that
-/// file with the live snapshot series as JSON — and switches telemetry on
-/// (ephemeral scrape port) even when the deployment file has no
-/// `[telemetry]` section.
-///
 /// # Errors
 ///
 /// Returns a [`DeployError`] if the coordinator is unreachable, hangs up
 /// or goes silent past a phase deadline, the handshake breaks, the config
 /// does not parse, or the slice cannot be bound or run.
-pub fn run_worker(
-    coord: SocketAddr,
-    index: u32,
-    telemetry_json: Option<String>,
-) -> Result<(), DeployError> {
+pub fn run_worker(coord: SocketAddr, index: u32) -> Result<(), DeployError> {
     let stop = signal::install();
     let mut env = LiveEnv::connect(coord)?;
     env.send(COORDINATOR, &Message::Hello { index })?;
@@ -60,21 +51,9 @@ pub fn run_worker(
         bind_addr: config.bind,
     };
     // Telemetry: the `[telemetry]` section gives worker k its own scrape
-    // port; `--telemetry-json` adds the periodic file dump (and stands
-    // alone, on an ephemeral port, when the section is absent).
+    // port.
     let mut cluster = config.cluster.clone();
-    cluster.telemetry = match (&config.telemetry, &telemetry_json) {
-        (Some(section), json) => {
-            let mut tc = section.config_for_worker(index as usize);
-            tc.json_path = json.clone();
-            Some(tc)
-        }
-        (None, Some(path)) => Some(gossip_telemetry::TelemetryConfig {
-            json_path: Some(path.clone()),
-            ..gossip_telemetry::TelemetryConfig::default()
-        }),
-        (None, None) => None,
-    };
+    cluster.telemetry = config.telemetry.map(|section| section.config_for_worker(index as usize));
     let host = NodeHost::bind(cluster, &options, Some((lo, hi)))?;
     let addrs = host.local_addresses().iter().map(|&(id, addr)| (id.as_u32(), addr)).collect();
     env.send(COORDINATOR, &Message::Addrs { addrs, telemetry: host.telemetry_addr() })?;

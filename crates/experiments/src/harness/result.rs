@@ -5,7 +5,6 @@ use gossip_net::NetStats;
 use gossip_stream::{NodeQuality, PacketId, QualityReport};
 use gossip_types::{NodeId, Time};
 
-use crate::harness::deployment::Deployment;
 use crate::harness::driver::Driver;
 use crate::scenario::Scenario;
 
@@ -164,12 +163,6 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
     let last = cfg.last_measured_window();
     assert!(last >= first, "stream too short to measure any window");
 
-    // Deep-dive diagnostics for never-decodable windows, enabled with
-    // GOSSIP_DIAG_HOLES=1 (used while calibrating; costs nothing when off).
-    if std::env::var_os("GOSSIP_DIAG_HOLES").is_some() {
-        report_holes(&dep, first, last);
-    }
-
     let mut qualities = Vec::new();
     let mut upload_kbps = Vec::new();
     let mut protocol = gossip_core::ProtocolStats::default();
@@ -231,38 +224,6 @@ pub(crate) fn collect(driver: Driver<'_>) -> RunResult {
         depth: depth.stats(),
         joiner_quality: (!joiner_qualities.is_empty())
             .then(|| QualityReport::new(joiner_qualities)),
-    }
-}
-
-/// Prints, for every surviving node, each measured window that never became
-/// decodable, with the request state of its missing packets.
-fn report_holes(dep: &Deployment<'_>, first: u32, last: u32) {
-    let total = dep.cfg.stream.window.total_packets() as u16;
-    for (i, hosted) in dep.hosted[..dep.cfg.n].iter().enumerate().skip(1) {
-        if hosted.is_down() {
-            continue;
-        }
-        for w in first..=last {
-            if hosted.player.window_decodable_at(w).is_some() {
-                continue;
-            }
-            let have = hosted.player.packets_in_window(w);
-            let mut missing = Vec::new();
-            for idx in 0..total {
-                let id = PacketId::new(w, idx);
-                if !hosted.node.has_delivered(&id) {
-                    missing.push((idx, hosted.node.request_info(&id)));
-                }
-            }
-            eprintln!(
-                "hole: node {} window {} has {}/{} — missing {:?}",
-                i,
-                w,
-                have,
-                total,
-                &missing[..missing.len().min(12)]
-            );
-        }
     }
 }
 

@@ -15,8 +15,6 @@
 use gossip_sim::DetRng;
 use gossip_types::NodeId;
 
-use crate::Sampler;
-
 /// Configuration of the shuffling view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CyclonConfig {
@@ -66,16 +64,12 @@ pub enum ShuffleMessage {
 /// # Examples
 ///
 /// ```
-/// use gossip_membership::{CyclonConfig, CyclonView, Sampler};
-/// use gossip_sim::DetRng;
+/// use gossip_membership::{CyclonConfig, CyclonView};
 /// use gossip_types::NodeId;
 ///
-/// let mut rng = DetRng::seed_from(1);
-/// let bootstrap: Vec<NodeId> = (1..=5).map(NodeId::new).collect();
-/// let mut view = CyclonView::new(NodeId::new(0), CyclonConfig::default_small(), &bootstrap);
-/// assert_eq!(view.known(), 5);
-/// let partners = view.sample(3, &mut rng);
-/// assert_eq!(partners.len(), 3);
+/// let bootstrap: Vec<NodeId> = (0..=5).map(NodeId::new).collect();
+/// let view = CyclonView::new(NodeId::new(0), CyclonConfig::default_small(), &bootstrap);
+/// assert_eq!(view.view().len(), 5, "a view never lists its own node");
 /// ```
 #[derive(Debug, Clone)]
 pub struct CyclonView {
@@ -218,17 +212,6 @@ impl CyclonView {
     }
 }
 
-impl Sampler for CyclonView {
-    fn sample(&mut self, k: usize, rng: &mut DetRng) -> Vec<NodeId> {
-        let picked = rng.sample_indices(self.entries.len(), k);
-        picked.into_iter().map(|i| self.entries[i].node).collect()
-    }
-
-    fn known(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,8 +246,8 @@ mod tests {
     fn views_stay_bounded_and_self_free() {
         let views = simulate(30, 50, 1);
         for (i, v) in views.iter().enumerate() {
-            assert!(v.known() <= 8, "view of node {i} exceeded capacity");
-            assert!(v.known() >= 4, "view of node {i} nearly empty: {}", v.known());
+            assert!(v.view().len() <= 8, "view of node {i} exceeded capacity");
+            assert!(v.view().len() >= 4, "view of node {i} nearly empty: {}", v.view().len());
             assert!(!v.view().contains(&NodeId::new(i as u32)), "node {i} contains itself");
         }
     }
@@ -336,11 +319,11 @@ mod tests {
         view.age_entries_for_test(5);
         // Re-adopting a known peer resets its age, not the view size.
         view.adopt(NodeId::new(1));
-        assert_eq!(view.known(), 2);
+        assert_eq!(view.view().len(), 2);
         assert_eq!(view.oldest_age(), 5, "peer 2 stays stale");
         // Adopting a newcomer into a full view evicts the oldest entry.
         view.adopt(NodeId::new(3));
-        assert_eq!(view.known(), 2);
+        assert_eq!(view.view().len(), 2);
         assert!(view.view().contains(&NodeId::new(3)));
         assert!(!view.view().contains(&NodeId::new(2)), "the stale entry goes first");
         // Self-adoption is a no-op.
@@ -353,7 +336,7 @@ mod tests {
         let config = CyclonConfig { view_size: 4, shuffle_size: 2 };
         let mut view = CyclonView::new(NodeId::new(0), config, &[NodeId::new(1)]);
         view.merge(vec![(NodeId::new(1), 0)], &[]);
-        assert_eq!(view.known(), 1, "duplicate not re-inserted");
+        assert_eq!(view.view().len(), 1, "duplicate not re-inserted");
         assert_eq!(view.oldest_age(), 0);
     }
 

@@ -7,52 +7,37 @@
 //! small partial view that is continuously shuffled so that draws from it
 //! approximate uniform sampling.
 //!
-//! This crate provides both:
-//!
-//! * [`FullMembership`] — the paper's model;
-//! * [`CyclonView`] — a Cyclon-style shuffling partial view (Voulgaris,
-//!   Gavidia, van Steen, JNSM 2005), implemented sans-io like the protocol
-//!   core: shuffle messages in, shuffle messages out;
-//! * the [`Sampler`] trait they share, which the experiment harness uses to
-//!   run the paper's streaming workload over either membership model (the
-//!   `ext_membership` extension experiment).
+//! This crate provides the latter: [`CyclonView`], a Cyclon-style
+//! shuffling partial view (Voulgaris, Gavidia, van Steen, JNSM 2005),
+//! implemented sans-io like the protocol core: shuffle messages in,
+//! shuffle messages out. Its codec is [`wire`]. The full-membership model
+//! needs no type: a host hands every node the whole population through
+//! `GossipNode::set_membership`, and a Cyclon host hands each node its
+//! current view the same way (`HostedNode::follow_view`).
 //!
 //! # Examples
 //!
 //! ```
-//! use gossip_membership::{FullMembership, Sampler};
+//! use gossip_membership::{CyclonConfig, CyclonView};
 //! use gossip_sim::DetRng;
 //! use gossip_types::NodeId;
 //!
-//! let all: Vec<NodeId> = (0..10).map(NodeId::new).collect();
-//! let mut membership = FullMembership::new(all, NodeId::new(0));
+//! let config = CyclonConfig::default_small();
 //! let mut rng = DetRng::seed_from(1);
-//! let partners = membership.sample(3, &mut rng);
-//! assert_eq!(partners.len(), 3);
-//! assert!(!partners.contains(&NodeId::new(0)), "never samples self");
+//! let mut a = CyclonView::new(NodeId::new(0), config, &[NodeId::new(1)]);
+//! let mut b = CyclonView::new(NodeId::new(1), config, &[NodeId::new(2)]);
+//! let (partner, request) = a.on_shuffle_round(&mut rng).expect("a non-empty view shuffles");
+//! assert_eq!(partner, NodeId::new(1), "the oldest entry is the shuffle partner");
+//! let reply = b.on_message(NodeId::new(0), request, &mut rng).expect("a request is answered");
+//! a.on_message(partner, reply, &mut rng);
+//! assert!(b.view().contains(&NodeId::new(0)), "the partner learns the initiator");
+//! assert!(a.view().contains(&NodeId::new(2)), "and the initiator the partner's view");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cyclon;
-mod full;
 pub mod wire;
 
 pub use cyclon::{CyclonConfig, CyclonView, ShuffleMessage};
-pub use full::FullMembership;
-
-use gossip_sim::DetRng;
-use gossip_types::NodeId;
-
-/// A source of gossip partners.
-///
-/// Implementations must never return the local node and never return
-/// duplicates within one call.
-pub trait Sampler {
-    /// Draws up to `k` distinct candidate partners.
-    fn sample(&mut self, k: usize, rng: &mut DetRng) -> Vec<NodeId>;
-
-    /// Returns the number of nodes currently known.
-    fn known(&self) -> usize;
-}

@@ -29,7 +29,3 @@ pub use bandwidth::{Enqueued, UploadLink};
 pub use latency::{LatencyModel, LatencySampler};
 pub use loss::{LossModel, LossProcess};
 pub use stats::NetStats;
-
-/// Per-datagram overhead added on the wire (IPv4 header 20 B + UDP header
-/// 8 B), charged against the sender's upload budget for every message.
-pub const UDP_IP_OVERHEAD_BYTES: usize = 28;

@@ -44,6 +44,8 @@
 //! [`gossip_udp::cluster::assemble_report`]). A multi-process `gossipd`
 //! deployment runs the same config sliced by node id through [`NodeHost`]
 //! and assembles the same report, so the two are directly comparable.
+//! While either runs, [`monitor_fleet`] watches it from outside through
+//! the scrape endpoints of its telemetry layer.
 //!
 //! # Examples
 //!
@@ -72,3 +74,4 @@ mod telemetry;
 
 pub use mmsg::mmsg_active;
 pub use runtime::{HostOutcome, NodeHost, ReactorCluster, ReactorOptions};
+pub use telemetry::monitor_fleet;

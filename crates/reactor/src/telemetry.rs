@@ -10,8 +10,16 @@
 //! depths — at a coarse cadence. Phase histograms bracket the four stages
 //! of the shard loop with monotonic-clock reads that exist only when
 //! telemetry is on.
+//!
+//! [`monitor_fleet`] reads those families back from the outside: it
+//! scrapes one or more endpoints and folds them into fleet-wide cells.
 
-use gossip_telemetry::{Cell, Histogram, Registry};
+use std::net::SocketAddr;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+
+use gossip_telemetry::{
+    family_mean, family_sum, Cell, Histogram, Registry, TelemetrySeries, TelemetrySnapshot,
+};
 use gossip_udp::report::ShardStats;
 
 /// How often a shard recomputes its gauges (the completeness scan walks
@@ -108,4 +116,82 @@ pub(crate) struct GaugeSample {
     pub pending_bytes: usize,
     pub decodable: usize,
     pub observed: usize,
+}
+
+/// The fleet watcher: scrapes every endpoint once a second until `stop`
+/// hangs up (or sends), folds the scrapes' `gossip_shard_*` families into
+/// `fleet_*` cells, prints one `fleet:` status line per poll in which an
+/// endpoint answered, and returns the snapshots of those cells — one per
+/// poll. An endpoint that stops answering (killed, crashed, not up yet)
+/// simply drops out of `fleet_workers_live`.
+pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> TelemetrySeries {
+    let registry = Registry::new();
+    let workers_live = registry.gauge(
+        "fleet_workers_live",
+        "Workers whose scrape endpoint answered the last fleet poll.",
+        &[],
+    );
+    let sent = registry.counter(
+        "fleet_datagrams_sent_total",
+        "Protocol datagrams sent, summed across every worker's shards.",
+        &[],
+    );
+    let received = registry.counter(
+        "fleet_datagrams_received_total",
+        "Protocol datagrams received, summed across every worker's shards.",
+        &[],
+    );
+    let shed = registry.counter(
+        "fleet_datagrams_shed_total",
+        "Datagrams shed by outbox/retry budgets, summed across the fleet.",
+        &[],
+    );
+    let backoffs = registry.counter(
+        "fleet_send_backoffs_total",
+        "Backoff intervals entered after transient send failures, fleet-wide.",
+        &[],
+    );
+    let completeness = registry.gauge_f64(
+        "fleet_completeness_percent",
+        "Mean per-shard stream completeness across the fleet.",
+        &[],
+    );
+    let workers = endpoints.len();
+    let mut snapshots = Vec::new();
+    loop {
+        let mut live = 0usize;
+        let mut fold: Vec<(String, f64)> = Vec::new();
+        for &addr in endpoints {
+            if let Ok(mut samples) = gossip_telemetry::scrape(addr) {
+                live += 1;
+                fold.append(&mut samples);
+            }
+        }
+        workers_live.store(live as u64);
+        let sent_now = family_sum(&fold, "gossip_shard_datagrams_sent_total");
+        let recv_now = family_sum(&fold, "gossip_shard_datagrams_received_total");
+        let shed_now = family_sum(&fold, "gossip_shard_datagrams_shed_total");
+        let backoffs_now = family_sum(&fold, "gossip_shard_send_backoffs_total");
+        let pct = family_mean(&fold, "gossip_shard_completeness_percent");
+        sent.store(sent_now as u64);
+        received.store(recv_now as u64);
+        shed.store(shed_now as u64);
+        backoffs.store(backoffs_now as u64);
+        completeness.store_f64(pct.unwrap_or(0.0));
+        snapshots.push(TelemetrySnapshot::of(&registry));
+        if live > 0 {
+            println!(
+                "fleet: {live}/{workers} workers | sent {} | recv {} | shed {} | backoffs {} | completeness {}",
+                sent_now as u64,
+                recv_now as u64,
+                shed_now as u64,
+                backoffs_now as u64,
+                pct.map_or_else(|| "n/a".to_string(), |p| format!("{p:.1}%")),
+            );
+        }
+        if stop.recv_timeout(std::time::Duration::from_secs(1)) != Err(RecvTimeoutError::Timeout) {
+            break;
+        }
+    }
+    TelemetrySeries { names: registry.snapshot_names(), snapshots }
 }

@@ -27,12 +27,7 @@ impl Hub {
     pub fn start(config: &TelemetryConfig) -> std::io::Result<Hub> {
         let registry = Registry::new();
         let server = serve(config.scrape_addr, registry.clone())?;
-        let sampler = Sampler::start(
-            registry.clone(),
-            config.sample_period,
-            config.ring_capacity,
-            config.json_path.clone(),
-        );
+        let sampler = Sampler::start(registry.clone(), config.sample_period, config.ring_capacity);
         Ok(Hub { registry, server, sampler })
     }
 

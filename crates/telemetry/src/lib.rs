@@ -15,7 +15,7 @@
 //!   scraped by Prometheus, `curl`, or [`scrape`] (the matching client);
 //! * [`Sampler`] — a background thread folding the registry into
 //!   timestamped [`TelemetrySnapshot`]s on a ring, yielding a
-//!   [`TelemetrySeries`] (and optional periodic JSON dumps) at stop;
+//!   [`TelemetrySeries`] at stop;
 //! * [`render`]/[`parse_text`] — the exposition format itself, round-trip
 //!   tested so a scrape parses back to the same values.
 //!
@@ -32,9 +32,9 @@ mod text;
 
 pub use hub::Hub;
 pub use registry::{Cell, Histogram, MetricKind, Registry};
-pub use sample::{series_to_json, Sampler, TelemetrySeries, TelemetrySnapshot};
+pub use sample::{Sampler, TelemetrySeries, TelemetrySnapshot};
 pub use server::{serve, TelemetryServer};
-pub use text::{in_family, parse_text, render, scrape, scrape_text};
+pub use text::{family_mean, family_sum, in_family, parse_text, render, scrape, scrape_text};
 
 /// Switches on and shapes the telemetry layer of one runtime.
 ///
@@ -48,9 +48,6 @@ pub struct TelemetryConfig {
     pub scrape_addr: std::net::SocketAddr,
     /// How often the sampler folds the registry into a snapshot.
     pub sample_period: std::time::Duration,
-    /// When set, the sampler rewrites this file with the full snapshot
-    /// series as JSON on every sample — the headless-run export.
-    pub json_path: Option<String>,
     /// Snapshots retained on the ring (oldest evicted first).
     pub ring_capacity: usize,
 }
@@ -60,7 +57,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             scrape_addr: std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
             sample_period: std::time::Duration::from_millis(250),
-            json_path: None,
             ring_capacity: 2400,
         }
     }

@@ -1,5 +1,4 @@
-//! Periodic snapshotting: the sampler thread, the snapshot ring, and the
-//! JSON export.
+//! Periodic snapshotting: the sampler thread and the snapshot ring.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,6 +19,15 @@ pub struct TelemetrySnapshot {
     /// Cell values in registration order (see
     /// [`Registry::snapshot_names`]).
     pub values: Vec<f64>,
+}
+
+impl TelemetrySnapshot {
+    /// Reads every cell of `registry`, stamped with the current wall time.
+    pub fn of(registry: &Registry) -> TelemetrySnapshot {
+        let at_unix_millis =
+            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64);
+        TelemetrySnapshot { at_unix_millis, values: registry.snapshot_values() }
+    }
 }
 
 /// A finished run's snapshot time series: what the sampler accumulated,
@@ -63,11 +71,6 @@ impl TelemetrySeries {
     }
 }
 
-/// Current wall-clock time in milliseconds since the Unix epoch.
-pub(crate) fn unix_millis() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
-}
-
 #[derive(Debug)]
 struct Ring {
     snapshots: std::collections::VecDeque<TelemetrySnapshot>,
@@ -75,8 +78,7 @@ struct Ring {
 }
 
 /// The background sampler: folds the registry into a snapshot every
-/// period, keeps the last `ring_capacity` snapshots, and (optionally)
-/// rewrites a JSON dump of the series after every sample.
+/// period and keeps the last `ring_capacity` snapshots.
 #[derive(Debug)]
 pub struct Sampler {
     registry: Registry,
@@ -86,15 +88,8 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Starts sampling `registry` every `period`. When `json_path` is
-    /// set, every sample rewrites that file with the full series as JSON
-    /// (best-effort: an unwritable path never fails the run).
-    pub fn start(
-        registry: Registry,
-        period: Duration,
-        ring_capacity: usize,
-        json_path: Option<String>,
-    ) -> Sampler {
+    /// Starts sampling `registry` every `period`.
+    pub fn start(registry: Registry, period: Duration, ring_capacity: usize) -> Sampler {
         let ring = Arc::new(Mutex::new(Ring {
             snapshots: std::collections::VecDeque::new(),
             capacity: ring_capacity.max(2),
@@ -108,10 +103,6 @@ impl Sampler {
             .spawn(move || {
                 while !thread_stop.load(Ordering::Relaxed) {
                     take_sample(&thread_registry, &thread_ring);
-                    if let Some(path) = &json_path {
-                        let series = series_from(&thread_registry, &thread_ring);
-                        let _ = std::fs::write(path, series_to_json(&series));
-                    }
                     // Sleep in short slices so stop is honoured promptly
                     // even at slow sample periods.
                     let mut left = period;
@@ -128,7 +119,9 @@ impl Sampler {
 
     /// The series accumulated so far (a clone; sampling continues).
     pub fn series(&self) -> TelemetrySeries {
-        series_from(&self.registry, &self.ring)
+        let names = self.registry.snapshot_names();
+        let snapshots = self.ring.lock().expect("ring lock").snapshots.iter().cloned().collect();
+        TelemetrySeries { names, snapshots }
     }
 
     /// Stops the sampler, takes one final snapshot (so the series always
@@ -154,70 +147,12 @@ impl Drop for Sampler {
 }
 
 fn take_sample(registry: &Registry, ring: &Mutex<Ring>) {
-    let snapshot =
-        TelemetrySnapshot { at_unix_millis: unix_millis(), values: registry.snapshot_values() };
+    let snapshot = TelemetrySnapshot::of(registry);
     let mut ring = ring.lock().expect("ring lock");
     if ring.snapshots.len() >= ring.capacity {
         ring.snapshots.pop_front();
     }
     ring.snapshots.push_back(snapshot);
-}
-
-fn series_from(registry: &Registry, ring: &Mutex<Ring>) -> TelemetrySeries {
-    let names = registry.snapshot_names();
-    let snapshots = ring.lock().expect("ring lock").snapshots.iter().cloned().collect();
-    TelemetrySeries { names, snapshots }
-}
-
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialises a series as JSON (hand-rolled — the build is offline):
-/// `{"names": [...], "snapshots": [{"at_unix_millis": ..., "values": [...]}]}`.
-pub fn series_to_json(series: &TelemetrySeries) -> String {
-    let mut out = String::with_capacity(256 + 16 * series.names.len() * series.snapshots.len());
-    out.push_str("{\n  \"names\": [");
-    for (i, name) in series.names.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(&json_escape(name));
-        out.push('"');
-    }
-    out.push_str("],\n  \"snapshots\": [\n");
-    for (i, s) in series.snapshots.iter().enumerate() {
-        out.push_str(&format!("    {{ \"at_unix_millis\": {}, \"values\": [", s.at_unix_millis));
-        for (j, v) in s.values.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            if v.fract() == 0.0 && v.abs() < 1e15 {
-                out.push_str(&format!("{}", *v as i64));
-            } else {
-                out.push_str(&format!("{v}"));
-            }
-        }
-        out.push_str("] }");
-        if i + 1 < series.snapshots.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -228,7 +163,7 @@ mod tests {
     fn sampler_accumulates_and_final_snapshot_lands_on_stop() {
         let r = Registry::new();
         let c = r.counter("n_total", "", &[]);
-        let sampler = Sampler::start(r, Duration::from_millis(10), 1000, None);
+        let sampler = Sampler::start(r, Duration::from_millis(10), 1000);
         c.store(5);
         std::thread::sleep(Duration::from_millis(50));
         c.store(9);
@@ -263,20 +198,8 @@ mod tests {
         a.store(3);
         b.store(4);
         other.store(100);
-        let sampler = Sampler::start(r, Duration::from_secs(60), 10, None);
+        let sampler = Sampler::start(r, Duration::from_secs(60), 10);
         let series = sampler.stop();
         assert_eq!(series.final_total("dg_total"), 7.0);
-    }
-
-    #[test]
-    fn json_export_contains_names_and_values() {
-        let series = TelemetrySeries {
-            names: vec!["a".to_string(), "b{shard=\"0\"}".to_string()],
-            snapshots: vec![TelemetrySnapshot { at_unix_millis: 17, values: vec![1.0, 2.5] }],
-        };
-        let json = series_to_json(&series);
-        assert!(json.contains("\"b{shard=\\\"0\\\"}\""));
-        assert!(json.contains("\"at_unix_millis\": 17"));
-        assert!(json.contains("[1, 2.5]"));
     }
 }

@@ -130,6 +130,21 @@ pub fn in_family(name: &str, family: &str) -> bool {
     name.strip_prefix(family).is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
 }
 
+/// Sums every sample of one family (see [`in_family`]) — totalling a
+/// per-shard metric across one scrape.
+pub fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
+    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
+}
+
+/// Mean of every sample of one family, or `None` when none is present.
+pub fn family_mean(samples: &[(String, f64)], family: &str) -> Option<f64> {
+    let (count, sum) = samples
+        .iter()
+        .filter(|(n, _)| in_family(n, family))
+        .fold((0usize, 0.0), |(count, sum), (_, v)| (count + 1, sum + v));
+    (count > 0).then(|| sum / count as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +191,18 @@ mod tests {
         r.counter("x_total", "x", &[("shard", "1".to_string())]);
         let text = render(&r);
         assert_eq!(text.matches("# TYPE x_total counter").count(), 1);
+    }
+
+    #[test]
+    fn family_folds_take_bare_and_labelled_samples_only() {
+        let samples = parse_text(
+            "dg_total{shard=\"0\"} 3\ndg_total 4\ndg_totals_other 100\npct{shard=\"0\"} 90\npct{shard=\"1\"} 80\n",
+        );
+        assert_eq!(family_sum(&samples, "dg_total"), 7.0, "a longer name is another family");
+        assert_eq!(family_mean(&samples, "dg_total"), Some(3.5));
+        assert_eq!(family_mean(&samples, "pct"), Some(85.0));
+        assert_eq!(family_sum(&samples, "absent"), 0.0);
+        assert_eq!(family_mean(&samples, "absent"), None);
     }
 
     #[test]

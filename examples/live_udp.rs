@@ -8,29 +8,26 @@
 //!
 //! ```text
 //! cargo run --release --example live_udp [nodes] [seconds]
-//!     [--adversity <spec.toml>]     # full declarative spec
-//!     [--crash-frac <0..1>]         # shorthand: catastrophic crash
-//!     [--crash-at <seconds>]        # ... at this offset (default: midway)
+//!     [--adversity <spec.toml>]     # declarative faults (a crash: [catastrophic])
 //!     [--watch]                     # live telemetry + 1 Hz status line
 //! ```
 //!
 //! `--watch` turns the telemetry layer on (Prometheus endpoint on
-//! `127.0.0.1:9898` — point a real scraper at it too) and self-scrapes it
-//! once a second, printing a live status line while the run streams:
+//! `127.0.0.1:9898` — point a real scraper at it too) and runs the same
+//! fleet watcher as `gossip-coord` on it, printing a status line once a
+//! second while the run streams:
 //!
 //! ```text
-//! live: completeness 87.3% | 10423 dgram/s | backoff L0 | shed 0
+//! fleet: 1/1 workers | sent 2772 | recv 2765 | shed 0 | backoffs 0 | completeness 83.3%
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
 
 use gossip_adversity::AdversitySpec;
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
-use gossip_reactor::ReactorCluster;
+use gossip_reactor::{monitor_fleet, ReactorCluster};
 use gossip_stream::StreamConfig;
-use gossip_telemetry::in_family;
 use gossip_types::Duration;
 use gossip_udp::cluster::ClusterConfig;
 
@@ -38,53 +35,9 @@ use gossip_udp::cluster::ClusterConfig;
 /// to point `curl`/Prometheus at while the example streams.
 const WATCH_PORT: u16 = 9898;
 
-/// Sums a metric family (one labelled cell per shard) over a scrape.
-fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
-}
-
-/// Mean of a gauge family's labelled cells (0 when the family is absent).
-fn family_mean(samples: &[(String, f64)], family: &str) -> f64 {
-    let cells: Vec<f64> =
-        samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| *v).collect();
-    if cells.is_empty() {
-        0.0
-    } else {
-        cells.iter().sum::<f64>() / cells.len() as f64
-    }
-}
-
-/// The `--watch` loop: self-scrape the endpoint once a second and print a
-/// live status line from the `gossip_shard_*` families.
-fn watch_loop(stop: &AtomicBool) {
-    let addr = std::net::SocketAddr::from(([127, 0, 0, 1], WATCH_PORT));
-    let mut last_recv: Option<f64> = None;
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        // The endpoint comes up once the cluster starts; until then (and
-        // after it stops) the scrape just fails quietly.
-        let Ok(samples) = gossip_telemetry::scrape(addr) else { continue };
-        let recv = family_sum(&samples, "gossip_shard_datagrams_received_total");
-        let rate = last_recv.map_or(0.0, |prev| (recv - prev).max(0.0));
-        last_recv = Some(recv);
-        let completeness = family_mean(&samples, "gossip_shard_completeness_percent");
-        let backoff = samples
-            .iter()
-            .filter(|(n, _)| n.starts_with("gossip_shard_backoff_level"))
-            .map(|(_, v)| *v)
-            .fold(0.0_f64, f64::max);
-        let shed = family_sum(&samples, "gossip_shard_datagrams_shed_total");
-        println!(
-            "live: completeness {completeness:.1}% | {rate:.0} dgram/s | backoff L{backoff:.0} | shed {shed:.0}"
-        );
-    }
-}
-
 fn main() {
     let mut positional: Vec<u64> = Vec::new();
     let mut spec_path: Option<String> = None;
-    let mut crash_frac: Option<f64> = None;
-    let mut crash_at: Option<f64> = None;
     let mut watch = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -92,20 +45,11 @@ fn main() {
             "--adversity" => {
                 spec_path = Some(args.next().expect("--adversity requires a spec.toml path"));
             }
-            "--crash-frac" => {
-                let v = args.next().expect("--crash-frac requires a fraction");
-                crash_frac = Some(v.parse().expect("--crash-frac must be a number in [0, 1]"));
-            }
-            "--crash-at" => {
-                let v = args.next().expect("--crash-at requires seconds");
-                crash_at = Some(v.parse().expect("--crash-at must be a number of seconds"));
-            }
             "--watch" => watch = true,
             other => positional.push(other.parse().unwrap_or_else(|_| {
                 panic!(
                     "unexpected argument {other:?} (usage: live_udp [nodes] [seconds] \
-                     [--adversity spec.toml] [--crash-frac f] [--crash-at secs] \
-                     [--watch])"
+                     [--adversity spec.toml] [--watch])"
                 )
             })),
         }
@@ -114,8 +58,7 @@ fn main() {
     let secs = positional.get(1).copied().unwrap_or(6);
     assert!(n >= 2, "need a source and at least one receiver");
 
-    // Adversity: a full spec file, or the catastrophic-crash shorthand.
-    let mut adversity = match &spec_path {
+    let adversity = match &spec_path {
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -123,10 +66,6 @@ fn main() {
         }
         None => AdversitySpec::none(),
     };
-    if let Some(frac) = crash_frac {
-        let at = crash_at.unwrap_or(secs as f64 / 2.0);
-        adversity = adversity.with_catastrophic(Duration::from_secs_f64(at), frac);
-    }
 
     let config = ClusterConfig {
         n,
@@ -163,16 +102,18 @@ fn main() {
             faults.total_n
         );
     }
-    let watch_stop = Arc::new(AtomicBool::new(false));
+    // The endpoint comes up once the cluster binds; until then the
+    // watcher's polls find no live worker and print nothing.
     let watcher = watch.then(|| {
         println!("  telemetry: scrape http://127.0.0.1:{WATCH_PORT}/metrics while this runs");
-        let stop = Arc::clone(&watch_stop);
-        std::thread::spawn(move || watch_loop(&stop))
+        let (stop, stopped) = mpsc::channel::<()>();
+        let endpoint = std::net::SocketAddr::from(([127, 0, 0, 1], WATCH_PORT));
+        (stop, std::thread::spawn(move || monitor_fleet(&[endpoint], &stopped)))
     });
     let report = ReactorCluster::run(config).expect("cluster runs");
-    watch_stop.store(true, Ordering::Relaxed);
-    if let Some(handle) = watcher {
-        let _ = handle.join();
+    if let Some((stop, handle)) = watcher {
+        drop(stop);
+        handle.join().expect("the watcher thread");
     }
 
     println!("\nresults:");

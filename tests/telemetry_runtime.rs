@@ -7,25 +7,21 @@
 //!   Prometheus text whose counters advance between scrapes, and a fault
 //!   storm in the same run must be visible in the snapshot series *before*
 //!   the run ends — the whole point of live telemetry over post-hoc
-//!   reports.
+//!   reports; the fleet watcher, polling the same endpoint, sees the
+//!   worker live and its counters advance.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use gossip_adversity::{AdversitySpec, ChaosSpec};
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
-use gossip_reactor::{NodeHost, ReactorOptions};
+use gossip_reactor::{monitor_fleet, NodeHost, ReactorOptions};
 use gossip_stream::StreamConfig;
-use gossip_telemetry::{in_family, Registry, TelemetryConfig, TelemetrySeries};
+use gossip_telemetry::{family_sum, in_family, Registry, TelemetryConfig, TelemetrySeries};
 use gossip_types::Duration;
 use gossip_udp::clock::ClusterClock;
 use gossip_udp::cluster::ClusterConfig;
-
-/// Sums one labelled family over a scrape's samples.
-fn family_sum(samples: &[(String, f64)], family: &str) -> f64 {
-    samples.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| v).sum()
-}
 
 /// Sums one labelled family inside snapshot `index` of a series.
 fn snapshot_family_sum(series: &TelemetrySeries, index: usize, family: &str) -> f64 {
@@ -72,10 +68,11 @@ fn telemetered_sim_runs_are_deterministic() {
     assert_eq!(events, silent.events_processed as f64, "the last publication is the run's total");
 }
 
-/// One real-socket run carries both live checks: the scrape endpoint
-/// answers mid-run with counters that advance, and an ENOBUFS burst across
+/// One real-socket run carries every live check: the scrape endpoint
+/// answers mid-run with counters that advance, an ENOBUFS burst across
 /// 1.0–1.4 s (the chaos plan of the recovery acceptance test) shows in the
-/// 100 ms snapshot series before the run ends.
+/// 100 ms snapshot series before the run ends, and the fleet watcher on
+/// the same endpoint records the worker live with advancing counters.
 #[test]
 fn reactor_endpoint_answers_mid_run_and_counters_advance() {
     let config = ClusterConfig {
@@ -113,6 +110,8 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
     let stop = Arc::new(AtomicBool::new(false));
     let runner =
         std::thread::spawn(move || host.run(addresses, ClusterClock::start(), stop, run_for));
+    let (watch_stop, watch_stopped) = mpsc::channel::<()>();
+    let watcher = std::thread::spawn(move || monitor_fleet(&[scrape_addr], &watch_stopped));
 
     std::thread::sleep(std::time::Duration::from_millis(800));
     let first = gossip_telemetry::scrape(scrape_addr).expect("first mid-run scrape answers");
@@ -120,6 +119,8 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
     let second = gossip_telemetry::scrape(scrape_addr).expect("second mid-run scrape answers");
 
     let outcome = runner.join().expect("runner thread").expect("run completes");
+    drop(watch_stop);
+    let fleet = watcher.join().expect("watcher thread");
     assert_eq!(outcome.aborted_shards, 0);
     let backoffs: u64 = outcome.shard_stats.iter().map(|s| s.send_backoffs).sum();
     assert!(backoffs > 0, "the burst must drive backoffs");
@@ -146,5 +147,17 @@ fn reactor_endpoint_answers_mid_run_and_counters_advance() {
         "the storm must be visible before the final snapshot ({} of {})",
         first_visible,
         series.snapshots.len()
+    );
+
+    // The watcher polled once a second across the run: at least two polls
+    // found the worker live, and the fleet's received total advanced.
+    let live = fleet.series_of("fleet_workers_live");
+    let received = fleet.series_of("fleet_datagrams_received_total");
+    let polled: Vec<f64> =
+        live.iter().zip(&received).filter(|(l, _)| l.1 == 1.0).map(|(_, r)| r.1).collect();
+    assert!(polled.len() >= 2, "the watcher must see the worker live twice: {live:?}");
+    assert!(
+        polled.last() > polled.first(),
+        "the fleet's received total must advance across polls: {polled:?}"
     );
 }
