@@ -45,11 +45,6 @@ impl WallClockAnchor {
         WallClockAnchor { start_unix_micros: now_unix_micros() + delay.as_micros() as u64 }
     }
 
-    /// How long until the anchored start ([`Duration::ZERO`] if it passed).
-    pub fn until_start(&self) -> Duration {
-        Duration::from_micros(self.start_unix_micros.saturating_sub(now_unix_micros()))
-    }
-
     /// Maps the anchor onto this process's monotonic clock: the `Instant`
     /// at which the shared timeline's `Time::ZERO` occurs. For an anchor in
     /// the past beyond what the monotonic clock can represent, saturates at
@@ -78,7 +73,6 @@ mod tests {
     #[test]
     fn future_anchor_maps_to_future_instant() {
         let anchor = WallClockAnchor::starting_in(Duration::from_secs(2));
-        assert!(anchor.until_start() > Duration::from_secs(1));
         let epoch = anchor.epoch_instant();
         assert!(epoch > Instant::now() + Duration::from_millis(500));
     }
@@ -86,7 +80,6 @@ mod tests {
     #[test]
     fn past_anchor_is_saturating() {
         let anchor = WallClockAnchor::new(now_unix_micros().saturating_sub(1_000_000));
-        assert_eq!(anchor.until_start(), Duration::ZERO);
         assert!(anchor.epoch_instant() <= Instant::now());
     }
 

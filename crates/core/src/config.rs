@@ -142,12 +142,6 @@ impl GossipConfig {
         self
     }
 
-    /// Sets the fanout.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = fanout;
-        self
-    }
-
     /// Sets the gossip period.
     pub fn with_gossip_period(mut self, period: Duration) -> Self {
         assert!(!period.is_zero(), "gossip period must be positive");
@@ -265,7 +259,6 @@ mod tests {
     #[test]
     fn builder_chains() {
         let c = GossipConfig::new(10)
-            .with_fanout(12)
             .with_refresh_rounds(Some(5))
             .with_feedme_rounds(Some(10))
             .with_gossip_period(Duration::from_millis(100))
@@ -274,7 +267,7 @@ mod tests {
             .with_source_fanout(9)
             .with_propose_lifetime(2)
             .with_retention(Duration::from_secs(30));
-        assert_eq!(c.fanout, 12);
+        assert_eq!(c.fanout, 10);
         assert_eq!(c.refresh_rounds, Some(5));
         assert_eq!(c.feedme_rounds, Some(10));
         assert_eq!(c.gossip_period, Duration::from_millis(100));

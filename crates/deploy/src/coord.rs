@@ -372,8 +372,8 @@ pub fn run_coordinator(opts: &CoordOptions) -> Result<AggregateReport, DeployErr
     let fleet = handshake(&mut env, &config, &opts.config_text)?;
     // Live observability: poll every published scrape endpoint at 1 Hz
     // for the duration of the run. A worker whose endpoint stops
-    // answering (killed, crashed) simply drops out of `fleet_workers_live`
-    // — visible in the time series well before its report goes missing.
+    // answering (killed, crashed) drops out of `fleet_workers_live`, its
+    // last totals kept — visible well before its report goes missing.
     let monitor = (!fleet.endpoints.is_empty()).then(|| {
         let (stop, stopped) = mpsc::channel();
         let endpoints = fleet.endpoints.clone();

@@ -39,6 +39,7 @@
 // `deny`, not `forbid`: the one FFI call installing the signal handler
 // (`signal::sys`) carries a scoped allow; everything else stays safe code.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -64,21 +64,6 @@ pub fn mul(a: u8, b: u8) -> u8 {
     }
 }
 
-/// Divides `a` by `b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        EXP[LOG[a as usize] as usize + 255 - LOG[b as usize] as usize]
-    }
-}
-
 /// Returns the multiplicative inverse of `a`.
 ///
 /// # Panics
@@ -129,14 +114,11 @@ fn mul_table(c: u8) -> [u8; 256] {
 /// Multiplies every byte of `src` by `c` and XORs the products into `dst`
 /// (`dst[i] ^= c * src[i]`) — the inner loop of Reed–Solomon encoding.
 ///
-/// With the `simd` feature enabled (and a capable CPU) slices of at least
-/// 16 bytes go through the nibble-shuffle vector kernels in the `simd`
-/// module, 16 lanes per instruction. Otherwise, for
-/// shard-sized slices the `LOG[c]` row is hoisted into a 256-byte per-call
-/// multiplication table: one table build per shard operation, then a
-/// single lookup+xor per byte instead of two lookups and a zero-check
-/// branch. Short slices keep the direct log/exp path, where the table
-/// would cost more than it saves. All paths produce identical bytes.
+/// For shard-sized slices the `LOG[c]` row is hoisted into a 256-byte
+/// per-call multiplication table: one table build per shard operation,
+/// then a single lookup+xor per byte instead of two lookups and a
+/// zero-check branch. Short slices keep the direct log/exp path, where the
+/// table would cost more than it saves. Both paths produce identical bytes.
 ///
 /// # Panics
 ///
@@ -144,11 +126,6 @@ fn mul_table(c: u8) -> [u8; 256] {
 pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "slice length mismatch");
     if c == 0 {
-        return;
-    }
-    #[cfg(feature = "simd")]
-    if dst.len() >= 16 && crate::simd::available() {
-        crate::simd::mul_acc_slice(dst, src, c);
         return;
     }
     if dst.len() >= MUL_TABLE_THRESHOLD {
@@ -169,22 +146,12 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
 /// Multiplies every byte of `data` by `c` in place — the row-scaling step
 /// of Gauss–Jordan elimination (matrix inversion and Reed–Solomon
 /// reconstruction).
-///
-/// With the `simd` feature enabled (and a capable CPU) slices of at least
-/// 16 bytes go through the same nibble-shuffle vector kernels as
-/// [`mul_acc_slice`]; otherwise the scalar log/exp path runs. All paths
-/// produce identical bytes.
 pub fn mul_slice(data: &mut [u8], c: u8) {
     if c == 0 {
         data.fill(0);
         return;
     }
     if c == 1 {
-        return;
-    }
-    #[cfg(feature = "simd")]
-    if data.len() >= 16 && crate::simd::available() {
-        crate::simd::mul_slice(data, c);
         return;
     }
     let log_c = LOG[c as usize] as usize;
@@ -254,15 +221,10 @@ mod tests {
     fn inverse_and_division() {
         for x in 1..=255u8 {
             assert_eq!(mul(x, inv(x)), 1, "x * x^-1 must be 1 for x={x}");
-            assert_eq!(div(x, x), 1);
-            assert_eq!(div(0, x), 0);
+            // Division is multiplication by the inverse.
+            assert_eq!(mul(0, inv(x)), 0);
+            assert_eq!(mul(mul(x, 3), inv(x)), 3);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn division_by_zero_panics() {
-        div(1, 0);
     }
 
     #[test]

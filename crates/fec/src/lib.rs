@@ -33,18 +33,11 @@
 //! # }
 //! ```
 
-// Without the `simd` feature the crate is entirely safe code; with it, the
-// `unsafe` is confined to the intrinsics in [`simd`] (which opts in with a
-// module-level `allow`).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gf;
 pub mod matrix;
-
-#[cfg(feature = "simd")]
-pub mod simd;
 
 mod rs;
 mod window;

@@ -122,45 +122,3 @@ proptest! {
         }
     }
 }
-
-/// The vectorised GF(256) kernels must be byte-identical to the scalar
-/// reference on arbitrary slices — any length (head blocks + odd tails),
-/// any coefficient, any content.
-#[cfg(feature = "simd")]
-mod simd_equivalence {
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    use gossip_fec::gf;
-
-    proptest! {
-        #[test]
-        fn mul_acc_slice_simd_matches_scalar(
-            src in vec(any::<u8>(), 0..600),
-            dst_seed in any::<u8>(),
-            c in any::<u8>(),
-        ) {
-            let mut dst: Vec<u8> =
-                (0..src.len()).map(|i| dst_seed.wrapping_add(i as u8)).collect();
-            // Scalar reference, byte by byte through the log/exp tables.
-            let expected: Vec<u8> =
-                dst.iter().zip(&src).map(|(&d, &s)| gf::add(d, gf::mul(s, c))).collect();
-            // The dispatching entry point (vector kernels when available).
-            gf::mul_acc_slice(&mut dst, &src, c);
-            prop_assert_eq!(dst, expected);
-        }
-
-        #[test]
-        fn mul_slice_simd_matches_scalar(
-            data in vec(any::<u8>(), 0..600),
-            c in any::<u8>(),
-        ) {
-            let mut scaled = data.clone();
-            // Scalar reference, byte by byte through the log/exp tables.
-            let expected: Vec<u8> = data.iter().map(|&d| gf::mul(d, c)).collect();
-            // The dispatching entry point (vector kernels when available).
-            gf::mul_slice(&mut scaled, c);
-            prop_assert_eq!(scaled, expected);
-        }
-    }
-}

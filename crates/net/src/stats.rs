@@ -48,14 +48,6 @@ impl NetStats {
         }
         (self.bytes_sent as f64 * 8.0 / 1000.0) / elapsed.as_secs_f64()
     }
-
-    /// Returns the average download rate in kbit/s over `elapsed`.
-    pub fn download_kbps(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        (self.bytes_received as f64 * 8.0 / 1000.0) / elapsed.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -68,13 +60,6 @@ mod tests {
         // 1250 bytes = 10_000 bits over 1 s = 10 kbps.
         assert_eq!(stats.upload_kbps(Duration::from_secs(1)), 10.0);
         assert_eq!(stats.upload_kbps(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn download_rate_computation() {
-        let stats = NetStats { bytes_received: 2_500, ..Default::default() };
-        assert_eq!(stats.download_kbps(Duration::from_secs(2)), 10.0);
-        assert_eq!(stats.download_kbps(Duration::ZERO), 0.0);
     }
 
     #[test]

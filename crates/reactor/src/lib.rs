@@ -63,6 +63,7 @@
 // `deny`, not `forbid`: the one FFI module wrapping `sendmmsg`/`recvmmsg`
 // (`mmsg::sys`) carries a scoped allow; everything else stays safe code.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod chaos;

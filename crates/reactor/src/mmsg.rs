@@ -642,6 +642,8 @@ mod sys {
             // `optlen` matches its size.
             let rc = unsafe { setsockopt(socket.as_raw_fd(), SOL_SOCKET, forced, &val, len) };
             if rc != 0 {
+                // SAFETY: the same live i32 and matching `optlen` as the
+                // forced call above; only the option name differs.
                 unsafe { setsockopt(socket.as_raw_fd(), SOL_SOCKET, plain, &val, len) };
             }
         }

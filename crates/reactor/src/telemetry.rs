@@ -12,7 +12,8 @@
 //! telemetry is on.
 //!
 //! [`monitor_fleet`] reads those families back from the outside: it
-//! scrapes one or more endpoints and folds them into fleet-wide cells.
+//! scrapes one or more endpoints and folds each one's last successful
+//! scrape into fleet-wide cells.
 
 use std::net::SocketAddr;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -55,7 +56,7 @@ impl ShardTelemetry {
                 &[("shard", index.to_string()), ("phase", name.to_string())],
             )
         };
-        ShardTelemetry {
+        let telemetry = ShardTelemetry {
             counters: std::array::from_fn(|row| {
                 let counter = &ShardStats::COUNTERS[row];
                 registry.counter(counter.name, counter.help, labels)
@@ -81,7 +82,11 @@ impl ShardTelemetry {
             phase_ingress: phase("ingress"),
             phase_flush: phase("flush"),
             phase_park: phase("park"),
-        }
+        };
+        // Until the first gauge period the shard has observed no window,
+        // which `publish_gauges` reports as complete, not as 0 %.
+        telemetry.publish_gauges(&GaugeSample::default());
+        telemetry
     }
 
     /// Mirrors the shard's plain counters into the cells: one relaxed store
@@ -110,6 +115,7 @@ impl ShardTelemetry {
 
 /// One reading of the shard loop's live state, taken by the loop itself
 /// (which owns the wheel, recovery slots and players).
+#[derive(Default)]
 pub(crate) struct GaugeSample {
     pub wheel_resident: usize,
     pub backoff_level: u32,
@@ -118,12 +124,54 @@ pub(crate) struct GaugeSample {
     pub observed: usize,
 }
 
+/// One scrape endpoint as the fleet watcher last saw it.
+#[derive(Debug, Default)]
+struct EndpointScrape {
+    /// The endpoint's last successful scrape (empty until it first answers).
+    samples: Vec<(String, f64)>,
+    /// Whether it answered the current poll.
+    live: bool,
+}
+
+/// The fleet-wide values of one poll.
+#[derive(Debug)]
+struct FleetReading {
+    live: usize,
+    sent: u64,
+    received: u64,
+    shed: u64,
+    backoffs: u64,
+    /// Mean per-shard completeness over the endpoints that answered this
+    /// poll (`None` when none did).
+    completeness: Option<f64>,
+}
+
+/// Folds every endpoint's last successful scrape into the fleet's reading.
+/// The counters sum those last scrapes, so a worker that stops answering
+/// keeps its final totals and no fleet total ever falls; the live count and
+/// the completeness mean cover only the endpoints that answered this poll.
+fn fold_fleet(endpoints: &[EndpointScrape]) -> FleetReading {
+    let total =
+        |family: &str| endpoints.iter().map(|e| family_sum(&e.samples, family)).sum::<f64>() as u64;
+    let answered: Vec<(String, f64)> =
+        endpoints.iter().filter(|e| e.live).flat_map(|e| e.samples.iter().cloned()).collect();
+    FleetReading {
+        live: endpoints.iter().filter(|e| e.live).count(),
+        sent: total("gossip_shard_datagrams_sent_total"),
+        received: total("gossip_shard_datagrams_received_total"),
+        shed: total("gossip_shard_datagrams_shed_total"),
+        backoffs: total("gossip_shard_send_backoffs_total"),
+        completeness: family_mean(&answered, "gossip_shard_completeness_percent"),
+    }
+}
+
 /// The fleet watcher: scrapes every endpoint once a second until `stop`
 /// hangs up (or sends), folds the scrapes' `gossip_shard_*` families into
 /// `fleet_*` cells, prints one `fleet:` status line per poll in which an
 /// endpoint answered, and returns the snapshots of those cells — one per
-/// poll. An endpoint that stops answering (killed, crashed, not up yet)
-/// simply drops out of `fleet_workers_live`.
+/// poll. An endpoint that stops answering (killed,
+/// crashed, not up yet) drops out of `fleet_workers_live` and of the
+/// completeness mean, while its last totals stay in the fleet counters.
 pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> TelemetrySeries {
     let registry = Registry::new();
     let workers_live = registry.gauge(
@@ -153,40 +201,37 @@ pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> Telemetry
     );
     let completeness = registry.gauge_f64(
         "fleet_completeness_percent",
-        "Mean per-shard stream completeness across the fleet.",
+        "Mean per-shard stream completeness across live workers only.",
         &[],
     );
     let workers = endpoints.len();
+    let mut last: Vec<EndpointScrape> =
+        endpoints.iter().map(|_| EndpointScrape::default()).collect();
     let mut snapshots = Vec::new();
     loop {
-        let mut live = 0usize;
-        let mut fold: Vec<(String, f64)> = Vec::new();
-        for &addr in endpoints {
-            if let Ok(mut samples) = gossip_telemetry::scrape(addr) {
-                live += 1;
-                fold.append(&mut samples);
+        for (endpoint, &addr) in last.iter_mut().zip(endpoints) {
+            match gossip_telemetry::scrape(addr) {
+                Ok(samples) => *endpoint = EndpointScrape { samples, live: true },
+                Err(_) => endpoint.live = false,
             }
         }
-        workers_live.store(live as u64);
-        let sent_now = family_sum(&fold, "gossip_shard_datagrams_sent_total");
-        let recv_now = family_sum(&fold, "gossip_shard_datagrams_received_total");
-        let shed_now = family_sum(&fold, "gossip_shard_datagrams_shed_total");
-        let backoffs_now = family_sum(&fold, "gossip_shard_send_backoffs_total");
-        let pct = family_mean(&fold, "gossip_shard_completeness_percent");
-        sent.store(sent_now as u64);
-        received.store(recv_now as u64);
-        shed.store(shed_now as u64);
-        backoffs.store(backoffs_now as u64);
-        completeness.store_f64(pct.unwrap_or(0.0));
+        let reading = fold_fleet(&last);
+        workers_live.store(reading.live as u64);
+        sent.store(reading.sent);
+        received.store(reading.received);
+        shed.store(reading.shed);
+        backoffs.store(reading.backoffs);
+        completeness.store_f64(reading.completeness.unwrap_or(0.0));
         snapshots.push(TelemetrySnapshot::of(&registry));
-        if live > 0 {
+        if reading.live > 0 {
             println!(
-                "fleet: {live}/{workers} workers | sent {} | recv {} | shed {} | backoffs {} | completeness {}",
-                sent_now as u64,
-                recv_now as u64,
-                shed_now as u64,
-                backoffs_now as u64,
-                pct.map_or_else(|| "n/a".to_string(), |p| format!("{p:.1}%")),
+                "fleet: {}/{workers} workers | sent {} | recv {} | shed {} | backoffs {} | live completeness {}",
+                reading.live,
+                reading.sent,
+                reading.received,
+                reading.shed,
+                reading.backoffs,
+                reading.completeness.map_or_else(|| "n/a".to_string(), |p| format!("{p:.1}%")),
             );
         }
         if stop.recv_timeout(std::time::Duration::from_secs(1)) != Err(RecvTimeoutError::Timeout) {
@@ -194,4 +239,63 @@ pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> Telemetry
         }
     }
     TelemetrySeries { names: registry.snapshot_names(), snapshots }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One worker's scrape: a received total and a completeness reading on
+    /// each of two shards.
+    fn worker(received: [f64; 2], completeness: [f64; 2]) -> Vec<(String, f64)> {
+        (0..2)
+            .flat_map(|shard| {
+                [
+                    (
+                        format!("gossip_shard_datagrams_received_total{{shard=\"{shard}\"}}"),
+                        received[shard],
+                    ),
+                    (
+                        format!("gossip_shard_completeness_percent{{shard=\"{shard}\"}}"),
+                        completeness[shard],
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_silent_worker_keeps_its_last_totals_but_leaves_the_live_mean() {
+        let a = [
+            worker([10.0, 20.0], [50.0, 70.0]),
+            worker([40.0, 50.0], [80.0, 90.0]),
+            worker([60.0, 70.0], [90.0, 100.0]),
+        ];
+        let b = [worker([5.0, 5.0], [10.0, 30.0]), worker([25.0, 25.0], [40.0, 60.0])];
+        let mut last = [EndpointScrape::default(), EndpointScrape::default()];
+        let mut readings = Vec::new();
+        for (poll, scrape) in a.iter().enumerate() {
+            last[0] = EndpointScrape { samples: scrape.clone(), live: true };
+            match b.get(poll) {
+                Some(samples) => last[1] = EndpointScrape { samples: samples.clone(), live: true },
+                None => last[1].live = false,
+            }
+            readings.push(fold_fleet(&last));
+        }
+        let live: Vec<usize> = readings.iter().map(|r| r.live).collect();
+        assert_eq!(live, [2, 2, 1]);
+        let received: Vec<u64> = readings.iter().map(|r| r.received).collect();
+        assert!(received.windows(2).all(|w| w[0] <= w[1]), "a fleet total fell: {received:?}");
+        assert_eq!(received[2], 130 + 50, "A's total at poll 3 plus B's at poll 2");
+        assert_eq!(readings[1].completeness, Some(67.5), "mean over both workers' shards");
+        assert_eq!(readings[2].completeness, Some(95.0), "mean over the live worker alone");
+    }
+
+    #[test]
+    fn completeness_reads_100_before_the_first_publish() {
+        let registry = Registry::new();
+        let _shard = ShardTelemetry::register(&registry, 0);
+        let samples = gossip_telemetry::parse_text(&gossip_telemetry::render(&registry));
+        assert_eq!(family_mean(&samples, "gossip_shard_completeness_percent"), Some(100.0));
+    }
 }

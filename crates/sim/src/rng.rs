@@ -195,17 +195,6 @@ impl DetRng {
         }
     }
 
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// Returns `None` when the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
-
     /// Samples `k` distinct indices from `[0, n)` uniformly at random.
     ///
     /// When `k >= n` all indices are returned (in random order). Uses a
@@ -386,14 +375,6 @@ mod tests {
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-0.5));
         assert!(rng.chance(1.5));
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = DetRng::seed_from(37);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

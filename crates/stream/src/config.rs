@@ -71,34 +71,9 @@ impl StreamConfig {
         self.packet_interval() * self.window.total_packets() as u64
     }
 
-    /// The effective (useful) data rate after FEC overhead.
-    pub fn data_rate_bps(&self) -> u64 {
-        self.rate_bps * self.window.data_packets as u64 / self.window.total_packets() as u64
-    }
-
     /// The number of windows fully published after streaming for `elapsed`.
     pub fn windows_published(&self, elapsed: Duration) -> u64 {
         elapsed / self.window_duration()
-    }
-
-    /// Sets the bit rate (builder-style).
-    pub fn with_rate_bps(mut self, rate: u64) -> Self {
-        assert!(rate > 0, "stream rate must be positive");
-        self.rate_bps = rate;
-        self
-    }
-
-    /// Sets the payload size (builder-style).
-    pub fn with_packet_payload(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "payload must be non-empty");
-        self.packet_payload_bytes = bytes;
-        self
-    }
-
-    /// Sets the window geometry (builder-style).
-    pub fn with_window(mut self, window: WindowParams) -> Self {
-        self.window = window;
-        self
     }
 }
 
@@ -121,8 +96,6 @@ mod tests {
         // A 110-packet window takes ~1.467 s on the wire.
         let wd = c.window_duration();
         assert!((1.46..1.47).contains(&wd.as_secs_f64()), "window duration {wd}");
-        // Useful data rate after the 9/110 FEC overhead.
-        assert_eq!(c.data_rate_bps(), 550_909);
     }
 
     #[test]
@@ -131,21 +104,5 @@ mod tests {
         assert_eq!(c.windows_published(Duration::from_secs(0)), 0);
         assert_eq!(c.windows_published(c.window_duration()), 1);
         assert_eq!(c.windows_published(Duration::from_secs(60)), 40);
-    }
-
-    #[test]
-    fn builders() {
-        let c = StreamConfig::paper_default()
-            .with_rate_bps(1_000_000)
-            .with_packet_payload(1250)
-            .with_window(WindowParams::new(50, 5));
-        assert_eq!(c.packets_per_second(), 100.0);
-        assert_eq!(c.window.total_packets(), 55);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rate_rejected() {
-        StreamConfig::paper_default().with_rate_bps(0);
     }
 }

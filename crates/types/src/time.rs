@@ -192,18 +192,6 @@ impl Duration {
         Duration(self.0.saturating_sub(other.0))
     }
 
-    /// Multiplies the span by a fractional factor, rounding to the nearest
-    /// microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> Duration {
-        assert!(factor.is_finite() && factor >= 0.0, "factor must be a finite non-negative number");
-        Duration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// Returns the smaller of two spans.
     #[inline]
     pub fn min(self, other: Duration) -> Duration {
@@ -423,11 +411,5 @@ mod tests {
     fn sum_of_durations() {
         let total: Duration = (1..=4).map(Duration::from_secs).sum();
         assert_eq!(total, Duration::from_secs(10));
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(Duration::from_micros(3).mul_f64(0.5), Duration::from_micros(2));
-        assert_eq!(Duration::from_secs(1).mul_f64(1.5), Duration::from_millis(1500));
     }
 }

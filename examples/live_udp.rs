@@ -18,7 +18,7 @@
 //! second while the run streams:
 //!
 //! ```text
-//! fleet: 1/1 workers | sent 2772 | recv 2765 | shed 0 | backoffs 0 | completeness 83.3%
+//! fleet: 1/1 workers | sent 2772 | recv 2765 | shed 0 | backoffs 0 | live completeness 83.3%
 //! ```
 
 use std::sync::mpsc;
