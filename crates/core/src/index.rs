@@ -14,13 +14,14 @@
 //!
 //! [`DenseMap`] exploits the structure instead: ids map to a *window row*
 //! (indexed by the minor coordinate), so the hot lookups are two array
-//! indexings. Rows are found through a one-entry cursor cache (nearly all
-//! consecutive accesses hit the same window) with a binary search
-//! fallback, so arbitrary — even adversarially sparse — key spaces stay
-//! safe: memory is proportional to the number of *distinct windows
-//! touched*, never to the numeric span of the keys. One locator serves
-//! every kind of [`Row`]: the pool's rows are plain `Vec<Option<V>>`s, a
-//! node's are [`NarrowRow`]s.
+//! indexings. A row is found in three steps: a one-entry cursor cache
+//! (nearly all consecutive accesses hit the same window); then a probe at
+//! the window's distance from the first row's (rows of consecutive
+//! windows sit exactly there); then a binary search, so arbitrary — even
+//! adversarially sparse — key spaces stay correct and safe: memory is
+//! proportional to the number of *distinct windows touched*, never to the
+//! numeric span of the keys. One locator serves every kind of [`Row`]: the
+//! pool's rows are plain `Vec<Option<V>>`s, a node's are [`NarrowRow`]s.
 //!
 //! A slot is an `Option<V>` and nothing else: the key is the slot's
 //! position, so it is not stored, and a `V` with a niche (the node's
@@ -156,12 +157,22 @@ impl<K: EventIndex, V, R: Row> DenseMap<K, V, R> {
     }
 
     /// Locates `window`'s row: `Ok(position)` if present, `Err(insertion
-    /// point)` otherwise.
+    /// point)` otherwise. Tries the cursor, then the position `window` would
+    /// have if every row from the first on were consecutive, then searches.
     #[inline]
     fn locate_row(&self, window: u64) -> Result<usize, usize> {
-        if let Some(&(w, _)) = self.rows.get(self.cursor.get()) {
+        let cursor = self.cursor.get();
+        if let Some(&(w, _)) = self.rows.get(cursor) {
             if w == window {
-                return Ok(self.cursor.get());
+                return Ok(cursor);
+            }
+        }
+        // Rows of consecutive windows sit at their distance from the first.
+        let first = self.rows.first().map_or(window, |&(first, _)| first);
+        if let Ok(i) = usize::try_from(window.wrapping_sub(first)) {
+            if self.rows.get(i).is_some_and(|&(w, _)| w == window) {
+                self.cursor.set(i);
+                return Ok(i);
             }
         }
         let found = self.rows.binary_search_by_key(&window, |&(w, _)| w);
@@ -650,6 +661,29 @@ mod tests {
         assert_eq!(m.get(&u64::MAX), Some(&1));
         assert_eq!(m.get(&((1 << 40) + 1)), Some(&1));
         assert_eq!(m.get(&((1 << 40) + 2)), None);
+    }
+
+    #[test]
+    fn rows_are_found_past_gaps_and_at_the_top_of_the_key_space() {
+        let last = u64::MAX >> 8;
+        // A run of three windows, one past a gap, one at 2³², the last two.
+        let windows = [3, 4, 5, 9, 1 << 32, last - 1, last];
+        let key = |window: u64| window << 8 | 7;
+        let mut m: DenseMap<u64, u64> = DenseMap::new();
+        for &w in windows.iter().rev() {
+            m.get_or_insert_with(key(w), || w);
+        }
+        for &w in &windows {
+            assert_eq!(m.get(&key(w)), Some(&w), "window {w}");
+        }
+        for w in [0, 2, 6, 8, 10, (1 << 32) - 1, (1 << 32) + 1, last - 2] {
+            assert_eq!(m.get(&key(w)), None, "window {w} is below the first row or in a gap");
+        }
+        // With the top two rows left, the first of them is the probe's base.
+        assert_eq!(m.drop_expired_rows(|&w| w < last - 1), Some(1 << 32 | 1));
+        assert_eq!(m.windows(), 2);
+        assert_eq!((m.get(&key(last)), m.get(&key(last - 1))), (Some(&last), Some(&(last - 1))));
+        assert_eq!(m.get(&key(9)), None);
     }
 
     #[test]

@@ -118,11 +118,21 @@ enum MapOp {
     DropRowsBelow(u32),
 }
 
+/// A map key (256 ids to a window): a few dense windows, windows in runs
+/// with gaps between them, now and then any key. A run's rows sit at their
+/// distance from the first row, where `DenseMap`'s row probe finds them;
+/// a window below the first row or in a gap is what it must miss, around
+/// 2³² and up to the very last one (`u64::MAX >> 8`) what it must reach.
+fn map_key() -> impl Strategy<Value = u64> {
+    let last = u64::MAX >> 8;
+    let window = prop_oneof![0u64..4, 6u64..9, (1u64 << 32) - 2..(1 << 32) + 2, last - 1..last + 1];
+    let runs = (window, 0u64..256).prop_map(|(window, offset)| window << 8 | offset);
+    prop_oneof![0u64..700, runs, any::<u64>()]
+}
+
 fn map_op_strategy() -> impl Strategy<Value = MapOp> {
-    // Mostly a few dense windows (256 ids each), now and then a far one.
-    let key = || prop_oneof![0u64..700, 0u64..700, any::<u64>()];
     prop_oneof![
-        (key(), 0u32..100).prop_map(|(k, v)| MapOp::Bump(k, v)),
+        (map_key(), 0u32..100).prop_map(|(k, v)| MapOp::Bump(k, v)),
         (0u32..100).prop_map(MapOp::DropRowsBelow),
     ]
 }
@@ -167,11 +177,10 @@ enum NarrowOp {
 
 fn narrow_op_strategy() -> impl Strategy<Value = NarrowOp> {
     // Values close enough that most rows fit a byte past their base.
-    let key = || prop_oneof![0u64..700, 0u64..700, any::<u64>()];
     prop_oneof![
-        (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Insert(k, v)),
-        (key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Bump(k, v)),
-        (0u64..4, 0u32..300).prop_map(|(w, t)| NarrowOp::RowsFrom(w, t)),
+        (map_key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Insert(k, v)),
+        (map_key(), 0u32..300).prop_map(|(k, v)| NarrowOp::Bump(k, v)),
+        (0u64..10, 0u32..300).prop_map(|(w, t)| NarrowOp::RowsFrom(w, t)),
         (0u32..300).prop_map(NarrowOp::DropRowsBelow),
         Just(NarrowOp::Narrow),
         Just(NarrowOp::Narrow),
@@ -226,8 +235,11 @@ proptest! {
         );
         for k in touched {
             prop_assert_eq!(dense.get(&k), model.get(&k), "key {}", k);
-            // The neighbouring slot is only filled if the model says so.
-            prop_assert_eq!(dense.get(&(k ^ 1)), model.get(&(k ^ 1)), "neighbour of {}", k);
+            // The neighbouring slot is only filled if the model says so,
+            // nor is the same slot four windows off (often in a gap).
+            for other in [k ^ 1, k ^ 4 << 8] {
+                prop_assert_eq!(dense.get(&other), model.get(&other), "{} beside {}", other, k);
+            }
         }
     }
 
@@ -323,7 +335,9 @@ proptest! {
             prop_assert!(newest.is_none_or(|w| !narrow.contains(&w)), "the newest row narrowed");
             for &k in &touched {
                 prop_assert_eq!(dense.get(&k), model.get(&k).copied(), "key {}", k);
-                prop_assert_eq!(dense.get(&(k ^ 1)), model.get(&(k ^ 1)).copied(), "neighbour of {}", k);
+                for other in [k ^ 1, k ^ 4 << 8] {
+                    prop_assert_eq!(dense.get(&other), model.get(&other).copied(), "{} beside {}", other, k);
+                }
             }
         }
         // Rows are allocated to the longest row seen, narrow or wide.

@@ -165,6 +165,15 @@ fn fold_fleet(endpoints: &[EndpointScrape]) -> FleetReading {
     }
 }
 
+/// What the `fleet_completeness_percent` cell stores for `reading`: the
+/// live mean, or NaN when no endpoint that answered carried a completeness
+/// sample — nobody reporting is not a 0 % complete stream. The exposition
+/// format renders it as `NaN` and [`gossip_telemetry::parse_text`] reads it
+/// back.
+fn completeness_cell(reading: &FleetReading) -> f64 {
+    reading.completeness.unwrap_or(f64::NAN)
+}
+
 /// The fleet watcher: scrapes every endpoint once a second until `stop`
 /// hangs up (or sends), folds the scrapes' `gossip_shard_*` families into
 /// `fleet_*` cells, prints one `fleet:` status line per poll in which an
@@ -201,7 +210,7 @@ pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> Telemetry
     );
     let completeness = registry.gauge_f64(
         "fleet_completeness_percent",
-        "Mean per-shard stream completeness across live workers only.",
+        "Mean per-shard stream completeness across live workers only (NaN while none reports it).",
         &[],
     );
     let workers = endpoints.len();
@@ -221,7 +230,7 @@ pub fn monitor_fleet(endpoints: &[SocketAddr], stop: &Receiver<()>) -> Telemetry
         received.store(reading.received);
         shed.store(reading.shed);
         backoffs.store(reading.backoffs);
-        completeness.store_f64(reading.completeness.unwrap_or(0.0));
+        completeness.store_f64(completeness_cell(&reading));
         snapshots.push(TelemetrySnapshot::of(&registry));
         if reading.live > 0 {
             println!(
@@ -289,6 +298,28 @@ mod tests {
         assert_eq!(received[2], 130 + 50, "A's total at poll 3 plus B's at poll 2");
         assert_eq!(readings[1].completeness, Some(67.5), "mean over both workers' shards");
         assert_eq!(readings[2].completeness, Some(95.0), "mean over the live worker alone");
+    }
+
+    #[test]
+    fn fleet_completeness_is_nan_without_a_sample_not_zero() {
+        let silent = [EndpointScrape::default(), EndpointScrape::default()];
+        let counters_only = (0..2)
+            .map(|shard| {
+                (format!("gossip_shard_datagrams_received_total{{shard=\"{shard}\"}}"), 9.0)
+            })
+            .collect();
+        let uncounted = [EndpointScrape { samples: counters_only, live: true }];
+        for (what, endpoints) in [("nobody answered", &silent[..]), ("no sample", &uncounted[..])] {
+            let stored = completeness_cell(&fold_fleet(endpoints));
+            assert!(stored.is_nan(), "{what}: stored {stored}");
+            // And so it reads across a scrape.
+            let registry = Registry::new();
+            registry.gauge_f64("fleet_completeness_percent", "", &[]).store_f64(stored);
+            let samples = gossip_telemetry::parse_text(&gossip_telemetry::render(&registry));
+            assert!(samples[0].1.is_nan(), "{what}: scraped {samples:?}");
+        }
+        let answered = [EndpointScrape { samples: worker([1.0, 1.0], [0.0, 50.0]), live: true }];
+        assert_eq!(completeness_cell(&fold_fleet(&answered)), 25.0, "a sample is stored as is");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Stream packets: the events the gossip protocol disseminates.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -77,6 +78,8 @@ fn mix(lane: u64, word: u64) -> u64 {
 /// the finalisation folds the payload *length* in next to the id and the
 /// timestamp, so neither truncation nor zero-extension can alias.
 fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
+    #[cfg(test)]
+    tests::HASHES.with(|n| n.set(n.get() + 1));
     const BLOCK: usize = 32;
     let mut lanes: [u64; 4] = [
         0x243f_6a88_85a3_08d3,
@@ -140,16 +143,58 @@ fn lane_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
 /// different header share the payload buffer alone. Either way the decoded
 /// value, and the receiver's `verify` verdict on it, are those of a plain
 /// decode.
+///
+/// [`StreamPacket::verify`] hashes a packet once per allocation, not once
+/// per call: the first call on any clone keeps its verdict beside the
+/// checksum, and every later call on any clone reads it. The verdict is a
+/// function of the allocation's own immutable bytes, so a tampered copy, a
+/// differently stamped copy or a fresh decode — each a new allocation — is
+/// judged afresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamPacket(Arc<Inner>);
 
 /// What a [`StreamPacket`] points at.
-#[derive(Debug, PartialEq, Eq)]
 struct Inner {
     id: PacketId,
     published_at: Time,
     checksum: u32,
+    /// `verify`'s verdict on these bytes: [`UNKNOWN`] until some clone
+    /// asks, then [`INTACT`] or [`CORRUPT`]. It sits in the checksum's
+    /// padding, so it costs the allocation nothing.
+    verdict: AtomicU8,
     payload: Bytes,
+}
+
+/// No clone has verified the packet yet.
+const UNKNOWN: u8 = 0;
+/// The checksum matches the bytes.
+const INTACT: u8 = 1;
+/// The checksum does not match the bytes.
+const CORRUPT: u8 = 2;
+
+/// Equality is of the packet's fields: whether it has been verified yet is
+/// not one of them.
+impl PartialEq for Inner {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.published_at == other.published_at
+            && self.checksum == other.checksum
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for Inner {}
+
+/// Nor is it shown.
+impl fmt::Debug for Inner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inner")
+            .field("id", &self.id)
+            .field("published_at", &self.published_at)
+            .field("checksum", &self.checksum)
+            .field("payload", &self.payload)
+            .finish()
+    }
 }
 
 impl StreamPacket {
@@ -157,7 +202,10 @@ impl StreamPacket {
     /// constructor).
     pub fn new(id: PacketId, published_at: Time, payload: Bytes) -> Self {
         let checksum = lane_checksum(id, published_at, &payload);
-        StreamPacket::with_checksum(id, published_at, checksum, payload)
+        let packet = StreamPacket::with_checksum(id, published_at, checksum, payload);
+        // The checksum was just computed over these bytes: they are intact.
+        packet.0.verdict.store(INTACT, Ordering::Relaxed);
+        packet
     }
 
     /// Creates a packet carrying an already-stamped checksum verbatim (the
@@ -165,7 +213,8 @@ impl StreamPacket {
     /// flipped payload bits cannot restamp, so it forwards the stale
     /// checksum).
     pub fn with_checksum(id: PacketId, published_at: Time, checksum: u32, payload: Bytes) -> Self {
-        StreamPacket(Arc::new(Inner { id, published_at, checksum, payload }))
+        let verdict = AtomicU8::new(UNKNOWN);
+        StreamPacket(Arc::new(Inner { id, published_at, checksum, verdict, payload }))
     }
 
     /// Returns the packet id.
@@ -230,7 +279,19 @@ impl Event for StreamPacket {
     }
 
     fn verify(&self) -> bool {
-        self.0.checksum == lane_checksum(self.0.id, self.0.published_at, &self.0.payload)
+        // Relaxed is enough: the verdict is a pure function of immutable
+        // bytes, so two clones racing to fill it store the same value.
+        match self.0.verdict.load(Ordering::Relaxed) {
+            INTACT => true,
+            CORRUPT => false,
+            _ => {
+                let inner = &*self.0;
+                let intact =
+                    inner.checksum == lane_checksum(inner.id, inner.published_at, &inner.payload);
+                inner.verdict.store(if intact { INTACT } else { CORRUPT }, Ordering::Relaxed);
+                intact
+            }
+        }
     }
 }
 
@@ -328,6 +389,105 @@ mod tests {
     use gossip_core::wire::{decode_message, encode_message};
     use gossip_core::Message;
     use gossip_types::NodeId;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `lane_checksum` calls made on this test's thread.
+        pub(super) static HASHES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// How many hashes `f` makes on this thread.
+    fn hashes_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = HASHES.get();
+        let out = f();
+        (out, HASHES.get() - before)
+    }
+
+    /// A packet as the decode path makes it: stamped, not yet verified.
+    fn decoded(id: PacketId, at: Time, payload: &[u8]) -> StreamPacket {
+        let mut wire = Vec::new();
+        StreamPacket::new(id, at, Bytes::copy_from_slice(payload)).encode_event(&mut wire);
+        StreamPacket::decode_event(&mut wire.as_slice()).expect("decodes")
+    }
+
+    #[test]
+    fn a_packet_and_its_clones_are_hashed_once() {
+        let p = decoded(PacketId::new(2, 7), Time::from_millis(5), &[3u8; 1000]);
+        let clones = [p.clone(), p.clone(), p.clone()];
+        let (verdicts, hashes) = hashes_in(|| {
+            std::iter::once(&p).chain(&clones).map(StreamPacket::verify).collect::<Vec<_>>()
+        });
+        assert_eq!(verdicts, [true; 4]);
+        assert_eq!(hashes, 1, "the first verify fills the verdict for every clone");
+        let (_, hashes) = hashes_in(|| {
+            StreamPacket::new(p.packet_id(), p.published_at(), p.payload().clone()).verify()
+        });
+        assert_eq!(hashes, 1, "a source packet is hashed to stamp it, never to verify it");
+    }
+
+    #[test]
+    fn a_tampered_copy_is_judged_on_its_own_bytes() {
+        let p = decoded(PacketId::new(0, 1), Time::from_millis(9), &[5u8; 64]);
+        assert!(p.verify());
+        let bad = p.tampered();
+        let (verdict, hashes) = hashes_in(|| bad.verify());
+        assert!(!verdict, "the flipped payload fails");
+        assert_eq!(hashes, 1, "its verdict is not the original's");
+        let (verdict, hashes) = hashes_in(|| (p.verify(), bad.verify()));
+        assert_eq!(verdict, (true, false), "the original still passes; both verdicts are kept");
+        assert_eq!(hashes, 0);
+    }
+
+    /// A pool of one packet.
+    #[derive(Debug)]
+    struct One(StreamPacket);
+
+    impl EventPool<StreamPacket> for One {
+        fn lookup(&self, id: &PacketId) -> Option<&StreamPacket> {
+            (self.0.packet_id() == *id).then_some(&self.0)
+        }
+    }
+
+    #[test]
+    fn a_pooled_decode_of_identical_bytes_brings_the_pooled_verdict() {
+        let pooled = decoded(PacketId::new(4, 2), Time::from_millis(9), &[7u8; 1000]);
+        assert!(pooled.verify());
+        let pool = One(pooled.clone());
+        let mut wire = Vec::new();
+        pooled.encode_event(&mut wire);
+        let (hit, hashes) = hashes_in(|| {
+            let hit =
+                StreamPacket::decode_event_pooled(&mut wire.as_slice(), &pool).expect("decodes");
+            (hit.verify(), hit)
+        });
+        assert!(Arc::ptr_eq(&hit.1 .0, &pooled.0), "identical bytes are the pooled allocation");
+        assert_eq!((hit.0, hashes), (true, 0), "which is verified already");
+
+        let later = Time::from_micros(pooled.published_at().as_micros() + 1);
+        let restamped = StreamPacket::new(pooled.packet_id(), later, pooled.payload().clone());
+        let mut wire = Vec::new();
+        restamped.encode_event(&mut wire);
+        let (other, hashes) = hashes_in(|| {
+            let other =
+                StreamPacket::decode_event_pooled(&mut wire.as_slice(), &pool).expect("decodes");
+            (other.verify(), other)
+        });
+        assert!(!Arc::ptr_eq(&other.1 .0, &pooled.0), "another timestamp is another allocation");
+        assert_eq!((other.0, hashes), (true, 1), "with a verdict of its own");
+    }
+
+    #[test]
+    fn the_verdict_is_not_part_of_equality_or_size() {
+        let verified = decoded(PacketId::new(1, 1), Time::from_millis(1), b"payload");
+        let unverified = decoded(PacketId::new(1, 1), Time::from_millis(1), b"payload");
+        assert!(verified.verify());
+        assert_eq!(verified.0.verdict.load(Ordering::Relaxed), INTACT);
+        assert_eq!(unverified.0.verdict.load(Ordering::Relaxed), UNKNOWN);
+        assert_eq!(verified, unverified);
+        assert_eq!(format!("{verified:?}"), format!("{unverified:?}"));
+        // The verdict byte fills the checksum's padding.
+        assert_eq!(std::mem::size_of::<Inner>(), 40);
+    }
 
     #[test]
     fn id_ordering_is_stream_order() {

@@ -284,10 +284,16 @@ impl EventPool<Counted> for OneCounted {
     }
 }
 
-/// Validate-before-relay through a pooled frame: a serve that shares the
-/// pooled buffer is hashed once like any other, and a corrupted serve of
-/// the same id — decoded against the very packet it corrupts — is hashed
+/// Validate-before-relay through a pooled frame: a serve decoded to the
+/// pooled packet is verified once like any other, and a corrupted serve of
+/// the same id — decoded against the very packet it corrupts — is verified
 /// once, caught, scored against its sender, and leaves the store alone.
+///
+/// The counts are of `verify` calls, not of hashes. A packet keeps its
+/// verdict, so the pool hit's call reads the pooled packet's and hashes
+/// nothing; what the first count guards is that the node still makes the
+/// call — a pool hit does not make the pool a source of truth. The
+/// corrupted serve is a fresh allocation, so its call hashes its own bytes.
 #[test]
 fn a_pooled_frame_is_verified_once_per_serve_and_corruption_is_still_caught() {
     let members: Vec<NodeId> = (0..10).map(NodeId::new).collect();
