@@ -141,12 +141,12 @@ pub struct AdversitySpec {
     pub free_rider_fraction: Option<f64>,
     /// Upload-capacity classes (empty = the scenario's uniform cap).
     pub bandwidth_classes: Vec<BandwidthClass>,
-    /// Explicitly scheduled crashes `(at, victims)` — the paper's
-    /// catastrophic failure with its victims drawn by the experiment, and
-    /// an escape hatch for scripted scenarios with hand-picked victims. Unlike the random fault
-    /// processes (which always protect the source), hand-picked victims
-    /// are honoured verbatim — naming node 0 here deliberately kills the
-    /// source.
+    /// Explicitly scheduled crashes `(at, victims)` of hand-picked victims,
+    /// for scripted scenarios (the paper's catastrophic failure is
+    /// [`AdversitySpec::catastrophic`], whose victims
+    /// [`AdversitySpec::compile`] draws). Unlike the random fault processes
+    /// (which always protect the source), hand-picked victims are honoured
+    /// verbatim — naming node 0 here deliberately kills the source.
     pub explicit_crashes: Vec<(Duration, Vec<NodeId>)>,
     /// Byzantine peers: a fraction of the base receivers that corrupts
     /// serves, proposes garbage ids or eats requests.
@@ -570,12 +570,15 @@ mod tests {
 
     #[test]
     fn catastrophic_spares_the_source_and_hits_the_fraction() {
-        for pct in [10u32, 20, 35, 50, 80] {
+        for pct in [0u32, 10, 20, 35, 50, 80, 100] {
             let spec = AdversitySpec::none()
                 .with_catastrophic(Duration::from_secs(30), f64::from(pct) / 100.0);
             let c = spec.compile(230, 1);
             let dead = c.timeline.dead_at(Time::MAX);
-            assert_eq!(dead.len(), (230 * pct as usize + 50) / 100, "fraction {pct}%");
+            // round(fraction · n), but never the source: 100 % kills the 229 receivers.
+            let victims = ((230 * pct as usize + 50) / 100).min(229);
+            assert_eq!(dead.len(), victims, "fraction {pct}%");
+            assert_eq!(c.timeline.len(), victims, "one crash event per victim, none at 0 %");
             assert!(!dead.contains(&NodeId::new(0)), "source must survive");
             assert!(c.timeline.is_order_sound(c.total_n));
         }

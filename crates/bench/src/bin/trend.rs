@@ -9,8 +9,10 @@
 //!
 //! * `record [FILE]` reads the benchmark's output on stdin and appends one
 //!   point per workload × end-to-end metric to FILE, stamped with the
-//!   checkout's commit. Only an all-workloads run names the workload on its
-//!   result lines, so that is what must be piped in;
+//!   checkout's commit (`<hash>+dirty` when a tracked file other than
+//!   `BENCH_trend.jsonl` differs from it). Only an all-workloads run
+//!   names the workload on its result lines, so that is what must be
+//!   piped in;
 //! * `check [FILE]` runs the sustained-regression detector
 //!   ([`gossip_bench::trend`]) over FILE and exits non-zero if a cell
 //!   regressed.
@@ -27,7 +29,8 @@ use gossip_bench::trend::{self, Better, TrendPoint};
 fn record(path: &str, directions: &[(String, Better)]) -> Result<(), String> {
     let mut input = String::new();
     std::io::stdin().read_to_string(&mut input).map_err(|e| format!("cannot read stdin: {e}"))?;
-    let commit = trend::read_git_commit(std::path::Path::new("."));
+    let repo = std::path::Path::new(".");
+    let commit = trend::commit_label(&trend::read_git_commit(repo), trend::tree_is_dirty(repo));
     let recorded_unix = std::time::SystemTime::now()
         .duration_since(std::time::SystemTime::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());

@@ -177,6 +177,37 @@ pub fn read_git_commit(repo: &Path) -> String {
     }
 }
 
+/// Whether a tracked file other than `BENCH_trend.jsonl` differs from
+/// `HEAD` in the checkout at `repo` (`git diff --quiet`); `None` when
+/// `git` cannot run there or cannot tell.
+pub fn tree_is_dirty(repo: &Path) -> Option<bool> {
+    let status = std::process::Command::new("git")
+        .arg("-C")
+        .arg(repo)
+        .args(["diff", "--quiet", "HEAD", "--", ".", ":(exclude)BENCH_trend.jsonl"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .ok()?;
+    match status.code() {
+        Some(0) => Some(false),
+        Some(1) => Some(true),
+        _ => None,
+    }
+}
+
+/// The commit a recorded point is filed under: `commit`, marked
+/// `<commit>+dirty` when the measured tree differed from it, so a run of
+/// an uncommitted change is never filed as its parent. The bare hash when
+/// the tree was clean or its state unknown ([`tree_is_dirty`] is `None`).
+pub fn commit_label(commit: &str, dirty: Option<bool>) -> String {
+    if dirty == Some(true) {
+        format!("{commit}+dirty")
+    } else {
+        commit.to_string()
+    }
+}
+
 /// The detector's verdict on one `(label, metric)` cell.
 #[derive(Debug, Clone)]
 pub struct CellTrend {
@@ -286,6 +317,13 @@ mod tests {
 
     fn verdicts(points: &[TrendPoint]) -> Vec<CellTrend> {
         evaluate(points, &directions(), NOISE_FRACTION, SUSTAIN, MIN_HISTORY)
+    }
+
+    #[test]
+    fn a_dirty_tree_is_labelled_apart_from_its_commit() {
+        assert_eq!(commit_label("49d5004d32e0", Some(true)), "49d5004d32e0+dirty");
+        assert_eq!(commit_label("49d5004d32e0", Some(false)), "49d5004d32e0");
+        assert_eq!(commit_label("49d5004d32e0", None), "49d5004d32e0", "git could not run");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The adversity matrix — stress scenarios beyond the paper's Figures 7–8,
 //! all driven by one declarative [`AdversitySpec`].
 //!
-//! Four sweeps, each an independent experiment family:
+//! Six sweeps, each an independent experiment family (the paper's own
+//! simultaneous crash is Figures 7/8's
+//! [`catastrophic_spec`](crate::figures::churn::catastrophic_spec)):
 //!
-//! * **catastrophic** — the paper's simultaneous-crash scenario (Figures
-//!   7/8) expressed as a spec: crash fraction × refresh rate `X ∈ {1, ∞}`;
 //! * **poisson** — continuous leave/rejoin churn at increasing departure
 //!   rates (the paper only tests one-shot crashes; real swarms bleed and
 //!   regrow constantly);
@@ -15,7 +15,9 @@
 //! * **byzantine** — serve-corruptors poisoning payloads, swept against the
 //!   validate-before-relay defenses (on vs off);
 //! * **partition** — the network splits into cells mid-stream and heals,
-//!   measuring quality through the split and re-convergence after.
+//!   measuring quality through the split and re-convergence after;
+//! * **throttle** — a share of the receivers drops to a third of its
+//!   upload cap mid-stream and recovers.
 //!
 //! Each sweep is a [`Grid`] whose every `(knob, value)` cell is an
 //! independent simulation. The same specs run unchanged on the live
@@ -26,16 +28,12 @@ use gossip_core::GossipConfig;
 use gossip_types::Duration;
 
 use crate::figures::fig5_refresh::experiment_fanout;
-use crate::figures::{
-    churn_percentages, knob_label, quality, row, Column, Figure, Grid, GridFn, COMPLETE_20S,
-    LAG_20S, OFFLINE, VIEW_20S,
-};
+use crate::figures::{row, Column, Figure, Grid, GridFn, LAG_20S, OFFLINE};
 use crate::harness::RunResult;
 use crate::scenario::{Scale, Scenario};
 
 /// The whole matrix, in `repro adv` order.
-pub const GRIDS: &[GridFn] =
-    &[catastrophic, poisson, flash_crowd, free_riders, byzantine, partition, throttle];
+pub const GRIDS: &[GridFn] = &[poisson, flash_crowd, free_riders, byzantine, partition, throttle];
 
 /// Builds the scenario every adversity cell starts from: the experiment
 /// fanout for the scale, `X = x` partner refresh, and the given spec.
@@ -45,50 +43,6 @@ fn base_scenario(scale: Scale, seed: u64, x: Option<u32>, spec: AdversitySpec) -
         .with_seed(seed)
         .with_gossip(GossipConfig::new(fanout).with_refresh_rounds(x))
         .with_adversity(spec)
-}
-
-/// The paper's catastrophic scenario as a spec: `fraction` of the nodes
-/// crash at the stream midpoint.
-pub fn catastrophic_spec(scale: Scale, pct: u32) -> AdversitySpec {
-    if pct == 0 {
-        return AdversitySpec::none();
-    }
-    AdversitySpec::none().with_catastrophic(scale.stream_duration() / 2, f64::from(pct) / 100.0)
-}
-
-/// Catastrophic crash sweep (crash % × `X ∈ {1, ∞}`): Figure 7/8 with the
-/// victims drawn by the spec compiler instead of
-/// [`catastrophic_crash`](crate::churn::catastrophic_crash).
-pub fn catastrophic(scale: Scale, seed: u64) -> Grid {
-    let xs = [Some(1), None];
-    let cell = |x, pct| base_scenario(scale, seed, x, catastrophic_spec(scale, pct));
-    Grid::new(
-        &["fail_pct"],
-        churn_percentages()
-            .into_iter()
-            .map(|pct| row(pct, xs.iter().map(|&x| cell(x, pct)).collect()))
-            .collect(),
-        quality,
-        Figure {
-            id: "adv-catastrophic",
-            title: "survivor viewing % and complete windows vs crash fraction (AdversitySpec)"
-                .to_string(),
-            columns: xs
-                .iter()
-                .enumerate()
-                .flat_map(|(g, &x)| {
-                    [
-                        Column::new(format!("view_X{}", knob_label(x)), g, VIEW_20S),
-                        Column::new(format!("complete_X{}", knob_label(x)), g, COMPLETE_20S),
-                    ]
-                })
-                .collect(),
-            notes: vec![
-                "one spec, compiled per seed; same spec runs on the live runtimes".to_string(),
-                "expected: matches fig7/fig8 (X=1 degrades gracefully to 80% churn)".to_string(),
-            ],
-        },
-    )
 }
 
 /// Departure rates swept by the Poisson-churn experiment, in mean
@@ -515,42 +469,9 @@ pub fn throttle(scale: Scale, seed: u64) -> Grid {
     )
 }
 
-/// The composed stress scenario of the acceptance criteria: continuous
-/// Poisson churn *and* a flash crowd in one spec. Returns the run's
-/// figures: (base complete %, joiner complete %, joiner count).
-pub fn run_composed(scale: Scale, seed: u64) -> (f64, f64, usize) {
-    let spec = AdversitySpec::none()
-        .with_poisson_churn(
-            Duration::ZERO,
-            scale.stream_duration(),
-            0.5,
-            Some(Duration::from_secs(8)),
-        )
-        .with_flash_crowd(
-            scale.stream_duration() * 2 / 5,
-            scale.nodes().div_ceil(4),
-            Duration::from_secs(2),
-        );
-    let result = base_scenario(scale, seed, Some(1), spec).run();
-    let joiners = result.joiner_quality.as_ref().expect("the wave joined in time");
-    (
-        result.quality.average_quality_percent(OFFLINE),
-        joiners.average_quality_percent(OFFLINE),
-        joiners.nodes().len(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::figures::tests::execute_once;
-
-    #[test]
-    fn catastrophic_spec_matches_figure_7_8_shape() {
-        let out = &execute_once(catastrophic, Scale::Tiny, 3).render()[0];
-        assert_eq!(out.table.len(), churn_percentages().len());
-    }
 
     #[test]
     fn poisson_churn_degrades_gracefully() {
@@ -681,6 +602,31 @@ mod tests {
             p.after_20s > p.during_20s,
             "restoring the caps must improve live viewing again: {p:?}"
         );
+    }
+
+    /// The composed stress scenario: continuous Poisson churn *and* a
+    /// flash crowd in one spec. Returns the run's
+    /// figures: (base complete %, joiner complete %, joiner count).
+    fn run_composed(scale: Scale, seed: u64) -> (f64, f64, usize) {
+        let spec = AdversitySpec::none()
+            .with_poisson_churn(
+                Duration::ZERO,
+                scale.stream_duration(),
+                0.5,
+                Some(Duration::from_secs(8)),
+            )
+            .with_flash_crowd(
+                scale.stream_duration() * 2 / 5,
+                scale.nodes().div_ceil(4),
+                Duration::from_secs(2),
+            );
+        let result = base_scenario(scale, seed, Some(1), spec).run();
+        let joiners = result.joiner_quality.as_ref().expect("the wave joined in time");
+        (
+            result.quality.average_quality_percent(OFFLINE),
+            joiners.average_quality_percent(OFFLINE),
+            joiners.nodes().len(),
+        )
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //! that large-`X` churn outcomes "show very high degrees of variability
 //! from experiment to experiment"; `repro --trials N` averages them.
 
+use gossip_adversity::AdversitySpec;
 use gossip_core::GossipConfig;
-use gossip_sim::DetRng;
-use gossip_types::NodeId;
 
-use crate::churn::catastrophic_crash;
 use crate::figures::fig5_refresh::experiment_fanout;
 use crate::figures::{
     churn_percentages, knob_label, quality, row, Column, Figure, Grid, COMPLETE_20S, VIEW_20S,
@@ -29,20 +27,25 @@ pub fn x_values() -> Vec<Option<u32>> {
     vec![Some(1), Some(2), Some(20), None]
 }
 
-/// The cell of `(churn %, X)`: `pct`% of the nodes crash at the stream
-/// midpoint, never the source.
+/// The paper's catastrophic failure as a spec: `pct`% of the nodes crash
+/// at the stream midpoint (the `[catastrophic]` rule: `round(pct% · n)`
+/// victims drawn by the spec compiler among the live receivers, never the
+/// source). 0 % is [`AdversitySpec::none`].
+pub fn catastrophic_spec(scale: Scale, pct: u32) -> AdversitySpec {
+    if pct == 0 {
+        return AdversitySpec::none();
+    }
+    AdversitySpec::none().with_catastrophic(scale.stream_duration() / 2, f64::from(pct) / 100.0)
+}
+
+/// The cell of `(churn %, X)`: [`catastrophic_spec`] under refresh rate `X`.
 pub fn scenario(scale: Scale, seed: u64, pct: u32, x: Option<u32>) -> Scenario {
     let fanout = experiment_fanout(scale);
-    let mut churn_rng = DetRng::seed_from(seed).split(0xC0FFEE + pct as u64);
-    let crash = catastrophic_crash(
-        scale.stream_duration() / 2,
-        scale.nodes(),
-        pct as f64 / 100.0,
-        &[NodeId::new(0)],
-        &mut churn_rng,
-    );
     let gossip = GossipConfig::new(fanout).with_refresh_rounds(x);
-    Scenario::at_scale(scale, fanout).with_seed(seed).with_gossip(gossip).with_adversity(crash)
+    Scenario::at_scale(scale, fanout)
+        .with_seed(seed)
+        .with_gossip(gossip)
+        .with_adversity(catastrophic_spec(scale, pct))
 }
 
 /// One row per churn percentage, one column group per `X`; renders
@@ -119,7 +122,11 @@ mod tests {
 
     #[test]
     fn trials_average_matches_single_run_for_one_trial() {
-        let one = execute_once(grid, Scale::Tiny, 3).rows();
+        let measured = execute_once(grid, Scale::Tiny, 3);
+        for out in measured.render() {
+            assert_eq!(out.table.len(), churn_percentages().len(), "{}", out.figure.id);
+        }
+        let one = measured.rows();
         let g = grid(Scale::Tiny, 3);
         let plain: Vec<(Vec<String>, Vec<Vec<f64>>)> = g
             .rows

@@ -23,13 +23,13 @@
 //! * [`large_n`] — does the narrow optimal-fanout window survive beyond
 //!   the paper's scale? Figure 1's sweep at n ∈ {500, 1000}.
 
+use gossip_adversity::{AdversitySpec, BandwidthClass};
 use gossip_core::GossipConfig;
 use gossip_fec::WindowParams;
 use gossip_membership::CyclonConfig;
-use gossip_sim::DetRng;
-use gossip_types::{Duration, NodeId};
+use gossip_types::Duration;
 
-use crate::churn::catastrophic_crash;
+use crate::figures::churn::catastrophic_spec;
 use crate::figures::fig5_refresh::experiment_fanout;
 use crate::figures::{
     quality, row, viewing_columns, Column, Figure, Grid, GridFn, COMPLETE_20S, LAG_20S, VIEW_20S,
@@ -83,8 +83,9 @@ pub fn heterogeneous(scale: Scale, seed: u64) -> Grid {
         ("strong_split", vec![(0.5, (base - 200) * 1000), (0.5, (base + 200) * 1000)]),
         ("one_third_weak", vec![(0.34, (base / 2) * 1000), (0.66, (base + base / 4) * 1000)]),
     ];
-    let cell =
-        |classes| Scenario::at_scale(scale, fanout).with_seed(seed).with_cap_classes(classes);
+    let cell = |classes: Vec<(f64, u64)>| {
+        Scenario::at_scale(scale, fanout).with_seed(seed).with_adversity(capped_classes(&classes))
+    };
     Grid::new(
         &["caps"],
         spreads.into_iter().map(|(label, classes)| row(label, vec![cell(classes)])).collect(),
@@ -98,6 +99,16 @@ pub fn heterogeneous(scale: Scale, seed: u64) -> Grid {
                     .to_string(),
             ],
         },
+    )
+}
+
+/// The spec of capacity classes `(fraction, bps)`, every class capped.
+fn capped_classes(classes: &[(f64, u64)]) -> AdversitySpec {
+    AdversitySpec::none().with_bandwidth_classes(
+        classes
+            .iter()
+            .map(|&(fraction, bps)| BandwidthClass { fraction, cap_bps: Some(bps) })
+            .collect(),
     )
 }
 
@@ -194,17 +205,9 @@ fn window_labels(scenario: &Scenario, w: usize) -> Vec<String> {
 /// series grid of one run.
 pub fn churn_timeline(scale: Scale, seed: u64) -> Grid {
     let scenario = Scenario::at_scale(scale, experiment_fanout(scale)).with_seed(seed);
-    let mut rng = DetRng::seed_from(seed).split(0xC0FFEE);
-    let crash = catastrophic_crash(
-        scenario.stream_duration / 2,
-        scenario.n,
-        0.2,
-        &[NodeId::new(0)],
-        &mut rng,
-    );
     Grid {
         labels: vec!["window", "t_rel_crash_s"],
-        rows: vec![(Vec::new(), vec![scenario.with_adversity(crash)])],
+        rows: vec![(Vec::new(), vec![scenario.with_adversity(catastrophic_spec(scale, 20))])],
         measure: window_completeness,
         series: Some(window_labels),
         figures: vec![Figure {
@@ -334,7 +337,7 @@ mod tests {
     fn heterogeneous_caps_assign_all_nodes() {
         let result = Scenario::tiny(5)
             .with_seed(6)
-            .with_cap_classes(vec![(0.5, 400_000), (0.5, 800_000)])
+            .with_adversity(capped_classes(&[(0.5, 400_000), (0.5, 800_000)]))
             .run();
         // Uploads must never exceed the *largest* class cap.
         for &kbps in &result.upload_kbps {

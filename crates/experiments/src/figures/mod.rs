@@ -275,7 +275,6 @@ pub const TARGETS: &[(&str, &[GridFn])] = &[
     ("fig8", &[churn::only::<1>]),
     ("all", PAPER),
     ("adv", adversity::GRIDS),
-    ("adv-catastrophic", &[adversity::catastrophic]),
     ("adv-poisson", &[adversity::poisson]),
     ("adv-flash-crowd", &[adversity::flash_crowd]),
     ("adv-free-riders", &[adversity::free_riders]),

@@ -96,19 +96,6 @@ impl<'a> Deployment<'a> {
         let mut setup_rng = DetRng::seed_from(cfg.seed).split(0xA11CE);
         let membership: Arc<[NodeId]> = (0..cfg.n as u32).map(NodeId::new).collect();
 
-        // Per-node caps: uniform, or deterministic class assignment (the
-        // class order is shuffled so classes do not correlate with ids).
-        // An adversity bandwidth class, when present, overrides both.
-        let class_caps: Option<Vec<u64>> = cfg.cap_classes.as_ref().map(|classes| {
-            let mut caps: Vec<u64> = Vec::with_capacity(total);
-            for &(fraction, bps) in classes {
-                let count = (fraction * cfg.n as f64).round() as usize;
-                caps.extend(std::iter::repeat_n(bps, count));
-            }
-            caps.resize(total, classes.last().map_or(0, |&(_, bps)| bps));
-            setup_rng.shuffle(&mut caps);
-            caps
-        });
         // Joiners are constructed up front (with the base membership — they
         // get theirs when they join) so node indices never move.
         let setup = Setup {
@@ -120,13 +107,12 @@ impl<'a> Deployment<'a> {
         };
         let mut hosted: Vec<SimNode> = (0..total)
             .map(|i| {
-                let uniform = class_caps.as_ref().map_or(cfg.upload_cap_bps, |caps| Some(caps[i]));
                 HostedNode::new(
                     NodeId::new(i as u32),
                     &setup,
                     compiled.profiles[i],
                     Arc::clone(&membership),
-                    uniform,
+                    cfg.upload_cap_bps,
                     cfg.max_queue_delay,
                     Port { rx: NetStats::default() },
                 )

@@ -417,7 +417,7 @@ impl FaultHost for Driver<'_> {
 
 #[cfg(test)]
 mod tests {
-    use gossip_adversity::FaultAction;
+    use gossip_adversity::{AdversitySpec, FaultAction};
 
     use super::*;
 
@@ -591,17 +591,8 @@ mod tests {
 
     #[test]
     fn crashed_nodes_stop_participating() {
-        use gossip_sim::DetRng;
-
-        let mut rng = DetRng::seed_from(5);
-        let crash = crate::churn::catastrophic_crash(
-            Duration::from_secs(5),
-            20,
-            0.3,
-            &[NodeId::new(0)],
-            &mut rng,
-        );
-        let victims = crash.explicit_crashes[0].1.len();
+        let crash = AdversitySpec::none().with_catastrophic(Duration::from_secs(5), 0.3);
+        let victims = crash.compile(20, 5).timeline.dead_at(Time::MAX).len();
         assert!(victims > 0);
         let cfg = crate::Scenario::tiny(6).with_seed(5).with_adversity(crash);
         let result = Driver::new(&cfg).run();

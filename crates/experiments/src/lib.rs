@@ -3,8 +3,6 @@
 //!
 //! * [`scenario`] — the declarative experiment description ([`Scenario`]
 //!   and its builder API);
-//! * [`churn`] — the victims of the paper's catastrophic failure, drawn
-//!   into an adversity spec;
 //! * [`harness`] — the layered execution machinery behind
 //!   [`Scenario::run`]: deployment construction, the event-loop driver,
 //!   result assembly, and the multi-threaded [`SweepRunner`];
@@ -22,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod figures;
 pub mod harness;
 pub mod scenario;

@@ -107,10 +107,6 @@ pub struct Scenario {
     pub stream: StreamConfig,
     /// Per-node upload cap in bits/s (`None` = uncapped).
     pub upload_cap_bps: Option<u64>,
-    /// Optional capacity classes `(fraction, bps)` overriding the uniform
-    /// cap for receivers — the heterogeneous-capacity extension experiment.
-    /// Fractions should sum to ~1; assignment is deterministic per seed.
-    pub cap_classes: Option<Vec<(f64, u64)>>,
     /// Membership model (full knowledge vs peer sampling).
     pub membership: MembershipMode,
     /// Whether the stream source is exempt from the cap (default `true`).
@@ -157,7 +153,6 @@ impl Scenario {
             gossip: GossipConfig::new(fanout),
             stream: StreamConfig::paper_default(),
             upload_cap_bps: Some(700_000),
-            cap_classes: None,
             membership: MembershipMode::Full,
             source_uncapped: true,
             max_queue_delay: Duration::from_secs(25),
@@ -210,12 +205,6 @@ impl Scenario {
     /// Sets the upload cap in kbit/s (builder-style; `None` = uncapped).
     pub fn with_upload_cap_kbps(mut self, kbps: Option<u64>) -> Self {
         self.upload_cap_bps = kbps.map(|k| k * 1000);
-        self
-    }
-
-    /// Sets heterogeneous capacity classes (builder-style).
-    pub fn with_cap_classes(mut self, classes: Vec<(f64, u64)>) -> Self {
-        self.cap_classes = Some(classes);
         self
     }
 
@@ -316,8 +305,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_sim::DetRng;
-    use gossip_types::NodeId;
 
     #[test]
     fn tiny_run_disseminates_the_stream() {
@@ -359,15 +346,8 @@ mod tests {
 
     #[test]
     fn churn_kills_upload_accounting_for_victims() {
-        let mut rng = DetRng::seed_from(9);
-        let crash = crate::churn::catastrophic_crash(
-            Duration::from_secs(8),
-            20,
-            0.4,
-            &[NodeId::new(0)],
-            &mut rng,
-        );
-        let victims = crash.explicit_crashes[0].1.len();
+        let crash = AdversitySpec::none().with_catastrophic(Duration::from_secs(8), 0.4);
+        let victims = crash.compile(20, 9).timeline.dead_at(Time::MAX).len();
         let result = Scenario::tiny(6).with_seed(9).with_adversity(crash).run();
         assert_eq!(result.upload_kbps.len(), 20 - victims - 1, "source reported separately");
         assert_eq!(result.quality.nodes().len(), 20 - victims - 1, "source excluded");

@@ -1,29 +1,24 @@
 //! Watch a run unfold over time: per-second delivery rate, queue backlog
 //! and drops, rendered as sparklines — including the dip-and-recovery
-//! around a catastrophic churn event. The run is read at every simulated
+//! around a catastrophic churn event. The crash is Figures 7/8's own
+//! (`figures::churn::catastrophic_spec`: the adversity spec's
+//! `[catastrophic]` rule at the stream midpoint, victims drawn when the
+//! spec compiles, never the source). The run is read at every simulated
 //! second through `Scenario::run_probed`.
 //!
 //! ```text
 //! cargo run --release --example timeline [churn_percent]
 //! ```
 
-use gossip_experiments::churn::catastrophic_crash;
-use gossip_experiments::Scenario;
-use gossip_sim::DetRng;
-use gossip_types::{Duration, NodeId, Time};
+use gossip_experiments::figures::churn::catastrophic_spec;
+use gossip_experiments::{Scale, Scenario};
+use gossip_types::{Duration, Time};
 
 fn main() {
     let pct: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30);
     let scenario = Scenario::tiny(6).with_seed(11);
     let crash_at = scenario.stream_duration / 2;
-    let mut rng = DetRng::seed_from(11);
-    let crash = catastrophic_crash(
-        crash_at,
-        scenario.n,
-        f64::from(pct) / 100.0,
-        &[NodeId::new(0)],
-        &mut rng,
-    );
+    let crash = catastrophic_spec(Scale::Tiny, pct);
     println!(
         "{} nodes, {pct}% crash at {}; one sparkline bar = 1 s\n",
         scenario.n,

@@ -1,23 +1,16 @@
 //! Integration tests for behaviour under catastrophic churn (the paper's
 //! Figures 7 and 8).
 
+use gossip_adversity::{AdversitySpec, FaultAction};
 use gossip_core::GossipConfig;
-use gossip_experiments::churn::catastrophic_crash;
+use gossip_experiments::figures::churn::catastrophic_spec;
 use gossip_experiments::figures::churn_percentages;
 use gossip_experiments::{Scale, Scenario};
-use gossip_sim::DetRng;
-use gossip_types::{Duration, NodeId};
+use gossip_types::{Duration, Time};
 
 fn churned(fanout: usize, x: Option<u32>, pct: f64, seed: u64) -> gossip_experiments::RunResult {
     let scenario = Scenario::tiny(fanout).with_seed(seed);
-    let mut rng = DetRng::seed_from(seed).split(0xC0FFEE);
-    let crash = catastrophic_crash(
-        scenario.stream_duration / 2,
-        scenario.n,
-        pct,
-        &[NodeId::new(0)],
-        &mut rng,
-    );
+    let crash = AdversitySpec::none().with_catastrophic(scenario.stream_duration / 2, pct);
     scenario
         .with_gossip(GossipConfig::new(fanout).with_refresh_rounds(x))
         .with_adversity(crash)
@@ -64,9 +57,8 @@ fn x1_beats_static_mesh_on_average() {
 fn victims_disappear_from_reports() {
     let scenario = Scenario::tiny(6).with_seed(13);
     let n = scenario.n;
-    let mut rng = DetRng::seed_from(13);
-    let crash = catastrophic_crash(Duration::from_secs(5), n, 0.3, &[NodeId::new(0)], &mut rng);
-    let victims = crash.explicit_crashes[0].1.len();
+    let crash = AdversitySpec::none().with_catastrophic(Duration::from_secs(5), 0.3);
+    let victims = crash.compile(n, 13).timeline.dead_at(Time::MAX).len();
     assert!(victims > 0);
     let result = scenario.with_adversity(crash).run();
     assert_eq!(result.quality.nodes().len(), n - 1 - victims);
@@ -78,14 +70,7 @@ fn victims_disappear_from_reports() {
 #[test]
 fn early_churn_is_survivable() {
     let scenario = Scenario::tiny(6).with_seed(17);
-    let mut rng = DetRng::seed_from(17);
-    let crash = catastrophic_crash(
-        Duration::from_millis(100),
-        scenario.n,
-        0.25,
-        &[NodeId::new(0)],
-        &mut rng,
-    );
+    let crash = AdversitySpec::none().with_catastrophic(Duration::from_millis(100), 0.25);
     let result = scenario.with_adversity(crash).run();
     let avg = result.quality.average_quality_percent(Duration::MAX);
     assert!(avg > 80.0, "early churn should not doom the survivors: {avg}%");
@@ -105,9 +90,10 @@ fn extreme_churn_degrades_gracefully() {
     );
 }
 
-/// The victims Figures 7/8 and `ext-churn-timeline` crash, pinned for
-/// seeds 1–3 × every churn percentage × tiny and full scale: a change to
-/// how victims are drawn moves no figure's input unnoticed.
+/// The victims Figures 7/8 and `ext-churn-timeline` crash, as the spec
+/// compiler draws them, pinned for seeds 1–3 × every churn percentage ×
+/// tiny and full scale: a change to how victims are drawn moves no
+/// figure's input unnoticed.
 #[test]
 fn churn_victims_are_pinned() {
     let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
@@ -118,28 +104,24 @@ fn churn_victims_are_pinned() {
     };
     let mut crashes = 0;
     for scale in [Scale::Tiny, Scale::Full] {
-        let at = scale.stream_duration() / 2;
         for seed in 1..=3u64 {
-            // Figures 7 and 8 draw on one stream per percentage,
-            // `ext-churn-timeline` crashes 20 % on the stream's parent.
-            let draws = churn_percentages()
-                .into_iter()
-                .map(|pct| (0xC0FFEE + u64::from(pct), f64::from(pct) / 100.0))
-                .chain([(0xC0FFEE, 0.2)]);
-            for (stream, fraction) in draws {
-                let mut rng = DetRng::seed_from(seed).split(stream);
-                let spec =
-                    catastrophic_crash(at, scale.nodes(), fraction, &[NodeId::new(0)], &mut rng);
-                mix(spec.explicit_crashes.len() as u64);
-                for (at, victims) in &spec.explicit_crashes {
-                    crashes += 1;
-                    mix(at.as_micros());
-                    mix(victims.len() as u64);
-                    victims.iter().for_each(|v| mix(u64::from(v.as_u32())));
+            // Figures 7 and 8 crash each percentage, `ext-churn-timeline`
+            // crashes 20 %.
+            for pct in churn_percentages().into_iter().chain([20]) {
+                let compiled = catastrophic_spec(scale, pct).compile(scale.nodes(), seed);
+                let events = compiled.timeline.events();
+                mix(events.len() as u64);
+                crashes += usize::from(!events.is_empty());
+                for event in events {
+                    let FaultAction::Crash(victim) = event.action else {
+                        panic!("a catastrophic spec only crashes: {event:?}");
+                    };
+                    mix(event.at.as_micros());
+                    mix(u64::from(victim.as_u32()));
                 }
             }
         }
     }
     assert_eq!(crashes, 2 * 3 * (6 + 1), "six non-zero percentages and the timeline's crash");
-    assert_eq!(digest, 0xCCF5_A5EE_727E_F1F6, "victim digest moved");
+    assert_eq!(digest, 0x4D57_561E_EB6C_B695, "victim digest moved");
 }
