@@ -45,6 +45,7 @@
 
 pub mod anchor;
 pub mod chaos;
+mod churn;
 pub mod spec;
 pub mod timeline;
 pub mod toml;

@@ -7,6 +7,7 @@ use gossip_sim::DetRng;
 use gossip_types::{Duration, NodeId, Time};
 
 use crate::chaos::ChaosSpec;
+use crate::churn;
 use crate::timeline::{
     ByzantineBehaviour, CompiledAdversity, FaultAction, FaultEvent, FaultTimeline, NodeProfile,
     PartitionCells, ThrottlePlan,
@@ -494,27 +495,18 @@ impl AdversitySpec {
                     }
                 }
                 Work::Catastrophic => {
+                    let fraction = self.catastrophic.expect("scheduled").fraction;
                     let candidates = alive_receivers(&alive);
-                    let target = (self.catastrophic.expect("scheduled").fraction * n as f64).round()
-                        as usize;
-                    let count = target.min(candidates.len());
-                    let mut victims: Vec<NodeId> = rng
-                        .sample_indices(candidates.len(), count)
-                        .into_iter()
-                        .map(|i| candidates[i])
-                        .collect();
-                    victims.sort_unstable();
-                    for v in victims {
+                    for v in churn::catastrophic_victims(&candidates, n, fraction, &mut rng) {
                         alive[v.index()] = false;
                         events.push(FaultEvent { at, action: FaultAction::Crash(v) });
                     }
                 }
                 Work::ChurnArrival => {
-                    let candidates = alive_receivers(&alive);
-                    if candidates.is_empty() {
+                    let Some(v) = churn::departure_victim(&alive_receivers(&alive), &mut rng)
+                    else {
                         continue; // everyone is already down: the departure fizzles
-                    }
-                    let v = candidates[rng.index(candidates.len())];
+                    };
                     alive[v.index()] = false;
                     events.push(FaultEvent { at, action: FaultAction::Crash(v) });
                     if let Some(mean) = mean_downtime {

@@ -473,6 +473,36 @@ pub fn throttle(scale: Scale, seed: u64) -> Grid {
 mod tests {
     use super::*;
 
+    use gossip_adversity::FaultAction;
+    use gossip_types::{NodeId, Time};
+
+    use crate::figures::churn::{self, catastrophic_spec};
+    use crate::figures::churn_percentages;
+
+    #[test]
+    fn catastrophic_spec_matches_figure_7_8_shape() {
+        // The paper's crash on this matrix's base scenario is a Figure 7/8
+        // cell, so the figures' grid is the only one that runs it.
+        let scale = Scale::Tiny;
+        for pct in churn_percentages() {
+            for x in [Some(1), None] {
+                let ours = base_scenario(scale, 3, x, catastrophic_spec(scale, pct));
+                let fig = churn::scenario(scale, 3, pct, x);
+                assert_eq!(format!("{ours:?}"), format!("{fig:?}"), "{pct}% at X={x:?}");
+            }
+            let cell = churn::scenario(scale, 3, pct, Some(1));
+            let compiled = cell.adversity.compile(cell.n, cell.seed);
+            let dead = compiled.timeline.dead_at(Time::MAX);
+            assert_eq!(dead.len(), (cell.n * pct as usize + 50) / 100, "round({pct}% of n)");
+            assert!(!dead.contains(&NodeId::new(0)), "source must survive");
+            let midpoint = Time::ZERO + scale.stream_duration() / 2;
+            for e in compiled.timeline.events() {
+                assert!(matches!(e.action, FaultAction::Crash(_)), "{pct}%: only crashes");
+                assert_eq!(e.at, midpoint, "{pct}%: all victims crash at the midpoint");
+            }
+        }
+    }
+
     #[test]
     fn poisson_churn_degrades_gracefully() {
         let cells = [0.0f64, 1.0].map(|rate| {
