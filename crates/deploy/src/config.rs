@@ -27,7 +27,7 @@
 //! drain_secs = 3
 //! seed = 1
 //! inject_loss = 0.0      # shorthand for [chaos] drop, combined as independent losses
-//! cyclon_degree = 0      # >0: flash-crowd joiners bootstrap via Cyclon
+//! cyclon_degree = 0      # >0: every node keeps a Cyclon view, bootstrapped with this many peers
 //!
 //! [deploy]
 //! processes = 3

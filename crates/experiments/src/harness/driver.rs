@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use gossip_adversity::{CompiledAdversity, PartitionState};
 use gossip_core::{Message, PacketPool, TimerToken};
+use gossip_membership::CyclonConfig;
 use gossip_net::UploadLink;
-use gossip_sim::{Engine, EventHandle};
+use gossip_sim::{DetRng, Engine, EventHandle};
 use gossip_stream::StreamPacket;
 use gossip_types::{Duration, NodeId, Time};
 use gossip_udp::hosted::{self, Envelope, FaultHost, Host};
@@ -380,27 +381,24 @@ impl FaultHost for Driver<'_> {
         &mut self.dep.members
     }
 
-    /// In full-membership mode everyone is told about a joiner (a
-    /// tracker-style introduction); under Cyclon the newcomer spreads
-    /// through shuffles from the bootstrap its start draws.
-    fn announces_joins(&self) -> bool {
-        self.dep.cfg.membership == MembershipMode::Full
+    /// Under Cyclon a node that comes up draws its fresh bootstrap from the
+    /// membership stream, before its round phases.
+    fn sampling(&mut self) -> Option<(CyclonConfig, usize, &mut DetRng)> {
+        match &self.dep.cfg.membership {
+            MembershipMode::Full => None,
+            MembershipMode::Cyclon { config, bootstrap_degree, .. } => {
+                Some((*config, *bootstrap_degree, &mut self.dep.membership_rng))
+            }
+        }
     }
 
-    /// A joiner's first coming up is its arrival. Under Cyclon a node that
-    /// comes up draws a fresh bootstrap, like any newcomer; then its first
-    /// round (and shuffle) is staggered inside one period, like the initial
+    /// A joiner's first coming up is its arrival. Its first round (and
+    /// shuffle) is staggered inside one period, like the initial
     /// deployment's.
     fn start(&mut self, now: Time, v: NodeId) {
         let cfg = self.dep.cfg;
         if v.index() >= cfg.n {
             self.dep.joined_at[v.index()].get_or_insert(now);
-        }
-        if let MembershipMode::Cyclon { config, bootstrap_degree, .. } = &cfg.membership {
-            let dep = &mut self.dep;
-            let rng = &mut dep.membership_rng;
-            let view = hosted::bootstrap_view(v, *config, &dep.members, *bootstrap_degree, rng);
-            dep.hosted[v.index()].view = Some(view);
         }
         let ep = self.dep.hosted[v.index()].epoch();
         let period = cfg.gossip.gossip_period;

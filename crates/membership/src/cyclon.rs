@@ -181,19 +181,6 @@ impl CyclonView {
         }
     }
 
-    /// Adopts `peer` at age 0 — contact is proof of life. A known peer has
-    /// its age refreshed; an unknown one fills a free slot or replaces the
-    /// oldest entry. Self-adoptions are ignored.
-    ///
-    /// Runtimes that cannot afford a dedicated shuffle channel per contact
-    /// use this to piggyback view maintenance on protocol traffic: every
-    /// frame received from a peer keeps (or makes) that peer's entry
-    /// young, so stale bootstrap entries drift toward eviction exactly as
-    /// unanswered shuffle targets do.
-    pub fn adopt(&mut self, peer: NodeId) {
-        self.merge(vec![(peer, 0)], &[]);
-    }
-
     /// Returns the current view as node ids.
     pub fn view(&self) -> Vec<NodeId> {
         self.entries.iter().map(|e| e.node).collect()
@@ -202,13 +189,6 @@ impl CyclonView {
     /// Returns the age of the oldest entry (0 for an empty view).
     pub fn oldest_age(&self) -> u32 {
         self.entries.iter().map(|e| e.age).max().unwrap_or(0)
-    }
-
-    #[cfg(test)]
-    fn age_entries_for_test(&mut self, by: u32) {
-        for e in &mut self.entries {
-            e.age += by;
-        }
     }
 }
 
@@ -310,25 +290,6 @@ mod tests {
             "dead node should age out of the view: {:?}",
             a.view()
         );
-    }
-
-    #[test]
-    fn adopt_refreshes_known_peers_and_evicts_the_oldest() {
-        let config = CyclonConfig { view_size: 2, shuffle_size: 1 };
-        let mut view = CyclonView::new(NodeId::new(0), config, &[NodeId::new(1), NodeId::new(2)]);
-        view.age_entries_for_test(5);
-        // Re-adopting a known peer resets its age, not the view size.
-        view.adopt(NodeId::new(1));
-        assert_eq!(view.view().len(), 2);
-        assert_eq!(view.oldest_age(), 5, "peer 2 stays stale");
-        // Adopting a newcomer into a full view evicts the oldest entry.
-        view.adopt(NodeId::new(3));
-        assert_eq!(view.view().len(), 2);
-        assert!(view.view().contains(&NodeId::new(3)));
-        assert!(!view.view().contains(&NodeId::new(2)), "the stale entry goes first");
-        // Self-adoption is a no-op.
-        view.adopt(NodeId::new(0));
-        assert!(!view.view().contains(&NodeId::new(0)));
     }
 
     #[test]

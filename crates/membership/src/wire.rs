@@ -33,17 +33,21 @@ pub fn is_shuffle(datagram: &[u8]) -> bool {
 
 /// Encodes `msg` from `sender` into a fresh datagram buffer.
 ///
-/// # Panics
+/// The count field holds at most `u16::MAX` entries. A [`CyclonView`]
+/// never offers more than its `shuffle_size ≤ view_size` entries — single
+/// digits in practice — so nothing it sends comes near that; a hand-built
+/// message past it is encoded with its first `u16::MAX` entries rather
+/// than aborting the sender.
 ///
-/// Panics if the message carries more than `u16::MAX` entries — Cyclon
-/// shuffle subsets are single-digit sized.
+/// [`CyclonView`]: crate::CyclonView
 pub fn encode_shuffle(sender: NodeId, msg: &ShuffleMessage) -> Vec<u8> {
     let (tag, entries) = match msg {
         ShuffleMessage::Request(entries) => (TAG_SHUFFLE_REQUEST, entries),
         ShuffleMessage::Reply(entries) => (TAG_SHUFFLE_REPLY, entries),
     };
-    let count = u16::try_from(entries.len()).expect("shuffle subsets are tiny");
-    let mut buf = Vec::with_capacity(7 + entries.len() * 8);
+    let count = u16::try_from(entries.len()).unwrap_or(u16::MAX);
+    let entries = entries.iter().take(usize::from(count));
+    let mut buf = Vec::with_capacity(7 + usize::from(count) * 8);
     buf.push(tag);
     buf.extend_from_slice(&sender.as_u32().to_le_bytes());
     buf.extend_from_slice(&count.to_le_bytes());
@@ -59,24 +63,20 @@ pub fn encode_shuffle(sender: NodeId, msg: &ShuffleMessage) -> Vec<u8> {
 /// Returns `None` for a non-shuffle tag, truncated input, or trailing
 /// garbage (all-or-nothing, like the protocol codec).
 pub fn decode_shuffle(datagram: &[u8]) -> Option<(NodeId, ShuffleMessage)> {
-    let (&tag, mut rest) = datagram.split_first()?;
-    if rest.len() < 6 {
+    let (&tag, rest) = datagram.split_first()?;
+    let (&[s0, s1, s2, s3, c0, c1], body) = rest.split_first_chunk::<6>()?;
+    let sender = NodeId::new(u32::from_le_bytes([s0, s1, s2, s3]));
+    let count = usize::from(u16::from_le_bytes([c0, c1]));
+    if body.len() != count * 8 {
         return None;
     }
-    let sender = NodeId::new(u32::from_le_bytes(rest[..4].try_into().ok()?));
-    let count = usize::from(u16::from_le_bytes(rest[4..6].try_into().ok()?));
-    rest = &rest[6..];
-    if rest.len() != count * 8 {
-        return None;
+    let mut entries = Vec::with_capacity(count);
+    let mut rest = body;
+    while let Some((&[n0, n1, n2, n3, a0, a1, a2, a3], tail)) = rest.split_first_chunk() {
+        let node = NodeId::new(u32::from_le_bytes([n0, n1, n2, n3]));
+        entries.push((node, u32::from_le_bytes([a0, a1, a2, a3])));
+        rest = tail;
     }
-    let entries: Vec<(NodeId, u32)> = rest
-        .chunks_exact(8)
-        .map(|c| {
-            let node = u32::from_le_bytes(c[..4].try_into().expect("chunk of 8"));
-            let age = u32::from_le_bytes(c[4..].try_into().expect("chunk of 8"));
-            (NodeId::new(node), age)
-        })
-        .collect();
     match tag {
         TAG_SHUFFLE_REQUEST => Some((sender, ShuffleMessage::Request(entries))),
         TAG_SHUFFLE_REPLY => Some((sender, ShuffleMessage::Reply(entries))),
@@ -129,6 +129,15 @@ mod tests {
         long.push(0xAA);
         assert!(decode_shuffle(&long).is_none(), "trailing garbage must reject");
         assert!(decode_shuffle(&[]).is_none());
+    }
+
+    #[test]
+    fn an_oversized_message_keeps_its_first_u16_max_entries() {
+        let entries: Vec<(NodeId, u32)> =
+            (0..=u32::from(u16::MAX)).map(|i| (NodeId::new(i), i)).collect();
+        let bytes = encode_shuffle(NodeId::new(1), &ShuffleMessage::Request(entries.clone()));
+        let (_, decoded) = decode_shuffle(&bytes).expect("well-formed");
+        assert_eq!(decoded, ShuffleMessage::Request(entries[..usize::from(u16::MAX)].to_vec()));
     }
 
     #[test]

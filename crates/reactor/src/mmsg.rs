@@ -12,17 +12,17 @@
 //! directions: `sendmmsg(2)` hands the kernel a vector of datagrams with
 //! per-entry destinations, `recvmmsg(2)` fills a vector of buffers.
 //!
-//! * **Send** — the shard packs its outbox into a [`SendQueue`]: one flat
+//! * **Send** — the shard packs its outbox into a `SendQueue`: one flat
 //!   reusable byte arena plus a segment table `(offset, len, destination)`.
-//!   [`drain_queue`] then drains the whole queue through an environment's
-//!   `send_from`, [`MAX_VLEN`] datagrams per syscall on the batched path,
+//!   `drain_queue` then drains the whole queue through an environment's
+//!   `send_from`, `MAX_VLEN` datagrams per syscall on the batched path,
 //!   resuming after partial sends (the kernel may accept fewer than asked).
-//!   Send errors go through an explicit taxonomy ([`classify`]):
+//!   Send errors go through an explicit taxonomy (`classify`):
 //!   *transient* pressure retains the unsent tail for a backed-off retry,
 //!   and a *fatal* socket error drops exactly the refused datagram, retains
 //!   the rest, and asks the caller to re-bind the socket — the
-//!   [`SendVerdict`] tells the shard which recovery to run.
-//! * **Recv** — a [`RecvQueue`] owns a pool of max-datagram buffers that
+//!   `SendVerdict` tells the shard which recovery to run.
+//! * **Recv** — a `RecvQueue` owns a pool of max-datagram buffers that
 //!   grows with the largest burst the shard has seen; one `recvmmsg` fills
 //!   up to the pool's worth of them, and the shard demuxes each as a
 //!   borrowed slice.

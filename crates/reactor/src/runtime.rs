@@ -682,13 +682,17 @@ mod tests {
 
     /// `config`'s workload on the simulator, over a loopback-like network
     /// (tiny constant latency, no in-network loss) and measured over the
-    /// cluster report's window range. Refuses what a scenario has no field
-    /// for: a Cyclon bootstrap and the `crashes` and `inject_loss`
-    /// shorthands; and a `[chaos]` plan, which acts at the syscall boundary
-    /// the simulator does not have.
+    /// cluster report's window range. A Cyclon bootstrap of `degree` maps to
+    /// the simulator's Cyclon mode with the shard's default view and
+    /// `degree`, shuffling once per gossip period: a shard shuffles once per
+    /// round. Refuses what a scenario has no field for: the `crashes` and
+    /// `inject_loss` shorthands; and a `[chaos]` plan, which acts at the
+    /// syscall boundary the simulator does not have.
     fn simulated(config: &ClusterConfig) -> gossip_experiments::RunResult {
-        let tracker = gossip_udp::cluster::JoinerBootstrap::Tracker;
-        assert_eq!(config.joiner_bootstrap, tracker, "no simulator twin for a Cyclon bootstrap");
+        use gossip_experiments::MembershipMode;
+        use gossip_membership::CyclonConfig;
+        use gossip_udp::cluster::JoinerBootstrap;
+
         assert!(config.crashes.is_empty(), "no simulator twin for the crash shorthand");
         assert_eq!(config.inject_loss, 0.0, "no simulator twin for the loss shorthand");
         assert!(config.adversity.chaos.is_none(), "no simulator twin for a [chaos] plan");
@@ -706,6 +710,13 @@ mod tests {
         scenario.latency = LatencyModel::Constant(Duration::from_micros(200));
         scenario.loss = LossModel::None;
         scenario.measure_from_window = 1;
+        if let JoinerBootstrap::Cyclon { degree } = config.joiner_bootstrap {
+            scenario.membership = MembershipMode::Cyclon {
+                config: CyclonConfig::default_small(),
+                bootstrap_degree: degree,
+                shuffle_period: config.gossip.gossip_period,
+            };
+        }
         scenario.run()
     }
 
@@ -958,12 +969,13 @@ mod tests {
         );
     }
 
-    /// Cyclon-bootstrapped joiners: a flash crowd enters knowing only a
-    /// bounded random sample of peers — no tracker push tells the swarm about
-    /// them. Their per-round membership shuffles spread their ids epidemically
-    /// (established nodes adopt shuffle senders and offered peers on contact),
-    /// so the joiners must still catch up on the stream, while the base swarm
-    /// keeps streaming undisturbed.
+    /// Cyclon without a tracker: every node keeps a partial view — the base
+    /// swarm from a bootstrap sample of 5, a flash crowd from a sample of
+    /// the census when it joins — and shuffles it once per round. Nobody is
+    /// told about a joiner: its id spreads through its own shuffle requests,
+    /// which every partner merges into its view. The joiners must still
+    /// catch up on the stream, the base swarm keep streaming, and both stay
+    /// within the parity band of the simulator's Cyclon twin.
     #[test]
     fn cyclon_bootstrapped_joiners_catch_up_without_tracker_push() {
         use gossip_adversity::AdversitySpec;
@@ -976,7 +988,8 @@ mod tests {
             8,
             Duration::from_secs(1),
         );
-        let report = run_virtual(config);
+        let report = run_virtual(config.clone());
+        let sim = simulated(&config);
 
         assert_eq!(report.nodes.len(), 38, "joiners must report too");
         let joiners = report.joiner_quality.as_ref().expect("the wave joined mid-stream");
@@ -988,6 +1001,16 @@ mod tests {
         );
         let base = report.quality.average_quality_percent(Duration::MAX);
         assert!(base >= 80.0, "the base swarm must be undisturbed by the wave: {base:.1}%");
+
+        let sim_joiners = sim.joiner_quality.as_ref().expect("the twin's wave joined too");
+        let sim_catch_up = sim_joiners.average_quality_percent(Duration::MAX);
+        let sim_base = sim.quality.average_quality_percent(Duration::MAX);
+        for (what, shard, twin) in [("joiner", catch_up, sim_catch_up), ("base", base, sim_base)] {
+            assert!(
+                (shard - twin).abs() <= 35.0,
+                "{what} quality: shard {shard:.1}% and simulator {twin:.1}% disagree beyond the band"
+            );
+        }
     }
 
     /// FNV-1a over a report: every node's report — id, protocol counters,

@@ -5,8 +5,12 @@
 //! and the fault-timeline interpreter — live in [`gossip_udp::hosted`],
 //! shared with the simulator. What stays here is wait → fire → drain →
 //! flush, and the shard's answers to [`Host`] (upload link, outbox,
-//! [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by id;
-//! joiners introduced lazily or by a Cyclon bootstrap).
+//! [`PacketPool`], wheel) and [`FaultHost`] (rounds staggered by id; the
+//! cluster's membership model). Under a tracker every node draws partners
+//! from the census; under Cyclon every node keeps a partial view — base
+//! nodes draw theirs in [`Shard::new`], a node that comes up draws a fresh
+//! one in [`hosted::apply`] — and shuffles it once per gossip round, the
+//! simulator's model with the shuffle period set to the gossip period.
 //!
 //! A shard multiplexes every deadline of its nodes — gossip rounds,
 //! retransmission timers, source emissions, upload-link releases, and the
@@ -303,10 +307,10 @@ pub(crate) struct Shard<E> {
     /// timeline, so every shard's view of the split agrees; cross-cell
     /// frames are dropped on arrival in [`Shard::route_frame`].
     partition: PartitionState,
-    /// RNG stream for membership work — Cyclon bootstrap samples, shuffle
-    /// subsets, reply samples. Seeded per shard; the reactor's wall-clock
-    /// arrival order makes shuffle sequences non-deterministic anyway
-    /// (like everything else this runtime measures statistically).
+    /// RNG stream for membership work — Cyclon bootstrap samples and
+    /// shuffle subsets. Seeded per shard; the reactor's wall-clock arrival
+    /// order makes shuffle sequences non-deterministic anyway (like
+    /// everything else this runtime measures statistically).
     membership_rng: DetRng,
     /// The shard's one copy of every packet a hosted node verified (not
     /// to be confused with the socket pool).
@@ -434,6 +438,18 @@ impl Routes {
         Routes { addrs, group_of }
     }
 
+    /// Whether the address book has an entry for `v`.
+    fn knows(&self, v: NodeId) -> bool {
+        v.index() < self.group_of.len()
+    }
+
+    /// Whether the address book knows the sender of a shuffle and every
+    /// peer it offers.
+    fn knows_all(&self, from: NodeId, msg: &ShuffleMessage) -> bool {
+        let (ShuffleMessage::Request(offered) | ShuffleMessage::Reply(offered)) = msg;
+        self.knows(from) && offered.iter().all(|&(peer, _)| self.knows(peer))
+    }
+
     /// The destination group `to` receives in.
     fn group(&self, to: NodeId) -> usize {
         self.group_of[to.index()] as usize
@@ -529,7 +545,7 @@ impl<E: ShardEnv> Shard<E> {
                     .split(0xBACC_0000 + (index * 1024 + s) as u64),
             })
             .collect();
-        Shard {
+        let mut shard = Shard {
             index,
             placement,
             recv_batch,
@@ -541,7 +557,7 @@ impl<E: ShardEnv> Shard<E> {
             stop,
             nodes,
             wheel,
-            members,
+            members: Arc::clone(&members),
             partition: PartitionState::new(),
             membership_rng,
             packets: PacketPool::default(),
@@ -559,7 +575,15 @@ impl<E: ShardEnv> Shard<E> {
             chaos,
             telemetry,
             next_gauge_publish: Time::ZERO,
+        };
+        // Under Cyclon every base node starts from its own bootstrap
+        // sample; a joiner draws its own when it comes up.
+        let base: Vec<NodeId> =
+            shard.nodes.iter().filter(|vn| !vn.is_down()).map(HostedNode::id).collect();
+        for v in base {
+            hosted::draw_view(&mut shard, v, &members);
         }
+        shard
     }
 
     /// Runs the loop until `stop` is raised, then [`Shard::finish`]es.
@@ -830,7 +854,11 @@ impl<E: ShardEnv> Shard<E> {
         }
     }
 
-    /// Routes one protocol frame to its destination node.
+    /// Routes one protocol frame to its destination node. A frame whose
+    /// sender — or, for a shuffle, any offered peer — is outside the
+    /// address book is no frame of this cluster: it is counted as a decode
+    /// error, before an unknown id can reach a view, a membership or a
+    /// destination lookup.
     fn route_frame(&mut self, dest: NodeId, wire: &[u8], now: Time) {
         let Some(local) = self.local_slot(dest) else {
             return; // stray frame for another shard's (or process's) socket
@@ -844,37 +872,32 @@ impl<E: ShardEnv> Shard<E> {
             // Membership traffic rides the same sockets as the protocol
             // but never reaches the state machine.
             match shuffle_wire::decode_shuffle(wire) {
-                Some((from, msg)) => {
+                Some((from, msg)) if self.routes.knows_all(from, &msg) => {
                     if !self.partition.allows(&self.compiled, from, dest) {
                         return; // the split eats shuffles too
                     }
                     self.on_shuffle(local, from, msg, now);
                 }
-                None => vn.port.decode_errors += 1,
+                _ => vn.port.decode_errors += 1,
             }
             return;
         }
         match decode_frame::<StreamPacket>(wire) {
-            Some(frame) => {
+            Some(frame) if self.routes.knows(frame.sender()) => {
                 let frame = frame.with_pool(&self.packets);
                 if !self.partition.allows(&self.compiled, frame.sender(), dest) {
                     return; // the split eats cross-cell traffic on arrival
                 }
-                if let Some(view) = vn.view.as_mut() {
-                    // Contact is proof of life: protocol traffic keeps the
-                    // sender's entry young in a joiner's partial view.
-                    view.adopt(frame.sender());
-                }
                 vn.on_frame(now, &frame);
                 self.drain_outputs(local, now);
             }
-            None => vn.port.decode_errors += 1,
+            _ => vn.port.decode_errors += 1,
         }
     }
 
-    /// One Cyclon shuffle round for a partial-view joiner: age the view,
-    /// shuffle with the oldest peer (its reply merges asynchronously on
-    /// arrival), and refresh the node's membership from what remains.
+    /// One Cyclon shuffle round: age the view, shuffle with the oldest peer
+    /// (its reply merges asynchronously on arrival), and refresh the node's
+    /// membership from what remains.
     fn shuffle_round(&mut self, local: usize, now: Time) {
         let vn = &mut self.nodes[local];
         let Some(view) = vn.view.as_mut() else { return };
@@ -885,44 +908,16 @@ impl<E: ShardEnv> Shard<E> {
         self.flush_link(local, now);
     }
 
-    /// Handles one membership shuffle frame addressed to a local node.
-    ///
-    /// A partial-view joiner runs the real Cyclon exchange (merge and,
-    /// for requests, a reply). An established full-membership node
-    /// answers statelessly: it adopts the sender and every offered peer
-    /// into its membership — this is how a tracker-less joiner becomes
-    /// reachable — and replies with a random sample of what it knows, so
-    /// the joiner's view keeps growing beyond its bootstrap sample.
+    /// Handles one membership shuffle frame addressed to a local node: its
+    /// view merges the offer and answers a request. A node without a view
+    /// (under a tracker) has no use for a shuffle.
     fn on_shuffle(&mut self, local: usize, from: NodeId, msg: ShuffleMessage, now: Time) {
         let vn = &mut self.nodes[local];
-        let id = vn.id();
-        if let Some(view) = vn.view.as_mut() {
-            if let Some(reply) = view.on_message(from, msg, &mut self.membership_rng) {
-                offer(&mut vn.link, now, from, Envelope::Shuffle(reply));
-                self.flush_link(local, now);
-            }
-            return;
+        let Some(view) = vn.view.as_mut() else { return };
+        if let Some(reply) = view.on_message(from, msg, &mut self.membership_rng) {
+            offer(&mut vn.link, now, from, Envelope::Shuffle(reply));
+            self.flush_link(local, now);
         }
-        let ShuffleMessage::Request(offered) = msg else {
-            return; // a stray reply to a full-membership node: nothing to do
-        };
-        let mut membership = vn.node.membership().to_vec();
-        for peer in offered.iter().map(|&(n, _)| n).chain([from]) {
-            if peer != id && !membership.contains(&peer) {
-                membership.push(peer);
-            }
-        }
-        let candidates: Vec<NodeId> =
-            membership.iter().copied().filter(|&m| m != id && m != from).collect();
-        let picked = self
-            .membership_rng
-            .sample_indices(candidates.len(), CyclonConfig::default_small().shuffle_size);
-        // Age 0 throughout: a full-membership node has no staleness signal
-        // to offer.
-        let reply = ShuffleMessage::Reply(picked.into_iter().map(|k| (candidates[k], 0)).collect());
-        vn.node.set_membership(membership);
-        offer(&mut vn.link, now, from, Envelope::Shuffle(reply));
-        self.flush_link(local, now);
     }
 
     /// Fires one wheel deadline.
@@ -1313,34 +1308,26 @@ impl<E: ShardEnv> FaultHost for Shard<E> {
         &mut self.members
     }
 
-    /// Under Cyclon bootstrapping there is no tracker push: the census grows
-    /// (later bootstrap samples and rejoins see the joiner) but nobody is
-    /// told. The joiner starts from a bounded random partial view; its
-    /// per-round shuffles carry its id outward, and established nodes adopt
-    /// it on contact — knowledge spreads epidemically instead of by
-    /// directory.
-    fn announces_joins(&self) -> bool {
-        self.cluster.joiner_bootstrap == JoinerBootstrap::Tracker
+    /// Under Cyclon every node keeps a view of the default size, drawn
+    /// from the shard's membership stream.
+    fn sampling(&mut self) -> Option<(CyclonConfig, usize, &mut DetRng)> {
+        match self.cluster.joiner_bootstrap {
+            JoinerBootstrap::Tracker => None,
+            JoinerBootstrap::Cyclon { degree } => {
+                Some((CyclonConfig::default_small(), degree, &mut self.membership_rng))
+            }
+        }
     }
 
     /// Starts a node's round chain, staggered within one gossip period by
-    /// id like the initial deployment. A joiner bootstrapped by Cyclon
-    /// first draws its partial view from the census.
+    /// id like the initial deployment.
     fn start(&mut self, now: Time, v: NodeId) {
         let Some(local) = self.local_slot(v) else { return };
         let period = self.cluster.gossip.gossip_period;
-        let vn = &mut self.nodes[local];
-        if let JoinerBootstrap::Cyclon { degree } = self.cluster.joiner_bootstrap {
-            if self.compiled.profiles[v.index()].join_at.is_some() {
-                let (config, rng) = (CyclonConfig::default_small(), &mut self.membership_rng);
-                vn.view = Some(hosted::bootstrap_view(v, config, &self.members, degree, rng));
-                vn.follow_view();
-            }
-        }
         let phase = Duration::from_micros(
             u64::from(v.as_u32()) * period.as_micros() / self.compiled.total_n as u64,
         );
-        self.wheel.push(now + phase, Fire::Round(local as u32, vn.epoch()));
+        self.wheel.push(now + phase, Fire::Round(local as u32, self.nodes[local].epoch()));
     }
 }
 
@@ -1943,6 +1930,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A node id no address book of a small cluster holds.
+    const FORGED: NodeId = NodeId::new(100_000);
+
+    /// Sends one kernel datagram from outside the pool carrying `wires`,
+    /// each a frame for node 1 of `cluster`, then runs it for 400 ms.
+    fn forge_to_node_1(cluster: &mut VirtualCluster, wires: &[Vec<u8>]) {
+        let mut datagram = Vec::new();
+        for wire in wires {
+            assert!(demux::append_frame(&mut datagram, NodeId::new(1), wire));
+        }
+        cluster.net.borrow_mut().send(stranger(), Net::addr(0), &datagram);
+        cluster.run_until(at_ms(400));
+    }
+
+    /// A sender id is the frame's own claim. A Propose from an id past the
+    /// address book is dropped and counted: answered, its Request would
+    /// look the destination up past the end of the book and abort the
+    /// process.
+    #[test]
+    fn a_frame_from_a_forged_sender_is_dropped_and_counted() {
+        let mut cluster = one_shard(true, 1, false);
+        let ids: Arc<[PacketId]> = vec![PacketId::new(0, 0)].into();
+        let propose: Message<StreamPacket> = Message::Propose { ids };
+        forge_to_node_1(&mut cluster, &[encode_message(FORGED, &propose)]);
+        let node = &cluster.shards[0].nodes[1];
+        assert_eq!(node.port.decode_errors, 1);
+    }
+
+    /// Under Cyclon every node keeps a view, and a shuffle that names an id
+    /// past the address book — as its sender or among its offered peers —
+    /// is dropped and counted before it can reach one.
+    #[test]
+    fn a_shuffle_naming_a_forged_id_is_dropped_and_counted() {
+        let mut cluster = one_shard_of(true, 1, 4, |cluster| {
+            cluster.stream_duration = Duration::ZERO;
+            cluster.joiner_bootstrap = JoinerBootstrap::Cyclon { degree: 2 };
+        });
+        assert!(cluster.shards[0].nodes.iter().all(|vn| vn.view.is_some()), "a view each");
+        let forged = [(FORGED, vec![(NodeId::new(2), 0)]), (NodeId::new(2), vec![(FORGED, 0)])];
+        let wires: Vec<Vec<u8>> = forged
+            .into_iter()
+            .map(|(from, offered)| {
+                shuffle_wire::encode_shuffle(from, &ShuffleMessage::Request(offered))
+            })
+            .collect();
+        forge_to_node_1(&mut cluster, &wires);
+        let node = &cluster.shards[0].nodes[1];
+        assert_eq!(node.port.decode_errors, 2);
+        let view = node.view.as_ref().expect("the node keeps its view");
+        assert!(!view.view().contains(&FORGED));
+        assert!(!node.node.membership().contains(&FORGED));
     }
 
     /// An idle shard sleeps through every iteration: the dwell and then a

@@ -52,8 +52,8 @@ pub struct ClusterConfig {
     /// crate). The simulator compiles the same spec from the same seed, so
     /// a live run and its simulated oracle meet the identical timeline.
     pub adversity: AdversitySpec,
-    /// How flash-crowd joiners learn their first peers (see
-    /// [`JoinerBootstrap`]).
+    /// The membership model of every node: full membership with a tracker,
+    /// or Cyclon partial views (see [`JoinerBootstrap`]).
     pub joiner_bootstrap: JoinerBootstrap,
     /// Live telemetry: when set, the runtime starts a metrics registry, a
     /// scrape endpoint and a snapshot sampler for the duration of the run
@@ -63,23 +63,24 @@ pub struct ClusterConfig {
     pub telemetry: Option<gossip_telemetry::TelemetryConfig>,
 }
 
-/// How a mid-run joiner is introduced to the swarm.
+/// The membership model of every node, and so how a mid-run joiner is
+/// introduced to the swarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinerBootstrap {
-    /// Tracker-style (the simulator's full-membership mode): the joiner
-    /// receives the complete node list and every existing node instantly
-    /// learns the joiner. Simple, but assumes an out-of-band directory
-    /// that scales with the swarm.
+    /// Tracker-style (the simulator's full-membership mode): every node
+    /// draws partners from the complete node list, a joiner receives it,
+    /// and every existing node instantly learns the joiner. Simple, but
+    /// assumes an out-of-band directory that scales with the swarm.
     #[default]
     Tracker,
-    /// Cyclon-style: the joiner starts from a bounded partial view of
-    /// `degree` random peers (a `gossip_membership::CyclonView`) and runs
-    /// one membership shuffle per gossip round. Established nodes answer
-    /// shuffles from their full membership and adopt the newcomer (and any
-    /// peers its shuffle offers) on contact, so knowledge of the joiner
-    /// spreads epidemically — no tracker push, only the introducer sample.
+    /// Cyclon-style (the simulator's Cyclon mode, one shuffle per gossip
+    /// round): every node keeps a bounded partial view (a
+    /// `gossip_membership::CyclonView`), drawn from `degree` random peers
+    /// at the start and whenever it comes up, and draws partners from it.
+    /// Nobody is told about a joiner: its shuffles carry its id, so
+    /// knowledge of it spreads epidemically.
     Cyclon {
-        /// Peers in the joiner's bootstrap view (its only a-priori
+        /// Peers in a node's bootstrap view (a joiner's only a-priori
         /// knowledge of the swarm).
         degree: usize,
     },

@@ -331,12 +331,11 @@ impl<P> HostedNode<P> {
         self.down = false;
     }
 
-    /// Brings a joiner up for the first time, drawing partners from its view
-    /// if the host gave it one, from `members` otherwise.
+    /// Brings a joiner up for the first time, drawing partners from
+    /// `members`.
     pub fn join(&mut self, members: Arc<[NodeId]>) {
         debug_assert!(self.down, "double join of {}", self.node.id());
         self.node.set_membership(members);
-        self.follow_view();
         self.down = false;
     }
 
@@ -383,11 +382,12 @@ pub trait FaultHost {
     /// joiners in join order. Revived and joining nodes draw partners
     /// from it.
     fn census(&mut self) -> &mut Arc<[NodeId]>;
-    /// Whether a joiner is announced to every node at once (a tracker) or
-    /// left to spread through its own shuffles (Cyclon).
-    fn announces_joins(&self) -> bool;
-    /// Arms the recurring deadlines of hosted node `v`, just come up — and
-    /// draws its partial view, if it shuffles one.
+    /// The host's peer sampling: the Cyclon view configuration, the
+    /// bootstrap degree and the RNG every view is drawn from — or `None`
+    /// under full membership, where a joiner is announced to every node at
+    /// once (a tracker).
+    fn sampling(&mut self) -> Option<(CyclonConfig, usize, &mut DetRng)>;
+    /// Arms the recurring deadlines of hosted node `v`, just come up.
     fn start(&mut self, now: Time, v: NodeId);
 }
 
@@ -398,8 +398,10 @@ pub trait FaultHost {
 /// The join rule is the same on every host: the census grows by the
 /// joiner; under a tracker every hosted node learns it at once (a
 /// membership list is shared, so that is a reference count per node); under
-/// Cyclon nobody is told and the joiner's shuffles carry its id. The
-/// joiner itself comes up drawing partners from the census.
+/// Cyclon nobody is told and the joiner's shuffles carry its id. A node
+/// that comes up — a joiner or a revived crash victim — draws partners from
+/// the census, and under Cyclon first draws a fresh partial view from it,
+/// like any newcomer ([`draw_view`]), before the host arms its deadlines.
 pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
     match action {
         FaultAction::Crash(v) => {
@@ -411,7 +413,8 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
         FaultAction::Rejoin(v) => {
             let members = Arc::clone(host.census());
             if let Some(node) = host.hosted(v).filter(|node| node.is_down()) {
-                node.revive(members);
+                node.revive(Arc::clone(&members));
+                draw_view(host, v, &members);
                 host.start(now, v);
             }
         }
@@ -419,7 +422,7 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
             let census = host.census();
             *census = census.iter().copied().chain([v]).collect();
             let members = Arc::clone(census);
-            if host.announces_joins() {
+            if host.sampling().is_none() {
                 for &m in members.iter().filter(|&&m| m != v) {
                     if let Some(node) = host.hosted(m) {
                         node.node.set_membership(Arc::clone(&members));
@@ -427,7 +430,8 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
                 }
             }
             if let Some(node) = host.hosted(v) {
-                node.join(members);
+                node.join(Arc::clone(&members));
+                draw_view(host, v, &members);
                 host.start(now, v);
             }
         }
@@ -442,6 +446,17 @@ pub fn apply(host: &mut impl FaultHost, now: Time, action: FaultAction) {
                     (None, _) => {}
                 }
             }
+        }
+    }
+}
+
+/// Gives hosted node `v` a fresh partial view drawn from `members` when
+/// `host` samples peers (Cyclon); under a tracker it draws nothing.
+pub fn draw_view(host: &mut impl FaultHost, v: NodeId, members: &[NodeId]) {
+    if let Some((config, degree, rng)) = host.sampling() {
+        let view = bootstrap_view(v, config, members, degree, rng);
+        if let Some(node) = host.hosted(v) {
+            node.view = Some(view);
         }
     }
 }
